@@ -81,6 +81,51 @@ golden_tests!(
     serve,
 );
 
+/// Witness bytes on the `cold-observer-read` inputs of the repository
+/// benchmark: `max_x` and the rendered σ-visible witness (the string the
+/// wire sends) for every 7th observer of three 640-event prefixes, from
+/// two anchors. The witness path follows SPFA tie-breaks, which follow
+/// the insertion order of every adjacency row of `GE(r, σ)`, so this pins
+/// the graph builders' edge order and not only their answers.
+#[test]
+fn witness_bytes() {
+    use std::fmt::Write as _;
+    use zigzag_bcm::{NodeId, ProcessId, RunCursor, StreamingRun};
+    use zigzag_core::knowledge::KnowledgeEngine;
+    use zigzag_core::GeneralNode;
+
+    let ctx = zigzag_bench::scaled_context(12, 0.3, 11);
+    let mut report = String::new();
+    for seed in 1..=3u64 {
+        let recorded = zigzag_bench::kicked_run(&ctx, ProcessId::new(0), 1, 80, seed);
+        let mut stream = StreamingRun::new(recorded.context_arc(), recorded.horizon());
+        let nodes: Vec<NodeId> = RunCursor::new(&recorded)
+            .collect_events()
+            .iter()
+            .take(640)
+            .map(|ev| stream.append(ev).expect("recorded schedules replay"))
+            .collect();
+        let run = stream.run();
+        for (k, &sigma) in nodes.iter().enumerate().step_by(7) {
+            let engine = KnowledgeEngine::new(run, sigma).unwrap();
+            let past: Vec<NodeId> = run.past(sigma).iter().filter(|n| !n.is_initial()).collect();
+            let strided = past[(k * 37) % past.len()];
+            write!(report, "seed {seed} σ {sigma}").unwrap();
+            for anchor in [nodes[0], strided] {
+                let (a, b) = (GeneralNode::basic(anchor), GeneralNode::basic(sigma));
+                let max_x = engine.max_x(&a, &b).unwrap();
+                let witness = match engine.witness(&a, &b).unwrap() {
+                    Some((weight, vz)) => format!("{weight} {vz}"),
+                    None => "none".to_string(),
+                };
+                write!(report, " | θ1 {anchor}: max_x {max_x:?}, witness {witness}").unwrap();
+            }
+            report.push('\n');
+        }
+    }
+    check_golden("witness_bytes", &report);
+}
+
 /// Family-level determinism: the whole harness — every family, every
 /// cell, one fused parallel map — renders byte-identically at 1 and 8
 /// workers (the `ZIGZAG_THREADS=1` vs `ZIGZAG_THREADS=8` contract), and

@@ -15,7 +15,7 @@
 //! (Lemma 5, implemented in [`crate::extract`]).
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{MessageId, NodeId, Run};
+use zigzag_bcm::{MessageId, NodeId, ProcessId, Run};
 
 use crate::error::CoreError;
 use crate::graph::{Edge, LongestPaths, WeightedDigraph};
@@ -47,6 +47,91 @@ pub struct BoundsGraph {
     last_idx: Vec<u32>,
 }
 
+/// The dense vertex layout of a per-process node prefix of a run: node
+/// `(p, k)` sits at index `start[p] + k` for every `k` below the prefix
+/// length of `p` — timeline after timeline, the order of [`Run::nodes`],
+/// of [`Past::iter`] and of `NodeId`'s `Ord`. Graphs with one auxiliary
+/// vertex per process place `ψ_p` right after the nodes (see
+/// [`crate::extended_graph`]). The bulk builders locate every edge
+/// endpoint by this arithmetic instead of an interning lookup.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeLayout {
+    /// `start[p]` is the index of `(p, 0)`; the last entry is the node
+    /// count.
+    start: Vec<usize>,
+}
+
+impl NodeLayout {
+    /// Every recorded node of `run`.
+    pub(crate) fn of_run(run: &Run) -> Self {
+        let net = run.context().network();
+        Self::from_lens(net.processes().map(|p| run.timeline(p).len()))
+    }
+
+    /// The nodes of `past`, over a network of `procs` processes.
+    pub(crate) fn of_past(past: &Past, procs: usize) -> Self {
+        Self::from_lens((0..procs).map(|p| {
+            past.boundary(ProcessId::new(p as u32))
+                .map_or(0, |b| b.index() as usize + 1)
+        }))
+    }
+
+    /// The layout holding the first `lens[p]` nodes of each process `p`.
+    fn from_lens(lens: impl Iterator<Item = usize>) -> Self {
+        let mut start = vec![0];
+        let mut total = 0;
+        for len in lens {
+            total += len;
+            start.push(total);
+        }
+        NodeLayout { start }
+    }
+
+    /// Number of processes.
+    pub(crate) fn procs(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Number of nodes.
+    pub(crate) fn nodes(&self) -> usize {
+        self.start[self.procs()]
+    }
+
+    /// The index range of process `p`'s nodes.
+    pub(crate) fn range(&self, p: usize) -> std::ops::Range<usize> {
+        self.start[p]..self.start[p + 1]
+    }
+
+    /// The dense index of `n`, if it is in the layout.
+    pub(crate) fn index(&self, n: NodeId) -> Option<usize> {
+        let p = n.proc().index();
+        let (lo, hi) = (*self.start.get(p)?, *self.start.get(p + 1)?);
+        let i = lo + n.index() as usize;
+        (i < hi).then_some(i)
+    }
+
+    /// The node at dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`NodeLayout::nodes`].
+    pub(crate) fn node(&self, i: usize) -> NodeId {
+        assert!(i < self.nodes(), "node index {i} out of range");
+        // The last process starting at or before `i`: empty processes
+        // share their start with the next one and are skipped.
+        let p = self.start.partition_point(|&s| s <= i) - 1;
+        NodeId::new(ProcessId::new(p as u32), (i - self.start[p]) as u32)
+    }
+
+    /// Every node, in index order.
+    pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.procs()).flat_map(move |p| {
+            let proc = ProcessId::new(p as u32);
+            (0..self.range(p).len() as u32).map(move |k| NodeId::new(proc, k))
+        })
+    }
+}
+
 /// Flattens the context's channel bounds into a dense `from * n + to`
 /// table (`None` where no channel exists).
 fn channel_table(run: &Run) -> (usize, Vec<Option<(i64, i64)>>) {
@@ -64,139 +149,58 @@ fn channel_table(run: &Run) -> (usize, Vec<Option<(i64, i64)>>) {
 impl BoundsGraph {
     /// Builds `GB(r)` over every recorded basic node.
     pub fn of_run(run: &Run) -> Self {
-        Self::build_full(run)
+        Self::build(run, NodeLayout::of_run(run))
     }
 
     /// Builds the local bounds graph `GB(r, σ)`: the subgraph induced by
     /// `past(r, σ)` (Definition 14). Only edges with **both** endpoints in
     /// the past are present.
     pub fn local(run: &Run, past: &Past) -> Self {
-        Self::build(run, Some(past))
+        Self::build(
+            run,
+            NodeLayout::of_past(past, run.context().network().len()),
+        )
     }
 
-    /// Full-run bulk build. Vertices are interned in [`Run::nodes`] order
-    /// — timeline after timeline, each position `k` holding the node of
-    /// index `k` — so the dense index of `(p, k)` is `offsets[p] + k` by
-    /// construction and edge endpoints never go back through the
-    /// interner. Storage is reserved up front from the known node count.
-    fn build_full(run: &Run) -> Self {
+    /// The one bulk build behind [`BoundsGraph::of_run`] and
+    /// [`BoundsGraph::local`]: the nodes of `layout` as vertices, then
+    /// (a) the successor edges down each timeline and (b) the `±` pair of
+    /// every delivered message with both endpoints in the layout, each
+    /// endpoint located arithmetically.
+    fn build(run: &Run, layout: NodeLayout) -> Self {
         let (procs, channel_bounds) = channel_table(run);
-        let mut offsets = Vec::with_capacity(procs);
-        let mut total = 0usize;
-        for p in run.context().network().processes() {
-            offsets.push(total);
-            total += run.timeline(p).len();
-        }
-
-        let mut graph = WeightedDigraph::new();
-        graph.reserve_vertices(total);
-        for (i, rec) in run.nodes().enumerate() {
-            let vi = graph.add_vertex(rec.id());
-            debug_assert_eq!(vi, i, "timelines must intern densely");
-            debug_assert_eq!(
-                offsets[rec.id().proc().index()] + rec.id().index() as usize,
-                i,
-                "timeline position must equal the node's index"
-            );
-        }
-        let at = |n: NodeId| offsets[n.proc().index()] + n.index() as usize;
-
-        // (a) successor edges: consecutive dense indices down each timeline.
-        for p in run.context().network().processes() {
-            let base = offsets[p.index()];
-            for k in 1..run.timeline(p).len() {
-                graph.add_edge_indexed(base + k - 1, base + k, 1, LABEL_SUCCESSOR);
+        let mut edges = Vec::with_capacity(layout.nodes() + 2 * run.messages().len());
+        for p in 0..procs {
+            let range = layout.range(p);
+            for i in range.start + 1..range.end {
+                edges.push(Edge::new(i - 1, i, 1, LABEL_SUCCESSOR));
             }
         }
-        // (b) message edges, both directions, endpoints located arithmetically.
         let mut message_edges = 0usize;
         for m in run.messages() {
             let Some(d) = m.delivery() else { continue };
+            let (Some(si), Some(di)) = (layout.index(m.src()), layout.index(d.node)) else {
+                continue;
+            };
             let c = m.channel();
             let (lower, upper) = channel_bounds[c.from.index() * procs + c.to.index()]
                 .expect("validated runs have bounds for every channel");
-            let (si, di) = (at(m.src()), at(d.node));
-            graph.add_edge_indexed(si, di, lower, LABEL_SEND);
-            graph.add_edge_indexed(di, si, -upper, LABEL_RECV);
+            edges.push(Edge::new(si, di, lower, LABEL_SEND));
+            edges.push(Edge::new(di, si, -upper, LABEL_RECV));
             message_edges += 2;
         }
-        let last_idx = run
-            .context()
-            .network()
-            .processes()
+        let last_idx = (0..procs)
             .map(|p| {
-                let len = run.timeline(p).len();
-                if len == 0 {
+                let range = layout.range(p);
+                if range.is_empty() {
                     u32::MAX
                 } else {
-                    (offsets[p.index()] + len - 1) as u32
+                    (range.end - 1) as u32
                 }
             })
             .collect();
         BoundsGraph {
-            graph,
-            message_edges,
-            channel_bounds,
-            procs,
-            last_idx,
-        }
-    }
-
-    fn build(run: &Run, past: Option<&Past>) -> Self {
-        let keep = |n: NodeId| past.is_none_or(|p| p.contains(n));
-        let mut graph = WeightedDigraph::new();
-        let mut message_edges = 0usize;
-
-        for rec in run.nodes() {
-            if keep(rec.id()) {
-                graph.add_vertex(rec.id());
-            }
-        }
-        // (a) successor edges. Roll the interned index down each
-        // timeline so consecutive edges share one lookup.
-        for p in run.context().network().processes() {
-            let tl = run.timeline(p);
-            for k in 1..tl.len() {
-                let prev = tl[k - 1].id();
-                let cur = tl[k].id();
-                if keep(prev) && keep(cur) {
-                    let pi = graph.add_vertex(prev);
-                    let ci = graph.add_vertex(cur);
-                    graph.add_edge_indexed(pi, ci, 1, LABEL_SUCCESSOR);
-                }
-            }
-        }
-        // (b) message edges, both directions: one lookup per endpoint
-        // covers the ± pair.
-        let (procs, channel_bounds) = channel_table(run);
-        for m in run.messages() {
-            let Some(d) = m.delivery() else { continue };
-            if !(keep(m.src()) && keep(d.node)) {
-                continue;
-            }
-            let c = m.channel();
-            let (lower, upper) = channel_bounds[c.from.index() * procs + c.to.index()]
-                .expect("validated runs have bounds for every channel");
-            let si = graph.add_vertex(m.src());
-            let di = graph.add_vertex(d.node);
-            graph.add_edge_indexed(si, di, lower, LABEL_SEND);
-            graph.add_edge_indexed(di, si, -upper, LABEL_RECV);
-            message_edges += 2;
-        }
-        let last_idx = run
-            .context()
-            .network()
-            .processes()
-            .map(|p| {
-                run.timeline(p)
-                    .iter()
-                    .rev()
-                    .find_map(|rec| graph.index_of(&rec.id()))
-                    .map_or(u32::MAX, |i| i as u32)
-            })
-            .collect();
-        BoundsGraph {
-            graph,
+            graph: WeightedDigraph::from_edges(layout.node_ids().collect(), &edges),
             message_edges,
             channel_bounds,
             procs,

@@ -35,11 +35,9 @@ use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{Bounds, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
+use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
-use crate::extended_graph::{
-    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
-};
+use crate::extended_graph::{closed_graph, ExtVertex, ExtendedGraph, MessageIndex};
 use crate::graph::{LongestPaths, WeightedDigraph};
 use crate::node::GeneralNode;
 use crate::timing::{fast_timing, FastTiming, NodeTiming};
@@ -61,71 +59,12 @@ pub struct FrontierGraph {
 }
 
 impl FrontierGraph {
-    /// Builds the frontier graph of `run`.
+    /// Builds the frontier graph of `run`: the `GE` bulk build with every
+    /// recorded node in the "past", so a message is "seen" exactly when
+    /// it was delivered.
     pub fn of_run(run: &Run) -> Self {
-        let net = run.context().network();
-        let bounds = run.context().bounds();
-        let mut graph: WeightedDigraph<ExtVertex> = WeightedDigraph::new();
-
-        for rec in run.nodes() {
-            graph.add_vertex(ExtVertex::Node(rec.id()));
-        }
-        for p in net.processes() {
-            graph.add_vertex(ExtVertex::Aux(p));
-            let tl = run.timeline(p);
-            for k in 1..tl.len() {
-                graph.add_edge(
-                    ExtVertex::Node(tl[k - 1].id()),
-                    ExtVertex::Node(tl[k].id()),
-                    1,
-                    LABEL_SUCCESSOR,
-                );
-            }
-            let last = tl.last().expect("every process has an initial node");
-            graph.add_edge(
-                ExtVertex::Node(last.id()),
-                ExtVertex::Aux(p),
-                1,
-                LABEL_BOUNDARY,
-            );
-        }
-        for m in run.messages() {
-            let cb = bounds
-                .get(m.channel())
-                .expect("recorded messages travel on known channels");
-            match m.delivery() {
-                Some(d) => {
-                    graph.add_edge(
-                        ExtVertex::Node(m.src()),
-                        ExtVertex::Node(d.node),
-                        cb.lower() as i64,
-                        LABEL_SEND,
-                    );
-                    graph.add_edge(
-                        ExtVertex::Node(d.node),
-                        ExtVertex::Node(m.src()),
-                        -(cb.upper() as i64),
-                        LABEL_RECV,
-                    );
-                }
-                None => {
-                    graph.add_edge(
-                        ExtVertex::Aux(m.channel().to),
-                        ExtVertex::Node(m.src()),
-                        -(cb.upper() as i64),
-                        LABEL_UNSEEN,
-                    );
-                }
-            }
-        }
-        for ch in net.channels() {
-            graph.add_edge(
-                ExtVertex::Aux(ch.to),
-                ExtVertex::Aux(ch.from),
-                -(bounds.get(*ch).expect("covered").upper() as i64),
-                LABEL_AUX_CHAN,
-            );
-        }
+        let layout = NodeLayout::of_run(run);
+        let graph = closed_graph(run, &layout, &MessageIndex::of_run(run), None);
         FrontierGraph { graph }
     }
 
@@ -783,8 +722,10 @@ fn chain_prescriptions(
 /// # Errors
 ///
 /// Fails if `sigma` does not appear, `theta`'s base is not σ-recognized or
-/// `theta`'s chain cannot exist (initial base), or on internal
-/// inconsistency ([`CoreError::InvalidTiming`] — a model bug).
+/// `theta`'s chain cannot exist (initial base), with
+/// [`CoreError::ParameterOutOfRange`] if `gamma` or `extra_horizon` is so
+/// large that the run's times overflow, or on internal inconsistency
+/// ([`CoreError::InvalidTiming`] — a model bug).
 pub fn fast_run(
     run: &Run,
     sigma: NodeId,
@@ -868,7 +809,16 @@ pub(crate) fn fast_run_from_timing(
         .map(|p| ft.aux_time(p).expect("every process has an auxiliary node"))
         .collect();
 
-    let horizon = ft.max_time().max(theta_time) + extra_horizon;
+    let horizon = ft
+        .max_time()
+        .max(theta_time)
+        .ticks()
+        .checked_add(extra_horizon)
+        .map(Time::new)
+        .ok_or(CoreError::ParameterOutOfRange {
+            parameter: "extra_horizon",
+            value: extra_horizon,
+        })?;
     let p = Prescription {
         boundary,
         times,

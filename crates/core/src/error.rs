@@ -62,6 +62,15 @@ pub enum CoreError {
         /// Explanation of what fell off the prefix.
         detail: String,
     },
+    /// A numeric parameter of a construction is so large that the times
+    /// it implies overflow (a fast run's `gamma` or `extra_horizon` near
+    /// `u64::MAX`). The request itself is wrong: resending cannot help.
+    ParameterOutOfRange {
+        /// The parameter, as the query names it.
+        parameter: &'static str,
+        /// The rejected value.
+        value: u64,
+    },
     /// An incremental engine refused to operate after a failed append
     /// left its grown run and derived analyses possibly out of sync; the
     /// engine must be discarded and rebuilt from a consistent feed.
@@ -94,6 +103,10 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidTiming { detail } => write!(f, "invalid timing function: {detail}"),
             CoreError::HorizonTooSmall { detail } => write!(f, "horizon too small: {detail}"),
+            CoreError::ParameterOutOfRange { parameter, value } => write!(
+                f,
+                "parameter out of range: {parameter} = {value} overflows the construction's times"
+            ),
             CoreError::Poisoned { detail } => {
                 write!(
                     f,
@@ -140,6 +153,10 @@ mod tests {
             CoreError::IndexOverflow { detail: "x".into() },
             CoreError::InvalidTiming { detail: "x".into() },
             CoreError::HorizonTooSmall { detail: "x".into() },
+            CoreError::ParameterOutOfRange {
+                parameter: "gamma",
+                value: u64::MAX,
+            },
             CoreError::Poisoned { detail: "x".into() },
         ];
         for e in errors {

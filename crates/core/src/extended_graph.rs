@@ -16,6 +16,19 @@
 //! * `E'''`: `ψ_i --(−U_ji)--> ψ_j` for every channel `(j, i)` — under
 //!   FFIP, whatever is delivered beyond the horizon is immediately
 //!   re-flooded.
+//!
+//! # Vertex layout
+//!
+//! `GE(r, σ)` is built in one pass ([`WeightedDigraph::from_edges`]) with
+//! vertex indices fixed by arithmetic: the past nodes in
+//! `(process, index)` order — `(p, k)` at `start(p) + k`, where
+//! `start(p)` counts the past nodes of the processes before `p` — then
+//! one `ψ_p` per process at `|past(r, σ)| + p`. That is the order of
+//! [`Past::iter`] followed by the processes, and also the `Ord` of
+//! [`ExtVertex`], so dense-index order is sorted vertex order.
+//! [`ExtendedGraph::index_of`] and the fast timing's lanes
+//! ([`crate::timing::FastTiming`]) resolve vertices by the same
+//! arithmetic.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,9 +36,9 @@ use std::sync::Arc;
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{NodeId, ProcessId, Run};
 
-use crate::bounds_graph::{LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
+use crate::bounds_graph::{NodeLayout, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
 use crate::error::CoreError;
-use crate::graph::{LongestPaths, WeightedDigraph};
+use crate::graph::{Edge, LongestPaths, WeightedDigraph};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -173,11 +186,94 @@ impl MessageIndex {
     }
 }
 
+impl NodeLayout {
+    /// The dense index of `v` in a graph closed by auxiliary vertices: a
+    /// node by the layout, `ψ_p` at `nodes() + p`.
+    pub(crate) fn ext_index(&self, v: ExtVertex) -> Option<usize> {
+        match v {
+            ExtVertex::Node(n) => self.index(n),
+            ExtVertex::Aux(p) => (p.index() < self.procs()).then(|| self.nodes() + p.index()),
+        }
+    }
+
+    /// The vertex at dense index `i` of a graph closed by auxiliary
+    /// vertices (the inverse of [`NodeLayout::ext_index`]).
+    pub(crate) fn ext_vertex(&self, i: usize) -> ExtVertex {
+        match i.checked_sub(self.nodes()) {
+            Some(p) => ExtVertex::Aux(ProcessId::new(p as u32)),
+            None => ExtVertex::Node(self.node(i)),
+        }
+    }
+}
+
+/// The one bulk build of a bounds graph closed by one auxiliary vertex
+/// per process and the `E'`/`E''`/`E'''` edge families: `GE(r, σ)` over
+/// the nodes of `past(r, σ)`, and the horizon-closed
+/// [`crate::construct::FrontierGraph`] over every recorded node. A
+/// message sent at `exclude_src` contributes no edge.
+///
+/// Vertices follow `layout` (see the [module docs](self)). SPFA
+/// tie-breaks, and so the witnesses served on the wire, follow the order
+/// of each adjacency row, so the edge order is part of the contract: per
+/// process its successor edges, then its `E'` edge; per message in
+/// recording order its `±` pair or its `E''` edge; then the `E'''` edges
+/// in channel order.
+pub(crate) fn closed_graph(
+    run: &Run,
+    layout: &NodeLayout,
+    messages: &MessageIndex,
+    exclude_src: Option<NodeId>,
+) -> WeightedDigraph<ExtVertex> {
+    let net = run.context().network();
+    let bounds = run.context().bounds();
+    let psi = |p: ProcessId| layout.nodes() + p.index();
+    let mut edges = Vec::with_capacity(
+        layout.nodes() + 2 * net.len() + net.channels().len() + 2 * messages.len(),
+    );
+    let mut push = |from, to, weight, label| edges.push(Edge::new(from, to, weight, label));
+    for p in net.processes() {
+        let range = layout.range(p.index());
+        if range.is_empty() {
+            continue;
+        }
+        for i in range.start + 1..range.end {
+            push(i - 1, i, 1, LABEL_SUCCESSOR);
+        }
+        push(range.end - 1, psi(p), 1, LABEL_BOUNDARY);
+    }
+    for m in messages.edges() {
+        let Some(si) = layout.index(m.src) else {
+            continue;
+        };
+        if Some(m.src) == exclude_src {
+            continue;
+        }
+        match m.dst.and_then(|d| layout.index(d)) {
+            Some(di) => {
+                push(si, di, m.lower, LABEL_SEND);
+                push(di, si, -m.upper, LABEL_RECV);
+            }
+            None => push(psi(m.to), si, -m.upper, LABEL_UNSEEN),
+        }
+    }
+    for ch in net.channels() {
+        let upper = bounds.get(*ch).expect("covered").upper() as i64;
+        push(psi(ch.to), psi(ch.from), -upper, LABEL_AUX_CHAN);
+    }
+    let vertices = layout
+        .node_ids()
+        .map(ExtVertex::Node)
+        .chain(net.processes().map(ExtVertex::Aux))
+        .collect();
+    WeightedDigraph::from_edges(vertices, &edges)
+}
+
 /// The extended local bounds graph `GE(r, σ)`.
 #[derive(Debug, Clone)]
 pub struct ExtendedGraph {
     observer: NodeId,
     past: Past,
+    layout: NodeLayout,
     graph: WeightedDigraph<ExtVertex>,
 }
 
@@ -228,69 +324,12 @@ impl ExtendedGraph {
         exclude_src: Option<NodeId>,
     ) -> Self {
         let past = run.past(sigma);
-        let net = run.context().network();
-        let bounds = run.context().bounds();
-        let mut graph: WeightedDigraph<ExtVertex> = WeightedDigraph::new();
-
-        // Original vertices + auxiliary vertices for every process. Aux
-        // indices are kept densely so every later aux reference is a flat
-        // probe instead of an interning lookup.
-        for n in past.iter() {
-            graph.add_vertex(ExtVertex::Node(n));
-        }
-        let mut aux_idx = vec![0usize; net.len()];
-        for p in net.processes() {
-            aux_idx[p.index()] = graph.add_vertex(ExtVertex::Aux(p));
-        }
-
-        // Induced GB(r, σ) edges: successors within the past (the interned
-        // index rolls down each timeline, one lookup per node)...
-        for p in net.processes() {
-            let Some(boundary) = past.boundary(p) else {
-                continue;
-            };
-            let mut prev = graph.add_vertex(ExtVertex::Node(NodeId::new(p, 0)));
-            for k in 1..=boundary.index() {
-                let cur = graph.add_vertex(ExtVertex::Node(NodeId::new(p, k)));
-                graph.add_edge_indexed(prev, cur, 1, LABEL_SUCCESSOR);
-                prev = cur;
-            }
-            // ...and the E' edge from the boundary to ψ_p.
-            graph.add_edge_indexed(prev, aux_idx[p.index()], 1, LABEL_BOUNDARY);
-        }
-
-        // Message edges: within-past pairs get GB edges; sends whose
-        // delivery σ has not seen get E'' edges. One endpoint lookup
-        // covers each ± pair.
-        for m in messages.edges() {
-            if !past.contains(m.src) || Some(m.src) == exclude_src {
-                continue;
-            }
-            let seen_delivery = m.dst.map(|d| past.contains(d)).unwrap_or(false);
-            let si = graph.add_vertex(ExtVertex::Node(m.src));
-            if seen_delivery {
-                let d = m.dst.expect("checked");
-                let di = graph.add_vertex(ExtVertex::Node(d));
-                graph.add_edge_indexed(si, di, m.lower, LABEL_SEND);
-                graph.add_edge_indexed(di, si, -m.upper, LABEL_RECV);
-            } else {
-                graph.add_edge_indexed(aux_idx[m.to.index()], si, -m.upper, LABEL_UNSEEN);
-            }
-        }
-
-        // E''' edges between auxiliary nodes: (ψ_i, ψ_j) for (j, i) ∈ Chans.
-        for ch in net.channels() {
-            graph.add_edge_indexed(
-                aux_idx[ch.to.index()],
-                aux_idx[ch.from.index()],
-                -(bounds.get(*ch).expect("covered").upper() as i64),
-                LABEL_AUX_CHAN,
-            );
-        }
-
+        let layout = NodeLayout::of_past(&past, run.context().network().len());
+        let graph = closed_graph(run, &layout, messages, exclude_src);
         ExtendedGraph {
             observer: sigma,
             past,
+            layout,
             graph,
         }
     }
@@ -347,9 +386,15 @@ impl ExtendedGraph {
         self.graph.longest_to_cached(&v)
     }
 
-    /// Dense index of a vertex, if present.
+    /// Dense index of a vertex, if present: index arithmetic over the
+    /// vertex layout (see the [module docs](self)), no interning lookup.
     pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
-        self.graph.index_of(&v)
+        self.layout.ext_index(v)
+    }
+
+    /// The vertex layout the dense indices follow.
+    pub(crate) fn layout(&self) -> &NodeLayout {
+        &self.layout
     }
 }
 

@@ -12,12 +12,25 @@
 //!   (Definition 23): everything reachable from `θ'`'s base is squeezed as
 //!   early as possible (and everything unreachable pushed `γ` earlier
 //!   still), realizing the minimal knowledge-consistent gap (Theorem 4).
+//!
+//! # Fast-timing lanes
+//!
+//! A [`FastTiming`] is computed for every observer-cache miss that asks a
+//! knowledge question, so it is stored densely: a `times` lane and a
+//! `reachable` lane, each indexed by `GE(r, σ)` vertex index. The index
+//! follows the graph's vertex layout (see [`crate::extended_graph`]) —
+//! past nodes in `(process, index)` order, then `ψ_0, ψ_1, …` — so a
+//! vertex lookup is index arithmetic plus one load, and
+//! [`FastTiming::iter`] walks the lanes front to back, which yields the
+//! vertices in ascending [`ExtVertex`] order. [`fast_timing`] fills both
+//! lanes in one pass over the two SPFA results and checks Lemma 17 in one
+//! linear scan over the adjacency rows.
 
 use std::collections::BTreeMap;
 
 use zigzag_bcm::{NodeId, Time};
 
-use crate::bounds_graph::BoundsGraph;
+use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, ExtendedGraph};
 
@@ -105,22 +118,25 @@ pub fn slow_timing(gb: &BoundsGraph, sigma: NodeId) -> Result<SlowTiming, CoreEr
     })
 }
 
-/// The fast timing `T_γ[r, σ, θ']` of Definition 23 over `GE(r, σ)`.
+/// The fast timing `T_γ[r, σ, θ']` of Definition 23 over `GE(r, σ)`,
+/// stored as dense lanes (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct FastTiming {
     /// The γ parameter (how much earlier unreachable nodes are pushed).
     pub gamma: u64,
-    /// Timing of every vertex of `GE(r, σ)`.
-    values: BTreeMap<ExtVertex, Time>,
-    /// Whether the vertex is reachable from `θ'`'s base in `GE(r, σ)`
-    /// (the sets `V_σ^r(σ')` / `A_σ^r(σ')`).
-    reachable: BTreeMap<ExtVertex, bool>,
+    /// The `GE(r, σ)` vertex layout the lanes follow.
+    layout: NodeLayout,
+    /// Timing of every vertex of `GE(r, σ)`, by dense index.
+    times: Vec<Time>,
+    /// Whether each vertex is reachable from `θ'`'s base in `GE(r, σ)`
+    /// (the sets `V_σ^r(σ')` / `A_σ^r(σ')`), by dense index.
+    reachable: Vec<bool>,
 }
 
 impl FastTiming {
     /// The assigned time of a vertex.
     pub fn time(&self, v: ExtVertex) -> Option<Time> {
-        self.values.get(&v).copied()
+        self.layout.ext_index(v).map(|i| self.times[i])
     }
 
     /// The assigned time of an original past node.
@@ -135,17 +151,20 @@ impl FastTiming {
 
     /// Whether `v` lies in the reachable region `V_σ^r(σ')` / `A_σ^r(σ')`.
     pub fn is_reachable(&self, v: ExtVertex) -> bool {
-        self.reachable.get(&v).copied().unwrap_or(false)
+        self.layout.ext_index(v).is_some_and(|i| self.reachable[i])
     }
 
     /// The largest assigned time (useful for choosing horizons).
     pub fn max_time(&self) -> Time {
-        self.values.values().copied().max().unwrap_or(Time::ZERO)
+        self.times.iter().copied().max().unwrap_or(Time::ZERO)
     }
 
-    /// Iterator over `(vertex, time)` pairs.
+    /// Iterator over `(vertex, time)` pairs, in ascending vertex order.
     pub fn iter(&self) -> impl Iterator<Item = (ExtVertex, Time)> + '_ {
-        self.values.iter().map(|(v, t)| (*v, *t))
+        self.times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (self.layout.ext_vertex(i), t))
     }
 }
 
@@ -163,8 +182,9 @@ impl FastTiming {
 ///
 /// # Errors
 ///
-/// Fails if `sigma_prime` is not a past node of the graph's observer, or on
-/// a positive cycle.
+/// Fails if `sigma_prime` is not a past node of the graph's observer, on
+/// a positive cycle, or with [`CoreError::ParameterOutOfRange`] if
+/// `gamma` pushes a time past `i64::MAX`.
 pub fn fast_timing(
     ge: &ExtendedGraph,
     sigma_prime: NodeId,
@@ -172,7 +192,7 @@ pub fn fast_timing(
 ) -> Result<FastTiming, CoreError> {
     let g = ge.graph();
     let start = ExtVertex::Node(sigma_prime);
-    if g.index_of(&start).is_none() {
+    if ge.index_of(start).is_none() {
         return Err(CoreError::NotRecognized {
             observer: ge.observer(),
             detail: format!("{sigma_prime} is not in past(r, σ)"),
@@ -180,6 +200,10 @@ pub fn fast_timing(
     }
     let lp_from = ge.longest_from_cached(start)?;
     let lp_to_sigma = ge.longest_to_cached(ExtVertex::Node(ge.observer()))?;
+    let layout = ge.layout();
+    // Dense indices below `originals` are past nodes, the rest are ψs.
+    let originals = layout.nodes();
+    let n = g.vertex_count();
 
     // Pass 1: collect d over the reachable region and f over unreachable
     // originals.
@@ -187,21 +211,20 @@ pub fn fast_timing(
     let mut f2 = i64::MAX;
     let mut d_min = i64::MAX;
     let mut any_unreachable = false;
-    for vi in 0..g.vertex_count() {
+    for vi in 0..n {
         match lp_from.weight(vi) {
             Some(d) => d_min = d_min.min(d),
-            None => {
-                if let ExtVertex::Node(_) = g.vertex(vi) {
-                    let f = lp_to_sigma
-                        .weight(vi)
-                        .ok_or_else(|| CoreError::InvalidTiming {
-                            detail: "past node with no path to the observer (corrupt graph)".into(),
-                        })?;
-                    any_unreachable = true;
-                    f1 = f1.max(f);
-                    f2 = f2.min(f);
-                }
+            None if vi < originals => {
+                let f = lp_to_sigma
+                    .weight(vi)
+                    .ok_or_else(|| CoreError::InvalidTiming {
+                        detail: "past node with no path to the observer (corrupt graph)".into(),
+                    })?;
+                any_unreachable = true;
+                f1 = f1.max(f);
+                f2 = f2.min(f);
             }
+            None => {}
         }
     }
     if !any_unreachable {
@@ -210,57 +233,54 @@ pub fn fast_timing(
     }
     debug_assert!(d_min <= 0, "d(σ') = 0 so the minimum is at most 0");
 
-    // Pass 2: assign times.
-    let reach_base = 1 + f1 - f2 + gamma as i64 - d_min;
-    let mut values = BTreeMap::new();
-    let mut reachable = BTreeMap::new();
-    for vi in 0..g.vertex_count() {
-        let v = *g.vertex(vi);
-        match lp_from.weight(vi) {
-            Some(d) => {
-                let t = reach_base + d;
-                debug_assert!(t >= 0);
-                values.insert(v, Time::new(t as u64));
-                reachable.insert(v, true);
-            }
-            None => {
-                let t = match v {
-                    ExtVertex::Node(_) => {
-                        let f = lp_to_sigma.weight(vi).expect("checked in pass 1");
-                        f1 - f
-                    }
-                    ExtVertex::Aux(_) => 0,
-                };
-                debug_assert!(t >= 0);
-                values.insert(v, Time::new(t as u64));
-                reachable.insert(v, false);
-            }
-        }
-    }
-    let ft = FastTiming {
-        gamma,
-        values,
-        reachable,
+    // Pass 2: assign times. γ arrives unvalidated from callers (and the
+    // wire), so the only unbounded term is added with overflow checks.
+    let out_of_range = || CoreError::ParameterOutOfRange {
+        parameter: "gamma",
+        value: gamma,
     };
+    let reach_base = i64::try_from(gamma)
+        .ok()
+        .and_then(|gamma| gamma.checked_add(1 + f1 - f2 - d_min))
+        .ok_or_else(out_of_range)?;
+    let mut times = Vec::with_capacity(n);
+    let mut reachable = Vec::with_capacity(n);
+    for vi in 0..n {
+        let t = match lp_from.weight(vi) {
+            Some(d) => reach_base.checked_add(d).ok_or_else(out_of_range)?,
+            None if vi < originals => f1 - lp_to_sigma.weight(vi).expect("checked in pass 1"),
+            None => 0,
+        };
+        debug_assert!(t >= 0);
+        times.push(Time::new(t as u64));
+        reachable.push(lp_from.reaches(vi));
+    }
 
-    // Lemma 17 check: every GE edge constraint holds.
-    for vi in 0..g.vertex_count() {
-        let from = *g.vertex(vi);
-        let tf = ft.time(from).expect("assigned").ticks() as i64;
+    // Lemma 17 check: every GE edge constraint holds, in one linear scan
+    // over the adjacency. Times lie in [0, i64::MAX], so `tt − tf` cannot
+    // overflow where `tf + w` could.
+    for (vi, tf) in times.iter().enumerate() {
+        let tf = tf.ticks() as i64;
         for e in g.edges_from(vi) {
-            let to = *g.vertex(e.to);
-            let tt = ft.time(to).expect("assigned").ticks() as i64;
-            if tf + e.weight > tt {
+            let tt = times[e.to].ticks() as i64;
+            if e.weight > tt - tf {
                 return Err(CoreError::InvalidTiming {
                     detail: format!(
-                        "fast timing violates {from} --{}--> {to} (T={tf} vs T={tt})",
-                        e.weight
+                        "fast timing violates {} --{}--> {} (T={tf} vs T={tt})",
+                        layout.ext_vertex(vi),
+                        e.weight,
+                        layout.ext_vertex(e.to)
                     ),
                 });
             }
         }
     }
-    Ok(ft)
+    Ok(FastTiming {
+        gamma,
+        layout: layout.clone(),
+        times,
+        reachable,
+    })
 }
 
 #[cfg(test)]

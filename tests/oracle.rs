@@ -62,6 +62,16 @@
 //! predecessor paths that re-walk real edges and sum to the reported
 //! weight — and a counting-allocator test asserts the warm memoized
 //! query loop performs zero heap allocations.
+//!
+//! A **bulk-builder tier** holds the one-pass graph builders to the naive
+//! Definition 16 graph itself, on the first block's cases:
+//! `ExtendedGraph::with_index_excluding`, in both modes, has the naive
+//! vertex set and the naive `(target, weight)` multiset in every row, and
+//! the dense `FastTiming` equals a naive Definition 23 evaluation at
+//! every vertex for γ ∈ {0, 5}. A second counting-allocator test gates
+//! the cold path: a cold `ObserverState::build` allocates at most
+//! `2·|V| + 64` times, and the first `max_x` on it a size-independent
+//! number of times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,11 +85,12 @@ use zigzag::bcm::scheduler::RandomScheduler;
 use zigzag::bcm::validate::{validate_run, Strictness};
 use zigzag::bcm::{topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time};
 use zigzag::core::bounds_graph::BoundsGraph;
-use zigzag::core::extended_graph::{ExtVertex, MessageIndex};
-use zigzag::core::graph::{LongestPaths, WeightedDigraph};
+use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph, MessageIndex};
+use zigzag::core::graph::{Edge, LongestPaths, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
 use zigzag::core::knowledge::{KnowledgeEngine, ObserverState};
 use zigzag::core::precedence::satisfies;
+use zigzag::core::timing::fast_timing;
 use zigzag::core::{CoreError, GeneralNode};
 
 /// A pass-through [`System`] wrapper counting this thread's heap
@@ -123,7 +134,9 @@ struct NaiveGe {
     edges: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>>,
 }
 
-fn naive_ge(run: &Run, sigma: NodeId) -> NaiveGe {
+/// `GE(r, σ)` per Definition 16; `exclude_src = Some(σ)` drops the `E''`
+/// edges of σ's own sends (the own-sends-excluded probe graph).
+fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
     let past = run.past(sigma);
     let net = run.context().network();
     let bounds = run.context().bounds();
@@ -157,7 +170,7 @@ fn naive_ge(run: &Run, sigma: NodeId) -> NaiveGe {
     // Message edges: within-past pairs get ±bound edges; sends whose
     // delivery σ has not seen get E'' edges from ψ of the receiver.
     for m in run.messages() {
-        if !past.contains(m.src()) {
+        if !past.contains(m.src()) || Some(m.src()) == exclude_src {
             continue;
         }
         let cb = bounds.get(m.channel()).expect("bounds cover channels");
@@ -221,6 +234,134 @@ fn naive_longest_from(ge: &NaiveGe, src: ExtVertex) -> BTreeMap<ExtVertex, i64> 
     dist
 }
 
+/// The same graph with every edge reversed: its out-rows are the
+/// original's in-rows, and longest paths *from* `v` in it are longest
+/// paths *to* `v` in the original.
+fn reversed(ge: &NaiveGe) -> NaiveGe {
+    let mut edges: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>> = BTreeMap::new();
+    for (&from, outs) in &ge.edges {
+        for &(to, w) in outs {
+            edges.entry(to).or_default().push((from, w));
+        }
+    }
+    NaiveGe {
+        vertices: ge.vertices.clone(),
+        edges,
+    }
+}
+
+/// The γ-fast timing (Definition 23) evaluated straight from its formula:
+/// `(time, reachable)` per vertex, with `d` the longest paths from the
+/// anchor, `f` the longest paths to the observer, `F1`/`F2` the max/min
+/// of `f` over unreachable originals and `D` the min of `d`.
+fn naive_fast_timing(
+    ge: &NaiveGe,
+    d: &BTreeMap<ExtVertex, i64>,
+    f: &BTreeMap<ExtVertex, i64>,
+    gamma: i64,
+) -> BTreeMap<ExtVertex, (i64, bool)> {
+    let unreachable_f: Vec<i64> = ge
+        .vertices
+        .iter()
+        .filter(|v| v.node().is_some() && !d.contains_key(v))
+        .map(|v| f[v])
+        .collect();
+    let f1 = unreachable_f.iter().copied().max().unwrap_or(0);
+    let f2 = unreachable_f.iter().copied().min().unwrap_or(0);
+    let d_min = d
+        .values()
+        .copied()
+        .min()
+        .expect("the anchor reaches itself");
+    ge.vertices
+        .iter()
+        .map(|&v| {
+            let t = match (d.get(&v), v) {
+                (Some(dv), _) => 1 + f1 - f2 + gamma - d_min + dv,
+                (None, ExtVertex::Node(_)) => f1 - f[&v],
+                (None, ExtVertex::Aux(_)) => 0,
+            };
+            (v, (t, d.contains_key(&v)))
+        })
+        .collect()
+}
+
+/// Sorted `(other endpoint, weight)` multiset of one adjacency row.
+fn row_multiset(
+    g: &WeightedDigraph<ExtVertex>,
+    edges: &[Edge],
+    outgoing: bool,
+) -> Vec<(ExtVertex, i64)> {
+    let mut row: Vec<(ExtVertex, i64)> = edges
+        .iter()
+        .map(|e| (*g.vertex(if outgoing { e.to } else { e.from }), e.weight))
+        .collect();
+    row.sort_unstable();
+    row
+}
+
+/// Bulk-builder tier: `ExtendedGraph::with_index_excluding`, in both
+/// modes, has the naive vertex set and the naive `(target, weight)`
+/// multiset in every out-row and in-row; and the dense `FastTiming`
+/// over it equals the naive Definition 23 evaluation at every vertex,
+/// in `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors.
+fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, index: &MessageIndex) {
+    let past: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
+    let anchors: Vec<NodeId> = past
+        .iter()
+        .copied()
+        .step_by((past.len() / 3).max(1))
+        .chain([sigma])
+        .collect();
+    for exclude in [None, Some(sigma)] {
+        let naive = naive_ge(run, sigma, exclude);
+        let naive_rev = reversed(&naive);
+        let f = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
+        let ge = ExtendedGraph::with_index_excluding(run, sigma, index, exclude);
+        let g = ge.graph();
+        let vertices: BTreeSet<ExtVertex> = g.vertices().copied().collect();
+        assert_eq!(vertices, naive.vertices, "GE vertex set at {sigma}");
+        assert_eq!(g.vertex_count(), naive.vertices.len(), "duplicate vertices");
+        for &v in &naive.vertices {
+            let i = g.index_of(&v).expect("vertex sets agree");
+            let sorted = |row: Option<&Vec<(ExtVertex, i64)>>| {
+                let mut row = row.cloned().unwrap_or_default();
+                row.sort_unstable();
+                row
+            };
+            assert_eq!(
+                row_multiset(g, g.edges_from(i), true),
+                sorted(naive.edges.get(&v)),
+                "out-row of {v} at {sigma} (exclude {exclude:?})"
+            );
+            assert_eq!(
+                row_multiset(g, g.edges_to(i), false),
+                sorted(naive_rev.edges.get(&v)),
+                "in-row of {v} at {sigma} (exclude {exclude:?})"
+            );
+        }
+        for &anchor in &anchors {
+            let d = naive_longest_from(&naive, ExtVertex::Node(anchor));
+            for gamma in [0u64, 5] {
+                let ft = fast_timing(&ge, anchor, gamma).unwrap();
+                let want = naive_fast_timing(&naive, &d, &f, gamma as i64);
+                let got: Vec<(ExtVertex, (i64, bool))> = ft
+                    .iter()
+                    .map(|(v, t)| (v, (t.ticks() as i64, ft.is_reachable(v))))
+                    .collect();
+                let want: Vec<(ExtVertex, (i64, bool))> = want.into_iter().collect();
+                assert_eq!(
+                    got, want,
+                    "fast timing of {anchor} at {sigma}, γ = {gamma} (exclude {exclude:?})"
+                );
+                for (v, (t, _)) in want {
+                    assert_eq!(ft.time(v).map(|t| t.ticks() as i64), Some(t));
+                }
+            }
+        }
+    }
+}
+
 /// The reference answer: `max_x(a, b)` for basic σ-recognized nodes is
 /// the longest-path weight `a → b` in `GE(r, σ)`, `None` if unreachable.
 fn naive_max_x_table(
@@ -228,7 +369,7 @@ fn naive_max_x_table(
     sigma: NodeId,
     nodes: &[NodeId],
 ) -> BTreeMap<(NodeId, NodeId), Option<i64>> {
-    let ge = naive_ge(run, sigma);
+    let ge = naive_ge(run, sigma, None);
     let mut out = BTreeMap::new();
     for &a in nodes {
         let dist = naive_longest_from(&ge, ExtVertex::Node(a));
@@ -282,7 +423,9 @@ proptest! {
         let run = random_run(n, density, topo_seed, sched_seed, 22);
         let service = ZigzagService::new();
         let session = service.open_batch(run.clone(), SessionConfig::new());
+        let index = MessageIndex::of_run(&run);
         for sigma in observers(&run) {
+            assert_ge_and_fast_timing_match_naive(&run, sigma, &index);
             let past = run.past(sigma);
             let nodes: Vec<NodeId> = past.iter().filter(|k| !k.is_initial()).collect();
             let reference = naive_max_x_table(&run, sigma, &nodes);
@@ -974,6 +1117,61 @@ fn warm_query_loop_allocates_nothing() {
     }
     let grew = thread_allocs() - before;
     assert_eq!(grew, 0, "warm longest_from_cached hits must not allocate");
+}
+
+/// The cold path's allocation gate, a deterministic work counter: a cold
+/// `ObserverState::build` allocates at most twice per `GE(r, σ)` vertex
+/// (its out and in rows, each allocated once) plus a constant, and the first
+/// basic-node `max_x` on a fresh state allocates a size-independent
+/// count — the fast timing is dense lanes, not per-vertex map nodes.
+#[test]
+fn cold_observer_build_allocations_are_bounded() {
+    let run = random_run(12, 3, 11, 1, 60);
+    let index = MessageIndex::of_run(&run);
+    let procs = run.context().network().len();
+    let ge_vertices = |sigma: NodeId| run.past(sigma).len() + procs;
+    let nodes: Vec<NodeId> = run
+        .nodes()
+        .map(|r| r.id())
+        .filter(|k| !k.is_initial())
+        .collect();
+    let small = *nodes
+        .iter()
+        .find(|&&s| ge_vertices(s) >= 100)
+        .expect("a mid-sized observer");
+    let large = *nodes
+        .iter()
+        .max_by_key(|&&s| ge_vertices(s))
+        .expect("observers exist");
+    let anchor = GeneralNode::basic(nodes[0]);
+    let mut first_query = Vec::new();
+    for sigma in [small, large] {
+        let v = ge_vertices(sigma) as u64;
+        let before = thread_allocs();
+        let state = ObserverState::build(&run, sigma, &index).unwrap();
+        let built = thread_allocs() - before;
+        assert!(
+            built <= 2 * v + 64,
+            "cold build at {sigma} (|V| = {v}) allocated {built} times"
+        );
+        let engine = KnowledgeEngine::with_state(&run, Arc::new(state));
+        let theta2 = GeneralNode::basic(sigma);
+        let before = thread_allocs();
+        engine.max_x(&anchor, &theta2).unwrap();
+        first_query.push((v, thread_allocs() - before));
+    }
+    let [(v_small, small_allocs), (v_large, large_allocs)] = first_query[..] else {
+        unreachable!("two observers measured");
+    };
+    assert!(
+        v_large >= 3 * v_small,
+        "observers too close in size: |V| = {v_small} vs {v_large}"
+    );
+    assert!(
+        small_allocs.abs_diff(large_allocs) <= 8,
+        "first max_x allocated {small_allocs} times at |V| = {v_small} \
+         but {large_allocs} at |V| = {v_large}"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ use zigzag::api::{
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
 use zigzag::bcm::{topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time};
-use zigzag::core::GeneralNode;
+use zigzag::core::{CoreError, GeneralNode};
 
 fn tri_run(seed: u64, horizon: u64) -> Run {
     let mut b = zigzag::bcm::Network::builder();
@@ -197,6 +197,46 @@ fn session_lifecycle_and_error_surface() {
         .unwrap_err();
     assert!(matches!(err, Error::Core(_)));
     assert!(std::error::Error::source(&err).is_some());
+}
+
+/// `FastRun`'s `gamma` and `extra_horizon` arrive from the wire as
+/// unvalidated `u64`s. Where they would overflow the construction's time
+/// arithmetic, the answer is a typed, non-retryable error naming the
+/// parameter — in process and through a served frame alike — never a run
+/// built from wrapped times.
+#[test]
+fn fast_run_parameters_that_overflow_are_refused_by_name() {
+    let run = tri_run(2, 30);
+    let service = ZigzagService::new();
+    let session = service.open_batch(run.clone(), SessionConfig::new());
+    let sigma = run.nodes().map(|r| r.id()).last().unwrap();
+    let theta = GeneralNode::basic(NodeId::new(ProcessId::new(0), 1));
+    let fast_run = |gamma, extra_horizon| Query::FastRun {
+        sigma,
+        theta: theta.clone(),
+        gamma,
+        extra_horizon,
+    };
+    assert!(matches!(
+        service.dispatch(session, &fast_run(0, 12)),
+        Ok(Response::FastRun(_))
+    ));
+    for (gamma, extra_horizon, parameter, value) in [
+        (1u64 << 63, 12, "gamma", 1u64 << 63),
+        (u64::MAX, 12, "gamma", u64::MAX),
+        (0, u64::MAX, "extra_horizon", u64::MAX),
+    ] {
+        let q = fast_run(gamma, extra_horizon);
+        let err = service.dispatch(session, &q).unwrap_err();
+        assert_eq!(
+            err,
+            Error::Core(CoreError::ParameterOutOfRange { parameter, value })
+        );
+        assert!(!err.is_retryable());
+        let served = serve::serve(&service, &[serve::encode_frame(session, &q)], 1);
+        assert_eq!(served, vec![serve::encode_error(&err)]);
+        assert!(served[0].contains(&format!("{parameter} = {value}")));
+    }
 }
 
 /// Streaming coordination through the facade agrees with the batch
