@@ -473,17 +473,6 @@ fn classify_error_doc(doc: &str) -> Error {
             };
         }
     }
-    if let Some(rest) = line.strip_prefix("session s") {
-        if let Some((raw, tail)) = rest.split_once(' ') {
-            if tail == "is a batch session; cannot append events" {
-                if let Ok(raw) = raw.parse::<u64>() {
-                    return Error::NotStreaming {
-                        id: SessionId::from_raw(raw),
-                    };
-                }
-            }
-        }
-    }
     if let Some(rest) = line.strip_prefix("wire: line ") {
         if let Some((n, detail)) = rest.split_once(": ") {
             if let Ok(ln) = n.parse() {
@@ -555,9 +544,6 @@ mod tests {
             },
             Error::UnknownSession {
                 id: SessionId::from_raw(42),
-            },
-            Error::NotStreaming {
-                id: SessionId::from_raw(7),
             },
             Error::Wire {
                 line: 3,

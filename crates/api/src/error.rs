@@ -32,11 +32,6 @@ pub enum Error {
         /// The offending id.
         id: SessionId,
     },
-    /// The query needs a live stream but the session is a batch session.
-    NotStreaming {
-        /// The offending id.
-        id: SessionId,
-    },
     /// A `CoordDecision` query was dispatched to a session whose
     /// [`crate::SessionConfig`] carries no coordination spec.
     NoSpec,
@@ -47,10 +42,11 @@ pub enum Error {
         /// Explanation of the malformation.
         detail: String,
     },
-    /// A [`crate::Query::Stats`] query reached a bare session — inside a
-    /// [`crate::Query::QueryBatch`], or through a direct
-    /// [`crate::Session::dispatch`] — where no service-wide state exists
-    /// to answer it.
+    /// A service-level operation ([`crate::Query::Stats`],
+    /// [`crate::Query::Append`], [`crate::Query::Export`], …) reached a
+    /// bare session — nested inside a [`crate::Query::QueryBatch`], or
+    /// through a direct [`crate::StreamSession::dispatch`] — where only
+    /// the service can answer it.
     ServiceLevelQuery,
     /// A [`crate::net`] worker's bounded queue was full when the frame
     /// arrived: the deterministic backpressure verdict (reject now,
@@ -117,9 +113,6 @@ impl fmt::Display for Error {
             Error::Core(e) => write!(f, "causality layer: {e}"),
             Error::Coord(e) => write!(f, "coordination layer: {e}"),
             Error::UnknownSession { id } => write!(f, "unknown session {id}"),
-            Error::NotStreaming { id } => {
-                write!(f, "session {id} is a batch session; cannot append events")
-            }
             Error::NoSpec => write!(
                 f,
                 "coordination decision requested on a session configured without a spec"
@@ -197,9 +190,6 @@ mod tests {
             Error::UnknownSession {
                 id: SessionId::from_raw(7),
             },
-            Error::NotStreaming {
-                id: SessionId::from_raw(7),
-            },
             Error::NoSpec,
             Error::Wire {
                 line: 3,
@@ -232,9 +222,6 @@ mod tests {
         for e in [
             Error::Bcm(BcmError::EmptyNetwork),
             Error::UnknownSession {
-                id: SessionId::from_raw(1),
-            },
-            Error::NotStreaming {
                 id: SessionId::from_raw(1),
             },
             Error::NoSpec,

@@ -1,8 +1,9 @@
 //! # zigzag-api — the unified service facade
 //!
 //! The single public entry point over the zigzag-causality engines: a
-//! [`ZigzagService`] owns typed [`Session`]s — **batch** sessions over
-//! complete recorded runs and **stream** sessions over live event feeds —
+//! [`ZigzagService`] owns [`StreamSession`]s — opened over a complete
+//! recorded run (a **batch** session: the run restored as the last
+//! prefix of its own event stream) or over an empty live event feed —
 //! and answers one serializable [`Query`] family through one
 //! [`ZigzagService::dispatch`] code path. The paper's Theorem 4 reduces
 //! every knowledge question to this closed family (thresholds, the
@@ -21,8 +22,9 @@
 //!   [`Query::CoordDecision`].
 //!
 //! Every answer is byte-identical to the corresponding direct engine call
-//! (`KnowledgeEngine`, `IncrementalEngine`, `coord`) on both session
-//! shapes and at every stream prefix — pinned by the differential oracle.
+//! (`KnowledgeEngine`, `IncrementalEngine`, `coord`) however the session
+//! was opened and at every stream prefix — pinned by the differential
+//! oracle.
 //! [`wire`] gives queries and responses a stable line-oriented text
 //! encoding (reusing the `zigzag-run v1` codec for embedded runs), and
 //! [`serve`] runs the high-throughput form: the session table is sharded
@@ -101,7 +103,7 @@ pub use fault::{FaultPlan, FaultRates, LogFault, NetFault};
 pub use net::{EnvelopeScanner, NetConfig, NetServer, ScanError};
 pub use query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
 pub use service::{SessionId, ZigzagService};
-pub use session::{AppendReport, BatchSession, Session, SessionBackend, StreamSession};
+pub use session::{AppendReport, StreamSession};
 pub use stats::{LatencyHistogram, StatsReport, StoreCounters, TransportCounters, LATENCY_BUCKETS};
 pub use store::{FsyncPolicy, Recovered, SessionSnapshot, SessionStore, StoreConfig};
 pub use supervisor::SessionSupervisor;

@@ -12,7 +12,7 @@
 //! * **no cross-worker locking on the steady path** — a shard's handle
 //!   map is only ever touched by its owning worker during the loop, so
 //!   its mutex never contends, and dispatch itself runs on the resolved
-//!   [`Session`] outside any table lock;
+//!   [`StreamSession`] outside any table lock;
 //! * **per-session arrival order** — all frames of one session land on
 //!   one worker, which processes its frames in arrival order; responses
 //!   are written back into the arrival-order slot of the output, so each
@@ -51,12 +51,11 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::error::Error;
-use crate::query::{Query, Response};
+use crate::query::Query;
 use crate::service::{SessionId, ZigzagService};
-use crate::session::Session;
+use crate::session::StreamSession;
 use crate::stats::TransportStats;
 use crate::wire;
 
@@ -202,16 +201,16 @@ pub(crate) struct NetView<'a> {
 ///
 /// Three serving concerns live here so every caller gets them for free:
 ///
-/// * **Service-level interception** — a [`Query::Stats`] frame is
-///   answered from the service's counters before any session is resolved
-///   (its session line is routing information only); `net` supplies the
-///   queue-depth gauges and transport counters of a [`crate::net`]
-///   server, `None` reports neither. [`Query::Export`] /
-///   [`Query::Import`] frames likewise run at the service level — the
-///   migration path works identically in-process and over a socket.
+/// * **Service-level interception** — routing goes through
+///   `ZigzagService::route`, the same `match` in-process dispatch uses,
+///   so Stats, migration, appends, event counts and recovery work
+///   identically in-process and over a socket. A [`Query::Stats`] frame
+///   is answered from the service's counters before any session is
+///   resolved (its session line is routing information only); `net`
+///   supplies the queue-depth gauges and transport counters of a
+///   [`crate::net`] server, `None` reports neither.
 /// * **Latency accounting** — each dispatch against a resolved session is
-///   timed into the service's histogram via
-///   `ZigzagService::record_dispatch`.
+///   timed into the service's histogram by the same routing.
 /// * **Panic containment** — a panic anywhere in decode or dispatch is
 ///   caught and answered as a deterministic [`Error::Internal`] document,
 ///   so one hostile or buggy frame cannot take down the worker (or, under
@@ -220,14 +219,14 @@ pub(crate) struct NetView<'a> {
 pub(crate) fn respond_into(
     service: &ZigzagService,
     frame: &str,
-    memo: &mut HashMap<u64, Arc<Session>>,
+    memo: &mut HashMap<u64, Arc<StreamSession>>,
     net: Option<&NetView<'_>>,
     out: &mut String,
 ) {
     let answer = catch_unwind(AssertUnwindSafe(|| {
         split_frame(frame).and_then(|(id, body)| {
             let query = wire::decode_query(body).map_err(offset_body_error)?;
-            if matches!(query, Query::Stats) {
+            let stats = || {
                 let (depths, transport) = net
                     .map(|v| {
                         let depths: Vec<u64> = v
@@ -238,47 +237,17 @@ pub(crate) fn respond_into(
                         (depths, v.transport.snapshot())
                     })
                     .unwrap_or_default();
-                return Ok(Response::Stats(Box::new(
-                    service.stats_with_net(&depths, transport),
-                )));
-            }
-            // Migration frames are service-level like Stats: Export reads
-            // the addressed session through the service (never the memo —
-            // a migration must see the live table), Import installs a new
-            // one; both work identically in-process and over a socket.
-            if matches!(query, Query::Export) {
-                return Ok(Response::Exported(Box::new(service.export(id)?)));
-            }
-            // Append/EventCount/Recover are service-level too: wire
-            // appends route through the attached durable store (so socket
-            // clients get the same durability as in-process callers), the
-            // event count is the resilient client's exactly-once probe,
-            // and Recover sweeps the supervisor's store directory. Like
-            // Export they read the live table, never the memo.
-            if let Query::Append(ev) = &query {
-                return Ok(Response::Appended(service.append_routed(id, ev)?));
-            }
-            if matches!(query, Query::EventCount) {
-                return Ok(Response::EventCount(service.event_count(id)?));
-            }
-            if matches!(query, Query::Recover) {
-                return Ok(Response::Recovered(service.recover_routed()?));
-            }
-            if let Query::Import(snap) = query {
-                return Ok(Response::Imported(service.import(*snap)?));
-            }
-            let session = match memo.get(&id.raw()) {
-                Some(session) => Arc::clone(session),
+                service.stats_with_net(&depths, transport)
+            };
+            let resolve = || match memo.get(&id.raw()) {
+                Some(session) => Ok(Arc::clone(session)),
                 None => {
                     let session = service.session(id)?;
                     memo.insert(id.raw(), Arc::clone(&session));
-                    session
+                    Ok(session)
                 }
             };
-            let start = Instant::now();
-            let out = session.dispatch(&query);
-            service.record_dispatch(start.elapsed());
-            out
+            service.route(id, &query, stats, resolve)
         })
     }))
     .unwrap_or_else(|_| {
@@ -296,7 +265,11 @@ pub(crate) fn respond_into(
 
 /// [`respond_into`] for the in-process loop, which has no worker queues
 /// or transport counters to report and collects owned documents anyway.
-fn respond(service: &ZigzagService, frame: &str, memo: &mut HashMap<u64, Arc<Session>>) -> String {
+fn respond(
+    service: &ZigzagService,
+    frame: &str,
+    memo: &mut HashMap<u64, Arc<StreamSession>>,
+) -> String {
     let mut out = String::new();
     respond_into(service, frame, memo, None, &mut out);
     out

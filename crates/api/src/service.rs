@@ -2,10 +2,10 @@
 //! queries.
 //!
 //! The service is the single public entry point the ROADMAP's serving
-//! system builds on: callers open typed sessions (batch runs or live
+//! system builds on: callers open sessions (over recorded runs or live
 //! streams), append events, and dispatch [`Query`]s — no hand-wiring of
-//! `Simulator` / `RunAnalyzer` / `KnowledgeEngine` / `IncrementalEngine`
-//! / `StreamDriver` lifetimes. Every later scaling layer (sharded
+//! `Simulator` / `KnowledgeEngine` / `IncrementalEngine` / `StreamDriver`
+//! lifetimes. Every later scaling layer (sharded
 //! services, async front ends, networked serving over the wire encoding)
 //! is a deployment of this surface.
 
@@ -13,15 +13,16 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, Run, RunCursor, Time};
+use zigzag_core::incremental::IncrementalEngine;
 
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{Query, Response};
-use crate::session::{AppendReport, BatchSession, Session, StreamSession};
+use crate::session::{AppendReport, StreamSession};
 use crate::stats::{LatencyRecorder, StatsReport, StoreStats, TransportCounters};
 use crate::store::SessionSnapshot;
 
@@ -56,7 +57,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// shards outright.
 #[derive(Debug, Default)]
 struct Shard {
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    sessions: Mutex<HashMap<u64, Arc<StreamSession>>>,
 }
 
 /// The service's monotone serving counters; see [`crate::stats`].
@@ -197,20 +198,16 @@ impl ZigzagService {
         &self.metrics.store
     }
 
-    /// Serializes a live stream session into a portable
-    /// [`SessionSnapshot`] — the sending half of live migration (and the
-    /// in-process form of [`Query::Export`]). The session keeps serving;
-    /// the snapshot is a consistent point-in-time copy.
+    /// Serializes a live session into a portable [`SessionSnapshot`] —
+    /// the sending half of live migration (and the in-process form of
+    /// [`Query::Export`]). The session keeps serving; the snapshot is a
+    /// consistent point-in-time copy.
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the session is poisoned.
+    /// Fails on unknown sessions, or if the session is poisoned.
     pub fn export(&self, id: SessionId) -> Result<SessionSnapshot, Error> {
-        let session = self.session(id)?;
-        let Session::Stream(s) = &*session else {
-            return Err(Error::NotStreaming { id });
-        };
-        let snap = SessionSnapshot::of_frozen(s.config().clone(), s.freeze()?);
+        let snap = self.session(id)?.freeze()?;
         self.metrics
             .store
             .migrations
@@ -218,8 +215,8 @@ impl ZigzagService {
         Ok(snap)
     }
 
-    /// Installs a shipped [`SessionSnapshot`] as a new stream session of
-    /// this service, answering the handle it was assigned — the
+    /// Installs a shipped [`SessionSnapshot`] as a new session of this
+    /// service, answering the handle it was assigned — the
     /// receiving half of live migration (and the in-process form of
     /// [`Query::Import`]). The restored session answers every query
     /// byte-identically to the exported one and accepts further appends.
@@ -234,15 +231,12 @@ impl ZigzagService {
             .store
             .migrations
             .fetch_add(1, Ordering::Relaxed);
-        Ok(self.insert(Session::Stream(session)))
+        Ok(self.install(session))
     }
 
-    /// Installs an already-built session — the store's recovery path.
-    pub(crate) fn install(&self, session: Session) -> SessionId {
-        self.insert(session)
-    }
-
-    fn insert(&self, session: Session) -> SessionId {
+    /// Installs an already-built session under a fresh handle — every
+    /// open path, import, and the store's recovery path.
+    pub(crate) fn install(&self, session: StreamSession) -> SessionId {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         // Table locks guard pure HashMap operations that cannot be
         // interrupted by a panic mid-mutation, so a poisoned lock (left
@@ -258,7 +252,7 @@ impl ZigzagService {
 
     /// Resolves a handle to its session, holding only the owning shard's
     /// lock, and only for the lookup.
-    pub(crate) fn session(&self, id: SessionId) -> Result<Arc<Session>, Error> {
+    pub(crate) fn session(&self, id: SessionId) -> Result<Arc<StreamSession>, Error> {
         self.shards[self.shard_of(id)]
             .sessions
             .lock()
@@ -268,9 +262,14 @@ impl ZigzagService {
             .ok_or(Error::UnknownSession { id })
     }
 
-    /// Opens a batch session over a complete recorded run.
+    /// Opens a batch session over a complete recorded run: the run is
+    /// restored as the last prefix of its own event stream
+    /// (`IncrementalEngine::from_prefix`, one pass), so the session
+    /// answers exactly like [`ZigzagService::open_replay`] of the same run
+    /// and accepts further appends. With a coordination spec, the
+    /// `CoordDecision` verdict is decided here, at open.
     pub fn open_batch(&self, run: Run, config: SessionConfig) -> SessionId {
-        self.insert(Session::Batch(BatchSession::new(run, config)))
+        self.install(StreamSession::of_run(run, config))
     }
 
     /// Opens a stream session over an empty stream on `context`,
@@ -282,9 +281,7 @@ impl ZigzagService {
         horizon: Time,
         config: SessionConfig,
     ) -> SessionId {
-        self.insert(Session::Stream(StreamSession::new(
-            context, horizon, config,
-        )))
+        self.install(StreamSession::new(context, horizon, config))
     }
 
     /// Opens a stream session and replays a recorded run into it event by
@@ -306,35 +303,29 @@ impl ZigzagService {
         while let Some(ev) = cursor.next_event() {
             reports.push(session.append(&ev)?);
         }
-        Ok((self.insert(Session::Stream(session)), reports))
+        Ok((self.install(session), reports))
     }
 
-    /// Appends one event to a stream session. Only that session's own
-    /// write lock is taken; queries on other sessions proceed.
+    /// Appends one event to a session. Only that session's own write
+    /// lock is taken; queries on other sessions proceed.
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the event is
-    /// inconsistent with the grown prefix (which poisons the session's
-    /// engine, as `IncrementalEngine::append_event` documents).
+    /// Fails on unknown sessions, or if the event is inconsistent with
+    /// the grown prefix (which poisons the session's engine, as
+    /// `IncrementalEngine::append_event` documents).
     pub fn append(&self, id: SessionId, ev: &RunEvent) -> Result<AppendReport, Error> {
-        match &*self.session(id)? {
-            Session::Batch(_) => Err(Error::NotStreaming { id }),
-            Session::Stream(s) => s.append(ev),
-        }
+        self.session(id)?.append(ev)
     }
 
-    /// A stream session's current event count — the idempotent probe
-    /// behind [`Query::EventCount`] and the client's exactly-once append.
+    /// A session's current event count — the idempotent probe behind
+    /// [`Query::EventCount`] and the client's exactly-once append.
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the session is poisoned.
+    /// Fails on unknown sessions, or if the session is poisoned.
     pub fn event_count(&self, id: SessionId) -> Result<u64, Error> {
-        match &*self.session(id)? {
-            Session::Batch(_) => Err(Error::NotStreaming { id }),
-            Session::Stream(s) => Ok(s.event_count()? as u64),
-        }
+        Ok(self.session(id)?.event_count()? as u64)
     }
 
     /// The append path behind [`Query::Append`]: routes through the
@@ -378,50 +369,48 @@ impl ZigzagService {
     /// Fails on unknown sessions or on the underlying engine error of the
     /// failing query.
     pub fn dispatch(&self, id: SessionId, query: &Query) -> Result<Response, Error> {
-        // Stats is service-level: answered here, before any session is
-        // resolved (the id is routing information only), and not counted
-        // as a dispatch — it measures the serving load, it isn't part of
-        // it.
-        if matches!(query, Query::Stats) {
-            return Ok(Response::Stats(Box::new(self.stats())));
-        }
-        // Export/Import are service-level too (Import installs into the
-        // session table; Export needs the session handle): answered here
-        // and not counted as dispatches. For Export the id addresses the
-        // session to serialize; for Import it is routing-only.
-        if matches!(query, Query::Export) {
-            return Ok(Response::Exported(Box::new(self.export(id)?)));
-        }
-        if let Query::Import(snap) = query {
-            return Ok(Response::Imported(self.import((**snap).clone())?));
-        }
-        // Append/EventCount/Recover are service-level for the same reason:
-        // appends route through the attached durable store, the event
-        // count is the client's exactly-once probe, and recovery sweeps
-        // the whole store directory. Like the others they are not counted
-        // as dispatches.
-        if let Query::Append(ev) = query {
-            return Ok(Response::Appended(self.append_routed(id, ev)?));
-        }
-        if matches!(query, Query::EventCount) {
-            return Ok(Response::EventCount(self.event_count(id)?));
-        }
-        if matches!(query, Query::Recover) {
-            return Ok(Response::Recovered(self.recover_routed()?));
-        }
-        let session = self.session(id)?;
-        let start = Instant::now();
-        let out = session.dispatch(query);
-        self.record_dispatch(start.elapsed());
-        out
+        self.route(id, query, || self.stats(), || self.session(id))
     }
 
-    /// Records one dispatch's wall time into the service's counters —
-    /// shared by [`ZigzagService::dispatch`] and the [`crate::serve`] /
-    /// [`crate::net`] loops (which resolve sessions themselves).
-    pub(crate) fn record_dispatch(&self, elapsed: Duration) {
-        self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.metrics.latency.record(elapsed);
+    /// Routes one query addressed to `id` — the one `match` shared by
+    /// [`ZigzagService::dispatch`] and the [`crate::serve`] /
+    /// [`crate::net`] loops, which differ only in the two hooks: `stats`
+    /// builds the [`Query::Stats`] answer (a socket server attaches its
+    /// queue gauges and transport counters), and `resolve` looks the
+    /// session up (the serving loops memoize it per loop).
+    ///
+    /// Service-level operations are answered here, before any session is
+    /// resolved, and are not counted as dispatches (they measure or move
+    /// the serving load, they aren't part of it). For Stats, Import and
+    /// Recover the id is routing information only. Export, Append and
+    /// EventCount read the live table, never the memo: a migration must
+    /// see the current session, appends route through the attached
+    /// durable store, and the event count is the client's exactly-once
+    /// probe. Everything else is a session query, timed into the
+    /// service's histogram.
+    pub(crate) fn route(
+        &self,
+        id: SessionId,
+        query: &Query,
+        stats: impl FnOnce() -> StatsReport,
+        resolve: impl FnOnce() -> Result<Arc<StreamSession>, Error>,
+    ) -> Result<Response, Error> {
+        match query {
+            Query::Stats => Ok(Response::Stats(Box::new(stats()))),
+            Query::Export => Ok(Response::Exported(Box::new(self.export(id)?))),
+            Query::Import(snap) => Ok(Response::Imported(self.import((**snap).clone())?)),
+            Query::Append(ev) => Ok(Response::Appended(self.append_routed(id, ev)?)),
+            Query::EventCount => Ok(Response::EventCount(self.event_count(id)?)),
+            Query::Recover => Ok(Response::Recovered(self.recover_routed()?)),
+            _ => {
+                let session = resolve()?;
+                let start = Instant::now();
+                let out = session.dispatch(query);
+                self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
+                self.metrics.latency.record(start.elapsed());
+                out
+            }
+        }
     }
 
     /// A point-in-time [`StatsReport`] with no queue gauges — the answer
@@ -450,7 +439,7 @@ impl ZigzagService {
         let mut sessions_per_shard = Vec::with_capacity(self.shards.len());
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for shard in self.shards.iter() {
-            let sessions: Vec<Arc<Session>> = shard
+            let sessions: Vec<Arc<StreamSession>> = shard
                 .sessions
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -459,7 +448,11 @@ impl ZigzagService {
                 .collect();
             sessions_per_shard.push(sessions.len() as u64);
             for session in &sessions {
-                let (h, m, e) = session.cache_counters();
+                // A poisoned session reports zeros: its cache is
+                // unreachable and will never be served from again.
+                let (h, m, e) = session
+                    .with_engine(IncrementalEngine::observer_cache_counters)
+                    .unwrap_or((0, 0, 0));
                 hits += h;
                 misses += m;
                 evictions += e;
@@ -478,27 +471,30 @@ impl ZigzagService {
         }
     }
 
-    /// Runs `f` over a session's run (batch) or grown prefix (stream)
-    /// without cloning it. The closure must not call back into the
-    /// *same stream* session (it holds that session's read lock); calls
-    /// on other sessions — or on the same *batch* session — are fine.
+    /// Runs `f` over a session's grown run without cloning it. The
+    /// closure must not call back into the *same* session (it holds that
+    /// session's read lock); calls on other sessions are fine.
     ///
     /// # Errors
     ///
-    /// Fails on unknown sessions, or with [`Error::Internal`] on a stream
+    /// Fails on unknown sessions, or with [`Error::Internal`] on a
     /// session poisoned by a panicked append.
     pub fn with_run<T>(&self, id: SessionId, f: impl FnOnce(&Run) -> T) -> Result<T, Error> {
-        self.session(id)?.with_run(f)
+        self.session(id)?.with_engine(|engine| f(engine.run()))
     }
 
     /// Number of observer states a session currently holds warm — the
-    /// quantity bounded by [`crate::CachePolicy::max_observers`].
+    /// quantity bounded by [`crate::CachePolicy::max_observers`]. A
+    /// poisoned session reports 0.
     ///
     /// # Errors
     ///
     /// Fails on unknown sessions.
     pub fn observer_count(&self, id: SessionId) -> Result<usize, Error> {
-        Ok(self.session(id)?.observer_count())
+        Ok(self
+            .session(id)?
+            .with_engine(IncrementalEngine::observer_count)
+            .unwrap_or(0))
     }
 
     /// Number of open sessions (summed across shards).

@@ -1,7 +1,7 @@
 //! Durable sessions: per-session event logs, snapshots, crash recovery
 //! and live migration.
 //!
-//! Every stream session of a [`ZigzagService`] can be made **durable** by
+//! Every session of a [`ZigzagService`] can be made **durable** by
 //! routing its appends through a [`SessionStore`]: each appended
 //! [`RunEvent`] is written as one self-delimiting record to an
 //! append-only per-session log, and every
@@ -97,7 +97,7 @@ use crate::config::{CachePolicy, SessionConfig};
 use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
-use crate::session::{AppendReport, FrozenStream, Session, StreamSession};
+use crate::session::{AppendReport, StreamSession};
 
 /// Version header of the per-session event log.
 pub const LOG_HEADER: &str = "zigzag-log v1";
@@ -183,9 +183,10 @@ impl StoreConfig {
     }
 }
 
-/// A portable, serializable copy of one stream session's full state —
-/// what a snapshot file holds and what [`crate::Query::Export`] /
-/// [`crate::Query::Import`] ship between services.
+/// A portable, serializable copy of one session's full state — what
+/// [`StreamSession::freeze`] extracts, what a snapshot file holds, and
+/// what [`crate::Query::Export`] / [`crate::Query::Import`] ship between
+/// services.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The session's configuration (cache policy, probe semantics,
@@ -202,20 +203,6 @@ pub struct SessionSnapshot {
     pub observers: Vec<(NodeId, ObserverMode)>,
     /// The grown run prefix, context included.
     pub run: Run,
-}
-
-impl SessionSnapshot {
-    /// Assembles a snapshot from a frozen session state and its config.
-    pub(crate) fn of_frozen(config: SessionConfig, frozen: FrozenStream) -> Self {
-        SessionSnapshot {
-            config,
-            events: frozen.events,
-            first_known: frozen.first_known,
-            sigma_c: frozen.sigma_c,
-            observers: frozen.observers,
-            run: frozen.run,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -583,7 +570,6 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Erro
     Ok(StreamSession::resume(
         snap.config,
         engine,
-        snap.events,
         snap.first_known,
         snap.sigma_c,
     ))
@@ -737,8 +723,7 @@ impl SessionStore {
         log.write_all(header.as_bytes())
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
-            log.sync_all()
-                .map_err(|e| io_err("syncing log", &path, e))?;
+            self.sync_file(&log, &path)?;
         }
         service
             .store_stats()
@@ -846,11 +831,7 @@ impl SessionStore {
         id: SessionId,
         st: &mut DurableSession,
     ) -> Result<bool, Error> {
-        let session = service.session(id)?;
-        let Session::Stream(s) = &*session else {
-            return Err(Error::NotStreaming { id });
-        };
-        let frozen = s.freeze()?;
+        let snap = service.session(id)?.freeze()?;
         // A snapshot is only trusted if replaying the run's own cursor
         // events onto a fresh skeleton rebuilds it exactly — decoding
         // replays the `ev` block the same way, so this check (one cheap
@@ -860,11 +841,9 @@ impl SessionStore {
         // feed whose cursor order renumbers messages degrades to
         // log-only durability instead of restoring a subtly reordered
         // run.
-        let mut rebuilt = StreamingRun::adopt(Run::skeleton(
-            frozen.run.context_arc(),
-            frozen.run.horizon(),
-        ));
-        let mut cursor = RunCursor::new(&frozen.run);
+        let mut rebuilt =
+            StreamingRun::adopt(Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
+        let mut cursor = RunCursor::new(&snap.run);
         let mut exact = true;
         while let Some(ev) = cursor.next_event() {
             if rebuilt.append(&ev).is_err() {
@@ -872,10 +851,9 @@ impl SessionStore {
                 break;
             }
         }
-        if !exact || rebuilt.run() != &frozen.run {
+        if !exact || rebuilt.run() != &snap.run {
             return Ok(false);
         }
-        let snap = SessionSnapshot::of_frozen(s.config().clone(), frozen);
         let text = encode_snapshot(&snap);
 
         let final_path = self.snap_path(&st.name);
@@ -1038,7 +1016,7 @@ impl SessionStore {
         };
 
         let events = session.event_count()? as u64;
-        let id = service.install(Session::Stream(session));
+        let id = service.install(session);
         self.lock().insert(
             id.raw(),
             DurableSession {
@@ -1482,6 +1460,44 @@ mod tests {
                 SessionConfig::new(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn header_sync_failures_surface_from_open_stream() {
+        use crate::fault::{FaultPlan, FaultRates};
+
+        let run = fig_run();
+        let dir = tmpdir("header-sync");
+        let service = ZigzagService::new();
+        let rates = FaultRates {
+            fsync_fail: 1000,
+            ..FaultRates::default()
+        };
+        let store = SessionStore::open(&dir, StoreConfig::new().fsync(FsyncPolicy::Always))
+            .unwrap()
+            .with_faults(Arc::new(FaultPlan::new(3, rates)));
+        let err = store
+            .open_stream(
+                &service,
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                coord_config(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Store { detail } if detail.contains("injected fsync failure")),
+            "got {err}"
+        );
+        // Nothing was opened; the log holds only its header, which
+        // recovery restores as an empty session.
+        assert_eq!(service.session_count(), 0);
+        let rec = SessionStore::open(&dir, StoreConfig::new())
+            .unwrap()
+            .recover(&service, "feed")
+            .unwrap();
+        assert_eq!(rec.restored_events + rec.replayed_events, 0);
+        assert_eq!(service.event_count(rec.id).unwrap(), 0);
     }
 
     #[test]

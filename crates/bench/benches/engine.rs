@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zigzag_bcm::ProcessId;
 use zigzag_bench::{kicked_run, scaled_context};
-use zigzag_core::analyzer::RunAnalyzer;
 use zigzag_core::knowledge::KnowledgeEngine;
 use zigzag_core::GeneralNode;
 
@@ -60,11 +59,11 @@ fn cold_vs_warm(c: &mut Criterion) {
             });
         });
 
-        // Batched thresholds through the run-level analyzer.
+        // Batched thresholds on a fresh engine: message index, `GE` and
+        // the whole batch per iteration.
         group.bench_with_input(BenchmarkId::new("batch-max-x", n), &run, |b, run| {
             b.iter(|| {
-                let analyzer = RunAnalyzer::new(run);
-                let engine = analyzer.engine(sigma).unwrap();
+                let engine = KnowledgeEngine::new(run, sigma).unwrap();
                 engine.max_x_batch(&queries).unwrap()
             });
         });

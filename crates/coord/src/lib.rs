@@ -76,8 +76,5 @@ pub use family::{
 pub use optimal::{knows_required, OptimalStrategy, PatternStrategy};
 pub use scenario::{BStrategy, NeverStrategy, RecklessStrategy, Scenario};
 pub use spec::{verify, CoordKind, TimedCoordination, Verdict};
-pub use stream::{
-    decide_at, decide_at_cached, decide_at_indexed, first_knowledge, first_knowledge_cached,
-    first_knowledge_indexed, ProbeSemantics, StepReport, StreamDriver,
-};
+pub use stream::{decide_at, first_knowledge, ProbeSemantics, StepReport, StreamDriver};
 pub use sweep::{threshold, SweepFamily, Threshold};

@@ -32,13 +32,13 @@
 //! coincide exactly; both are sound either way, since extra own-send
 //! evidence is evidence `B` legitimately has.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, NodeId, Run, RunCursor, Time};
 use zigzag_core::extended_graph::MessageIndex;
 use zigzag_core::incremental::IncrementalEngine;
-use zigzag_core::knowledge::{ObserverCache, ObserverMode, ObserverState};
+use zigzag_core::knowledge::{ObserverMode, ObserverState};
 use zigzag_core::{GeneralNode, KnowledgeEngine};
 
 use crate::error::CoordError;
@@ -69,36 +69,10 @@ impl ProbeSemantics {
     }
 }
 
-/// The one decision-state construction site: the knowledge engine a
-/// coordination decision at `sigma` runs on, under `probe`, optionally
-/// served from (and retained in) a mode-keyed [`ObserverCache`]. Every
-/// batch decision helper and the service facade route through here, so
-/// cached and uncached decisions share one code path — byte-identical by
-/// the observer-stability invariant (states of either mode never go
-/// stale; see `zigzag_core::incremental`).
-fn probe_engine<'r>(
-    run: &'r Run,
-    sigma: NodeId,
-    probe: ProbeSemantics,
-    index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
-) -> Result<KnowledgeEngine<'r>, CoordError> {
-    let mode = probe.mode();
-    let state = match cache {
-        Some(cache) => cache
-            .lock()
-            .expect("decision state cache lock")
-            .get_or_build_mode(sigma, mode, || {
-                ObserverState::build_mode(run, sigma, index, mode)
-            })?,
-        None => Arc::new(ObserverState::build_mode(run, sigma, index, mode)?),
-    };
-    Ok(KnowledgeEngine::with_state(run, state))
-}
-
 /// The Protocol 2 decision at `sigma` under the given probe semantics, on
-/// any run containing `sigma` — the batch form shared by the streaming
-/// driver and the service facade's `CoordDecision` query. Returns `false`
+/// any run containing `sigma`, built from scratch: a fresh
+/// [`MessageIndex`] and a fresh decision state. This is the reference the
+/// streaming driver's warm decisions are held to. Returns `false`
 /// (abstain) when the trigger is absent or the required evidence is not
 /// σ-recognized, exactly like the in-protocol strategy.
 ///
@@ -111,59 +85,24 @@ pub fn decide_at(
     sigma: NodeId,
     probe: ProbeSemantics,
 ) -> Result<bool, CoordError> {
-    decide_at_indexed(
-        spec,
-        run,
-        sigma,
-        probe,
-        &zigzag_core::extended_graph::MessageIndex::of_run(run),
-    )
-}
-
-/// [`decide_at`] against a caller-supplied per-run [`MessageIndex`] —
-/// the index is decision-invariant, so batteries of decisions over one
-/// run (see [`first_knowledge`], or a facade session with a cached
-/// index) should resolve the message table once and share it.
-///
-/// [`MessageIndex`]: zigzag_core::extended_graph::MessageIndex
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies (`sigma` not in `run`).
-pub fn decide_at_indexed(
-    spec: &TimedCoordination,
-    run: &Run,
-    sigma: NodeId,
-    probe: ProbeSemantics,
-    index: &zigzag_core::extended_graph::MessageIndex,
-) -> Result<bool, CoordError> {
-    decide_at_cached(spec, run, sigma, probe, index, None)
-}
-
-/// [`decide_at_indexed`] with an optional caller-held decision-state
-/// cache: `Some(cache)` serves (and retains) the per-node
-/// [`ObserverState`] — full or own-sends-excluded, keyed by mode — from
-/// the cache instead of rebuilding it, which is what a serving layer
-/// issuing `CoordDecision` at high rate wants. Retention is sound and
-/// byte-identical by observer stability (both modes — see
-/// `zigzag_core::incremental`); `None` builds fresh, the one-shot batch
-/// behavior.
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies (`sigma` not in `run`).
-pub fn decide_at_cached(
-    spec: &TimedCoordination,
-    run: &Run,
-    sigma: NodeId,
-    probe: ProbeSemantics,
-    index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
-) -> Result<bool, CoordError> {
     let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok(false);
     };
-    let engine = probe_engine(run, sigma, probe, index, cache)?;
+    decide_fresh(spec, run, sigma_c, sigma, probe, &MessageIndex::of_run(run))
+}
+
+/// One fresh-build decision at `sigma`, given the trigger node and a
+/// per-run message table.
+fn decide_fresh(
+    spec: &TimedCoordination,
+    run: &Run,
+    sigma_c: NodeId,
+    sigma: NodeId,
+    probe: ProbeSemantics,
+    index: &MessageIndex,
+) -> Result<bool, CoordError> {
+    let state = ObserverState::build_mode(run, sigma, index, probe.mode())?;
+    let engine = KnowledgeEngine::with_state(run, Arc::new(state));
     decide_with(spec, &engine, sigma_c, sigma)
 }
 
@@ -187,7 +126,8 @@ fn decide_with(
 
 /// The batch form of the streaming driver's verdict: the earliest
 /// `B`-node of `run` at which the spec's precedence is known under
-/// `probe`, plus the trigger node. By observer stability (each node's
+/// `probe`, plus the trigger node, with every decision built from scratch
+/// over one shared [`MessageIndex`]. By observer stability (each node's
 /// decision depends only on its own past), this equals the
 /// [`StreamDriver`]'s `first_known` after replaying `run` with the same
 /// probe semantics — and under [`ProbeSemantics::ExcludeOwnSends`] it
@@ -201,61 +141,19 @@ pub fn first_knowledge(
     run: &Run,
     probe: ProbeSemantics,
 ) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    first_knowledge_indexed(
-        spec,
-        run,
-        probe,
-        &zigzag_core::extended_graph::MessageIndex::of_run(run),
-    )
-}
-
-/// [`first_knowledge`] against a caller-supplied per-run
-/// [`MessageIndex`] (resolved once, shared by every per-node decision).
-///
-/// [`MessageIndex`]: zigzag_core::extended_graph::MessageIndex
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies in `run`.
-pub fn first_knowledge_indexed(
-    spec: &TimedCoordination,
-    run: &Run,
-    probe: ProbeSemantics,
-    index: &zigzag_core::extended_graph::MessageIndex,
-) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    first_knowledge_cached(spec, run, probe, index, None)
-}
-
-/// [`first_knowledge_indexed`] with an optional caller-held
-/// decision-state cache (see [`decide_at_cached`]): each `B`-node's
-/// decision state is served warm instead of rebuilt, so a session
-/// answering repeated `CoordDecision` queries — or interleaving them with
-/// knowledge queries at the same observers — pays each state's
-/// construction once.
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies in `run`.
-pub fn first_knowledge_cached(
-    spec: &TimedCoordination,
-    run: &Run,
-    probe: ProbeSemantics,
-    index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
-) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    let sigma_c = run.external_receipt_node(spec.c, &spec.go_name);
-    if sigma_c.is_none() {
+    let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok((None, None));
-    }
+    };
+    let index = MessageIndex::of_run(run);
     for rec in run.timeline(spec.b) {
         if rec.id().is_initial() {
             continue;
         }
-        if decide_at_cached(spec, run, rec.id(), probe, index, cache)? {
-            return Ok((Some(rec.id()), sigma_c));
+        if decide_fresh(spec, run, sigma_c, rec.id(), probe, &index)? {
+            return Ok((Some(rec.id()), Some(sigma_c)));
         }
     }
-    Ok((None, sigma_c))
+    Ok((None, Some(sigma_c)))
 }
 
 /// What one appended event meant for the coordination problem.
@@ -321,6 +219,39 @@ impl StreamDriver {
             sigma_c,
             first_known,
         }
+    }
+
+    /// Starts a driver over an engine already holding a run prefix whose
+    /// decision state nobody recorded — a complete recorded run, say. The
+    /// trigger node is looked up once and every `B`-node of the prefix is
+    /// decided in timeline order through the driver's own warm decision
+    /// path, stopping at the first that knows. By observer stability each
+    /// verdict depends only on its node's past, so the driver steps on
+    /// exactly like one that streamed the prefix itself.
+    ///
+    /// # Errors
+    ///
+    /// Fails only where [`StreamDriver::step`]'s decisions would: on an
+    /// observer the prefix does not hold, which its own `B`-nodes never
+    /// are.
+    pub fn of_prefix(
+        spec: TimedCoordination,
+        engine: IncrementalEngine,
+        probe: ProbeSemantics,
+    ) -> Result<Self, CoordError> {
+        let sigma_c = engine.run().external_receipt_node(spec.c, &spec.go_name);
+        let mut driver = Self::resume(spec, engine, probe, sigma_c, None);
+        // Without the trigger every decision abstains before building
+        // anything.
+        let mut first_known = None;
+        for rec in driver.engine.run().timeline(driver.spec.b) {
+            if !rec.id().is_initial() && driver.decide_at(rec.id())? {
+                first_known = Some(rec.id());
+                break;
+            }
+        }
+        driver.first_known = first_known;
+        Ok(driver)
     }
 
     /// Selects the probe semantics (builder style); see the
@@ -583,7 +514,8 @@ mod tests {
                     _ => {}
                 }
 
-                // The batch helper agrees with both replay modes.
+                // The batch helper, and a driver started over the whole
+                // recorded run, agree with both replay modes.
                 for (probe, driver) in [
                     (ProbeSemantics::ExcludeOwnSends, &ex),
                     (ProbeSemantics::IncludeOwnSends, &inc),
@@ -591,6 +523,10 @@ mod tests {
                     let (first, sigma_c) = first_knowledge(&spec, &run, probe).unwrap();
                     assert_eq!(first, driver.first_known(), "x={x} seed {seed} {probe:?}");
                     assert_eq!(sigma_c, driver.sigma_c());
+                    let engine = IncrementalEngine::from_prefix(run.clone());
+                    let restored = StreamDriver::of_prefix(spec.clone(), engine, probe).unwrap();
+                    assert_eq!(restored.first_known(), driver.first_known());
+                    assert_eq!(restored.sigma_c(), driver.sigma_c());
                 }
             }
         }

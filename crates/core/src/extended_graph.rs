@@ -289,7 +289,7 @@ impl ExtendedGraph {
 
     /// Builds `GE(r, σ)` reusing a per-run [`MessageIndex`], so deriving
     /// engines for many observers of the same run shares the message
-    /// resolution work (see [`crate::analyzer::RunAnalyzer`]).
+    /// resolution work (see [`crate::incremental::IncrementalEngine`]).
     ///
     /// # Panics
     ///

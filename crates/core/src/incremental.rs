@@ -3,11 +3,11 @@
 //!
 //! The paper's central claim is that processes extract timing knowledge
 //! *as a run unfolds* — zigzag causality lets a node know facts about
-//! remote events long before any full-run transcript exists. The batch
-//! pipeline ([`crate::analyzer::RunAnalyzer`] over a complete
-//! [`Run`]) inverts that: any change to the run means rebuilding the
-//! message index, the bounds graphs and every derived engine from
-//! scratch. [`IncrementalEngine`] is the append-only form: a run is grown
+//! remote events long before any full-run transcript exists. A batch
+//! pipeline (a [`KnowledgeEngine`] per observer over a complete [`Run`])
+//! inverts that: any change to the run means rebuilding the message
+//! index, the bounds graphs and every derived engine from scratch.
+//! [`IncrementalEngine`] is the append-only form: a run is grown
 //! one [`RunEvent`] at a time ([`IncrementalEngine::append_event`] /
 //! [`IncrementalEngine::append_batch`]) and every analysis layer is
 //! **delta-updated** — after each append, `max_x` / `knows` /
@@ -151,7 +151,9 @@ impl IncrementalEngine {
     }
 
     /// Resumes streaming on top of an already-recorded run prefix — the
-    /// snapshot-restore path of a durable session store. The message
+    /// snapshot-restore path of a durable session store, and how a
+    /// facade batch session opens over a complete recorded run (the last
+    /// prefix of its own event stream). The message
     /// index and `GB(r)` are batch-built over the prefix in one pass each
     /// (O(prefix) total, no per-event engine maintenance and no knowledge
     /// queries), and both batch builders are continuation-compatible with

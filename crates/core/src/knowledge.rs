@@ -217,9 +217,7 @@ impl ObserverState {
 }
 
 /// A bounded, least-recently-used cache of [`ObserverState`]s — the
-/// serving-layer form of the per-observer caches in
-/// [`crate::analyzer::RunAnalyzer`] and
-/// [`crate::incremental::IncrementalEngine`].
+/// per-observer cache of [`crate::incremental::IncrementalEngine`].
 ///
 /// Unbounded per-observer caching is right for analyses that revisit a
 /// handful of observers, but a deployment answering queries at millions
@@ -304,21 +302,6 @@ impl ObserverCache {
     /// build succeeded.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The full-mode state for `sigma`, built with `build` on a miss —
-    /// shorthand for [`ObserverCache::get_or_build_mode`] at
-    /// [`ObserverMode::Full`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error on a miss.
-    pub fn get_or_build(
-        &mut self,
-        sigma: NodeId,
-        build: impl FnOnce() -> Result<ObserverState, CoreError>,
-    ) -> Result<Arc<ObserverState>, CoreError> {
-        self.get_or_build_mode(sigma, ObserverMode::Full, build)
     }
 
     /// The state for `(sigma, mode)`, built with `build` on a miss. On a
@@ -532,11 +515,10 @@ pub struct KnowledgeEngine<'r> {
 impl<'r> KnowledgeEngine<'r> {
     /// Creates the engine for the observer node `sigma`.
     ///
-    /// Building many engines over the same run? Derive them from a
-    /// [`crate::analyzer::RunAnalyzer`] instead, which shares the run-level
-    /// analysis across observers. Growing the run event-by-event? Use a
-    /// [`crate::incremental::IncrementalEngine`], which keeps observer
-    /// states warm across appends.
+    /// Building many engines over the same run, or growing the run
+    /// event-by-event? Use a [`crate::incremental::IncrementalEngine`]
+    /// instead, which shares the run-level analysis across observers and
+    /// keeps observer states warm across appends.
     ///
     /// # Errors
     ///
@@ -547,13 +529,11 @@ impl<'r> KnowledgeEngine<'r> {
                 detail: format!("observer {sigma} does not appear in the run"),
             });
         }
-        Ok(Self::with_graph(run, sigma, ExtendedGraph::new(run, sigma)))
-    }
-
-    /// Assembles an engine around an already-built `GE(r, σ)` (the
-    /// [`crate::analyzer::RunAnalyzer`] shared-analysis path).
-    pub(crate) fn with_graph(run: &'r Run, sigma: NodeId, ge: ExtendedGraph) -> Self {
-        Self::with_state(run, Arc::new(ObserverState::new(sigma, ge)))
+        let ge = ExtendedGraph::new(run, sigma);
+        Ok(Self::with_state(
+            run,
+            Arc::new(ObserverState::new(sigma, ge)),
+        ))
     }
 
     /// Wraps a (possibly long-lived) observer state around a run — the

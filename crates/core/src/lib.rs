@@ -29,13 +29,11 @@
 //! * [`knowledge`] — the decision procedure for `K_σ(θ1 --x--> θ2)`
 //!   realizing Theorem 4, with exact max-`x` queries (single and batched)
 //!   and checkable witnesses, memoizing shared traversals across queries;
-//! * [`analyzer`] — run-level shared analysis: build the per-run state
-//!   (message table, `GB(r)`) once and derive per-observer
-//!   [`knowledge::KnowledgeEngine`]s from it;
-//! * [`incremental`] — the append-only streaming form: grow a run
-//!   event-by-event, delta-update the message index, `GB(r)` and the
-//!   memoized longest paths, and keep every queried observer's analysis
-//!   warm across appends (byte-identical to the batch engine at every
+//! * [`incremental`] — run-level shared analysis in its append-only
+//!   form: build the per-run state (message table, `GB(r)`) once — over
+//!   a whole recorded run in one pass, or event by event — delta-update
+//!   it on append, and keep every queried observer's analysis warm in an
+//!   LRU-able cache (byte-identical to the batch engine at every
 //!   prefix);
 //! * [`enumerate`] — exhaustive fork/zigzag enumeration on small runs,
 //!   cross-checking the longest-path certificates by brute force;
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyzer;
 pub mod bounds_graph;
 pub mod construct;
 pub mod dot;
@@ -72,7 +69,6 @@ pub mod precedence;
 pub mod timing;
 pub mod visible;
 
-pub use analyzer::RunAnalyzer;
 pub use error::CoreError;
 pub use fork::TwoLeggedFork;
 pub use incremental::IncrementalEngine;

@@ -5,17 +5,17 @@
 //! the workspace:
 //!
 //! * [`api`] — **the recommended entry point**: the unified service
-//!   facade. A `ZigzagService` owns typed sessions (batch runs and live
-//!   streams) and answers one serializable `Query` family — thresholds,
-//!   the knowledge predicate, witnesses, fast-run refutations, `GB(r)`
-//!   tight bounds, Protocol 2 coordination decisions — through one
-//!   `dispatch` code path, with explicit cache policies (LRU-bounded
-//!   observer states, mid-stream append-log compaction) and probe
-//!   semantics. `api::serve` fans wire-encoded frames across a sharded
-//!   worker fleet, `api::net` puts that loop on a TCP or Unix socket
-//!   (length-delimited envelopes, backpressure, graceful drain), and a
-//!   `Stats` query reports latency histograms and cache counters from
-//!   the wire;
+//!   facade. A `ZigzagService` owns sessions (opened over recorded runs
+//!   or live streams) and answers one serializable `Query` family —
+//!   thresholds, the knowledge predicate, witnesses, fast-run
+//!   refutations, `GB(r)` tight bounds, Protocol 2 coordination
+//!   decisions — through one `dispatch` code path, with explicit cache
+//!   policies (LRU-bounded observer states, mid-stream append-log
+//!   compaction) and probe semantics. `api::serve` fans wire-encoded
+//!   frames across a sharded worker fleet, `api::net` puts that loop on
+//!   a TCP or Unix socket (length-delimited envelopes, backpressure,
+//!   graceful drain), and a `Stats` query reports latency histograms
+//!   and cache counters from the wire;
 //! * [`bcm`] — the bounded communication model without clocks: networks,
 //!   transmission-time bounds, event-driven processes, the flooding
 //!   full-information protocol, schedulers, discrete-event simulation, run
@@ -23,9 +23,9 @@
 //! * [`core`] — zigzag causality: basic/general nodes, happens-before,
 //!   two-legged forks, zigzag patterns, timed precedence, bounds graphs
 //!   (`GB(r)`, `GB(r,σ)`, `GE(r,σ)`), timing functions, run
-//!   constructions, the knowledge engine of Theorem 4, and its
-//!   batch-shared (`RunAnalyzer`) and incremental (`IncrementalEngine`)
-//!   serving forms;
+//!   constructions, the knowledge engine of Theorem 4, and its shared,
+//!   incremental serving form (`IncrementalEngine`), built in one pass
+//!   over a recorded run or grown event by event;
 //! * [`coord`] — the timed-coordination layer: the `Early⟨b →x a⟩` /
 //!   `Late⟨a →x b⟩` problems, the paper's optimal Protocol 2, baselines,
 //!   and the streaming coordination driver.

@@ -22,15 +22,16 @@
 //! seeds with a wall-clock guard (a hang is a failure, not a timeout to
 //! shrug at).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use zigzag::api::supervisor::RecoverySweep;
 use zigzag::api::{
-    ClientConfig, CoordKind, Error, FaultPlan, FaultRates, NetConfig, NetServer, Query,
-    ResilientClient, Response, SessionConfig, SessionId, SessionStore, SessionSupervisor,
+    ClientConfig, CoordKind, Error, FaultPlan, FaultRates, FsyncPolicy, NetConfig, NetServer,
+    Query, ResilientClient, Response, SessionConfig, SessionId, SessionStore, SessionSupervisor,
     StoreConfig, TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
@@ -243,16 +244,37 @@ fn net_chaos_case(seed: u64, budget: u64) -> u64 {
 // Test B: store faults with crash + supervised recovery.
 // ---------------------------------------------------------------------
 
+/// One process life over a store directory: a fresh service, a store
+/// (armed with `plan`, if any), and a supervisor whose startup sweep
+/// recovers whatever the previous life left behind.
+fn store_life(
+    dir: &Path,
+    config: StoreConfig,
+    plan: Option<&Arc<FaultPlan>>,
+) -> (Arc<ZigzagService>, Arc<SessionSupervisor>, RecoverySweep) {
+    let service = Arc::new(ZigzagService::new());
+    let mut store = SessionStore::open(dir, config).unwrap();
+    if let Some(plan) = plan {
+        store = store.with_faults(Arc::clone(plan));
+    }
+    let (sup, swept) = SessionSupervisor::bind(Arc::clone(&service), Arc::new(store)).unwrap();
+    (service, sup, swept)
+}
+
 /// Store chaos: torn log writes, failed fsyncs, and disk-full snapshots,
-/// budget-bounded. Every store failure is treated as fatal for the
-/// process — the service is dropped on the spot and a fresh
-/// [`SessionSupervisor::bind`] recovers the directory — after which an
-/// event-count probe resolves the did-it-land ambiguity and appending
-/// resumes. The fully-fed state must answer byte-identically to the
-/// fault-free reference.
+/// budget-bounded, under the given fsync policy. Every store failure is
+/// treated as fatal for the process — the service is dropped on the spot
+/// and a fresh [`SessionSupervisor::bind`] recovers the directory — after
+/// which an event-count probe resolves the did-it-land ambiguity and
+/// appending resumes. Opening the durable session can fail too (under
+/// [`FsyncPolicy::Always`] its header is synced): that is a crash like
+/// any other, and the sweep recovers the log that holds only a header.
+/// The fully-fed state must answer byte-identically to the fault-free
+/// reference.
 ///
-/// Returns how many faults the plan actually injected.
-fn store_chaos_case(seed: u64, budget: u64) -> u64 {
+/// Returns how many faults the plan injected, and how many of the store
+/// failures were injected fsync failures.
+fn store_chaos_case(seed: u64, budget: u64, fsync: FsyncPolicy) -> (u64, u64) {
     let run = chaos_run(seed ^ 0x9E37_79B9);
     let events: Vec<_> = RunCursor::new(&run).collect();
     let config = coord_config();
@@ -269,89 +291,93 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
         prefix_nodes.push(NodeId::new(ev.proc, next_idx[ev.proc.index()]));
     }
 
+    // The fsync site has its own fault stream and is only consulted when
+    // the policy syncs, so its rate shapes the `Always` storm alone: high
+    // enough that a short feed still sees its fsyncs fail.
     let rates = FaultRates {
         torn_log_write: 120,
-        fsync_fail: 100,
+        fsync_fail: 300,
         snapshot_full: 150,
         ..FaultRates::default()
     };
     let plan = Arc::new(FaultPlan::with_budget(seed, rates, budget));
-    let store_config = StoreConfig::new().snapshot_every(3);
+    let store_config = StoreConfig::new().snapshot_every(3).fsync(fsync);
 
     // First life.
-    let mut service = Arc::new(ZigzagService::new());
-    let store = Arc::new(
-        SessionStore::open(&dir, store_config)
-            .unwrap()
-            .with_faults(Arc::clone(&plan)),
-    );
-    let (mut sup, swept) = SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
+    let (mut service, mut sup, swept) = store_life(&dir, store_config, Some(&plan));
     assert!(swept.is_empty());
-    let mut id: SessionId = sup
-        .store()
-        .open_stream(
-            &service,
-            "feed",
-            run.context_arc(),
-            run.horizon(),
-            config.clone(),
-        )
-        .unwrap();
 
+    let mut id: Option<SessionId> = None; // the feed, once opened
     let mut done = 0usize; // events durably landed, probe-confirmed
     let mut lives = 0u32;
+    let mut fsync_failures = 0u64;
     while done < events.len() {
-        match service.dispatch(id, &Query::Append(Box::new(events[done].clone()))) {
-            Ok(Response::Appended(n)) => {
-                assert_eq!(n, done as u64 + 1, "duplicated or lost append");
-                done += 1;
+        let step = match id {
+            None => sup
+                .store()
+                .open_stream(
+                    &service,
+                    "feed",
+                    run.context_arc(),
+                    run.horizon(),
+                    config.clone(),
+                )
+                .map(|opened| id = Some(opened)),
+            Some(feed) => {
+                match service.dispatch(feed, &Query::Append(Box::new(events[done].clone()))) {
+                    Ok(Response::Appended(n)) => {
+                        assert_eq!(n, done as u64 + 1, "duplicated or lost append");
+                        done += 1;
+                        Ok(())
+                    }
+                    Ok(other) => panic!("append answered with {other:?}"),
+                    Err(e) => Err(e),
+                }
             }
-            Ok(other) => panic!("append answered with {other:?}"),
+        };
+        match step {
+            Ok(()) => {}
             Err(Error::Store { detail }) => {
                 // A store failure is fatal for the session (the in-memory
                 // state may be ahead of the log). Crash and recover.
                 assert!(detail.contains("injected"), "real store failure: {detail}");
+                if detail.contains("injected fsync failure") {
+                    fsync_failures += 1;
+                }
                 lives += 1;
                 assert!(
                     lives <= budget as u32 + 2,
                     "more crashes than injected faults — recovery is not making progress"
                 );
                 drop(sup);
-                service = Arc::new(ZigzagService::new());
-                let store = Arc::new(
-                    SessionStore::open(&dir, store_config)
-                        .unwrap()
-                        .with_faults(Arc::clone(&plan)),
-                );
-                let (next_sup, recs) =
-                    SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
-                sup = next_sup;
+                let recs;
+                (service, sup, recs) = store_life(&dir, store_config, Some(&plan));
                 assert_eq!(recs.len(), 1, "life {lives}: sweep missed the session");
                 assert_eq!(recs[0].0, "feed");
-                id = recs[0].1.id;
+                let feed = recs[0].1.id;
+                id = Some(feed);
                 // The exactly-once probe: a failed fsync may leave the
                 // event durable even though the append errored. Trust
                 // the recovered count, never a blind resend.
-                let n = service.event_count(id).unwrap() as usize;
+                let n = service.event_count(feed).unwrap() as usize;
                 assert!(
                     n == done || n == done + 1,
                     "life {lives}: recovered count {n} after {done} confirmed appends"
                 );
                 done = n;
             }
-            Err(e) => panic!("append gave unexpected error: {e}"),
+            Err(e) => panic!("store operation gave unexpected error: {e}"),
         }
     }
+    let mut id = id.expect("the feed was opened");
 
     // Fully fed: byte-identical to the fault-free reference, and one
     // final crash/recover must preserve that.
     for crash_once_more in [false, true] {
         if crash_once_more {
             drop(sup);
-            service = Arc::new(ZigzagService::new());
-            let store = Arc::new(SessionStore::open(&dir, store_config).unwrap());
-            let (next_sup, recs) = SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
-            sup = next_sup;
+            let recs;
+            (service, sup, recs) = store_life(&dir, store_config, None);
             assert_eq!(recs.len(), 1);
             id = recs[0].1.id;
         }
@@ -374,7 +400,7 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
     }
     drop(sup);
     let _ = std::fs::remove_dir_all(&dir);
-    plan.injected()
+    (plan.injected(), fsync_failures)
 }
 
 proptest! {
@@ -387,7 +413,9 @@ proptest! {
 
     #[test]
     fn store_chaos_oracle(seed in 0u64..10_000, budget in 5u64..40) {
-        store_chaos_case(seed, budget);
+        for fsync in [FsyncPolicy::Never, FsyncPolicy::Always] {
+            store_chaos_case(seed, budget, fsync);
+        }
     }
 }
 
@@ -406,8 +434,17 @@ fn chaos_fixed_seed_net_and_store() {
         net_chaos_case(seed, 40) > 0,
         "seed {seed}: the net fault plan never fired"
     );
+    // Under `Never` no fsync is ever issued; under `Always` every append
+    // (and the log header) is synced, so injected fsync failures must
+    // reach the oracle.
+    let (injected, _) = store_chaos_case(seed, 25, FsyncPolicy::Never);
     assert!(
-        store_chaos_case(seed, 25) > 0,
+        injected > 0,
         "seed {seed}: the store fault plan never fired"
+    );
+    let (_, fsync_failures) = store_chaos_case(seed, 25, FsyncPolicy::Always);
+    assert!(
+        fsync_failures > 0,
+        "seed {seed}: no fsync failure was injected under FsyncPolicy::Always"
     );
 }

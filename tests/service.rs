@@ -11,13 +11,15 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use zigzag::api::{
-    serve, wire, CachePolicy, CoordKind, Error, Query, Response, SessionConfig, TimedCoordination,
-    ZigzagService,
+    serve, wire, CachePolicy, CoordKind, Error, ProbeSemantics, Query, Response, SessionConfig,
+    TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
-use zigzag::bcm::{topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time};
-use zigzag::core::{CoreError, GeneralNode};
+use zigzag::bcm::{
+    topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, StreamingRun, Time,
+};
+use zigzag::core::{CoreError, GeneralNode, IncrementalEngine};
 
 fn tri_run(seed: u64, horizon: u64) -> Run {
     let mut b = zigzag::bcm::Network::builder();
@@ -152,8 +154,8 @@ fn compaction_policy_reclaims_log_and_preserves_answers() {
     }
 }
 
-/// The facade's error surface: unknown sessions, batch appends, missing
-/// specs.
+/// The facade's session lifecycle and error surface: batch sessions
+/// that keep streaming, unknown sessions, missing specs.
 #[test]
 fn session_lifecycle_and_error_surface() {
     let run = tri_run(2, 30);
@@ -161,12 +163,67 @@ fn session_lifecycle_and_error_surface() {
     let id = service.open_batch(run.clone(), SessionConfig::new());
     assert_eq!(service.session_count(), 1);
 
-    // Appending to a batch session is refused.
-    let ev = RunCursor::new(&run).next_event().unwrap();
-    assert!(matches!(
-        service.append(id, &ev),
-        Err(Error::NotStreaming { .. })
-    ));
+    // A batch session is its run restored as the last prefix of its own
+    // stream. Opened over the first half of a feed, it takes the rest as
+    // appends and then answers like a replay of the whole run — with or
+    // without a spec, under either probe — and so does an Export → Import
+    // of a batch session over the whole run.
+    let events = RunCursor::new(&run).collect_events();
+    let half = events.len() / 2;
+    let mut prefix = StreamingRun::new(run.context_arc(), run.horizon());
+    for ev in &events[..half] {
+        prefix.append(ev).unwrap();
+    }
+    let prefix = prefix.finish();
+    let nodes = observers_of(&run);
+    let (first, last) = (nodes[0], *nodes.last().unwrap());
+    let probes = [
+        Query::MaxXMatrix { sigma: last },
+        Query::TightBound {
+            from: first,
+            to: last,
+        },
+        Query::EventCount,
+        Query::CoordDecision,
+    ];
+    // The kick at `i` relayed to `j`, against `k`'s knowledge.
+    let (i, j, k) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let mut spec = TimedCoordination::new(CoordKind::Late { x: 1 }, j, k, i);
+    spec.go_name = "kick".into();
+    let shapes = ZigzagService::new();
+    let answers = |id| {
+        probes
+            .iter()
+            .map(|q| shapes.dispatch(id, q))
+            .collect::<Vec<_>>()
+    };
+    for config in [
+        SessionConfig::new(),
+        SessionConfig::new().spec(spec.clone()),
+        SessionConfig::new()
+            .spec(spec)
+            .probe(ProbeSemantics::ExcludeOwnSends),
+    ] {
+        let (replayed, _) = shapes.open_replay(&run, config.clone()).unwrap();
+        let want = answers(replayed);
+        let batch = shapes.open_batch(prefix.clone(), config.clone());
+        assert_eq!(shapes.event_count(batch).unwrap(), half as u64);
+        for ev in &events[half..] {
+            shapes.append(batch, ev).unwrap();
+        }
+        assert_eq!(answers(batch), want, "{config:?}: append after open_batch");
+
+        let whole = shapes.open_batch(run.clone(), config.clone());
+        let Response::Exported(snap) = shapes.dispatch(whole, &Query::Export).unwrap() else {
+            panic!("export answers Exported");
+        };
+        let Response::Imported(moved) = shapes.dispatch(whole, &Query::Import(snap)).unwrap()
+        else {
+            panic!("import answers Imported");
+        };
+        assert_eq!(answers(whole), want, "{config:?}: open_batch");
+        assert_eq!(answers(moved), want, "{config:?}: export → import");
+    }
     // Coordination queries need a spec.
     assert!(matches!(
         service.dispatch(id, &Query::CoordDecision),
@@ -240,7 +297,10 @@ fn fast_run_parameters_that_overflow_are_refused_by_name() {
 }
 
 /// Streaming coordination through the facade agrees with the batch
-/// session's `CoordDecision` on the same run (replayed Figure 1).
+/// session's `CoordDecision` on the same run: on Figure 1, and on a
+/// feedback topology where `B` has outgoing channels (a B ⇄ D cycle) —
+/// the regime where the two probe semantics decide on different graphs —
+/// under both probes.
 #[test]
 fn coordination_decisions_agree_across_session_shapes() {
     let mut nb = zigzag::bcm::Network::builder();
@@ -275,6 +335,101 @@ fn coordination_decisions_agree_across_session_shapes() {
         // coincide with the in-simulation protocol.
         assert_eq!(report.first_known, verdict.b_node, "seed {seed}");
         assert_eq!(reports.len(), run.node_count() - 3);
+    }
+
+    let mut graphs_differed = false;
+    for (x, l_bd, u_bd) in [(4i64, 1u64, 1u64), (4, 1, 9), (5, 1, 1)] {
+        let sc = feedback_scenario(x, l_bd, u_bd);
+        let spec = sc.spec().clone();
+        let b = spec.b;
+        for seed in 0..4 {
+            let (run, verdict) = sc
+                .run_verified(
+                    &mut zigzag::coord::OptimalStrategy,
+                    &mut RandomScheduler::seeded(seed),
+                )
+                .unwrap();
+            let mut verdicts = Vec::new();
+            for probe in [
+                ProbeSemantics::IncludeOwnSends,
+                ProbeSemantics::ExcludeOwnSends,
+            ] {
+                let service = ZigzagService::new();
+                let config = SessionConfig::new().spec(spec.clone()).probe(probe);
+                let (stream, _) = service.open_replay(&run, config.clone()).unwrap();
+                let batch = service.open_batch(run.clone(), config);
+                let on = service.dispatch(stream, &Query::CoordDecision).unwrap();
+                let off = service.dispatch(batch, &Query::CoordDecision).unwrap();
+                assert_eq!(
+                    on, off,
+                    "x={x} [{l_bd},{u_bd}] seed {seed} {probe:?}: session shapes diverged"
+                );
+                let Response::CoordDecision(report) = on else {
+                    unreachable!()
+                };
+                verdicts.push(report.first_known);
+            }
+            // The exclude probe is the in-simulation protocol's view.
+            assert_eq!(verdicts[1], verdict.b_node, "x={x} seed {seed}");
+            // B's own sends are what the exclude probe leaves out of
+            // `GE(r, σ)`, so here the two probes decide on different
+            // graphs.
+            let engine = IncrementalEngine::from_prefix(run.clone());
+            graphs_differed |= run.timeline(b)[1..].iter().any(|rec| {
+                let edges = |probe: ProbeSemantics| {
+                    let decider = engine.engine_mode(rec.id(), probe.mode()).unwrap();
+                    decider.ge().graph().edge_count()
+                };
+                edges(ProbeSemantics::IncludeOwnSends) != edges(ProbeSemantics::ExcludeOwnSends)
+            });
+        }
+    }
+    assert!(
+        graphs_differed,
+        "the feedback topology never separated the two probes' graphs"
+    );
+}
+
+/// `Late⟨a →x b⟩` on the B ⇄ D feedback topology: C → A `[2,5]`,
+/// C → B `[9,12]`, C → D `[1,2]`, B → D `[l_bd,u_bd]`, D → B `[1,3]`.
+fn feedback_scenario(x: i64, l_bd: u64, u_bd: u64) -> zigzag::coord::Scenario {
+    let mut nb = zigzag::bcm::Network::builder();
+    let c = nb.add_process("C");
+    let a = nb.add_process("A");
+    let b = nb.add_process("B");
+    let d = nb.add_process("D");
+    nb.add_channel(c, a, 2, 5).unwrap();
+    nb.add_channel(c, b, 9, 12).unwrap();
+    nb.add_channel(c, d, 1, 2).unwrap();
+    nb.add_channel(b, d, l_bd, u_bd).unwrap();
+    nb.add_channel(d, b, 1, 3).unwrap();
+    let spec = TimedCoordination::new(CoordKind::Late { x }, a, b, c);
+    zigzag::coord::Scenario::new(spec, nb.build().unwrap(), Time::new(3), Time::new(45)).unwrap()
+}
+
+/// A batch session with a spec decides `CoordDecision` at open, under
+/// either probe: its decision states sit warm in its observer LRU, and
+/// answering the query builds nothing more.
+#[test]
+fn batch_sessions_decide_coordination_at_open() {
+    let sc = feedback_scenario(4, 1, 9);
+    let (run, _) = sc
+        .run_verified(
+            &mut zigzag::coord::OptimalStrategy,
+            &mut RandomScheduler::seeded(1),
+        )
+        .unwrap();
+    for probe in [
+        ProbeSemantics::IncludeOwnSends,
+        ProbeSemantics::ExcludeOwnSends,
+    ] {
+        let service = ZigzagService::new();
+        let config = SessionConfig::new().spec(sc.spec().clone()).probe(probe);
+        let batch = service.open_batch(run.clone(), config);
+        let warm = service.observer_count(batch).unwrap();
+        assert!(warm > 0, "{probe:?}: nothing was decided at open");
+        service.dispatch(batch, &Query::CoordDecision).unwrap();
+        assert_eq!(service.observer_count(batch).unwrap(), warm, "{probe:?}");
     }
 }
 
