@@ -100,16 +100,9 @@ impl SessionConfig {
     }
 }
 
-/// Tuning knobs for a [`crate::net::NetServer`].
-///
-/// The buffer and coalescing knobs shape the syscall-lean fast path:
-/// each connection's reader slurps up to [`NetConfig::read_chunk_bytes`]
-/// per `read` into a reusable scan buffer and routes every complete
-/// envelope found in it, and each connection's writer coalesces all
-/// replies that are ready in arrival order into batched writes of up to
-/// [`NetConfig::write_coalesce_bytes`] with a single flush per wakeup.
-/// Both are policies, not semantics: every configuration answers every
-/// frame byte-identically (pinned by the loopback tests).
+/// Tuning knobs for a [`crate::net::NetServer`]. They are policies, not
+/// semantics: every configuration answers every frame byte-identically
+/// (pinned by the loopback tests).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Number of dispatch workers (clamped to at least 1). Frames are
@@ -124,15 +117,6 @@ pub struct NetConfig {
     /// above this is answered with an error envelope and the connection
     /// is closed, before any allocation.
     pub max_frame_bytes: usize,
-    /// How much spare room each reader keeps in its scan buffer — the
-    /// most one `read` syscall can slurp (clamped to at least 16 bytes).
-    /// Larger chunks amortize more pipelined frames per syscall at the
-    /// cost of per-connection memory.
-    pub read_chunk_bytes: usize,
-    /// Soft bound on one coalesced write: a writer flushing a batch of
-    /// replies issues a `write` whenever this many bytes have
-    /// accumulated, then keeps batching (clamped to at least 16 bytes).
-    pub write_coalesce_bytes: usize,
     /// Most frames one connection may have outstanding — accepted but
     /// not yet written back — before its reader stops reading the
     /// socket (clamped to at least 1). This is the transport's
@@ -168,8 +152,6 @@ impl Default for NetConfig {
             workers: 4,
             queue_capacity: 64,
             max_frame_bytes: 16 << 20,
-            read_chunk_bytes: 64 << 10,
-            write_coalesce_bytes: 256 << 10,
             max_inflight_frames: 1024,
             poll_interval: Duration::from_millis(25),
             drain_timeout: Some(Duration::from_secs(30)),
@@ -199,18 +181,6 @@ impl NetConfig {
     /// Sets the largest accepted envelope payload.
     pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
         self.max_frame_bytes = bytes;
-        self
-    }
-
-    /// Sets the reader's per-syscall slurp size.
-    pub fn read_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.read_chunk_bytes = bytes;
-        self
-    }
-
-    /// Sets the writer's coalesced-write soft bound.
-    pub fn write_coalesce_bytes(mut self, bytes: usize) -> Self {
-        self.write_coalesce_bytes = bytes;
         self
     }
 

@@ -35,19 +35,17 @@
 //! ```
 //!
 //! * **Syscall-lean reads** — each reader owns a reusable
-//!   [`EnvelopeScanner`]: one `read` slurps up to
-//!   [`NetConfig::read_chunk_bytes`] and *every* complete envelope in
-//!   the buffer is scanned out and routed before the next syscall, with
-//!   frames split across arbitrary read boundaries reassembled in
-//!   place. A pipelining client's N frames cost a handful of reads, not
-//!   2·N.
+//!   [`EnvelopeScanner`]: one `read` slurps up to 64 KiB and *every*
+//!   complete envelope in the buffer is scanned out and routed before
+//!   the next syscall, with frames split across arbitrary read
+//!   boundaries reassembled in place. A pipelining client's N frames
+//!   cost a handful of reads, not 2·N.
 //! * **Coalesced writes** — worker answers land on a per-connection
 //!   reply rail that reorders them by arrival sequence; each writer
 //!   wakeup drains *all* answers that are ready in arrival order and
-//!   writes them as one batched envelope run with a single flush
-//!   (bounded by [`NetConfig::write_coalesce_bytes`] per `write`).
-//!   `TCP_NODELAY` is set on accepted TCP sockets so batching never
-//!   trades throughput for Nagle latency.
+//!   writes them as one batched envelope run with a single flush (one
+//!   `write` per 256 KiB accumulated). `TCP_NODELAY` is set on accepted
+//!   TCP sockets so batching never trades throughput for Nagle latency.
 //! * **Allocation-free steady state** — frame and response documents
 //!   live in pooled `String` buffers recycled reader → worker → writer
 //!   → pool; a warm framed round-trip performs zero server-side heap
@@ -289,7 +287,7 @@ impl EnvelopeScanner {
     /// A scanner accepting payloads up to `max_frame_bytes`, slurping
     /// up to 64 KiB per fill.
     pub fn new(max_frame_bytes: usize) -> Self {
-        EnvelopeScanner::with_chunk(max_frame_bytes, 64 << 10)
+        EnvelopeScanner::with_chunk(max_frame_bytes, READ_CHUNK_BYTES)
     }
 
     /// A scanner with an explicit per-fill slurp size (clamped to at
@@ -484,6 +482,16 @@ struct BufPool {
 /// Most buffers the pool retains; beyond this, returned buffers are
 /// simply dropped (in-flight count is transient burst state).
 const MAX_POOLED_BUFS: usize = 1024;
+
+/// Spare room each connection reader keeps in its scan buffer — the most
+/// one `read` syscall can slurp. Larger chunks amortize more pipelined
+/// frames per syscall at the cost of per-connection memory.
+const READ_CHUNK_BYTES: usize = 64 << 10;
+
+/// Soft bound on one coalesced write: a writer flushing a batch of
+/// replies issues a `write` whenever this many bytes have accumulated,
+/// then keeps batching.
+const WRITE_COALESCE_BYTES: usize = 256 << 10;
 
 impl BufPool {
     /// An empty (cleared, capacity-retaining) buffer.
@@ -903,7 +911,7 @@ fn reader_loop(
     pool: Arc<BufPool>,
 ) {
     let stats = Arc::clone(&conn.stats);
-    let mut scanner = EnvelopeScanner::with_chunk(config.max_frame_bytes, config.read_chunk_bytes);
+    let mut scanner = EnvelopeScanner::new(config.max_frame_bytes);
     let window = config.max_inflight_frames.max(1) as u64;
     let mut seq = 0u64;
     'serve: loop {
@@ -987,7 +995,7 @@ fn reader_loop(
 
 /// The per-connection writer: per rail wakeup, takes **every** answer
 /// that is ready in arrival order and writes the whole run as batched
-/// envelopes — one coalesced `write` per [`NetConfig::write_coalesce_bytes`]
+/// envelopes — one coalesced `write` per `WRITE_COALESCE_BYTES`
 /// accumulated, one flush per wakeup. Each document buffer is recycled
 /// the moment its bytes are copied into the batch, *before* they reach
 /// the socket, so a client reacting instantly to an answer finds warm
@@ -1011,12 +1019,10 @@ fn writer_loop(
     mut conn: CountedConn,
     rail: Arc<ReplyRail>,
     pool: Arc<BufPool>,
-    coalesce_bytes: usize,
     shutdown: Arc<AtomicBool>,
     drain_timeout: Option<Duration>,
 ) {
     let stats = Arc::clone(&conn.stats);
-    let coalesce = coalesce_bytes.max(16);
     let mut batch: Vec<String> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
     let mut broken = false;
@@ -1046,7 +1052,7 @@ fn writer_loop(
             // the reader and worker must find warm buffers in the pool
             // rather than racing this thread for the return.
             pool.put(doc);
-            if !broken && out.len() >= coalesce {
+            if !broken && out.len() >= WRITE_COALESCE_BYTES {
                 if write_all_bounded(&mut conn, &out, &shutdown, drain_timeout).is_err() {
                     broken = true;
                 }
@@ -1186,12 +1192,9 @@ fn accept_loop(
                     };
                     let rail = Arc::clone(&rail);
                     let pool = Arc::clone(&pool);
-                    let coalesce = config.write_coalesce_bytes;
                     let shutdown = Arc::clone(&shutdown);
                     let drain = config.drain_timeout;
-                    std::thread::spawn(move || {
-                        writer_loop(conn, rail, pool, coalesce, shutdown, drain)
-                    })
+                    std::thread::spawn(move || writer_loop(conn, rail, pool, shutdown, drain))
                 };
                 let reader = {
                     let conn = CountedConn {

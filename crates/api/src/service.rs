@@ -25,6 +25,7 @@ use crate::query::{Query, Response};
 use crate::session::{AppendReport, StreamSession};
 use crate::stats::{LatencyRecorder, StatsReport, StoreStats, TransportCounters};
 use crate::store::SessionSnapshot;
+use crate::supervisor::SessionSupervisor;
 
 /// An opaque handle naming one open session of a [`ZigzagService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,46 +73,6 @@ struct Metrics {
     store: StoreStats,
 }
 
-/// The durable-routing hook a [`crate::SessionSupervisor`] registers on
-/// its service: wire-level appends on store-managed sessions go through
-/// the store (log + fsync + snapshot cadence) instead of bypassing
-/// durability, and [`Query::Recover`] sweeps the store directory.
-///
-/// The service holds only a [`Weak`] reference — the supervisor owns the
-/// service (`Arc`), never the other way around, so dropping the
-/// supervisor detaches the hook without a reference cycle.
-pub(crate) trait Supervise: Send + Sync {
-    /// Appends through the durable store if `id` is store-managed;
-    /// `None` means "not mine — use the plain in-memory path".
-    fn durable_append(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        ev: &RunEvent,
-    ) -> Option<Result<AppendReport, Error>>;
-
-    /// Recovers every unattached `<name>.log` in the store directory,
-    /// answering (name, assigned id) pairs sorted by name.
-    fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, SessionId)>, Error>;
-}
-
-/// Interior slot for the supervisor hook; manual `Debug` because trait
-/// objects have none.
-#[derive(Default)]
-struct SupervisorSlot(Mutex<Option<Weak<dyn Supervise>>>);
-
-impl fmt::Debug for SupervisorSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let attached = self
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .is_some_and(|w| w.strong_count() > 0);
-        f.debug_tuple("SupervisorSlot").field(&attached).finish()
-    }
-}
-
 /// The unified service facade; see the [module docs](self) and the
 /// crate-level example.
 ///
@@ -129,7 +90,12 @@ pub struct ZigzagService {
     shards: Box<[Shard]>,
     next: AtomicU64,
     metrics: Metrics,
-    supervisor: SupervisorSlot,
+    /// The [`SessionSupervisor`] whose durable store takes this service's
+    /// wire-level appends on the sessions it manages (log + fsync +
+    /// snapshot cadence) and answers [`Query::Recover`]. Only a [`Weak`]
+    /// reference: the supervisor owns the service, never the other way
+    /// around, so dropping the supervisor detaches it without a cycle.
+    supervisor: Mutex<Option<Weak<SessionSupervisor>>>,
 }
 
 impl Default for ZigzagService {
@@ -156,24 +122,22 @@ impl ZigzagService {
             shards: table.into_boxed_slice(),
             next: AtomicU64::new(0),
             metrics: Metrics::default(),
-            supervisor: SupervisorSlot::default(),
+            supervisor: Mutex::new(None),
         }
     }
 
-    /// Registers (or replaces) the supervisor hook. `Weak`: the service
-    /// must never keep its supervisor alive.
-    pub(crate) fn set_supervisor(&self, sup: Weak<dyn Supervise>) {
+    /// Registers (or replaces) the supervisor. `Weak`: the service must
+    /// never keep its supervisor alive.
+    pub(crate) fn set_supervisor(&self, sup: Weak<SessionSupervisor>) {
         *self
             .supervisor
-            .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(sup);
     }
 
     /// The currently attached supervisor, if it is still alive.
-    pub(crate) fn supervisor(&self) -> Option<Arc<dyn Supervise>> {
+    fn supervisor(&self) -> Option<Arc<SessionSupervisor>> {
         self.supervisor
-            .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
@@ -312,8 +276,8 @@ impl ZigzagService {
     /// # Errors
     ///
     /// Fails on unknown sessions, or if the event is inconsistent with
-    /// the grown prefix (which poisons the session's engine, as
-    /// `IncrementalEngine::append_event` documents).
+    /// the grown prefix. A rejected event changes nothing: the session
+    /// keeps answering and appending as if it was never offered.
     pub fn append(&self, id: SessionId, ev: &RunEvent) -> Result<AppendReport, Error> {
         self.session(id)?.append(ev)
     }
@@ -333,12 +297,9 @@ impl ZigzagService {
     /// back to the plain in-memory [`ZigzagService::append`]. Answers the
     /// event count after the append.
     pub(crate) fn append_routed(&self, id: SessionId, ev: &RunEvent) -> Result<u64, Error> {
-        match self
-            .supervisor()
-            .and_then(|s| s.durable_append(self, id, ev))
-        {
-            Some(out) => out.map(|_| ()),
-            None => self.append(id, ev).map(|_| ()),
+        match self.supervisor().filter(|sup| sup.store().manages(id)) {
+            Some(sup) => sup.store().append(self, id, ev),
+            None => self.append(id, ev),
         }?;
         self.event_count(id)
     }
@@ -352,7 +313,12 @@ impl ZigzagService {
     /// propagates the first recovery failure.
     pub(crate) fn recover_routed(&self) -> Result<Vec<(String, SessionId)>, Error> {
         match self.supervisor() {
-            Some(sup) => sup.recover_all(self),
+            Some(sup) => Ok(sup
+                .store()
+                .recover_all(self)?
+                .into_iter()
+                .map(|(name, rec)| (name, rec.id))
+                .collect()),
             None => Err(Error::Store {
                 detail: "no supervisor is attached to this service".into(),
             }),

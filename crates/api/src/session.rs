@@ -288,9 +288,10 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// Fails if the event is inconsistent with the grown prefix; the
-    /// failure poisons the underlying engine (every later operation is
-    /// refused) exactly as [`IncrementalEngine::append_event`] documents.
+    /// Fails if the event is inconsistent with the grown prefix, as
+    /// [`IncrementalEngine::append_event`] documents. A rejected event
+    /// changes nothing: the session keeps answering and appending as if
+    /// it was never offered.
     pub fn append(&self, ev: &RunEvent) -> Result<AppendReport, Error> {
         let mut inner = self.inner.write().map_err(|_| Error::Internal {
             detail: "stream session poisoned by a panicked append".into(),

@@ -50,8 +50,21 @@
 //! exact reconstruction the append path itself uses). A torn final
 //! record, a truncated tail, non-UTF-8 bytes or an overclaimed count
 //! never panic: recovery keeps the longest prefix of records that parse
-//! *and* replay, and truncates the log back to exactly that prefix
+//! *and* apply, and truncates the log back to exactly that prefix
 //! before appending resumes.
+//!
+//! # Recovery
+//!
+//! [`SessionStore::recover`] is one loop: restore a base, then replay the
+//! log records past it through the normal append path, stopping at the
+//! first record that does not apply. The base is the installed snapshot,
+//! or else the log header read as an empty snapshot (its skeleton, no
+//! events, no coordination progress). A record that does not apply
+//! changes nothing, so the session at that point is exactly the session
+//! after the records before it. Two rules pick between the bases: a
+//! snapshot whose log tail does not apply falls back to the empty base
+//! (the log wins), and a snapshot that outlived the log — covering
+//! records the log lost — regenerates the log from its run.
 //!
 //! # Fsync policy
 //!
@@ -64,12 +77,13 @@
 //!
 //! # Recovery speed
 //!
-//! Replaying a long log pays the full per-append incremental maintenance
-//! (and, with a coordination spec, a knowledge evaluation at every
-//! `B`-node). Snapshot restore instead batch-builds the engine over the
-//! prefix in one pass ([`IncrementalEngine::from_prefix`]), skips
-//! decoding the covered log records entirely (a surface scan suffices),
-//! and replays only the tail since the last snapshot. Both paths share
+//! Replaying a long log onto the empty base pays the full per-append
+//! incremental maintenance (and, with a coordination spec, a knowledge
+//! evaluation at every `B`-node). A snapshot base instead batch-builds
+//! the engine over the prefix in one pass
+//! ([`IncrementalEngine::from_prefix`]), skips decoding the covered log
+//! records entirely (a surface scan suffices), and replays only the tail
+//! since the last snapshot. Both bases share
 //! the same floor — parsing one `ev` line and validating one append per
 //! event — and this engine's incremental replay is already within ~2× of
 //! that floor, so snapshots buy a measured ~1.2× on recovery time, not
@@ -743,9 +757,10 @@ impl SessionStore {
     }
 
     /// Appends one event durably: through the service's normal append
-    /// path first (so an inconsistent event is rejected before any byte
-    /// is written), then as one log record, then — every
-    /// [`StoreConfig::snapshot_every`] appends — a snapshot.
+    /// path first, then as one log record, then — every
+    /// [`StoreConfig::snapshot_every`] appends — a snapshot. An
+    /// inconsistent event is rejected before any byte is written and
+    /// changes nothing: the session and its log stay as they were.
     ///
     /// # Errors
     ///
@@ -893,11 +908,10 @@ impl SessionStore {
 
     /// Recovers durable session `name` into a fresh session of
     /// `service`, byte-identical to the uninterrupted session at the
-    /// last durable append: snapshot restore + log-tail replay when a
-    /// usable snapshot exists, full log replay otherwise. A torn or
-    /// corrupt log tail is dropped — the file is truncated back to the
-    /// longest prefix of records that parse *and* replay — and appending
-    /// may resume through [`SessionStore::append`].
+    /// last durable append — see the [module docs](self) for the one
+    /// recovery loop. A torn or corrupt log tail is dropped — the file is
+    /// truncated back to the longest prefix of records that parse *and*
+    /// apply — and appending may resume through [`SessionStore::append`].
     ///
     /// # Errors
     ///
@@ -913,129 +927,81 @@ impl SessionStore {
         let _ = fs::remove_file(self.root.join(format!("{name}.snap.tmp")));
         let log_path = self.log_path(name);
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
-        // Surface scan: validates the header and counts complete records
-        // without decoding any of them — enough to read the config and
-        // match a snapshot against it.
-        let mut parsed = parse_log(&bytes, usize::MAX)?;
-
-        // A snapshot is usable if it decodes and agrees with the log
-        // header on the session's configuration.
-        let snap = fs::read(self.snap_path(name))
+        let mut snapshot = fs::read(self.snap_path(name))
             .ok()
             .and_then(|b| String::from_utf8(b).ok())
-            .and_then(|text| decode_snapshot(&text).ok())
-            .filter(|s| s.config == parsed.config);
-
-        let mut rewrite_from_snapshot = false;
-        let mut outcome: Option<(StreamSession, u64, u64)> = None;
-        if let Some(snap) = snap {
-            let base = snap.events as usize;
-            if base > parsed.record_count() {
-                // The log lost a suffix the snapshot still covers: the
-                // snapshot is the most durable state. Regenerate the log
-                // from its (replay-verified) run so the
-                // log-replays-to-current-state invariant holds again.
-                rewrite_from_snapshot = true;
-            } else {
-                // Decode only the tail past the snapshot's coverage; the
-                // covered records stay surface-validated.
-                parsed = parse_log(&bytes, base)?;
-            }
-            let tail: &[(RunEvent, u64)] = if rewrite_from_snapshot {
-                &[]
-            } else {
-                &parsed.events
+            .and_then(|text| decode_snapshot(&text).ok());
+        // The first pass tries the installed snapshot as the base, the
+        // second (and last) the log header as an empty snapshot.
+        loop {
+            // The records the base covers are only surface-scanned; the
+            // tail past them is decoded.
+            let covered = snapshot.as_ref().map_or(0, |s| s.events as usize);
+            let parsed = parse_log(&bytes, covered)?;
+            let from_snapshot = snapshot.is_some();
+            let base = match snapshot.take() {
+                Some(snap) if snap.config == parsed.config => snap,
+                // A snapshot of another configuration is not this log's.
+                Some(_) => continue,
+                None => parsed.empty_base(),
             };
-            if let Ok(session) = restore_with(snap, self.config.warm_observers) {
-                let mut ok = true;
-                let mut replayed = 0u64;
-                for (ev, _) in tail {
-                    if session.append(ev).is_err() {
-                        // Snapshot and log tail disagree (corruption that
-                        // still parses): fall back to pure log replay.
-                        ok = false;
-                        break;
-                    }
-                    replayed += 1;
+            let session = restore_with(base, self.config.warm_observers)?;
+            let mut applied = 0;
+            for (ev, _) in &parsed.events {
+                if session.append(ev).is_err() {
+                    break;
                 }
-                if ok {
-                    outcome = Some((session, base as u64, replayed));
-                }
+                applied += 1;
             }
-        }
-
-        let (session, restored, replayed, semantic_cut) = match outcome {
-            Some((session, base, replayed)) => (session, base, replayed, None),
-            None => {
-                rewrite_from_snapshot = false;
-                // Pure replay needs every record decoded.
-                parsed = parse_log(&bytes, 0)?;
-                let (session, applied) = replay_log(&parsed)?;
-                (session, 0, applied as u64, Some(applied))
+            if from_snapshot && applied < parsed.events.len() {
+                // Snapshot and log tail disagree (corruption that still
+                // parses): the log wins.
+                continue;
             }
-        };
 
-        // Compute where the good log prefix ends and truncate the file
-        // back to it (dropping torn/corrupt/unreplayable records).
-        let from_snapshot = restored > 0 || (replayed == 0 && semantic_cut.is_none());
-        let mut truncated = parsed.truncated;
-        let log = if rewrite_from_snapshot {
-            truncated = true;
-            let text = rebuild_log_text(&parsed, &session)?;
-            fs::write(&log_path, text.as_bytes())
-                .map_err(|e| io_err("rewriting log", &log_path, e))?;
-            OpenOptions::new()
+            // A log that lost records the snapshot covers is regenerated
+            // from the snapshot's run; any other log is truncated back
+            // to the records that applied.
+            let outlived = parsed.skipped < covered;
+            if outlived {
+                let text = rebuild_log_text(&parsed, &session)?;
+                fs::write(&log_path, text.as_bytes())
+                    .map_err(|e| io_err("rewriting log", &log_path, e))?;
+            }
+            let log = OpenOptions::new()
                 .append(true)
                 .open(&log_path)
-                .map_err(|e| io_err("reopening log", &log_path, e))?
-        } else {
-            let good_len = match semantic_cut {
-                Some(applied) if applied < parsed.events.len() => {
-                    truncated = true;
-                    if applied == 0 {
-                        parsed.header_len
-                    } else {
-                        parsed.events[applied - 1].1
-                    }
-                }
-                _ => parsed.good_len,
-            };
-            let log = OpenOptions::new()
-                .write(true)
-                .open(&log_path)
                 .map_err(|e| io_err("reopening log", &log_path, e))?;
-            if good_len < bytes.len() as u64 || parsed.truncated {
+            let good_len = parsed.events[..applied]
+                .last()
+                .map_or(parsed.covered_len, |&(_, end)| end);
+            if !outlived && good_len < bytes.len() as u64 {
                 log.set_len(good_len)
                     .map_err(|e| io_err("truncating log", &log_path, e))?;
             }
-            let mut log = log;
-            use std::io::Seek as _;
-            log.seek(std::io::SeekFrom::End(0))
-                .map_err(|e| io_err("seeking log", &log_path, e))?;
-            log
-        };
 
-        let events = session.event_count()? as u64;
-        let id = service.install(session);
-        self.lock().insert(
-            id.raw(),
-            DurableSession {
-                name: name.to_string(),
-                log,
-                events,
-            },
-        );
-        service
-            .store_stats()
-            .recoveries
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(Recovered {
-            id,
-            from_snapshot,
-            restored_events: restored,
-            replayed_events: replayed,
-            truncated,
-        })
+            let events = session.event_count()? as u64;
+            let id = service.install(session);
+            self.lock().insert(
+                id.raw(),
+                DurableSession {
+                    name: name.to_string(),
+                    log,
+                    events,
+                },
+            );
+            service
+                .store_stats()
+                .recoveries
+                .fetch_add(1, Ordering::Relaxed);
+            return Ok(Recovered {
+                id,
+                from_snapshot,
+                restored_events: covered as u64,
+                replayed_events: applied as u64,
+                truncated: outlived || parsed.truncated || applied < parsed.events.len(),
+            });
+        }
     }
 
     /// Stops logging for session `id` (files are kept; the session stays
@@ -1089,33 +1055,6 @@ impl SessionStore {
     }
 }
 
-/// Full log replay from the skeleton: applies events until the first
-/// semantic failure (an event that parses but does not replay), returning
-/// the session and how many events were applied.
-fn replay_log(parsed: &ParsedLog) -> Result<(StreamSession, usize), Error> {
-    // A failed append poisons its session, so on failure the session is
-    // rebuilt over the good prefix only (the retry pass cannot fail).
-    let mut upto = parsed.events.len();
-    loop {
-        let session = StreamSession::new(
-            parsed.skeleton.context_arc(),
-            parsed.skeleton.horizon(),
-            parsed.config.clone(),
-        );
-        let mut failed_at = None;
-        for (k, (ev, _)) in parsed.events[..upto].iter().enumerate() {
-            if session.append(ev).is_err() {
-                failed_at = Some(k);
-                break;
-            }
-        }
-        match failed_at {
-            None => return Ok((session, upto)),
-            Some(k) => upto = k,
-        }
-    }
-}
-
 /// Regenerates a complete log document (header + one record per event)
 /// from a recovered session's run — used when the snapshot outlived the
 /// log tail.
@@ -1144,18 +1083,24 @@ struct ParsedLog {
     skipped: usize,
     /// Each decoded event with the byte offset of its record's end.
     events: Vec<(RunEvent, u64)>,
-    /// End of the header section in bytes.
-    header_len: u64,
-    /// End of the last parse-good record (header included).
-    good_len: u64,
-    /// Whether anything after `good_len` was dropped.
+    /// End of the header and the skipped records, in bytes.
+    covered_len: u64,
+    /// Whether anything after the last parse-good record was dropped.
     truncated: bool,
 }
 
 impl ParsedLog {
-    /// Total surface-good records: skipped plus decoded.
-    fn record_count(&self) -> usize {
-        self.skipped + self.events.len()
+    /// The log header as a snapshot: its skeleton, no events, no
+    /// coordination progress — the base of a full log replay.
+    fn empty_base(&self) -> SessionSnapshot {
+        SessionSnapshot {
+            config: self.config.clone(),
+            events: 0,
+            first_known: None,
+            sigma_c: None,
+            observers: Vec::new(),
+            run: self.skeleton.clone(),
+        }
     }
 }
 
@@ -1195,15 +1140,13 @@ fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
     let mut offset = 0u64;
     let mut skipped = 0usize;
     let mut events = Vec::new();
-    let mut good_len = 0u64;
-    let mut header_len = 0u64;
+    let mut covered_len = 0u64;
     let mut truncated = torn_tail;
     let mut record = 0usize;
     for (no, line) in complete.split_inclusive('\n').enumerate() {
         offset += line.len() as u64;
         if no < header_lines {
-            header_len = offset;
-            good_len = offset;
+            covered_len = offset;
             continue;
         }
         let body = line.trim_end_matches(['\n', '\r']);
@@ -1216,13 +1159,10 @@ fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
                 break;
             }
             skipped += 1;
-            good_len = offset;
+            covered_len = offset;
         } else {
             match decode_event(body) {
-                Ok(ev) => {
-                    events.push((ev, offset));
-                    good_len = offset;
-                }
+                Ok(ev) => events.push((ev, offset)),
                 Err(_) => {
                     // First malformed record: everything from here on is
                     // untrusted (later records' stream-scoped message ids
@@ -1239,8 +1179,7 @@ fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
         skeleton,
         skipped,
         events,
-        header_len,
-        good_len,
+        covered_len,
         truncated,
     })
 }

@@ -25,13 +25,10 @@
 //! back. Dropping the supervisor detaches the hook — no reference cycle,
 //! and a service can outlive (or never have) its supervisor.
 
-use std::sync::{Arc, Weak};
-
-use zigzag_bcm::stream::RunEvent;
+use std::sync::Arc;
 
 use crate::error::Error;
-use crate::service::{SessionId, Supervise, ZigzagService};
-use crate::session::AppendReport;
+use crate::service::ZigzagService;
 use crate::store::{Recovered, SessionStore};
 
 /// What a recovery sweep reattached: `(name, recovery report)` pairs,
@@ -63,8 +60,7 @@ impl SessionSupervisor {
     ) -> Result<(Arc<Self>, RecoverySweep), Error> {
         let recovered = store.recover_all(&service)?;
         let sup = Arc::new(SessionSupervisor { service, store });
-        let hook: Weak<SessionSupervisor> = Arc::downgrade(&sup);
-        sup.service.set_supervisor(hook);
+        sup.service.set_supervisor(Arc::downgrade(&sup));
         Ok((sup, recovered))
     }
 
@@ -86,30 +82,6 @@ impl SessionSupervisor {
     /// Fails with [`Error::Store`] if listing or any recovery fails.
     pub fn recover_now(&self) -> Result<RecoverySweep, Error> {
         self.store.recover_all(&self.service)
-    }
-}
-
-impl Supervise for SessionSupervisor {
-    fn durable_append(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        ev: &RunEvent,
-    ) -> Option<Result<AppendReport, Error>> {
-        if self.store.manages(id) {
-            Some(self.store.append(service, id, ev))
-        } else {
-            None
-        }
-    }
-
-    fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, SessionId)>, Error> {
-        Ok(self
-            .store
-            .recover_all(service)?
-            .into_iter()
-            .map(|(name, rec)| (name, rec.id))
-            .collect())
     }
 }
 

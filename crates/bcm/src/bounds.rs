@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use crate::error::BcmError;
 use crate::net::Channel;
 use crate::path::NetPath;
+use crate::time::Time;
 
 /// The `[L_ij, U_ij]` bounds of a single channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +45,27 @@ impl ChannelBounds {
     /// Whether `delay` is a legal transmission time for this channel.
     pub const fn permits(self, delay: u64) -> bool {
         self.lower <= delay && delay <= self.upper
+    }
+
+    /// Checks that a message on `ch`, the channel these bounds govern,
+    /// sent at `sent_at` may arrive at `at`: strictly after the send,
+    /// within `[L_ij, U_ij]` ticks of it. Fails with
+    /// [`BcmError::DeliveryOutOfBounds`] otherwise.
+    pub(crate) fn check_arrival(
+        self,
+        ch: Channel,
+        sent_at: Time,
+        at: Time,
+    ) -> Result<(), BcmError> {
+        if at > sent_at && self.permits(at.ticks() - sent_at.ticks()) {
+            return Ok(());
+        }
+        Err(BcmError::DeliveryOutOfBounds {
+            from: ch.from,
+            to: ch.to,
+            sent_at,
+            delivered_at: at,
+        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! carries no guarantees by itself — pass it to
 //! [`crate::validate::validate_run`] to certify legality.
 
+use crate::bounds::ChannelBounds;
 use crate::error::BcmError;
 use crate::event::{ActionRecord, Receipt};
 use crate::message::{ExternalId, ExternalRecord, MessageId, MessageRecord};
@@ -79,6 +80,14 @@ impl RunBuilder {
     /// Fails if `proc` is unknown or `time` does not strictly exceed the
     /// previous node's time.
     pub fn add_node(&mut self, proc: ProcessId, time: Time) -> Result<NodeId, BcmError> {
+        let id = self.next_node(proc, time)?;
+        self.push_node(id, time);
+        Ok(id)
+    }
+
+    /// The id [`RunBuilder::add_node`] would give a node on `proc`'s
+    /// timeline at `time`; its check, changing nothing.
+    pub(crate) fn next_node(&self, proc: ProcessId, time: Time) -> Result<NodeId, BcmError> {
         if !self.run.context().network().contains(proc) {
             return Err(BcmError::UnknownProcess(proc));
         }
@@ -92,9 +101,11 @@ impl RunBuilder {
                 ),
             });
         }
-        let id = NodeId::new(proc, tl.len() as u32);
+        Ok(NodeId::new(proc, tl.len() as u32))
+    }
+
+    pub(crate) fn push_node(&mut self, id: NodeId, time: Time) {
         self.run.push_node(NodeRecord::new(id, time));
-        Ok(id)
     }
 
     /// Records an external input named `name` arriving at `node`.
@@ -113,11 +124,20 @@ impl RunBuilder {
                 detail: "external input at an initial node".into(),
             });
         }
+        Ok(self.push_external(node, time, name))
+    }
+
+    pub(crate) fn push_external(
+        &mut self,
+        node: NodeId,
+        time: Time,
+        name: impl Into<String>,
+    ) -> ExternalId {
         let eid = ExternalId::new(self.run.externals().len() as u32);
         self.run
             .push_external(ExternalRecord::new(eid, name, node.proc(), time, node));
         self.run.node_mut(node).push_receipt(Receipt::External(eid));
-        Ok(eid)
+        eid
     }
 
     /// Records that `src` sends a message to `dst`, with the environment
@@ -135,23 +155,36 @@ impl RunBuilder {
         scheduled: Time,
     ) -> Result<MessageId, BcmError> {
         let sent_at = self.run.node_checked(src)?.time();
-        let channel = Channel::new(src.proc(), dst);
-        if !self
-            .run
+        self.channel_bounds(src.proc(), dst)?;
+        Ok(self.push_send(src, sent_at, dst, scheduled))
+    }
+
+    /// The bounds of channel `(from, to)`; [`RunBuilder::send`]'s channel
+    /// check.
+    pub(crate) fn channel_bounds(
+        &self,
+        from: ProcessId,
+        to: ProcessId,
+    ) -> Result<ChannelBounds, BcmError> {
+        self.run
             .context()
-            .network()
-            .has_channel(channel.from, channel.to)
-        {
-            return Err(BcmError::MissingChannel {
-                from: channel.from,
-                to: channel.to,
-            });
-        }
+            .channel_bounds(from, to)
+            .ok_or(BcmError::MissingChannel { from, to })
+    }
+
+    pub(crate) fn push_send(
+        &mut self,
+        src: NodeId,
+        sent_at: Time,
+        dst: ProcessId,
+        scheduled: Time,
+    ) -> MessageId {
         let mid = MessageId::new(self.run.messages().len() as u32);
+        let channel = Channel::new(src.proc(), dst);
         self.run
             .push_message(MessageRecord::new(mid, src, channel, sent_at, scheduled));
         self.run.node_mut(src).push_sent(mid);
-        Ok(mid)
+        mid
     }
 
     /// Records delivery of `msg` at `node` (whose time becomes the
@@ -163,19 +196,30 @@ impl RunBuilder {
     /// delivered.
     pub fn deliver(&mut self, msg: MessageId, node: NodeId) -> Result<(), BcmError> {
         let time = self.run.node_checked(node)?.time();
-        if msg.index() >= self.run.messages().len() {
+        self.undelivered(msg)?;
+        self.push_delivery(msg, node, time);
+        Ok(())
+    }
+
+    /// The record of `msg` if it exists and is not delivered yet;
+    /// [`RunBuilder::deliver`]'s message check.
+    pub(crate) fn undelivered(&self, msg: MessageId) -> Result<&MessageRecord, BcmError> {
+        let Some(rec) = self.run.messages().get(msg.index()) else {
             return Err(BcmError::UnknownNode {
                 detail: format!("message {msg} does not exist"),
             });
-        }
-        if self.run.message(msg).is_delivered() {
+        };
+        if rec.is_delivered() {
             return Err(BcmError::IllegalRun {
                 detail: format!("message {msg} delivered twice"),
             });
         }
+        Ok(rec)
+    }
+
+    pub(crate) fn push_delivery(&mut self, msg: MessageId, node: NodeId, time: Time) {
         self.run.message_mut(msg).set_delivery(node, time);
         self.run.node_mut(node).push_receipt(Receipt::Internal(msg));
-        Ok(())
     }
 
     /// Records an action named `name` at `node`.
@@ -185,8 +229,12 @@ impl RunBuilder {
     /// Fails if `node` does not exist.
     pub fn act(&mut self, node: NodeId, name: impl Into<String>) -> Result<(), BcmError> {
         self.run.node_checked(node)?;
-        self.run.node_mut(node).push_action(ActionRecord::new(name));
+        self.push_action(node, name);
         Ok(())
+    }
+
+    pub(crate) fn push_action(&mut self, node: NodeId, name: impl Into<String>) {
+        self.run.node_mut(node).push_action(ActionRecord::new(name));
     }
 
     /// Adjusts the recorded horizon.

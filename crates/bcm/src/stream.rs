@@ -34,7 +34,7 @@ use crate::builder::RunBuilder;
 use crate::error::BcmError;
 use crate::event::Receipt;
 use crate::message::MessageId;
-use crate::net::{Context, ProcessId};
+use crate::net::{Channel, Context, ProcessId};
 use crate::run::{NodeId, Run};
 use crate::time::Time;
 
@@ -232,30 +232,67 @@ impl StreamingRun {
     ///
     /// # Errors
     ///
-    /// Fails if the event is inconsistent with the run so far (time not
-    /// increasing on the timeline, unknown process or channel, delivery of
-    /// an unknown or already-delivered message). On error the run may
-    /// retain a partially applied node; callers treating errors as fatal
-    /// (all current ones) need no rollback.
+    /// Fails if the event is inconsistent with the run so far: time not
+    /// increasing on the timeline, an unknown process or channel, a
+    /// delivered message that is unknown, already delivered (before or
+    /// in this event) or off its channel, or a message delivered or
+    /// scheduled outside its channel's `[L, U]`. The whole event is
+    /// checked before any of it is applied, so a rejected event changes
+    /// nothing.
     pub fn append(&mut self, ev: &RunEvent) -> Result<NodeId, BcmError> {
-        let node = self.rb.add_node(ev.proc, ev.time)?;
+        let node = self.check(ev)?;
+        self.rb.push_node(node, ev.time);
         for r in &ev.receipts {
             match r {
                 ReceiptEvent::External(name) => {
-                    self.rb.add_external(node, name.clone())?;
+                    self.rb.push_external(node, ev.time, name.clone());
                 }
-                ReceiptEvent::Message(m) => {
-                    self.rb.deliver(*m, node)?;
-                }
+                ReceiptEvent::Message(m) => self.rb.push_delivery(*m, node, ev.time),
             }
         }
         for s in &ev.sends {
-            self.rb.send(node, s.to, s.deliver_at)?;
+            self.rb.push_send(node, ev.time, s.to, s.deliver_at);
         }
         for a in &ev.actions {
-            self.rb.act(node, a.clone())?;
+            self.rb.push_action(node, a.clone());
         }
         self.events += 1;
+        Ok(node)
+    }
+
+    /// Checks the whole of `ev` against the run so far, changing nothing,
+    /// and returns the node it would create: the checks of
+    /// [`RunBuilder::add_node`], [`RunBuilder::deliver`] and
+    /// [`RunBuilder::send`], once each, plus the per-message rules of
+    /// [`validate_run`](crate::validate::validate_run).
+    fn check(&self, ev: &RunEvent) -> Result<NodeId, BcmError> {
+        let node = self.rb.next_node(ev.proc, ev.time)?;
+        for (k, receipt) in ev.receipts.iter().enumerate() {
+            let ReceiptEvent::Message(m) = receipt else {
+                continue;
+            };
+            let msg = self.rb.undelivered(*m)?;
+            let ch = msg.channel();
+            if ev.receipts[..k].contains(receipt) {
+                return Err(BcmError::IllegalRun {
+                    detail: format!("message {m} delivered twice"),
+                });
+            }
+            if ch.to != ev.proc {
+                return Err(BcmError::IllegalRun {
+                    detail: format!("message {m} delivered to {node} off-channel {ch}"),
+                });
+            }
+            self.rb
+                .channel_bounds(ch.from, ch.to)?
+                .check_arrival(ch, msg.sent_at(), ev.time)?;
+        }
+        for s in &ev.sends {
+            let ch = Channel::new(ev.proc, s.to);
+            self.rb
+                .channel_bounds(ch.from, ch.to)?
+                .check_arrival(ch, ev.time, s.deliver_at)?;
+        }
         Ok(node)
     }
 
@@ -326,7 +363,7 @@ mod tests {
         let mut b = Network::builder();
         let i = b.add_process("i");
         let j = b.add_process("j");
-        b.add_bidirectional(i, j, 1, 3).unwrap();
+        b.add_bidirectional(i, j, 1, 8).unwrap();
         let ctx = b.build().unwrap();
         let mut rb = RunBuilder::new(ctx, Time::new(12));
         let ni = rb.add_node(i, Time::new(5)).unwrap();
@@ -399,7 +436,7 @@ mod tests {
         let run = tri_run(0, 25);
         let events = RunCursor::new(&run).collect_events();
         let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
-        // Delivering a message nobody sent yet fails.
+        // Delivering a message nobody sent yet fails...
         let bad = RunEvent {
             proc: events[0].proc,
             time: events[0].time,
@@ -408,6 +445,11 @@ mod tests {
             actions: Vec::new(),
         };
         assert!(stream.append(&bad).is_err());
+        // ...and changes nothing: the whole feed still rebuilds the run.
+        for ev in &events {
+            stream.append(ev).unwrap();
+        }
+        assert_eq!(stream.finish(), run);
         // Cursor doubles as an iterator.
         let collected: Vec<RunEvent> = RunCursor::new(&run).collect();
         assert_eq!(collected, events);

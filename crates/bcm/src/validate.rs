@@ -10,7 +10,6 @@ use std::collections::BTreeSet;
 use crate::error::BcmError;
 use crate::event::Receipt;
 use crate::run::Run;
-use crate::time::Time;
 
 /// How to treat messages that are still undelivered at the horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,25 +134,10 @@ pub fn validate_run(run: &Run, strictness: Strictness) -> Result<(), BcmError> {
                 m.id()
             )));
         }
-        let window_ok = |t: Time| cb.permits((t - m.sent_at()).max(0) as u64) && t > m.sent_at();
-        if !window_ok(m.scheduled_at()) {
-            return Err(BcmError::DeliveryOutOfBounds {
-                from: ch.from,
-                to: ch.to,
-                sent_at: m.sent_at(),
-                delivered_at: m.scheduled_at(),
-            });
-        }
+        cb.check_arrival(ch, m.sent_at(), m.scheduled_at())?;
         match m.delivery() {
             Some(d) => {
-                if !window_ok(d.time) {
-                    return Err(BcmError::DeliveryOutOfBounds {
-                        from: ch.from,
-                        to: ch.to,
-                        sent_at: m.sent_at(),
-                        delivered_at: d.time,
-                    });
-                }
+                cb.check_arrival(ch, m.sent_at(), d.time)?;
                 let dst = run.node(d.node).ok_or_else(|| {
                     illegal(format!("message {} delivered to unknown node", m.id()))
                 })?;
@@ -272,7 +256,7 @@ pub fn validate_run(run: &Run, strictness: Strictness) -> Result<(), BcmError> {
 
 #[cfg(test)]
 impl crate::run::NodeRecord {
-    fn set_time_for_test(&mut self, t: Time) {
+    fn set_time_for_test(&mut self, t: crate::time::Time) {
         // Test-only tampering helper; reconstruct through public parts.
         let mut fresh = crate::run::NodeRecord::new(self.id(), t);
         for r in self.receipts() {
@@ -296,6 +280,7 @@ mod tests {
     use crate::run::NodeId;
     use crate::scheduler::{EagerScheduler, RandomScheduler};
     use crate::sim::{SimConfig, Simulator};
+    use crate::time::Time;
 
     fn simulated(seed: u64) -> Run {
         let mut b = Network::builder();

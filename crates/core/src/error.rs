@@ -71,13 +71,6 @@ pub enum CoreError {
         /// The rejected value.
         value: u64,
     },
-    /// An incremental engine refused to operate after a failed append
-    /// left its grown run and derived analyses possibly out of sync; the
-    /// engine must be discarded and rebuilt from a consistent feed.
-    Poisoned {
-        /// The failure that poisoned the engine.
-        detail: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -107,12 +100,6 @@ impl fmt::Display for CoreError {
                 f,
                 "parameter out of range: {parameter} = {value} overflows the construction's times"
             ),
-            CoreError::Poisoned { detail } => {
-                write!(
-                    f,
-                    "incremental engine poisoned by a failed append: {detail}"
-                )
-            }
         }
     }
 }
@@ -157,7 +144,6 @@ mod tests {
                 parameter: "gamma",
                 value: u64::MAX,
             },
-            CoreError::Poisoned { detail: "x".into() },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

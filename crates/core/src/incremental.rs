@@ -60,6 +60,11 @@
 //! rebuild the batch pipeline would pay (measured in `benches/online.rs`,
 //! recorded in `BENCH_pr3.json`).
 //!
+//! A rejected event changes nothing. [`StreamingRun::append`] checks the
+//! whole event before applying any of it, and the derived layers grow
+//! only after it applied, so an engine that refuses an event keeps
+//! answering and appending as if the event was never offered.
+//!
 //! # Example
 //!
 //! ```
@@ -129,10 +134,6 @@ pub struct IncrementalEngine {
     /// observer, optionally LRU-bounded (see
     /// [`IncrementalEngine::set_observer_cap`]).
     observers: Mutex<ObserverCache>,
-    /// Set when an append failed partway: the grown run may hold a
-    /// partially applied node the derived analyses never saw, so every
-    /// further operation is refused with [`CoreError::Poisoned`].
-    poison: Option<String>,
 }
 
 impl IncrementalEngine {
@@ -146,7 +147,6 @@ impl IncrementalEngine {
             messages: MessageIndex::default(),
             gb,
             observers: Mutex::new(ObserverCache::new(None)),
-            poison: None,
         }
     }
 
@@ -168,7 +168,6 @@ impl IncrementalEngine {
             messages,
             gb,
             observers: Mutex::new(ObserverCache::new(None)),
-            poison: None,
         }
     }
 
@@ -220,31 +219,14 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails on a poisoned engine, or on a positive cycle (impossible for
-    /// legal feeds).
+    /// Fails on a positive cycle (impossible for legal feeds).
     pub fn compact(&self) -> Result<usize, CoreError> {
-        self.check_poison()?;
         self.gb.compact()
     }
 
     /// Number of appended edges currently held in `GB(r)`'s catch-up log.
     pub fn append_log_len(&self) -> usize {
         self.gb.append_log_len()
-    }
-
-    /// Whether a failed append has poisoned the engine (see
-    /// [`IncrementalEngine::append_event`]).
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.is_some()
-    }
-
-    fn check_poison(&self) -> Result<(), CoreError> {
-        match &self.poison {
-            Some(detail) => Err(CoreError::Poisoned {
-                detail: detail.clone(),
-            }),
-            None => Ok(()),
-        }
     }
 
     /// Convenience: streams an already-recorded run through a fresh
@@ -271,22 +253,12 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if the event is inconsistent with the grown prefix
-    /// (non-increasing time, unknown process/channel, delivery of an
-    /// unknown or already-delivered message). A failed append may leave a
-    /// partially applied node in the grown run, so it **poisons** the
-    /// engine: every later append or query returns
-    /// [`CoreError::Poisoned`], and the engine must be rebuilt from a
-    /// consistent feed.
+    /// Fails if [`StreamingRun::append`] rejects the event as
+    /// inconsistent with the grown prefix. A rejected event changes
+    /// nothing: the engine keeps answering and appending as if it was
+    /// never offered.
     pub fn append_event(&mut self, ev: &RunEvent) -> Result<NodeId, CoreError> {
-        self.check_poison()?;
-        let node = match self.stream.append(ev) {
-            Ok(node) => node,
-            Err(e) => {
-                self.poison = Some(e.to_string());
-                return Err(CoreError::Bcm(e));
-            }
-        };
+        let node = self.stream.append(ev)?;
         for r in &ev.receipts {
             if let ReceiptEvent::Message(m) = r {
                 self.messages.settle(*m, node);
@@ -301,10 +273,8 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails on the first inconsistent event; like
-    /// [`IncrementalEngine::append_event`], that failure poisons the
-    /// engine (the events before it stay applied, but no further
-    /// operation is served).
+    /// Fails on the first inconsistent event, which changes nothing; the
+    /// events before it stay applied.
     pub fn append_batch<'a>(
         &mut self,
         events: impl IntoIterator<Item = &'a RunEvent>,
@@ -313,9 +283,7 @@ impl IncrementalEngine {
     }
 
     /// The run as grown so far — a genuine [`Run`] prefix, usable by any
-    /// batch analysis without cloning. (On a poisoned engine this is the
-    /// raw, possibly partially-applied run; queries are refused but the
-    /// data stays inspectable for diagnostics.)
+    /// batch analysis without cloning.
     pub fn run(&self) -> &Run {
         self.stream.run()
     }
@@ -344,10 +312,9 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if `from` is not a recorded node, on a positive cycle
-    /// (impossible for legal feeds), or on a poisoned engine.
+    /// Fails if `from` is not a recorded node, or on a positive cycle
+    /// (impossible for legal feeds).
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
-        self.check_poison()?;
         let lp = self.gb.longest_from_cached(from)?;
         Ok(self.gb.graph().index_of(&to).and_then(|i| lp.weight(i)))
     }
@@ -366,8 +333,7 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if `sigma` has not (yet) appeared in the stream, or on a
-    /// poisoned engine.
+    /// Fails if `sigma` has not (yet) appeared in the stream.
     pub fn engine(&self, sigma: NodeId) -> Result<KnowledgeEngine<'_>, CoreError> {
         self.engine_mode(sigma, ObserverMode::Full)
     }
@@ -380,14 +346,12 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if `sigma` has not (yet) appeared in the stream, or on a
-    /// poisoned engine.
+    /// Fails if `sigma` has not (yet) appeared in the stream.
     pub fn engine_mode(
         &self,
         sigma: NodeId,
         mode: ObserverMode,
     ) -> Result<KnowledgeEngine<'_>, CoreError> {
-        self.check_poison()?;
         let state = self
             .observers
             .lock()
@@ -410,8 +374,7 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if `sigma` has not (yet) appeared in the stream, or on a
-    /// poisoned engine.
+    /// Fails if `sigma` has not (yet) appeared in the stream.
     pub fn engine_excluding_own_sends(
         &self,
         sigma: NodeId,
@@ -661,45 +624,36 @@ mod tests {
         let mut inc = IncrementalEngine::new(run.context_arc(), run.horizon());
         assert!(inc.engine(NodeId::new(ProcessId::new(0), 1)).is_err());
         assert_eq!(inc.observer_count(), 0);
-        // An event delivering a message nobody sent is rejected — and the
-        // failure poisons the engine (the run may hold a half-applied
-        // node the analyses never saw), so everything after it is refused
-        // rather than silently desynchronized.
-        let bad = RunEvent {
-            proc: ProcessId::new(0),
-            time: Time::new(3),
-            receipts: vec![ReceiptEvent::Message(zigzag_bcm::MessageId::new(4))],
-            sends: Vec::new(),
-            actions: Vec::new(),
-        };
-        assert!(!inc.is_poisoned());
-        assert!(matches!(inc.append_event(&bad), Err(CoreError::Bcm(_))));
-        assert!(inc.is_poisoned());
-        let good = RunEvent {
-            proc: ProcessId::new(0),
-            time: Time::new(9),
-            receipts: Vec::new(),
-            sends: Vec::new(),
-            actions: Vec::new(),
-        };
-        assert!(matches!(
-            inc.append_event(&good),
-            Err(CoreError::Poisoned { .. })
-        ));
-        let half_applied = zigzag_bcm::NodeId::new(ProcessId::new(0), 1);
-        assert!(matches!(
-            inc.engine(half_applied),
-            Err(CoreError::Poisoned { .. })
-        ));
-        assert!(matches!(
-            inc.tight_bound(half_applied, half_applied),
-            Err(CoreError::Poisoned { .. })
-        ));
-        // Ingest replays a whole run in one call.
-        let inc = IncrementalEngine::ingest(&run).unwrap();
+        // Before every event, offer one delivering a message nobody sent:
+        // each is rejected and changes nothing, so the engine keeps
+        // appending and ends up answering like a clean replay of the run.
+        let twin = IncrementalEngine::ingest(&run).unwrap();
+        let i1 = NodeId::new(ProcessId::new(0), 1);
+        for ev in RunCursor::new(&run) {
+            let bad = RunEvent {
+                receipts: vec![ReceiptEvent::Message(zigzag_bcm::MessageId::new(999))],
+                ..ev.clone()
+            };
+            let (events, prefix) = (inc.event_count(), inc.run().clone());
+            assert!(matches!(inc.append_event(&bad), Err(CoreError::Bcm(_))));
+            assert_eq!(inc.event_count(), events);
+            assert_eq!(inc.run(), &prefix);
+            let node = inc.append_event(&ev).unwrap();
+            assert_eq!(
+                inc.max_x_basic_matrix(node).unwrap(),
+                twin.max_x_basic_matrix(node).unwrap()
+            );
+            inc.tight_bound(i1, node).unwrap();
+        }
         assert_eq!(inc.run(), &run);
-        assert!(inc.message_index().len() == run.messages().len());
-        assert!(!inc.message_index().is_empty());
-        assert_eq!(inc.bounds_graph().node_count(), run.node_count());
+        for rec in run.nodes() {
+            let n = rec.id();
+            assert_eq!(inc.tight_bound(i1, n), twin.tight_bound(i1, n));
+        }
+        // Ingest replays a whole run in one call.
+        assert_eq!(twin.run(), &run);
+        assert!(twin.message_index().len() == run.messages().len());
+        assert!(!twin.message_index().is_empty());
+        assert_eq!(twin.bounds_graph().node_count(), run.node_count());
     }
 }

@@ -82,8 +82,11 @@ use proptest::prelude::*;
 use zigzag::api::{serve, wire, Query, Response, SessionConfig, ZigzagService};
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
+use zigzag::bcm::stream::{ReceiptEvent, RunEvent, SendEvent};
 use zigzag::bcm::validate::{validate_run, Strictness};
-use zigzag::bcm::{topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time};
+use zigzag::bcm::{
+    topology, MessageId, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time,
+};
 use zigzag::core::bounds_graph::BoundsGraph;
 use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph, MessageIndex};
 use zigzag::core::graph::{Edge, LongestPaths, WeightedDigraph};
@@ -1209,6 +1212,78 @@ fn durable_probes(prefix_nodes: &[NodeId]) -> Vec<Query> {
     probes
 }
 
+/// Number of ways [`mutant`] can make an event illegal.
+const MUTANT_KINDS: usize = 8;
+
+/// An illegal variant of `ev`, the next event of a simulator-produced
+/// run's feed after the legal `prefix` (so stream-scoped message ids are
+/// the run's own). `kind` picks the fault: an unknown message, one
+/// message delivered twice in the event, an already-delivered message,
+/// a non-increasing time, an unknown process, a send on a missing
+/// channel, an off-channel delivery, or a delivery outside its
+/// channel's bounds. A fault the prefix cannot express (no message
+/// delivered yet, say) falls back to the unknown message.
+fn mutant(run: &Run, prefix: &[RunEvent], ev: &RunEvent, kind: usize) -> RunEvent {
+    let sent = prefix.iter().map(|e| e.sends.len()).sum::<usize>();
+    let received = |e: &RunEvent| -> Vec<MessageId> {
+        e.receipts
+            .iter()
+            .filter_map(|r| match r {
+                ReceiptEvent::Message(m) => Some(*m),
+                ReceiptEvent::External(_) => None,
+            })
+            .collect()
+    };
+    let delivered: BTreeSet<MessageId> = prefix.iter().flat_map(received).collect();
+    let own = received(ev);
+    let in_flight_away = (0..sent as u32)
+        .map(MessageId::new)
+        .find(|m| !delivered.contains(m) && run.message(*m).channel().to != ev.proc);
+    let mut bad = ev.clone();
+    match kind {
+        1 if !own.is_empty() => bad.receipts.push(ReceiptEvent::Message(own[0])),
+        2 if !delivered.is_empty() => {
+            let m = *delivered.iter().next().unwrap();
+            bad.receipts.push(ReceiptEvent::Message(m));
+        }
+        3 => {
+            bad.time = prefix
+                .iter()
+                .rfind(|e| e.proc == ev.proc)
+                .map_or(Time::ZERO, |e| e.time);
+        }
+        4 => bad.proc = ProcessId::new(run.context().network().len() as u32),
+        5 => bad.sends.push(SendEvent {
+            to: ev.proc,
+            deliver_at: ev.time + 1,
+        }),
+        6 if in_flight_away.is_some() => {
+            bad.receipts
+                .push(ReceiptEvent::Message(in_flight_away.unwrap()));
+        }
+        7 if !own.is_empty() => {
+            // Late past the channel's U; the event's sends shift along
+            // and stay legal.
+            let m = run.message(own[0]);
+            let ch = m.channel();
+            let upper = run
+                .context()
+                .channel_bounds(ch.from, ch.to)
+                .unwrap()
+                .upper();
+            bad.time = m.sent_at() + upper + 1;
+            for s in &mut bad.sends {
+                s.deliver_at += bad.time.ticks() - ev.time.ticks();
+            }
+        }
+        7 if !ev.sends.is_empty() => bad.sends[0].deliver_at = ev.time,
+        _ => bad
+            .receipts
+            .push(ReceiptEvent::Message(MessageId::new(sent as u32))),
+    }
+    bad
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1216,8 +1291,12 @@ proptest! {
     /// durable session and, after EVERY append, crash (drop nothing
     /// gracefully — just re-read the files) and recover into a fresh
     /// service. Every recovered answer must equal the uninterrupted
-    /// session's at the same prefix, with and without snapshots; the
-    /// final state must also survive an export/import migration.
+    /// session's at the same prefix, with and without snapshots and
+    /// observer re-warming; the final state must also survive an
+    /// export/import migration. Before every legal event the durable
+    /// session is offered a [`mutant`] of it, which must be refused and
+    /// change nothing: no log byte is written, and the session keeps
+    /// answering like the reference, which never saw a mutant.
     #[test]
     fn recovery_at_every_append_boundary_is_byte_identical(
         n in 3usize..6,
@@ -1225,6 +1304,8 @@ proptest! {
         topo_seed in 0u64..10_000,
         sched_seed in 0u64..10_000,
         snap_every in 0u64..4,
+        warm in any::<bool>(),
+        mutants in collection::vec(0..MUTANT_KINDS, 1..=16),
     ) {
         use zigzag::api::{CoordKind, SessionStore, StoreConfig, TimedCoordination};
 
@@ -1243,8 +1324,12 @@ proptest! {
             StoreConfig::new()
         } else {
             StoreConfig::new().snapshot_every(snap_every)
-        };
-        let dir = durable_dir(&format!("{n}-{density}-{topo_seed}-{sched_seed}-{snap_every}"));
+        }
+        .warm_observers(warm);
+        let dir = durable_dir(&format!(
+            "{n}-{density}-{topo_seed}-{sched_seed}-{snap_every}-{warm}"
+        ));
+        let log_len = || std::fs::metadata(dir.join("feed.log")).unwrap().len();
 
         // The uninterrupted reference session, fed in lockstep.
         let reference = ZigzagService::new();
@@ -1261,6 +1346,14 @@ proptest! {
         let mut next_idx = vec![0u32; n];
         let mut prefix_nodes: Vec<NodeId> = Vec::new();
         for (k, ev) in events.iter().enumerate() {
+            let bad = mutant(&run, &events[..k], ev, mutants[k % mutants.len()]);
+            let len = log_len();
+            prop_assert!(
+                store.append(&writer, id, &bad).is_err(),
+                "boundary {}: mutant {:?} accepted", k, bad
+            );
+            prop_assert_eq!(log_len(), len, "boundary {}: a refused event was logged", k);
+            prop_assert_eq!(writer.stats().store.events_logged, k as u64);
             store.append(&writer, id, ev).unwrap();
             reference.append(ref_id, ev).unwrap();
             next_idx[ev.proc.index()] += 1;
@@ -1278,6 +1371,10 @@ proptest! {
             prop_assert!(!rec.truncated, "boundary {}: clean log flagged torn", k);
             for q in durable_probes(&prefix_nodes) {
                 let want = reference.dispatch(ref_id, &q);
+                prop_assert_eq!(
+                    &writer.dispatch(id, &q), &want,
+                    "boundary {}: {:?} diverged after a refused event", k, q
+                );
                 let got = recovered.dispatch(rec.id, &q);
                 prop_assert_eq!(
                     &got, &want,

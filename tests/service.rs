@@ -16,8 +16,9 @@ use zigzag::api::{
 };
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
+use zigzag::bcm::stream::{ReceiptEvent, RunEvent};
 use zigzag::bcm::{
-    topology, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, StreamingRun, Time,
+    topology, BcmError, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, StreamingRun, Time,
 };
 use zigzag::core::{CoreError, GeneralNode, IncrementalEngine};
 
@@ -294,6 +295,90 @@ fn fast_run_parameters_that_overflow_are_refused_by_name() {
         assert_eq!(served, vec![serve::encode_error(&err)]);
         assert!(served[0].contains(&format!("{parameter} = {value}")));
     }
+}
+
+/// An `Append` frame delivering a message off its channel, or outside
+/// its channel's bounds, is answered with a typed error document and
+/// changes nothing: afterwards the session answers and appends exactly
+/// like a twin that never received it.
+#[test]
+fn refused_appends_over_the_wire_change_nothing() {
+    let run = tri_run(4, 30);
+    let (i, j, k) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let mut spec = TimedCoordination::new(CoordKind::Late { x: 1 }, j, k, i);
+    spec.go_name = "kick".into();
+    let config = SessionConfig::new().spec(spec);
+    let service = ZigzagService::new();
+    let session = service.open_stream(run.context_arc(), run.horizon(), config.clone());
+    let twin = service.open_stream(run.context_arc(), run.horizon(), config);
+    let append = |id, ev: &RunEvent| serve::encode_frame(id, &Query::Append(Box::new(ev.clone())));
+    let refused = |e: BcmError| serve::encode_error(&Error::Coord(CoreError::Bcm(e).into()));
+
+    // The legal prefix, grown alongside, names the in-flight messages.
+    let mut prefix = StreamingRun::new(run.context_arc(), run.horizon());
+    let (mut off_channel, mut out_of_bounds) = (0, 0);
+    for ev in RunCursor::new(&run) {
+        let grown = prefix.run();
+        let node = NodeId::new(ev.proc, grown.timeline(ev.proc).len() as u32);
+        let mut bad = Vec::new();
+        if let Some(m) = grown
+            .messages()
+            .iter()
+            .find(|m| !m.is_delivered() && m.channel().to != ev.proc)
+        {
+            let mut e = ev.clone();
+            e.receipts.push(ReceiptEvent::Message(m.id()));
+            let (id, ch) = (m.id(), m.channel());
+            let detail = format!("message {id} delivered to {node} off-channel {ch}");
+            bad.push((e, BcmError::IllegalRun { detail }));
+            off_channel += 1;
+        }
+        if let Some(ReceiptEvent::Message(m)) = ev.receipts.first() {
+            let m = grown.message(*m);
+            let ch = m.channel();
+            let upper = run
+                .context()
+                .channel_bounds(ch.from, ch.to)
+                .unwrap()
+                .upper();
+            let e = RunEvent {
+                time: m.sent_at() + upper + 1,
+                ..ev.clone()
+            };
+            let err = BcmError::DeliveryOutOfBounds {
+                from: ch.from,
+                to: ch.to,
+                sent_at: m.sent_at(),
+                delivered_at: e.time,
+            };
+            bad.push((e, err));
+            out_of_bounds += 1;
+        }
+        for (e, err) in bad {
+            let served = serve::serve(&service, &[append(session, &e)], 1);
+            assert_eq!(served, [refused(err)]);
+        }
+
+        let served = serve::serve(&service, &[append(session, &ev), append(twin, &ev)], 1);
+        assert_eq!(served[0], served[1]);
+        assert!(!serve::is_error_document(&served[0]), "{}", served[0]);
+        let node = prefix.append(&ev).unwrap();
+        let probes = [
+            Query::MaxXMatrix { sigma: node },
+            Query::TightBound {
+                from: NodeId::new(i, 1),
+                to: node,
+            },
+            Query::EventCount,
+            Query::CoordDecision,
+        ];
+        let answers = |id| {
+            let frames: Vec<String> = probes.iter().map(|q| serve::encode_frame(id, q)).collect();
+            serve::serve(&service, &frames, 1)
+        };
+        assert_eq!(answers(session), answers(twin), "diverged at {node}");
+    }
+    assert!(off_channel > 0 && out_of_bounds > 0);
 }
 
 /// Streaming coordination through the facade agrees with the batch
