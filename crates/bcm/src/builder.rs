@@ -155,7 +155,14 @@ impl RunBuilder {
         scheduled: Time,
     ) -> Result<MessageId, BcmError> {
         let sent_at = self.run.node_checked(src)?.time();
-        self.channel_bounds(src.proc(), dst)?;
+        // A context's bounds cover exactly its network's channels, so the
+        // sorted adjacency answers this without a bounds lookup.
+        if !self.run.context().network().has_channel(src.proc(), dst) {
+            return Err(BcmError::MissingChannel {
+                from: src.proc(),
+                to: dst,
+            });
+        }
         Ok(self.push_send(src, sent_at, dst, scheduled))
     }
 

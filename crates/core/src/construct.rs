@@ -28,12 +28,11 @@
 //! respect to frontier longest paths; for node pairs well inside the
 //! prefix these coincide with plain `GB(r)` longest paths.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{Bounds, NodeId, ProcessId, Run, Time};
+use zigzag_bcm::{Bounds, Channel, ChannelBounds, ExternalId, NodeId, ProcessId, Run, Time};
 
 use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
@@ -103,10 +102,10 @@ impl FrontierGraph {
 /// Everything the prescribed-run engine needs to lay a run out.
 #[derive(Debug)]
 struct Prescription {
-    /// Highest kept node index per process (0 = only the initial node).
-    boundary: Vec<u32>,
-    /// `T(σ')` for every kept non-initial node.
-    times: BTreeMap<NodeId, Time>,
+    /// `T(σ')` for every kept non-initial node, one lane per process in
+    /// timeline order: the kept prefix of `p` is its initial node plus
+    /// nodes `1..=kept[p].len()`.
+    kept: Vec<Vec<Time>>,
     /// `T(ω_p)` / `T(ψ_p)`: the earliest time fresh deliveries may land on
     /// each timeline.
     frontier: Vec<Time>,
@@ -120,47 +119,88 @@ struct Prescription {
 
 impl Prescription {
     fn kept(&self, node: NodeId) -> bool {
-        node.index() <= self.boundary[node.proc().index()]
+        node.index() as usize <= self.kept[node.proc().index()].len()
+    }
+
+    /// The prescribed time of a kept non-initial node.
+    fn time(&self, node: NodeId) -> Option<Time> {
+        let k = (node.index() as usize).checked_sub(1)?;
+        self.kept[node.proc().index()].get(k).copied()
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// The kept lanes of a prefix-checked timing: [`NodeTiming`] iterates in
+/// `(process, index)` order, so each lane fills in timeline order.
+fn kept_lanes(timing: &NodeTiming, processes: usize) -> Vec<Vec<Time>> {
+    let mut kept = vec![Vec::new(); processes];
+    for (node, &t) in timing.iter().filter(|(node, _)| !node.is_initial()) {
+        kept[node.proc().index()].push(t);
+    }
+    kept
+}
+
+/// What a queued delivery hands its node: an external input of the
+/// source run (by id, so queue entries stay small and cheap to move) or a
+/// message of the run under construction.
+#[derive(Debug, Clone, Copy)]
 enum PendingReceipt {
-    External(String),
+    External(ExternalId),
     Message(zigzag_bcm::MessageId),
 }
 
-/// One pending delivery of the layout engine's queue: min-ordered by
-/// `(time, proc, seq)`, so draining equal `(time, proc)` heads
-/// reproduces exactly the batch a `(time, proc)`-keyed map would have
-/// accumulated (`seq` is the insertion number).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct QueueItem {
-    time: Time,
-    proc: ProcessId,
-    seq: u32,
-    receipt: PendingReceipt,
-}
-
-/// Reusable scratch for the run-construction delivery queue.
+/// The layout engine's pending deliveries, bucketed by delivery time and
+/// recycled across constructions.
 ///
 /// The layout engine runs once per constructed run — and the knowledge
 /// engine constructs runs in batches (`refute` sweeps, fast-run
-/// batteries), historically reallocating the whole queue each time. An
-/// arena threaded through the construction
+/// batteries). An arena threaded through the construction
 /// ([`crate::knowledge::KnowledgeEngine::fast_run_of`] holds one per
-/// observer) recycles the queue storage across calls; the first call
-/// sizes it, later calls allocate nothing for queue bookkeeping.
+/// observer) keeps the buckets' storage, so later calls reuse what the
+/// first one grew.
+///
+/// Every delivery lands at least `L ≥ 1` tick after its send, so a node at
+/// time `t` only queues deliveries for later times and a bucket is complete
+/// once the engine reaches it. Sorting a bucket by `(proc, push number)`
+/// yields each `(time, proc)` batch in push order — the order of a
+/// `(time, proc, push number)` priority queue, at one map step per
+/// delivery instead of a heap's sift. Pending times never span more than
+/// the largest `U`, so the map stays small.
 #[derive(Debug, Default)]
 pub struct RunArena {
-    /// Recycled backing storage of the delivery-queue heap.
-    heap: Vec<Reverse<QueueItem>>,
+    /// Pending deliveries by time, each keyed by `proc << 32 | push number`.
+    pending: BTreeMap<Time, Vec<(u64, PendingReceipt)>>,
+    /// Emptied buckets, kept for reuse.
+    spare: Vec<Vec<(u64, PendingReceipt)>>,
+    /// Deliveries pushed so far in this construction.
+    pushed: u32,
 }
 
 impl RunArena {
     /// A fresh, empty arena.
     pub fn new() -> Self {
         RunArena::default()
+    }
+
+    fn push(&mut self, time: Time, proc: ProcessId, receipt: PendingReceipt) {
+        let key = (proc.index() as u64) << 32 | u64::from(self.pushed);
+        self.pushed += 1;
+        let spare = &mut self.spare;
+        self.pending
+            .entry(time)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push((key, receipt));
+    }
+
+    /// The earliest bucket, sorted into `(proc, push order)`.
+    fn pop_first(&mut self) -> Option<(Time, Vec<(u64, PendingReceipt)>)> {
+        let (time, mut bucket) = self.pending.pop_first()?;
+        bucket.sort_unstable_by_key(|&(key, _)| key);
+        Some((time, bucket))
+    }
+
+    fn recycle(&mut self, mut bucket: Vec<(u64, PendingReceipt)>) {
+        bucket.clear();
+        self.spare.push(bucket);
     }
 }
 
@@ -171,121 +211,110 @@ impl RunArena {
 /// prescription is internally inconsistent (a delivery would fall outside
 /// its channel window or inside a kept prefix).
 fn prescribed_run(source: &Run, p: &Prescription, arena: &mut RunArena) -> Result<Run, CoreError> {
-    let mut queue: BinaryHeap<Reverse<QueueItem>> =
-        BinaryHeap::from(std::mem::take(&mut arena.heap));
-    queue.clear();
-    let result = prescribed_run_with_queue(source, p, &mut queue);
-    // Hand the heap storage back on every path — error returns (routine
-    // for refutation probing) must not cost the arena its capacity.
-    queue.clear();
-    arena.heap = queue.into_vec();
+    let result = prescribed_run_in(source, p, arena);
+    // Hand what is still queued back on every path — error returns
+    // (routine for refutation probing) must not cost the arena its
+    // storage.
+    while let Some((_, bucket)) = arena.pending.pop_first() {
+        arena.recycle(bucket);
+    }
+    arena.pushed = 0;
     result
 }
 
-fn prescribed_run_with_queue(
+fn prescribed_run_in(
     source: &Run,
     p: &Prescription,
-    queue: &mut BinaryHeap<Reverse<QueueItem>>,
+    arena: &mut RunArena,
 ) -> Result<Run, CoreError> {
     let ctx = source.context_arc();
-    // A second Arc handle keeps the network/bounds borrowable while the
-    // builder owns the first — no per-call deep copy of either table.
-    let shared = ctx.clone();
-    let (net, bounds) = (shared.network(), shared.bounds());
+    // Each process's out-channels with their bounds, resolved once rather
+    // than through a bounds-map lookup per flooded message.
+    let (net, bounds) = (ctx.network(), ctx.bounds());
+    let out_channels: Vec<Vec<(ProcessId, ChannelBounds)>> = net
+        .processes()
+        .map(|proc| {
+            net.out_neighbors(proc)
+                .iter()
+                .map(|&dst| {
+                    let cb = bounds
+                        .get(Channel::new(proc, dst))
+                        .expect("network channels always have bounds");
+                    (dst, cb)
+                })
+                .collect()
+        })
+        .collect();
     let mut rb = RunBuilder::new(ctx, p.horizon);
 
-    let mut seq = 0u32;
-    let mut push = |queue: &mut BinaryHeap<Reverse<QueueItem>>,
-                    time: Time,
-                    proc: ProcessId,
-                    receipt: PendingReceipt| {
-        queue.push(Reverse(QueueItem {
-            time,
-            proc,
-            seq,
-            receipt,
-        }));
-        seq += 1;
-    };
-
-    // Externals of the source run received at kept nodes, retimed.
+    // Externals of the source run received at kept nodes, retimed; queued
+    // first, so each leads its batch.
     for e in source.externals() {
         if !p.kept(e.node()) {
             continue;
         }
-        let t = *p
-            .times
-            .get(&e.node())
-            .ok_or_else(|| CoreError::InvalidTiming {
-                detail: format!("kept node {} has no prescribed time", e.node()),
-            })?;
+        let t = p.time(e.node()).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("kept node {} has no prescribed time", e.node()),
+        })?;
         if t > p.horizon {
             continue;
         }
-        push(
-            queue,
-            t,
-            e.proc(),
-            PendingReceipt::External(e.name().to_string()),
-        );
+        arena.push(t, e.proc(), PendingReceipt::External(e.id()));
     }
 
-    while let Some(Reverse(head)) = queue.peek() {
-        let (time, proc) = (head.time, head.proc);
-        let node = rb
-            .add_node(proc, time)
-            .map_err(|e| CoreError::InvalidTiming {
-                detail: format!("prescription breaks timeline monotonicity: {e}"),
-            })?;
-        if p.kept(node) {
-            // The kept prefix must reproduce exactly.
-            let expected = p.times.get(&node).copied();
-            if expected != Some(time) {
-                return Err(CoreError::InvalidTiming {
-                    detail: format!(
-                        "kept node {node} materialized at {time}, prescribed {expected:?}"
-                    ),
-                });
-            }
-        }
-        // Drain the whole (time, proc) batch in insertion order.
-        while queue
-            .peek()
-            .is_some_and(|Reverse(it)| it.time == time && it.proc == proc)
-        {
-            let Reverse(item) = queue.pop().expect("peeked");
-            match item.receipt {
-                PendingReceipt::External(name) => {
-                    rb.add_external(node, name).map_err(CoreError::Bcm)?;
-                }
-                PendingReceipt::Message(m) => {
-                    rb.deliver(m, node).map_err(CoreError::Bcm)?;
+    while let Some((time, bucket)) = arena.pop_first() {
+        // One node per process with deliveries at `time`, in process order.
+        for batch in bucket.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+            let proc = ProcessId::new((batch[0].0 >> 32) as u32);
+            let node = rb
+                .add_node(proc, time)
+                .map_err(|e| CoreError::InvalidTiming {
+                    detail: format!("prescription breaks timeline monotonicity: {e}"),
+                })?;
+            if p.kept(node) {
+                // The kept prefix must reproduce exactly.
+                let expected = p.time(node);
+                if expected != Some(time) {
+                    return Err(CoreError::InvalidTiming {
+                        detail: format!(
+                            "kept node {node} materialized at {time}, prescribed {expected:?}"
+                        ),
+                    });
                 }
             }
-        }
+            for &(_, receipt) in batch {
+                match receipt {
+                    PendingReceipt::External(e) => {
+                        let name = source.externals()[e.index()].name();
+                        rb.add_external(node, name).map_err(CoreError::Bcm)?;
+                    }
+                    PendingReceipt::Message(m) => {
+                        rb.deliver(m, node).map_err(CoreError::Bcm)?;
+                    }
+                }
+            }
 
-        // FFIP flooding with prescribed delivery times.
-        for &dst in net.out_neighbors(proc) {
-            let cb = bounds
-                .get(zigzag_bcm::Channel::new(proc, dst))
-                .expect("network channels always have bounds");
-            let deliver_at = delivery_time(source, p, node, time, dst, cb.lower());
-            // Internal-consistency checks (Lemma 17 / Lemma 18 guarantees).
-            if deliver_at < time + cb.lower() || deliver_at > time + cb.upper() {
-                return Err(CoreError::InvalidTiming {
-                    detail: format!(
-                        "prescribed delivery of {node} → {dst} at {deliver_at} outside \
-                         [{}, {}]",
-                        time + cb.lower(),
-                        time + cb.upper()
-                    ),
-                });
-            }
-            let m = rb.send(node, dst, deliver_at).map_err(CoreError::Bcm)?;
-            if deliver_at <= p.horizon {
-                push(queue, deliver_at, dst, PendingReceipt::Message(m));
+            // FFIP flooding with prescribed delivery times.
+            for &(dst, cb) in &out_channels[proc.index()] {
+                let deliver_at = delivery_time(source, p, node, time, dst, cb.lower());
+                // Internal-consistency checks (Lemma 17 / Lemma 18 guarantees).
+                if deliver_at < time + cb.lower() || deliver_at > time + cb.upper() {
+                    return Err(CoreError::InvalidTiming {
+                        detail: format!(
+                            "prescribed delivery of {node} → {dst} at {deliver_at} outside \
+                             [{}, {}]",
+                            time + cb.lower(),
+                            time + cb.upper()
+                        ),
+                    });
+                }
+                let m = rb.send(node, dst, deliver_at).map_err(CoreError::Bcm)?;
+                if deliver_at <= p.horizon {
+                    arena.push(deliver_at, dst, PendingReceipt::Message(m));
+                }
             }
         }
+        arena.recycle(bucket);
     }
 
     Ok(rb.finish())
@@ -305,10 +334,8 @@ fn delivery_time(
     if p.kept(src) {
         if let Some(m) = source.message_from_to(src, dst) {
             if let Some(d) = source.message(m).delivery() {
-                if p.kept(d.node) {
-                    if let Some(&t) = p.times.get(&d.node) {
-                        return t;
-                    }
+                if let Some(t) = p.time(d.node) {
+                    return t;
                 }
             }
         }
@@ -468,8 +495,7 @@ pub fn run_by_timing(run: &Run, timing: &NodeTiming) -> Result<Run, CoreError> {
     let frontier = frontier_for_timing(run, timing, &boundary)?;
     let horizon = timing.values().copied().max().unwrap_or(Time::ZERO);
     let p = Prescription {
-        boundary,
-        times: timing.clone(),
+        kept: kept_lanes(timing, boundary.len()),
         frontier,
         chain_upper: BTreeMap::new(),
         horizon,
@@ -567,8 +593,7 @@ pub fn slow_run(run: &Run, sigma: NodeId) -> Result<SlowRun, CoreError> {
 
     let horizon = times.values().copied().max().unwrap_or(Time::ZERO);
     let p = Prescription {
-        boundary,
-        times: times.clone(),
+        kept: kept_lanes(&times, n),
         frontier,
         chain_upper: BTreeMap::new(),
         horizon,
@@ -790,17 +815,11 @@ pub(crate) fn fast_run_from_timing(
     let bounds = run.context().bounds();
     let (chain_upper, theta_time) = chain_prescriptions(run, past, &ft, canonical, bounds)?;
 
-    let n = run.context().network().len();
-    let mut boundary = vec![0u32; n];
-    let mut times = NodeTiming::new();
-    for node in past.iter() {
-        if node.is_initial() {
-            continue;
-        }
+    // The past is a per-timeline prefix and iterates in timeline order.
+    let mut kept = vec![Vec::new(); run.context().network().len()];
+    for node in past.iter().filter(|node| !node.is_initial()) {
         let t = ft.node_time(node).expect("past nodes are timed");
-        times.insert(node, t);
-        let b = &mut boundary[node.proc().index()];
-        *b = (*b).max(node.index());
+        kept[node.proc().index()].push(t);
     }
     let frontier: Vec<Time> = run
         .context()
@@ -820,8 +839,7 @@ pub(crate) fn fast_run_from_timing(
             value: extra_horizon,
         })?;
     let p = Prescription {
-        boundary,
-        times,
+        kept,
         frontier,
         chain_upper,
         horizon,
@@ -843,7 +861,7 @@ mod tests {
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::RandomScheduler;
     use zigzag_bcm::validate::{validate_run, Strictness};
-    use zigzag_bcm::{Network, SimConfig, Simulator};
+    use zigzag_bcm::{Network, Receipt, SimConfig, Simulator};
 
     fn tri_run(seed: u64, horizon: u64) -> Run {
         let mut b = Network::builder();
@@ -927,18 +945,39 @@ mod tests {
     #[test]
     fn run_by_timing_replays_actual_times() {
         // The run's own times over the full node set are a valid timing;
-        // run_by_timing must reproduce a legal run with those times.
-        let run = tri_run(1, 30);
-        let timing: NodeTiming = run
-            .nodes()
-            .filter(|r| !r.id().is_initial())
-            .map(|r| (r.id(), r.time()))
-            .collect();
-        let r2 = run_by_timing(&run, &timing).unwrap();
-        validate_run(&r2, Strictness::Strict).unwrap();
-        for (&node, &t) in &timing {
-            assert_eq!(r2.time(node), Some(t));
+        // run_by_timing must reproduce a legal run with those times, and
+        // every node's receipts in the source run's order.
+        let receipts = |run: &Run, node: NodeId| -> Vec<String> {
+            let rec = run.node(node).expect("node appears");
+            rec.receipts()
+                .iter()
+                .map(|r| match *r {
+                    Receipt::External(e) => run.external(e).name().to_string(),
+                    Receipt::Internal(m) => run.message(m).src().to_string(),
+                })
+                .collect()
+        };
+        let mut batched = 0;
+        for seed in 0..8 {
+            let run = tri_run(seed, 30);
+            let timing: NodeTiming = run
+                .nodes()
+                .filter(|r| !r.id().is_initial())
+                .map(|r| (r.id(), r.time()))
+                .collect();
+            let r2 = run_by_timing(&run, &timing).unwrap();
+            validate_run(&r2, Strictness::Strict).unwrap();
+            for (&node, &t) in &timing {
+                assert_eq!(r2.time(node), Some(t));
+                assert_eq!(
+                    receipts(&r2, node),
+                    receipts(&run, node),
+                    "seed {seed}: {node}"
+                );
+                batched += usize::from(receipts(&run, node).len() > 1);
+            }
         }
+        assert!(batched > 0, "no node received a batch");
     }
 
     #[test]

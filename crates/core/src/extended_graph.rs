@@ -29,7 +29,27 @@
 //! [`ExtendedGraph::index_of`] and the fast timing's lanes
 //! ([`crate::timing::FastTiming`]) resolve vertices by the same
 //! arithmetic.
+//!
+//! # The run's clock
+//!
+//! By Lemma 8 the recorded times of a legal run are a valid timing of
+//! its bounds graph, so they are a feasible potential for the
+//! potential-reweighted Dijkstra of [`crate::graph`]. Each build installs
+//! that clock on `GE(r, σ)`: past nodes get their recorded times, and each
+//! `ψ_p` the least value its `E′`/`E‴` in-edges allow (a fixpoint over the
+//! `n` auxiliary vertices, settled in decreasing order since every `E‴`
+//! weight is `−U ≤ 0`). The `E″` upper bounds then hold whenever the
+//! run's FFIP deliveries respect `[L, U]`: a message σ has not seen
+//! reaches its receiver `j` within `U` of its send, and each FFIP
+//! re-flood from there reaches the next process within that channel's
+//! `U`; each arrival lies after the receiving process's boundary (or
+//! beyond the horizon), or σ would have seen the message. The graph
+//! checks the clock in one scan over the edges; a clock that fails — a
+//! hand-built run with a delivery outside its channel bounds, say —
+//! leaves the graph's distance queries on SPFA
+//! ([`WeightedDigraph::has_potential`] tells which).
 
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,7 +58,7 @@ use zigzag_bcm::{NodeId, ProcessId, Run};
 
 use crate::bounds_graph::{NodeLayout, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
 use crate::error::CoreError;
-use crate::graph::{Edge, LongestPaths, WeightedDigraph};
+use crate::graph::{Distances, Edge, LongestPaths, WeightedDigraph};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -268,6 +288,53 @@ pub(crate) fn closed_graph(
     WeightedDigraph::from_edges(vertices, &edges)
 }
 
+/// The run's clock over a graph closed by `layout` (see the
+/// [module docs](self)): each node's recorded time, then each `ψ_p` at
+/// the least value its `E′` edge (one past `p`'s boundary) and its `E‴`
+/// in-edges allow. The `E‴` weights are `−U ≤ 0`, so the `ψ` values
+/// settle in decreasing order, like a Dijkstra over the `n` auxiliary
+/// vertices. A `ψ` with neither kind of in-edge gets the least value of
+/// the clock, which its out-edges allow too.
+fn run_clock(run: &Run, layout: &NodeLayout, graph: &WeightedDigraph<ExtVertex>) -> Vec<i64> {
+    const UNSET: i64 = i64::MIN;
+    let nodes = layout.nodes();
+    let mut clock = Vec::with_capacity(nodes + layout.procs());
+    for p in run.context().network().processes() {
+        let past = &run.timeline(p)[..layout.range(p.index()).len()];
+        clock.extend(past.iter().map(|r| r.time().ticks() as i64));
+    }
+    for p in 0..layout.procs() {
+        let range = layout.range(p);
+        let psi = if range.is_empty() {
+            UNSET
+        } else {
+            clock[range.end - 1].saturating_add(1)
+        };
+        clock.push(psi);
+    }
+    let mut queue: BinaryHeap<(i64, usize)> = (nodes..clock.len())
+        .filter(|&v| clock[v] != UNSET)
+        .map(|v| (clock[v], v))
+        .collect();
+    while let Some((t, v)) = queue.pop() {
+        if t != clock[v] {
+            continue; // superseded by a later raise
+        }
+        for e in graph.edges_from(v).iter().filter(|e| e.to >= nodes) {
+            let raised = t.saturating_add(e.weight);
+            if raised > clock[e.to] {
+                clock[e.to] = raised;
+                queue.push((raised, e.to));
+            }
+        }
+    }
+    let least = clock.iter().copied().filter(|&t| t != UNSET).min();
+    for t in clock.iter_mut().filter(|t| **t == UNSET) {
+        *t = least.unwrap_or(0);
+    }
+    clock
+}
+
 /// The extended local bounds graph `GE(r, σ)`.
 #[derive(Debug, Clone)]
 pub struct ExtendedGraph {
@@ -325,7 +392,8 @@ impl ExtendedGraph {
     ) -> Self {
         let past = run.past(sigma);
         let layout = NodeLayout::of_past(&past, run.context().network().len());
-        let graph = closed_graph(run, &layout, messages, exclude_src);
+        let mut graph = closed_graph(run, &layout, messages, exclude_src);
+        graph.set_potential(run_clock(run, &layout, &graph));
         ExtendedGraph {
             observer: sigma,
             past,
@@ -368,7 +436,9 @@ impl ExtendedGraph {
     }
 
     /// Memoized [`ExtendedGraph::longest_from`]: repeated queries against
-    /// the (immutable) graph share one SPFA per source.
+    /// the (immutable) graph share one SPFA per source. Its predecessor
+    /// tree gives the witness paths; distance-only callers use
+    /// [`ExtendedGraph::distances_from`].
     ///
     /// # Errors
     ///
@@ -377,13 +447,26 @@ impl ExtendedGraph {
         self.graph.longest_from_cached(&v)
     }
 
-    /// Memoized [`ExtendedGraph::longest_to`].
+    /// Memoized longest-path weights from `v` to every vertex, without
+    /// paths: a Dijkstra under the run's clock when it passed the check
+    /// (see the [module docs](self)), otherwise — or when the SPFA
+    /// result from `v` is already memoized — read off SPFA.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ExtendedGraph::longest_from`].
+    pub fn distances_from(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
+        self.graph.distances_from(&v)
+    }
+
+    /// Memoized longest-path weights from every vertex to `v`; see
+    /// [`ExtendedGraph::distances_from`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`ExtendedGraph::longest_to`].
-    pub fn longest_to_cached(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
-        self.graph.longest_to_cached(&v)
+    pub fn distances_to(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
+        self.graph.distances_to(&v)
     }
 
     /// Dense index of a vertex, if present: index arithmetic over the
@@ -534,6 +617,42 @@ mod tests {
         assert_eq!(a.proc(), ProcessId::new(0));
         assert_eq!(a.to_string(), "ψ(p0)");
         assert!(n.to_string().contains("p1#2"));
+    }
+
+    #[test]
+    fn the_run_clock_is_accepted_and_matches_spfa() {
+        // Figure 1's C → A, C → B: at C's first node, A and B are outside
+        // the past and have no outgoing channels, so ψ_A and ψ_B have no
+        // in-edges at all and take the clock's least value.
+        let mut b = Network::builder();
+        let c = b.add_process("C");
+        let a = b.add_process("A");
+        let bb = b.add_process("B");
+        b.add_channel(c, a, 1, 3).unwrap();
+        b.add_channel(c, bb, 7, 9).unwrap();
+        let mut sim = Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(30)));
+        sim.external(Time::new(2), c, "go");
+        let fig1 = sim
+            .run(&mut Ffip::new(), &mut RandomScheduler::seeded(3))
+            .unwrap();
+        let runs = (0..4).map(tri_run).chain([fig1]);
+        for run in runs {
+            let index = MessageIndex::of_run(&run);
+            let nodes: Vec<NodeId> = run.nodes().map(|r| r.id()).collect();
+            let firsts = nodes.iter().filter(|n| n.index() == 1).copied();
+            for sigma in firsts.chain(nodes.last().copied()) {
+                for exclude in [None, Some(sigma)] {
+                    let ge = ExtendedGraph::with_index_excluding(&run, sigma, &index, exclude);
+                    assert!(ge.graph().has_potential(), "clock rejected at {sigma}");
+                    let root = ExtVertex::Node(sigma);
+                    let (dist, spfa) =
+                        (ge.distances_to(root).unwrap(), ge.longest_to(root).unwrap());
+                    for i in 0..ge.graph().vertex_count() {
+                        assert_eq!(dist.weight(i), spfa.weight(i));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

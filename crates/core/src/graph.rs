@@ -3,9 +3,38 @@
 //! Bounds graphs (paper §5) contain cycles (every delivered message
 //! contributes a forward `+L` edge and a backward `−U` edge) but **no
 //! positive cycles** — a positive cycle would force a node to occur later
-//! than itself. Longest paths are therefore well-defined and computed with
-//! a queue-based Bellman–Ford (SPFA); a positive cycle is reported as
-//! [`CoreError::PositiveCycle`] and indicates corrupted input.
+//! than itself. Longest paths are therefore well-defined; a positive
+//! cycle is reported as [`CoreError::PositiveCycle`] and indicates
+//! corrupted input.
+//!
+//! # Two traversals
+//!
+//! * **Label-correcting SPFA** (a queue-based Bellman–Ford) needs nothing
+//!   but the graph, and its results carry a predecessor forest
+//!   ([`LongestPaths`]). It serves every path query: the witness paths
+//!   of `crate::knowledge` (the served witness bytes follow SPFA's
+//!   tie-breaks), the append-delta memo of `GB(r)` (a graph that keeps
+//!   growing), and every distance query on a graph without a potential.
+//! * **Potential-reweighted Dijkstra** answers distance-only queries
+//!   ([`WeightedDigraph::distances_from`] /
+//!   [`WeightedDigraph::distances_to`], results as [`Distances`]) once a
+//!   caller installs a *feasible potential*
+//!   ([`WeightedDigraph::set_potential`]): values `π` with
+//!   `π(u) + w ≤ π(v)` on every edge. Johnson reweighting turns every
+//!   edge into a non-negative slack `π(v) − π(u) − w`, so each vertex
+//!   settles once and each edge is scanned at most once. A valid timing
+//!   is exactly such a potential (Lemma 8), and
+//!   [`crate::extended_graph::ExtendedGraph`] installs the run's own
+//!   clock: the fast timing's two lanes and the all-pairs matrix rows of
+//!   `crate::knowledge` read this traversal. The potential is checked in
+//!   one scan over the edges when installed; a rejected one leaves the
+//!   graph on SPFA, and any mutation drops it. A distance query whose
+//!   SPFA result is already memoized reads that result's weights instead
+//!   (a witness query grows the SPFA tree from its anchor first, so its
+//!   fast timing needs one Dijkstra, not two).
+//!
+//! Both kinds count their queue pops and edge scans per graph
+//! ([`WeightedDigraph::work`]).
 //!
 //! # Shared analysis
 //!
@@ -15,19 +44,21 @@
 //! same sources. Two layers amortize that cost:
 //!
 //! * a **frozen CSR form** ([`CsrTopology`]) — forward and reverse
-//!   adjacency built once per graph generation, that SPFA scans instead
-//!   of the per-vertex `Vec`s;
+//!   adjacency built once per graph generation, that both traversals scan
+//!   instead of the per-vertex `Vec`s;
 //! * a **longest-path cache** — every SPFA result is memoized per
 //!   `(source, direction)` and shared as an [`Arc`], so repeated queries
 //!   against an unmodified graph are O(1) — and allocation-free — after
 //!   first touch ([`WeightedDigraph::longest_from_cached`] /
-//!   [`WeightedDigraph::longest_to_cached`]).
+//!   [`WeightedDigraph::longest_to_cached`]). Dijkstra results are
+//!   memoized the same way, in a map of their own.
 //!
-//! Both layers survive mutation **monotonically**: the only mutations the
-//! graph supports are additions ([`WeightedDigraph::add_vertex`] /
-//! [`WeightedDigraph::add_edge`]), and adding vertices or edges can only
-//! *raise* longest-path weights — every old path still exists, new edges
-//! merely offer new ones. So instead of dropping memoized results on
+//! The SPFA layers survive mutation **monotonically**: the only
+//! mutations the graph supports are additions
+//! ([`WeightedDigraph::add_vertex`] / [`WeightedDigraph::add_edge`]), and
+//! adding vertices or edges can only *raise* longest-path weights — every
+//! old path still exists, new edges merely offer new ones. So instead of
+//! dropping memoized results on
 //! mutation, the graph logs the edges appended since each result was
 //! computed and **delta-relaxes** a stale result on its next query: the
 //! new edges seed an incremental SPFA that cascades forward from exactly
@@ -36,7 +67,8 @@
 //! generation; delta cascades walk the live adjacency directly, since
 //! they touch few vertices. This is what makes append-only consumers
 //! (`crate::incremental`) pay per-append cost proportional to the change,
-//! not the graph.
+//! not the graph. Distance results and the potential are dropped on
+//! mutation instead: the graphs that install a potential never mutate.
 //!
 //! # Data layout
 //!
@@ -50,12 +82,13 @@
 //!   public *view* type: [`CsrTopology::out_edges`] /
 //!   [`CsrTopology::in_edges`] materialize an `Edge` array lazily, on
 //!   first accessor use, so hot paths never pay for it.
-//! * [`LongestPaths`] is sentinel-coded: `dist: Vec<i64>` with
-//!   [`i64::MIN`] meaning *unreachable* (no `Option` tag bytes), and a
-//!   predecessor forest as three lanes (`pred_other: Vec<u32>` with
-//!   [`u32::MAX`] meaning *no predecessor*, plus weight and label lanes)
-//!   from which [`LongestPaths::path`] reconstructs `Edge` values on
-//!   demand — 20 bytes per vertex instead of 56.
+//! * [`Distances`] is one sentinel-coded lane: `Vec<i64>` with
+//!   [`i64::MIN`] meaning *unreachable* (no `Option` tag bytes).
+//!   [`LongestPaths`] adds a predecessor forest as three lanes
+//!   (`pred_other: Vec<u32>` with [`u32::MAX`] meaning *no
+//!   predecessor*, plus weight and label lanes) from which
+//!   [`LongestPaths::path`] reconstructs `Edge` values on demand — 24
+//!   bytes per vertex instead of 56, and 8 for a distance-only result.
 //! * All interior vertex ids are `u32`; the `HashMap<V, usize>` interner
 //!   stays at the boundary, and every narrowing conversion funnels
 //!   through one checked helper (`checked_u32`) that reports
@@ -63,22 +96,32 @@
 //!
 //! # Scratch arena and blocked relaxation
 //!
-//! The transient state of an SPFA run — the predecessor working lane,
-//! the `u64`-word in-queue bitset, both frontier generations, and the
-//! delta staging buffer — lives in a `SpfaScratch` arena owned by the
-//! graph's analysis cache. A query takes the arena out under the lock,
-//! traverses outside the lock, and puts the buffers back, so steady-state
-//! serving recycles the same warm allocations across queries (the result
-//! lanes themselves are freshly allocated: they outlive the query inside
-//! the memo). Relaxation is *blocked*: the frontier drains in
-//! generations (two `Vec<u32>` swapped per round, deduplicated through
-//! the bitset), each generation scanning contiguous SoA edge slices.
+//! The transient state of a traversal — the predecessor working lane,
+//! the `u64`-word in-queue bitset, both frontier generations, the delta
+//! staging buffer, and the Dijkstra queue — lives in a `SpfaScratch`
+//! arena owned by the graph's analysis cache. A query takes the arena
+//! out under the lock, traverses outside the lock, and puts the buffers
+//! back, so steady-state serving recycles the same warm allocations
+//! across queries (the result lanes themselves are freshly allocated:
+//! they outlive the query inside the memo). SPFA relaxation is
+//! *blocked*: the frontier drains in generations (two `Vec<u32>` swapped
+//! per round, deduplicated through the bitset), each generation scanning
+//! contiguous SoA edge slices.
 //! Positive cycles are detected by the generation count — with no
 //! positive cycle a run converges within `|V|` drains (every improvement
 //! chain longer than `|V|` revisits a vertex with a strictly larger
 //! distance, i.e. a positive cycle) — which replaces the old per-run
 //! `relax_count` allocation and matches the dense Bellman–Ford verdict
 //! exactly.
+//!
+//! The Dijkstra queue is a radix heap keyed by slack. Slack keys only
+//! grow as vertices settle, so a key's bucket is the highest bit in which
+//! it differs from the last key popped; its cost depends on the bit
+//! length of slack differences, not on how large the timestamps are.
+//! Buckets are intrusive doubly linked lists threaded through per-vertex
+//! lanes, so a lowered key relinks its vertex in O(1), each vertex is
+//! queued at most once, and the whole queue is a few lanes sized once
+//! per traversal and recycled with the arena.
 //!
 //! Everything lives behind a [`Mutex`] so graphs (and the engines built
 //! on them) stay `Send + Sync` for the parallel sweep layer.
@@ -323,10 +366,180 @@ impl EdgeLog {
     }
 }
 
-/// Reusable SPFA working state: everything a traversal needs besides the
-/// result lanes themselves. Owned by the analysis cache and recycled
-/// across queries (taken out under the lock, used outside it, put back),
-/// so a steady-state serving loop reallocates nothing per SPFA.
+/// The work of one traversal: queue pops and edge scans.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    pops: u64,
+    scans: u64,
+}
+
+/// The cumulative work of one traversal kind on one graph (see
+/// [`GraphWork`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraversalWork {
+    /// Traversals run.
+    pub traversals: u64,
+    /// Queue pops, over all traversals.
+    pub pops: u64,
+    /// Edge scans, over all traversals.
+    pub scans: u64,
+    /// The most pops a single traversal made.
+    pub max_pops: u64,
+    /// The most edge scans a single traversal made.
+    pub max_scans: u64,
+}
+
+impl TraversalWork {
+    fn record(&mut self, t: Tally) {
+        self.traversals += 1;
+        self.pops += t.pops;
+        self.scans += t.scans;
+        self.max_pops = self.max_pops.max(t.pops);
+        self.max_scans = self.max_scans.max(t.scans);
+    }
+}
+
+/// The traversal work a graph has done, read with
+/// [`WeightedDigraph::work`]. Memo hits do no work and count nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GraphWork {
+    /// SPFA, cold and delta catch-ups alike: a pop drains one frontier
+    /// entry, so a vertex may be popped once per generation.
+    pub spfa: TraversalWork,
+    /// Potential-reweighted Dijkstra: a pop settles a vertex for good.
+    pub dijkstra: TraversalWork,
+}
+
+/// Buckets of the radix heap: a slack key first differs from the last
+/// popped key in one of 64 bits (bucket = that bit + 1), or not at all
+/// (bucket 0).
+const BUCKETS: usize = 65;
+
+/// Sentinel link: the end of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// Sentinel bucket: the vertex is not queued.
+const UNQUEUED: u8 = u8::MAX;
+
+/// The Dijkstra queue: a monotone radix heap of vertices keyed by slack
+/// (see the [module docs](self)). Each bucket is a doubly linked list
+/// threaded through the `next`/`prev` lanes; `key` holds each vertex's
+/// best slack so far (`u64::MAX` = not reached).
+#[derive(Debug)]
+struct RadixHeap {
+    last: u64,
+    heads: [u32; BUCKETS],
+    key: Vec<u64>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    bucket: Vec<u8>,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap {
+            last: 0,
+            heads: [NIL; BUCKETS],
+            key: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            bucket: Vec::new(),
+        }
+    }
+}
+
+impl RadixHeap {
+    /// Empties the heap for a graph of `n` vertices.
+    fn reset(&mut self, n: usize) {
+        self.last = 0;
+        self.heads = [NIL; BUCKETS];
+        self.key.clear();
+        self.key.resize(n, u64::MAX);
+        self.bucket.clear();
+        self.bucket.resize(n, UNQUEUED);
+        // Links are written before they are read.
+        self.next.resize(n, NIL);
+        self.prev.resize(n, NIL);
+    }
+
+    #[inline]
+    fn bucket_of(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    #[inline]
+    fn link(&mut self, v: u32, b: usize) {
+        let head = self.heads[b];
+        self.bucket[v as usize] = b as u8;
+        self.prev[v as usize] = NIL;
+        self.next[v as usize] = head;
+        if head != NIL {
+            self.prev[head as usize] = v;
+        }
+        self.heads[b] = v;
+    }
+
+    #[inline]
+    fn unlink(&mut self, v: u32) {
+        let (p, n) = (self.prev[v as usize], self.next[v as usize]);
+        if p == NIL {
+            self.heads[self.bucket[v as usize] as usize] = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n != NIL {
+            self.prev[n as usize] = p;
+        }
+    }
+
+    /// Queues `v` at `key`, or lowers its key if it is queued. Keys never
+    /// go below the last popped key (Dijkstra's monotonicity).
+    #[inline]
+    fn push(&mut self, v: u32, key: u64) {
+        debug_assert!(key >= self.last, "radix heap keys are monotone");
+        self.key[v as usize] = key;
+        let b = self.bucket_of(key);
+        match self.bucket[v as usize] {
+            UNQUEUED => {}
+            // A lowered key often stays in its bucket.
+            old if old as usize == b => return,
+            _ => self.unlink(v),
+        }
+        self.link(v, b);
+    }
+
+    /// Removes a vertex of least key, if any. When bucket 0 is empty the
+    /// first non-empty bucket is spread out below its least key, which
+    /// becomes the new `last`.
+    fn pop(&mut self) -> Option<u32> {
+        if self.heads[0] == NIL {
+            let b = self.heads.iter().position(|&h| h != NIL)?;
+            let mut v = self.heads[b];
+            let mut least = u64::MAX;
+            while v != NIL {
+                least = least.min(self.key[v as usize]);
+                v = self.next[v as usize];
+            }
+            self.last = least;
+            let mut v = std::mem::replace(&mut self.heads[b], NIL);
+            while v != NIL {
+                let next = self.next[v as usize];
+                self.link(v, self.bucket_of(self.key[v as usize]));
+                v = next;
+            }
+        }
+        let v = self.heads[0];
+        self.unlink(v);
+        self.bucket[v as usize] = UNQUEUED;
+        Some(v)
+    }
+}
+
+/// Reusable traversal working state: everything a traversal needs
+/// besides the result lanes themselves. Owned by the analysis cache and
+/// recycled across queries (taken out under the lock, used outside it,
+/// put back), so a steady-state serving loop reallocates nothing per
+/// traversal.
 #[derive(Debug, Default)]
 struct SpfaScratch {
     /// Working predecessor lane for cold runs: the CSR position of the
@@ -340,6 +553,8 @@ struct SpfaScratch {
     next: Vec<u32>,
     /// Staging buffer for the appended edges a delta pass relaxes over.
     delta: Vec<LogEdge>,
+    /// The Dijkstra queue.
+    heap: RadixHeap,
 }
 
 impl SpfaScratch {
@@ -382,13 +597,16 @@ struct CachedPaths {
 }
 
 /// Memoized analysis state: the CSR form of the latest generation, all
-/// SPFA results computed so far keyed by `(source, direction)`, the
-/// append log that lets stale results catch up incrementally, and the
-/// scratch arena the traversals recycle.
+/// SPFA and Dijkstra results computed so far keyed by
+/// `(source, direction)`, the append log that lets stale SPFA results
+/// catch up incrementally, the scratch arena the traversals recycle, and
+/// the work counters.
 #[derive(Debug, Default)]
 struct AnalysisCache {
     csr: Option<Arc<CsrTopology>>,
     paths: HashMap<(u32, Direction), CachedPaths, FxBuild>,
+    /// Dijkstra results of the current generation (cleared on mutation).
+    dists: HashMap<(u32, Direction), Arc<Distances>, FxBuild>,
     /// Edges appended since `log_base`, in insertion order. Maintained
     /// only while memoized results exist (reset whenever `paths` is
     /// empty), so pure construction phases log nothing.
@@ -397,6 +615,17 @@ struct AnalysisCache {
     log_base: usize,
     /// The reusable traversal arena; `None` while a query has it out.
     scratch: Option<Box<SpfaScratch>>,
+    work: GraphWork,
+}
+
+impl AnalysisCache {
+    /// Puts a borrowed arena back. A concurrent query may have parked
+    /// its own meanwhile; one is kept.
+    fn park(&mut self, scratch: Box<SpfaScratch>) {
+        if self.scratch.is_none() {
+            self.scratch = Some(scratch);
+        }
+    }
 }
 
 /// A weighted directed multigraph over vertices of type `V`.
@@ -414,6 +643,10 @@ pub struct WeightedDigraph<V> {
     out: Vec<Vec<Edge>>,
     r#in: Vec<Vec<Edge>>,
     edge_count: usize,
+    /// A feasible potential for the Dijkstra traversal, checked when
+    /// installed ([`WeightedDigraph::set_potential`]) and dropped on
+    /// mutation.
+    potential: Option<Vec<i64>>,
     cache: Mutex<AnalysisCache>,
 }
 
@@ -427,9 +660,11 @@ impl<V: Clone> Clone for WeightedDigraph<V> {
             AnalysisCache {
                 csr: cache.csr.clone(),
                 paths: cache.paths.clone(),
+                dists: cache.dists.clone(),
                 log: cache.log.clone(),
                 log_base: cache.log_base,
                 scratch: None,
+                work: cache.work,
             }
         };
         WeightedDigraph {
@@ -438,6 +673,7 @@ impl<V: Clone> Clone for WeightedDigraph<V> {
             out: self.out.clone(),
             r#in: self.r#in.clone(),
             edge_count: self.edge_count,
+            potential: self.potential.clone(),
             cache: Mutex::new(shared),
         }
     }
@@ -458,6 +694,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             out: Vec::new(),
             r#in: Vec::new(),
             edge_count: 0,
+            potential: None,
             cache: Mutex::new(AnalysisCache::default()),
         }
     }
@@ -506,17 +743,21 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             out,
             r#in,
             edge_count: edges.len(),
+            potential: None,
             cache: Mutex::new(AnalysisCache::default()),
         }
     }
 
     /// Records a mutation: the CSR freezes a generation and is rebuilt
     /// lazily; memoized SPFA results are *kept* and the appended edge (if
-    /// any) is logged so they can delta-relax on their next query.
+    /// any) is logged so they can delta-relax on their next query. The
+    /// potential and the Dijkstra results are dropped.
     fn note_mutation(&mut self, appended: Option<Edge>) {
         let edge_count = self.edge_count;
+        self.potential = None;
         let cache = self.cache.get_mut().expect("cache lock");
         cache.csr = None;
+        cache.dists.clear();
         if cache.paths.is_empty() {
             // Nothing to catch up: restart the log here so construction
             // phases (thousands of adds before any query) log nothing.
@@ -689,8 +930,11 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     fn uncached_spfa(&self, src: usize, dir: Direction) -> Result<LongestPaths, CoreError> {
         let csr = self.csr_checked()?;
         let mut scratch = self.take_scratch();
-        let result = spfa(&csr, src, dir, &mut scratch);
-        self.put_scratch(scratch);
+        let mut tally = Tally::default();
+        let result = spfa(&csr, src, dir, &mut scratch, &mut tally);
+        let mut cache = self.cache.lock().expect("cache lock");
+        cache.park(scratch);
+        cache.work.spfa.record(tally);
         result
     }
 
@@ -781,12 +1025,115 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             .unwrap_or_default()
     }
 
-    fn put_scratch(&self, scratch: Box<SpfaScratch>) {
+    /// Installs `potential` (one value per dense vertex index) for
+    /// [`WeightedDigraph::distances_from`] /
+    /// [`WeightedDigraph::distances_to`] if it is feasible: every edge
+    /// `u --w--> v` must satisfy `π(u) + w ≤ π(v)`. Checked in one scan
+    /// over the edges, which also bounds every slack so that no Dijkstra
+    /// key can overflow. A rejected potential leaves distance queries on
+    /// SPFA ([`WeightedDigraph::has_potential`] tells which). A graph
+    /// with a positive cycle has no feasible potential. The next mutation
+    /// drops the potential.
+    pub fn set_potential(&mut self, potential: Vec<i64>) {
+        let n = self.vertices.len();
+        let mut max_slack = 0u64;
+        let feasible = potential.len() == n
+            && self.out.iter().flatten().all(|e| {
+                let slack = potential[e.to]
+                    .checked_sub(potential[e.from])
+                    .and_then(|d| d.checked_sub(e.weight));
+                match slack {
+                    Some(s) if s >= 0 => {
+                        max_slack = max_slack.max(s as u64);
+                        true
+                    }
+                    _ => false,
+                }
+            })
+            // A settled key is the slack of a simple path (fewer than n
+            // edges); one more edge must stay below the `u64::MAX`
+            // "not reached" key.
+            && u128::from(max_slack) * (n as u128) < u128::from(u64::MAX);
+        self.potential = feasible.then_some(potential);
+    }
+
+    /// Whether a feasible potential is installed, so that distance
+    /// queries run Dijkstra rather than SPFA. A bounds graph's clock
+    /// passes for every FFIP run whose deliveries respect their channel
+    /// bounds (see [`crate::extended_graph`]).
+    pub fn has_potential(&self) -> bool {
+        self.potential.is_some()
+    }
+
+    /// The traversal work this graph has done (see [`GraphWork`]).
+    pub fn work(&self) -> GraphWork {
+        self.cache.lock().expect("cache lock").work
+    }
+
+    /// Memoized longest-path weights from `src` to every vertex, without
+    /// predecessors: a potential-reweighted Dijkstra when a feasible
+    /// potential is installed ([`WeightedDigraph::set_potential`]),
+    /// otherwise — or when a current SPFA result from `src` is already
+    /// memoized — the distances of that SPFA result
+    /// ([`WeightedDigraph::longest_from_cached`]). Either way the weights
+    /// are the same; only the SPFA result carries paths.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
+    /// reachable from `src`.
+    pub fn distances_from(&self, src: &V) -> Result<Arc<Distances>, CoreError> {
+        let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
+            detail: "distances_from: source vertex not in graph".into(),
+        })?;
+        self.cached_distances(s, Direction::Forward)
+    }
+
+    /// Memoized longest-path weights from every vertex to `dst`; see
+    /// [`WeightedDigraph::distances_from`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::PositiveCycle`] if a positive cycle reaches
+    /// `dst`.
+    pub fn distances_to(&self, dst: &V) -> Result<Arc<Distances>, CoreError> {
+        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
+            detail: "distances_to: destination vertex not in graph".into(),
+        })?;
+        self.cached_distances(s, Direction::Backward)
+    }
+
+    fn cached_distances(&self, src: usize, dir: Direction) -> Result<Arc<Distances>, CoreError> {
+        let key = (src as u32, dir);
+        let spfa_current = {
+            let cache = self.cache.lock().expect("cache lock");
+            if let Some(hit) = cache.dists.get(&key) {
+                return Ok(hit.clone());
+            }
+            cache.paths.get(&key).is_some_and(|hit| {
+                hit.vertices == self.vertices.len() && hit.edges == self.edge_count
+            })
+        };
+        let dist = match &self.potential {
+            Some(potential) if !spfa_current => {
+                let csr = self.csr_checked()?;
+                let mut scratch = self.take_scratch();
+                let mut tally = Tally::default();
+                let dist = dijkstra(&csr, potential, src, dir, &mut scratch.heap, &mut tally);
+                let mut cache = self.cache.lock().expect("cache lock");
+                cache.park(scratch);
+                cache.work.dijkstra.record(tally);
+                dist
+            }
+            // A current SPFA result already holds these weights, and
+            // without a potential SPFA is the traversal. Its lane is
+            // copied once and memoized with the rest.
+            _ => self.cached_spfa(src, dir)?.dist.clone(),
+        };
+        let dist = Arc::new(dist);
         let mut cache = self.cache.lock().expect("cache lock");
-        // A concurrent query may have allocated its own arena; keep one.
-        if cache.scratch.is_none() {
-            cache.scratch = Some(scratch);
-        }
+        cache.dists.insert(key, dist.clone());
+        Ok(dist)
     }
 
     fn cached_spfa(&self, src: usize, dir: Direction) -> Result<Arc<LongestPaths>, CoreError> {
@@ -804,6 +1151,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                 log,
                 log_base,
                 scratch: scratch_slot,
+                work,
                 ..
             } = &mut *cache;
             match paths.get_mut(&key) {
@@ -817,6 +1165,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                     let start = hit.edges - *log_base;
                     let mut scratch = scratch_slot.take().unwrap_or_default();
                     log.stage_into(start, &mut scratch.delta);
+                    let mut tally = Tally::default();
                     // In the steady streaming state the memo holds the
                     // only strong reference, so this catches up with no
                     // O(n) copy; external holders force one clone.
@@ -827,7 +1176,9 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                         vcount,
                         dir,
                         &mut scratch,
+                        &mut tally,
                     );
+                    work.spfa.record(tally);
                     if scratch_slot.is_none() {
                         *scratch_slot = Some(scratch);
                     }
@@ -851,14 +1202,13 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         }
         // Cold traversal outside the lock: concurrent first touches may
         // duplicate work but never block each other.
+        let csr = self.csr_checked()?;
         let mut scratch = self.take_scratch();
-        let result = self
-            .csr_checked()
-            .and_then(|csr| spfa(&csr, src, dir, &mut scratch).map(Arc::new));
+        let mut tally = Tally::default();
+        let result = spfa(&csr, src, dir, &mut scratch, &mut tally).map(Arc::new);
         let mut cache = self.cache.lock().expect("cache lock");
-        if cache.scratch.is_none() {
-            cache.scratch = Some(scratch);
-        }
+        cache.park(scratch);
+        cache.work.spfa.record(tally);
         let lp = result?;
         cache.paths.insert(
             key,
@@ -887,6 +1237,7 @@ fn spfa(
     src: usize,
     dir: Direction,
     scratch: &mut SpfaScratch,
+    tally: &mut Tally,
 ) -> Result<LongestPaths, CoreError> {
     let n = csr.vertex_count();
     let lanes = csr.lanes(dir);
@@ -910,6 +1261,7 @@ fn spfa(
             next,
             ..
         } = scratch;
+        tally.pops += frontier.len() as u64;
         for &u in frontier.iter() {
             let (w, b) = ((u / 64) as usize, u % 64);
             in_queue[w] &= !(1 << b);
@@ -917,6 +1269,7 @@ fn spfa(
             // Zip the target/weight lanes of one contiguous row: no
             // per-edge bounds checks, prefetch-friendly strides.
             let row = lanes.row(u as usize);
+            tally.scans += row.len() as u64;
             let base = row.start;
             let targets = &lanes.targets[row.clone()];
             let weights = &lanes.weights[row];
@@ -955,11 +1308,57 @@ fn spfa(
     Ok(LongestPaths {
         src: src as u32,
         dir,
-        dist,
+        dist: Distances { lane: dist },
         pred_other,
         pred_weight,
         pred_label,
     })
+}
+
+/// Potential-reweighted Dijkstra for longest paths over the frozen SoA
+/// CSR (see the [module docs](self)). A backward scan walks each edge
+/// against its direction, so it reweights under `−π`; either way an
+/// edge's slack is `π(head) − π(tail) − w ≥ 0`, which
+/// [`WeightedDigraph::set_potential`] checked. A vertex's slack key is
+/// the root-to-vertex slack, so its distance is
+/// `π′(v) − π′(root) − slack` under the signed potential `π′`, computed
+/// in wrapping arithmetic: exact whenever the distance fits in `i64`,
+/// which is when SPFA's own sums do not overflow either.
+fn dijkstra(
+    csr: &CsrTopology,
+    potential: &[i64],
+    src: usize,
+    dir: Direction,
+    heap: &mut RadixHeap,
+    tally: &mut Tally,
+) -> Distances {
+    let n = csr.vertex_count();
+    let lanes = csr.lanes(dir);
+    let sign: i64 = match dir {
+        Direction::Forward => 1,
+        Direction::Backward => -1,
+    };
+    let pi = |v: usize| sign.wrapping_mul(potential[v]);
+    let root = pi(src);
+    let mut lane = vec![UNREACHABLE; n];
+    heap.reset(n);
+    heap.push(src as u32, 0);
+    while let Some(u) = heap.pop() {
+        let u = u as usize;
+        let slack = heap.key[u];
+        let pu = pi(u);
+        lane[u] = pu.wrapping_sub(root).wrapping_sub(slack as i64);
+        let row = lanes.row(u);
+        tally.pops += 1;
+        tally.scans += row.len() as u64;
+        for (&t, &w) in lanes.targets[row.clone()].iter().zip(&lanes.weights[row]) {
+            let cand = slack + pi(t as usize).wrapping_sub(pu).wrapping_sub(w) as u64;
+            if cand < heap.key[t as usize] {
+                heap.push(t, cand);
+            }
+        }
+    }
+    Distances { lane }
 }
 
 /// Incremental SPFA: catches a converged longest-path result up with the
@@ -982,27 +1381,37 @@ fn spfa_delta(
     n: usize,
     dir: Direction,
     scratch: &mut SpfaScratch,
+    tally: &mut Tally,
 ) -> Result<(), CoreError> {
-    lp.dist.resize(n, UNREACHABLE);
-    lp.pred_other.resize(n, NO_PRED);
-    lp.pred_weight.resize(n, 0);
-    lp.pred_label.resize(n, 0);
+    let LongestPaths {
+        dist,
+        pred_other,
+        pred_weight,
+        pred_label,
+        ..
+    } = lp;
+    let dist = &mut dist.lane;
+    dist.resize(n, UNREACHABLE);
+    pred_other.resize(n, NO_PRED);
+    pred_weight.resize(n, 0);
+    pred_label.resize(n, 0);
     scratch.reset(n);
     macro_rules! relax {
         ($e:expr, $u:expr, $v:expr) => {{
-            let du = lp.dist[$u];
+            let du = dist[$u];
             if du != UNREACHABLE {
                 let cand = du + $e.weight;
-                if cand > lp.dist[$v] {
-                    lp.dist[$v] = cand;
-                    lp.pred_other[$v] = $u as u32;
-                    lp.pred_weight[$v] = $e.weight;
-                    lp.pred_label[$v] = $e.label;
+                if cand > dist[$v] {
+                    dist[$v] = cand;
+                    pred_other[$v] = $u as u32;
+                    pred_weight[$v] = $e.weight;
+                    pred_label[$v] = $e.label;
                     scratch.enqueue($v as u32);
                 }
             }
         }};
     }
+    tally.scans += scratch.delta.len() as u64;
     for k in 0..scratch.delta.len() {
         let e = scratch.delta[k];
         let (u, v) = match dir {
@@ -1018,6 +1427,7 @@ fn spfa_delta(
         if drains > n {
             return Err(CoreError::PositiveCycle);
         }
+        tally.pops += scratch.frontier.len() as u64;
         for i in 0..scratch.frontier.len() {
             let u = scratch.frontier[i];
             scratch.dequeue(u);
@@ -1025,6 +1435,7 @@ fn spfa_delta(
                 Direction::Forward => &out[u as usize],
                 Direction::Backward => &incoming[u as usize],
             };
+            tally.scans += edges.len() as u64;
             for e in edges {
                 let (u, v) = match dir {
                     Direction::Forward => (e.from, e.to),
@@ -1045,7 +1456,8 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     ///
     /// Functionally identical to [`WeightedDigraph::longest_from`]; kept
     /// as the ablation baseline for the queue-based SPFA the bounds-graph
-    /// queries use (see the `graphs` and `layout` benchmarks).
+    /// queries use (see the `graphs` and `layout` benchmarks), and as the
+    /// reference the traversals are tested against.
     ///
     /// # Errors
     ///
@@ -1055,19 +1467,40 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
             detail: "longest_from_dense: source vertex not in graph".into(),
         })?;
+        self.dense(s, Direction::Forward)
+    }
+
+    /// Longest-path weights from every vertex to `dst` via the dense
+    /// Bellman–Ford: [`WeightedDigraph::longest_from_dense`] over the
+    /// reversed edges.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::PositiveCycle`] if a positive cycle reaches
+    /// `dst`.
+    pub fn longest_to_dense(&self, dst: &V) -> Result<Vec<Option<i64>>, CoreError> {
+        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
+            detail: "longest_to_dense: destination vertex not in graph".into(),
+        })?;
+        self.dense(s, Direction::Backward)
+    }
+
+    fn dense(&self, root: usize, dir: Direction) -> Result<Vec<Option<i64>>, CoreError> {
         let n = self.vertices.len();
         let mut dist: Vec<Option<i64>> = vec![None; n];
-        dist[s] = Some(0);
+        dist[root] = Some(0);
         let relax = |dist: &mut Vec<Option<i64>>| {
             let mut changed = false;
-            for edges in &self.out {
-                for e in edges {
-                    let Some(du) = dist[e.from] else { continue };
-                    let cand = du + e.weight;
-                    if dist[e.to].is_none_or(|dv| cand > dv) {
-                        dist[e.to] = Some(cand);
-                        changed = true;
-                    }
+            for e in self.out.iter().flatten() {
+                let (u, v) = match dir {
+                    Direction::Forward => (e.from, e.to),
+                    Direction::Backward => (e.to, e.from),
+                };
+                let Some(du) = dist[u] else { continue };
+                let cand = du + e.weight;
+                if dist[v].is_none_or(|dv| cand > dv) {
+                    dist[v] = Some(cand);
+                    changed = true;
                 }
             }
             changed
@@ -1090,15 +1523,65 @@ enum Direction {
     Backward,
 }
 
-/// The result of a longest-path computation: sentinel-coded distances and
-/// a predecessor forest (as parallel lanes; see the [module docs](self))
+/// Longest-path weights from (or to) one root, without predecessors: one
+/// sentinel-coded lane (see the [module docs](self)). The result of
+/// [`WeightedDigraph::distances_from`] / [`WeightedDigraph::distances_to`],
+/// and the distance half of every [`LongestPaths`].
+#[derive(Debug, Clone)]
+pub struct Distances {
+    /// `UNREACHABLE` (= `i64::MIN`) marks disconnected vertices.
+    lane: Vec<i64>,
+}
+
+impl Distances {
+    /// The longest-path weight to vertex index `i` (`None` if no path).
+    ///
+    /// For a forward query this is the weight from the source to `i`;
+    /// for a backward query, from `i` to the destination.
+    pub fn weight(&self, i: usize) -> Option<i64> {
+        self.lane.get(i).copied().filter(|&d| d != UNREACHABLE)
+    }
+
+    /// Whether vertex index `i` is connected to the query root.
+    pub fn reaches(&self, i: usize) -> bool {
+        self.weight(i).is_some()
+    }
+
+    /// The maximum weight over all connected vertices.
+    pub fn max_weight(&self) -> Option<i64> {
+        self.lane
+            .iter()
+            .copied()
+            .filter(|&d| d != UNREACHABLE)
+            .max()
+    }
+
+    /// The minimum weight over all connected vertices.
+    pub fn min_weight(&self) -> Option<i64> {
+        self.lane
+            .iter()
+            .copied()
+            .filter(|&d| d != UNREACHABLE)
+            .min()
+    }
+
+    /// Indices of all connected vertices.
+    pub fn connected(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lane
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &d)| (d != UNREACHABLE).then_some(i))
+    }
+}
+
+/// The result of an SPFA longest-path computation: [`Distances`] plus a
+/// predecessor forest (as parallel lanes; see the [module docs](self))
 /// for path reconstruction.
 #[derive(Debug, Clone)]
 pub struct LongestPaths {
     src: u32,
     dir: Direction,
-    /// `UNREACHABLE` (= `i64::MIN`) marks disconnected vertices.
-    dist: Vec<i64>,
+    dist: Distances,
     /// The predecessor vertex on the walk toward `src` (`NO_PRED` =
     /// root or unreachable), plus the weight and label of the edge that
     /// connects them; `path` reassembles `Edge` values from these.
@@ -1114,30 +1597,22 @@ impl LongestPaths {
     /// backward query ([`WeightedDigraph::longest_to`]), from `i` to the
     /// destination.
     pub fn weight(&self, i: usize) -> Option<i64> {
-        self.dist.get(i).copied().filter(|&d| d != UNREACHABLE)
+        self.dist.weight(i)
     }
 
     /// Whether vertex index `i` is connected to the query root.
     pub fn reaches(&self, i: usize) -> bool {
-        self.weight(i).is_some()
+        self.dist.reaches(i)
     }
 
     /// The maximum weight over all connected vertices.
     pub fn max_weight(&self) -> Option<i64> {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE)
-            .max()
+        self.dist.max_weight()
     }
 
     /// The minimum weight over all connected vertices.
     pub fn min_weight(&self) -> Option<i64> {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE)
-            .min()
+        self.dist.min_weight()
     }
 
     /// Reconstructs the longest path to/from vertex index `i` as an edge
@@ -1173,10 +1648,7 @@ impl LongestPaths {
 
     /// Indices of all connected vertices.
     pub fn connected(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| (d != UNREACHABLE).then_some(i))
+        self.dist.connected()
     }
 }
 
@@ -1516,6 +1988,121 @@ mod tests {
         assert_eq!(g.compact().unwrap(), 1);
         // Compacting an empty-log graph is a no-op.
         assert_eq!(g.compact().unwrap(), 0);
+    }
+
+    /// A feasible potential of [`diamond`]: the longest distances from
+    /// `a`, in index order `a, b, c, d`.
+    const DIAMOND_CLOCK: [i64; 4] = [0, 2, 5, 6];
+
+    #[test]
+    fn dijkstra_distances_equal_spfa_from_every_root() {
+        let mut g = diamond();
+        g.set_potential(DIAMOND_CLOCK.to_vec());
+        assert!(g.has_potential());
+        let edges = g.edge_count() as u64;
+        for root in ["a", "b", "c", "d"] {
+            let fwd = g.distances_from(&root).unwrap();
+            let bwd = g.distances_to(&root).unwrap();
+            let spfa_fwd = g.longest_from(&root).unwrap();
+            let spfa_bwd = g.longest_to(&root).unwrap();
+            for i in 0..g.vertex_count() {
+                assert_eq!(fwd.weight(i), spfa_fwd.weight(i), "{root} -> {i}");
+                assert_eq!(bwd.weight(i), spfa_bwd.weight(i), "{i} -> {root}");
+            }
+            assert_eq!(fwd.max_weight(), spfa_fwd.max_weight());
+            assert_eq!(bwd.min_weight(), spfa_bwd.min_weight());
+            assert!(fwd.connected().eq(spfa_fwd.connected()));
+        }
+        let work = g.work();
+        assert_eq!(work.dijkstra.traversals, 8);
+        assert_eq!(work.spfa.traversals, 8);
+        assert!(work.dijkstra.max_scans <= edges);
+        assert!(work.dijkstra.max_pops <= edges + 1);
+        // Repeated queries are memo hits: same result, no new work.
+        let a1 = g.distances_from(&"a").unwrap();
+        assert!(Arc::ptr_eq(&a1, &g.distances_from(&"a").unwrap()));
+        assert_eq!(g.work(), work);
+    }
+
+    #[test]
+    fn infeasible_potentials_fall_back_to_spfa() {
+        let mut g = diamond();
+        // a --2--> b is violated by a flat clock.
+        g.set_potential(vec![0; 4]);
+        assert!(!g.has_potential());
+        g.set_potential(DIAMOND_CLOCK[..3].to_vec());
+        assert!(!g.has_potential());
+        let d = g.distances_from(&"a").unwrap();
+        assert_eq!(d.weight(g.index_of(&"d").unwrap()), Some(6));
+        let work = g.work();
+        assert_eq!(work.dijkstra, TraversalWork::default());
+        assert_eq!(work.spfa.traversals, 1);
+        // The fallback lane is memoized too: no copy, no traversal.
+        assert!(Arc::ptr_eq(&d, &g.distances_from(&"a").unwrap()));
+        assert_eq!(g.work(), work);
+        // Slacks that overflow, or could overflow a key, are refused too.
+        let mut chain = WeightedDigraph::new();
+        chain.add_edge("a", "b", 0, 0);
+        chain.add_edge("b", "c", 0, 0);
+        chain.set_potential(vec![i64::MIN, 0, 0]);
+        assert!(!chain.has_potential());
+        chain.set_potential(vec![0, 0, i64::MAX]);
+        assert!(!chain.has_potential());
+        chain.set_potential(vec![0, 0, 1 << 40]);
+        assert!(chain.has_potential());
+    }
+
+    #[test]
+    fn positive_cycles_error_through_the_distance_entry_points() {
+        let mut g = WeightedDigraph::new();
+        g.add_edge("a", "b", 1, 0);
+        g.add_edge("b", "a", 0, 0); // cycle weight +1
+        g.add_edge("b", "c", 2, 0);
+        // No potential is feasible on a positive cycle.
+        for clock in [vec![0, 1, 3], vec![0, 0, 0], vec![5, 6, 8]] {
+            g.set_potential(clock);
+            assert!(!g.has_potential());
+        }
+        assert!(matches!(
+            g.distances_from(&"a"),
+            Err(CoreError::PositiveCycle)
+        ));
+        assert!(matches!(
+            g.distances_to(&"c"),
+            Err(CoreError::PositiveCycle)
+        ));
+        assert!(g.distances_from(&"nope").is_err());
+    }
+
+    #[test]
+    fn mutation_drops_the_potential_and_the_distances() {
+        let mut g = diamond();
+        g.set_potential(DIAMOND_CLOCK.to_vec());
+        assert!(g.has_potential());
+        let d = g.index_of(&"d").unwrap();
+        assert_eq!(g.distances_from(&"a").unwrap().weight(d), Some(6));
+        g.add_edge("a", "d", 100, 9);
+        assert!(!g.has_potential());
+        assert_eq!(g.distances_from(&"a").unwrap().weight(d), Some(100));
+        assert_eq!(g.work().dijkstra.traversals, 1);
+    }
+
+    #[test]
+    fn radix_heap_pops_in_key_order_and_lowers_keys() {
+        let mut heap = RadixHeap::default();
+        heap.reset(6);
+        for (v, key) in [(0, 9), (1, 3), (2, 1 << 40), (3, 3), (4, 17), (5, 64)] {
+            heap.push(v, key);
+        }
+        heap.push(2, 5); // lowered while queued
+        let mut popped = Vec::new();
+        while let Some(v) = heap.pop() {
+            popped.push(heap.key[v as usize]);
+            if v == 1 {
+                heap.push(4, 4); // lowered after a pop, still above it
+            }
+        }
+        assert_eq!(popped, [3, 3, 4, 5, 9, 64]);
     }
 
     #[test]

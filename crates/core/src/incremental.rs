@@ -36,8 +36,9 @@
 //!    delivery σ has not seen can only be delivered at a node *outside*
 //!    the past — so the "seen delivery" classification behind the
 //!    `E''`-edges of `GE(r, σ)` (Definition 16) never changes as the run
-//!    extends. `GE(r, σ)`, its SPFA memos, canonical rewrites, fast
-//!    timings and chain layouts are all fixed at σ's creation: the engine
+//!    extends. `GE(r, σ)`, its clock and traversal memos, canonical
+//!    rewrites, fast timings and chain layouts are all fixed at σ's
+//!    creation (the clock reads only past nodes' times): the engine
 //!    builds each observer's state **once**, keeps it warm in a cache,
 //!    and serves every later query from it with zero invalidation.
 //!
@@ -325,7 +326,7 @@ impl IncrementalEngine {
     }
 
     /// The knowledge engine observing at `sigma`, wrapped around the
-    /// current prefix. The observer-scoped analysis (graph, SPFA memos,
+    /// current prefix. The observer-scoped analysis (graph, traversal memos,
     /// rewrite/timing/chain caches, construction arena) is built on first
     /// request and reused verbatim after every later append (until
     /// LRU-evicted, if a cap is set — a rebuilt state answers

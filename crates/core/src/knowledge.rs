@@ -594,8 +594,11 @@ impl<'r> KnowledgeEngine<'r> {
         Ok(canonical)
     }
 
-    /// The memoized 0-/γ-fast timing anchored at `base`: one pair of SPFA
-    /// traversals per distinct `(base, γ)` for the lifetime of the engine.
+    /// The memoized 0-/γ-fast timing anchored at `base`, computed once
+    /// per distinct `(base, γ)` for the lifetime of the engine. Its two
+    /// distance traversals are memoized per graph, so every γ at one
+    /// base shares them; each is a Dijkstra under the run's clock (see
+    /// [`crate::extended_graph`]).
     fn timing(&self, base: NodeId, gamma: u64) -> Result<Arc<FastTiming>, CoreError> {
         if let Some(hit) = self
             .state
@@ -762,8 +765,9 @@ impl<'r> KnowledgeEngine<'r> {
 
     /// Batched [`KnowledgeEngine::max_x`]: answers every `(θ1, θ2)` query
     /// in one call, sharing canonicalization, fast timings and chain
-    /// layouts across queries (queries with a common `θ1` cost one SPFA
-    /// pair total). Results are positionally aligned with `queries`.
+    /// layouts across queries (queries with a common `θ1` cost one pair
+    /// of distance traversals total). Results are positionally aligned
+    /// with `queries`.
     ///
     /// # Errors
     ///
@@ -813,6 +817,13 @@ impl<'r> KnowledgeEngine<'r> {
     ) -> Result<Option<(i64, VisibleZigzag)>, CoreError> {
         let t1c = self.canonicalize(theta1)?;
         let t2c = self.canonicalize(theta2)?;
+        // Witness paths are read off the SPFA tree from θ1's base, the one
+        // traversal that keeps predecessors. Growing it first lets the
+        // fast timing reuse its weights rather than run a Dijkstra from
+        // the same base.
+        self.state
+            .ge
+            .longest_from_cached(ExtVertex::Node(t1c.base()))?;
         let ft = self.timing(t1c.base(), 0)?;
         if !ft.is_reachable(ExtVertex::Node(t2c.base())) {
             return Ok(None);
@@ -885,7 +896,8 @@ impl<'r> KnowledgeEngine<'r> {
     /// `past(r, σ)`, restricted to basic-node queries: entry `(a, b)` is
     /// the largest `x` with `K_σ(a --x--> b)`, or `None` when unreachable.
     ///
-    /// One SPFA pass per source node — far cheaper than quadratically many
+    /// One distance traversal per source node (a Dijkstra under the
+    /// run's clock) — far cheaper than quadratically many
     /// [`KnowledgeEngine::max_x`] calls — and the result is a dense
     /// node-indexed [`MaxXMatrix`] (one flat allocation, O(1) cell reads)
     /// rather than a per-call `BTreeMap`. Used by the protocol-analysis
@@ -907,7 +919,7 @@ impl<'r> KnowledgeEngine<'r> {
         let n = nodes.len();
         let mut data = vec![None; n * n];
         for (i, &a) in nodes.iter().enumerate() {
-            let lp = self.state.ge.longest_from_cached(ExtVertex::Node(a))?;
+            let lp = self.state.ge.distances_from(ExtVertex::Node(a))?;
             let row = &mut data[i * n..(i + 1) * n];
             for (cell, &bi) in row.iter_mut().zip(&cols) {
                 *cell = bi.and_then(|i| lp.weight(i));
@@ -938,8 +950,8 @@ impl<'r> KnowledgeEngine<'r> {
     /// Unlike the free function [`crate::construct::fast_run`], this path
     /// shares the engine's `GE(r, σ)` and its memoized canonical rewrites
     /// and fast timings, so repeated constructions (`refute` sweeps,
-    /// protocol analyses) pay neither the graph rebuild nor the SPFA pair
-    /// again.
+    /// protocol analyses) pay neither the graph rebuild nor the distance
+    /// traversals again.
     ///
     /// # Errors
     ///

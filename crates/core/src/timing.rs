@@ -23,8 +23,11 @@
 //! vertex lookup is index arithmetic plus one load, and
 //! [`FastTiming::iter`] walks the lanes front to back, which yields the
 //! vertices in ascending [`ExtVertex`] order. [`fast_timing`] fills both
-//! lanes in one pass over the two SPFA results and checks Lemma 17 in one
-//! linear scan over the adjacency rows.
+//! lanes in one pass over two distance-only traversals — longest paths
+//! from `θ'`'s base and to the observer, each a Dijkstra under the run's
+//! own clock ([`ExtendedGraph::distances_from`] /
+//! [`ExtendedGraph::distances_to`]) — and checks Lemma 17 in one linear
+//! scan over the adjacency rows.
 
 use std::collections::BTreeMap;
 
@@ -198,8 +201,8 @@ pub fn fast_timing(
             detail: format!("{sigma_prime} is not in past(r, σ)"),
         });
     }
-    let lp_from = ge.longest_from_cached(start)?;
-    let lp_to_sigma = ge.longest_to_cached(ExtVertex::Node(ge.observer()))?;
+    let lp_from = ge.distances_from(start)?;
+    let lp_to_sigma = ge.distances_to(ExtVertex::Node(ge.observer()))?;
     let layout = ge.layout();
     // Dense indices below `originals` are past nodes, the rest are ψs.
     let originals = layout.nodes();

@@ -72,6 +72,18 @@
 //! the cold path: a cold `ObserverState::build` allocates at most
 //! `2·|V| + 64` times, and the first `max_x` on it a size-independent
 //! number of times.
+//!
+//! A **distance tier** pins the potential-reweighted Dijkstra that the
+//! fast timing and the all-pairs matrix read. On the first block's cases
+//! and on feedback-topology streams, in both observer modes, `GE(r, σ)`
+//! takes the run's own clock as its potential, and the forward and
+//! backward distance lanes equal the dense Bellman–Ford at every vertex.
+//! Every `B`-node decision on those streams runs without SPFA, with each
+//! traversal scanning at most `|E|` edges and popping at most `|E| + 1`
+//! entries (the graph's work counters). A hand-built run with a delivery
+//! outside its channel bounds rejects the clock and falls back to SPFA
+//! with the naive answers. The layout tier holds the Dijkstra to the
+//! textbook reference on its random raw graphs too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,9 +101,9 @@ use zigzag::bcm::{
 };
 use zigzag::core::bounds_graph::BoundsGraph;
 use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph, MessageIndex};
-use zigzag::core::graph::{Edge, LongestPaths, WeightedDigraph};
+use zigzag::core::graph::{Distances, Edge, LongestPaths, TraversalWork, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
-use zigzag::core::knowledge::{KnowledgeEngine, ObserverState};
+use zigzag::core::knowledge::{KnowledgeEngine, ObserverMode, ObserverState};
 use zigzag::core::precedence::satisfies;
 use zigzag::core::timing::fast_timing;
 use zigzag::core::{CoreError, GeneralNode};
@@ -308,7 +320,17 @@ fn row_multiset(
 /// multiset in every out-row and in-row; and the dense `FastTiming`
 /// over it equals the naive Definition 23 evaluation at every vertex,
 /// in `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors.
-fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, index: &MessageIndex) {
+///
+/// Distance tier: the graph took the run's clock as its potential iff
+/// `clock` (every legal run's does), and its distance lanes — forward
+/// from each anchor, backward to σ — equal the dense Bellman–Ford at
+/// every vertex, whichever traversal produced them.
+fn assert_ge_and_fast_timing_match_naive(
+    run: &Run,
+    sigma: NodeId,
+    index: &MessageIndex,
+    clock: bool,
+) {
     let past: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
     let anchors: Vec<NodeId> = past
         .iter()
@@ -322,6 +344,35 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, index: &Messa
         let f = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
         let ge = ExtendedGraph::with_index_excluding(run, sigma, index, exclude);
         let g = ge.graph();
+        assert_eq!(
+            g.has_potential(),
+            clock,
+            "clock verdict at {sigma} (exclude {exclude:?})"
+        );
+        let lanes_match = |lane: &Distances, dense: Vec<Option<i64>>, what: &str| {
+            for (i, want) in dense.into_iter().enumerate() {
+                assert_eq!(
+                    lane.weight(i),
+                    want,
+                    "{what} lane at {} (σ = {sigma}, exclude {exclude:?})",
+                    g.vertex(i)
+                );
+            }
+        };
+        let observer = ExtVertex::Node(sigma);
+        lanes_match(
+            &ge.distances_to(observer).unwrap(),
+            g.longest_to_dense(&observer).unwrap(),
+            "backward",
+        );
+        for &anchor in &anchors {
+            let anchor = ExtVertex::Node(anchor);
+            lanes_match(
+                &ge.distances_from(anchor).unwrap(),
+                g.longest_from_dense(&anchor).unwrap(),
+                "forward",
+            );
+        }
         let vertices: BTreeSet<ExtVertex> = g.vertices().copied().collect();
         assert_eq!(vertices, naive.vertices, "GE vertex set at {sigma}");
         assert_eq!(g.vertex_count(), naive.vertices.len(), "duplicate vertices");
@@ -428,7 +479,7 @@ proptest! {
         let session = service.open_batch(run.clone(), SessionConfig::new());
         let index = MessageIndex::of_run(&run);
         for sigma in observers(&run) {
-            assert_ge_and_fast_timing_match_naive(&run, sigma, &index);
+            assert_ge_and_fast_timing_match_naive(&run, sigma, &index, true);
             let past = run.past(sigma);
             let nodes: Vec<NodeId> = past.iter().filter(|k| !k.is_initial()).collect();
             let reference = naive_max_x_table(&run, sigma, &nodes);
@@ -855,26 +906,12 @@ proptest! {
 /// the in-simulation protocol and the batch helper.
 #[test]
 fn warm_exclude_decisions_on_feedback_topology_match_fresh_builds() {
-    use zigzag::bcm::Network;
     use zigzag::coord::{
-        decide_at, first_knowledge, CoordKind, OptimalStrategy, ProbeSemantics, Scenario,
-        StreamDriver, TimedCoordination,
+        decide_at, first_knowledge, OptimalStrategy, ProbeSemantics, StreamDriver,
     };
 
-    for (x, l_bd, u_bd) in [(4i64, 1u64, 1u64), (4, 1, 9), (5, 1, 1)] {
-        let mut nb = Network::builder();
-        let c = nb.add_process("C");
-        let a = nb.add_process("A");
-        let b = nb.add_process("B");
-        let d = nb.add_process("D");
-        nb.add_channel(c, a, 2, 5).unwrap();
-        nb.add_channel(c, b, 9, 12).unwrap();
-        nb.add_channel(c, d, 1, 2).unwrap();
-        nb.add_channel(b, d, l_bd, u_bd).unwrap();
-        nb.add_channel(d, b, 1, 3).unwrap();
-        let ctx = nb.build().unwrap();
-        let spec = TimedCoordination::new(CoordKind::Late { x }, a, b, c);
-        let sc = Scenario::new(spec.clone(), ctx, Time::new(3), Time::new(45)).unwrap();
+    for (x, l_bd, u_bd) in FEEDBACK_BOUNDS {
+        let (spec, sc) = feedback_scenario(x, l_bd, u_bd, 45);
         for seed in 0..4 {
             let (run, verdict) = sc
                 .run_verified(&mut OptimalStrategy, &mut RandomScheduler::seeded(seed))
@@ -912,6 +949,163 @@ fn warm_exclude_decisions_on_feedback_topology_match_fresh_builds() {
             assert_eq!(first, driver.first_known());
             assert_eq!(sigma_c, driver.sigma_c());
         }
+    }
+}
+
+/// `(x, L_BD, U_BD)` of the feedback-topology cases.
+const FEEDBACK_BOUNDS: [(i64, u64, u64); 3] = [(4, 1, 1), (4, 1, 9), (5, 1, 1)];
+
+/// The C/A/B/D feedback topology — C triggers A, B and D, and B ⇄ D
+/// gives B outgoing channels — with a `Late { x }` spec between A and B,
+/// as a scenario recorded up to `horizon`.
+fn feedback_scenario(
+    x: i64,
+    l_bd: u64,
+    u_bd: u64,
+    horizon: u64,
+) -> (zigzag::coord::TimedCoordination, zigzag::coord::Scenario) {
+    use zigzag::bcm::Network;
+    use zigzag::coord::{CoordKind, Scenario, TimedCoordination};
+
+    let mut nb = Network::builder();
+    let c = nb.add_process("C");
+    let a = nb.add_process("A");
+    let b = nb.add_process("B");
+    let d = nb.add_process("D");
+    nb.add_channel(c, a, 2, 5).unwrap();
+    nb.add_channel(c, b, 9, 12).unwrap();
+    nb.add_channel(c, d, 1, 2).unwrap();
+    nb.add_channel(b, d, l_bd, u_bd).unwrap();
+    nb.add_channel(d, b, 1, 3).unwrap();
+    let ctx = nb.build().unwrap();
+    let spec = TimedCoordination::new(CoordKind::Late { x }, a, b, c);
+    let sc = Scenario::new(spec.clone(), ctx, Time::new(3), Time::new(horizon)).unwrap();
+    (spec, sc)
+}
+
+// ---------------------------------------------------------------------------
+// Distance tier: the potential-reweighted Dijkstra on the run's own
+// clock, and the SPFA fallback where that clock is not a valid timing.
+// ---------------------------------------------------------------------------
+
+/// Every `B`-node decision of the streaming driver on feedback-topology
+/// streams (`Late` spec, `ExcludeOwnSends`) runs on the run's clock. The
+/// decision graph's clock passed the check, nothing fell back to SPFA,
+/// the decision made zero or one pair of Dijkstra traversals, and each
+/// scanned at most `|E|` edges and popped at most `|E| + 1` entries. Its
+/// distance lanes equal the dense Bellman–Ford in both modes.
+#[test]
+fn feedback_decisions_run_dijkstra_on_the_run_clock() {
+    use zigzag::coord::{OptimalStrategy, ProbeSemantics, StreamDriver};
+
+    let mut decided = 0;
+    for (x, l_bd, u_bd) in FEEDBACK_BOUNDS {
+        for horizon in [45, 90] {
+            let (spec, sc) = feedback_scenario(x, l_bd, u_bd, horizon);
+            let run = sc
+                .run(&mut OptimalStrategy, &mut RandomScheduler::seeded(horizon))
+                .unwrap();
+            let mut driver = StreamDriver::new(spec, run.context_arc(), run.horizon())
+                .with_probe(ProbeSemantics::ExcludeOwnSends);
+            let mut cursor = RunCursor::new(&run);
+            while let Some(ev) = cursor.next_event() {
+                let sigma = driver.step(&ev).unwrap().node;
+                if sigma.proc() != driver.spec().b {
+                    continue;
+                }
+                let engine = driver
+                    .engine()
+                    .engine_mode(sigma, ObserverMode::ExcludeOwnSends)
+                    .unwrap();
+                let ge = engine.ge();
+                let edges = ge.graph().edge_count() as u64;
+                let work = ge.graph().work();
+                assert!(
+                    ge.graph().has_potential(),
+                    "decision graph at {sigma} lost its clock"
+                );
+                assert_eq!(work.spfa, TraversalWork::default(), "SPFA ran at {sigma}");
+                assert!(
+                    matches!(work.dijkstra.traversals, 0 | 2),
+                    "{} traversals at {sigma}",
+                    work.dijkstra.traversals
+                );
+                assert!(
+                    work.dijkstra.max_scans <= edges && work.dijkstra.max_pops <= edges + 1,
+                    "decision at {sigma} (|E| = {edges}): {work:?}"
+                );
+                decided += work.dijkstra.traversals / 2;
+                let prefix = driver.engine().run();
+                assert_ge_and_fast_timing_match_naive(
+                    prefix,
+                    sigma,
+                    &MessageIndex::of_run(prefix),
+                    true,
+                );
+            }
+        }
+    }
+    assert!(decided > 0, "no decision traversed its graph");
+}
+
+/// A hand-built run with one delivery later than its channel's upper
+/// bound. Its recorded times are no valid timing, so every observer that
+/// has seen the delivery rejects the run's clock and answers distance
+/// queries through SPFA. The answers still equal the naive reference:
+/// `max_x`/`knows` per pair, the distance lanes, and the fast timing at
+/// every vertex.
+#[test]
+fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
+    use zigzag::bcm::builder::RunBuilder;
+    use zigzag::bcm::Network;
+
+    let mut nb = Network::builder();
+    let i = nb.add_process("i");
+    let j = nb.add_process("j");
+    let k = nb.add_process("k");
+    for (from, to) in [(i, j), (j, i), (j, k), (k, j)] {
+        nb.add_channel(from, to, 2, 4).unwrap();
+    }
+    let mut rb = RunBuilder::new(nb.build().unwrap(), Time::new(30));
+    let i1 = rb.add_node(i, Time::new(1)).unwrap();
+    rb.add_external(i1, "kick").unwrap();
+    // Due within [3, 5]; delivered at 9.
+    let late = rb.send(i1, j, Time::new(9)).unwrap();
+    let j1 = rb.add_node(j, Time::new(9)).unwrap();
+    rb.deliver(late, j1).unwrap();
+    let to_k = rb.send(j1, k, Time::new(12)).unwrap();
+    let to_i = rb.send(j1, i, Time::new(13)).unwrap();
+    let k1 = rb.add_node(k, Time::new(12)).unwrap();
+    rb.deliver(to_k, k1).unwrap();
+    let back = rb.send(k1, j, Time::new(15)).unwrap();
+    let i2 = rb.add_node(i, Time::new(13)).unwrap();
+    rb.deliver(to_i, i2).unwrap();
+    let j2 = rb.add_node(j, Time::new(15)).unwrap();
+    rb.deliver(back, j2).unwrap();
+    let run = rb.finish();
+    assert!(validate_run(&run, Strictness::Strict).is_err());
+
+    let index = MessageIndex::of_run(&run);
+    for sigma in [j1, k1, i2, j2] {
+        assert_ge_and_fast_timing_match_naive(&run, sigma, &index, false);
+        let nodes: Vec<NodeId> = run.past(sigma).iter().filter(|n| !n.is_initial()).collect();
+        let reference = naive_max_x_table(&run, sigma, &nodes);
+        let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+        for &a in &nodes {
+            for &b in &nodes {
+                let (ta, tb) = (GeneralNode::basic(a), GeneralNode::basic(b));
+                let want = reference[&(a, b)];
+                assert_eq!(engine.max_x(&ta, &tb).unwrap(), want, "max_x({a}, {b})");
+                if let Some(m) = want {
+                    assert!(engine.knows(&ta, &tb, m).unwrap());
+                    assert!(!engine.knows(&ta, &tb, m + 1).unwrap());
+                }
+            }
+        }
+        let work = engine.ge().graph().work();
+        assert!(!engine.ge().graph().has_potential());
+        assert_eq!(work.dijkstra, TraversalWork::default());
+        assert!(work.spfa.traversals > 0, "no SPFA fallback at {sigma}");
     }
 }
 
@@ -1017,7 +1211,8 @@ proptest! {
     /// The rewritten SoA SPFA (cold and memoized) and `spfa_delta` (the
     /// append-log catch-up) answer exactly like the textbook dense
     /// Bellman–Ford on random raw graphs at n ∈ {64, 256} — weights,
-    /// predecessor paths, and positive-cycle verdicts.
+    /// predecessor paths, and positive-cycle verdicts — and so does the
+    /// potential-reweighted Dijkstra, in both directions.
     #[test]
     fn layout_spfa_and_delta_match_dense_bellman_ford(
         big in any::<bool>(),
@@ -1087,6 +1282,55 @@ proptest! {
                 fresh.is_err(),
                 dense.is_err()
             ),
+        }
+
+        // The potential-reweighted Dijkstra: longest paths from a virtual
+        // root with a 0-edge to every vertex are a feasible potential
+        // exactly when no positive cycle exists; under it both distance
+        // lanes equal the dense references, each traversal scanning every
+        // edge at most once. Without one, the distance entry points
+        // report the reachable cycle.
+        let mut rooted = edges.clone();
+        rooted.extend((0..n).map(|v| (n, v, 0)));
+        match naive_longest_paths(n + 1, &rooted, n) {
+            Ok(clock) => {
+                let clock: Vec<i64> = clock[..n].iter().map(|t| t.expect("rooted")).collect();
+                let naive = naive_full.as_ref().expect("no positive cycle");
+                let to_src = g.longest_to_dense(&src).unwrap();
+                // On a fresh graph both lanes run Dijkstra; on `g`, whose
+                // SPFA result from `src` is memoized, the forward lane
+                // reads that result instead.
+                let mut fresh: WeightedDigraph<usize> = WeightedDigraph::new();
+                for i in 0..n {
+                    fresh.add_vertex(i);
+                }
+                for (i, &(u, v, w)) in edges.iter().enumerate() {
+                    fresh.add_edge(u, v, w, i as u32);
+                }
+                for (graph, dijkstras) in [(&mut fresh, 2u64), (&mut g, 1)] {
+                    graph.set_potential(clock.clone());
+                    prop_assert!(graph.has_potential());
+                    let fwd = graph.distances_from(&src).unwrap();
+                    let bwd = graph.distances_to(&src).unwrap();
+                    for i in 0..n {
+                        prop_assert_eq!(fwd.weight(i), naive[i]);
+                        prop_assert_eq!(bwd.weight(i), to_src[i]);
+                    }
+                    let work = graph.work().dijkstra;
+                    prop_assert_eq!(work.traversals, dijkstras);
+                    prop_assert!(work.max_scans <= edges.len() as u64);
+                }
+            }
+            Err(()) => {
+                g.set_potential(vec![0; n]);
+                prop_assert!(!g.has_potential());
+                if naive_full.is_err() {
+                    prop_assert!(matches!(
+                        g.distances_from(&src),
+                        Err(CoreError::PositiveCycle)
+                    ));
+                }
+            }
         }
     }
 }
