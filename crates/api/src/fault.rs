@@ -78,9 +78,11 @@ impl FaultRates {
     }
 }
 
-/// One independent per-site fault stream: its own generator plus counters.
+/// One independent per-site fault stream: its own generator plus a count
+/// of the opportunities consulted.
 struct Site {
     rng: Mutex<StdRng>,
+    consulted: AtomicU64,
 }
 
 impl Site {
@@ -91,11 +93,13 @@ impl Site {
             rng: Mutex::new(StdRng::seed_from_u64(
                 seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             )),
+            consulted: AtomicU64::new(0),
         }
     }
 
     /// Draws one per-mille roll from this site's stream.
     fn roll(&self) -> u32 {
+        self.consulted.fetch_add(1, Ordering::Relaxed);
         self.rng
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -183,6 +187,11 @@ impl FaultPlan {
     /// Total faults injected so far (all sites).
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
+    }
+
+    /// How many fsyncs have consulted the plan so far, failed or not.
+    pub fn fsyncs_consulted(&self) -> u64 {
+        self.fsync.consulted.load(Ordering::Relaxed)
     }
 
     /// Tries to spend one unit of budget; returns `false` once exhausted.

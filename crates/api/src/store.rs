@@ -709,6 +709,14 @@ impl SessionStore {
         file.sync_all().map_err(|e| io_err("syncing", path, e))
     }
 
+    /// Syncs the store directory, through [`SessionStore::sync_file`]: a
+    /// created file or a rename is durable only once its parent
+    /// directory is synced.
+    fn sync_root(&self) -> Result<(), Error> {
+        let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
+        self.sync_file(&dir, &self.root)
+    }
+
     /// Opens a **durable** stream session: a fresh session on `service`
     /// plus a fresh event log seeded with the session's header (config +
     /// embedded skeleton run). Fails if a log for `name` already exists —
@@ -744,6 +752,7 @@ impl SessionStore {
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
             self.sync_file(&log, &path)?;
+            self.sync_root()?;
         }
         service
             .store_stats()
@@ -903,6 +912,9 @@ impl SessionStore {
         }
         drop(tmp);
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err("installing", &final_path, e))?;
+        if self.config.fsync != FsyncPolicy::Never {
+            self.sync_root()?;
+        }
 
         let stats = service.store_stats();
         stats.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -1405,6 +1417,46 @@ mod tests {
                 SessionConfig::new(),
             )
             .is_err());
+    }
+
+    /// A created log and an installed snapshot are durable only once the
+    /// store directory is synced: `open_stream` under `Always` syncs the
+    /// log and the directory, and a snapshot install under `OnSnapshot`
+    /// or `Always` syncs the log, the temp file and, after the rename,
+    /// the directory — every sync through the fault seam.
+    #[test]
+    fn created_logs_and_installed_snapshots_sync_the_directory() {
+        use crate::fault::{FaultPlan, FaultRates};
+
+        let run = fig_run();
+        for (policy, at_open, at_snapshot) in [
+            (FsyncPolicy::Never, 0, 0),
+            (FsyncPolicy::OnSnapshot, 0, 3),
+            (FsyncPolicy::Always, 2, 3),
+        ] {
+            let dir = tmpdir(&format!("dir-sync-{policy:?}"));
+            let service = ZigzagService::new();
+            let plan = Arc::new(FaultPlan::new(1, FaultRates::default()));
+            let store = SessionStore::open(&dir, StoreConfig::new().fsync(policy))
+                .unwrap()
+                .with_faults(plan.clone());
+            let id = store
+                .open_stream(
+                    &service,
+                    "feed",
+                    run.context_arc(),
+                    run.horizon(),
+                    SessionConfig::new(),
+                )
+                .unwrap();
+            assert_eq!(plan.fsyncs_consulted(), at_open, "{policy:?} open");
+            assert!(store.snapshot(&service, id).unwrap());
+            assert_eq!(
+                plan.fsyncs_consulted() - at_open,
+                at_snapshot,
+                "{policy:?} snapshot"
+            );
+        }
     }
 
     #[test]

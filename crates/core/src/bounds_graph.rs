@@ -13,6 +13,21 @@
 //! endpoints (Lemma 1); the **longest** path is the tight one (proof of
 //! Theorem 2); and every path induces a zigzag pattern of equal weight
 //! (Lemma 5, implemented in [`crate::extract`]).
+//!
+//! # The run's clock
+//!
+//! By Lemma 8 the recorded times of a legal run are a valid timing of
+//! its bounds graph: `T(u) + w ≤ T(v)` on every edge. A [`BoundsGraph`]
+//! keeps those times as a lane beside its vertices and checks the
+//! inequality once per edge, as the bulk builders lay the edges out and
+//! as [`BoundsGraph::append_node`] adds them
+//! ([`BoundsGraph::clock_holds`]). An edge never changes once added, so
+//! the verdict is append-stable. The views of
+//! [`crate::extended_graph`] read this clock as the potential of their
+//! Dijkstra; a hand-built run with a delivery outside its channel
+//! bounds fails the check, and its views walk label-correcting instead.
+
+use std::sync::Mutex;
 
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{MessageId, NodeId, ProcessId, Run};
@@ -40,11 +55,89 @@ pub struct BoundsGraph {
     /// probe beats the context's ordered map there.
     channel_bounds: Vec<Option<(i64, i64)>>,
     procs: usize,
-    /// Dense index of each process's latest timeline node (`u32::MAX` if
-    /// that timeline has no interned node — restricted local graphs).
-    /// Nodes arrive in recording order, so this is always the successor
-    /// edge's source — no interning lookup needed on append.
-    last_idx: Vec<u32>,
+    /// `timelines[p][k]` is the dense index of node `(p, k)`: layout
+    /// arithmetic after a bulk build, recording order after appends. The
+    /// last entry of a timeline is its latest node, the source of the
+    /// next successor edge — no interning lookup needed on append.
+    timelines: Vec<Vec<u32>>,
+    /// The run's clock: each vertex's recorded time, by dense index (see
+    /// the [module docs](self)).
+    clock: Vec<i64>,
+    /// Whether `clock[u] + w ≤ clock[v]` holds on every edge.
+    clock_holds: bool,
+    /// The largest slack `clock[v] − clock[u] − w` over every edge, which
+    /// bounds the keys of a Dijkstra under the clock.
+    max_slack: u64,
+    /// Spare slot lanes for the walks of views over this graph.
+    slots: SlotPool,
+    /// Each process's channels with their upper bounds, both ways.
+    into: Uppers,
+    out: Uppers,
+}
+
+/// Per process, the other end and upper bound of each of its channels
+/// one way, as a flat list behind offsets: what the `E'''` edges of a
+/// view over the graph read.
+#[derive(Debug, Clone)]
+struct Uppers {
+    at: Vec<u32>,
+    ends: Vec<(u32, i64)>,
+}
+
+impl Uppers {
+    /// The channels into each process (`into`) or out of it, from the
+    /// dense `(L, U)` table of `procs` processes.
+    fn of(procs: usize, table: &[Option<(i64, i64)>], into: bool) -> Self {
+        let mut uppers = Uppers {
+            at: Vec::with_capacity(procs + 1),
+            ends: Vec::new(),
+        };
+        uppers.at.push(0);
+        for p in 0..procs {
+            for q in 0..procs {
+                let (from, to) = if into { (q, p) } else { (p, q) };
+                if let Some((_, upper)) = table[from * procs + to] {
+                    uppers.ends.push((q as u32, upper));
+                }
+            }
+            uppers.at.push(uppers.ends.len() as u32);
+        }
+        uppers
+    }
+
+    fn of_process(&self, p: usize) -> &[(u32, i64)] {
+        &self.ends[self.at[p] as usize..self.at[p + 1] as usize]
+    }
+}
+
+/// One vertex's slot in a view walk's lane: its index in the view
+/// (`Slot::OUTSIDE` past the frontier) and its potential.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) view: u32,
+    pub(crate) pi: i64,
+}
+
+impl Slot {
+    /// The slot of a vertex outside the view.
+    pub(crate) const OUTSIDE: Slot = Slot {
+        view: u32::MAX,
+        pi: 0,
+    };
+}
+
+/// Slot lanes recycled across view walks, each all [`Slot::OUTSIDE`]
+/// while pooled. A clone starts empty. A walk that instead placed each
+/// far end by its `(p, k)` against the frontier, with no lane, served
+/// ~5% fewer perfbench `cold-observer-read` requests (2 vCPUs, release
+/// build).
+#[derive(Debug, Default)]
+struct SlotPool(Mutex<Vec<Vec<Slot>>>);
+
+impl Clone for SlotPool {
+    fn clone(&self) -> Self {
+        SlotPool::default()
+    }
 }
 
 /// The dense vertex layout of a per-process node prefix of a run: node
@@ -134,7 +227,7 @@ impl NodeLayout {
 
 /// Flattens the context's channel bounds into a dense `from * n + to`
 /// table (`None` where no channel exists).
-fn channel_table(run: &Run) -> (usize, Vec<Option<(i64, i64)>>) {
+pub(crate) fn channel_table(run: &Run) -> (usize, Vec<Option<(i64, i64)>>) {
     let n = run.context().network().len();
     let table = run
         .context()
@@ -169,6 +262,14 @@ impl BoundsGraph {
     /// endpoint located arithmetically.
     fn build(run: &Run, layout: NodeLayout) -> Self {
         let (procs, channel_bounds) = channel_table(run);
+        let mut clock = Vec::with_capacity(layout.nodes());
+        let mut timelines = Vec::with_capacity(procs);
+        for p in 0..procs {
+            let range = layout.range(p);
+            let past = &run.timeline(ProcessId::new(p as u32))[..range.len()];
+            clock.extend(past.iter().map(|r| r.time().ticks() as i64));
+            timelines.push(range.map(|i| i as u32).collect());
+        }
         let mut edges = Vec::with_capacity(layout.nodes() + 2 * run.messages().len());
         for p in 0..procs {
             let range = layout.range(p);
@@ -189,23 +290,40 @@ impl BoundsGraph {
             edges.push(Edge::new(di, si, -upper, LABEL_RECV));
             message_edges += 2;
         }
-        let last_idx = (0..procs)
-            .map(|p| {
-                let range = layout.range(p);
-                if range.is_empty() {
-                    u32::MAX
-                } else {
-                    (range.end - 1) as u32
-                }
-            })
-            .collect();
-        BoundsGraph {
+        let mut gb = BoundsGraph {
             graph: WeightedDigraph::from_edges(layout.node_ids().collect(), &edges),
             message_edges,
+            into: Uppers::of(procs, &channel_bounds, true),
+            out: Uppers::of(procs, &channel_bounds, false),
             channel_bounds,
             procs,
-            last_idx,
+            timelines,
+            clock,
+            clock_holds: true,
+            max_slack: 0,
+            slots: SlotPool::default(),
+        };
+        for e in &edges {
+            gb.check_clock(e.from, e.to, e.weight);
         }
+        gb
+    }
+
+    /// Checks the clock on one added edge `from --weight--> to`.
+    fn check_clock(&mut self, from: usize, to: usize, weight: i64) {
+        let slack = self.clock[to]
+            .checked_sub(self.clock[from])
+            .and_then(|d| d.checked_sub(weight));
+        match slack {
+            Some(s) if s >= 0 => self.max_slack = self.max_slack.max(s as u64),
+            _ => self.clock_holds = false,
+        }
+    }
+
+    /// Adds `from --weight--> to` to the graph and checks the clock on it.
+    fn add_edge(&mut self, from: usize, to: usize, weight: i64, label: u32) {
+        self.graph.add_edge_indexed(from, to, weight, label);
+        self.check_clock(from, to, weight);
     }
 
     /// The empty-run graph `GB` of a freshly started stream: one vertex
@@ -215,42 +333,55 @@ impl BoundsGraph {
     /// [`BoundsGraph::of_run`] on that prefix.
     pub fn skeleton(run: &Run) -> Self {
         let mut graph = WeightedDigraph::new();
-        let mut last_idx = Vec::new();
+        let mut timelines = Vec::new();
+        let mut clock = Vec::new();
         for p in run.context().network().processes() {
-            last_idx.push(graph.add_vertex(NodeId::initial(p)) as u32);
+            timelines.push(vec![graph.add_vertex(NodeId::initial(p)) as u32]);
+            clock.push(run.timeline(p)[0].time().ticks() as i64);
         }
         let (procs, channel_bounds) = channel_table(run);
         BoundsGraph {
             graph,
             message_edges: 0,
+            into: Uppers::of(procs, &channel_bounds, true),
+            out: Uppers::of(procs, &channel_bounds, false),
             channel_bounds,
             procs,
-            last_idx,
+            timelines,
+            clock,
+            clock_holds: true,
+            max_slack: 0,
+            slots: SlotPool::default(),
         }
     }
 
     /// Appends one just-recorded node of `run` to the grown graph: its
-    /// vertex, the successor edge from its timeline predecessor, and the
-    /// `±` edge pair of every message delivered *at* the node. Because
-    /// `GB(r)` only ever gains vertices and edges as a run extends, this
-    /// is a monotone delta — the graph's memoized longest-path results
-    /// survive and delta-relax (see [`crate::graph`]).
+    /// vertex and recorded time, the successor edge from its timeline
+    /// predecessor, and the `±` edge pair of every message delivered *at*
+    /// the node, each checked against the clock. Because `GB(r)` only
+    /// ever gains vertices and edges as a run extends, this is a monotone
+    /// delta — the graph's memoized longest-path results survive and
+    /// delta-relax (see [`crate::graph`]).
     ///
     /// Must be called once per non-initial node, in recording order, with
     /// the node (and its receipts) already present in `run`.
     pub fn append_node(&mut self, run: &Run, node: NodeId) {
-        // Intern each endpoint once: `node` anchors every edge below, and
-        // each delivered message contributes a ± pair sharing its source.
+        // Intern the new node once; every other endpoint below is an
+        // earlier node, found on its timeline.
         let ni = self.graph.add_vertex(node);
-        let pi = self.last_idx[node.proc().index()] as usize;
+        let timeline = &mut self.timelines[node.proc().index()];
+        let pi = *timeline
+            .last()
+            .expect("timelines start at their initial node") as usize;
         debug_assert_eq!(
             self.graph.vertex(pi),
             &NodeId::new(node.proc(), node.index() - 1),
             "append_node out of recording order"
         );
-        self.last_idx[node.proc().index()] = ni as u32;
-        self.graph.add_edge_indexed(pi, ni, 1, LABEL_SUCCESSOR);
+        timeline.push(ni as u32);
         let rec = run.node(node).expect("appended nodes are recorded");
+        self.clock.push(rec.time().ticks() as i64);
+        self.add_edge(pi, ni, 1, LABEL_SUCCESSOR);
         for receipt in rec.receipts() {
             let Some(m) = receipt.internal() else {
                 continue;
@@ -259,11 +390,65 @@ impl BoundsGraph {
             let c = mr.channel();
             let (lower, upper) = self.channel_bounds[c.from.index() * self.procs + c.to.index()]
                 .expect("validated runs have bounds for every channel");
-            let si = self.graph.add_vertex(mr.src());
-            self.graph.add_edge_indexed(si, ni, lower, LABEL_SEND);
-            self.graph.add_edge_indexed(ni, si, -upper, LABEL_RECV);
+            let src = mr.src();
+            let si = self.timelines[src.proc().index()][src.index() as usize] as usize;
+            self.add_edge(si, ni, lower, LABEL_SEND);
+            self.add_edge(ni, si, -upper, LABEL_RECV);
             self.message_edges += 2;
         }
+    }
+
+    /// Whether the run's recorded times satisfy every edge of the graph
+    /// (see the [module docs](self)): true for every run whose
+    /// deliveries respect their channel bounds.
+    pub fn clock_holds(&self) -> bool {
+        self.clock_holds
+    }
+
+    /// The largest slack of any edge under the clock.
+    pub(crate) fn max_slack(&self) -> u64 {
+        self.max_slack
+    }
+
+    /// The recorded time of dense vertex `i`.
+    pub(crate) fn clock(&self, i: usize) -> i64 {
+        self.clock[i]
+    }
+
+    /// The dense indices of process `p`'s nodes, in timeline order.
+    pub(crate) fn timeline(&self, p: usize) -> &[u32] {
+        &self.timelines[p]
+    }
+
+    /// A slot lane for a view walk: one [`Slot::OUTSIDE`] per vertex.
+    /// Hand it back with [`BoundsGraph::put_slots`] once every slot is
+    /// outside again.
+    pub(crate) fn take_slots(&self) -> Vec<Slot> {
+        let spare = self.slots.0.lock().expect("slot pool lock").pop();
+        let mut slots = spare.unwrap_or_default();
+        slots.resize(self.clock.len(), Slot::OUTSIDE);
+        slots
+    }
+
+    /// Returns a slot lane, all [`Slot::OUTSIDE`], to the pool.
+    pub(crate) fn put_slots(&self, slots: Vec<Slot>) {
+        self.slots.0.lock().expect("slot pool lock").push(slots);
+    }
+
+    /// The dense `(L, U)` table of the context's channels, indexed
+    /// `from * n + to` for `n` processes.
+    pub(crate) fn channel_bounds(&self) -> &[Option<(i64, i64)>] {
+        &self.channel_bounds
+    }
+
+    /// `(j, U_jp)` for every channel `j → p`.
+    pub(crate) fn uppers_into(&self, p: usize) -> &[(u32, i64)] {
+        self.into.of_process(p)
+    }
+
+    /// `(i, U_pi)` for every channel `p → i`.
+    pub(crate) fn uppers_out_of(&self, p: usize) -> &[(u32, i64)] {
+        self.out.of_process(p)
     }
 
     /// The underlying weighted digraph.

@@ -34,9 +34,9 @@ use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{Bounds, Channel, ChannelBounds, ExternalId, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::{BoundsGraph, NodeLayout};
+use crate::bounds_graph::{channel_table, BoundsGraph, NodeLayout};
 use crate::error::CoreError;
-use crate::extended_graph::{closed_graph, ExtVertex, ExtendedGraph, MessageIndex};
+use crate::extended_graph::{closed_graph, ExtVertex, GeView};
 use crate::graph::{LongestPaths, WeightedDigraph};
 use crate::node::GeneralNode;
 use crate::timing::{fast_timing, FastTiming, NodeTiming};
@@ -63,7 +63,8 @@ impl FrontierGraph {
     /// it was delivered.
     pub fn of_run(run: &Run) -> Self {
         let layout = NodeLayout::of_run(run);
-        let graph = closed_graph(run, &layout, &MessageIndex::of_run(run), None);
+        let (_, bounds) = channel_table(run);
+        let graph = closed_graph(run, &layout, &bounds, None);
         FrontierGraph { graph }
     }
 
@@ -742,15 +743,23 @@ fn chain_prescriptions(
 ///
 /// `extra_horizon` extends the recording window past the last prescribed
 /// time (callers resolving another node `θ2` in the result should allow at
-/// least `U(p2)`).
+/// least `U(p2)`), by at most [`MAX_EXTENSION`] times the longer of the
+/// source run's horizon and that time.
+/// [`crate::knowledge::KnowledgeEngine::refute`] derives its extension
+/// from the paths it refutes instead, and is not capped.
+///
+/// The free function builds `GB(r, σ)` and its `GE(r, σ)` view on every
+/// call; [`crate::knowledge::KnowledgeEngine::fast_run_of`] shares them
+/// across constructions.
 ///
 /// # Errors
 ///
 /// Fails if `sigma` does not appear, `theta`'s base is not σ-recognized or
 /// `theta`'s chain cannot exist (initial base), with
 /// [`CoreError::ParameterOutOfRange`] if `gamma` or `extra_horizon` is so
-/// large that the run's times overflow, or on internal inconsistency
-/// ([`CoreError::InvalidTiming`] — a model bug).
+/// large that the run's times overflow or `extra_horizon` exceeds its
+/// cap, or on internal inconsistency ([`CoreError::InvalidTiming`] — a
+/// model bug).
 pub fn fast_run(
     run: &Run,
     sigma: NodeId,
@@ -758,27 +767,18 @@ pub fn fast_run(
     gamma: u64,
     extra_horizon: u64,
 ) -> Result<FastRun, CoreError> {
-    if !run.appears(sigma) {
-        return Err(CoreError::NodeNotInRun {
-            detail: format!("observer {sigma} does not appear in the run"),
-        });
-    }
-    let ge = ExtendedGraph::new(run, sigma);
-    fast_run_with(run, &ge, theta, gamma, extra_horizon)
+    let engine = crate::knowledge::KnowledgeEngine::new(run, sigma)?;
+    fast_run_with(run, engine.ge(), theta, gamma, extra_horizon)
 }
 
-/// [`fast_run`] against an already-built `GE(r, σ)` — the shared-analysis
-/// path. [`crate::knowledge::KnowledgeEngine::fast_run_of`] and
-/// [`crate::knowledge::KnowledgeEngine::refute`] call through here (with
-/// their memoized canonicalization and fast timings), so constructing the
-/// extremal run no longer re-materializes the extended graph per call.
+/// [`fast_run`] against an already-built view of `GE(r, σ)`.
 ///
 /// # Errors
 ///
 /// Same conditions as [`fast_run`].
 pub fn fast_run_with(
     run: &Run,
-    ge: &ExtendedGraph,
+    ge: GeView<'_>,
     theta: &GeneralNode,
     gamma: u64,
     extra_horizon: u64,
@@ -790,28 +790,54 @@ pub fn fast_run_with(
     // Theorem 4 extremal gap.)
     let canonical = canonicalize_in_past(run, ge.past(), ge.observer(), theta)?;
     let ft = fast_timing(ge, canonical.base(), gamma)?;
-    fast_run_from_timing(run, ge, &canonical, ft, extra_horizon, &mut RunArena::new())
+    fast_run_from_timing(
+        run,
+        ge.past(),
+        &canonical,
+        ft,
+        Extension::Requested(extra_horizon),
+        &mut RunArena::new(),
+    )
+}
+
+/// The cap on a fast run's `extra_horizon`, as a multiple of the longer
+/// of the source run's horizon and the fast run's last prescribed time:
+/// the construction floods FFIP messages up to its horizon, so its work
+/// grows with the extension.
+pub const MAX_EXTENSION: u64 = 16;
+
+/// How far a fast run records past its last prescribed time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Extension {
+    /// A caller's `extra_horizon`, refused above [`MAX_EXTENSION`] times
+    /// the longer of the source run's horizon and the last prescribed
+    /// time.
+    Requested(u64),
+    /// The extension `refute` derives from the paths it refutes, long
+    /// enough for their nodes to resolve: bounded by those paths, not by
+    /// the cap.
+    Derived(u64),
 }
 
 /// Assembles the γ-fast run from pre-resolved parts: the canonical anchor
 /// and its (possibly cached) fast timing. `canonical` must be the
 /// [`canonicalize_in_past`] rewriting of the anchor and `ft` the fast
-/// timing of its base over `ge` — the knowledge engine supplies both from
-/// its per-query caches, along with its per-observer [`RunArena`] so
-/// repeated constructions recycle the delivery-queue storage. Takes `ft`
-/// by value so the free-function path moves its freshly built timing into
-/// the result instead of cloning.
+/// timing of its base over the observer's `GE(r, σ)`, whose causal past
+/// is `past` — the knowledge engine supplies both from its per-query
+/// caches, along with its per-observer [`RunArena`] so repeated
+/// constructions recycle the delivery-queue storage. Takes `ft` by value
+/// so the free-function path moves its freshly built timing into the
+/// result instead of cloning.
 pub(crate) fn fast_run_from_timing(
     run: &Run,
-    ge: &ExtendedGraph,
+    past: &Past,
     canonical: &GeneralNode,
     ft: FastTiming,
-    extra_horizon: u64,
+    extension: Extension,
     arena: &mut RunArena,
 ) -> Result<FastRun, CoreError> {
-    let sigma = ge.observer();
+    let sigma = past.of();
     let gamma = ft.gamma;
-    let past = ge.past();
     let bounds = run.context().bounds();
     let (chain_upper, theta_time) = chain_prescriptions(run, past, &ft, canonical, bounds)?;
 
@@ -828,11 +854,17 @@ pub(crate) fn fast_run_from_timing(
         .map(|p| ft.aux_time(p).expect("every process has an auxiliary node"))
         .collect();
 
-    let horizon = ft
-        .max_time()
-        .max(theta_time)
-        .ticks()
+    let last = ft.max_time().max(theta_time).ticks();
+    let (extra_horizon, cap) = match extension {
+        Extension::Requested(extra) => (
+            extra,
+            MAX_EXTENSION.saturating_mul(last.max(run.horizon().ticks())),
+        ),
+        Extension::Derived(extra) => (extra, u64::MAX),
+    };
+    let horizon = last
         .checked_add(extra_horizon)
+        .filter(|_| extra_horizon <= cap)
         .map(Time::new)
         .ok_or(CoreError::ParameterOutOfRange {
             parameter: "extra_horizon",

@@ -19,46 +19,81 @@
 //!
 //! # Vertex layout
 //!
-//! `GE(r, σ)` is built in one pass ([`WeightedDigraph::from_edges`]) with
-//! vertex indices fixed by arithmetic: the past nodes in
+//! `GE(r, σ)`'s vertex indices are fixed by arithmetic: the past nodes in
 //! `(process, index)` order — `(p, k)` at `start(p) + k`, where
 //! `start(p)` counts the past nodes of the processes before `p` — then
 //! one `ψ_p` per process at `|past(r, σ)| + p`. That is the order of
 //! [`Past::iter`] followed by the processes, and also the `Ord` of
 //! [`ExtVertex`], so dense-index order is sorted vertex order.
-//! [`ExtendedGraph::index_of`] and the fast timing's lanes
+//! [`GeView::index_of`] and the fast timing's lanes
 //! ([`crate::timing::FastTiming`]) resolve vertices by the same
 //! arithmetic.
+//!
+//! # A view over `GB(r)`
+//!
+//! `past(r, σ)` is downward closed on every timeline, so it is a
+//! frontier: one prefix length per process, σ's vector clock
+//! ([`Past`]). Definition 16's `GE(r, σ)` is `GB(r)` restricted to that
+//! frontier plus the `ψ` vertices and their small edge families, so an
+//! observer does not copy the graph. Its frontier holds the past,
+//! the `n` values of the `ψ` clock (below) and an `E''` overlay: the
+//! messages sent inside the frontier and not delivered inside it, less
+//! σ's own under `ExcludeOwnSends`. A [`GeView`] pairs it with the
+//! [`BoundsGraph`] it is cut from: the session's `GB(r)`, or a
+//! standalone engine's `GB(r, σ)` (Definition 14). A distance traversal
+//! over the view reads the graph's live rows, skips every edge that
+//! leaves the frontier, and adds the overlay, the `E'` edges and the
+//! `E'''` channel edges. Its lanes come out in the layout above.
+//!
+//! The view is append-stable: every edge a run adds after σ has a new
+//! node as an endpoint, which lies outside the frontier, and a message
+//! in the overlay stays undelivered inside it. So a view built on any
+//! prefix containing σ reads the same graph on every extension (see
+//! [`crate::incremental`]).
 //!
 //! # The run's clock
 //!
 //! By Lemma 8 the recorded times of a legal run are a valid timing of
-//! its bounds graph, so they are a feasible potential for the
-//! potential-reweighted Dijkstra of [`crate::graph`]. Each build installs
-//! that clock on `GE(r, σ)`: past nodes get their recorded times, and each
-//! `ψ_p` the least value its `E′`/`E‴` in-edges allow (a fixpoint over the
-//! `n` auxiliary vertices, settled in decreasing order since every `E‴`
-//! weight is `−U ≤ 0`). The `E″` upper bounds then hold whenever the
-//! run's FFIP deliveries respect `[L, U]`: a message σ has not seen
-//! reaches its receiver `j` within `U` of its send, and each FFIP
-//! re-flood from there reaches the next process within that channel's
-//! `U`; each arrival lies after the receiving process's boundary (or
-//! beyond the horizon), or σ would have seen the message. The graph
-//! checks the clock in one scan over the edges; a clock that fails — a
-//! hand-built run with a delivery outside its channel bounds, say —
-//! leaves the graph's distance queries on SPFA
-//! ([`WeightedDigraph::has_potential`] tells which).
+//! its bounds graph, which checks them once per edge
+//! ([`BoundsGraph::clock_holds`]). On the past nodes they are the
+//! potential of the view's potential-reweighted Dijkstra
+//! ([`crate::graph`]); each `ψ_p` gets the least value its `E′`/`E‴`
+//! in-edges allow (a fixpoint over the `n` auxiliary vertices, settled
+//! in decreasing order since every `E‴` weight is `−U ≤ 0`). The `E″`
+//! upper bounds then hold whenever the run's FFIP deliveries respect
+//! `[L, U]`: a message σ has not seen reaches its receiver `j` within
+//! `U` of its send, and each FFIP re-flood from there reaches the next
+//! process within that channel's `U`; each arrival lies after the
+//! receiving process's boundary (or beyond the horizon), or σ would have
+//! seen the message. The view checks the overlay in one scan when it is
+//! built. A clock that fails anywhere — a hand-built run with a delivery
+//! outside its channel bounds, say — leaves the view's traversals on the
+//! same walk run label-correcting ([`GeView::has_potential`] tells
+//! which).
+//!
+//! # Witness paths
+//!
+//! Witness paths are read off an SPFA predecessor tree, and the served
+//! witness bytes follow SPFA's tie-breaks over the row order of the one
+//! bulk build, [`ExtendedGraph`]'s. A witness query therefore
+//! materializes `GE(r, σ)` in that order, as CSR lanes built straight
+//! from the edge list; every distance query reads the view.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{NodeId, ProcessId, Run};
 
-use crate::bounds_graph::{NodeLayout, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
+use crate::bounds_graph::{
+    channel_table, BoundsGraph, NodeLayout, Slot, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR,
+};
 use crate::error::CoreError;
-use crate::graph::{Distances, Edge, LongestPaths, WeightedDigraph};
+use crate::fx::FxBuild;
+use crate::graph::{
+    CsrTopology, Direction, Distances, Edge, GraphWork, LongestPaths, Rows, WeightedDigraph,
+};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -114,8 +149,8 @@ impl fmt::Display for ExtVertex {
 
 /// One recorded message, pre-resolved against the channel bounds: the
 /// run-level half of `GE` construction that is identical for every
-/// observer. Built once per run by [`MessageIndex::of_run`] and shared by
-/// [`ExtendedGraph::with_index`] across all σ.
+/// observer. Built once per run by [`MessageIndex::of_run`] and read by
+/// every observer's frontier over that run.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageEdge {
     /// The sending node.
@@ -230,7 +265,8 @@ impl NodeLayout {
 /// per process and the `E'`/`E''`/`E'''` edge families: `GE(r, σ)` over
 /// the nodes of `past(r, σ)`, and the horizon-closed
 /// [`crate::construct::FrontierGraph`] over every recorded node. A
-/// message sent at `exclude_src` contributes no edge.
+/// message sent at `exclude_src` contributes no edge. `bounds` is the
+/// dense `(L, U)` table of the channels, indexed `from * n + to`.
 ///
 /// Vertices follow `layout` (see the [module docs](self)). SPFA
 /// tie-breaks, and so the witnesses served on the wire, follow the order
@@ -241,14 +277,33 @@ impl NodeLayout {
 pub(crate) fn closed_graph(
     run: &Run,
     layout: &NodeLayout,
-    messages: &MessageIndex,
+    bounds: &[Option<(i64, i64)>],
     exclude_src: Option<NodeId>,
 ) -> WeightedDigraph<ExtVertex> {
+    let procs = (0..layout.procs()).map(|p| ExtVertex::Aux(ProcessId::new(p as u32)));
+    let vertices = layout
+        .node_ids()
+        .map(ExtVertex::Node)
+        .chain(procs)
+        .collect();
+    WeightedDigraph::from_edges(vertices, &closed_edges(run, layout, bounds, exclude_src))
+}
+
+/// The edges of [`closed_graph`], in its order.
+fn closed_edges(
+    run: &Run,
+    layout: &NodeLayout,
+    bounds: &[Option<(i64, i64)>],
+    exclude_src: Option<NodeId>,
+) -> Vec<Edge> {
     let net = run.context().network();
-    let bounds = run.context().bounds();
+    let n = net.len();
+    let bound = |from: ProcessId, to: ProcessId| {
+        bounds[from.index() * n + to.index()].expect("validated runs have bounds for every channel")
+    };
     let psi = |p: ProcessId| layout.nodes() + p.index();
     let mut edges = Vec::with_capacity(
-        layout.nodes() + 2 * net.len() + net.channels().len() + 2 * messages.len(),
+        layout.nodes() + 2 * n + net.channels().len() + 2 * run.messages().len(),
     );
     let mut push = |from, to, weight, label| edges.push(Edge::new(from, to, weight, label));
     for p in net.processes() {
@@ -261,81 +316,527 @@ pub(crate) fn closed_graph(
         }
         push(range.end - 1, psi(p), 1, LABEL_BOUNDARY);
     }
-    for m in messages.edges() {
-        let Some(si) = layout.index(m.src) else {
+    for m in run.messages() {
+        let Some(si) = layout.index(m.src()) else {
             continue;
         };
-        if Some(m.src) == exclude_src {
+        if Some(m.src()) == exclude_src {
             continue;
         }
-        match m.dst.and_then(|d| layout.index(d)) {
+        let c = m.channel();
+        let (lower, upper) = bound(c.from, c.to);
+        match m.delivery().and_then(|d| layout.index(d.node)) {
             Some(di) => {
-                push(si, di, m.lower, LABEL_SEND);
-                push(di, si, -m.upper, LABEL_RECV);
+                push(si, di, lower, LABEL_SEND);
+                push(di, si, -upper, LABEL_RECV);
             }
-            None => push(psi(m.to), si, -m.upper, LABEL_UNSEEN),
+            None => push(psi(c.to), si, -upper, LABEL_UNSEEN),
         }
     }
     for ch in net.channels() {
-        let upper = bounds.get(*ch).expect("covered").upper() as i64;
-        push(psi(ch.to), psi(ch.from), -upper, LABEL_AUX_CHAN);
+        push(
+            psi(ch.to),
+            psi(ch.from),
+            -bound(ch.from, ch.to).1,
+            LABEL_AUX_CHAN,
+        );
     }
-    let vertices = layout
-        .node_ids()
-        .map(ExtVertex::Node)
-        .chain(net.processes().map(ExtVertex::Aux))
-        .collect();
-    WeightedDigraph::from_edges(vertices, &edges)
+    edges
 }
 
-/// The run's clock over a graph closed by `layout` (see the
-/// [module docs](self)): each node's recorded time, then each `ψ_p` at
-/// the least value its `E′` edge (one past `p`'s boundary) and its `E‴`
-/// in-edges allow. The `E‴` weights are `−U ≤ 0`, so the `ψ` values
-/// settle in decreasing order, like a Dijkstra over the `n` auxiliary
-/// vertices. A `ψ` with neither kind of in-edge gets the least value of
-/// the clock, which its out-edges allow too.
-fn run_clock(run: &Run, layout: &NodeLayout, graph: &WeightedDigraph<ExtVertex>) -> Vec<i64> {
-    const UNSET: i64 = i64::MIN;
-    let nodes = layout.nodes();
-    let mut clock = Vec::with_capacity(nodes + layout.procs());
-    for p in run.context().network().processes() {
-        let past = &run.timeline(p)[..layout.range(p.index()).len()];
-        clock.extend(past.iter().map(|r| r.time().ticks() as i64));
-    }
-    for p in 0..layout.procs() {
-        let range = layout.range(p);
-        let psi = if range.is_empty() {
-            UNSET
-        } else {
-            clock[range.end - 1].saturating_add(1)
-        };
-        clock.push(psi);
-    }
-    let mut queue: BinaryHeap<(i64, usize)> = (nodes..clock.len())
-        .filter(|&v| clock[v] != UNSET)
-        .map(|v| (clock[v], v))
-        .collect();
-    while let Some((t, v)) = queue.pop() {
-        if t != clock[v] {
-            continue; // superseded by a later raise
+/// One `E''` edge of a frontier's overlay, `ψ_to --weight--> src`: the
+/// unseen delivery of a message sent at view index `src`.
+#[derive(Debug, Clone, Copy)]
+struct Unseen {
+    src: u32,
+    to: u32,
+    weight: i64,
+}
+
+/// The observer-scoped part of `GE(r, σ)` as a view over a bounds graph
+/// (see the [module docs](self)): the frontier `past(r, σ)`, the `ψ`
+/// clock, the `E''` overlay, and the view's distance results. Its size
+/// is O(|past| + n + |E''|), plus the memoized lanes.
+#[derive(Debug)]
+pub(crate) struct GeFrontier {
+    past: Past,
+    layout: NodeLayout,
+    /// The bounds-graph index of each past node, by view index.
+    nodes: Vec<u32>,
+    /// The messages sent here contribute no edge (`ExcludeOwnSends`).
+    exclude_src: Option<NodeId>,
+    /// The `ψ` clock, one value per process.
+    psi: Vec<i64>,
+    /// The `E''` overlay, in sender order.
+    unseen: Vec<Unseen>,
+    /// `by_psi[psi_at[p]..psi_at[p + 1]]` are the overlay positions of
+    /// the `E''` edges leaving `ψ_p`.
+    psi_at: Vec<u32>,
+    by_psi: Vec<u32>,
+    /// Whether traversals run Dijkstra under the clock.
+    dijkstra: bool,
+    /// Distance results keyed by `(source, direction)`.
+    dists: Mutex<HashMap<(u32, Direction), Arc<Distances>, FxBuild>>,
+}
+
+impl GeFrontier {
+    /// Cuts `GE(r, σ)` at `past` = `past(r, σ)` out of `gb`, a bounds
+    /// graph of `run` (or of a prefix of it) that holds every past node;
+    /// `messages` indexes `run`'s messages. A message sent at
+    /// `exclude_src` contributes no edge. Reads `gb`'s clock and channel
+    /// table, never its rows.
+    pub(crate) fn new(
+        run: &Run,
+        gb: &BoundsGraph,
+        past: Past,
+        messages: &MessageIndex,
+        exclude_src: Option<NodeId>,
+    ) -> Self {
+        const UNSET: i64 = i64::MIN;
+        let n = run.context().network().len();
+        let layout = NodeLayout::of_past(&past, n);
+        let mut nodes = Vec::with_capacity(layout.nodes());
+        for p in 0..n {
+            nodes.extend_from_slice(&gb.timeline(p)[..layout.range(p).len()]);
         }
-        for e in graph.edges_from(v).iter().filter(|e| e.to >= nodes) {
-            let raised = t.saturating_add(e.weight);
-            if raised > clock[e.to] {
-                clock[e.to] = raised;
-                queue.push((raised, e.to));
+        let boundary = |p: usize| {
+            let range = layout.range(p);
+            (!range.is_empty()).then(|| nodes[range.end - 1] as usize)
+        };
+
+        let mut unseen = Vec::new();
+        for p in 0..n {
+            let range = layout.range(p);
+            let timeline = &run.timeline(ProcessId::new(p as u32))[..range.len()];
+            for (k, rec) in timeline.iter().enumerate() {
+                if Some(rec.id()) == exclude_src {
+                    continue;
+                }
+                for &m in rec.sent() {
+                    let me = messages.edges()[m.index()];
+                    if me.dst.is_some_and(|d| past.contains(d)) {
+                        continue;
+                    }
+                    unseen.push(Unseen {
+                        src: (range.start + k) as u32,
+                        to: me.to.index() as u32,
+                        weight: -me.upper,
+                    });
+                }
+            }
+        }
+        // Group the overlay by receiving process: count, sum, then place
+        // back to front so each group keeps sender order.
+        let mut psi_at = vec![0u32; n + 1];
+        for e in &unseen {
+            psi_at[e.to as usize] += 1;
+        }
+        for p in 1..=n {
+            psi_at[p] += psi_at[p - 1];
+        }
+        let mut by_psi = vec![0u32; unseen.len()];
+        for (i, e) in unseen.iter().enumerate().rev() {
+            psi_at[e.to as usize] -= 1;
+            by_psi[psi_at[e.to as usize] as usize] = i as u32;
+        }
+
+        // The ψ clock: one past each boundary, then settled in decreasing
+        // order along the E''' edges `ψ_v --(−U)--> ψ_j` of the channels
+        // `j → v`. A ψ with neither kind of in-edge gets the least value of
+        // the clock, which its out-edges (weights −U ≤ 0) allow too.
+        let mut psi: Vec<i64> = (0..n)
+            .map(|p| boundary(p).map_or(UNSET, |b| gb.clock(b).saturating_add(1)))
+            .collect();
+        let mut queue: BinaryHeap<(i64, usize)> = (0..n)
+            .filter(|&v| psi[v] != UNSET)
+            .map(|v| (psi[v], v))
+            .collect();
+        while let Some((t, v)) = queue.pop() {
+            if t != psi[v] {
+                continue; // superseded by a later raise
+            }
+            for &(j, upper) in gb.uppers_into(v) {
+                let raised = t.saturating_sub(upper);
+                if raised > psi[j as usize] {
+                    psi[j as usize] = raised;
+                    queue.push((raised, j as usize));
+                }
+            }
+        }
+        let firsts = (0..n).filter(|&p| boundary(p).is_some());
+        let least = firsts
+            .map(|p| gb.clock(nodes[layout.range(p).start] as usize))
+            .chain(psi.iter().copied().filter(|&t| t != UNSET))
+            .min()
+            .unwrap_or(0);
+        for t in psi.iter_mut().filter(|t| **t == UNSET) {
+            *t = least;
+        }
+
+        // The clock over the overlay, E' and E''': every slack
+        // `π(head) − π(tail) − w` must be non-negative, and the largest
+        // (with GB's own) must keep every Dijkstra key below `u64::MAX`.
+        let mut feasible = gb.clock_holds();
+        let mut max_slack = gb.max_slack();
+        let mut note = |head: i64, tail: i64, weight: i64| match head
+            .checked_sub(tail)
+            .and_then(|d| d.checked_sub(weight))
+        {
+            Some(s) if s >= 0 => max_slack = max_slack.max(s as u64),
+            _ => feasible = false,
+        };
+        for p in 0..n {
+            if let Some(b) = boundary(p) {
+                note(psi[p], gb.clock(b), 1);
+            }
+            for &(j, upper) in gb.uppers_into(p) {
+                note(psi[j as usize], psi[p], -upper);
+            }
+        }
+        for e in &unseen {
+            note(
+                gb.clock(nodes[e.src as usize] as usize),
+                psi[e.to as usize],
+                e.weight,
+            );
+        }
+        let vertices = layout.nodes() + n;
+        let dijkstra =
+            feasible && u128::from(max_slack) * (vertices as u128) < u128::from(u64::MAX);
+        GeFrontier {
+            past,
+            layout,
+            nodes,
+            exclude_src,
+            psi,
+            unseen,
+            psi_at,
+            by_psi,
+            dijkstra,
+            dists: Mutex::new(HashMap::default()),
+        }
+    }
+}
+
+/// `GE(r, σ)` read through the bounds graph it is cut from: an
+/// observer's frontier paired with the session's `GB(r)` or a standalone
+/// engine's `GB(r, σ)` (see the [module docs](self)). Obtained from
+/// [`crate::knowledge::KnowledgeEngine::ge`]; cheap to copy.
+#[derive(Debug, Clone, Copy)]
+pub struct GeView<'a> {
+    gb: &'a BoundsGraph,
+    frontier: &'a GeFrontier,
+}
+
+impl<'a> GeView<'a> {
+    /// Pairs `frontier` with the graph it was cut from.
+    pub(crate) fn new(gb: &'a BoundsGraph, frontier: &'a GeFrontier) -> Self {
+        GeView { gb, frontier }
+    }
+
+    /// The observer node `σ`.
+    pub fn observer(&self) -> NodeId {
+        self.frontier.past.of()
+    }
+
+    /// The causal past the view was cut at.
+    pub fn past(&self) -> &'a Past {
+        &self.frontier.past
+    }
+
+    /// Number of vertices: the past nodes and one `ψ` per process.
+    pub fn vertex_count(&self) -> usize {
+        self.frontier.layout.nodes() + self.frontier.layout.procs()
+    }
+
+    /// Dense index of a vertex, if present: index arithmetic over the
+    /// vertex layout (see the [module docs](self)).
+    pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
+        self.frontier.layout.ext_index(v)
+    }
+
+    /// The vertex at dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`GeView::vertex_count`].
+    pub fn vertex(&self, i: usize) -> ExtVertex {
+        assert!(i < self.vertex_count(), "vertex index {i} out of range");
+        self.frontier.layout.ext_vertex(i)
+    }
+
+    /// Whether the view's distance traversals run Dijkstra under the
+    /// run's clock, rather than the label-correcting walk (see the
+    /// [module docs](self)).
+    pub fn has_potential(&self) -> bool {
+        self.frontier.dijkstra
+    }
+
+    /// The traversal work done on the bounds graph's rows, by this view
+    /// and every other view over the same graph.
+    pub fn work(&self) -> GraphWork {
+        self.gb.graph().work()
+    }
+
+    /// Every edge of `GE(r, σ)`, in dense indices, out-row by out-row.
+    pub fn edges(&self) -> Vec<Edge> {
+        let (walk, mut edges) = (self.walk(), Vec::new());
+        for v in 0..self.vertex_count() {
+            walk.row(v, Direction::Forward, |w, weight, _, label| {
+                edges.push(Edge::new(v, w, weight, label));
+            });
+        }
+        edges
+    }
+
+    /// Longest-path weights from `v` to every vertex, memoized per
+    /// source (see the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// Fails if `v` is not a vertex, or on a positive cycle (impossible
+    /// for graphs of legal runs).
+    pub fn distances_from(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
+        self.distances(v, Direction::Forward)
+    }
+
+    /// Longest-path weights from every vertex to `v`; see
+    /// [`GeView::distances_from`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GeView::distances_from`].
+    pub fn distances_to(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
+        self.distances(v, Direction::Backward)
+    }
+
+    fn distances(&self, v: ExtVertex, dir: Direction) -> Result<Arc<Distances>, CoreError> {
+        let src = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("distance root {v} is not a vertex of GE(r, σ)"),
+        })?;
+        let key = (src as u32, dir);
+        let memo = &self.frontier.dists;
+        if let Some(hit) = memo.lock().expect("distance memo lock").get(&key) {
+            return Ok(hit.clone());
+        }
+        let dist =
+            self.gb
+                .graph()
+                .distances_over(&self.walk(), src, dir, self.frontier.dijkstra)?;
+        let dist = Arc::new(dist);
+        memo.lock()
+            .expect("distance memo lock")
+            .insert(key, dist.clone());
+        Ok(dist)
+    }
+
+    /// The vertex layout the dense indices follow.
+    pub(crate) fn layout(&self) -> &'a NodeLayout {
+        &self.frontier.layout
+    }
+
+    /// `GE(r, σ)` materialized for witness paths: the CSR lanes of
+    /// [`ExtendedGraph`]'s bulk build, straight from its edge list. `run`
+    /// is the run the view was cut from, or any extension of it.
+    pub(crate) fn witness_graph(&self, run: &Run) -> WitnessGraph {
+        let fr = self.frontier;
+        let edges = closed_edges(run, &fr.layout, self.gb.channel_bounds(), fr.exclude_src);
+        WitnessGraph {
+            layout: fr.layout.clone(),
+            csr: CsrTopology::from_edges(self.vertex_count(), &edges)
+                .expect("a view's graph fits the u32 index space"),
+            trees: Mutex::new(HashMap::default()),
+        }
+    }
+
+    /// One walk over the view's rows.
+    pub(crate) fn walk(&self) -> Walk<'a> {
+        let mut slots = self.gb.take_slots();
+        for (v, &g) in self.frontier.nodes.iter().enumerate() {
+            let pi = self.gb.clock(g as usize);
+            slots[g as usize] = Slot { view: v as u32, pi };
+        }
+        Walk {
+            gb: self.gb,
+            frontier: self.frontier,
+            slots,
+        }
+    }
+}
+
+/// `GE(r, σ)` in the bulk build's row order, as the CSR lanes its SPFA
+/// reads, with the predecessor trees witness paths follow (see the
+/// [module docs](self)). Packing the lanes straight from the edge list
+/// skips an [`ExtendedGraph`]'s adjacency rows and interner: on perfbench
+/// `cold-observer-read` (2 vCPUs, release build) that served ~1.2×
+/// the requests at ~20% less CPU per request.
+#[derive(Debug)]
+pub(crate) struct WitnessGraph {
+    layout: NodeLayout,
+    csr: CsrTopology,
+    /// SPFA results by source.
+    trees: Mutex<HashMap<u32, Arc<LongestPaths>, FxBuild>>,
+}
+
+impl WitnessGraph {
+    /// Longest paths from `v` with their predecessor tree, memoized per
+    /// source: the SPFA [`ExtendedGraph::longest_from`] runs.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `v` is not a vertex, or on a positive cycle.
+    pub(crate) fn longest_from(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
+        let src = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("witness root {v} is not a vertex of GE(r, σ)"),
+        })?;
+        let trees = &self.trees;
+        if let Some(hit) = trees.lock().expect("tree memo lock").get(&(src as u32)) {
+            return Ok(hit.clone());
+        }
+        let lp = Arc::new(self.csr.longest_from(src)?);
+        trees
+            .lock()
+            .expect("tree memo lock")
+            .insert(src as u32, lp.clone());
+        Ok(lp)
+    }
+
+    /// Dense index of a vertex, if present.
+    pub(crate) fn index_of(&self, v: ExtVertex) -> Option<usize> {
+        self.layout.ext_index(v)
+    }
+
+    /// The vertex at dense index `i`.
+    pub(crate) fn vertex(&self, i: usize) -> ExtVertex {
+        self.layout.ext_vertex(i)
+    }
+}
+
+/// One walk over a [`GeView`]'s rows (see [`GeView::walk`]): what its
+/// distance traversals and the Lemma 17 check read.
+pub(crate) struct Walk<'a> {
+    gb: &'a BoundsGraph,
+    frontier: &'a GeFrontier,
+    /// Each bounds-graph vertex's view index and potential, or
+    /// [`Slot::OUTSIDE`] past the frontier.
+    slots: Vec<Slot>,
+}
+
+impl Drop for Walk<'_> {
+    fn drop(&mut self) {
+        for &g in &self.frontier.nodes {
+            self.slots[g as usize] = Slot::OUTSIDE;
+        }
+        self.gb.put_slots(std::mem::take(&mut self.slots));
+    }
+}
+
+impl Walk<'_> {
+    /// The dense index, in the bounds graph, of past node `v`.
+    fn gb_index(&self, v: usize) -> usize {
+        self.frontier.nodes[v] as usize
+    }
+
+    /// Calls `f(w, weight, π(w), label)` for every edge of `v`'s row in
+    /// `dir`: the bounds graph's row cut at the frontier, then the
+    /// overlay, `E'` and `E'''` edges at `v`.
+    #[inline(always)]
+    fn row(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
+        let fr = self.frontier;
+        let nodes = fr.layout.nodes();
+        if v < nodes {
+            let graph = self.gb.graph();
+            let g = self.gb_index(v);
+            let edges = match dir {
+                Direction::Forward => graph.edges_from(g),
+                Direction::Backward => graph.edges_to(g),
+            };
+            for e in edges {
+                let other = match dir {
+                    Direction::Forward => e.to,
+                    Direction::Backward => e.from,
+                };
+                let slot = self.slots[other];
+                if slot.view != Slot::OUTSIDE.view {
+                    f(slot.view as usize, e.weight, slot.pi, e.label);
+                }
+            }
+            match dir {
+                Direction::Forward => {
+                    let p = graph.vertex(g).proc().index();
+                    if v + 1 == fr.layout.range(p).end {
+                        f(nodes + p, 1, fr.psi[p], LABEL_BOUNDARY);
+                    }
+                }
+                Direction::Backward => {
+                    let first = fr.unseen.partition_point(|e| (e.src as usize) < v);
+                    for e in fr.unseen[first..]
+                        .iter()
+                        .take_while(|e| e.src as usize == v)
+                    {
+                        let to = e.to as usize;
+                        f(nodes + to, e.weight, fr.psi[to], LABEL_UNSEEN);
+                    }
+                }
+            }
+            return;
+        }
+        let p = v - nodes;
+        match dir {
+            Direction::Forward => {
+                for &i in &fr.by_psi[fr.psi_at[p] as usize..fr.psi_at[p + 1] as usize] {
+                    let e = fr.unseen[i as usize];
+                    let src = e.src as usize;
+                    f(
+                        src,
+                        e.weight,
+                        self.gb.clock(self.gb_index(src)),
+                        LABEL_UNSEEN,
+                    );
+                }
+                // E''' out of ψ_p: one per channel j → p.
+                for &(j, upper) in self.gb.uppers_into(p) {
+                    let j = j as usize;
+                    f(nodes + j, -upper, fr.psi[j], LABEL_AUX_CHAN);
+                }
+            }
+            Direction::Backward => {
+                let range = fr.layout.range(p);
+                if !range.is_empty() {
+                    let b = range.end - 1;
+                    f(b, 1, self.gb.clock(self.gb_index(b)), LABEL_BOUNDARY);
+                }
+                // E''' into ψ_p: one per channel p → i.
+                for &(i, upper) in self.gb.uppers_out_of(p) {
+                    let i = i as usize;
+                    f(nodes + i, -upper, fr.psi[i], LABEL_AUX_CHAN);
+                }
             }
         }
     }
-    let least = clock.iter().copied().filter(|&t| t != UNSET).min();
-    for t in clock.iter_mut().filter(|t| **t == UNSET) {
-        *t = least.unwrap_or(0);
-    }
-    clock
 }
 
-/// The extended local bounds graph `GE(r, σ)`.
+impl Rows for Walk<'_> {
+    fn vertex_count(&self) -> usize {
+        self.frontier.layout.nodes() + self.frontier.layout.procs()
+    }
+
+    fn potential(&self, v: usize) -> i64 {
+        match v.checked_sub(self.frontier.layout.nodes()) {
+            Some(p) => self.frontier.psi[p],
+            None => self.gb.clock(self.gb_index(v)),
+        }
+    }
+
+    #[inline(always)]
+    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64)) {
+        self.row(v, dir, |w, weight, pi, _| f(w, weight, pi));
+    }
+}
+
+/// The extended local bounds graph `GE(r, σ)`, materialized: the bulk
+/// build that witness paths and drawings read (see the
+/// [module docs](self)). Distances come from a [`GeView`].
 #[derive(Debug, Clone)]
 pub struct ExtendedGraph {
     observer: NodeId,
@@ -351,49 +852,24 @@ impl ExtendedGraph {
     ///
     /// Panics if `sigma` does not appear in `run`.
     pub fn new(run: &Run, sigma: NodeId) -> Self {
-        Self::with_index(run, sigma, &MessageIndex::of_run(run))
+        Self::with_exclusion(run, sigma, None)
     }
 
-    /// Builds `GE(r, σ)` reusing a per-run [`MessageIndex`], so deriving
-    /// engines for many observers of the same run shares the message
-    /// resolution work (see [`crate::incremental::IncrementalEngine`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` does not appear in `run`.
-    pub fn with_index(run: &Run, sigma: NodeId, messages: &MessageIndex) -> Self {
-        Self::with_index_excluding(run, sigma, messages, None)
-    }
-
-    /// [`ExtendedGraph::with_index`], optionally skipping every message
-    /// sent at `exclude_src`. Passing `Some(σ)` builds the graph a
-    /// strategy probed mid-simulation sees — the node exists but its own
-    /// FFIP sends are not yet recorded, so their unseen-delivery `E''`
-    /// edges are absent (the `ExcludeOwnSends` probe semantics of
+    /// [`ExtendedGraph::new`], skipping every message sent at
+    /// `exclude_src`. Passing `Some(σ)` builds the graph a strategy
+    /// probed mid-simulation sees — the node exists but its own FFIP
+    /// sends are not yet recorded, so their unseen-delivery `E''` edges
+    /// are absent (the `ExcludeOwnSends` probe semantics of
     /// `zigzag_coord::stream`).
     ///
-    /// Like the full graph, the excluded form is **append-stable**: the
-    /// skipped messages are exactly those recorded by σ's own event, a
-    /// set fixed at σ's creation, and by causality none of them can ever
-    /// be delivered inside `past(r, σ)` — so the graph built here on any
-    /// prefix containing σ equals the graph built on any extension.
-    /// Serving layers may therefore build it once per `(run, σ)` and keep
-    /// it warm (see `zigzag_core::incremental`'s exclude-mode cache)
-    /// instead of paying this construction per decision.
-    ///
     /// # Panics
     ///
     /// Panics if `sigma` does not appear in `run`.
-    pub fn with_index_excluding(
-        run: &Run,
-        sigma: NodeId,
-        messages: &MessageIndex,
-        exclude_src: Option<NodeId>,
-    ) -> Self {
+    pub fn with_exclusion(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> Self {
         let past = run.past(sigma);
         let layout = NodeLayout::of_past(&past, run.context().network().len());
-        let mut graph = closed_graph(run, &layout, messages, exclude_src);
-        graph.set_potential(run_clock(run, &layout, &graph));
+        let (_, bounds) = channel_table(run);
+        let graph = closed_graph(run, &layout, &bounds, exclude_src);
         ExtendedGraph {
             observer: sigma,
             past,
@@ -435,49 +911,10 @@ impl ExtendedGraph {
         self.graph.longest_to(&v)
     }
 
-    /// Memoized [`ExtendedGraph::longest_from`]: repeated queries against
-    /// the (immutable) graph share one SPFA per source. Its predecessor
-    /// tree gives the witness paths; distance-only callers use
-    /// [`ExtendedGraph::distances_from`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExtendedGraph::longest_from`].
-    pub fn longest_from_cached(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
-        self.graph.longest_from_cached(&v)
-    }
-
-    /// Memoized longest-path weights from `v` to every vertex, without
-    /// paths: a Dijkstra under the run's clock when it passed the check
-    /// (see the [module docs](self)), otherwise — or when the SPFA
-    /// result from `v` is already memoized — read off SPFA.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExtendedGraph::longest_from`].
-    pub fn distances_from(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
-        self.graph.distances_from(&v)
-    }
-
-    /// Memoized longest-path weights from every vertex to `v`; see
-    /// [`ExtendedGraph::distances_from`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExtendedGraph::longest_to`].
-    pub fn distances_to(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
-        self.graph.distances_to(&v)
-    }
-
     /// Dense index of a vertex, if present: index arithmetic over the
     /// vertex layout (see the [module docs](self)), no interning lookup.
     pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
         self.layout.ext_index(v)
-    }
-
-    /// The vertex layout the dense indices follow.
-    pub(crate) fn layout(&self) -> &NodeLayout {
-        &self.layout
     }
 }
 
@@ -620,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn the_run_clock_is_accepted_and_matches_spfa() {
+    fn views_equal_the_materialized_graph_and_run_on_the_clock() {
         // Figure 1's C → A, C → B: at C's first node, A and B are outside
         // the past and have no outgoing channels, so ψ_A and ψ_B have no
         // in-edges at all and take the clock's least value.
@@ -638,21 +1075,132 @@ mod tests {
         let runs = (0..4).map(tri_run).chain([fig1]);
         for run in runs {
             let index = MessageIndex::of_run(&run);
+            // Append-order rows, bulk-order rows, and the local graph.
+            let stream = crate::incremental::IncrementalEngine::ingest(&run).unwrap();
+            let batch = BoundsGraph::of_run(&run);
             let nodes: Vec<NodeId> = run.nodes().map(|r| r.id()).collect();
             let firsts = nodes.iter().filter(|n| n.index() == 1).copied();
             for sigma in firsts.chain(nodes.last().copied()) {
+                let local = BoundsGraph::local(&run, &run.past(sigma));
                 for exclude in [None, Some(sigma)] {
-                    let ge = ExtendedGraph::with_index_excluding(&run, sigma, &index, exclude);
-                    assert!(ge.graph().has_potential(), "clock rejected at {sigma}");
+                    let ge = ExtendedGraph::with_exclusion(&run, sigma, exclude);
+                    let mut want: Vec<(usize, usize, i64, u32)> = (0..ge.graph().vertex_count())
+                        .flat_map(|v| ge.graph().edges_from(v))
+                        .map(|e| (e.from, e.to, e.weight, e.label))
+                        .collect();
+                    want.sort_unstable();
                     let root = ExtVertex::Node(sigma);
-                    let (dist, spfa) =
-                        (ge.distances_to(root).unwrap(), ge.longest_to(root).unwrap());
-                    for i in 0..ge.graph().vertex_count() {
-                        assert_eq!(dist.weight(i), spfa.weight(i));
+                    let spfa = ge.longest_to(root).unwrap();
+                    for gb in [stream.bounds_graph(), &batch, &local] {
+                        let frontier = GeFrontier::new(&run, gb, run.past(sigma), &index, exclude);
+                        let view = GeView::new(gb, &frontier);
+                        assert!(view.has_potential(), "clock rejected at {sigma}");
+                        let mut got: Vec<(usize, usize, i64, u32)> = view
+                            .edges()
+                            .into_iter()
+                            .map(|e| (e.from, e.to, e.weight, e.label))
+                            .collect();
+                        got.sort_unstable();
+                        assert_eq!(got, want, "edges of the view at {sigma}");
+                        let dist = view.distances_to(root).unwrap();
+                        for i in 0..view.vertex_count() {
+                            assert_eq!(dist.weight(i), spfa.weight(i));
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Asserts that the views of `GE(r, σ)` over `GB(r)` and `GB(r, σ)`
+    /// take Dijkstra iff `dijkstra`, and that both match SPFA over the
+    /// materialized graph from and to σ.
+    fn assert_views_match_spfa(run: &Run, sigma: NodeId, dijkstra: bool) {
+        let index = MessageIndex::of_run(run);
+        let ge = ExtendedGraph::new(run, sigma);
+        let root = ExtVertex::Node(sigma);
+        let (from, to) = (ge.longest_from(root).unwrap(), ge.longest_to(root).unwrap());
+        let local = BoundsGraph::local(run, &run.past(sigma));
+        for gb in [&BoundsGraph::of_run(run), &local] {
+            let frontier = GeFrontier::new(run, gb, run.past(sigma), &index, None);
+            let view = GeView::new(gb, &frontier);
+            assert_eq!(view.has_potential(), dijkstra, "traversal at {sigma}");
+            let (d_from, d_to) = (
+                view.distances_from(root).unwrap(),
+                view.distances_to(root).unwrap(),
+            );
+            for i in 0..view.vertex_count() {
+                assert_eq!(d_from.weight(i), from.weight(i), "from {sigma} to {i}");
+                assert_eq!(d_to.weight(i), to.weight(i), "from {i} to {sigma}");
+            }
+            let work = view.work();
+            let ran = if dijkstra { work.dijkstra } else { work.spfa };
+            assert_eq!(ran.traversals, 2);
+        }
+    }
+
+    /// A two-process run with a message each way and one late node on
+    /// `i` at `late`; the last node of `i` is returned with the run.
+    fn run_with_late_node(late: u64) -> (Run, NodeId) {
+        use zigzag_bcm::builder::RunBuilder;
+        let mut nb = Network::builder();
+        let i = nb.add_process("i");
+        let j = nb.add_process("j");
+        nb.add_bidirectional(i, j, 1, 3).unwrap();
+        let mut rb = RunBuilder::new(nb.build().unwrap(), Time::new(late + 1));
+        let i1 = rb.add_node(i, Time::new(1)).unwrap();
+        let to_j = rb.send(i1, j, Time::new(2)).unwrap();
+        let j1 = rb.add_node(j, Time::new(2)).unwrap();
+        rb.deliver(to_j, j1).unwrap();
+        let to_i = rb.send(j1, i, Time::new(4)).unwrap();
+        let i2 = rb.add_node(i, Time::new(4)).unwrap();
+        rb.deliver(to_i, i2).unwrap();
+        let i3 = rb.add_node(i, Time::new(late)).unwrap();
+        (rb.finish(), i3)
+    }
+
+    #[test]
+    fn clocks_that_overflow_fall_back_to_the_label_correcting_walk() {
+        // Recorded times past i64::MAX wrap negative in the clock, so the
+        // successor slack into `i3` overflows i64: the graph refuses its
+        // clock.
+        let (run, sigma) = run_with_late_node(i64::MAX as u64 + 2);
+        assert!(!BoundsGraph::of_run(&run).clock_holds());
+        assert_views_match_spfa(&run, sigma, false);
+        // Every slack fits, but the largest (~2^62, into `i3` and `ψ_j`)
+        // times |V| = 8 reaches u64::MAX: a Dijkstra key could overflow,
+        // so the views walk label-correcting on a clock that holds.
+        let (run, sigma) = run_with_late_node(1 << 62);
+        assert!(BoundsGraph::of_run(&run).clock_holds());
+        assert_views_match_spfa(&run, sigma, false);
+        // At ~2^59 the keys fit, and the views run Dijkstra.
+        let (run, sigma) = run_with_late_node(1 << 59);
+        assert_views_match_spfa(&run, sigma, true);
+    }
+
+    #[test]
+    fn repeated_view_queries_share_one_traversal() {
+        let run = tri_run(2);
+        let gb = BoundsGraph::of_run(&run);
+        let index = MessageIndex::of_run(&run);
+        let sigma = run.nodes().last().unwrap().id();
+        let frontier = GeFrontier::new(&run, &gb, run.past(sigma), &index, None);
+        let view = GeView::new(&gb, &frontier);
+        let root = ExtVertex::Node(sigma);
+        let (from, to) = (
+            view.distances_from(root).unwrap(),
+            view.distances_to(root).unwrap(),
+        );
+        let work = view.work();
+        assert_eq!(work.dijkstra.traversals, 2);
+        assert!(Arc::ptr_eq(&from, &view.distances_from(root).unwrap()));
+        assert!(Arc::ptr_eq(&to, &view.distances_to(root).unwrap()));
+        assert_eq!(view.work(), work, "a memo hit does no work");
+        // Another view over the same graph has a memo of its own.
+        let again = GeFrontier::new(&run, &gb, run.past(sigma), &index, None);
+        let other = GeView::new(&gb, &again);
+        assert!(!Arc::ptr_eq(&from, &other.distances_from(root).unwrap()));
+        assert_eq!(other.work().dijkstra.traversals, 3);
     }
 
     #[test]

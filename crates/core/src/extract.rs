@@ -14,7 +14,9 @@ use zigzag_bcm::{NetPath, NodeId, ProcessId, Run};
 
 use crate::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
 use crate::error::CoreError;
-use crate::extended_graph::{ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN};
+use crate::extended_graph::{
+    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
+};
 use crate::fork::TwoLeggedFork;
 use crate::graph::Edge;
 use crate::node::GeneralNode;
@@ -184,14 +186,16 @@ pub fn zigzag_for_pair(
 /// interludes (`E' · E'''* · E''`) into single [`PathStep::Interlude`]s.
 ///
 /// Both endpoints must be original (basic) vertices.
-fn ge_steps(ge: &ExtendedGraph, edges: &[Edge]) -> Result<Vec<PathStep>, CoreError> {
-    let g = ge.graph();
+fn ge_steps(
+    vertex: &impl Fn(usize) -> ExtVertex,
+    edges: &[Edge],
+) -> Result<Vec<PathStep>, CoreError> {
     let mut steps = Vec::new();
     let mut i = 0;
     while i < edges.len() {
         let e = edges[i];
-        let from = vertex_node(g, e.from);
-        let to = vertex_node(g, e.to);
+        let from = vertex(e.from);
+        let to = vertex(e.to);
         match e.label {
             LABEL_SUCCESSOR => {
                 steps.push(PathStep::Succ {
@@ -225,13 +229,12 @@ fn ge_steps(ge: &ExtendedGraph, edges: &[Edge]) -> Result<Vec<PathStep>, CoreErr
                     };
                     match e2.label {
                         LABEL_AUX_CHAN => {
-                            procs_rev.push(vertex_node(g, e2.to).proc());
+                            procs_rev.push(vertex(e2.to).proc());
                             j += 1;
                         }
                         LABEL_UNSEEN => {
-                            let sender = vertex_node(g, e2.to)
-                                .node()
-                                .expect("E'' edges end at basic nodes");
+                            let sender =
+                                vertex(e2.to).node().expect("E'' edges end at basic nodes");
                             // q = [s, lk, …, l1].
                             let mut procs = vec![sender.proc()];
                             procs.extend(procs_rev.iter().rev().copied());
@@ -280,17 +283,25 @@ pub fn zigzag_from_ge_path(
     from: NodeId,
     edges: &[Edge],
 ) -> Result<ZigzagPattern, CoreError> {
+    zigzag_from_ge_walk(&|i| *ge.graph().vertex(i), from, edges)
+}
+
+/// [`zigzag_from_ge_path`] over a walk whose dense indices `vertex`
+/// resolves.
+pub(crate) fn zigzag_from_ge_walk(
+    vertex: &impl Fn(usize) -> ExtVertex,
+    from: NodeId,
+    edges: &[Edge],
+) -> Result<ZigzagPattern, CoreError> {
     let end = match edges.last() {
-        Some(e) => {
-            vertex_node(ge.graph(), e.to)
-                .node()
-                .ok_or_else(|| CoreError::MalformedPattern {
-                    detail: "GE path for zigzag extraction must end at a basic node".into(),
-                })?
-        }
+        Some(e) => vertex(e.to)
+            .node()
+            .ok_or_else(|| CoreError::MalformedPattern {
+                detail: "GE path for zigzag extraction must end at a basic node".into(),
+            })?,
         None => from,
     };
-    let steps = ge_steps(ge, edges)?;
+    let steps = ge_steps(vertex, edges)?;
     zigzag_from_steps(end, &steps)
 }
 

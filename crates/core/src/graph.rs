@@ -13,28 +13,27 @@
 //!   but the graph, and its results carry a predecessor forest
 //!   ([`LongestPaths`]). It serves every path query: the witness paths
 //!   of `crate::knowledge` (the served witness bytes follow SPFA's
-//!   tie-breaks), the append-delta memo of `GB(r)` (a graph that keeps
-//!   growing), and every distance query on a graph without a potential.
-//! * **Potential-reweighted Dijkstra** answers distance-only queries
-//!   ([`WeightedDigraph::distances_from`] /
-//!   [`WeightedDigraph::distances_to`], results as [`Distances`]) once a
-//!   caller installs a *feasible potential*
-//!   ([`WeightedDigraph::set_potential`]): values `π` with
-//!   `π(u) + w ≤ π(v)` on every edge. Johnson reweighting turns every
-//!   edge into a non-negative slack `π(v) − π(u) − w`, so each vertex
-//!   settles once and each edge is scanned at most once. A valid timing
-//!   is exactly such a potential (Lemma 8), and
-//!   [`crate::extended_graph::ExtendedGraph`] installs the run's own
-//!   clock: the fast timing's two lanes and the all-pairs matrix rows of
-//!   `crate::knowledge` read this traversal. The potential is checked in
-//!   one scan over the edges when installed; a rejected one leaves the
-//!   graph on SPFA, and any mutation drops it. A distance query whose
-//!   SPFA result is already memoized reads that result's weights instead
-//!   (a witness query grows the SPFA tree from its anchor first, so its
-//!   fast timing needs one Dijkstra, not two).
+//!   tie-breaks) and the append-delta memo of `GB(r)` (a graph that
+//!   keeps growing).
+//! * **Distance-only traversals over rows** read a graph through the
+//!   crate-internal `Rows` trait: a vertex count, a potential, and a
+//!   scan of one vertex's row. `GE(r, σ)` is such a view: the rows of
+//!   the `GB(r)` it is cut from, filtered at σ's frontier, plus a small
+//!   overlay ([`crate::extended_graph`]). When the potential is
+//!   *feasible* — `π(u) + w ≤ π(v)` on every edge the rows yield — the
+//!   traversal is a **potential-reweighted Dijkstra**: Johnson
+//!   reweighting turns every edge into a non-negative slack
+//!   `π(v) − π(u) − w`, so each vertex settles once and each edge is
+//!   scanned at most once. A valid timing is exactly such a potential
+//!   (Lemma 8), and the run's own recorded times are one. Where the
+//!   clock fails, the same rows are walked label-correcting (SPFA
+//!   without predecessors), with the same answers. The results are
+//!   [`Distances`]: the fast timing's two lanes and the all-pairs matrix
+//!   rows of `crate::knowledge` read them.
 //!
-//! Both kinds count their queue pops and edge scans per graph
-//! ([`WeightedDigraph::work`]).
+//! Both kinds count their queue pops and edge scans on the graph whose
+//! rows they read ([`WeightedDigraph::work`]), however many views share
+//! it; a view's traversal also borrows that graph's scratch arena.
 //!
 //! # Shared analysis
 //!
@@ -44,14 +43,14 @@
 //! same sources. Two layers amortize that cost:
 //!
 //! * a **frozen CSR form** ([`CsrTopology`]) — forward and reverse
-//!   adjacency built once per graph generation, that both traversals scan
-//!   instead of the per-vertex `Vec`s;
+//!   adjacency built once per graph generation, that SPFA scans instead
+//!   of the per-vertex `Vec`s;
 //! * a **longest-path cache** — every SPFA result is memoized per
 //!   `(source, direction)` and shared as an [`Arc`], so repeated queries
 //!   against an unmodified graph are O(1) — and allocation-free — after
 //!   first touch ([`WeightedDigraph::longest_from_cached`] /
-//!   [`WeightedDigraph::longest_to_cached`]). Dijkstra results are
-//!   memoized the same way, in a map of their own.
+//!   [`WeightedDigraph::longest_to_cached`]). A view memoizes its
+//!   distance results itself.
 //!
 //! The SPFA layers survive mutation **monotonically**: the only
 //! mutations the graph supports are additions
@@ -64,11 +63,10 @@
 //! new edges seed an incremental SPFA that cascades forward from exactly
 //! the vertices they improve (the frontier), leaving the converged bulk
 //! of the old result untouched. The frozen CSR is rebuilt lazily per
-//! generation; delta cascades walk the live adjacency directly, since
-//! they touch few vertices. This is what makes append-only consumers
-//! (`crate::incremental`) pay per-append cost proportional to the change,
-//! not the graph. Distance results and the potential are dropped on
-//! mutation instead: the graphs that install a potential never mutate.
+//! generation; delta cascades and views walk the live adjacency
+//! directly, so an append never forces a CSR rebuild on their account.
+//! This is what makes append-only consumers (`crate::incremental`) pay
+//! per-append cost proportional to the change, not the graph.
 //!
 //! # Data layout
 //!
@@ -225,6 +223,39 @@ impl CsrLanes {
         Ok(lanes)
     }
 
+    /// Packs an edge list over `n` vertices into lanes by a stable
+    /// counting sort on each edge's row: the lanes [`CsrLanes::pack`]
+    /// makes of the rows that adding the edges in list order builds.
+    fn pack_edges(n: usize, edges: &[Edge], row_is_target: bool) -> CsrLanes {
+        let ends = |e: &Edge| match row_is_target {
+            false => (e.from, e.to),
+            true => (e.to, e.from),
+        };
+        let mut off = vec![0u32; n + 1];
+        for e in edges {
+            off[ends(e).0 + 1] += 1;
+        }
+        for u in 0..n {
+            off[u + 1] += off[u];
+        }
+        let mut next = off[..n].to_vec();
+        let mut lanes = CsrLanes {
+            targets: vec![0; edges.len()],
+            weights: vec![0; edges.len()],
+            labels: vec![0; edges.len()],
+            off,
+        };
+        for e in edges {
+            let (row, reach) = ends(e);
+            let p = next[row] as usize;
+            next[row] += 1;
+            lanes.targets[p] = reach as u32;
+            lanes.weights[p] = e.weight;
+            lanes.labels[p] = e.label;
+        }
+        lanes
+    }
+
     #[inline]
     fn row(&self, u: usize) -> std::ops::Range<usize> {
         self.off[u] as usize..self.off[u + 1] as usize
@@ -263,6 +294,43 @@ impl CsrTopology {
             Direction::Forward => &self.fwd,
             Direction::Backward => &self.rev,
         }
+    }
+
+    /// The CSR form of the graph over `n` vertices that `edges`, added in
+    /// list order, make — the lanes [`WeightedDigraph::from_edges`]
+    /// `(…).csr()` holds, built without adjacency rows or an interner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::IndexOverflow`] if the graph exceeds the
+    /// `u32` index space.
+    pub(crate) fn from_edges(n: usize, edges: &[Edge]) -> Result<Self, CoreError> {
+        checked_u32(n, "vertex count")?;
+        checked_u32(edges.len(), "edge count")?;
+        Ok(CsrTopology {
+            fwd: CsrLanes::pack_edges(n, edges, false),
+            rev: CsrLanes::pack_edges(n, edges, true),
+            fwd_view: OnceLock::new(),
+            rev_view: OnceLock::new(),
+        })
+    }
+
+    /// Longest paths from `src`, with their predecessor tree: the SPFA
+    /// [`WeightedDigraph::longest_from`] runs over the same lanes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
+    /// reachable from `src`.
+    pub(crate) fn longest_from(&self, src: usize) -> Result<LongestPaths, CoreError> {
+        let mut scratch = SpfaScratch::default();
+        spfa(
+            self,
+            src,
+            Direction::Forward,
+            &mut scratch,
+            &mut Tally::default(),
+        )
     }
 
     /// Reconstructs the full `Edge` view of one direction from its lanes.
@@ -403,10 +471,12 @@ impl TraversalWork {
 /// [`WeightedDigraph::work`]. Memo hits do no work and count nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphWork {
-    /// SPFA, cold and delta catch-ups alike: a pop drains one frontier
-    /// entry, so a vertex may be popped once per generation.
+    /// SPFA — cold, delta catch-ups, and label-correcting walks over a
+    /// view's rows alike: a pop drains one frontier entry, so a vertex
+    /// may be popped once per generation.
     pub spfa: TraversalWork,
-    /// Potential-reweighted Dijkstra: a pop settles a vertex for good.
+    /// Potential-reweighted Dijkstra over a view's rows: a pop settles a
+    /// vertex for good.
     pub dijkstra: TraversalWork,
 }
 
@@ -597,16 +667,13 @@ struct CachedPaths {
 }
 
 /// Memoized analysis state: the CSR form of the latest generation, all
-/// SPFA and Dijkstra results computed so far keyed by
-/// `(source, direction)`, the append log that lets stale SPFA results
-/// catch up incrementally, the scratch arena the traversals recycle, and
-/// the work counters.
+/// SPFA results computed so far keyed by `(source, direction)`, the
+/// append log that lets stale SPFA results catch up incrementally, the
+/// scratch arena the traversals recycle, and the work counters.
 #[derive(Debug, Default)]
 struct AnalysisCache {
     csr: Option<Arc<CsrTopology>>,
     paths: HashMap<(u32, Direction), CachedPaths, FxBuild>,
-    /// Dijkstra results of the current generation (cleared on mutation).
-    dists: HashMap<(u32, Direction), Arc<Distances>, FxBuild>,
     /// Edges appended since `log_base`, in insertion order. Maintained
     /// only while memoized results exist (reset whenever `paths` is
     /// empty), so pure construction phases log nothing.
@@ -643,10 +710,6 @@ pub struct WeightedDigraph<V> {
     out: Vec<Vec<Edge>>,
     r#in: Vec<Vec<Edge>>,
     edge_count: usize,
-    /// A feasible potential for the Dijkstra traversal, checked when
-    /// installed ([`WeightedDigraph::set_potential`]) and dropped on
-    /// mutation.
-    potential: Option<Vec<i64>>,
     cache: Mutex<AnalysisCache>,
 }
 
@@ -660,7 +723,6 @@ impl<V: Clone> Clone for WeightedDigraph<V> {
             AnalysisCache {
                 csr: cache.csr.clone(),
                 paths: cache.paths.clone(),
-                dists: cache.dists.clone(),
                 log: cache.log.clone(),
                 log_base: cache.log_base,
                 scratch: None,
@@ -673,7 +735,6 @@ impl<V: Clone> Clone for WeightedDigraph<V> {
             out: self.out.clone(),
             r#in: self.r#in.clone(),
             edge_count: self.edge_count,
-            potential: self.potential.clone(),
             cache: Mutex::new(shared),
         }
     }
@@ -694,7 +755,6 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             out: Vec::new(),
             r#in: Vec::new(),
             edge_count: 0,
-            potential: None,
             cache: Mutex::new(AnalysisCache::default()),
         }
     }
@@ -743,21 +803,17 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             out,
             r#in,
             edge_count: edges.len(),
-            potential: None,
             cache: Mutex::new(AnalysisCache::default()),
         }
     }
 
     /// Records a mutation: the CSR freezes a generation and is rebuilt
     /// lazily; memoized SPFA results are *kept* and the appended edge (if
-    /// any) is logged so they can delta-relax on their next query. The
-    /// potential and the Dijkstra results are dropped.
+    /// any) is logged so they can delta-relax on their next query.
     fn note_mutation(&mut self, appended: Option<Edge>) {
         let edge_count = self.edge_count;
-        self.potential = None;
         let cache = self.cache.get_mut().expect("cache lock");
         cache.csr = None;
-        cache.dists.clear();
         if cache.paths.is_empty() {
             // Nothing to catch up: restart the log here so construction
             // phases (thousands of adds before any query) log nothing.
@@ -1025,115 +1081,45 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             .unwrap_or_default()
     }
 
-    /// Installs `potential` (one value per dense vertex index) for
-    /// [`WeightedDigraph::distances_from`] /
-    /// [`WeightedDigraph::distances_to`] if it is feasible: every edge
-    /// `u --w--> v` must satisfy `π(u) + w ≤ π(v)`. Checked in one scan
-    /// over the edges, which also bounds every slack so that no Dijkstra
-    /// key can overflow. A rejected potential leaves distance queries on
-    /// SPFA ([`WeightedDigraph::has_potential`] tells which). A graph
-    /// with a positive cycle has no feasible potential. The next mutation
-    /// drops the potential.
-    pub fn set_potential(&mut self, potential: Vec<i64>) {
-        let n = self.vertices.len();
-        let mut max_slack = 0u64;
-        let feasible = potential.len() == n
-            && self.out.iter().flatten().all(|e| {
-                let slack = potential[e.to]
-                    .checked_sub(potential[e.from])
-                    .and_then(|d| d.checked_sub(e.weight));
-                match slack {
-                    Some(s) if s >= 0 => {
-                        max_slack = max_slack.max(s as u64);
-                        true
-                    }
-                    _ => false,
-                }
-            })
-            // A settled key is the slack of a simple path (fewer than n
-            // edges); one more edge must stay below the `u64::MAX`
-            // "not reached" key.
-            && u128::from(max_slack) * (n as u128) < u128::from(u64::MAX);
-        self.potential = feasible.then_some(potential);
-    }
-
-    /// Whether a feasible potential is installed, so that distance
-    /// queries run Dijkstra rather than SPFA. A bounds graph's clock
-    /// passes for every FFIP run whose deliveries respect their channel
-    /// bounds (see [`crate::extended_graph`]).
-    pub fn has_potential(&self) -> bool {
-        self.potential.is_some()
-    }
-
-    /// The traversal work this graph has done (see [`GraphWork`]).
+    /// The traversal work this graph has done, including the distance
+    /// traversals of every view over its rows (see [`GraphWork`]).
     pub fn work(&self) -> GraphWork {
         self.cache.lock().expect("cache lock").work
     }
 
-    /// Memoized longest-path weights from `src` to every vertex, without
-    /// predecessors: a potential-reweighted Dijkstra when a feasible
-    /// potential is installed ([`WeightedDigraph::set_potential`]),
-    /// otherwise — or when a current SPFA result from `src` is already
-    /// memoized — the distances of that SPFA result
-    /// ([`WeightedDigraph::longest_from_cached`]). Either way the weights
-    /// are the same; only the SPFA result carries paths.
+    /// Longest-path weights from (or, backward, to) `src` over `rows` —
+    /// a view over this graph's rows — without predecessors: the
+    /// potential-reweighted Dijkstra when `dijkstra` (the caller vouches
+    /// that the rows' potential is feasible on every edge they yield and
+    /// keeps every key below `u64::MAX`), otherwise the label-correcting
+    /// walk. Either traversal borrows this graph's scratch arena and
+    /// counts its work here.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
-    /// reachable from `src`.
-    pub fn distances_from(&self, src: &V) -> Result<Arc<Distances>, CoreError> {
-        let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "distances_from: source vertex not in graph".into(),
-        })?;
-        self.cached_distances(s, Direction::Forward)
-    }
-
-    /// Memoized longest-path weights from every vertex to `dst`; see
-    /// [`WeightedDigraph::distances_from`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::PositiveCycle`] if a positive cycle reaches
-    /// `dst`.
-    pub fn distances_to(&self, dst: &V) -> Result<Arc<Distances>, CoreError> {
-        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "distances_to: destination vertex not in graph".into(),
-        })?;
-        self.cached_distances(s, Direction::Backward)
-    }
-
-    fn cached_distances(&self, src: usize, dir: Direction) -> Result<Arc<Distances>, CoreError> {
-        let key = (src as u32, dir);
-        let spfa_current = {
-            let cache = self.cache.lock().expect("cache lock");
-            if let Some(hit) = cache.dists.get(&key) {
-                return Ok(hit.clone());
-            }
-            cache.paths.get(&key).is_some_and(|hit| {
-                hit.vertices == self.vertices.len() && hit.edges == self.edge_count
-            })
+    /// Returns [`CoreError::PositiveCycle`] if the label-correcting walk
+    /// finds one.
+    pub(crate) fn distances_over<R: Rows>(
+        &self,
+        rows: &R,
+        src: usize,
+        dir: Direction,
+        dijkstra: bool,
+    ) -> Result<Distances, CoreError> {
+        let mut scratch = self.take_scratch();
+        let mut tally = Tally::default();
+        let result = if dijkstra {
+            Ok(dijkstra_over(rows, src, dir, &mut scratch.heap, &mut tally))
+        } else {
+            spfa_over(rows, src, dir, &mut scratch, &mut tally)
         };
-        let dist = match &self.potential {
-            Some(potential) if !spfa_current => {
-                let csr = self.csr_checked()?;
-                let mut scratch = self.take_scratch();
-                let mut tally = Tally::default();
-                let dist = dijkstra(&csr, potential, src, dir, &mut scratch.heap, &mut tally);
-                let mut cache = self.cache.lock().expect("cache lock");
-                cache.park(scratch);
-                cache.work.dijkstra.record(tally);
-                dist
-            }
-            // A current SPFA result already holds these weights, and
-            // without a potential SPFA is the traversal. Its lane is
-            // copied once and memoized with the rest.
-            _ => self.cached_spfa(src, dir)?.dist.clone(),
-        };
-        let dist = Arc::new(dist);
         let mut cache = self.cache.lock().expect("cache lock");
-        cache.dists.insert(key, dist.clone());
-        Ok(dist)
+        cache.park(scratch);
+        match dijkstra {
+            true => cache.work.dijkstra.record(tally),
+            false => cache.work.spfa.record(tally),
+        }
+        result
     }
 
     fn cached_spfa(&self, src: usize, dir: Direction) -> Result<Arc<LongestPaths>, CoreError> {
@@ -1315,50 +1301,120 @@ fn spfa(
     })
 }
 
-/// Potential-reweighted Dijkstra for longest paths over the frozen SoA
-/// CSR (see the [module docs](self)). A backward scan walks each edge
-/// against its direction, so it reweights under `−π`; either way an
-/// edge's slack is `π(head) − π(tail) − w ≥ 0`, which
-/// [`WeightedDigraph::set_potential`] checked. A vertex's slack key is
-/// the root-to-vertex slack, so its distance is
+/// What a distance traversal reads: a graph given row by row, each row
+/// filtered or extended by the implementor. `GE(r, σ)` implements it as
+/// a view over `GB(r)` ([`crate::extended_graph::GeView`]).
+pub(crate) trait Rows {
+    /// Number of vertices; traversals index them `0..vertex_count()`.
+    fn vertex_count(&self) -> usize;
+
+    /// The potential `π(v)`.
+    fn potential(&self, v: usize) -> i64;
+
+    /// Calls `f(w, weight, π(w))` for every edge of `v`'s row: the edges
+    /// leaving `v` when `dir` is forward (`w` is the head), the edges
+    /// entering it when backward (`w` is the tail).
+    fn scan(&self, v: usize, dir: Direction, f: impl FnMut(usize, i64, i64));
+}
+
+/// Potential-reweighted Dijkstra for longest paths over `rows` (see the
+/// [module docs](self)). A backward scan walks each edge against its
+/// direction, so it reweights under `−π`; either way an edge's slack is
+/// `π(head) − π(tail) − w ≥ 0`, which the caller vouched for. A vertex's
+/// slack key is the root-to-vertex slack, so its distance is
 /// `π′(v) − π′(root) − slack` under the signed potential `π′`, computed
 /// in wrapping arithmetic: exact whenever the distance fits in `i64`,
-/// which is when SPFA's own sums do not overflow either.
-fn dijkstra(
-    csr: &CsrTopology,
-    potential: &[i64],
+/// which is when SPFA's own sums do not overflow either. A reached
+/// vertex's lane holds `π′(v)` until it settles, so the potential is read
+/// once per edge, where the scan supplies it.
+fn dijkstra_over<R: Rows>(
+    rows: &R,
     src: usize,
     dir: Direction,
     heap: &mut RadixHeap,
     tally: &mut Tally,
 ) -> Distances {
-    let n = csr.vertex_count();
-    let lanes = csr.lanes(dir);
+    let n = rows.vertex_count();
     let sign: i64 = match dir {
         Direction::Forward => 1,
         Direction::Backward => -1,
     };
-    let pi = |v: usize| sign.wrapping_mul(potential[v]);
-    let root = pi(src);
+    let root = sign.wrapping_mul(rows.potential(src));
     let mut lane = vec![UNREACHABLE; n];
+    lane[src] = root;
     heap.reset(n);
     heap.push(src as u32, 0);
+    let mut scans = 0;
     while let Some(u) = heap.pop() {
         let u = u as usize;
         let slack = heap.key[u];
-        let pu = pi(u);
+        let pu = lane[u];
         lane[u] = pu.wrapping_sub(root).wrapping_sub(slack as i64);
-        let row = lanes.row(u);
         tally.pops += 1;
-        tally.scans += row.len() as u64;
-        for (&t, &w) in lanes.targets[row.clone()].iter().zip(&lanes.weights[row]) {
-            let cand = slack + pi(t as usize).wrapping_sub(pu).wrapping_sub(w) as u64;
-            if cand < heap.key[t as usize] {
-                heap.push(t, cand);
+        rows.scan(u, dir, |t, w, pt| {
+            scans += 1;
+            let pt = sign.wrapping_mul(pt);
+            let cand = slack + pt.wrapping_sub(pu).wrapping_sub(w) as u64;
+            if cand < heap.key[t] {
+                lane[t] = pt;
+                heap.push(t as u32, cand);
             }
-        }
+        });
     }
+    tally.scans += scans;
     Distances { lane }
+}
+
+/// The label-correcting walk over `rows`: SPFA's generations and its
+/// `|V|`-drain positive-cycle bound, without predecessors. The fallback
+/// where a view's potential is not feasible.
+fn spfa_over<R: Rows>(
+    rows: &R,
+    src: usize,
+    dir: Direction,
+    scratch: &mut SpfaScratch,
+    tally: &mut Tally,
+) -> Result<Distances, CoreError> {
+    let n = rows.vertex_count();
+    let mut dist = vec![UNREACHABLE; n];
+    scratch.reset(n);
+    dist[src] = 0;
+    scratch.next.push(src as u32);
+    let SpfaScratch {
+        in_queue,
+        frontier,
+        next,
+        ..
+    } = scratch;
+    std::mem::swap(frontier, next);
+    let mut drains = 0usize;
+    while !frontier.is_empty() {
+        drains += 1;
+        if drains > n {
+            return Err(CoreError::PositiveCycle);
+        }
+        tally.pops += frontier.len() as u64;
+        for &u in frontier.iter() {
+            let (w, b) = ((u / 64) as usize, u % 64);
+            in_queue[w] &= !(1 << b);
+            let du = dist[u as usize];
+            rows.scan(u as usize, dir, |t, weight, _| {
+                tally.scans += 1;
+                let cand = du + weight;
+                if cand > dist[t] {
+                    dist[t] = cand;
+                    let (w, b) = (t / 64, t % 64);
+                    if in_queue[w] & (1 << b) == 0 {
+                        in_queue[w] |= 1 << b;
+                        next.push(t as u32);
+                    }
+                }
+            });
+        }
+        frontier.clear();
+        std::mem::swap(frontier, next);
+    }
+    Ok(Distances { lane: dist })
 }
 
 /// Incremental SPFA: catches a converged longest-path result up with the
@@ -1517,16 +1573,19 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     }
 }
 
+/// Which way a traversal walks: along edges (longest paths *from* its
+/// root) or against them (longest paths *to* it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Direction {
+pub(crate) enum Direction {
     Forward,
     Backward,
 }
 
 /// Longest-path weights from (or to) one root, without predecessors: one
-/// sentinel-coded lane (see the [module docs](self)). The result of
-/// [`WeightedDigraph::distances_from`] / [`WeightedDigraph::distances_to`],
-/// and the distance half of every [`LongestPaths`].
+/// sentinel-coded lane (see the [module docs](self)). The result of a
+/// view's distance traversals
+/// ([`crate::extended_graph::GeView::distances_from`]), and the distance
+/// half of every [`LongestPaths`].
 #[derive(Debug, Clone)]
 pub struct Distances {
     /// `UNREACHABLE` (= `i64::MIN`) marks disconnected vertices.
@@ -1994,97 +2053,178 @@ mod tests {
     /// `a`, in index order `a, b, c, d`.
     const DIAMOND_CLOCK: [i64; 4] = [0, 2, 5, 6];
 
+    /// A graph's own rows under a given potential: the [`Rows`] these
+    /// tests drive the distance traversals with.
+    struct Whole<'a, V> {
+        g: &'a WeightedDigraph<V>,
+        clock: &'a [i64],
+    }
+
+    impl<V> Rows for Whole<'_, V> {
+        fn vertex_count(&self) -> usize {
+            self.g.vertices.len()
+        }
+
+        fn potential(&self, v: usize) -> i64 {
+            self.clock[v]
+        }
+
+        fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64)) {
+            match dir {
+                Direction::Forward => self.g.out[v]
+                    .iter()
+                    .for_each(|e| f(e.to, e.weight, self.clock[e.to])),
+                Direction::Backward => self.g.r#in[v]
+                    .iter()
+                    .for_each(|e| f(e.from, e.weight, self.clock[e.from])),
+            }
+        }
+    }
+
     #[test]
-    fn dijkstra_distances_equal_spfa_from_every_root() {
-        let mut g = diamond();
-        g.set_potential(DIAMOND_CLOCK.to_vec());
-        assert!(g.has_potential());
+    fn row_traversals_equal_spfa_from_every_root() {
+        let g = diamond();
+        let rows = Whole {
+            g: &g,
+            clock: &DIAMOND_CLOCK,
+        };
         let edges = g.edge_count() as u64;
         for root in ["a", "b", "c", "d"] {
-            let fwd = g.distances_from(&root).unwrap();
-            let bwd = g.distances_to(&root).unwrap();
+            let r = g.index_of(&root).unwrap();
             let spfa_fwd = g.longest_from(&root).unwrap();
             let spfa_bwd = g.longest_to(&root).unwrap();
-            for i in 0..g.vertex_count() {
-                assert_eq!(fwd.weight(i), spfa_fwd.weight(i), "{root} -> {i}");
-                assert_eq!(bwd.weight(i), spfa_bwd.weight(i), "{i} -> {root}");
+            for dijkstra in [true, false] {
+                let fwd = g.distances_over(&rows, r, Direction::Forward, dijkstra);
+                let bwd = g.distances_over(&rows, r, Direction::Backward, dijkstra);
+                let (fwd, bwd) = (fwd.unwrap(), bwd.unwrap());
+                for i in 0..g.vertex_count() {
+                    assert_eq!(fwd.weight(i), spfa_fwd.weight(i), "{root} -> {i}");
+                    assert_eq!(bwd.weight(i), spfa_bwd.weight(i), "{i} -> {root}");
+                }
+                assert_eq!(fwd.max_weight(), spfa_fwd.max_weight());
+                assert_eq!(bwd.min_weight(), spfa_bwd.min_weight());
+                assert!(fwd.connected().eq(spfa_fwd.connected()));
             }
-            assert_eq!(fwd.max_weight(), spfa_fwd.max_weight());
-            assert_eq!(bwd.min_weight(), spfa_bwd.min_weight());
-            assert!(fwd.connected().eq(spfa_fwd.connected()));
         }
+        // Each Dijkstra settles a vertex once and scans an edge once; the
+        // label-correcting walks count as SPFA, beside the 8 above.
         let work = g.work();
         assert_eq!(work.dijkstra.traversals, 8);
-        assert_eq!(work.spfa.traversals, 8);
+        assert_eq!(work.spfa.traversals, 16);
         assert!(work.dijkstra.max_scans <= edges);
-        assert!(work.dijkstra.max_pops <= edges + 1);
-        // Repeated queries are memo hits: same result, no new work.
-        let a1 = g.distances_from(&"a").unwrap();
-        assert!(Arc::ptr_eq(&a1, &g.distances_from(&"a").unwrap()));
-        assert_eq!(g.work(), work);
+        assert!(work.dijkstra.max_pops <= g.vertex_count() as u64);
     }
 
     #[test]
-    fn infeasible_potentials_fall_back_to_spfa() {
-        let mut g = diamond();
-        // a --2--> b is violated by a flat clock.
-        g.set_potential(vec![0; 4]);
-        assert!(!g.has_potential());
-        g.set_potential(DIAMOND_CLOCK[..3].to_vec());
-        assert!(!g.has_potential());
-        let d = g.distances_from(&"a").unwrap();
-        assert_eq!(d.weight(g.index_of(&"d").unwrap()), Some(6));
-        let work = g.work();
-        assert_eq!(work.dijkstra, TraversalWork::default());
-        assert_eq!(work.spfa.traversals, 1);
-        // The fallback lane is memoized too: no copy, no traversal.
-        assert!(Arc::ptr_eq(&d, &g.distances_from(&"a").unwrap()));
-        assert_eq!(g.work(), work);
-        // Slacks that overflow, or could overflow a key, are refused too.
-        let mut chain = WeightedDigraph::new();
-        chain.add_edge("a", "b", 0, 0);
-        chain.add_edge("b", "c", 0, 0);
-        chain.set_potential(vec![i64::MIN, 0, 0]);
-        assert!(!chain.has_potential());
-        chain.set_potential(vec![0, 0, i64::MAX]);
-        assert!(!chain.has_potential());
-        chain.set_potential(vec![0, 0, 1 << 40]);
-        assert!(chain.has_potential());
-    }
-
-    #[test]
-    fn positive_cycles_error_through_the_distance_entry_points() {
+    fn the_label_correcting_walk_reports_positive_cycles() {
         let mut g = WeightedDigraph::new();
         g.add_edge("a", "b", 1, 0);
         g.add_edge("b", "a", 0, 0); // cycle weight +1
         g.add_edge("b", "c", 2, 0);
-        // No potential is feasible on a positive cycle.
-        for clock in [vec![0, 1, 3], vec![0, 0, 0], vec![5, 6, 8]] {
-            g.set_potential(clock);
-            assert!(!g.has_potential());
+        let rows = Whole {
+            g: &g,
+            clock: &[0, 0, 0],
+        };
+        for dir in [Direction::Forward, Direction::Backward] {
+            assert!(matches!(
+                g.distances_over(&rows, 0, dir, false),
+                Err(CoreError::PositiveCycle)
+            ));
         }
-        assert!(matches!(
-            g.distances_from(&"a"),
-            Err(CoreError::PositiveCycle)
-        ));
-        assert!(matches!(
-            g.distances_to(&"c"),
-            Err(CoreError::PositiveCycle)
-        ));
-        assert!(g.distances_from(&"nope").is_err());
     }
 
+    /// The distance traversals against the dense Bellman–Ford on random
+    /// graphs at n ∈ {64, 256}: with a feasible potential (longest paths
+    /// from a virtual root with a 0-edge to every vertex, which exists
+    /// exactly when no positive cycle does) Dijkstra and the
+    /// label-correcting walk give the dense lanes in both directions,
+    /// each Dijkstra scanning every edge at most once; without one, the
+    /// walk reports the reachable cycle the dense reference finds.
     #[test]
-    fn mutation_drops_the_potential_and_the_distances() {
-        let mut g = diamond();
-        g.set_potential(DIAMOND_CLOCK.to_vec());
-        assert!(g.has_potential());
-        let d = g.index_of(&"d").unwrap();
-        assert_eq!(g.distances_from(&"a").unwrap().weight(d), Some(6));
-        g.add_edge("a", "d", 100, 9);
-        assert!(!g.has_potential());
-        assert_eq!(g.distances_from(&"a").unwrap().weight(d), Some(100));
-        assert_eq!(g.work().dijkstra.traversals, 1);
+    fn row_traversals_match_dense_bellman_ford_on_random_graphs() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut feasible, mut cyclic) = (0, 0);
+        for case in 0..48 {
+            let n = if case % 2 == 0 { 64usize } else { 256 };
+            let dag_only = case % 3 == 0;
+            let mut g: WeightedDigraph<usize> = WeightedDigraph::new();
+            for i in 0..n {
+                g.add_vertex(i);
+            }
+            let m = 64 + next(449) as usize;
+            for k in 0..m {
+                let (mut u, mut v) = (next(n as u64) as usize, next(n as u64) as usize);
+                if u == v {
+                    continue;
+                }
+                if dag_only && u > v {
+                    std::mem::swap(&mut u, &mut v);
+                }
+                g.add_edge(u, v, next(21) as i64 - 10, k as u32);
+            }
+            let src = next(n as u64) as usize;
+            let mut rooted = g.clone();
+            for v in 0..n {
+                rooted.add_edge(n, v, 0, 0);
+            }
+            match rooted.longest_from_dense(&n) {
+                Ok(clock) => {
+                    feasible += 1;
+                    let clock: Vec<i64> = clock[..n].iter().map(|t| t.unwrap()).collect();
+                    let rows = Whole {
+                        g: &g,
+                        clock: &clock,
+                    };
+                    let fwd = g.longest_from_dense(&src).unwrap();
+                    let bwd = g.longest_to_dense(&src).unwrap();
+                    let before = g.work().dijkstra.traversals;
+                    for dijkstra in [true, false] {
+                        let got_fwd = g.distances_over(&rows, src, Direction::Forward, dijkstra);
+                        let got_bwd = g.distances_over(&rows, src, Direction::Backward, dijkstra);
+                        let (got_fwd, got_bwd) = (got_fwd.unwrap(), got_bwd.unwrap());
+                        for i in 0..n {
+                            assert_eq!(got_fwd.weight(i), fwd[i], "case {case}: {src} -> {i}");
+                            assert_eq!(got_bwd.weight(i), bwd[i], "case {case}: {i} -> {src}");
+                        }
+                    }
+                    let work = g.work().dijkstra;
+                    assert_eq!(work.traversals, before + 2);
+                    assert!(work.max_scans <= g.edge_count() as u64);
+                }
+                Err(CoreError::PositiveCycle) => {
+                    cyclic += 1;
+                    let rows = Whole {
+                        g: &g,
+                        clock: &vec![0; n],
+                    };
+                    let walked = g.distances_over(&rows, src, Direction::Forward, false);
+                    match (g.longest_from_dense(&src), walked) {
+                        (Ok(dense), Ok(got)) => {
+                            for (i, want) in dense.into_iter().enumerate() {
+                                assert_eq!(got.weight(i), want, "case {case}: {src} -> {i}");
+                            }
+                        }
+                        (Err(CoreError::PositiveCycle), Err(CoreError::PositiveCycle)) => {}
+                        (dense, got) => panic!(
+                            "case {case}: verdicts diverged (dense err {}, walk err {})",
+                            dense.is_err(),
+                            got.is_err()
+                        ),
+                    }
+                }
+                Err(e) => panic!("case {case}: {e}"),
+            }
+        }
+        assert!(
+            feasible > 0 && cyclic > 0,
+            "{feasible} feasible, {cyclic} cyclic"
+        );
     }
 
     #[test]

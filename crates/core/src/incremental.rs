@@ -36,11 +36,17 @@
 //!    delivery σ has not seen can only be delivered at a node *outside*
 //!    the past — so the "seen delivery" classification behind the
 //!    `E''`-edges of `GE(r, σ)` (Definition 16) never changes as the run
-//!    extends. `GE(r, σ)`, its clock and traversal memos, canonical
-//!    rewrites, fast timings and chain layouts are all fixed at σ's
-//!    creation (the clock reads only past nodes' times): the engine
-//!    builds each observer's state **once**, keeps it warm in a cache,
-//!    and serves every later query from it with zero invalidation.
+//!    extends. An observer's state is a view over the engine's own
+//!    `GB(r)` (see [`crate::extended_graph`]): σ's past as a frontier,
+//!    the `ψ` clock and the `E''` overlay, all fixed at σ's creation, and
+//!    the part of `GB(r)` inside the frontier, which no append touches —
+//!    every edge an append adds has the new node, outside the frontier,
+//!    as an endpoint, and the clock on every past node is its recorded
+//!    time. So the view, its distance memos, canonical rewrites, fast
+//!    timings and chain layouts never go stale: the engine builds each
+//!    observer's state **once**, in O(|past| + n) time and space without
+//!    copying an edge, keeps it warm in a cache, and serves every later
+//!    query from it with zero invalidation.
 //!
 //!    The invariant extends verbatim to the **own-sends-excluded** states
 //!    behind `ExcludeOwnSends` coordination probes
@@ -53,7 +59,7 @@
 //!    append-stable as the full one, and the engine keeps **both** modes
 //!    of a queried observer warm in the same LRU cache (keyed by
 //!    [`ObserverMode`]) — eliminating the per-decision-node
-//!    `ExtendedGraph` rebuild the batch coordination helpers pay.
+//!    `GE(r, σ)` rebuild the batch coordination helpers pay.
 //!
 //! Together: appends touch O(event) state, queries at known observers hit
 //! warm caches, and the only per-observer cost is the one-time state
@@ -129,7 +135,8 @@ pub struct IncrementalEngine {
     /// observer state).
     messages: MessageIndex,
     /// The global basic bounds graph `GB(r)`, grown monotonically; its
-    /// memoized longest paths delta-relax across appends.
+    /// memoized longest paths delta-relax across appends, and every
+    /// observer state is a view over it.
     gb: BoundsGraph,
     /// One lazily built, append-stable analysis state per queried
     /// observer, optionally LRU-bounded (see
@@ -326,11 +333,11 @@ impl IncrementalEngine {
     }
 
     /// The knowledge engine observing at `sigma`, wrapped around the
-    /// current prefix. The observer-scoped analysis (graph, traversal memos,
-    /// rewrite/timing/chain caches, construction arena) is built on first
-    /// request and reused verbatim after every later append (until
-    /// LRU-evicted, if a cap is set — a rebuilt state answers
-    /// identically).
+    /// current prefix. The observer-scoped analysis (the view of `GB(r)`,
+    /// its distance memos, rewrite/timing/chain caches, construction
+    /// arena) is built on first request and reused verbatim after every
+    /// later append (until LRU-evicted, if a cap is set — a rebuilt state
+    /// answers identically).
     ///
     /// # Errors
     ///
@@ -353,14 +360,15 @@ impl IncrementalEngine {
         sigma: NodeId,
         mode: ObserverMode,
     ) -> Result<KnowledgeEngine<'_>, CoreError> {
+        let run = self.stream.run();
         let state = self
             .observers
             .lock()
             .expect("observer cache lock")
             .get_or_build_mode(sigma, mode, || {
-                ObserverState::build_mode(self.stream.run(), sigma, &self.messages, mode)
+                ObserverState::view(run, &self.gb, sigma, &self.messages, mode)
             })?;
-        Ok(KnowledgeEngine::with_state(self.stream.run(), state))
+        Ok(KnowledgeEngine::over(run, &self.gb, state))
     }
 
     /// The **warm exclude-mode decision engine** at `sigma`: the

@@ -20,14 +20,16 @@
 //! precedence fails ([`KnowledgeEngine::refute`]).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use zigzag_bcm::run::Past;
 use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
 
-use crate::construct::FastRun;
+use crate::bounds_graph::BoundsGraph;
+use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
-use crate::extended_graph::{ExtVertex, ExtendedGraph};
-use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_path};
+use crate::extended_graph::{ExtVertex, GeFrontier, GeView, MessageIndex, WitnessGraph};
+use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
 use crate::node::GeneralNode;
@@ -95,8 +97,30 @@ pub enum ObserverMode {
     ExcludeOwnSends,
 }
 
+impl ObserverMode {
+    /// The node whose sends contribute no edge to `sigma`'s graph.
+    fn excluded(self, sigma: NodeId) -> Option<NodeId> {
+        match self {
+            ObserverMode::Full => None,
+            ObserverMode::ExcludeOwnSends => Some(sigma),
+        }
+    }
+}
+
 /// Everything observer-scoped the decision procedure derives from a run:
-/// `GE(r, σ)`, the memoized query caches, and the construction arena.
+/// `GE(r, σ)` as a view over a bounds graph, the memoized query caches,
+/// and the construction arena.
+///
+/// The view is a frontier, not a copy (see [`crate::extended_graph`]):
+/// σ's causal past, the `n` values of the `ψ` clock, the `E''` overlay,
+/// and the memoized distance lanes. Its rows are those of a bounds
+/// graph: the session's `GB(r)` for a state an
+/// [`crate::incremental::IncrementalEngine`] builds, which therefore
+/// holds no edges of its own, or `GB(r, σ)` (Definition 14), built once
+/// and owned by a standalone state ([`ObserverState::build`]). A
+/// witness query materializes `GE(r, σ)` inside the state, once, for its
+/// SPFA paths, and the state keeps it with its SPFA trees: a state that
+/// has answered a witness holds O(|E|) again, until it is dropped.
 ///
 /// Split out of [`KnowledgeEngine`] so append-only consumers can keep it
 /// alive across run growth: by the *observer-stability invariant*
@@ -123,29 +147,56 @@ pub enum ObserverMode {
 pub struct ObserverState {
     sigma: NodeId,
     mode: ObserverMode,
-    ge: ExtendedGraph,
+    frontier: GeFrontier,
+    /// The graph a standalone state's view reads; `None` for a session's
+    /// state, which views the session's `GB(r)`. Boxed, like `witness`,
+    /// so a session's retained state stays small.
+    local: Option<Box<BoundsGraph>>,
+    /// `GE(r, σ)` materialized for witness paths, on the first witness
+    /// query that needs one, and kept with its SPFA trees.
+    witness: OnceLock<Box<WitnessGraph>>,
     cache: QueryCache,
     /// Delivery-queue scratch recycled across `fast_run_of`/`refute`
     /// constructions at this observer.
-    arena: Mutex<crate::construct::RunArena>,
+    arena: Mutex<RunArena>,
 }
 
 impl ObserverState {
-    /// Assembles the state around an already-built `GE(r, σ)` (full
-    /// [`ObserverMode`]).
-    pub fn new(sigma: NodeId, ge: ExtendedGraph) -> Self {
+    /// `past(r, σ)`, the frontier every state of `sigma` is cut at.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `sigma` does not appear in `run`.
+    fn past_of(run: &Run, sigma: NodeId) -> Result<Past, CoreError> {
+        if !run.appears(sigma) {
+            return Err(CoreError::NodeNotInRun {
+                detail: format!("observer {sigma} does not appear in the run"),
+            });
+        }
+        Ok(run.past(sigma))
+    }
+
+    fn assemble(
+        sigma: NodeId,
+        mode: ObserverMode,
+        frontier: GeFrontier,
+        local: Option<Box<BoundsGraph>>,
+    ) -> Self {
         ObserverState {
             sigma,
-            mode: ObserverMode::Full,
-            ge,
+            mode,
+            frontier,
+            local,
+            witness: OnceLock::new(),
             cache: QueryCache::default(),
-            arena: Mutex::new(crate::construct::RunArena::new()),
+            arena: Mutex::new(RunArena::new()),
         }
     }
 
-    /// Builds the state for observer `sigma` on `run` under `mode`,
-    /// sharing a per-run [`crate::extended_graph::MessageIndex`] — the
-    /// one construction site behind [`ObserverState::build`] and
+    /// Builds a standalone state for observer `sigma` on `run` under
+    /// `mode`, sharing a per-run [`MessageIndex`]: the view reads
+    /// `GB(r, σ)`, built here in one pass and owned by the state. The one
+    /// construction site behind [`ObserverState::build`] and
     /// [`ObserverState::build_excluding_own_sends`].
     ///
     /// # Errors
@@ -154,37 +205,41 @@ impl ObserverState {
     pub fn build_mode(
         run: &Run,
         sigma: NodeId,
-        index: &crate::extended_graph::MessageIndex,
+        index: &MessageIndex,
         mode: ObserverMode,
     ) -> Result<Self, CoreError> {
-        if !run.appears(sigma) {
-            return Err(CoreError::NodeNotInRun {
-                detail: format!("observer {sigma} does not appear in the run"),
-            });
-        }
-        let exclude = match mode {
-            ObserverMode::Full => None,
-            ObserverMode::ExcludeOwnSends => Some(sigma),
-        };
-        let mut state = Self::new(
-            sigma,
-            ExtendedGraph::with_index_excluding(run, sigma, index, exclude),
-        );
-        state.mode = mode;
-        Ok(state)
+        let past = Self::past_of(run, sigma)?;
+        let local = BoundsGraph::local(run, &past);
+        let frontier = GeFrontier::new(run, &local, past, index, mode.excluded(sigma));
+        Ok(Self::assemble(sigma, mode, frontier, Some(Box::new(local))))
     }
 
-    /// Builds the state for observer `sigma` on `run`, sharing a per-run
-    /// [`crate::extended_graph::MessageIndex`].
+    /// A session's state for observer `sigma`: a view over the session's
+    /// `gb` (`GB(r)` of `run`), holding no edges of its own. Read it
+    /// through [`KnowledgeEngine::over`] with the same graph.
     ///
     /// # Errors
     ///
     /// Fails if `sigma` does not appear in `run`.
-    pub fn build(
+    pub(crate) fn view(
         run: &Run,
+        gb: &BoundsGraph,
         sigma: NodeId,
-        index: &crate::extended_graph::MessageIndex,
+        index: &MessageIndex,
+        mode: ObserverMode,
     ) -> Result<Self, CoreError> {
+        let past = Self::past_of(run, sigma)?;
+        let frontier = GeFrontier::new(run, gb, past, index, mode.excluded(sigma));
+        Ok(Self::assemble(sigma, mode, frontier, None))
+    }
+
+    /// Builds the state for observer `sigma` on `run`, sharing a per-run
+    /// [`MessageIndex`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if `sigma` does not appear in `run`.
+    pub fn build(run: &Run, sigma: NodeId, index: &MessageIndex) -> Result<Self, CoreError> {
         Self::build_mode(run, sigma, index, ObserverMode::Full)
     }
 
@@ -200,7 +255,7 @@ impl ObserverState {
     pub fn build_excluding_own_sends(
         run: &Run,
         sigma: NodeId,
-        index: &crate::extended_graph::MessageIndex,
+        index: &MessageIndex,
     ) -> Result<Self, CoreError> {
         Self::build_mode(run, sigma, index, ObserverMode::ExcludeOwnSends)
     }
@@ -506,6 +561,9 @@ impl std::ops::Index<(NodeId, NodeId)> for MaxXMatrix {
 #[derive(Debug)]
 pub struct KnowledgeEngine<'r> {
     run: &'r Run,
+    /// The session's `GB(r)`, for a state that views it rather than a
+    /// graph of its own.
+    session: Option<&'r BoundsGraph>,
     /// The observer-scoped analysis, shareable across engine views: the
     /// incremental layer keeps one state per observer alive while the run
     /// grows and wraps it around the current prefix per query.
@@ -524,25 +582,32 @@ impl<'r> KnowledgeEngine<'r> {
     ///
     /// Fails if `sigma` does not appear in `run`.
     pub fn new(run: &'r Run, sigma: NodeId) -> Result<Self, CoreError> {
-        if !run.appears(sigma) {
-            return Err(CoreError::NodeNotInRun {
-                detail: format!("observer {sigma} does not appear in the run"),
-            });
-        }
-        let ge = ExtendedGraph::new(run, sigma);
-        Ok(Self::with_state(
-            run,
-            Arc::new(ObserverState::new(sigma, ge)),
-        ))
+        let state = ObserverState::build(run, sigma, &MessageIndex::of_run(run))?;
+        Ok(Self::with_state(run, Arc::new(state)))
     }
 
-    /// Wraps a (possibly long-lived) observer state around a run — the
-    /// append-only path used by [`crate::incremental::IncrementalEngine`]
-    /// and the service facade's session caches: `run` must contain the
-    /// prefix the state was built on (sound by the observer-stability
-    /// invariant documented at [`ObserverState`]).
+    /// Wraps a (possibly long-lived) standalone observer state — one
+    /// [`ObserverState::build`] made, which carries its own graph —
+    /// around a run: `run` must contain the prefix the state was built
+    /// on (sound by the observer-stability invariant documented at
+    /// [`ObserverState`]).
     pub fn with_state(run: &'r Run, state: Arc<ObserverState>) -> Self {
-        KnowledgeEngine { run, state }
+        KnowledgeEngine {
+            run,
+            session: None,
+            state,
+        }
+    }
+
+    /// Wraps a session's state around the session's current prefix and
+    /// the `GB(r)` its view reads — the append-only path used by
+    /// [`crate::incremental::IncrementalEngine`].
+    pub(crate) fn over(run: &'r Run, gb: &'r BoundsGraph, state: Arc<ObserverState>) -> Self {
+        KnowledgeEngine {
+            run,
+            session: Some(gb),
+            state,
+        }
     }
 
     /// The observer node `σ`.
@@ -550,9 +615,20 @@ impl<'r> KnowledgeEngine<'r> {
         self.state.sigma
     }
 
-    /// The extended bounds graph `GE(r, σ)` backing the decisions.
-    pub fn ge(&self) -> &ExtendedGraph {
-        &self.state.ge
+    /// The extended bounds graph `GE(r, σ)` backing the decisions, as a
+    /// view over the bounds graph it is cut from.
+    pub fn ge(&self) -> GeView<'_> {
+        let gb = self.state.local.as_deref().or(self.session);
+        let gb = gb.expect("a session's state is read with its session's GB(r)");
+        GeView::new(gb, &self.state.frontier)
+    }
+
+    /// `GE(r, σ)` materialized for witness paths, built on first use and
+    /// kept in the state.
+    fn witness_graph(&self) -> &WitnessGraph {
+        self.state
+            .witness
+            .get_or_init(|| Box::new(self.ge().witness_graph(self.run)))
     }
 
     /// Rewrites `θ = ⟨σ', p⟩` into the equivalent node whose chain never
@@ -581,7 +657,7 @@ impl<'r> KnowledgeEngine<'r> {
         }
         let canonical = crate::construct::canonicalize_in_past(
             self.run,
-            self.state.ge.past(),
+            self.ge().past(),
             self.state.sigma,
             theta,
         )?;
@@ -596,7 +672,7 @@ impl<'r> KnowledgeEngine<'r> {
 
     /// The memoized 0-/γ-fast timing anchored at `base`, computed once
     /// per distinct `(base, γ)` for the lifetime of the engine. Its two
-    /// distance traversals are memoized per graph, so every γ at one
+    /// distance traversals are memoized by the view, so every γ at one
     /// base shares them; each is a Dijkstra under the run's clock (see
     /// [`crate::extended_graph`]).
     fn timing(&self, base: NodeId, gamma: u64) -> Result<Arc<FastTiming>, CoreError> {
@@ -610,7 +686,7 @@ impl<'r> KnowledgeEngine<'r> {
         {
             return Ok(hit.clone());
         }
-        let ft = Arc::new(fast_timing(&self.state.ge, base, gamma)?);
+        let ft = Arc::new(fast_timing(self.ge(), base, gamma)?);
         self.state
             .cache
             .timings
@@ -817,13 +893,6 @@ impl<'r> KnowledgeEngine<'r> {
     ) -> Result<Option<(i64, VisibleZigzag)>, CoreError> {
         let t1c = self.canonicalize(theta1)?;
         let t2c = self.canonicalize(theta2)?;
-        // Witness paths are read off the SPFA tree from θ1's base, the one
-        // traversal that keeps predecessors. Growing it first lets the
-        // fast timing reuse its weights rather than run a Dijkstra from
-        // the same base.
-        self.state
-            .ge
-            .longest_from_cached(ExtVertex::Node(t1c.base()))?;
         let ft = self.timing(t1c.base(), 0)?;
         if !ft.is_reachable(ExtVertex::Node(t2c.base())) {
             return Ok(None);
@@ -854,31 +923,25 @@ impl<'r> KnowledgeEngine<'r> {
                     // The chain is held back by the frontier of `hop k`'s
                     // process (Lemma 12/15, "type 3"): boundary fork whose
                     // tail chains through the ψ trail.
+                    // Witness paths are read off the SPFA tree from θ1's
+                    // base, the one traversal that keeps predecessors.
                     let j = t2c.path().procs()[k + 1];
-                    let lp = self
-                        .state
-                        .ge
-                        .longest_from_cached(ExtVertex::Node(t1c.base()))?;
-                    let idx = self
-                        .state
-                        .ge
-                        .index_of(ExtVertex::Aux(j))
-                        .expect("every process has ψ");
+                    let ge = self.witness_graph();
+                    let lp = ge.longest_from(ExtVertex::Node(t1c.base()))?;
+                    let idx = ge.index_of(ExtVertex::Aux(j)).expect("every process has ψ");
                     let edges = lp.path(idx).ok_or_else(|| CoreError::InvalidTiming {
                         detail: "ψ binding but unreachable — model bug".into(),
                     })?;
-                    let cut = edges.iter().rposition(|e| {
-                        matches!(self.state.ge.graph().vertex(e.to), ExtVertex::Node(_))
-                    });
+                    let cut = edges
+                        .iter()
+                        .rposition(|e| matches!(ge.vertex(e.to), ExtVertex::Node(_)));
                     let (prefix, suffix) = match cut {
                         Some(c) => edges.split_at(c + 1),
                         None => (&edges[..0], &edges[..]),
                     };
-                    let z = zigzag_from_ge_path(&self.state.ge, t1c.base(), prefix)?;
-                    let mut trail: Vec<ProcessId> = suffix
-                        .iter()
-                        .map(|e| self.state.ge.graph().vertex(e.to).proc())
-                        .collect();
+                    let z = zigzag_from_ge_walk(&|i| ge.vertex(i), t1c.base(), prefix)?;
+                    let mut trail: Vec<ProcessId> =
+                        suffix.iter().map(|e| ge.vertex(e.to).proc()).collect();
                     trail.reverse(); // [j, …, l1]
                     let q = NetPath::new(trail).map_err(CoreError::Bcm)?;
                     let base = GeneralNode::new(t2c.base(), t2c.path().prefix(k + 2))?;
@@ -907,19 +970,19 @@ impl<'r> KnowledgeEngine<'r> {
     ///
     /// Fails on a positive cycle (impossible for graphs of legal runs).
     pub fn max_x_basic_matrix(&self) -> Result<MaxXMatrix, CoreError> {
-        let past = self.state.ge.past();
+        let ge = self.ge();
         // Past iteration is in (process, index) order — ascending NodeId —
         // so MaxXMatrix lookups can binary-search.
-        let nodes: Vec<NodeId> = past.iter().filter(|n| !n.is_initial()).collect();
+        let nodes: Vec<NodeId> = ge.past().iter().filter(|n| !n.is_initial()).collect();
         // Resolve each column's dense index once instead of per cell.
         let cols: Vec<Option<usize>> = nodes
             .iter()
-            .map(|&b| self.state.ge.index_of(ExtVertex::Node(b)))
+            .map(|&b| ge.index_of(ExtVertex::Node(b)))
             .collect();
         let n = nodes.len();
         let mut data = vec![None; n * n];
         for (i, &a) in nodes.iter().enumerate() {
-            let lp = self.state.ge.distances_from(ExtVertex::Node(a))?;
+            let lp = ge.distances_from(ExtVertex::Node(a))?;
             let row = &mut data[i * n..(i + 1) * n];
             for (cell, &bi) in row.iter_mut().zip(&cols) {
                 *cell = bi.and_then(|i| lp.weight(i));
@@ -930,28 +993,25 @@ impl<'r> KnowledgeEngine<'r> {
 
     /// Longest `GE` path between two vertices converted to a zigzag.
     fn ge_path_zigzag(&self, from: NodeId, to: ExtVertex) -> Result<ZigzagPattern, CoreError> {
-        let lp = self.state.ge.longest_from_cached(ExtVertex::Node(from))?;
-        let idx = self
-            .state
-            .ge
-            .index_of(to)
-            .ok_or_else(|| CoreError::InvalidTiming {
-                detail: "target vertex missing from GE — model bug".into(),
-            })?;
+        let ge = self.witness_graph();
+        let lp = ge.longest_from(ExtVertex::Node(from))?;
+        let idx = ge.index_of(to).ok_or_else(|| CoreError::InvalidTiming {
+            detail: "target vertex missing from GE — model bug".into(),
+        })?;
         let edges = lp.path(idx).ok_or_else(|| CoreError::InvalidTiming {
             detail: "reachable target has no path — model bug".into(),
         })?;
-        zigzag_from_ge_path(&self.state.ge, from, &edges)
+        zigzag_from_ge_walk(&|i| ge.vertex(i), from, &edges)
     }
 
     /// Constructs the γ-fast run of `θ1` — the extremal indistinguishable
     /// run behind the engine's answers.
     ///
     /// Unlike the free function [`crate::construct::fast_run`], this path
-    /// shares the engine's `GE(r, σ)` and its memoized canonical rewrites
-    /// and fast timings, so repeated constructions (`refute` sweeps,
-    /// protocol analyses) pay neither the graph rebuild nor the distance
-    /// traversals again.
+    /// shares the engine's view of `GE(r, σ)` and its memoized canonical
+    /// rewrites and fast timings, so repeated constructions (`refute`
+    /// sweeps, protocol analyses) pay neither the graph build nor the
+    /// distance traversals again.
     ///
     /// # Errors
     ///
@@ -961,6 +1021,17 @@ impl<'r> KnowledgeEngine<'r> {
         theta1: &GeneralNode,
         gamma: u64,
         extra_horizon: u64,
+    ) -> Result<FastRun, CoreError> {
+        self.fast_run_with_extension(theta1, gamma, Extension::Requested(extra_horizon))
+    }
+
+    /// [`KnowledgeEngine::fast_run_of`] with the extension `refute`
+    /// derives, or the caller's.
+    fn fast_run_with_extension(
+        &self,
+        theta1: &GeneralNode,
+        gamma: u64,
+        extension: Extension,
     ) -> Result<FastRun, CoreError> {
         let canonical = self.canonicalize(theta1)?;
         let ft = self.timing(canonical.base(), gamma)?;
@@ -972,10 +1043,10 @@ impl<'r> KnowledgeEngine<'r> {
         let mut arena = std::mem::take(&mut *self.state.arena.lock().expect("arena lock"));
         let result = crate::construct::fast_run_from_timing(
             self.run,
-            &self.state.ge,
+            self.ge().past(),
             &canonical,
             (*ft).clone(),
-            extra_horizon,
+            extension,
             &mut arena,
         );
         *self.state.arena.lock().expect("arena lock") = arena;
@@ -1001,7 +1072,9 @@ impl<'r> KnowledgeEngine<'r> {
         let bounds = self.run.context().bounds();
         let u2 = bounds.path_upper(t2c.path()).map_err(CoreError::Bcm)?;
         let l1 = bounds.path_lower(t1c.path()).map_err(CoreError::Bcm)?;
-        let extra = u2 + bounds.path_upper(t1c.path()).map_err(CoreError::Bcm)? + 2;
+        // Long enough for θ2 to resolve in the refutation run.
+        let extra =
+            Extension::Derived(u2 + bounds.path_upper(t1c.path()).map_err(CoreError::Bcm)? + 2);
 
         let ft = self.timing(t1c.base(), 0)?;
         if ft.is_reachable(ExtVertex::Node(t2c.base())) {
@@ -1011,10 +1084,10 @@ impl<'r> KnowledgeEngine<'r> {
             if x <= m {
                 return Ok(None);
             }
-            return self.fast_run_of(&t1c, 0, extra).map(Some);
+            return self.fast_run_with_extension(&t1c, 0, extra).map(Some);
         }
         let gamma = (u2 as i64 - l1 as i64 - x).max(0) as u64;
-        self.fast_run_of(&t1c, gamma, extra).map(Some)
+        self.fast_run_with_extension(&t1c, gamma, extra).map(Some)
     }
 }
 
@@ -1226,6 +1299,41 @@ mod tests {
             }
             assert!(refuted > 0, "seed {seed}: nothing refuted");
         }
+    }
+
+    #[test]
+    fn refutations_of_long_chains_extend_past_the_caller_cap() {
+        // θ2's chain is 200 hops over [2, 5] channels on a horizon-12
+        // run: the extension refute derives, U(p2) + U(p1) + 2 = 1002, is
+        // past the cap a caller's `extra_horizon` gets, and refute still
+        // builds the refutation run.
+        let run = tri_run(0, 12);
+        let (i, j) = (ProcessId::new(0), ProcessId::new(1));
+        let sigma = run
+            .nodes()
+            .filter(|r| r.id().proc() == j)
+            .last()
+            .unwrap()
+            .id();
+        let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+        let ta = GeneralNode::basic(NodeId::new(i, 1));
+        let hops: Vec<ProcessId> = (0..200).map(|h| if h % 2 == 0 { i } else { j }).collect();
+        let tb = GeneralNode::chain(sigma, &hops).unwrap();
+        let x = engine.max_x(&ta, &tb).unwrap().expect("θ1 reaches σ") + 1;
+        assert!(matches!(
+            engine.fast_run_of(&ta, 0, 1002),
+            Err(CoreError::ParameterOutOfRange {
+                parameter: "extra_horizon",
+                value: 1002
+            })
+        ));
+        let fr = engine
+            .refute(&ta, &tb, x)
+            .unwrap()
+            .expect("x is above max_x");
+        validate_run(&fr.run, Strictness::Strict).unwrap();
+        assert!(fr.run.appears(sigma));
+        assert!(!satisfies(&fr.run, &ta, &tb, x).unwrap());
     }
 
     #[test]

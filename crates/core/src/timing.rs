@@ -23,11 +23,12 @@
 //! vertex lookup is index arithmetic plus one load, and
 //! [`FastTiming::iter`] walks the lanes front to back, which yields the
 //! vertices in ascending [`ExtVertex`] order. [`fast_timing`] fills both
-//! lanes in one pass over two distance-only traversals — longest paths
-//! from `θ'`'s base and to the observer, each a Dijkstra under the run's
-//! own clock ([`ExtendedGraph::distances_from`] /
-//! [`ExtendedGraph::distances_to`]) — and checks Lemma 17 in one linear
-//! scan over the adjacency rows.
+//! lanes in one pass over two distance-only traversals of the observer's
+//! view of `GB(r)` — longest paths from `θ'`'s base and to the observer,
+//! each a Dijkstra under the run's own clock ([`GeView::distances_from`]
+//! / [`GeView::distances_to`]) — and checks Lemma 17 in one linear scan
+//! over the same rows the traversals read: `GB(r)`'s, cut at the
+//! frontier, plus the view's overlay.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +36,8 @@ use zigzag_bcm::{NodeId, Time};
 
 use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
-use crate::extended_graph::{ExtVertex, ExtendedGraph};
+use crate::extended_graph::{ExtVertex, GeView};
+use crate::graph::{Direction, Rows};
 
 /// A timing assignment for a subset of the basic nodes of a run.
 pub type NodeTiming = BTreeMap<NodeId, Time>;
@@ -189,11 +191,10 @@ impl FastTiming {
 /// a positive cycle, or with [`CoreError::ParameterOutOfRange`] if
 /// `gamma` pushes a time past `i64::MAX`.
 pub fn fast_timing(
-    ge: &ExtendedGraph,
+    ge: GeView<'_>,
     sigma_prime: NodeId,
     gamma: u64,
 ) -> Result<FastTiming, CoreError> {
-    let g = ge.graph();
     let start = ExtVertex::Node(sigma_prime);
     if ge.index_of(start).is_none() {
         return Err(CoreError::NotRecognized {
@@ -206,7 +207,7 @@ pub fn fast_timing(
     let layout = ge.layout();
     // Dense indices below `originals` are past nodes, the rest are ψs.
     let originals = layout.nodes();
-    let n = g.vertex_count();
+    let n = ge.vertex_count();
 
     // Pass 1: collect d over the reachable region and f over unreachable
     // originals.
@@ -260,22 +261,26 @@ pub fn fast_timing(
     }
 
     // Lemma 17 check: every GE edge constraint holds, in one linear scan
-    // over the adjacency. Times lie in [0, i64::MAX], so `tt − tf` cannot
+    // over the rows. Times lie in [0, i64::MAX], so `tt − tf` cannot
     // overflow where `tf + w` could.
+    let walk = ge.walk();
     for (vi, tf) in times.iter().enumerate() {
         let tf = tf.ticks() as i64;
-        for e in g.edges_from(vi) {
-            let tt = times[e.to].ticks() as i64;
-            if e.weight > tt - tf {
-                return Err(CoreError::InvalidTiming {
-                    detail: format!(
-                        "fast timing violates {} --{}--> {} (T={tf} vs T={tt})",
-                        layout.ext_vertex(vi),
-                        e.weight,
-                        layout.ext_vertex(e.to)
-                    ),
-                });
+        let mut violated = None;
+        walk.scan(vi, Direction::Forward, |to, weight, _| {
+            let tt = times[to].ticks() as i64;
+            if weight > tt - tf && violated.is_none() {
+                violated = Some((to, weight, tt));
             }
+        });
+        if let Some((to, weight, tt)) = violated {
+            return Err(CoreError::InvalidTiming {
+                detail: format!(
+                    "fast timing violates {} --{weight}--> {} (T={tf} vs T={tt})",
+                    layout.ext_vertex(vi),
+                    layout.ext_vertex(to)
+                ),
+            });
         }
     }
     Ok(FastTiming {
@@ -289,6 +294,7 @@ pub fn fast_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::KnowledgeEngine;
     use std::collections::BTreeSet;
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::RandomScheduler;
@@ -391,7 +397,8 @@ mod tests {
             if !run.appears(sigma) {
                 continue;
             }
-            let ge = ExtendedGraph::new(&run, sigma);
+            let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+            let ge = engine.ge();
             let sp = run
                 .external_receipt_node(ProcessId::new(0), "kick")
                 .unwrap();
@@ -399,7 +406,7 @@ mod tests {
                 continue;
             }
             for gamma in [0u64, 3, 10] {
-                let ft = fast_timing(&ge, sp, gamma).unwrap();
+                let ft = fast_timing(ge, sp, gamma).unwrap();
                 assert!(ft.is_reachable(ExtVertex::Node(sp)));
                 assert!(ft.node_time(sp).is_some());
                 assert!(ft.max_time() >= ft.node_time(sp).unwrap());
@@ -428,10 +435,10 @@ mod tests {
     fn fast_timing_rejects_foreign_nodes() {
         let run = tri_run(0);
         let sigma = NodeId::new(ProcessId::new(1), 1);
-        let ge = ExtendedGraph::new(&run, sigma);
+        let engine = KnowledgeEngine::new(&run, sigma).unwrap();
         let foreign = NodeId::new(ProcessId::new(0), 40);
         assert!(matches!(
-            fast_timing(&ge, foreign, 0),
+            fast_timing(engine.ge(), foreign, 0),
             Err(CoreError::NotRecognized { .. })
         ));
     }

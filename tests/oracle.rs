@@ -20,7 +20,8 @@
 //! A third, **prefix-differential** block streams each run through the
 //! incremental engine and holds it to the batch answers after *every*
 //! append: `max_x` / `knows` / `max_x_basic_matrix` byte-for-byte on a
-//! fresh `KnowledgeEngine` over the same prefix, `GB(r)` tight bounds
+//! fresh `KnowledgeEngine` over the same prefix, served witnesses
+//! against that engine's after wire encoding, `GB(r)` tight bounds
 //! against a scratch `BoundsGraph`, and exact reconstruction of the
 //! source run once the feed drains.
 //!
@@ -64,26 +65,30 @@
 //! query loop performs zero heap allocations.
 //!
 //! A **bulk-builder tier** holds the one-pass graph builders to the naive
-//! Definition 16 graph itself, on the first block's cases:
-//! `ExtendedGraph::with_index_excluding`, in both modes, has the naive
-//! vertex set and the naive `(target, weight)` multiset in every row, and
-//! the dense `FastTiming` equals a naive Definition 23 evaluation at
-//! every vertex for γ ∈ {0, 5}. A second counting-allocator test gates
-//! the cold path: a cold `ObserverState::build` allocates at most
-//! `2·|V| + 64` times, and the first `max_x` on it a size-independent
-//! number of times.
+//! Definition 16 graph itself, on the first block's cases: the
+//! materialized `ExtendedGraph::with_exclusion`, in both modes, has the
+//! naive vertex set and the naive `(target, weight)` multiset in every
+//! row. A second counting-allocator test gates the cold path: a cold
+//! standalone `ObserverState::build` allocates at most `2·|V| + 64`
+//! times and the first `max_x` on it a size-independent number of
+//! times, and on a session, building a state and answering its first
+//! `max_x` allocates a constant number of times whatever |V|.
 //!
-//! A **distance tier** pins the potential-reweighted Dijkstra that the
-//! fast timing and the all-pairs matrix read. On the first block's cases
-//! and on feedback-topology streams, in both observer modes, `GE(r, σ)`
-//! takes the run's own clock as its potential, and the forward and
-//! backward distance lanes equal the dense Bellman–Ford at every vertex.
-//! Every `B`-node decision on those streams runs without SPFA, with each
-//! traversal scanning at most `|E|` edges and popping at most `|E| + 1`
-//! entries (the graph's work counters). A hand-built run with a delivery
-//! outside its channel bounds rejects the clock and falls back to SPFA
-//! with the naive answers. The layout tier holds the Dijkstra to the
-//! textbook reference on its random raw graphs too.
+//! A **view tier** holds `GE(r, σ)` as a view — over a standalone
+//! engine's `GB(r, σ)`, a batch session's `GB(r)` (bulk-order rows) and
+//! a stream session's (append-order rows), in both observer modes — to
+//! the naive graph on the first block's cases and on feedback-topology
+//! streams: its out-rows, its forward and backward distance lanes
+//! against the dense Bellman–Ford, and its dense `FastTiming` against a
+//! naive Definition 23 evaluation for γ ∈ {0, 5}. Each view runs
+//! Dijkstra under the run's own clock. Every `B`-node decision on those
+//! streams runs without SPFA, with each traversal scanning at most `|E|`
+//! edges and popping at most `|E| + 1` entries (the work counters on the
+//! session's graph). A hand-built run with a delivery outside its channel
+//! bounds fails the clock, and its views walk label-correcting to the
+//! naive answers. A decision state kept after its decision holds no
+//! edges: its live bytes are bounded by its vertex count (a per-thread
+//! live-bytes counter in the same allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,7 +96,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use zigzag::api::{serve, wire, Query, Response, SessionConfig, ZigzagService};
+use zigzag::api::{serve, wire, Query, Response, SessionConfig, WitnessReport, ZigzagService};
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
 use zigzag::bcm::stream::{ReceiptEvent, RunEvent, SendEvent};
@@ -110,12 +115,15 @@ use zigzag::core::{CoreError, GeneralNode};
 
 /// A pass-through [`System`] wrapper counting this thread's heap
 /// allocations, backing the layout tier's zero-allocation assertion on
-/// the warm memoized query loop. Frees are not counted: the hit path
-/// hands out refcounted results, so dropping one never frees either.
+/// the warm memoized query loop, and the bytes this thread holds: each
+/// allocation adds its size, each free subtracts it. Frees are not
+/// counted as allocations: the hit path hands out refcounted results,
+/// so dropping one never frees either.
 struct CountingAlloc;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Heap allocations performed by the current thread so far.
@@ -123,18 +131,30 @@ fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Bytes allocated minus bytes freed by the current thread so far.
+fn thread_live_bytes() -> i64 {
+    THREAD_LIVE.with(Cell::get)
+}
+
+fn add_live(bytes: i64) {
+    THREAD_LIVE.with(|c| c.set(c.get() + bytes));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -315,22 +335,21 @@ fn row_multiset(
     row
 }
 
-/// Bulk-builder tier: `ExtendedGraph::with_index_excluding`, in both
-/// modes, has the naive vertex set and the naive `(target, weight)`
-/// multiset in every out-row and in-row; and the dense `FastTiming`
-/// over it equals the naive Definition 23 evaluation at every vertex,
-/// in `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors.
+/// Bulk-builder tier: the materialized `ExtendedGraph::with_exclusion`,
+/// in both modes, has the naive vertex set and the naive
+/// `(target, weight)` multiset in every out-row and in-row.
 ///
-/// Distance tier: the graph took the run's clock as its potential iff
-/// `clock` (every legal run's does), and its distance lanes — forward
-/// from each anchor, backward to σ — equal the dense Bellman–Ford at
-/// every vertex, whichever traversal produced them.
-fn assert_ge_and_fast_timing_match_naive(
-    run: &Run,
-    sigma: NodeId,
-    index: &MessageIndex,
-    clock: bool,
-) {
+/// View tier: `GE(r, σ)` as a view over a standalone engine's
+/// `GB(r, σ)`, over a batch session's `GB(r)` (bulk-order rows) and over
+/// a stream session's (append-order rows; a run that is no legal stream
+/// has none), in both modes, has the naive out-rows; its distance lanes
+/// — forward from each anchor, backward to σ — equal the dense
+/// Bellman–Ford at every vertex; and the dense `FastTiming` over it
+/// equals the naive Definition 23 evaluation at every vertex, in
+/// `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors. Each view
+/// ran on the run's clock iff `clock` (every legal run's does), and
+/// label-correcting otherwise.
+fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) {
     let past: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
     let anchors: Vec<NodeId> = past
         .iter()
@@ -338,78 +357,111 @@ fn assert_ge_and_fast_timing_match_naive(
         .step_by((past.len() / 3).max(1))
         .chain([sigma])
         .collect();
-    for exclude in [None, Some(sigma)] {
+    let index = MessageIndex::of_run(run);
+    let batch = IncrementalEngine::from_prefix(run.clone());
+    let stream = IncrementalEngine::ingest(run).ok();
+    assert_eq!(stream.is_some(), clock, "{sigma}: only legal runs stream");
+    let sorted = |row: Option<&Vec<(ExtVertex, i64)>>| {
+        let mut row = row.cloned().unwrap_or_default();
+        row.sort_unstable();
+        row
+    };
+    for mode in [ObserverMode::Full, ObserverMode::ExcludeOwnSends] {
+        let exclude = (mode == ObserverMode::ExcludeOwnSends).then_some(sigma);
         let naive = naive_ge(run, sigma, exclude);
         let naive_rev = reversed(&naive);
         let f = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
-        let ge = ExtendedGraph::with_index_excluding(run, sigma, index, exclude);
+        let ge = ExtendedGraph::with_exclusion(run, sigma, exclude);
         let g = ge.graph();
-        assert_eq!(
-            g.has_potential(),
-            clock,
-            "clock verdict at {sigma} (exclude {exclude:?})"
-        );
-        let lanes_match = |lane: &Distances, dense: Vec<Option<i64>>, what: &str| {
-            for (i, want) in dense.into_iter().enumerate() {
-                assert_eq!(
-                    lane.weight(i),
-                    want,
-                    "{what} lane at {} (σ = {sigma}, exclude {exclude:?})",
-                    g.vertex(i)
-                );
-            }
-        };
-        let observer = ExtVertex::Node(sigma);
-        lanes_match(
-            &ge.distances_to(observer).unwrap(),
-            g.longest_to_dense(&observer).unwrap(),
-            "backward",
-        );
-        for &anchor in &anchors {
-            let anchor = ExtVertex::Node(anchor);
-            lanes_match(
-                &ge.distances_from(anchor).unwrap(),
-                g.longest_from_dense(&anchor).unwrap(),
-                "forward",
-            );
-        }
         let vertices: BTreeSet<ExtVertex> = g.vertices().copied().collect();
         assert_eq!(vertices, naive.vertices, "GE vertex set at {sigma}");
         assert_eq!(g.vertex_count(), naive.vertices.len(), "duplicate vertices");
         for &v in &naive.vertices {
             let i = g.index_of(&v).expect("vertex sets agree");
-            let sorted = |row: Option<&Vec<(ExtVertex, i64)>>| {
-                let mut row = row.cloned().unwrap_or_default();
-                row.sort_unstable();
-                row
-            };
             assert_eq!(
                 row_multiset(g, g.edges_from(i), true),
                 sorted(naive.edges.get(&v)),
-                "out-row of {v} at {sigma} (exclude {exclude:?})"
+                "out-row of {v} at {sigma} ({mode:?})"
             );
             assert_eq!(
                 row_multiset(g, g.edges_to(i), false),
                 sorted(naive_rev.edges.get(&v)),
-                "in-row of {v} at {sigma} (exclude {exclude:?})"
+                "in-row of {v} at {sigma} ({mode:?})"
             );
         }
-        for &anchor in &anchors {
-            let d = naive_longest_from(&naive, ExtVertex::Node(anchor));
-            for gamma in [0u64, 5] {
-                let ft = fast_timing(&ge, anchor, gamma).unwrap();
-                let want = naive_fast_timing(&naive, &d, &f, gamma as i64);
-                let got: Vec<(ExtVertex, (i64, bool))> = ft
-                    .iter()
-                    .map(|(v, t)| (v, (t.ticks() as i64, ft.is_reachable(v))))
-                    .collect();
-                let want: Vec<(ExtVertex, (i64, bool))> = want.into_iter().collect();
+
+        let standalone = KnowledgeEngine::with_state(
+            run,
+            Arc::new(ObserverState::build_mode(run, sigma, &index, mode).unwrap()),
+        );
+        let mut engines = vec![("standalone", standalone)];
+        engines.push(("batch session", batch.engine_mode(sigma, mode).unwrap()));
+        if let Some(stream) = &stream {
+            engines.push(("stream session", stream.engine_mode(sigma, mode).unwrap()));
+        }
+        for (what, engine) in &engines {
+            let view = engine.ge();
+            assert_eq!(
+                view.has_potential(),
+                clock,
+                "clock verdict at {sigma} ({what}, {mode:?})"
+            );
+            assert_eq!(view.vertex_count(), g.vertex_count());
+            let mut rows: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>> = BTreeMap::new();
+            for e in view.edges() {
+                rows.entry(view.vertex(e.from))
+                    .or_default()
+                    .push((view.vertex(e.to), e.weight));
+            }
+            for &v in &naive.vertices {
                 assert_eq!(
-                    got, want,
-                    "fast timing of {anchor} at {sigma}, γ = {gamma} (exclude {exclude:?})"
+                    sorted(rows.get(&v)),
+                    sorted(naive.edges.get(&v)),
+                    "out-row of {v} at {sigma} ({what}, {mode:?})"
                 );
-                for (v, (t, _)) in want {
-                    assert_eq!(ft.time(v).map(|t| t.ticks() as i64), Some(t));
+            }
+            let lanes_match = |lane: &Distances, dense: Vec<Option<i64>>, dir: &str| {
+                for (i, want) in dense.into_iter().enumerate() {
+                    assert_eq!(view.vertex(i), *g.vertex(i), "layouts agree");
+                    assert_eq!(
+                        lane.weight(i),
+                        want,
+                        "{dir} lane at {} (σ = {sigma}, {what}, {mode:?})",
+                        g.vertex(i)
+                    );
+                }
+            };
+            let observer = ExtVertex::Node(sigma);
+            lanes_match(
+                &view.distances_to(observer).unwrap(),
+                g.longest_to_dense(&observer).unwrap(),
+                "backward",
+            );
+            for &anchor in &anchors {
+                let anchor = ExtVertex::Node(anchor);
+                lanes_match(
+                    &view.distances_from(anchor).unwrap(),
+                    g.longest_from_dense(&anchor).unwrap(),
+                    "forward",
+                );
+            }
+            for &anchor in &anchors {
+                let d = naive_longest_from(&naive, ExtVertex::Node(anchor));
+                for gamma in [0u64, 5] {
+                    let ft = fast_timing(view, anchor, gamma).unwrap();
+                    let want = naive_fast_timing(&naive, &d, &f, gamma as i64);
+                    let got: Vec<(ExtVertex, (i64, bool))> = ft
+                        .iter()
+                        .map(|(v, t)| (v, (t.ticks() as i64, ft.is_reachable(v))))
+                        .collect();
+                    let want: Vec<(ExtVertex, (i64, bool))> = want.into_iter().collect();
+                    assert_eq!(
+                        got, want,
+                        "fast timing of {anchor} at {sigma}, γ = {gamma} ({what}, {mode:?})"
+                    );
+                    for (v, (t, _)) in want {
+                        assert_eq!(ft.time(v).map(|t| t.ticks() as i64), Some(t));
+                    }
                 }
             }
         }
@@ -432,6 +484,19 @@ fn naive_max_x_table(
         }
     }
     out
+}
+
+/// The response a `Query::Witness` gets from a standalone engine at its
+/// observer — the reference the sessions' served witnesses are held to.
+fn standalone_witness(engine: &KnowledgeEngine<'_>, q: &Query) -> Response {
+    let Query::Witness { theta1, theta2, .. } = q else {
+        unreachable!("witness queries only");
+    };
+    let witness = engine.witness(theta1, theta2).unwrap();
+    Response::Witness(witness.map(|(weight, vz)| WitnessReport {
+        weight,
+        pattern: vz.to_string(),
+    }))
 }
 
 fn random_run(n: usize, density: u8, topo_seed: u64, sched_seed: u64, horizon: u64) -> Run {
@@ -477,9 +542,8 @@ proptest! {
         let run = random_run(n, density, topo_seed, sched_seed, 22);
         let service = ZigzagService::new();
         let session = service.open_batch(run.clone(), SessionConfig::new());
-        let index = MessageIndex::of_run(&run);
         for sigma in observers(&run) {
-            assert_ge_and_fast_timing_match_naive(&run, sigma, &index, true);
+            assert_ge_and_fast_timing_match_naive(&run, sigma, true);
             let past = run.past(sigma);
             let nodes: Vec<NodeId> = past.iter().filter(|k| !k.is_initial()).collect();
             let reference = naive_max_x_table(&run, sigma, &nodes);
@@ -610,17 +674,28 @@ proptest! {
                         inc.knows(tracked_sigma, &ta, &tb, want.unwrap_or(0)).unwrap(),
                         cold.knows(&ta, &tb, want.unwrap_or(0)).unwrap()
                     );
-                    // The stream session serves the identical threshold.
+                    // The stream session serves the identical threshold...
                     prop_assert_eq!(
                         service
                             .dispatch(session, &Query::MaxX {
                                 sigma: tracked_sigma,
-                                theta1: ta,
-                                theta2: tb,
+                                theta1: ta.clone(),
+                                theta2: tb.clone(),
                             })
                             .unwrap(),
                         Response::MaxX(want),
                         "dispatched max_x diverged at {}", node
+                    );
+                    // ...and the standalone engine's witness, byte for byte.
+                    let q = Query::Witness {
+                        sigma: tracked_sigma,
+                        theta1: ta,
+                        theta2: tb,
+                    };
+                    prop_assert_eq!(
+                        wire::encode_response(&service.dispatch(session, &q).unwrap()),
+                        wire::encode_response(&standalone_witness(&cold, &q)),
+                        "dispatched witness diverged at {}", node
                     );
                 }
             }
@@ -652,7 +727,8 @@ proptest! {
         prop_assert!(service.with_run(session, |grown| grown == &run).unwrap());
 
         // A batch session over the full run answers every sampled query
-        // exactly like the fully-grown stream session.
+        // exactly like the fully-grown stream session, and serves the
+        // standalone engine's witnesses byte for byte.
         if let Some(sigma) = tracked {
             let batch_session = service.open_batch(run.clone(), SessionConfig::new());
             for q in [
@@ -667,6 +743,25 @@ proptest! {
                     service.dispatch(session, &q).unwrap(),
                     "batch and stream sessions diverged on {:?}", q
                 );
+            }
+            let cold = KnowledgeEngine::new(&run, sigma).unwrap();
+            let nodes: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
+            for &a in nodes.iter().take(3) {
+                for &b in nodes.iter().rev().take(3) {
+                    let q = Query::Witness {
+                        sigma,
+                        theta1: GeneralNode::basic(a),
+                        theta2: GeneralNode::basic(b),
+                    };
+                    let want = wire::encode_response(&standalone_witness(&cold, &q));
+                    for id in [batch_session, session] {
+                        prop_assert_eq!(
+                            wire::encode_response(&service.dispatch(id, &q).unwrap()),
+                            want.clone(),
+                            "served witness diverged on {:?}", q
+                        );
+                    }
+                }
             }
         }
     }
@@ -990,13 +1085,19 @@ fn feedback_scenario(
 
 /// Every `B`-node decision of the streaming driver on feedback-topology
 /// streams (`Late` spec, `ExcludeOwnSends`) runs on the run's clock. The
-/// decision graph's clock passed the check, nothing fell back to SPFA,
-/// the decision made zero or one pair of Dijkstra traversals, and each
-/// scanned at most `|E|` edges and popped at most `|E| + 1` entries. Its
-/// distance lanes equal the dense Bellman–Ford in both modes.
+/// decision's view kept its clock, nothing fell back to SPFA, the
+/// decision made zero or one pair of Dijkstra traversals, and each
+/// scanned at most `|E|` edges and popped at most `|E| + 1` entries.
+/// The work counters live on the session's `GB(r)`, so the driver's
+/// decision is read as the change they show across its step. A Dijkstra
+/// pops every vertex its root reaches once and scans each one's whole
+/// row, so its counts do not depend on row order: the same decision
+/// made alone on a fresh batch session over the same prefix shows the
+/// same totals, and its counters give the per-traversal maxima. The
+/// view's distance lanes equal the dense Bellman–Ford in both modes.
 #[test]
 fn feedback_decisions_run_dijkstra_on_the_run_clock() {
-    use zigzag::coord::{OptimalStrategy, ProbeSemantics, StreamDriver};
+    use zigzag::coord::{knows_required, OptimalStrategy, ProbeSemantics, StreamDriver};
 
     let mut decided = 0;
     for (x, l_bd, u_bd) in FEEDBACK_BOUNDS {
@@ -1005,12 +1106,13 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
             let run = sc
                 .run(&mut OptimalStrategy, &mut RandomScheduler::seeded(horizon))
                 .unwrap();
-            let mut driver = StreamDriver::new(spec, run.context_arc(), run.horizon())
+            let mut driver = StreamDriver::new(spec.clone(), run.context_arc(), run.horizon())
                 .with_probe(ProbeSemantics::ExcludeOwnSends);
             let mut cursor = RunCursor::new(&run);
             while let Some(ev) = cursor.next_event() {
+                let before = driver.engine().bounds_graph().graph().work();
                 let sigma = driver.step(&ev).unwrap().node;
-                if sigma.proc() != driver.spec().b {
+                if sigma.proc() != spec.b {
                     continue;
                 }
                 let engine = driver
@@ -1018,30 +1120,50 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                     .engine_mode(sigma, ObserverMode::ExcludeOwnSends)
                     .unwrap();
                 let ge = engine.ge();
-                let edges = ge.graph().edge_count() as u64;
-                let work = ge.graph().work();
+                let edges = ge.edges().len() as u64;
+                let work = ge.work();
                 assert!(
-                    ge.graph().has_potential(),
-                    "decision graph at {sigma} lost its clock"
+                    ge.has_potential(),
+                    "decision view at {sigma} lost its clock"
                 );
-                assert_eq!(work.spfa, TraversalWork::default(), "SPFA ran at {sigma}");
+                assert_eq!(work.spfa, before.spfa, "SPFA ran at {sigma}");
+                let traversals = work.dijkstra.traversals - before.dijkstra.traversals;
                 assert!(
-                    matches!(work.dijkstra.traversals, 0 | 2),
-                    "{} traversals at {sigma}",
-                    work.dijkstra.traversals
+                    matches!(traversals, 0 | 2),
+                    "{traversals} traversals at {sigma}"
                 );
-                assert!(
-                    work.dijkstra.max_scans <= edges && work.dijkstra.max_pops <= edges + 1,
-                    "decision at {sigma} (|E| = {edges}): {work:?}"
-                );
-                decided += work.dijkstra.traversals / 2;
+
                 let prefix = driver.engine().run();
-                assert_ge_and_fast_timing_match_naive(
-                    prefix,
-                    sigma,
-                    &MessageIndex::of_run(prefix),
-                    true,
+                let alone = IncrementalEngine::from_prefix(prefix.clone());
+                let fresh = alone
+                    .engine_mode(sigma, ObserverMode::ExcludeOwnSends)
+                    .unwrap();
+                if let Some(theta_a) = driver.sigma_c().and_then(|c| spec.theta_a(c).ok()) {
+                    let theta_b = GeneralNode::basic(sigma);
+                    let _ = knows_required(&fresh, spec.kind, &theta_a, &theta_b);
+                }
+                let single = fresh.ge().work();
+                assert_eq!(single.spfa, TraversalWork::default(), "SPFA ran at {sigma}");
+                assert_eq!(
+                    single.dijkstra.traversals, traversals,
+                    "decision at {sigma}"
                 );
+                assert_eq!(
+                    single.dijkstra.scans,
+                    work.dijkstra.scans - before.dijkstra.scans,
+                    "edge scans of the decision at {sigma}"
+                );
+                assert_eq!(
+                    single.dijkstra.pops,
+                    work.dijkstra.pops - before.dijkstra.pops,
+                    "pops of the decision at {sigma}"
+                );
+                assert!(
+                    single.dijkstra.max_scans <= edges && single.dijkstra.max_pops <= edges + 1,
+                    "decision at {sigma} (|E| = {edges}): {single:?}"
+                );
+                decided += traversals / 2;
+                assert_ge_and_fast_timing_match_naive(prefix, sigma, true);
             }
         }
     }
@@ -1049,11 +1171,11 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
 }
 
 /// A hand-built run with one delivery later than its channel's upper
-/// bound. Its recorded times are no valid timing, so every observer that
-/// has seen the delivery rejects the run's clock and answers distance
-/// queries through SPFA. The answers still equal the naive reference:
-/// `max_x`/`knows` per pair, the distance lanes, and the fast timing at
-/// every vertex.
+/// bound. Its recorded times are no valid timing, so `GB(r)` and every
+/// observer's `GB(r, σ)` that holds the delivery fail the clock check,
+/// and their views walk label-correcting (counted as SPFA). The answers
+/// still equal the naive reference: `max_x`/`knows` per pair, the
+/// distance lanes, and the fast timing at every vertex.
 #[test]
 fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
     use zigzag::bcm::builder::RunBuilder;
@@ -1085,9 +1207,8 @@ fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
     let run = rb.finish();
     assert!(validate_run(&run, Strictness::Strict).is_err());
 
-    let index = MessageIndex::of_run(&run);
     for sigma in [j1, k1, i2, j2] {
-        assert_ge_and_fast_timing_match_naive(&run, sigma, &index, false);
+        assert_ge_and_fast_timing_match_naive(&run, sigma, false);
         let nodes: Vec<NodeId> = run.past(sigma).iter().filter(|n| !n.is_initial()).collect();
         let reference = naive_max_x_table(&run, sigma, &nodes);
         let engine = KnowledgeEngine::new(&run, sigma).unwrap();
@@ -1102,8 +1223,8 @@ fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
                 }
             }
         }
-        let work = engine.ge().graph().work();
-        assert!(!engine.ge().graph().has_potential());
+        let work = engine.ge().work();
+        assert!(!engine.ge().has_potential());
         assert_eq!(work.dijkstra, TraversalWork::default());
         assert!(work.spfa.traversals > 0, "no SPFA fallback at {sigma}");
     }
@@ -1211,8 +1332,9 @@ proptest! {
     /// The rewritten SoA SPFA (cold and memoized) and `spfa_delta` (the
     /// append-log catch-up) answer exactly like the textbook dense
     /// Bellman–Ford on random raw graphs at n ∈ {64, 256} — weights,
-    /// predecessor paths, and positive-cycle verdicts — and so does the
-    /// potential-reweighted Dijkstra, in both directions.
+    /// predecessor paths, and positive-cycle verdicts. (The distance
+    /// traversals over rows are held to the same reference on the same
+    /// kind of graphs by `zigzag-core`'s graph unit tests.)
     #[test]
     fn layout_spfa_and_delta_match_dense_bellman_ford(
         big in any::<bool>(),
@@ -1284,54 +1406,6 @@ proptest! {
             ),
         }
 
-        // The potential-reweighted Dijkstra: longest paths from a virtual
-        // root with a 0-edge to every vertex are a feasible potential
-        // exactly when no positive cycle exists; under it both distance
-        // lanes equal the dense references, each traversal scanning every
-        // edge at most once. Without one, the distance entry points
-        // report the reachable cycle.
-        let mut rooted = edges.clone();
-        rooted.extend((0..n).map(|v| (n, v, 0)));
-        match naive_longest_paths(n + 1, &rooted, n) {
-            Ok(clock) => {
-                let clock: Vec<i64> = clock[..n].iter().map(|t| t.expect("rooted")).collect();
-                let naive = naive_full.as_ref().expect("no positive cycle");
-                let to_src = g.longest_to_dense(&src).unwrap();
-                // On a fresh graph both lanes run Dijkstra; on `g`, whose
-                // SPFA result from `src` is memoized, the forward lane
-                // reads that result instead.
-                let mut fresh: WeightedDigraph<usize> = WeightedDigraph::new();
-                for i in 0..n {
-                    fresh.add_vertex(i);
-                }
-                for (i, &(u, v, w)) in edges.iter().enumerate() {
-                    fresh.add_edge(u, v, w, i as u32);
-                }
-                for (graph, dijkstras) in [(&mut fresh, 2u64), (&mut g, 1)] {
-                    graph.set_potential(clock.clone());
-                    prop_assert!(graph.has_potential());
-                    let fwd = graph.distances_from(&src).unwrap();
-                    let bwd = graph.distances_to(&src).unwrap();
-                    for i in 0..n {
-                        prop_assert_eq!(fwd.weight(i), naive[i]);
-                        prop_assert_eq!(bwd.weight(i), to_src[i]);
-                    }
-                    let work = graph.work().dijkstra;
-                    prop_assert_eq!(work.traversals, dijkstras);
-                    prop_assert!(work.max_scans <= edges.len() as u64);
-                }
-            }
-            Err(()) => {
-                g.set_potential(vec![0; n]);
-                prop_assert!(!g.has_potential());
-                if naive_full.is_err() {
-                    prop_assert!(matches!(
-                        g.distances_from(&src),
-                        Err(CoreError::PositiveCycle)
-                    ));
-                }
-            }
-        }
     }
 }
 
@@ -1366,15 +1440,23 @@ fn warm_query_loop_allocates_nothing() {
     assert_eq!(grew, 0, "warm longest_from_cached hits must not allocate");
 }
 
-/// The cold path's allocation gate, a deterministic work counter: a cold
-/// `ObserverState::build` allocates at most twice per `GE(r, σ)` vertex
-/// (its out and in rows, each allocated once) plus a constant, and the first
-/// basic-node `max_x` on a fresh state allocates a size-independent
-/// count — the fast timing is dense lanes, not per-vertex map nodes.
+/// The cold path's allocation gate, a deterministic work counter. A
+/// cold standalone `ObserverState::build` builds `GB(r, σ)`, so it
+/// allocates at most twice per `GE(r, σ)` vertex (its out and in rows,
+/// each allocated once) plus a constant, and the first basic-node
+/// `max_x` on a fresh state allocates a size-independent count — the
+/// fast timing is dense lanes, not per-vertex map nodes. A session's
+/// state is a view over the session's `GB(r)`: building it and answering
+/// a first `max_x` on it allocates at most a constant number of times,
+/// whatever |V|, on a stream session and a batch session alike.
 #[test]
 fn cold_observer_build_allocations_are_bounded() {
     let run = random_run(12, 3, 11, 1, 60);
     let index = MessageIndex::of_run(&run);
+    let sessions = [
+        IncrementalEngine::ingest(&run).unwrap(),
+        IncrementalEngine::from_prefix(run.clone()),
+    ];
     let procs = run.context().network().len();
     let ge_vertices = |sigma: NodeId| run.past(sigma).len() + procs;
     let nodes: Vec<NodeId> = run
@@ -1406,6 +1488,19 @@ fn cold_observer_build_allocations_are_bounded() {
         let before = thread_allocs();
         engine.max_x(&anchor, &theta2).unwrap();
         first_query.push((v, thread_allocs() - before));
+        for session in &sessions {
+            let before = thread_allocs();
+            session
+                .engine(sigma)
+                .unwrap()
+                .max_x(&anchor, &theta2)
+                .unwrap();
+            let read = thread_allocs() - before;
+            assert!(
+                read <= SESSION_READ_ALLOCS,
+                "cold session read at {sigma} (|V| = {v}) allocated {read} times"
+            );
+        }
     }
     let [(v_small, small_allocs), (v_large, large_allocs)] = first_query[..] else {
         unreachable!("two observers measured");
@@ -1420,6 +1515,64 @@ fn cold_observer_build_allocations_are_bounded() {
          but {large_allocs} at |V| = {v_large}"
     );
 }
+
+/// The allocations a cold read on a session may make: the view's build
+/// and a first `max_x`, whatever the observer's |V|.
+const SESSION_READ_ALLOCS: u64 = 64;
+
+/// A retained decision state holds no edges. Each `ExcludeOwnSends`
+/// decision of a feedback-topology stream, made on the session's
+/// `GB(r)` and then held (as the observer LRU would hold it), keeps at
+/// most `RETAINED_BYTES_PER_VERTEX · (|past(r, σ)| + n)` bytes plus a
+/// constant, with no term in the view's edge count. The session graph's
+/// own buffers — its scratch arena and its walks' slot lane — are sized
+/// by one decision at the largest observer first, so the count is the
+/// state's.
+#[test]
+fn retained_decision_states_hold_no_edges() {
+    use zigzag::coord::{knows_required, OptimalStrategy};
+
+    let (spec, sc) = feedback_scenario(4, 1, 9, 640);
+    let run = sc
+        .run(&mut OptimalStrategy, &mut RandomScheduler::seeded(640))
+        .unwrap();
+    let mut session = IncrementalEngine::ingest(&run).unwrap();
+    session.set_observer_cap(Some(0));
+    let theta_a = spec
+        .theta_a(run.external_receipt_node(spec.c, &spec.go_name).unwrap())
+        .unwrap();
+    let decisions: Vec<NodeId> = run.timeline(spec.b)[1..].iter().map(|r| r.id()).collect();
+    let decide = |sigma: NodeId| {
+        let engine = session.engine_excluding_own_sends(sigma).unwrap();
+        let _ = knows_required(&engine, spec.kind, &theta_a, &GeneralNode::basic(sigma));
+        engine
+    };
+    drop(decide(*decisions.last().unwrap()));
+    let mut widest = 0;
+    for &sigma in &decisions {
+        let before = thread_live_bytes();
+        let held = decide(sigma);
+        let bytes = thread_live_bytes() - before;
+        let (vertices, edges) = (held.ge().vertex_count(), held.ge().edges().len());
+        assert!(
+            bytes <= (RETAINED_BYTES_PER_VERTEX * vertices + RETAINED_BYTES_FIXED) as i64,
+            "decision state at {sigma} (|V| = {vertices}, |E| = {edges}) holds {bytes} bytes"
+        );
+        widest = widest.max(edges);
+    }
+    assert!(
+        widest >= 500,
+        "decision graphs too small to tell: |E| ≤ {widest}"
+    );
+}
+
+/// Bytes a retained decision state may hold per `GE(r, σ)` vertex: two
+/// distance lanes and the fast timing's lanes are 25.
+const RETAINED_BYTES_PER_VERTEX: usize = 32;
+
+/// Bytes a retained decision state may hold whatever its size: the
+/// state's fixed parts and its small maps (~3.5 KB).
+const RETAINED_BYTES_FIXED: usize = 4096;
 
 // ---------------------------------------------------------------------
 // Durability tier (PR 9): kill/recover at EVERY append boundary.

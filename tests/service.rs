@@ -297,6 +297,49 @@ fn fast_run_parameters_that_overflow_are_refused_by_name() {
     }
 }
 
+/// A `FastRun` whose `extra_horizon` fits in the times but exceeds the
+/// cap (`MAX_EXTENSION` times the longer of the run's horizon and the
+/// fast run's last prescribed time) is refused with the same typed
+/// error, in process and over the wire, instead of flooding FFIP
+/// messages up to that horizon; an extension at the cap is built.
+#[test]
+fn fast_run_horizon_extensions_beyond_the_cap_are_refused() {
+    use zigzag::core::construct::MAX_EXTENSION;
+
+    let run = tri_run(2, 30);
+    let service = ZigzagService::new();
+    let session = service.open_batch(run.clone(), SessionConfig::new());
+    let sigma = run.nodes().map(|r| r.id()).last().unwrap();
+    let theta = GeneralNode::basic(NodeId::new(ProcessId::new(0), 1));
+    let fast_run = |extra_horizon| Query::FastRun {
+        sigma,
+        theta: theta.clone(),
+        gamma: 0,
+        extra_horizon,
+    };
+    let Ok(Response::FastRun(built)) = service.dispatch(session, &fast_run(0)) else {
+        panic!("the unextended fast run is built");
+    };
+    let cap = MAX_EXTENSION * built.run.horizon().ticks().max(run.horizon().ticks());
+    assert!(matches!(
+        service.dispatch(session, &fast_run(cap)),
+        Ok(Response::FastRun(_))
+    ));
+    for extra_horizon in [cap + 1, 20_000] {
+        let q = fast_run(extra_horizon);
+        let err = service.dispatch(session, &q).unwrap_err();
+        assert_eq!(
+            err,
+            Error::Core(CoreError::ParameterOutOfRange {
+                parameter: "extra_horizon",
+                value: extra_horizon,
+            })
+        );
+        let served = serve::serve(&service, &[serve::encode_frame(session, &q)], 1);
+        assert_eq!(served, vec![serve::encode_error(&err)]);
+    }
+}
+
 /// An `Append` frame delivering a message off its channel, or outside
 /// its channel's bounds, is answered with a typed error document and
 /// changes nothing: afterwards the session answers and appends exactly
@@ -463,7 +506,7 @@ fn coordination_decisions_agree_across_session_shapes() {
             graphs_differed |= run.timeline(b)[1..].iter().any(|rec| {
                 let edges = |probe: ProbeSemantics| {
                     let decider = engine.engine_mode(rec.id(), probe.mode()).unwrap();
-                    decider.ge().graph().edge_count()
+                    decider.ge().edges().len()
                 };
                 edges(ProbeSemantics::IncludeOwnSends) != edges(ProbeSemantics::ExcludeOwnSends)
             });
