@@ -7,8 +7,9 @@
 //! same thing restored from its run: what σ knows depends only on
 //! `past(r, σ)` (`GE(r, σ)`, Definition 16; Theorem 4), so a complete run
 //! is just the last prefix of its own event stream, and
-//! [`IncrementalEngine::from_prefix`] builds its message index and
-//! `GB(r)` in one pass each. Every session therefore answers the whole
+//! [`IncrementalEngine::from_prefix`] builds its `GB(r)` in one pass
+//! (observer states read the run's own message records). Every session
+//! therefore answers the whole
 //! [`Query`] family through one dispatch path and accepts further
 //! appends, however it was opened. Byte-identity of every answer with the
 //! corresponding direct engine call is pinned by the differential oracle

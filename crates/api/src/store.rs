@@ -97,6 +97,12 @@
 //! snapshot* (the decoded tail) and surviving torn or lost log suffixes;
 //! `benches/store.rs` prices both paths and gates that restore never
 //! loses to replay.
+//!
+//! A decoded number too wide for the id or count it names is refused,
+//! never narrowed to another id, and a coordination spec must name
+//! processes of the embedded run's network.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -305,11 +311,17 @@ fn parse_i64(doc_line: usize, t: &str, what: &str) -> Result<i64, Error> {
         .map_err(|_| bad(doc_line, format!("bad {what} {t:?}")))
 }
 
-fn parse_opt_u64(doc_line: usize, t: &str, what: &str) -> Result<Option<u64>, Error> {
+/// Token `t` as a number of type `T`, refused when it does not fit.
+fn parse_num<T: TryFrom<u64>>(doc_line: usize, t: &str, what: &str) -> Result<T, Error> {
+    T::try_from(parse_u64(doc_line, t, what)?)
+        .map_err(|_| bad(doc_line, format!("{what} {t:?} out of range")))
+}
+
+fn parse_opt<T: TryFrom<u64>>(doc_line: usize, t: &str, what: &str) -> Result<Option<T>, Error> {
     if t == "." {
         Ok(None)
     } else {
-        parse_u64(doc_line, t, what).map(Some)
+        parse_num(doc_line, t, what).map(Some)
     }
 }
 
@@ -328,8 +340,8 @@ fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
         return Err(bad(doc.no, format!("bad cache line {line:?}")));
     }
     let cache = CachePolicy {
-        max_observers: parse_opt_u64(doc.no, toks[1], "observer cap")?.map(|n| n as usize),
-        compact_every: parse_opt_u64(doc.no, toks[2], "compaction cadence")?,
+        max_observers: parse_opt(doc.no, toks[1], "observer cap")?,
+        compact_every: parse_opt(doc.no, toks[2], "compaction cadence")?,
     };
 
     let line = doc.next("spec line")?;
@@ -367,7 +379,7 @@ fn parse_spec_tail(
         return Err(bad(doc_line, "spec line needs a b c and three names"));
     };
     let proc = |t: &str| -> Result<ProcessId, Error> {
-        Ok(ProcessId::new(parse_u64(doc_line, t, "process")? as u32))
+        Ok(ProcessId::new(parse_num(doc_line, t, "process")?))
     };
     let name = |t: &str| -> Result<String, Error> {
         unescape_token(t).map_err(|e| bad(doc_line, e.to_string()))
@@ -392,8 +404,8 @@ fn parse_opt_node(doc_line: usize, p: &str, i: &str) -> Result<Option<NodeId>, E
     match (p, i) {
         (".", ".") => Ok(None),
         _ => Ok(Some(NodeId::new(
-            ProcessId::new(parse_u64(doc_line, p, "node process")? as u32),
-            parse_u64(doc_line, i, "node index")? as u32,
+            ProcessId::new(parse_num(doc_line, p, "node process")?),
+            parse_num(doc_line, i, "node index")?,
         ))),
     }
 }
@@ -411,10 +423,10 @@ fn push_run_lines(out: &mut String, encoded_run: &str) {
 /// Parses the embedded-run section, count-validated before consumption.
 fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     let line = doc.next("run count line")?;
-    let n = line
+    let n: usize = line
         .strip_prefix("run ")
         .ok_or_else(|| bad(doc.no, format!("expected run count line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "run line count"))? as usize;
+        .and_then(|t| parse_num(doc.no, t.trim(), "run line count"))?;
     if n > doc.remaining() {
         return Err(bad(
             doc.no,
@@ -434,7 +446,7 @@ fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
 /// (see the [module docs](self)).
 pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
     let skeleton = codec::encode(&Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
-    let mut out = String::with_capacity(skeleton.len() + 64 * snap.events as usize + 256);
+    let mut out = String::with_capacity(skeleton.len() + 64 * snap.run.node_count() + 256);
     let _ = writeln!(out, "{SNAP_HEADER}");
     let _ = writeln!(out, "events {}", snap.events);
     push_config_lines(&mut out, &snap.config);
@@ -491,10 +503,10 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
     let sigma_c = parse_opt_node(doc.no, sc_p, sc_i)?;
 
     let line = doc.next("observers line")?;
-    let k = line
+    let k: usize = line
         .strip_prefix("observers ")
         .ok_or_else(|| bad(doc.no, format!("expected observers line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "observer count"))? as usize;
+        .and_then(|t| parse_num(doc.no, t.trim(), "observer count"))?;
     if k > doc.remaining() {
         return Err(bad(
             doc.no,
@@ -515,8 +527,8 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
             return Err(bad(doc.no, format!("bad obs line {line:?}")));
         }
         let sigma = NodeId::new(
-            ProcessId::new(parse_u64(doc.no, p, "observer process")? as u32),
-            parse_u64(doc.no, i, "observer index")? as u32,
+            ProcessId::new(parse_num(doc.no, p, "observer process")?),
+            parse_num(doc.no, i, "observer index")?,
         );
         let mode = match *mode {
             "full" => ObserverMode::Full,
@@ -527,7 +539,19 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
     }
 
     let skeleton = parse_run_lines(&mut doc)?;
-    if events as usize > doc.remaining() {
+    if let Some(spec) = &config.spec {
+        let net = skeleton.context().network();
+        if let Some(p) = [spec.a, spec.b, spec.c]
+            .into_iter()
+            .find(|&p| !net.contains(p))
+        {
+            return Err(bad(
+                doc.no,
+                format!("spec names {p}, not a process of the embedded run"),
+            ));
+        }
+    }
+    if events > doc.remaining() as u64 {
         return Err(bad(
             doc.no,
             format!("claims {events} events, {} lines remain", doc.remaining()),
@@ -954,7 +978,9 @@ impl SessionStore {
         loop {
             // The records the base covers are only surface-scanned; the
             // tail past them is decoded.
-            let covered = snapshot.as_ref().map_or(0, |s| s.events as usize);
+            let covered = snapshot.as_ref().map_or(0, |s| {
+                usize::try_from(s.events).expect("a decoded snapshot's events are its run's nodes")
+            });
             let parsed = parse_log(&bytes, covered)?;
             let from_snapshot = snapshot.is_some();
             let base = match snapshot.take() {
@@ -1378,6 +1404,65 @@ mod tests {
         }
         assert!(decode_snapshot("").is_err());
         assert!(decode_snapshot("zigzag-snap v1").is_err());
+    }
+
+    /// A spec naming a process outside the embedded run's network is
+    /// refused, and so is a process or node index on the `spec`, `coord`
+    /// or `obs` lines too wide for `u32`, which would otherwise alias
+    /// the id 2³² below it.
+    #[test]
+    fn snapshot_ids_outside_the_run_are_refused() {
+        let run = fig_run();
+        let service = ZigzagService::new();
+        let (id, _) = service.open_replay(&run, coord_config()).unwrap();
+        let snap = service.export(id).unwrap();
+        let good = encode_snapshot(&snap);
+        assert_eq!(decode_snapshot(&good).unwrap(), snap);
+
+        // B as process 7 of a 3-process run.
+        let mut hostile = snap.clone();
+        hostile.config.spec.as_mut().unwrap().b = ProcessId::new(7);
+        assert!(matches!(
+            decode_snapshot(&encode_snapshot(&hostile)),
+            Err(Error::Store { .. })
+        ));
+
+        // Token `k` of the first line tagged `tag`, plus 2³².
+        let widen = |tag: &str, k: usize| {
+            let mut widened = false;
+            let doc: String = good
+                .lines()
+                .map(|line| {
+                    let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+                    if !widened && toks[0] == tag {
+                        if let Ok(v) = toks[k].parse::<u64>() {
+                            toks[k] = (v + (1 << 32)).to_string();
+                            widened = true;
+                        }
+                    }
+                    toks.join(" ") + "\n"
+                })
+                .collect();
+            widened.then_some(doc)
+        };
+        let sites = [
+            ("spec", 3),
+            ("spec", 4),
+            ("spec", 5),
+            ("coord", 1),
+            ("coord", 2),
+            ("coord", 3),
+            ("coord", 4),
+            ("obs", 1),
+            ("obs", 2),
+        ];
+        for (tag, k) in sites {
+            let doc = widen(tag, k).unwrap_or_else(|| panic!("no {tag} token {k}"));
+            assert!(
+                matches!(decode_snapshot(&doc), Err(Error::Store { .. })),
+                "{tag} token {k}: {doc}"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //! server answers one `zigzag-error v1` envelope and closes the
 //! connection. See [`crate::net`] for the listener.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::fmt;
 
 use zigzag_bcm::{codec, NetPath, NodeId, ProcessId, Time};

@@ -1,10 +1,16 @@
 //! Transmission-time bounds `L, U : Chans -> N` with `1 <= L_ij <= U_ij < ∞`
 //! (paper §2.1), and their extension to network paths.
+//!
+//! [`Bounds`] is the one home of `L, U`: a dense `from × to` table that
+//! the append checks, the bounds graphs and the run constructions all
+//! read, each lookup one range-checked load. Per-process channel lists
+//! come from the network's sorted adjacency
+//! ([`crate::Network::out_neighbors`], [`crate::Network::in_neighbors`]).
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::error::BcmError;
-use crate::net::Channel;
+use crate::net::{Channel, ProcessId};
 use crate::path::NetPath;
 use crate::time::Time;
 
@@ -69,7 +75,15 @@ impl ChannelBounds {
     }
 }
 
-/// The bound functions `L, U` for a whole network.
+/// The bound functions `L, U` for a whole network: a dense `from × to`
+/// table, so looking a channel up is one range-checked load.
+///
+/// The table is square, with a row and a column for every process up to
+/// the highest endpoint inserted (or for every process of the network it
+/// was built for), so it holds `side²` cells. A lookup with an endpoint
+/// outside the table finds no channel, never another channel's cell. Two
+/// tables are equal when they cover the same channels with the same
+/// bounds, whatever their sides.
 ///
 /// # Examples
 ///
@@ -81,10 +95,16 @@ impl ChannelBounds {
 /// bounds.insert(ch, ChannelBounds::new(2, 5));
 /// assert_eq!(bounds.lower(ch), Some(2));
 /// assert_eq!(bounds.upper(ch), Some(5));
+/// assert_eq!(bounds.get(Channel::new(ProcessId::new(1), ProcessId::new(2))), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Bounds {
-    map: BTreeMap<Channel, ChannelBounds>,
+    /// Rows (and columns) of the table.
+    side: usize,
+    /// The bounds of channel `(from, to)` at `from * side + to`.
+    cells: Vec<Option<ChannelBounds>>,
+    /// Number of covered channels.
+    len: usize,
 }
 
 impl Bounds {
@@ -93,24 +113,57 @@ impl Bounds {
         Self::default()
     }
 
+    /// An empty table with a row and a column for each of `n` processes.
+    pub(crate) fn with_processes(n: usize) -> Self {
+        let cells = n
+            .checked_mul(n)
+            .expect("a bounds table of n² cells fits usize");
+        Bounds {
+            side: n,
+            cells: vec![None; cells],
+            len: 0,
+        }
+    }
+
     /// Number of channels covered.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether no channel is covered.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
-    /// Sets the bounds of `channel`, replacing any previous entry.
+    /// Sets the bounds of `channel`, replacing any previous entry. The
+    /// table grows to cover both endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grown table's `side²` cells overflow `usize`.
     pub fn insert(&mut self, channel: Channel, bounds: ChannelBounds) {
-        self.map.insert(channel, bounds);
+        let side = channel.from.index().max(channel.to.index()) + 1;
+        if side > self.side {
+            let old = std::mem::replace(self, Bounds::with_processes(side));
+            for (c, b) in old.iter() {
+                self.insert(c, b);
+            }
+        }
+        let cell = &mut self.cells[channel.from.index() * self.side + channel.to.index()];
+        if cell.replace(bounds).is_none() {
+            self.len += 1;
+        }
     }
 
     /// The bounds of `channel`, if covered.
+    #[inline]
     pub fn get(&self, channel: Channel) -> Option<ChannelBounds> {
-        self.map.get(&channel).copied()
+        let (from, to) = (channel.from.index(), channel.to.index());
+        if from < self.side && to < self.side {
+            self.cells[from * self.side + to]
+        } else {
+            None
+        }
     }
 
     /// Lower bound `L_ij` of `channel`.
@@ -159,31 +212,36 @@ impl Bounds {
 
     /// The largest upper bound over all covered channels (0 if empty).
     pub fn max_upper(&self) -> u64 {
-        self.map.values().map(|b| b.upper()).max().unwrap_or(0)
+        self.iter().map(|(_, b)| b.upper()).max().unwrap_or(0)
     }
 
     /// Iterator over `(channel, bounds)` pairs in channel order.
     pub fn iter(&self) -> impl Iterator<Item = (Channel, ChannelBounds)> + '_ {
-        self.map.iter().map(|(c, b)| (*c, *b))
+        let side = self.side;
+        self.cells.iter().enumerate().filter_map(move |(i, cell)| {
+            let (from, to) = ((i / side) as u32, (i % side) as u32);
+            cell.map(|b| (Channel::new(ProcessId::new(from), ProcessId::new(to)), b))
+        })
     }
+}
 
-    /// Flattens the bounds into a dense `from * n + to` table (`None`
-    /// where no channel exists), `n` being the process count. Append-path
-    /// consumers that resolve bounds per delivered message probe this
-    /// instead of the ordered map.
-    pub fn dense_table(&self, n: usize) -> Vec<Option<(u64, u64)>> {
-        let mut table = vec![None; n * n];
-        for (c, b) in self.iter() {
-            table[c.from.index() * n + c.to.index()] = Some((b.lower(), b.upper()));
-        }
-        table
+impl PartialEq for Bounds {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Bounds {}
+
+impl fmt::Debug for Bounds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::ProcessId;
 
     fn ch(a: u32, b: u32) -> Channel {
         Channel::new(ProcessId::new(a), ProcessId::new(b))

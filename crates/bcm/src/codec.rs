@@ -21,7 +21,10 @@
 //! Decoding replays the events through [`RunBuilder`] in the engine's
 //! canonical `(time, process)` order, so a decoded run is structurally
 //! *identical* (`==`) to the original for every run produced by the
-//! simulator or the construction engines.
+//! simulator or the construction engines. A number too wide for the id
+//! or count it names is refused, never narrowed to another id.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -160,15 +163,18 @@ pub fn decode_event(line: &str) -> Result<RunEvent, BcmError> {
         t.parse()
             .map_err(|_| bad_event(format!("bad {what} {t:?}")))
     }
+    fn narrow<T: TryFrom<u64>>(t: &str, what: &str) -> Result<T, BcmError> {
+        T::try_from(num(t, what)?).map_err(|_| bad_event(format!("{what} {t:?} out of range")))
+    }
     let toks: Vec<&str> = line.split_whitespace().collect();
     let mut it = toks.into_iter();
     if take(&mut it, "tag")? != "ev" {
         return Err(bad_event("record does not start with \"ev\""));
     }
-    let proc = ProcessId::new(num(take(&mut it, "proc")?, "proc")? as u32);
+    let proc = ProcessId::new(narrow(take(&mut it, "proc")?, "proc")?);
     let time = Time::new(num(take(&mut it, "time")?, "time")?);
 
-    let nr = num(take(&mut it, "receipt count")?, "receipt count")? as usize;
+    let nr: usize = narrow(take(&mut it, "receipt count")?, "receipt count")?;
     if nr > it.len() {
         return Err(bad_event(format!(
             "claimed {nr} receipts but only {} tokens remain",
@@ -179,9 +185,10 @@ pub fn decode_event(line: &str) -> Result<RunEvent, BcmError> {
     for _ in 0..nr {
         let t = take(&mut it, "receipt")?;
         if let Some(m) = t.strip_prefix('m') {
-            receipts.push(ReceiptEvent::Message(MessageId::new(
-                num(m, "message id")? as u32
-            )));
+            receipts.push(ReceiptEvent::Message(MessageId::new(narrow(
+                m,
+                "message id",
+            )?)));
         } else if let Some(e) = t.strip_prefix('e') {
             receipts.push(ReceiptEvent::External(unescape_token(e)?));
         } else {
@@ -189,7 +196,7 @@ pub fn decode_event(line: &str) -> Result<RunEvent, BcmError> {
         }
     }
 
-    let ns = num(take(&mut it, "send count")?, "send count")? as usize;
+    let ns: usize = narrow(take(&mut it, "send count")?, "send count")?;
     if ns > it.len() / 2 {
         return Err(bad_event(format!(
             "claimed {ns} sends but only {} tokens remain",
@@ -198,12 +205,12 @@ pub fn decode_event(line: &str) -> Result<RunEvent, BcmError> {
     }
     let mut sends = Vec::with_capacity(ns);
     for _ in 0..ns {
-        let to = ProcessId::new(num(take(&mut it, "send target")?, "send target")? as u32);
+        let to = ProcessId::new(narrow(take(&mut it, "send target")?, "send target")?);
         let deliver_at = Time::new(num(take(&mut it, "delivery time")?, "delivery time")?);
         sends.push(SendEvent { to, deliver_at });
     }
 
-    let na = num(take(&mut it, "action count")?, "action count")? as usize;
+    let na: usize = narrow(take(&mut it, "action count")?, "action count")?;
     if na > it.len() {
         return Err(bad_event(format!(
             "claimed {na} actions but only {} tokens remain",
@@ -341,13 +348,21 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
         return Err(bad(1, format!("bad header {header:?}")));
     }
 
+    /// Token `s` of line `line_no` as a number of type `T`.
+    fn narrow<T: TryFrom<u64>>(line_no: usize, s: &str) -> Result<T, BcmError> {
+        let n: u64 = s
+            .parse()
+            .map_err(|_| bad(line_no, format!("bad number {s:?}")))?;
+        T::try_from(n).map_err(|_| bad(line_no, format!("number {s:?} out of range")))
+    }
+
     let mut horizon: Option<u64> = None;
     let mut procs: Vec<(usize, String)> = Vec::new();
-    let mut chans: Vec<(usize, usize, u64, u64)> = Vec::new();
-    let mut nodes: BTreeMap<(usize, u32), NodeSpec> = BTreeMap::new();
+    let mut chans: Vec<(u32, u32, u64, u64)> = Vec::new();
+    let mut nodes: BTreeMap<(u32, u32), NodeSpec> = BTreeMap::new();
     let mut exts: BTreeMap<usize, String> = BTreeMap::new();
     #[allow(clippy::type_complexity)]
-    let mut msgs: Vec<(usize, usize, u32, usize, u64, u64, Option<(u32, u64)>)> = Vec::new();
+    let mut msgs: Vec<(usize, u32, u32, u32, u64, u64, Option<(u32, u64)>)> = Vec::new();
 
     for (ln, raw) in lines {
         let line_no = ln + 1;
@@ -358,45 +373,43 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
         let mut it = line.split_whitespace();
         let kind = it.next().expect("non-empty line");
         let rest: Vec<&str> = it.collect();
-        let num = |s: &str| -> Result<u64, BcmError> {
-            s.parse()
-                .map_err(|_| bad(line_no, format!("bad number {s:?}")))
-        };
         match kind {
             "horizon" => {
-                horizon = Some(num(rest
-                    .first()
-                    .ok_or_else(|| bad(line_no, "missing horizon"))?)?);
+                horizon = Some(narrow(
+                    line_no,
+                    rest.first()
+                        .ok_or_else(|| bad(line_no, "missing horizon"))?,
+                )?);
             }
             "proc" => {
                 if rest.len() < 2 {
                     return Err(bad(line_no, "proc needs index and name"));
                 }
-                procs.push((num(rest[0])? as usize, rest[1..].join(" ")));
+                procs.push((narrow(line_no, rest[0])?, rest[1..].join(" ")));
             }
             "chan" => {
                 if rest.len() != 4 {
                     return Err(bad(line_no, "chan needs from to L U"));
                 }
                 chans.push((
-                    num(rest[0])? as usize,
-                    num(rest[1])? as usize,
-                    num(rest[2])?,
-                    num(rest[3])?,
+                    narrow(line_no, rest[0])?,
+                    narrow(line_no, rest[1])?,
+                    narrow(line_no, rest[2])?,
+                    narrow(line_no, rest[3])?,
                 ));
             }
             "node" => {
                 if rest.len() != 3 {
                     return Err(bad(line_no, "node needs proc index time"));
                 }
-                let key = (num(rest[0])? as usize, num(rest[1])? as u32);
-                nodes.entry(key).or_default().time = num(rest[2])?;
+                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
+                nodes.entry(key).or_default().time = narrow(line_no, rest[2])?;
             }
             "recv" => {
                 if rest.len() != 3 {
                     return Err(bad(line_no, "recv needs proc index ref"));
                 }
-                let key = (num(rest[0])? as usize, num(rest[1])? as u32);
+                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
                 nodes
                     .get_mut(&key)
                     .ok_or_else(|| bad(line_no, "recv before node"))?
@@ -407,7 +420,7 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
                 if rest.len() < 3 {
                     return Err(bad(line_no, "act needs proc index name"));
                 }
-                let key = (num(rest[0])? as usize, num(rest[1])? as u32);
+                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
                 nodes
                     .get_mut(&key)
                     .ok_or_else(|| bad(line_no, "act before node"))?
@@ -418,7 +431,7 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
                 if rest.len() < 2 {
                     return Err(bad(line_no, "ext needs id name"));
                 }
-                exts.insert(num(rest[0])? as usize, rest[1..].join(" "));
+                exts.insert(narrow(line_no, rest[0])?, rest[1..].join(" "));
             }
             "msg" => {
                 if rest.len() != 8 {
@@ -427,15 +440,15 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
                 let delivery = if rest[6] == "." {
                     None
                 } else {
-                    Some((num(rest[6])? as u32, num(rest[7])?))
+                    Some((narrow(line_no, rest[6])?, narrow(line_no, rest[7])?))
                 };
                 msgs.push((
-                    num(rest[0])? as usize,
-                    num(rest[1])? as usize,
-                    num(rest[2])? as u32,
-                    num(rest[3])? as usize,
-                    num(rest[4])?,
-                    num(rest[5])?,
+                    narrow(line_no, rest[0])?,
+                    narrow(line_no, rest[1])?,
+                    narrow(line_no, rest[2])?,
+                    narrow(line_no, rest[3])?,
+                    narrow(line_no, rest[4])?,
+                    narrow(line_no, rest[5])?,
                     delivery,
                 ));
             }
@@ -453,7 +466,7 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
         nb.add_process(name.clone());
     }
     for &(f, t, l, u) in &chans {
-        nb.add_channel(ProcessId::new(f as u32), ProcessId::new(t as u32), l, u)?;
+        nb.add_channel(ProcessId::new(f), ProcessId::new(t), l, u)?;
     }
     let ctx = nb.build()?;
     let horizon = Time::new(horizon.ok_or_else(|| bad(0, "missing horizon"))?);
@@ -461,29 +474,29 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
 
     // Replay in canonical (time, process) order, mirroring the engine.
     msgs.sort_by_key(|m| m.0);
-    let msgs_by_src: BTreeMap<(usize, u32), Vec<usize>> = {
-        let mut map: BTreeMap<(usize, u32), Vec<usize>> = BTreeMap::new();
+    let msgs_by_src: BTreeMap<(u32, u32), Vec<usize>> = {
+        let mut map: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
         for (k, m) in msgs.iter().enumerate() {
             map.entry((m.1, m.2)).or_default().push(k);
         }
         map
     };
-    let mut order: Vec<(u64, usize, u32)> = nodes
+    let mut order: Vec<(u64, u32, u32)> = nodes
         .iter()
         .map(|(&(p, i), spec)| (spec.time, p, i))
         .collect();
     order.sort();
     let mut next_ext = 0usize;
     for (time, p, i) in order {
-        let node = rb.add_node(ProcessId::new(p as u32), Time::new(time))?;
-        if node != NodeId::new(ProcessId::new(p as u32), i) {
+        let node = rb.add_node(ProcessId::new(p), Time::new(time))?;
+        if node != NodeId::new(ProcessId::new(p), i) {
             return Err(bad(0, format!("non-dense node index {i} for process {p}")));
         }
         let spec = &nodes[&(p, i)];
         for r in &spec.receipts {
             if let Some(m) = r.strip_prefix('m') {
-                let id: usize = m.parse().map_err(|_| bad(0, format!("bad msg ref {r}")))?;
-                rb.deliver(crate::message::MessageId::new(id as u32), node)?;
+                let id: u32 = m.parse().map_err(|_| bad(0, format!("bad msg ref {r}")))?;
+                rb.deliver(crate::message::MessageId::new(id), node)?;
             } else if let Some(e) = r.strip_prefix('e') {
                 let id: usize = e.parse().map_err(|_| bad(0, format!("bad ext ref {r}")))?;
                 if id != next_ext {
@@ -511,7 +524,7 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
                         format!("msg {id} send time disagrees with its node"),
                     ));
                 }
-                let got = rb.send(node, ProcessId::new(dst as u32), Time::new(scheduled))?;
+                let got = rb.send(node, ProcessId::new(dst), Time::new(scheduled))?;
                 if got.index() != id {
                     return Err(bad(0, format!("msg ids out of canonical order at {id}")));
                 }
@@ -633,6 +646,61 @@ mod tests {
         assert!(decode_event("ev 0 1 1 x3 0 0").is_err());
         assert!(decode_event("msg 0 1").is_err());
         assert!(decode_event("").is_err());
+    }
+
+    /// An id too wide for `u32` is refused, where narrowing it would
+    /// alias the id 2³² below it: process 2³² sending to 2³² + 1 would
+    /// read as process 0 sending to 1, message 2³² + 5 as message 5.
+    #[test]
+    fn ids_beyond_u32_are_refused() {
+        fn refused<T>(r: Result<T, BcmError>) -> bool {
+            matches!(r, Err(BcmError::IllegalRun { .. }))
+        }
+        assert!(decode_event("ev 0 3 1 ego 1 1 9 0").is_ok());
+        assert!(refused(decode_event(
+            "ev 4294967296 3 1 ego 1 4294967297 9 0"
+        )));
+        assert!(decode_event("ev 0 3 1 m5 0 0").is_ok());
+        assert!(refused(decode_event("ev 0 3 1 m4294967301 0 0")));
+
+        // Token `k` of the first line tagged `tag` of a run document (with
+        // an action at `p0#1`), plus 2³² (a receipt reference keeps its
+        // `m`).
+        let text = encode(&sample(0)) + "act 0 1 fire\n";
+        assert!(decode(&text).is_ok());
+        let widen = |tag: &str, k: usize| {
+            let mut widened = false;
+            let doc: String = text
+                .lines()
+                .map(|line| {
+                    let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+                    if !widened && toks[0] == tag {
+                        let (prefix, digits) =
+                            toks[k].split_at(usize::from(toks[k].starts_with('m')));
+                        if let Ok(v) = digits.parse::<u64>() {
+                            toks[k] = format!("{prefix}{}", v + (1 << 32));
+                            widened = true;
+                        }
+                    }
+                    toks.join(" ") + "\n"
+                })
+                .collect();
+            assert!(widened, "no {tag} token {k}");
+            doc
+        };
+        let sites = [
+            ("chan", 1),
+            ("chan", 2),
+            ("node", 2),
+            ("recv", 2),
+            ("recv", 3),
+            ("act", 2),
+            ("msg", 3),
+            ("msg", 7),
+        ];
+        for (tag, k) in sites {
+            assert!(refused(decode(&widen(tag, k))), "{tag} token {k}");
+        }
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl NetworkBuilder {
         let mut out_adj = vec![Vec::new(); n];
         let mut in_adj = vec![Vec::new(); n];
         let mut channels = Vec::with_capacity(self.chans.len());
-        let mut bounds = Bounds::new();
+        let mut bounds = Bounds::with_processes(n);
         for (&(from, to), &b) in &self.chans {
             out_adj[from.index()].push(to);
             in_adj[to.index()].push(from);

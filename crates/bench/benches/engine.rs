@@ -59,8 +59,8 @@ fn cold_vs_warm(c: &mut Criterion) {
             });
         });
 
-        // Batched thresholds on a fresh engine: message index, `GE` and
-        // the whole batch per iteration.
+        // Batched thresholds on a fresh engine: `GB(r, σ)`, its `GE`
+        // view and the whole batch per iteration.
         group.bench_with_input(BenchmarkId::new("batch-max-x", n), &run, |b, run| {
             b.iter(|| {
                 let engine = KnowledgeEngine::new(run, sigma).unwrap();

@@ -21,8 +21,8 @@
 //!   spec-configured stream session whose driver decides each new
 //!   `B`-node on the incremental engine's **cached** own-sends-excluded
 //!   state, one build per `(stream, σ)`). Rebuild = the batch helper per
-//!   poll (`first_knowledge`: fresh `MessageIndex` plus one fresh
-//!   own-sends-excluded `GE` per `B`-node, per append) — the only way to
+//!   poll (`first_knowledge`: one fresh own-sends-excluded `GE` per
+//!   `B`-node, per append) — the only way to
 //!   serve this online before the warm exclude-mode cache. The gap
 //!   widens with the length of `B`'s timeline; CI gates ≥ 5×.
 //! * `serve/append-delta/n` vs `serve/append-rebuild/n` — the PR 3/4
@@ -173,8 +173,8 @@ fn coord_warm(spec: &TimedCoordination, run: &Run, events: &[RunEvent]) -> Vec<O
 }
 
 /// Per-node-rebuild baseline: grow the prefix and answer each poll with
-/// the batch helper — a fresh `MessageIndex` and a fresh
-/// own-sends-excluded `GE` per B-node, per append.
+/// the batch helper — a fresh own-sends-excluded `GE` per B-node, per
+/// append.
 fn coord_rebuild(spec: &TimedCoordination, run: &Run, events: &[RunEvent]) -> Vec<Option<NodeId>> {
     let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
     let mut verdicts = Vec::with_capacity(events.len());

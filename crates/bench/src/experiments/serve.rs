@@ -15,7 +15,7 @@
 //!   `ExcludeOwnSends` stream session, every per-event `B` decision —
 //!   served from the incremental engine's cached own-sends-excluded
 //!   observer states — equals a fresh per-prefix rebuild
-//!   (`decide_at`: new `MessageIndex`, new excluded `GE`), and the final
+//!   (`decide_at`: a new excluded `GE`), and the final
 //!   `CoordDecision` equals the in-simulation protocol's action node;
 //! * **V3 — serving observability (PR 7)**: after a warm frame mix, a
 //!   wire-encoded `stats` frame reports exactly the dispatch count the

@@ -31,12 +31,16 @@
 //! Where `B` has no outgoing channels (Figures 1 and 2b) the two modes
 //! coincide exactly; both are sound either way, since extra own-send
 //! evidence is evidence `B` legitimately has.
+//!
+//! Every decision state, warm or fresh ([`decide_at`],
+//! [`first_knowledge`]), reads the sends in σ's past from the run's own
+//! message records; nothing indexes the run for it. A spec whose `B` is
+//! not a process of the run has no `B`-nodes, so every verdict abstains.
 
 use std::sync::Arc;
 
 use zigzag_bcm::stream::RunEvent;
-use zigzag_bcm::{Context, NodeId, Run, RunCursor, Time};
-use zigzag_core::extended_graph::MessageIndex;
+use zigzag_bcm::{Context, NodeId, NodeRecord, Run, RunCursor, Time};
 use zigzag_core::incremental::IncrementalEngine;
 use zigzag_core::knowledge::{ObserverMode, ObserverState};
 use zigzag_core::{GeneralNode, KnowledgeEngine};
@@ -70,8 +74,8 @@ impl ProbeSemantics {
 }
 
 /// The Protocol 2 decision at `sigma` under the given probe semantics, on
-/// any run containing `sigma`, built from scratch: a fresh
-/// [`MessageIndex`] and a fresh decision state. This is the reference the
+/// any run containing `sigma`, built from scratch: a fresh decision state
+/// reading the run's own message records. This is the reference the
 /// streaming driver's warm decisions are held to. Returns `false`
 /// (abstain) when the trigger is absent or the required evidence is not
 /// σ-recognized, exactly like the in-protocol strategy.
@@ -88,20 +92,18 @@ pub fn decide_at(
     let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok(false);
     };
-    decide_fresh(spec, run, sigma_c, sigma, probe, &MessageIndex::of_run(run))
+    decide_fresh(spec, run, sigma_c, sigma, probe)
 }
 
-/// One fresh-build decision at `sigma`, given the trigger node and a
-/// per-run message table.
+/// One fresh-build decision at `sigma`, given the trigger node.
 fn decide_fresh(
     spec: &TimedCoordination,
     run: &Run,
     sigma_c: NodeId,
     sigma: NodeId,
     probe: ProbeSemantics,
-    index: &MessageIndex,
 ) -> Result<bool, CoordError> {
-    let state = ObserverState::build_mode(run, sigma, index, probe.mode())?;
+    let state = ObserverState::build_mode(run, sigma, probe.mode())?;
     let engine = KnowledgeEngine::with_state(run, Arc::new(state));
     decide_with(spec, &engine, sigma_c, sigma)
 }
@@ -126,12 +128,12 @@ fn decide_with(
 
 /// The batch form of the streaming driver's verdict: the earliest
 /// `B`-node of `run` at which the spec's precedence is known under
-/// `probe`, plus the trigger node, with every decision built from scratch
-/// over one shared [`MessageIndex`]. By observer stability (each node's
-/// decision depends only on its own past), this equals the
-/// [`StreamDriver`]'s `first_known` after replaying `run` with the same
-/// probe semantics — and under [`ProbeSemantics::ExcludeOwnSends`] it
-/// equals the in-simulation Protocol 2 action node on every topology.
+/// `probe`, plus the trigger node, with every decision built from
+/// scratch. By observer stability (each node's decision depends only on
+/// its own past), this equals the [`StreamDriver`]'s `first_known` after
+/// replaying `run` with the same probe semantics — and under
+/// [`ProbeSemantics::ExcludeOwnSends`] it equals the in-simulation
+/// Protocol 2 action node on every topology.
 ///
 /// # Errors
 ///
@@ -144,16 +146,22 @@ pub fn first_knowledge(
     let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok((None, None));
     };
-    let index = MessageIndex::of_run(run);
-    for rec in run.timeline(spec.b) {
-        if rec.id().is_initial() {
-            continue;
-        }
-        if decide_fresh(spec, run, sigma_c, rec.id(), probe, &index)? {
+    for rec in b_nodes(spec, run) {
+        if decide_fresh(spec, run, sigma_c, rec.id(), probe)? {
             return Ok((Some(rec.id()), Some(sigma_c)));
         }
     }
     Ok((None, Some(sigma_c)))
+}
+
+/// The non-initial nodes of `B` in `run`: none when the spec names a `B`
+/// outside the run's network.
+fn b_nodes<'r>(spec: &TimedCoordination, run: &'r Run) -> &'r [NodeRecord] {
+    if run.context().network().contains(spec.b) {
+        &run.timeline(spec.b)[1..]
+    } else {
+        &[]
+    }
 }
 
 /// What one appended event meant for the coordination problem.
@@ -227,7 +235,8 @@ impl StreamDriver {
     /// decided in timeline order through the driver's own warm decision
     /// path, stopping at the first that knows. By observer stability each
     /// verdict depends only on its node's past, so the driver steps on
-    /// exactly like one that streamed the prefix itself.
+    /// exactly like one that streamed the prefix itself. A spec whose `B`
+    /// is not a process of the run has no `B`-nodes: its driver abstains.
     ///
     /// # Errors
     ///
@@ -244,8 +253,8 @@ impl StreamDriver {
         // Without the trigger every decision abstains before building
         // anything.
         let mut first_known = None;
-        for rec in driver.engine.run().timeline(driver.spec.b) {
-            if !rec.id().is_initial() && driver.decide_at(rec.id())? {
+        for rec in b_nodes(&driver.spec, driver.engine.run()) {
+            if driver.decide_at(rec.id())? {
                 first_known = Some(rec.id());
                 break;
             }

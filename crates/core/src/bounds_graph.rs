@@ -9,6 +9,11 @@
 //! * `recv --(−U_ij)--> send` — equivalently, the send happened at most
 //!   `U_ij` before the receive.
 //!
+//! The weights come from the context's one bounds table
+//! ([`zigzag_bcm::Bounds`]), looked up per message. A graph keeps its
+//! run's context, not a copy of the bounds: the views of
+//! [`crate::extended_graph`] read their `E'''` edges from it too.
+//!
 //! Every path weight is a sound timed-precedence bound between its
 //! endpoints (Lemma 1); the **longest** path is the tight one (proof of
 //! Theorem 2); and every path induces a zigzag pattern of equal weight
@@ -27,10 +32,10 @@
 //! Dijkstra; a hand-built run with a delivery outside its channel
 //! bounds fails the check, and its views walk label-correcting instead.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{MessageId, NodeId, ProcessId, Run};
+use zigzag_bcm::{Bounds, Channel, Context, MessageId, NodeId, ProcessId, Run};
 
 use crate::error::CoreError;
 use crate::graph::{Edge, LongestPaths, WeightedDigraph};
@@ -50,11 +55,9 @@ pub struct BoundsGraph {
     /// order; looked up by the extraction layer via edge labels only, so we
     /// keep it simple: send/recv edges can be re-derived from endpoints.
     message_edges: usize,
-    /// Dense `(L, U)` per directed channel, indexed `from * n + to`: the
-    /// append path resolves bounds for every delivered message, and a flat
-    /// probe beats the context's ordered map there.
-    channel_bounds: Vec<Option<(i64, i64)>>,
-    procs: usize,
+    /// The run's context: the channel bounds every added edge and every
+    /// view's `E'''` edges read, and the network's adjacency.
+    context: Arc<Context>,
     /// `timelines[p][k]` is the dense index of node `(p, k)`: layout
     /// arithmetic after a bulk build, recording order after appends. The
     /// last entry of a timeline is its latest node, the source of the
@@ -70,44 +73,14 @@ pub struct BoundsGraph {
     max_slack: u64,
     /// Spare slot lanes for the walks of views over this graph.
     slots: SlotPool,
-    /// Each process's channels with their upper bounds, both ways.
-    into: Uppers,
-    out: Uppers,
 }
 
-/// Per process, the other end and upper bound of each of its channels
-/// one way, as a flat list behind offsets: what the `E'''` edges of a
-/// view over the graph read.
-#[derive(Debug, Clone)]
-struct Uppers {
-    at: Vec<u32>,
-    ends: Vec<(u32, i64)>,
-}
-
-impl Uppers {
-    /// The channels into each process (`into`) or out of it, from the
-    /// dense `(L, U)` table of `procs` processes.
-    fn of(procs: usize, table: &[Option<(i64, i64)>], into: bool) -> Self {
-        let mut uppers = Uppers {
-            at: Vec::with_capacity(procs + 1),
-            ends: Vec::new(),
-        };
-        uppers.at.push(0);
-        for p in 0..procs {
-            for q in 0..procs {
-                let (from, to) = if into { (q, p) } else { (p, q) };
-                if let Some((_, upper)) = table[from * procs + to] {
-                    uppers.ends.push((q as u32, upper));
-                }
-            }
-            uppers.at.push(uppers.ends.len() as u32);
-        }
-        uppers
-    }
-
-    fn of_process(&self, p: usize) -> &[(u32, i64)] {
-        &self.ends[self.at[p] as usize..self.at[p + 1] as usize]
-    }
+/// `(L_ij, U_ij)` of channel `i → j` of a validated run, as edge weights.
+pub(crate) fn weights(bounds: &Bounds, from: ProcessId, to: ProcessId) -> (i64, i64) {
+    let b = bounds
+        .get(Channel::new(from, to))
+        .expect("validated runs have bounds for every channel");
+    (b.lower() as i64, b.upper() as i64)
 }
 
 /// One vertex's slot in a view walk's lane: its index in the view
@@ -225,20 +198,6 @@ impl NodeLayout {
     }
 }
 
-/// Flattens the context's channel bounds into a dense `from * n + to`
-/// table (`None` where no channel exists).
-pub(crate) fn channel_table(run: &Run) -> (usize, Vec<Option<(i64, i64)>>) {
-    let n = run.context().network().len();
-    let table = run
-        .context()
-        .bounds()
-        .dense_table(n)
-        .into_iter()
-        .map(|slot| slot.map(|(l, u)| (l as i64, u as i64)))
-        .collect();
-    (n, table)
-}
-
 impl BoundsGraph {
     /// Builds `GB(r)` over every recorded basic node.
     pub fn of_run(run: &Run) -> Self {
@@ -261,7 +220,7 @@ impl BoundsGraph {
     /// every delivered message with both endpoints in the layout, each
     /// endpoint located arithmetically.
     fn build(run: &Run, layout: NodeLayout) -> Self {
-        let (procs, channel_bounds) = channel_table(run);
+        let (context, procs) = (run.context_arc(), layout.procs());
         let mut clock = Vec::with_capacity(layout.nodes());
         let mut timelines = Vec::with_capacity(procs);
         for p in 0..procs {
@@ -284,8 +243,7 @@ impl BoundsGraph {
                 continue;
             };
             let c = m.channel();
-            let (lower, upper) = channel_bounds[c.from.index() * procs + c.to.index()]
-                .expect("validated runs have bounds for every channel");
+            let (lower, upper) = weights(context.bounds(), c.from, c.to);
             edges.push(Edge::new(si, di, lower, LABEL_SEND));
             edges.push(Edge::new(di, si, -upper, LABEL_RECV));
             message_edges += 2;
@@ -293,10 +251,7 @@ impl BoundsGraph {
         let mut gb = BoundsGraph {
             graph: WeightedDigraph::from_edges(layout.node_ids().collect(), &edges),
             message_edges,
-            into: Uppers::of(procs, &channel_bounds, true),
-            out: Uppers::of(procs, &channel_bounds, false),
-            channel_bounds,
-            procs,
+            context,
             timelines,
             clock,
             clock_holds: true,
@@ -339,14 +294,10 @@ impl BoundsGraph {
             timelines.push(vec![graph.add_vertex(NodeId::initial(p)) as u32]);
             clock.push(run.timeline(p)[0].time().ticks() as i64);
         }
-        let (procs, channel_bounds) = channel_table(run);
         BoundsGraph {
             graph,
             message_edges: 0,
-            into: Uppers::of(procs, &channel_bounds, true),
-            out: Uppers::of(procs, &channel_bounds, false),
-            channel_bounds,
-            procs,
+            context: run.context_arc(),
             timelines,
             clock,
             clock_holds: true,
@@ -388,8 +339,7 @@ impl BoundsGraph {
             };
             let mr = run.message(m);
             let c = mr.channel();
-            let (lower, upper) = self.channel_bounds[c.from.index() * self.procs + c.to.index()]
-                .expect("validated runs have bounds for every channel");
+            let (lower, upper) = weights(self.context.bounds(), c.from, c.to);
             let src = mr.src();
             let si = self.timelines[src.proc().index()][src.index() as usize] as usize;
             self.add_edge(si, ni, lower, LABEL_SEND);
@@ -435,20 +385,9 @@ impl BoundsGraph {
         self.slots.0.lock().expect("slot pool lock").push(slots);
     }
 
-    /// The dense `(L, U)` table of the context's channels, indexed
-    /// `from * n + to` for `n` processes.
-    pub(crate) fn channel_bounds(&self) -> &[Option<(i64, i64)>] {
-        &self.channel_bounds
-    }
-
-    /// `(j, U_jp)` for every channel `j → p`.
-    pub(crate) fn uppers_into(&self, p: usize) -> &[(u32, i64)] {
-        self.into.of_process(p)
-    }
-
-    /// `(i, U_pi)` for every channel `p → i`.
-    pub(crate) fn uppers_out_of(&self, p: usize) -> &[(u32, i64)] {
-        self.out.of_process(p)
+    /// The context of the run the graph was built from.
+    pub(crate) fn context(&self) -> &Context {
+        &self.context
     }
 
     /// The underlying weighted digraph.

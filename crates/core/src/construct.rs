@@ -32,9 +32,9 @@ use std::collections::BTreeMap;
 
 use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{Bounds, Channel, ChannelBounds, ExternalId, NodeId, ProcessId, Run, Time};
+use zigzag_bcm::{Bounds, Channel, ExternalId, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::{channel_table, BoundsGraph, NodeLayout};
+use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
 use crate::extended_graph::{closed_graph, ExtVertex, GeView};
 use crate::graph::{LongestPaths, WeightedDigraph};
@@ -62,9 +62,7 @@ impl FrontierGraph {
     /// recorded node in the "past", so a message is "seen" exactly when
     /// it was delivered.
     pub fn of_run(run: &Run) -> Self {
-        let layout = NodeLayout::of_run(run);
-        let (_, bounds) = channel_table(run);
-        let graph = closed_graph(run, &layout, &bounds, None);
+        let graph = closed_graph(run, &NodeLayout::of_run(run), None);
         FrontierGraph { graph }
     }
 
@@ -228,25 +226,8 @@ fn prescribed_run_in(
     p: &Prescription,
     arena: &mut RunArena,
 ) -> Result<Run, CoreError> {
-    let ctx = source.context_arc();
-    // Each process's out-channels with their bounds, resolved once rather
-    // than through a bounds-map lookup per flooded message.
-    let (net, bounds) = (ctx.network(), ctx.bounds());
-    let out_channels: Vec<Vec<(ProcessId, ChannelBounds)>> = net
-        .processes()
-        .map(|proc| {
-            net.out_neighbors(proc)
-                .iter()
-                .map(|&dst| {
-                    let cb = bounds
-                        .get(Channel::new(proc, dst))
-                        .expect("network channels always have bounds");
-                    (dst, cb)
-                })
-                .collect()
-        })
-        .collect();
-    let mut rb = RunBuilder::new(ctx, p.horizon);
+    let ctx = source.context();
+    let mut rb = RunBuilder::new(source.context_arc(), p.horizon);
 
     // Externals of the source run received at kept nodes, retimed; queued
     // first, so each leads its batch.
@@ -296,7 +277,11 @@ fn prescribed_run_in(
             }
 
             // FFIP flooding with prescribed delivery times.
-            for &(dst, cb) in &out_channels[proc.index()] {
+            for &dst in ctx.network().out_neighbors(proc) {
+                let cb = ctx
+                    .bounds()
+                    .get(Channel::new(proc, dst))
+                    .expect("network channels always have bounds");
                 let deliver_at = delivery_time(source, p, node, time, dst, cb.lower());
                 // Internal-consistency checks (Lemma 17 / Lemma 18 guarantees).
                 if deliver_at < time + cb.lower() || deliver_at > time + cb.upper() {

@@ -38,12 +38,15 @@
 //! observer does not copy the graph. Its frontier holds the past,
 //! the `n` values of the `ψ` clock (below) and an `E''` overlay: the
 //! messages sent inside the frontier and not delivered inside it, less
-//! σ's own under `ExcludeOwnSends`. A [`GeView`] pairs it with the
+//! σ's own under `ExcludeOwnSends`, read from the run's own message
+//! records. A [`GeView`] pairs it with the
 //! [`BoundsGraph`] it is cut from: the session's `GB(r)`, or a
 //! standalone engine's `GB(r, σ)` (Definition 14). A distance traversal
 //! over the view reads the graph's live rows, skips every edge that
 //! leaves the frontier, and adds the overlay, the `E'` edges and the
-//! `E'''` channel edges. Its lanes come out in the layout above.
+//! `E'''` channel edges, which it reads from the network's sorted
+//! adjacency and the context's bounds table. Its lanes come out in the
+//! layout above.
 //!
 //! The view is append-stable: every edge a run adds after σ has a new
 //! node as an endpoint, which lies outside the frontier, and a message
@@ -84,10 +87,10 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{NodeId, ProcessId, Run};
+use zigzag_bcm::{Context, NodeId, ProcessId, Run};
 
 use crate::bounds_graph::{
-    channel_table, BoundsGraph, NodeLayout, Slot, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR,
+    weights, BoundsGraph, NodeLayout, Slot, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR,
 };
 use crate::error::CoreError;
 use crate::fx::FxBuild;
@@ -147,100 +150,6 @@ impl fmt::Display for ExtVertex {
     }
 }
 
-/// One recorded message, pre-resolved against the channel bounds: the
-/// run-level half of `GE` construction that is identical for every
-/// observer. Built once per run by [`MessageIndex::of_run`] and read by
-/// every observer's frontier over that run.
-#[derive(Debug, Clone, Copy)]
-pub struct MessageEdge {
-    /// The sending node.
-    pub src: NodeId,
-    /// The delivery node, if the message was delivered within the horizon.
-    pub dst: Option<NodeId>,
-    /// The receiving process.
-    pub to: ProcessId,
-    /// Channel lower bound `L`, as an edge weight.
-    pub lower: i64,
-    /// Channel upper bound `U` (negated on reverse edges).
-    pub upper: i64,
-}
-
-/// The per-run message table shared by every `GE(r, σ)` derivation: one
-/// pass over `run.messages()` resolving delivery nodes and channel bounds,
-/// instead of one pass (plus a bounds lookup per message) per observer.
-#[derive(Debug, Clone, Default)]
-pub struct MessageIndex {
-    edges: Vec<MessageEdge>,
-    /// Dense `(L, U)` per directed channel (`from * procs + to`), built
-    /// on first use so the per-message append resolves bounds with a
-    /// flat probe instead of an ordered-map lookup.
-    channel_bounds: Vec<Option<(u64, u64)>>,
-    procs: usize,
-}
-
-impl MessageIndex {
-    /// Resolves every recorded message of `run` once.
-    pub fn of_run(run: &Run) -> Self {
-        let mut index = MessageIndex::default();
-        index.append_from(run);
-        index
-    }
-
-    /// Delta-resolves the messages `run` recorded since this index was
-    /// last brought up to date — the append-only path of
-    /// [`crate::incremental::IncrementalEngine`]: each event appends only
-    /// its own sends (O(new), nothing already indexed is touched).
-    ///
-    /// A message indexed while in flight must be [`MessageIndex::settle`]d
-    /// when its delivery is recorded; an index grown that way alongside a
-    /// prefix is identical to `of_run(prefix)`.
-    pub fn append_from(&mut self, run: &Run) {
-        let n = run.context().network().len();
-        if self.channel_bounds.len() != n * n {
-            self.channel_bounds = run.context().bounds().dense_table(n);
-            self.procs = n;
-        }
-        for m in &run.messages()[self.edges.len()..] {
-            let c = m.channel();
-            let (lower, upper) = self.channel_bounds[c.from.index() * self.procs + c.to.index()]
-                .expect("validated runs have bounds for every channel");
-            self.edges.push(MessageEdge {
-                src: m.src(),
-                dst: m.delivery().map(|d| d.node),
-                to: c.to,
-                lower: lower as i64,
-                upper: upper as i64,
-            });
-        }
-    }
-
-    /// Records that indexed message `m` has been delivered: an O(1) field
-    /// update, called by the incremental layer as delivery receipts
-    /// arrive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not indexed yet.
-    pub fn settle(&mut self, m: zigzag_bcm::MessageId, dst: NodeId) {
-        self.edges[m.index()].dst = Some(dst);
-    }
-
-    /// Number of resolved messages.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// The resolved messages, in recording order.
-    pub fn edges(&self) -> &[MessageEdge] {
-        &self.edges
-    }
-}
-
 impl NodeLayout {
     /// The dense index of `v` in a graph closed by auxiliary vertices: a
     /// node by the layout, `ψ_p` at `nodes() + p`.
@@ -265,8 +174,7 @@ impl NodeLayout {
 /// per process and the `E'`/`E''`/`E'''` edge families: `GE(r, σ)` over
 /// the nodes of `past(r, σ)`, and the horizon-closed
 /// [`crate::construct::FrontierGraph`] over every recorded node. A
-/// message sent at `exclude_src` contributes no edge. `bounds` is the
-/// dense `(L, U)` table of the channels, indexed `from * n + to`.
+/// message sent at `exclude_src` contributes no edge.
 ///
 /// Vertices follow `layout` (see the [module docs](self)). SPFA
 /// tie-breaks, and so the witnesses served on the wire, follow the order
@@ -277,7 +185,6 @@ impl NodeLayout {
 pub(crate) fn closed_graph(
     run: &Run,
     layout: &NodeLayout,
-    bounds: &[Option<(i64, i64)>],
     exclude_src: Option<NodeId>,
 ) -> WeightedDigraph<ExtVertex> {
     let procs = (0..layout.procs()).map(|p| ExtVertex::Aux(ProcessId::new(p as u32)));
@@ -286,21 +193,13 @@ pub(crate) fn closed_graph(
         .map(ExtVertex::Node)
         .chain(procs)
         .collect();
-    WeightedDigraph::from_edges(vertices, &closed_edges(run, layout, bounds, exclude_src))
+    WeightedDigraph::from_edges(vertices, &closed_edges(run, layout, exclude_src))
 }
 
 /// The edges of [`closed_graph`], in its order.
-fn closed_edges(
-    run: &Run,
-    layout: &NodeLayout,
-    bounds: &[Option<(i64, i64)>],
-    exclude_src: Option<NodeId>,
-) -> Vec<Edge> {
-    let net = run.context().network();
+fn closed_edges(run: &Run, layout: &NodeLayout, exclude_src: Option<NodeId>) -> Vec<Edge> {
+    let (net, bounds) = (run.context().network(), run.context().bounds());
     let n = net.len();
-    let bound = |from: ProcessId, to: ProcessId| {
-        bounds[from.index() * n + to.index()].expect("validated runs have bounds for every channel")
-    };
     let psi = |p: ProcessId| layout.nodes() + p.index();
     let mut edges = Vec::with_capacity(
         layout.nodes() + 2 * n + net.channels().len() + 2 * run.messages().len(),
@@ -324,7 +223,7 @@ fn closed_edges(
             continue;
         }
         let c = m.channel();
-        let (lower, upper) = bound(c.from, c.to);
+        let (lower, upper) = weights(bounds, c.from, c.to);
         match m.delivery().and_then(|d| layout.index(d.node)) {
             Some(di) => {
                 push(si, di, lower, LABEL_SEND);
@@ -333,15 +232,31 @@ fn closed_edges(
             None => push(psi(c.to), si, -upper, LABEL_UNSEEN),
         }
     }
-    for ch in net.channels() {
+    for (ch, b) in bounds.iter() {
         push(
             psi(ch.to),
             psi(ch.from),
-            -bound(ch.from, ch.to).1,
+            -(b.upper() as i64),
             LABEL_AUX_CHAN,
         );
     }
     edges
+}
+
+/// `(j, U_jp)` for every channel `j → p`, in `j` order: the `E'''` edges
+/// out of `ψ_p`.
+fn channels_into(context: &Context, p: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
+    let p = ProcessId::new(p as u32);
+    let ends = context.network().in_neighbors(p).iter();
+    ends.map(move |&j| (j.index(), weights(context.bounds(), j, p).1))
+}
+
+/// `(i, U_pi)` for every channel `p → i`, in `i` order: the `E'''` edges
+/// into `ψ_p`.
+fn channels_out_of(context: &Context, p: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
+    let p = ProcessId::new(p as u32);
+    let ends = context.network().out_neighbors(p).iter();
+    ends.map(move |&i| (i.index(), weights(context.bounds(), p, i).1))
 }
 
 /// One `E''` edge of a frontier's overlay, `ψ_to --weight--> src`: the
@@ -381,19 +296,19 @@ pub(crate) struct GeFrontier {
 
 impl GeFrontier {
     /// Cuts `GE(r, σ)` at `past` = `past(r, σ)` out of `gb`, a bounds
-    /// graph of `run` (or of a prefix of it) that holds every past node;
-    /// `messages` indexes `run`'s messages. A message sent at
-    /// `exclude_src` contributes no edge. Reads `gb`'s clock and channel
-    /// table, never its rows.
+    /// graph of `run` (or of a prefix of it) that holds every past node,
+    /// reading the sends in the past from `run`'s message records. A
+    /// message sent at `exclude_src` contributes no edge. Reads `gb`'s
+    /// clock, never its rows.
     pub(crate) fn new(
         run: &Run,
         gb: &BoundsGraph,
         past: Past,
-        messages: &MessageIndex,
         exclude_src: Option<NodeId>,
     ) -> Self {
         const UNSET: i64 = i64::MIN;
-        let n = run.context().network().len();
+        let context = run.context();
+        let n = context.network().len();
         let layout = NodeLayout::of_past(&past, n);
         let mut nodes = Vec::with_capacity(layout.nodes());
         for p in 0..n {
@@ -413,14 +328,15 @@ impl GeFrontier {
                     continue;
                 }
                 for &m in rec.sent() {
-                    let me = messages.edges()[m.index()];
-                    if me.dst.is_some_and(|d| past.contains(d)) {
+                    let m = run.message(m);
+                    if m.delivery().is_some_and(|d| past.contains(d.node)) {
                         continue;
                     }
+                    let c = m.channel();
                     unseen.push(Unseen {
                         src: (range.start + k) as u32,
-                        to: me.to.index() as u32,
-                        weight: -me.upper,
+                        to: c.to.index() as u32,
+                        weight: -weights(context.bounds(), c.from, c.to).1,
                     });
                 }
             }
@@ -455,11 +371,11 @@ impl GeFrontier {
             if t != psi[v] {
                 continue; // superseded by a later raise
             }
-            for &(j, upper) in gb.uppers_into(v) {
+            for (j, upper) in channels_into(context, v) {
                 let raised = t.saturating_sub(upper);
-                if raised > psi[j as usize] {
-                    psi[j as usize] = raised;
-                    queue.push((raised, j as usize));
+                if raised > psi[j] {
+                    psi[j] = raised;
+                    queue.push((raised, j));
                 }
             }
         }
@@ -489,8 +405,8 @@ impl GeFrontier {
             if let Some(b) = boundary(p) {
                 note(psi[p], gb.clock(b), 1);
             }
-            for &(j, upper) in gb.uppers_into(p) {
-                note(psi[j as usize], psi[p], -upper);
+            for (j, upper) in channels_into(context, p) {
+                note(psi[j], psi[p], -upper);
             }
         }
         for e in &unseen {
@@ -640,7 +556,7 @@ impl<'a> GeView<'a> {
     /// is the run the view was cut from, or any extension of it.
     pub(crate) fn witness_graph(&self, run: &Run) -> WitnessGraph {
         let fr = self.frontier;
-        let edges = closed_edges(run, &fr.layout, self.gb.channel_bounds(), fr.exclude_src);
+        let edges = closed_edges(run, &fr.layout, fr.exclude_src);
         WitnessGraph {
             layout: fr.layout.clone(),
             csr: CsrTopology::from_edges(self.vertex_count(), &edges)
@@ -795,8 +711,7 @@ impl Walk<'_> {
                     );
                 }
                 // E''' out of ψ_p: one per channel j → p.
-                for &(j, upper) in self.gb.uppers_into(p) {
-                    let j = j as usize;
+                for (j, upper) in channels_into(self.gb.context(), p) {
                     f(nodes + j, -upper, fr.psi[j], LABEL_AUX_CHAN);
                 }
             }
@@ -807,8 +722,7 @@ impl Walk<'_> {
                     f(b, 1, self.gb.clock(self.gb_index(b)), LABEL_BOUNDARY);
                 }
                 // E''' into ψ_p: one per channel p → i.
-                for &(i, upper) in self.gb.uppers_out_of(p) {
-                    let i = i as usize;
+                for (i, upper) in channels_out_of(self.gb.context(), p) {
                     f(nodes + i, -upper, fr.psi[i], LABEL_AUX_CHAN);
                 }
             }
@@ -868,8 +782,7 @@ impl ExtendedGraph {
     pub fn with_exclusion(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> Self {
         let past = run.past(sigma);
         let layout = NodeLayout::of_past(&past, run.context().network().len());
-        let (_, bounds) = channel_table(run);
-        let graph = closed_graph(run, &layout, &bounds, exclude_src);
+        let graph = closed_graph(run, &layout, exclude_src);
         ExtendedGraph {
             observer: sigma,
             past,
@@ -1074,7 +987,6 @@ mod tests {
             .unwrap();
         let runs = (0..4).map(tri_run).chain([fig1]);
         for run in runs {
-            let index = MessageIndex::of_run(&run);
             // Append-order rows, bulk-order rows, and the local graph.
             let stream = crate::incremental::IncrementalEngine::ingest(&run).unwrap();
             let batch = BoundsGraph::of_run(&run);
@@ -1092,7 +1004,7 @@ mod tests {
                     let root = ExtVertex::Node(sigma);
                     let spfa = ge.longest_to(root).unwrap();
                     for gb in [stream.bounds_graph(), &batch, &local] {
-                        let frontier = GeFrontier::new(&run, gb, run.past(sigma), &index, exclude);
+                        let frontier = GeFrontier::new(&run, gb, run.past(sigma), exclude);
                         let view = GeView::new(gb, &frontier);
                         assert!(view.has_potential(), "clock rejected at {sigma}");
                         let mut got: Vec<(usize, usize, i64, u32)> = view
@@ -1116,13 +1028,12 @@ mod tests {
     /// take Dijkstra iff `dijkstra`, and that both match SPFA over the
     /// materialized graph from and to σ.
     fn assert_views_match_spfa(run: &Run, sigma: NodeId, dijkstra: bool) {
-        let index = MessageIndex::of_run(run);
         let ge = ExtendedGraph::new(run, sigma);
         let root = ExtVertex::Node(sigma);
         let (from, to) = (ge.longest_from(root).unwrap(), ge.longest_to(root).unwrap());
         let local = BoundsGraph::local(run, &run.past(sigma));
         for gb in [&BoundsGraph::of_run(run), &local] {
-            let frontier = GeFrontier::new(run, gb, run.past(sigma), &index, None);
+            let frontier = GeFrontier::new(run, gb, run.past(sigma), None);
             let view = GeView::new(gb, &frontier);
             assert_eq!(view.has_potential(), dijkstra, "traversal at {sigma}");
             let (d_from, d_to) = (
@@ -1182,9 +1093,8 @@ mod tests {
     fn repeated_view_queries_share_one_traversal() {
         let run = tri_run(2);
         let gb = BoundsGraph::of_run(&run);
-        let index = MessageIndex::of_run(&run);
         let sigma = run.nodes().last().unwrap().id();
-        let frontier = GeFrontier::new(&run, &gb, run.past(sigma), &index, None);
+        let frontier = GeFrontier::new(&run, &gb, run.past(sigma), None);
         let view = GeView::new(&gb, &frontier);
         let root = ExtVertex::Node(sigma);
         let (from, to) = (
@@ -1197,7 +1107,7 @@ mod tests {
         assert!(Arc::ptr_eq(&to, &view.distances_to(root).unwrap()));
         assert_eq!(view.work(), work, "a memo hit does no work");
         // Another view over the same graph has a memo of its own.
-        let again = GeFrontier::new(&run, &gb, run.past(sigma), &index, None);
+        let again = GeFrontier::new(&run, &gb, run.past(sigma), None);
         let other = GeView::new(&gb, &again);
         assert!(!Arc::ptr_eq(&from, &other.distances_from(root).unwrap()));
         assert_eq!(other.work().dijkstra.traversals, 3);

@@ -5,8 +5,8 @@
 //! *as a run unfolds* — zigzag causality lets a node know facts about
 //! remote events long before any full-run transcript exists. A batch
 //! pipeline (a [`KnowledgeEngine`] per observer over a complete [`Run`])
-//! inverts that: any change to the run means rebuilding the message
-//! index, the bounds graphs and every derived engine from scratch.
+//! inverts that: any change to the run means rebuilding the bounds graphs
+//! and every derived engine from scratch.
 //! [`IncrementalEngine`] is the append-only form: a run is grown
 //! one [`RunEvent`] at a time ([`IncrementalEngine::append_event`] /
 //! [`IncrementalEngine::append_batch`]) and every analysis layer is
@@ -20,9 +20,11 @@
 //! Two structural facts make per-append cost proportional to the change
 //! rather than to the run, and both are load-bearing for correctness:
 //!
-//! 1. **Monotone growth of the global graphs.** Appending an event only
-//!    *adds* — a vertex and successor edge to `GB(r)`, a `±` edge pair
-//!    per delivery, a row to the [`MessageIndex`]. Nothing is removed or
+//! 1. **Monotone growth of the global graph.** Appending an event only
+//!    *adds* — a vertex and successor edge to `GB(r)`, and a `±` edge
+//!    pair per delivery, weighted from the context's one bounds table
+//!    ([`zigzag_bcm::Bounds`]). The run's own message records are the
+//!    only message table: nothing mirrors them. Nothing is removed or
 //!    re-weighted, so every memoized longest-path result remains a valid
 //!    lower bound and any strictly better path must use a new edge. The
 //!    graph layer therefore keeps its memoized SPFA results across
@@ -116,13 +118,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use zigzag_bcm::stream::{ReceiptEvent, RunEvent};
+use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, NodeId, Run, RunCursor, StreamingRun, Time};
 
 use crate::bounds_graph::BoundsGraph;
 use crate::construct::FastRun;
 use crate::error::CoreError;
-use crate::extended_graph::MessageIndex;
 use crate::knowledge::{KnowledgeEngine, MaxXMatrix, ObserverCache, ObserverMode, ObserverState};
 use crate::node::GeneralNode;
 
@@ -131,9 +132,6 @@ use crate::node::GeneralNode;
 #[derive(Debug)]
 pub struct IncrementalEngine {
     stream: StreamingRun,
-    /// Delta-appended per-run message table (shared by every derived
-    /// observer state).
-    messages: MessageIndex,
     /// The global basic bounds graph `GB(r)`, grown monotonically; its
     /// memoized longest paths delta-relax across appends, and every
     /// observer state is a view over it.
@@ -152,7 +150,6 @@ impl IncrementalEngine {
         let gb = BoundsGraph::skeleton(stream.run());
         IncrementalEngine {
             stream,
-            messages: MessageIndex::default(),
             gb,
             observers: Mutex::new(ObserverCache::new(None)),
         }
@@ -161,19 +158,17 @@ impl IncrementalEngine {
     /// Resumes streaming on top of an already-recorded run prefix — the
     /// snapshot-restore path of a durable session store, and how a
     /// facade batch session opens over a complete recorded run (the last
-    /// prefix of its own event stream). The message
-    /// index and `GB(r)` are batch-built over the prefix in one pass each
-    /// (O(prefix) total, no per-event engine maintenance and no knowledge
-    /// queries), and both batch builders are continuation-compatible with
-    /// the append path: subsequent [`IncrementalEngine::append_event`]
-    /// calls grow them exactly as if the prefix had been streamed in
-    /// event by event (pinned by the recovery oracle tier).
+    /// prefix of its own event stream). `GB(r)` is batch-built over the
+    /// prefix in one pass (O(prefix), no per-event engine maintenance and
+    /// no knowledge queries), and the batch builder is
+    /// continuation-compatible with the append path: subsequent
+    /// [`IncrementalEngine::append_event`] calls grow it exactly as if the
+    /// prefix had been streamed in event by event (pinned by the recovery
+    /// oracle tier).
     pub fn from_prefix(run: Run) -> Self {
-        let messages = MessageIndex::of_run(&run);
         let gb = BoundsGraph::of_run(&run);
         IncrementalEngine {
             stream: StreamingRun::adopt(run),
-            messages,
             gb,
             observers: Mutex::new(ObserverCache::new(None)),
         }
@@ -253,11 +248,11 @@ impl IncrementalEngine {
         Ok(engine)
     }
 
-    /// Appends one event: grows the run by its node, settles the
-    /// deliveries it observes, indexes the messages it sends, and extends
-    /// `GB(r)` — all O(event). Derived observer states are *not*
-    /// invalidated (they cannot go stale; see the [module docs](self)).
-    /// Returns the created node.
+    /// Appends one event: grows the run by its node, the deliveries it
+    /// observes and the messages it sends, and extends `GB(r)` — all
+    /// O(event). Derived observer states are *not* invalidated (they
+    /// cannot go stale; see the [module docs](self)). Returns the created
+    /// node.
     ///
     /// # Errors
     ///
@@ -267,12 +262,6 @@ impl IncrementalEngine {
     /// never offered.
     pub fn append_event(&mut self, ev: &RunEvent) -> Result<NodeId, CoreError> {
         let node = self.stream.append(ev)?;
-        for r in &ev.receipts {
-            if let ReceiptEvent::Message(m) = r {
-                self.messages.settle(*m, node);
-            }
-        }
-        self.messages.append_from(self.stream.run());
         self.gb.append_node(self.stream.run(), node);
         Ok(node)
     }
@@ -299,11 +288,6 @@ impl IncrementalEngine {
     /// Number of events appended.
     pub fn event_count(&self) -> usize {
         self.stream.event_count()
-    }
-
-    /// The delta-appended per-run message table.
-    pub fn message_index(&self) -> &MessageIndex {
-        &self.messages
     }
 
     /// The global basic bounds graph `GB(r)` of the grown prefix. Its
@@ -366,7 +350,7 @@ impl IncrementalEngine {
             .lock()
             .expect("observer cache lock")
             .get_or_build_mode(sigma, mode, || {
-                ObserverState::view(run, &self.gb, sigma, &self.messages, mode)
+                ObserverState::view(run, &self.gb, sigma, mode)
             })?;
         Ok(KnowledgeEngine::over(run, &self.gb, state))
     }
@@ -457,6 +441,7 @@ mod tests {
     use super::*;
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::RandomScheduler;
+    use zigzag_bcm::stream::ReceiptEvent;
     use zigzag_bcm::{Network, ProcessId, SimConfig, Simulator};
 
     fn tri_run(seed: u64, horizon: u64) -> Run {
@@ -661,8 +646,6 @@ mod tests {
         }
         // Ingest replays a whole run in one call.
         assert_eq!(twin.run(), &run);
-        assert!(twin.message_index().len() == run.messages().len());
-        assert!(!twin.message_index().is_empty());
         assert_eq!(twin.bounds_graph().node_count(), run.node_count());
     }
 }

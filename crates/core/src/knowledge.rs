@@ -28,7 +28,7 @@ use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
 use crate::bounds_graph::BoundsGraph;
 use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
-use crate::extended_graph::{ExtVertex, GeFrontier, GeView, MessageIndex, WitnessGraph};
+use crate::extended_graph::{ExtVertex, GeFrontier, GeView, WitnessGraph};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
@@ -194,23 +194,18 @@ impl ObserverState {
     }
 
     /// Builds a standalone state for observer `sigma` on `run` under
-    /// `mode`, sharing a per-run [`MessageIndex`]: the view reads
-    /// `GB(r, σ)`, built here in one pass and owned by the state. The one
-    /// construction site behind [`ObserverState::build`] and
-    /// [`ObserverState::build_excluding_own_sends`].
+    /// `mode`: the view reads `GB(r, σ)`, built here in one pass and owned
+    /// by the state, and the sends in σ's past from `run`'s message
+    /// records. The one construction site behind [`ObserverState::build`]
+    /// and [`ObserverState::build_excluding_own_sends`].
     ///
     /// # Errors
     ///
     /// Fails if `sigma` does not appear in `run`.
-    pub fn build_mode(
-        run: &Run,
-        sigma: NodeId,
-        index: &MessageIndex,
-        mode: ObserverMode,
-    ) -> Result<Self, CoreError> {
+    pub fn build_mode(run: &Run, sigma: NodeId, mode: ObserverMode) -> Result<Self, CoreError> {
         let past = Self::past_of(run, sigma)?;
         let local = BoundsGraph::local(run, &past);
-        let frontier = GeFrontier::new(run, &local, past, index, mode.excluded(sigma));
+        let frontier = GeFrontier::new(run, &local, past, mode.excluded(sigma));
         Ok(Self::assemble(sigma, mode, frontier, Some(Box::new(local))))
     }
 
@@ -225,22 +220,20 @@ impl ObserverState {
         run: &Run,
         gb: &BoundsGraph,
         sigma: NodeId,
-        index: &MessageIndex,
         mode: ObserverMode,
     ) -> Result<Self, CoreError> {
         let past = Self::past_of(run, sigma)?;
-        let frontier = GeFrontier::new(run, gb, past, index, mode.excluded(sigma));
+        let frontier = GeFrontier::new(run, gb, past, mode.excluded(sigma));
         Ok(Self::assemble(sigma, mode, frontier, None))
     }
 
-    /// Builds the state for observer `sigma` on `run`, sharing a per-run
-    /// [`MessageIndex`].
+    /// Builds the state for observer `sigma` on `run`.
     ///
     /// # Errors
     ///
     /// Fails if `sigma` does not appear in `run`.
-    pub fn build(run: &Run, sigma: NodeId, index: &MessageIndex) -> Result<Self, CoreError> {
-        Self::build_mode(run, sigma, index, ObserverMode::Full)
+    pub fn build(run: &Run, sigma: NodeId) -> Result<Self, CoreError> {
+        Self::build_mode(run, sigma, ObserverMode::Full)
     }
 
     /// Builds the state for observer `sigma` with `sigma`'s **own sends
@@ -252,12 +245,8 @@ impl ObserverState {
     /// # Errors
     ///
     /// Fails if `sigma` does not appear in `run`.
-    pub fn build_excluding_own_sends(
-        run: &Run,
-        sigma: NodeId,
-        index: &MessageIndex,
-    ) -> Result<Self, CoreError> {
-        Self::build_mode(run, sigma, index, ObserverMode::ExcludeOwnSends)
+    pub fn build_excluding_own_sends(run: &Run, sigma: NodeId) -> Result<Self, CoreError> {
+        Self::build_mode(run, sigma, ObserverMode::ExcludeOwnSends)
     }
 
     /// The observer node `σ` the state was built for.
@@ -582,7 +571,7 @@ impl<'r> KnowledgeEngine<'r> {
     ///
     /// Fails if `sigma` does not appear in `run`.
     pub fn new(run: &'r Run, sigma: NodeId) -> Result<Self, CoreError> {
-        let state = ObserverState::build(run, sigma, &MessageIndex::of_run(run))?;
+        let state = ObserverState::build(run, sigma)?;
         Ok(Self::with_state(run, Arc::new(state)))
     }
 

@@ -30,7 +30,7 @@
 //!   realizing Theorem 4, with exact max-`x` queries (single and batched)
 //!   and checkable witnesses, memoizing shared traversals across queries;
 //! * [`incremental`] — run-level shared analysis in its append-only
-//!   form: build the per-run state (message table, `GB(r)`) once — over
+//!   form: build the per-run state (`GB(r)`) once — over
 //!   a whole recorded run in one pass, or event by event — delta-update
 //!   it on append, and keep every queried observer's analysis warm in an
 //!   LRU-able cache (byte-identical to the batch engine at every

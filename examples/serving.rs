@@ -8,8 +8,8 @@
 //! per-session arrival order). A second part streams a feedback-topology
 //! schedule into a spec-configured `ExcludeOwnSends` session: the
 //! Protocol 2 decisions are served from the incremental engine's warm
-//! own-sends-excluded observer states instead of rebuilding a
-//! `MessageIndex` plus an excluded `GE(r, σ)` per decision node.
+//! own-sends-excluded observer states instead of rebuilding an excluded
+//! `GE(r, σ)` per decision node.
 //!
 //! ```text
 //! cargo run --example serving

@@ -105,7 +105,7 @@ use zigzag::bcm::{
     topology, MessageId, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time,
 };
 use zigzag::core::bounds_graph::BoundsGraph;
-use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph, MessageIndex};
+use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph};
 use zigzag::core::graph::{Distances, Edge, LongestPaths, TraversalWork, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
 use zigzag::core::knowledge::{KnowledgeEngine, ObserverMode, ObserverState};
@@ -357,7 +357,6 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
         .step_by((past.len() / 3).max(1))
         .chain([sigma])
         .collect();
-    let index = MessageIndex::of_run(run);
     let batch = IncrementalEngine::from_prefix(run.clone());
     let stream = IncrementalEngine::ingest(run).ok();
     assert_eq!(stream.is_some(), clock, "{sigma}: only legal runs stream");
@@ -392,7 +391,7 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
 
         let standalone = KnowledgeEngine::with_state(
             run,
-            Arc::new(ObserverState::build_mode(run, sigma, &index, mode).unwrap()),
+            Arc::new(ObserverState::build_mode(run, sigma, mode).unwrap()),
         );
         let mut engines = vec![("standalone", standalone)];
         engines.push(("batch session", batch.engine_mode(sigma, mode).unwrap()));
@@ -853,12 +852,9 @@ proptest! {
             let node = inc.append_event(&ev).unwrap();
             let tracked_sigma = *tracked.get_or_insert(node);
             let prefix = inc.run();
-            let fresh_index = MessageIndex::of_run(prefix);
             for sigma in [node, tracked_sigma] {
                 let warm = inc.engine_excluding_own_sends(sigma).unwrap();
-                let fresh_state =
-                    ObserverState::build_excluding_own_sends(prefix, sigma, &fresh_index)
-                        .unwrap();
+                let fresh_state = ObserverState::build_excluding_own_sends(prefix, sigma).unwrap();
                 let fresh = KnowledgeEngine::with_state(prefix, Arc::new(fresh_state));
                 prop_assert_eq!(
                     warm.max_x_basic_matrix().unwrap(),
@@ -869,7 +865,7 @@ proptest! {
                 );
                 // Both modes stay warm side by side without crosstalk:
                 // the full-mode state still equals its fresh build too.
-                let full_state = ObserverState::build(prefix, sigma, &fresh_index).unwrap();
+                let full_state = ObserverState::build(prefix, sigma).unwrap();
                 let full = KnowledgeEngine::with_state(prefix, Arc::new(full_state));
                 prop_assert_eq!(
                     inc.engine(sigma).unwrap().max_x_basic_matrix().unwrap(),
@@ -996,9 +992,9 @@ proptest! {
 /// outgoing channels, including a B ⇄ D cycle — the regime where
 /// exclude-mode differs from the paper's full `GE(r, σ)`): after every
 /// append, the streaming driver's cached decision equals a fresh
-/// `decide_at` (rebuilding the `MessageIndex` and the own-sends-excluded
-/// graph from scratch) on the same prefix, and the final verdict equals
-/// the in-simulation protocol and the batch helper.
+/// `decide_at` (rebuilding the own-sends-excluded graph from scratch) on
+/// the same prefix, and the final verdict equals the in-simulation
+/// protocol and the batch helper.
 #[test]
 fn warm_exclude_decisions_on_feedback_topology_match_fresh_builds() {
     use zigzag::coord::{
@@ -1452,7 +1448,6 @@ fn warm_query_loop_allocates_nothing() {
 #[test]
 fn cold_observer_build_allocations_are_bounded() {
     let run = random_run(12, 3, 11, 1, 60);
-    let index = MessageIndex::of_run(&run);
     let sessions = [
         IncrementalEngine::ingest(&run).unwrap(),
         IncrementalEngine::from_prefix(run.clone()),
@@ -1477,7 +1472,7 @@ fn cold_observer_build_allocations_are_bounded() {
     for sigma in [small, large] {
         let v = ge_vertices(sigma) as u64;
         let before = thread_allocs();
-        let state = ObserverState::build(&run, sigma, &index).unwrap();
+        let state = ObserverState::build(&run, sigma).unwrap();
         let built = thread_allocs() - before;
         assert!(
             built <= 2 * v + 64,

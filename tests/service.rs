@@ -424,6 +424,134 @@ fn refused_appends_over_the_wire_change_nothing() {
     assert!(off_channel > 0 && out_of_bounds > 0);
 }
 
+/// An `Append` frame whose event names a process beyond `u32` is a wire
+/// error, not the event of the process 2³² below it: served, it answers
+/// the frame's decode error document and the session's event count does
+/// not move.
+#[test]
+fn appends_naming_processes_beyond_u32_are_refused() {
+    // Process 2³² sending to 2³² + 1, which narrowing would read as
+    // process 0 sending to 1.
+    let narrowed = RunEvent {
+        proc: ProcessId::new(0),
+        time: Time::new(3),
+        receipts: vec![ReceiptEvent::External("go".into())],
+        sends: vec![zigzag::bcm::stream::SendEvent {
+            to: ProcessId::new(1),
+            deliver_at: Time::new(9),
+        }],
+        actions: Vec::new(),
+    };
+    let doc = wire::encode_query(&Query::Append(Box::new(narrowed.clone())));
+    let line = zigzag::bcm::codec::encode_event(&narrowed);
+    assert_eq!(line, "ev 0 3 1 ego 1 1 9 0");
+    let wide = doc.replace(&line, "ev 4294967296 3 1 ego 1 4294967297 9 0");
+    assert!(matches!(wire::decode_query(&wide), Err(Error::Wire { .. })));
+
+    let run = tri_run(2, 30);
+    let service = ZigzagService::new();
+    let session = service.open_stream(run.context_arc(), run.horizon(), SessionConfig::new());
+    for (k, ev) in RunCursor::new(&run).enumerate() {
+        let frame = serve::encode_frame(session, &Query::Append(Box::new(ev.clone())));
+        let p = ev.proc.index() as u64;
+        let widened = frame.replacen(&format!("ev {p} "), &format!("ev {} ", p + (1 << 32)), 1);
+        assert_ne!(widened, frame);
+        let err = serve::decode_frame(&widened).unwrap_err();
+        assert!(matches!(err, Error::Wire { .. }), "{err}");
+        let served = serve::serve(&service, &[widened], 1);
+        assert_eq!(served, vec![serve::encode_error(&err)]);
+        assert_eq!(service.event_count(session).unwrap(), k as u64);
+        service.append(session, &ev).unwrap();
+    }
+}
+
+/// A coordination spec whose `B` is not a process of the run decides
+/// nothing: a batch session opened over the run and a stream session fed
+/// it both answer `CoordDecision` with no `first_known`.
+#[test]
+fn specs_naming_processes_outside_the_run_abstain() {
+    let run = tri_run(2, 30);
+    let (i, j) = (ProcessId::new(0), ProcessId::new(1));
+    let mut spec = TimedCoordination::new(CoordKind::Late { x: 1 }, j, ProcessId::new(7), i);
+    spec.go_name = "kick".into();
+    let config = SessionConfig::new().spec(spec);
+    let service = ZigzagService::new();
+    let batch = service.open_batch(run.clone(), config.clone());
+    let stream = service.open_stream(run.context_arc(), run.horizon(), config);
+    for ev in RunCursor::new(&run) {
+        assert_eq!(service.append(stream, &ev).unwrap().b_knows, None);
+    }
+    for id in [batch, stream] {
+        let Response::CoordDecision(report) = service.dispatch(id, &Query::CoordDecision).unwrap()
+        else {
+            panic!("CoordDecision answers a report");
+        };
+        assert_eq!(report.first_known, None);
+        assert!(report.sigma_c.is_some(), "the trigger still arrives");
+    }
+}
+
+/// A chain hop to a process outside the network is a missing channel,
+/// whatever the bounds table's layout. On a complete network a
+/// `from · n + to` index with `to` in `n..2n` would land on another
+/// channel's bounds; every knowledge query naming such a hop instead
+/// answers `MissingChannel` for it, in process and served.
+#[test]
+fn chain_hops_outside_the_network_are_missing_channels() {
+    const N: u32 = 3;
+    let mut b = zigzag::bcm::Network::builder();
+    let procs = b.add_processes(N as usize);
+    for (x, &p) in procs.iter().enumerate() {
+        for &q in &procs[x + 1..] {
+            b.add_bidirectional(p, q, 1, 3).unwrap();
+        }
+    }
+    let mut sim = Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(20)));
+    sim.external(Time::new(1), procs[0], "kick");
+    let run = sim
+        .run(&mut Ffip::new(), &mut RandomScheduler::seeded(5))
+        .unwrap();
+    let service = ZigzagService::new();
+    let batch = service.open_batch(run.clone(), SessionConfig::new());
+    let (stream, _) = service.open_replay(&run, SessionConfig::new()).unwrap();
+    // σ on p1 sends to p2 at once, outside its past; the chain then
+    // hops p2 → p0 → r.
+    let sigma = run.timeline(procs[1])[1].id();
+    let theta2 = GeneralNode::basic(sigma);
+    for r in N..2 * N {
+        let theta1 = GeneralNode::chain(sigma, &[procs[2], procs[0], ProcessId::new(r)]).unwrap();
+        let missing = Error::Core(CoreError::Bcm(BcmError::MissingChannel {
+            from: procs[0],
+            to: ProcessId::new(r),
+        }));
+        let queries = [
+            Query::MaxX {
+                sigma,
+                theta1: theta1.clone(),
+                theta2: theta2.clone(),
+            },
+            Query::Knows {
+                sigma,
+                theta1: theta1.clone(),
+                theta2: theta2.clone(),
+                x: 0,
+            },
+            Query::Witness {
+                sigma,
+                theta1,
+                theta2: theta2.clone(),
+            },
+        ];
+        for id in [batch, stream] {
+            for q in &queries {
+                assert_eq!(service.dispatch(id, q).unwrap_err(), missing, "{q:?}");
+                let served = serve::serve(&service, &[serve::encode_frame(id, q)], 1);
+                assert_eq!(served, vec![serve::encode_error(&missing)]);
+            }
+        }
+    }
+}
+
 /// Streaming coordination through the facade agrees with the batch
 /// session's `CoordDecision` on the same run: on Figure 1, and on a
 /// feedback topology where `B` has outgoing channels (a B ⇄ D cycle) —
