@@ -1,5 +1,6 @@
 //! Transmission-time bounds `L, U : Chans -> N` with `1 <= L_ij <= U_ij < ∞`
-//! (paper §2.1), and their extension to network paths.
+//! (paper §2.1), and their extension to network paths. A context caps
+//! every bound at [`MAX_BOUND`] ticks.
 //!
 //! [`Bounds`] is the one home of `L, U`: a dense `from × to` table that
 //! the append checks, the bounds graphs and the run constructions all
@@ -14,6 +15,14 @@ use crate::net::{Channel, ProcessId};
 use crate::path::NetPath;
 use crate::time::Time;
 
+/// The largest bound a channel may declare, in ticks: `2³¹`. Below it,
+/// every path of a bounds graph with fewer than `2³²` vertices weighs
+/// strictly between `i64::MIN` and `i64::MAX`, so bounds convert to edge
+/// weights, and sum along paths, without overflow.
+/// [`crate::NetworkBuilder::add_channel`] and [`crate::Context::new`]
+/// refuse larger bounds.
+pub const MAX_BOUND: u64 = 1 << 31;
+
 /// The `[L_ij, U_ij]` bounds of a single channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelBounds {
@@ -23,7 +32,8 @@ pub struct ChannelBounds {
 
 impl ChannelBounds {
     /// Creates bounds; callers are expected to have validated
-    /// `1 <= lower <= upper` (the [`crate::NetworkBuilder`] does).
+    /// `1 <= lower <= upper <= MAX_BOUND` (the [`crate::NetworkBuilder`]
+    /// and [`crate::Context::new`] do).
     ///
     /// # Panics
     ///

@@ -591,6 +591,14 @@ mod tests {
         assert!(decode("zigzag-run v1\nhorizon 5\nbogus 1 2\n").is_err());
         assert!(decode("zigzag-run v1\nhorizon 5\nproc 0 a\nrecv 0 1 m0\n").is_err());
         assert!(decode("zigzag-run v1\nhorizon 5\nproc 0 a\nchan 0 0 1 2\n").is_err());
+        // A bound that cannot be an edge weight.
+        let text = encode(&sample(0));
+        assert!(text.contains("chan 0 1 1 4\n"));
+        let wide = text.replacen("chan 0 1 1 4\n", "chan 0 1 1 9223372036854775808\n", 1);
+        assert!(matches!(
+            decode(&wide),
+            Err(BcmError::InvalidBounds { upper, .. }) if upper == 1 << 63
+        ));
         // Tampered message id ordering.
         let run = sample(0);
         let tampered = encode(&run).replace("msg 0 ", "msg 7 ");

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::bounds::MAX_BOUND;
 use crate::net::ProcessId;
 use crate::time::Time;
 
@@ -22,7 +23,8 @@ pub enum BcmError {
     /// has channels only between distinct processes (actions that take time
     /// are modelled separately).
     SelfLoop(ProcessId),
-    /// Bounds violate `1 <= L <= U`.
+    /// Bounds violate `1 <= L <= U <= MAX_BOUND` (see
+    /// [`crate::bounds::MAX_BOUND`]).
     InvalidBounds {
         /// Channel source.
         from: ProcessId,
@@ -96,7 +98,8 @@ impl fmt::Display for BcmError {
                 upper,
             } => write!(
                 f,
-                "invalid bounds on ({from}, {to}): need 1 <= L <= U, got L={lower}, U={upper}"
+                "invalid bounds on ({from}, {to}): need 1 <= L <= U <= {MAX_BOUND}, \
+                 got L={lower}, U={upper}"
             ),
             BcmError::DeliveryOutOfBounds {
                 from,

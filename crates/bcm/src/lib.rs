@@ -81,7 +81,7 @@ pub mod topology;
 pub mod validate;
 pub mod view;
 
-pub use bounds::{Bounds, ChannelBounds};
+pub use bounds::{Bounds, ChannelBounds, MAX_BOUND};
 pub use error::BcmError;
 pub use event::{ActionRecord, Receipt};
 pub use message::{ExternalId, ExternalRecord, MessageId, MessageRecord};

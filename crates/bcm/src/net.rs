@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::bounds::{Bounds, ChannelBounds};
+use crate::bounds::{Bounds, ChannelBounds, MAX_BOUND};
 use crate::error::BcmError;
 
 /// Identifier of a process (`i ∈ Procs = {1, …, n}`, zero-based here).
@@ -184,15 +184,17 @@ impl Context {
     /// # Errors
     ///
     /// Returns an error if `bounds` does not cover exactly the channels of
-    /// `net`.
+    /// `net`, or if a channel's bounds violate
+    /// `1 <= L <= U <= MAX_BOUND`.
     pub fn new(net: Network, bounds: Bounds) -> Result<Self, BcmError> {
         for ch in net.channels() {
-            if bounds.get(*ch).is_none() {
+            let Some(b) = bounds.get(*ch) else {
                 return Err(BcmError::MissingChannel {
                     from: ch.from,
                     to: ch.to,
                 });
-            }
+            };
+            check_bounds(*ch, b.lower(), b.upper())?;
         }
         if bounds.len() != net.channels().len() {
             return Err(BcmError::IllegalRun {
@@ -221,6 +223,19 @@ impl Context {
     pub fn max_upper(&self) -> u64 {
         self.bounds.max_upper()
     }
+}
+
+/// Checks `1 <= lower <= upper <= MAX_BOUND` for the bounds of `ch`.
+fn check_bounds(ch: Channel, lower: u64, upper: u64) -> Result<(), BcmError> {
+    if lower == 0 || lower > upper || upper > MAX_BOUND {
+        return Err(BcmError::InvalidBounds {
+            from: ch.from,
+            to: ch.to,
+            lower,
+            upper,
+        });
+    }
+    Ok(())
 }
 
 /// Incremental builder for [`Network`] + [`Bounds`] (producing a [`Context`]).
@@ -260,7 +275,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Rejects unknown endpoints, self-loops, duplicate channels, and bounds
-    /// violating `1 <= lower <= upper`.
+    /// violating `1 <= lower <= upper <= MAX_BOUND`.
     pub fn add_channel(
         &mut self,
         from: ProcessId,
@@ -277,14 +292,7 @@ impl NetworkBuilder {
         if from == to {
             return Err(BcmError::SelfLoop(from));
         }
-        if lower == 0 || lower > upper {
-            return Err(BcmError::InvalidBounds {
-                from,
-                to,
-                lower,
-                upper,
-            });
-        }
+        check_bounds(Channel::new(from, to), lower, upper)?;
         if self.chans.contains_key(&(from, to)) {
             return Err(BcmError::DuplicateChannel { from, to });
         }
@@ -414,6 +422,27 @@ mod tests {
         assert!(matches!(
             b.add_channel(i, unknown, 1, 1),
             Err(BcmError::UnknownProcess(_))
+        ));
+        // A bound above MAX_BOUND cannot be an edge weight: the builder
+        // and `Context::new` refuse it, and accept MAX_BOUND itself.
+        let (mut b, i, j) = two_proc();
+        b.add_channel(i, j, 1, MAX_BOUND).unwrap();
+        for upper in [MAX_BOUND + 1, 1 << 63] {
+            assert!(matches!(
+                b.add_channel(j, i, 1, upper),
+                Err(BcmError::InvalidBounds { .. })
+            ));
+        }
+        let net = b.build().unwrap().network().clone();
+        let bounds = |upper| {
+            let mut bounds = Bounds::new();
+            bounds.insert(Channel::new(i, j), ChannelBounds::new(1, upper));
+            bounds
+        };
+        assert!(Context::new(net.clone(), bounds(MAX_BOUND)).is_ok());
+        assert!(matches!(
+            Context::new(net, bounds(MAX_BOUND + 1)),
+            Err(BcmError::InvalidBounds { .. })
         ));
     }
 

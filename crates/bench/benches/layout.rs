@@ -4,9 +4,9 @@
 //! bounds-shaped digraph (a potential function certifies it free of
 //! positive cycles, like every graph derived from a real timed run):
 //!
-//! * `layout/cold-build/n` — intern n vertices, insert ~5n edges, freeze
-//!   the CSR and run one cold SPFA (`longest_from`). This is the path a
-//!   batch `BoundsGraph::of_run` pays once per run.
+//! * `layout/cold-build/n` — intern n vertices, insert ~5n edges and run
+//!   one cold SPFA over the adjacency rows (`longest_from`). This is the
+//!   path a batch `BoundsGraph::of_run` pays once per run.
 //! * `layout/warm-query/n` — the memoized hit: `longest_from_cached` on
 //!   an already-analyzed graph (lock, map probe, `Arc` clone, one read).
 //!   The counting-allocator test in `tests/oracle.rs` pins this loop to
@@ -14,7 +14,8 @@
 //! * `layout/append-delta/n` — the streaming shape: resume from a warm
 //!   snapshot (clone shares the analysis cache), append 16 edges one at
 //!   a time, re-query the cached source after every append so each
-//!   answer is served by `spfa_delta` over the append log.
+//!   answer is served by the label-correcting catch-up over the append
+//!   log.
 //!
 //! Every row is answer-checked against the dense Bellman–Ford baseline
 //! (`longest_from_dense`) before anything is timed, so old- and

@@ -7,8 +7,8 @@
 //!    family captures — the paper's case that zigzags are a *strictly*
 //!    richer and ultimately complete family.
 //! 2. **Longest-path algorithm** — dense Bellman–Ford vs queue-based SPFA
-//!    over the frozen CSR vs the memoized cached-CSR path (warm hits):
-//!    identical answers, very different work. The timing columns are
+//!    over the adjacency rows vs the memoized path (warm hits): identical
+//!    answers, very different work. The timing columns are
 //!    wall-clock and only rendered at [`Profile::Full`]; the smoke
 //!    profile checks agreement alone so its report stays deterministic.
 
@@ -137,7 +137,7 @@ fn algorithms_section(p: Profile) -> Section {
         )
     };
     let mut section = Section::new(format!(
-        "Ablation B — dense Bellman–Ford vs queue SPFA vs cached CSR\n\n{header}"
+        "Ablation B — dense Bellman–Ford vs queue SPFA vs memoized SPFA\n\n{header}"
     ));
     for n in ns {
         section = section.cell(move || {
@@ -159,7 +159,7 @@ fn algorithms_section(p: Profile) -> Section {
                     .iter()
                     .enumerate()
                     .all(|(i, d)| lp.weight(i) == *d && cached.weight(i) == *d);
-                assert!(agree, "dense, SPFA and cached CSR must agree");
+                assert!(agree, "dense, SPFA and memoized SPFA must agree");
                 return CellOutput::text(format_row(
                     &WIDTHS_B_SMOKE,
                     &[
@@ -185,9 +185,9 @@ fn algorithms_section(p: Profile) -> Section {
             }
             // Dense Bellman–Ford: |V|−1 full relaxation rounds.
             let (dense, dense_ns) = time_loop(|| gb.graph().longest_from_dense(&sigma).unwrap());
-            // Queue SPFA over the frozen CSR, always a fresh traversal.
+            // Queue SPFA over the adjacency rows, always a fresh traversal.
             let (lp, spfa_ns) = time_loop(|| gb.graph().longest_from(&sigma).unwrap());
-            // Cached CSR: the memoized path, warm after the first touch.
+            // Memoized SPFA: the cached path, warm after the first touch.
             gb.graph().longest_from_cached(&sigma).unwrap();
             let (cached, cached_ns) = time_loop(|| gb.graph().longest_from_cached(&sigma).unwrap());
             let mut agree = true;
@@ -196,7 +196,7 @@ fn algorithms_section(p: Profile) -> Section {
                     agree = false;
                 }
             }
-            assert!(agree, "dense, SPFA and cached CSR must agree");
+            assert!(agree, "dense, SPFA and memoized SPFA must agree");
             CellOutput::text(format_row(
                 &WIDTHS_B_FULL,
                 &[
@@ -215,7 +215,7 @@ fn algorithms_section(p: Profile) -> Section {
         .serial() // wall-clock cells must not share the CPU with siblings
         .footer(|_| {
             "\nIdentical answers; SPFA does strictly less work than dense on these\n\
-             sparse, mostly-DAG-like bounds graphs, and the memoized CSR path\n\
+             sparse, mostly-DAG-like bounds graphs, and the memoized path\n\
              answers warm repeats in constant time — the shared-analysis design.\n"
                 .into()
         })

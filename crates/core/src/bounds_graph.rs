@@ -31,11 +31,16 @@
 //! [`crate::extended_graph`] read this clock as the potential of their
 //! Dijkstra; a hand-built run with a delivery outside its channel
 //! bounds fails the check, and its views walk label-correcting instead.
+//! A recorded time beyond `i64::MAX` saturates there: any clock values
+//! that pass the check are a feasible potential, so answers never depend
+//! on how an unrepresentable time converts.
+
+#![deny(clippy::cast_possible_wrap)]
 
 use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{Bounds, Channel, Context, MessageId, NodeId, ProcessId, Run};
+use zigzag_bcm::{Bounds, Channel, Context, MessageId, NodeId, ProcessId, Run, Time};
 
 use crate::error::CoreError;
 use crate::graph::{Edge, LongestPaths, WeightedDigraph};
@@ -75,12 +80,21 @@ pub struct BoundsGraph {
     slots: SlotPool,
 }
 
-/// `(L_ij, U_ij)` of channel `i → j` of a validated run, as edge weights.
+/// `(L_ij, U_ij)` of channel `i → j` of a validated run, as edge weights:
+/// the one conversion of a bound into a weight. A context caps every
+/// bound at [`zigzag_bcm::MAX_BOUND`], so it always fits.
 pub(crate) fn weights(bounds: &Bounds, from: ProcessId, to: ProcessId) -> (i64, i64) {
     let b = bounds
         .get(Channel::new(from, to))
         .expect("validated runs have bounds for every channel");
-    (b.lower() as i64, b.upper() as i64)
+    let weight = |ticks: u64| i64::try_from(ticks).expect("contexts cap bounds at MAX_BOUND");
+    (weight(b.lower()), weight(b.upper()))
+}
+
+/// A recorded time on the run's clock, saturating at `i64::MAX` (see the
+/// [module docs](self)).
+fn clock_time(t: Time) -> i64 {
+    i64::try_from(t.ticks()).unwrap_or(i64::MAX)
 }
 
 /// One vertex's slot in a view walk's lane: its index in the view
@@ -226,7 +240,7 @@ impl BoundsGraph {
         for p in 0..procs {
             let range = layout.range(p);
             let past = &run.timeline(ProcessId::new(p as u32))[..range.len()];
-            clock.extend(past.iter().map(|r| r.time().ticks() as i64));
+            clock.extend(past.iter().map(|r| clock_time(r.time())));
             timelines.push(range.map(|i| i as u32).collect());
         }
         let mut edges = Vec::with_capacity(layout.nodes() + 2 * run.messages().len());
@@ -292,7 +306,7 @@ impl BoundsGraph {
         let mut clock = Vec::new();
         for p in run.context().network().processes() {
             timelines.push(vec![graph.add_vertex(NodeId::initial(p)) as u32]);
-            clock.push(run.timeline(p)[0].time().ticks() as i64);
+            clock.push(clock_time(run.timeline(p)[0].time()));
         }
         BoundsGraph {
             graph,
@@ -331,7 +345,7 @@ impl BoundsGraph {
         );
         timeline.push(ni as u32);
         let rec = run.node(node).expect("appended nodes are recorded");
-        self.clock.push(rec.time().ticks() as i64);
+        self.clock.push(clock_time(rec.time()));
         self.add_edge(pi, ni, 1, LABEL_SUCCESSOR);
         for receipt in rec.receipts() {
             let Some(m) = receipt.internal() else {

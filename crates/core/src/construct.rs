@@ -34,10 +34,10 @@ use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{Bounds, Channel, ExternalId, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::{BoundsGraph, NodeLayout};
+use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
 use crate::error::CoreError;
-use crate::extended_graph::{closed_graph, ExtVertex, GeView};
-use crate::graph::{LongestPaths, WeightedDigraph};
+use crate::extended_graph::{ClosedGraph, ExtVertex, GeView};
+use crate::graph::{Direction, LongestPaths};
 use crate::node::GeneralNode;
 use crate::timing::{fast_timing, FastTiming, NodeTiming};
 
@@ -54,7 +54,7 @@ use crate::timing::{fast_timing, FastTiming, NodeTiming};
 ///   re-floods whatever is delivered beyond the prefix.
 #[derive(Debug, Clone)]
 pub struct FrontierGraph {
-    graph: WeightedDigraph<ExtVertex>,
+    graph: ClosedGraph,
 }
 
 impl FrontierGraph {
@@ -62,13 +62,28 @@ impl FrontierGraph {
     /// recorded node in the "past", so a message is "seen" exactly when
     /// it was delivered.
     pub fn of_run(run: &Run) -> Self {
-        let graph = closed_graph(run, &NodeLayout::of_run(run), None);
+        let graph = ClosedGraph::build(run, NodeLayout::of_run(run), None);
         FrontierGraph { graph }
     }
 
-    /// The underlying weighted digraph.
-    pub fn graph(&self) -> &WeightedDigraph<ExtVertex> {
-        &self.graph
+    /// Number of vertices: the recorded nodes and one `ω` per process.
+    pub fn vertex_count(&self) -> usize {
+        self.graph.vertex_count()
+    }
+
+    /// The vertex at dense index `i`: a recorded node, or the `ω` of a
+    /// process as [`ExtVertex::Aux`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`FrontierGraph::vertex_count`].
+    pub fn vertex(&self, i: usize) -> ExtVertex {
+        self.graph.vertex(i)
+    }
+
+    /// Dense index of a vertex, if present.
+    pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
+        self.graph.index_of(v)
     }
 
     /// Longest-path weights from every vertex **to** `sigma` (the tight
@@ -79,7 +94,8 @@ impl FrontierGraph {
     /// Fails if `sigma` is not a recorded node, or on a positive cycle
     /// (impossible for graphs of legal runs).
     pub fn longest_to(&self, sigma: NodeId) -> Result<LongestPaths, CoreError> {
-        self.graph.longest_to(&ExtVertex::Node(sigma))
+        self.graph
+            .longest(ExtVertex::Node(sigma), Direction::Backward)
     }
 
     /// The tight bound on `time(to) − time(from)` over all runs sharing
@@ -90,10 +106,12 @@ impl FrontierGraph {
     ///
     /// Fails if either node is not recorded, or on a positive cycle.
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
-        let lp = self.graph.longest_from(&ExtVertex::Node(from))?;
+        let lp = self
+            .graph
+            .longest(ExtVertex::Node(from), Direction::Forward)?;
         Ok(self
             .graph
-            .index_of(&ExtVertex::Node(to))
+            .index_of(ExtVertex::Node(to))
             .and_then(|i| lp.weight(i)))
     }
 }
@@ -392,7 +410,7 @@ fn frontier_for_timing(
     for _ in 0..=n {
         let mut changed = false;
         for ch in net.channels() {
-            let u = bounds.get(*ch).expect("covered").upper() as i64;
+            let u = weights(bounds, ch.from, ch.to).1;
             // Constraint ω_{ch.to} <= ω_{ch.from} + U, i.e.
             // ω_{ch.from} >= ω_{ch.to} − U.
             let need = omega[ch.to.index()] - u;
@@ -424,7 +442,7 @@ fn frontier_for_timing(
             .copied()
             .map(|t| t.ticks() as i64)
             .unwrap_or(0);
-        let u = bounds.get(m.channel()).expect("covered").upper() as i64;
+        let u = weights(bounds, m.channel().from, m.channel().to).1;
         if omega[m.channel().to.index()] > t_src + u {
             return Err(CoreError::InvalidTiming {
                 detail: format!(
@@ -527,7 +545,6 @@ pub fn slow_run(run: &Run, sigma: NodeId) -> Result<SlowRun, CoreError> {
     }
     let fg = FrontierGraph::of_run(run);
     let lp = fg.longest_to(sigma)?;
-    let g = fg.graph();
     let n = run.context().network().len();
     let d_max = lp.max_weight().unwrap_or(0);
 
@@ -540,7 +557,7 @@ pub fn slow_run(run: &Run, sigma: NodeId) -> Result<SlowRun, CoreError> {
         let w = lp.weight(vi).expect("connected");
         let t = Time::new((d_max - w) as u64);
         assigned_max = assigned_max.max(t);
-        match *g.vertex(vi) {
+        match fg.vertex(vi) {
             ExtVertex::Node(node) => {
                 d.insert(node, w);
                 if !node.is_initial() {
@@ -902,7 +919,7 @@ mod tests {
         let gb = BoundsGraph::of_run(&run);
         // Frontier graph has one extra vertex per process.
         assert_eq!(
-            fg.graph().vertex_count(),
+            fg.vertex_count(),
             gb.node_count() + run.context().network().len()
         );
         // Every GB tight bound is at most the frontier tight bound.

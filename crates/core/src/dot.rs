@@ -107,16 +107,15 @@ pub fn bounds_graph_dot(gb: &BoundsGraph, run: &Run) -> String {
 /// auxiliary `ψ` vertices as diamonds on the right.
 pub fn extended_graph_dot(ge: &ExtendedGraph, run: &Run) -> String {
     let mut out = String::from("digraph ge {\n  rankdir=LR;\n  node [shape=box fontsize=10];\n");
-    let g = ge.graph();
-    let name_of = |v: &ExtVertex| match v {
+    let name_of = |v: ExtVertex| match v {
         ExtVertex::Node(n) => format!("n{}_{}", n.proc().index(), n.index()),
         ExtVertex::Aux(p) => format!("psi{}", p.index()),
     };
-    for vi in 0..g.vertex_count() {
-        let v = g.vertex(vi);
+    for vi in 0..ge.vertex_count() {
+        let v = ge.vertex(vi);
         match v {
             ExtVertex::Node(n) => {
-                let marker = if *n == ge.observer() { " (σ)" } else { "" };
+                let marker = if n == ge.observer() { " (σ)" } else { "" };
                 let _ = writeln!(out, "  {} [label=\"{}{}\"];", name_of(v), n, marker);
             }
             ExtVertex::Aux(p) => {
@@ -124,18 +123,18 @@ pub fn extended_graph_dot(ge: &ExtendedGraph, run: &Run) -> String {
                     out,
                     "  {} [shape=diamond color=blue label=\"ψ({})\"];",
                     name_of(v),
-                    run.context().network().name(*p)
+                    run.context().network().name(p)
                 );
             }
         }
     }
-    for vi in 0..g.vertex_count() {
-        for e in g.edges_from(vi) {
+    for vi in 0..ge.vertex_count() {
+        for e in ge.edges_from(vi) {
             let _ = writeln!(
                 out,
                 "  {} -> {} [label=\"{}\" {}];",
-                name_of(g.vertex(e.from)),
-                name_of(g.vertex(e.to)),
+                name_of(ge.vertex(e.from)),
+                name_of(ge.vertex(e.to)),
                 e.weight,
                 style(e.label)
             );

@@ -78,9 +78,15 @@
 //!
 //! Witness paths are read off an SPFA predecessor tree, and the served
 //! witness bytes follow SPFA's tie-breaks over the row order of the one
-//! bulk build, [`ExtendedGraph`]'s. A witness query therefore
-//! materializes `GE(r, σ)` in that order, as CSR lanes built straight
-//! from the edge list; every distance query reads the view.
+//! bulk build of a closed graph: per process its successor edges, then
+//! its `E'` edge; per message its `±` pair or its `E''` edge; then the
+//! `E'''` edges. [`ExtendedGraph`], the frontier graph of
+//! [`crate::construct`] and an observer state's witness graph all hold
+//! that build, laid out once as CSR lanes straight from the edge list,
+//! with the trees its witness queries have grown; every distance query
+//! reads the view.
+
+#![deny(clippy::cast_possible_wrap)]
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -94,9 +100,7 @@ use crate::bounds_graph::{
 };
 use crate::error::CoreError;
 use crate::fx::FxBuild;
-use crate::graph::{
-    CsrTopology, Direction, Distances, Edge, GraphWork, LongestPaths, Rows, WeightedDigraph,
-};
+use crate::graph::{CsrTopology, Direction, Distances, Edge, GraphWork, LongestPaths, Rows};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -170,33 +174,9 @@ impl NodeLayout {
     }
 }
 
-/// The one bulk build of a bounds graph closed by one auxiliary vertex
-/// per process and the `E'`/`E''`/`E'''` edge families: `GE(r, σ)` over
-/// the nodes of `past(r, σ)`, and the horizon-closed
-/// [`crate::construct::FrontierGraph`] over every recorded node. A
-/// message sent at `exclude_src` contributes no edge.
-///
-/// Vertices follow `layout` (see the [module docs](self)). SPFA
-/// tie-breaks, and so the witnesses served on the wire, follow the order
-/// of each adjacency row, so the edge order is part of the contract: per
-/// process its successor edges, then its `E'` edge; per message in
-/// recording order its `±` pair or its `E''` edge; then the `E'''` edges
-/// in channel order.
-pub(crate) fn closed_graph(
-    run: &Run,
-    layout: &NodeLayout,
-    exclude_src: Option<NodeId>,
-) -> WeightedDigraph<ExtVertex> {
-    let procs = (0..layout.procs()).map(|p| ExtVertex::Aux(ProcessId::new(p as u32)));
-    let vertices = layout
-        .node_ids()
-        .map(ExtVertex::Node)
-        .chain(procs)
-        .collect();
-    WeightedDigraph::from_edges(vertices, &closed_edges(run, layout, exclude_src))
-}
-
-/// The edges of [`closed_graph`], in its order.
+/// The edges of a [`ClosedGraph`] over `layout`, in its row order (see
+/// the [module docs](self)); a message sent at `exclude_src` contributes
+/// no edge.
 fn closed_edges(run: &Run, layout: &NodeLayout, exclude_src: Option<NodeId>) -> Vec<Edge> {
     let (net, bounds) = (run.context().network(), run.context().bounds());
     let n = net.len();
@@ -232,13 +212,9 @@ fn closed_edges(run: &Run, layout: &NodeLayout, exclude_src: Option<NodeId>) -> 
             None => push(psi(c.to), si, -upper, LABEL_UNSEEN),
         }
     }
-    for (ch, b) in bounds.iter() {
-        push(
-            psi(ch.to),
-            psi(ch.from),
-            -(b.upper() as i64),
-            LABEL_AUX_CHAN,
-        );
+    for (ch, _) in bounds.iter() {
+        let upper = weights(bounds, ch.from, ch.to).1;
+        push(psi(ch.to), psi(ch.from), -upper, LABEL_AUX_CHAN);
     }
     edges
 }
@@ -498,7 +474,7 @@ impl<'a> GeView<'a> {
     pub fn edges(&self) -> Vec<Edge> {
         let (walk, mut edges) = (self.walk(), Vec::new());
         for v in 0..self.vertex_count() {
-            walk.row(v, Direction::Forward, |w, weight, _, label| {
+            walk.scan(v, Direction::Forward, |w, weight, _, label| {
                 edges.push(Edge::new(v, w, weight, label));
             });
         }
@@ -551,18 +527,12 @@ impl<'a> GeView<'a> {
         &self.frontier.layout
     }
 
-    /// `GE(r, σ)` materialized for witness paths: the CSR lanes of
-    /// [`ExtendedGraph`]'s bulk build, straight from its edge list. `run`
-    /// is the run the view was cut from, or any extension of it.
-    pub(crate) fn witness_graph(&self, run: &Run) -> WitnessGraph {
+    /// `GE(r, σ)` materialized for witness paths: the closed graph of
+    /// [`ExtendedGraph`]'s bulk build. `run` is the run the view was cut
+    /// from, or any extension of it.
+    pub(crate) fn witness_graph(&self, run: &Run) -> ClosedGraph {
         let fr = self.frontier;
-        let edges = closed_edges(run, &fr.layout, fr.exclude_src);
-        WitnessGraph {
-            layout: fr.layout.clone(),
-            csr: CsrTopology::from_edges(self.vertex_count(), &edges)
-                .expect("a view's graph fits the u32 index space"),
-            trees: Mutex::new(HashMap::default()),
-        }
+        ClosedGraph::build(run, fr.layout.clone(), fr.exclude_src)
     }
 
     /// One walk over the view's rows.
@@ -580,41 +550,41 @@ impl<'a> GeView<'a> {
     }
 }
 
-/// `GE(r, σ)` in the bulk build's row order, as the CSR lanes its SPFA
-/// reads, with the predecessor trees witness paths follow (see the
-/// [module docs](self)). Packing the lanes straight from the edge list
-/// skips an [`ExtendedGraph`]'s adjacency rows and interner: on perfbench
-/// `cold-observer-read` (2 vCPUs, release build) that served ~1.2×
-/// the requests at ~20% less CPU per request.
-#[derive(Debug)]
-pub(crate) struct WitnessGraph {
+/// A bounds graph closed by one auxiliary vertex per process and the
+/// `E'`/`E''`/`E'''` edge families, materialized once in its bulk build's
+/// row order as CSR lanes, with the witness trees grown on it (see the
+/// [module docs](self)): `GE(r, σ)` over the nodes of `past(r, σ)` — an
+/// [`ExtendedGraph`], or an observer state's witness graph — and the
+/// horizon-closed [`crate::construct::FrontierGraph`] over every
+/// recorded node. Packing the lanes straight from the edge list skips
+/// adjacency rows and an interner: on perfbench `cold-observer-read`
+/// (2 vCPUs, release build) that served ~1.2× the requests at ~20% less
+/// CPU per request.
+#[derive(Debug, Clone)]
+pub(crate) struct ClosedGraph {
     layout: NodeLayout,
     csr: CsrTopology,
-    /// SPFA results by source.
-    trees: Mutex<HashMap<u32, Arc<LongestPaths>, FxBuild>>,
+    /// Witness trees by root, shared with every clone of the graph.
+    trees: Arc<Mutex<HashMap<u32, Arc<LongestPaths>, FxBuild>>>,
 }
 
-impl WitnessGraph {
-    /// Longest paths from `v` with their predecessor tree, memoized per
-    /// source: the SPFA [`ExtendedGraph::longest_from`] runs.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub(crate) fn longest_from(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
-        let src = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
-            detail: format!("witness root {v} is not a vertex of GE(r, σ)"),
-        })?;
-        let trees = &self.trees;
-        if let Some(hit) = trees.lock().expect("tree memo lock").get(&(src as u32)) {
-            return Ok(hit.clone());
+impl ClosedGraph {
+    /// The closed graph over `layout`'s nodes of `run` and one `ψ` per
+    /// process. A message sent at `exclude_src` contributes no edge.
+    pub(crate) fn build(run: &Run, layout: NodeLayout, exclude_src: Option<NodeId>) -> Self {
+        let edges = closed_edges(run, &layout, exclude_src);
+        let n = layout.nodes() + layout.procs();
+        ClosedGraph {
+            csr: CsrTopology::from_edges(n, &edges)
+                .expect("a closed graph fits the u32 index space"),
+            layout,
+            trees: Arc::default(),
         }
-        let lp = Arc::new(self.csr.longest_from(src)?);
-        trees
-            .lock()
-            .expect("tree memo lock")
-            .insert(src as u32, lp.clone());
-        Ok(lp)
+    }
+
+    /// Number of vertices: the nodes and one `ψ` per process.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.layout.nodes() + self.layout.procs()
     }
 
     /// Dense index of a vertex, if present.
@@ -623,8 +593,46 @@ impl WitnessGraph {
     }
 
     /// The vertex at dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`ClosedGraph::vertex_count`].
     pub(crate) fn vertex(&self, i: usize) -> ExtVertex {
+        assert!(i < self.vertex_count(), "vertex index {i} out of range");
         self.layout.ext_vertex(i)
+    }
+
+    /// Longest paths from (or, backward, to) `v`, with their predecessor
+    /// tree: a fresh traversal.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `v` is not a vertex, or on a positive cycle.
+    pub(crate) fn longest(&self, v: ExtVertex, dir: Direction) -> Result<LongestPaths, CoreError> {
+        self.csr.longest_paths(self.root(v)?, dir)
+    }
+
+    /// The witness tree from `v`: [`ClosedGraph::longest`] forward,
+    /// memoized per root.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ClosedGraph::longest`].
+    pub(crate) fn tree(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
+        let src = self.root(v)? as u32;
+        if let Some(hit) = self.trees.lock().expect("tree memo lock").get(&src) {
+            return Ok(hit.clone());
+        }
+        let lp = Arc::new(self.csr.longest_paths(src as usize, Direction::Forward)?);
+        let mut trees = self.trees.lock().expect("tree memo lock");
+        trees.insert(src, lp.clone());
+        Ok(lp)
+    }
+
+    fn root(&self, v: ExtVertex) -> Result<usize, CoreError> {
+        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("root {v} is not a vertex of the closed graph"),
+        })
     }
 }
 
@@ -652,12 +660,24 @@ impl Walk<'_> {
     fn gb_index(&self, v: usize) -> usize {
         self.frontier.nodes[v] as usize
     }
+}
 
-    /// Calls `f(w, weight, π(w), label)` for every edge of `v`'s row in
-    /// `dir`: the bounds graph's row cut at the frontier, then the
-    /// overlay, `E'` and `E'''` edges at `v`.
+impl Rows for Walk<'_> {
+    fn vertex_count(&self) -> usize {
+        self.frontier.layout.nodes() + self.frontier.layout.procs()
+    }
+
+    fn potential(&self, v: usize) -> i64 {
+        match v.checked_sub(self.frontier.layout.nodes()) {
+            Some(p) => self.frontier.psi[p],
+            None => self.gb.clock(self.gb_index(v)),
+        }
+    }
+
+    /// The bounds graph's row cut at the frontier, then the overlay, `E'`
+    /// and `E'''` edges at `v`.
     #[inline(always)]
-    fn row(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
+    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
         let fr = self.frontier;
         let nodes = fr.layout.nodes();
         if v < nodes {
@@ -730,24 +750,6 @@ impl Walk<'_> {
     }
 }
 
-impl Rows for Walk<'_> {
-    fn vertex_count(&self) -> usize {
-        self.frontier.layout.nodes() + self.frontier.layout.procs()
-    }
-
-    fn potential(&self, v: usize) -> i64 {
-        match v.checked_sub(self.frontier.layout.nodes()) {
-            Some(p) => self.frontier.psi[p],
-            None => self.gb.clock(self.gb_index(v)),
-        }
-    }
-
-    #[inline(always)]
-    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64)) {
-        self.row(v, dir, |w, weight, pi, _| f(w, weight, pi));
-    }
-}
-
 /// The extended local bounds graph `GE(r, σ)`, materialized: the bulk
 /// build that witness paths and drawings read (see the
 /// [module docs](self)). Distances come from a [`GeView`].
@@ -755,8 +757,7 @@ impl Rows for Walk<'_> {
 pub struct ExtendedGraph {
     observer: NodeId,
     past: Past,
-    layout: NodeLayout,
-    graph: WeightedDigraph<ExtVertex>,
+    graph: ClosedGraph,
 }
 
 impl ExtendedGraph {
@@ -782,12 +783,10 @@ impl ExtendedGraph {
     pub fn with_exclusion(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> Self {
         let past = run.past(sigma);
         let layout = NodeLayout::of_past(&past, run.context().network().len());
-        let graph = closed_graph(run, &layout, exclude_src);
         ExtendedGraph {
             observer: sigma,
             past,
-            layout,
-            graph,
+            graph: ClosedGraph::build(run, layout, exclude_src),
         }
     }
 
@@ -801,9 +800,47 @@ impl ExtendedGraph {
         &self.past
     }
 
-    /// The underlying weighted digraph.
-    pub fn graph(&self) -> &WeightedDigraph<ExtVertex> {
-        &self.graph
+    /// Number of vertices: the past nodes and one `ψ` per process.
+    pub fn vertex_count(&self) -> usize {
+        self.graph.vertex_count()
+    }
+
+    /// Number of edges.
+    pub fn edge_count(&self) -> usize {
+        self.graph.csr.edge_count()
+    }
+
+    /// The vertex at dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`ExtendedGraph::vertex_count`].
+    pub fn vertex(&self, i: usize) -> ExtVertex {
+        self.graph.vertex(i)
+    }
+
+    /// Dense index of a vertex, if present: index arithmetic over the
+    /// vertex layout (see the [module docs](self)), no interning lookup.
+    pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
+        self.graph.index_of(v)
+    }
+
+    /// Outgoing edges of vertex index `i`, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn edges_from(&self, i: usize) -> impl Iterator<Item = Edge> + '_ {
+        self.graph.csr.row_edges(i, Direction::Forward)
+    }
+
+    /// Incoming edges of vertex index `i`, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn edges_to(&self, i: usize) -> impl Iterator<Item = Edge> + '_ {
+        self.graph.csr.row_edges(i, Direction::Backward)
     }
 
     /// Longest-path weights from `v` to every vertex.
@@ -812,7 +849,7 @@ impl ExtendedGraph {
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
     pub fn longest_from(&self, v: ExtVertex) -> Result<LongestPaths, CoreError> {
-        self.graph.longest_from(&v)
+        self.graph.longest(v, Direction::Forward)
     }
 
     /// Longest-path weights from every vertex to `v`.
@@ -821,13 +858,7 @@ impl ExtendedGraph {
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
     pub fn longest_to(&self, v: ExtVertex) -> Result<LongestPaths, CoreError> {
-        self.graph.longest_to(&v)
-    }
-
-    /// Dense index of a vertex, if present: index arithmetic over the
-    /// vertex layout (see the [module docs](self)), no interning lookup.
-    pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
-        self.layout.ext_index(v)
+        self.graph.longest(v, Direction::Backward)
     }
 }
 
@@ -867,27 +898,27 @@ mod tests {
         let mut e_prime = 0;
         let mut e_unseen = 0;
         let mut e_aux = 0;
-        for vi in 0..ge.graph().vertex_count() {
-            for e in ge.graph().edges_from(vi) {
+        for vi in 0..ge.vertex_count() {
+            for e in ge.edges_from(vi) {
                 match e.label {
                     LABEL_BOUNDARY => {
                         e_prime += 1;
                         assert_eq!(e.weight, 1);
                         // from boundary node to its own aux.
-                        let from = *ge.graph().vertex(e.from);
-                        let to = *ge.graph().vertex(e.to);
+                        let from = ge.vertex(e.from);
+                        let to = ge.vertex(e.to);
                         assert_eq!(Some(past.boundary(to.proc()).unwrap()), from.node());
                     }
                     LABEL_UNSEEN => {
                         e_unseen += 1;
                         assert!(e.weight < 0);
-                        assert!(ge.graph().vertex(e.from).aux().is_some());
-                        assert!(ge.graph().vertex(e.to).node().is_some());
+                        assert!(ge.vertex(e.from).aux().is_some());
+                        assert!(ge.vertex(e.to).node().is_some());
                     }
                     LABEL_AUX_CHAN => {
                         e_aux += 1;
-                        assert!(ge.graph().vertex(e.from).aux().is_some());
-                        assert!(ge.graph().vertex(e.to).aux().is_some());
+                        assert!(ge.vertex(e.from).aux().is_some());
+                        assert!(ge.vertex(e.to).aux().is_some());
                     }
                     _ => {}
                 }
@@ -916,20 +947,19 @@ mod tests {
         let ge = ExtendedGraph::new(&run, sigma);
         // Find any E'' edge and check a path from the receiving process's
         // boundary to the sender exists with weight 1 − U.
-        let g = ge.graph();
         let mut checked = false;
-        for vi in 0..g.vertex_count() {
-            for e in g.edges_from(vi) {
+        for vi in 0..ge.vertex_count() {
+            for e in ge.edges_from(vi) {
                 if e.label != LABEL_UNSEEN {
                     continue;
                 }
-                let psi = *g.vertex(e.from);
-                let sender = *g.vertex(e.to);
+                let psi = ge.vertex(e.from);
+                let sender = ge.vertex(e.to);
                 let Some(boundary) = ge.past().boundary(psi.proc()) else {
                     continue;
                 };
                 let lp = ge.longest_from(ExtVertex::Node(boundary)).unwrap();
-                let w = lp.weight(g.index_of(&sender).unwrap()).unwrap();
+                let w = lp.weight(ge.index_of(sender).unwrap()).unwrap();
                 // At least the two-edge path boundary -> ψ -> sender.
                 assert!(w > e.weight);
                 checked = true;
@@ -996,8 +1026,8 @@ mod tests {
                 let local = BoundsGraph::local(&run, &run.past(sigma));
                 for exclude in [None, Some(sigma)] {
                     let ge = ExtendedGraph::with_exclusion(&run, sigma, exclude);
-                    let mut want: Vec<(usize, usize, i64, u32)> = (0..ge.graph().vertex_count())
-                        .flat_map(|v| ge.graph().edges_from(v))
+                    let mut want: Vec<(usize, usize, i64, u32)> = (0..ge.vertex_count())
+                        .flat_map(|v| ge.edges_from(v))
                         .map(|e| (e.from, e.to, e.weight, e.label))
                         .collect();
                     want.sort_unstable();
@@ -1072,11 +1102,11 @@ mod tests {
 
     #[test]
     fn clocks_that_overflow_fall_back_to_the_label_correcting_walk() {
-        // Recorded times past i64::MAX wrap negative in the clock, so the
-        // successor slack into `i3` overflows i64: the graph refuses its
-        // clock.
+        // Recorded times past i64::MAX saturate there on the clock, where
+        // the graph's edges still hold; but `ψ_i` lies one past the
+        // boundary `i3`, beyond i64::MAX, so the views refuse the clock.
         let (run, sigma) = run_with_late_node(i64::MAX as u64 + 2);
-        assert!(!BoundsGraph::of_run(&run).clock_holds());
+        assert!(BoundsGraph::of_run(&run).clock_holds());
         assert_views_match_spfa(&run, sigma, false);
         // Every slack fits, but the largest (~2^62, into `i3` and `ψ_j`)
         // times |V| = 8 reaches u64::MAX: a Dijkstra key could overflow,

@@ -283,7 +283,7 @@ pub fn zigzag_from_ge_path(
     from: NodeId,
     edges: &[Edge],
 ) -> Result<ZigzagPattern, CoreError> {
-    zigzag_from_ge_walk(&|i| *ge.graph().vertex(i), from, edges)
+    zigzag_from_ge_walk(&|i| ge.vertex(i), from, edges)
 }
 
 /// [`zigzag_from_ge_path`] over a walk whose dense indices `vertex`

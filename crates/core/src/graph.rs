@@ -9,84 +9,86 @@
 //!
 //! # Two traversals
 //!
-//! * **Label-correcting SPFA** (a queue-based Bellman–Ford) needs nothing
-//!   but the graph, and its results carry a predecessor forest
-//!   ([`LongestPaths`]). It serves every path query: the witness paths
-//!   of `crate::knowledge` (the served witness bytes follow SPFA's
-//!   tie-breaks) and the append-delta memo of `GB(r)` (a graph that
-//!   keeps growing).
-//! * **Distance-only traversals over rows** read a graph through the
-//!   crate-internal `Rows` trait: a vertex count, a potential, and a
-//!   scan of one vertex's row. `GE(r, σ)` is such a view: the rows of
-//!   the `GB(r)` it is cut from, filtered at σ's frontier, plus a small
-//!   overlay ([`crate::extended_graph`]). When the potential is
-//!   *feasible* — `π(u) + w ≤ π(v)` on every edge the rows yield — the
-//!   traversal is a **potential-reweighted Dijkstra**: Johnson
-//!   reweighting turns every edge into a non-negative slack
-//!   `π(v) − π(u) − w`, so each vertex settles once and each edge is
-//!   scanned at most once. A valid timing is exactly such a potential
-//!   (Lemma 8), and the run's own recorded times are one. Where the
-//!   clock fails, the same rows are walked label-correcting (SPFA
-//!   without predecessors), with the same answers. The results are
+//! A traversal reads a graph through the crate-internal `Rows` trait: a
+//! vertex count, a potential, and a scan of one vertex's row yielding
+//! each edge's far end, weight and label and the far end's potential.
+//! A [`WeightedDigraph`] is rows over its adjacency, the closed graphs
+//! of [`crate::extended_graph`] rows over CSR lanes, and an observer's
+//! view of `GE(r, σ)` rows over the `GB(r)` it is cut from, filtered at
+//! σ's frontier, plus a small overlay.
+//!
+//! * **Label-correcting SPFA** (a queue-based Bellman–Ford) needs
+//!   nothing but the rows and, given predecessor lanes, writes each
+//!   vertex's winning edge as it relaxes, so its results carry a
+//!   predecessor forest ([`LongestPaths`]). It serves every path query:
+//!   `GB(r)`'s tight bounds and the witness paths of `crate::knowledge`
+//!   (the served witness bytes follow SPFA's tie-breaks, i.e. the row
+//!   order). One function runs it three ways: seeded at a root for a
+//!   cold query, seeded by the edges appended since a memoized result for
+//!   that result's catch-up (below), and without predecessor lanes for a
+//!   view whose clock fails.
+//! * **Potential-reweighted Dijkstra** answers a view's distance queries
+//!   when its potential is *feasible* — `π(u) + w ≤ π(v)` on every edge
+//!   the rows yield: Johnson reweighting turns every edge into a
+//!   non-negative slack `π(v) − π(u) − w`, so each vertex settles once
+//!   and each edge is scanned at most once. A valid timing is exactly
+//!   such a potential (Lemma 8), and the run's own recorded times are
+//!   one; rows without a clock yield potential 0. The results are
 //!   [`Distances`]: the fast timing's two lanes and the all-pairs matrix
 //!   rows of `crate::knowledge` read them.
 //!
-//! Both kinds count their queue pops and edge scans on the graph whose
-//! rows they read ([`WeightedDigraph::work`]), however many views share
-//! it; a view's traversal also borrows that graph's scratch arena.
+//! Both are tested against a dense Bellman–Ford
+//! ([`WeightedDigraph::longest_from_dense`]). Traversals over a graph's
+//! rows, or a view of them, count their queue pops and edge scans on
+//! that graph ([`WeightedDigraph::work`]) and borrow its scratch arena.
 //!
 //! # Shared analysis
 //!
 //! Causal-order queries are the hot path of the knowledge engine: a single
 //! `max_x`/`witness`/`refute` round trips over the same graph many times,
 //! and batched queries (all-pairs matrices, protocol sweeps) revisit the
-//! same sources. Two layers amortize that cost:
+//! same sources. So every SPFA result over a graph's rows is memoized per
+//! `(source, direction)` and shared as an [`Arc`]: repeated queries
+//! against an unmodified graph are O(1) — and allocation-free — after
+//! first touch ([`WeightedDigraph::longest_from_cached`] /
+//! [`WeightedDigraph::longest_to_cached`]). A view memoizes its distance
+//! results itself, and the materialized `GE(r, σ)` its witness trees.
 //!
-//! * a **frozen CSR form** ([`CsrTopology`]) — forward and reverse
-//!   adjacency built once per graph generation, that SPFA scans instead
-//!   of the per-vertex `Vec`s;
-//! * a **longest-path cache** — every SPFA result is memoized per
-//!   `(source, direction)` and shared as an [`Arc`], so repeated queries
-//!   against an unmodified graph are O(1) — and allocation-free — after
-//!   first touch ([`WeightedDigraph::longest_from_cached`] /
-//!   [`WeightedDigraph::longest_to_cached`]). A view memoizes its
-//!   distance results itself.
-//!
-//! The SPFA layers survive mutation **monotonically**: the only
-//! mutations the graph supports are additions
-//! ([`WeightedDigraph::add_vertex`] / [`WeightedDigraph::add_edge`]), and
-//! adding vertices or edges can only *raise* longest-path weights — every
-//! old path still exists, new edges merely offer new ones. So instead of
-//! dropping memoized results on
+//! The memo survives mutation **monotonically**: the only mutations the
+//! graph supports are additions ([`WeightedDigraph::add_vertex`] /
+//! [`WeightedDigraph::add_edge`]), and adding vertices or edges can only
+//! *raise* longest-path weights — every old path still exists, new edges
+//! merely offer new ones. So instead of dropping memoized results on
 //! mutation, the graph logs the edges appended since each result was
 //! computed and **delta-relaxes** a stale result on its next query: the
-//! new edges seed an incremental SPFA that cascades forward from exactly
-//! the vertices they improve (the frontier), leaving the converged bulk
-//! of the old result untouched. The frozen CSR is rebuilt lazily per
-//! generation; delta cascades and views walk the live adjacency
-//! directly, so an append never forces a CSR rebuild on their account.
-//! This is what makes append-only consumers (`crate::incremental`) pay
-//! per-append cost proportional to the change, not the graph.
+//! new edges seed the label-correcting traversal, which cascades over the
+//! live rows from exactly the vertices they improve (the frontier),
+//! leaving the converged bulk of the old result untouched. Nothing is
+//! frozen per generation, so an append never forces a rebuild. This is
+//! what makes append-only consumers (`crate::incremental`) pay per-append
+//! cost proportional to the change, not the graph.
 //!
 //! # Data layout
 //!
-//! The hot core is struct-of-arrays over `u32` indices:
+//! Each graph has one layout, and the hot core is struct-of-arrays over
+//! `u32` indices:
 //!
-//! * [`CsrTopology`] keeps each direction as four parallel lanes —
-//!   `off: Vec<u32>` row offsets plus `targets: Vec<u32>`,
-//!   `weights: Vec<i64>`, `labels: Vec<u32>` — so a relaxation scan
-//!   streams the 4-byte target and 8-byte weight lanes instead of
-//!   striding over 32-byte [`Edge`] records. `Edge` survives as the
-//!   public *view* type: [`CsrTopology::out_edges`] /
-//!   [`CsrTopology::in_edges`] materialize an `Edge` array lazily, on
-//!   first accessor use, so hot paths never pay for it.
+//! * A [`WeightedDigraph`] keeps one adjacency row of [`Edge`] records
+//!   per vertex and direction, which its traversals and every view over
+//!   it scan in place; [`WeightedDigraph::from_edges`] allocates each row
+//!   once.
+//! * A closed graph, built once and never appended to, is CSR: each
+//!   direction as four parallel lanes — `off: Vec<u32>` row offsets plus
+//!   `targets: Vec<u32>`, `weights: Vec<i64>`, `labels: Vec<u32>` —
+//!   packed from its edge list by a stable counting sort, so each row
+//!   holds its edges in list order, like adjacency rows built from it.
 //! * [`Distances`] is one sentinel-coded lane: `Vec<i64>` with
 //!   [`i64::MIN`] meaning *unreachable* (no `Option` tag bytes).
 //!   [`LongestPaths`] adds a predecessor forest as three lanes
-//!   (`pred_other: Vec<u32>` with [`u32::MAX`] meaning *no
-//!   predecessor*, plus weight and label lanes) from which
-//!   [`LongestPaths::path`] reconstructs `Edge` values on demand — 24
-//!   bytes per vertex instead of 56, and 8 for a distance-only result.
+//!   (`other: Vec<u32>` with [`u32::MAX`] meaning *no predecessor*, plus
+//!   weight and label lanes) from which [`LongestPaths::path`]
+//!   reconstructs `Edge` values on demand — 24 bytes per vertex instead
+//!   of 56, and 8 for a distance-only result.
 //! * All interior vertex ids are `u32`; the `HashMap<V, usize>` interner
 //!   stays at the boundary, and every narrowing conversion funnels
 //!   through one checked helper (`checked_u32`) that reports
@@ -94,23 +96,21 @@
 //!
 //! # Scratch arena and blocked relaxation
 //!
-//! The transient state of a traversal — the predecessor working lane,
-//! the `u64`-word in-queue bitset, both frontier generations, the delta
-//! staging buffer, and the Dijkstra queue — lives in a `SpfaScratch`
-//! arena owned by the graph's analysis cache. A query takes the arena
-//! out under the lock, traverses outside the lock, and puts the buffers
-//! back, so steady-state serving recycles the same warm allocations
-//! across queries (the result lanes themselves are freshly allocated:
-//! they outlive the query inside the memo). SPFA relaxation is
-//! *blocked*: the frontier drains in generations (two `Vec<u32>` swapped
-//! per round, deduplicated through the bitset), each generation scanning
-//! contiguous SoA edge slices.
+//! The transient state of a traversal — the `u64`-word in-queue bitset,
+//! both frontier generations, the delta staging buffer, and the Dijkstra
+//! queue — lives in a `SpfaScratch` arena owned by the graph's analysis
+//! cache. A query takes the arena out under the lock, traverses outside
+//! the lock, and puts the buffers back, so steady-state serving recycles
+//! the same warm allocations across queries (the result lanes themselves
+//! are freshly allocated: they outlive the query inside the memo). SPFA
+//! relaxation is *blocked*: the frontier drains in generations (two
+//! `Vec<u32>` swapped per round, deduplicated through the bitset), each
+//! generation scanning whole rows.
 //! Positive cycles are detected by the generation count — with no
 //! positive cycle a run converges within `|V|` drains (every improvement
 //! chain longer than `|V|` revisits a vertex with a strictly larger
-//! distance, i.e. a positive cycle) — which replaces the old per-run
-//! `relax_count` allocation and matches the dense Bellman–Ford verdict
-//! exactly.
+//! distance, i.e. a positive cycle) — which matches the dense
+//! Bellman–Ford verdict exactly.
 //!
 //! The Dijkstra queue is a radix heap keyed by slack. Slack keys only
 //! grow as vertices settle, so a key's bucket is the highest bit in which
@@ -126,7 +126,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::error::CoreError;
 use crate::fx::FxBuild;
@@ -139,10 +139,10 @@ const NO_PRED: u32 = u32::MAX;
 
 /// Narrows a `usize` into the graph's interior `u32` index space.
 ///
-/// This is the single checked-conversion site for the hot core: CSR
-/// offsets, interned vertex ids, and append-log endpoints all funnel
-/// through it. Infallible public signatures (`add_vertex`, `csr`) unwrap
-/// the result; fallible query paths propagate it.
+/// This is the single checked-conversion site for the hot core: vertex
+/// counts, interned vertex ids, and CSR offsets all funnel through it.
+/// Infallible public signatures (`add_vertex`, `from_edges`) unwrap the
+/// result; fallible builders propagate it.
 ///
 /// # Errors
 ///
@@ -181,9 +181,9 @@ impl Edge {
 }
 
 /// One direction of the CSR form: row offsets plus three parallel edge
-/// lanes. `targets[p]` is the vertex a relaxation scan of row `u`
-/// reaches through position `p` (the edge's head for the forward lanes,
-/// its tail for the reverse lanes).
+/// lanes. `targets[p]` is the vertex a scan of row `u` reaches through
+/// position `p` (the edge's head for the forward lanes, its tail for the
+/// reverse lanes).
 #[derive(Debug, Clone, Default)]
 struct CsrLanes {
     off: Vec<u32>,
@@ -193,39 +193,11 @@ struct CsrLanes {
 }
 
 impl CsrLanes {
-    /// Packs adjacency rows into lanes. `row_is_target` selects which
-    /// endpoint the scan reaches: `false` packs outgoing rows (scan
-    /// reaches `e.to`), `true` packs incoming rows (scan reaches
-    /// `e.from`).
-    fn pack(adj: &[Vec<Edge>], row_is_target: bool) -> Result<CsrLanes, CoreError> {
-        let total: usize = adj.iter().map(Vec::len).sum();
-        // One check covers every cast below: vertex ids are < adj.len()
-        // and offsets are <= total.
-        checked_u32(adj.len(), "vertex count")?;
-        checked_u32(total, "edge count")?;
-        let mut lanes = CsrLanes {
-            off: Vec::with_capacity(adj.len() + 1),
-            targets: Vec::with_capacity(total),
-            weights: Vec::with_capacity(total),
-            labels: Vec::with_capacity(total),
-        };
-        lanes.off.push(0);
-        for edges in adj {
-            lanes.targets.extend(
-                edges
-                    .iter()
-                    .map(|e| (if row_is_target { e.from } else { e.to }) as u32),
-            );
-            lanes.weights.extend(edges.iter().map(|e| e.weight));
-            lanes.labels.extend(edges.iter().map(|e| e.label));
-            lanes.off.push(lanes.targets.len() as u32);
-        }
-        Ok(lanes)
-    }
-
     /// Packs an edge list over `n` vertices into lanes by a stable
-    /// counting sort on each edge's row: the lanes [`CsrLanes::pack`]
-    /// makes of the rows that adding the edges in list order builds.
+    /// counting sort on each edge's row, so each row holds its edges in
+    /// list order. `row_is_target` selects the rows: `false` packs
+    /// outgoing rows (a scan reaches `e.to`), `true` incoming rows (a
+    /// scan reaches `e.from`).
     fn pack_edges(n: usize, edges: &[Edge], row_is_target: bool) -> CsrLanes {
         let ends = |e: &Edge| match row_is_target {
             false => (e.from, e.to),
@@ -262,43 +234,21 @@ impl CsrLanes {
     }
 }
 
-/// The frozen compressed-sparse-row form of a [`WeightedDigraph`]:
+/// A graph built once and never appended to, in compressed sparse rows:
 /// forward and reverse adjacency as struct-of-arrays lanes plus offsets
-/// (see the [module docs](self) for the layout).
-///
-/// Built once per graph generation ([`WeightedDigraph::csr`]) and shared
-/// by every SPFA over that generation. Scanning a row touches the
-/// contiguous target/weight lanes; the [`Edge`] slices returned by
-/// [`CsrTopology::out_edges`] / [`CsrTopology::in_edges`] are
-/// materialized lazily the first time an accessor asks for them.
+/// (see the [module docs](self)). The closed graphs of
+/// [`crate::extended_graph`] — the materialized `GE(r, σ)` and the
+/// frontier graph — take this form.
 #[derive(Debug, Clone)]
-pub struct CsrTopology {
+pub(crate) struct CsrTopology {
     fwd: CsrLanes,
     rev: CsrLanes,
-    fwd_view: OnceLock<Vec<Edge>>,
-    rev_view: OnceLock<Vec<Edge>>,
 }
 
 impl CsrTopology {
-    fn build(out: &[Vec<Edge>], incoming: &[Vec<Edge>]) -> Result<Self, CoreError> {
-        Ok(CsrTopology {
-            fwd: CsrLanes::pack(out, false)?,
-            rev: CsrLanes::pack(incoming, true)?,
-            fwd_view: OnceLock::new(),
-            rev_view: OnceLock::new(),
-        })
-    }
-
-    fn lanes(&self, dir: Direction) -> &CsrLanes {
-        match dir {
-            Direction::Forward => &self.fwd,
-            Direction::Backward => &self.rev,
-        }
-    }
-
-    /// The CSR form of the graph over `n` vertices that `edges`, added in
-    /// list order, make — the lanes [`WeightedDigraph::from_edges`]
-    /// `(…).csr()` holds, built without adjacency rows or an interner.
+    /// The CSR form of the graph over `n` vertices whose rows hold
+    /// `edges` in list order: the rows [`WeightedDigraph::from_edges`]
+    /// builds from the same list, down to SPFA tie-breaks.
     ///
     /// # Errors
     ///
@@ -310,128 +260,83 @@ impl CsrTopology {
         Ok(CsrTopology {
             fwd: CsrLanes::pack_edges(n, edges, false),
             rev: CsrLanes::pack_edges(n, edges, true),
-            fwd_view: OnceLock::new(),
-            rev_view: OnceLock::new(),
         })
     }
 
-    /// Longest paths from `src`, with their predecessor tree: the SPFA
-    /// [`WeightedDigraph::longest_from`] runs over the same lanes.
+    fn lanes(&self, dir: Direction) -> &CsrLanes {
+        match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Backward => &self.rev,
+        }
+    }
+
+    /// Number of edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.fwd.targets.len()
+    }
+
+    /// The edges of `u`'s row in `dir`, in row order: the edges leaving
+    /// `u` forward, the edges entering it backward.
+    pub(crate) fn row_edges(&self, u: usize, dir: Direction) -> impl Iterator<Item = Edge> + '_ {
+        let lanes = self.lanes(dir);
+        lanes.row(u).map(move |p| {
+            let reach = lanes.targets[p] as usize;
+            let (from, to) = match dir {
+                Direction::Forward => (u, reach),
+                Direction::Backward => (reach, u),
+            };
+            Edge::new(from, to, lanes.weights[p], lanes.labels[p])
+        })
+    }
+
+    /// Longest paths from (or, backward, to) `src`, with their
+    /// predecessor forest: a fresh label-correcting traversal.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
-    /// reachable from `src`.
-    pub(crate) fn longest_from(&self, src: usize) -> Result<LongestPaths, CoreError> {
+    /// connected to `src`.
+    pub(crate) fn longest_paths(
+        &self,
+        src: usize,
+        dir: Direction,
+    ) -> Result<LongestPaths, CoreError> {
         let mut scratch = SpfaScratch::default();
-        spfa(
-            self,
-            src,
-            Direction::Forward,
-            &mut scratch,
-            &mut Tally::default(),
-        )
+        longest_paths(self, src, dir, &mut scratch, &mut Tally::default())
     }
+}
 
-    /// Reconstructs the full `Edge` view of one direction from its lanes.
-    fn materialize(lanes: &CsrLanes, row_is_target: bool) -> Vec<Edge> {
-        let mut view = Vec::with_capacity(lanes.targets.len());
-        for u in 0..lanes.off.len().saturating_sub(1) {
-            for p in lanes.row(u) {
-                let reach = lanes.targets[p] as usize;
-                let (from, to) = if row_is_target {
-                    (reach, u)
-                } else {
-                    (u, reach)
-                };
-                view.push(Edge {
-                    from,
-                    to,
-                    weight: lanes.weights[p],
-                    label: lanes.labels[p],
-                });
-            }
-        }
-        view
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
+impl Rows for CsrTopology {
+    fn vertex_count(&self) -> usize {
         self.fwd.off.len() - 1
     }
 
-    /// Number of edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.fwd.targets.len()
-    }
-
-    /// Outgoing edges of vertex index `u`, as one contiguous slice.
-    ///
-    /// The `Edge` array backing the slice is rebuilt from the lanes on
-    /// the first call and shared afterwards; SPFA never touches it.
-    #[inline]
-    pub fn out_edges(&self, u: usize) -> &[Edge] {
-        let view = self
-            .fwd_view
-            .get_or_init(|| Self::materialize(&self.fwd, false));
-        &view[self.fwd.row(u)]
-    }
-
-    /// Incoming edges of vertex index `u`, as one contiguous slice.
-    #[inline]
-    pub fn in_edges(&self, u: usize) -> &[Edge] {
-        let view = self
-            .rev_view
-            .get_or_init(|| Self::materialize(&self.rev, true));
-        &view[self.rev.row(u)]
+    #[inline(always)]
+    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
+        // Zip the lanes of one contiguous row: no per-edge bounds checks,
+        // prefetch-friendly strides.
+        let lanes = self.lanes(dir);
+        let row = lanes.row(v);
+        let targets = &lanes.targets[row.clone()];
+        let weights = &lanes.weights[row.clone()];
+        let labels = &lanes.labels[row];
+        for ((&t, &w), &label) in targets.iter().zip(weights).zip(labels) {
+            f(t as usize, w, 0, label);
+        }
     }
 }
 
 /// One append-log entry: an edge with its endpoints shrunk to the `u32`
-/// interior index width (24 bytes instead of [`Edge`]'s 32).
+/// interior index width (24 bytes instead of [`Edge`]'s 32). The log is
+/// one push per appended edge on the hot mutation path, kept only while
+/// memoized results exist, and copied into [`SpfaScratch::delta`] when a
+/// stale result catches up.
 #[derive(Debug, Clone, Copy)]
 struct LogEdge {
     from: u32,
     to: u32,
     label: u32,
     weight: i64,
-}
-
-/// The append log: packed `u32`-indexed records, one push per appended
-/// edge on the hot mutation path. Maintained only while memoized results
-/// exist, and drained into [`SpfaScratch::delta`] (a straight memcpy)
-/// when a stale result catches up.
-#[derive(Debug, Clone, Default)]
-struct EdgeLog {
-    edges: Vec<LogEdge>,
-}
-
-impl EdgeLog {
-    fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    fn clear(&mut self) {
-        self.edges.clear();
-    }
-
-    fn push(&mut self, from: u32, to: u32, weight: i64, label: u32) {
-        self.edges.push(LogEdge {
-            from,
-            to,
-            label,
-            weight,
-        });
-    }
-
-    /// Copies entries `start..` into `buf` (cleared first), reusing
-    /// `buf`'s capacity.
-    fn stage_into(&self, start: usize, buf: &mut Vec<LogEdge>) {
-        buf.clear();
-        buf.extend_from_slice(&self.edges[start..]);
-    }
 }
 
 /// The work of one traversal: queue pops and edge scans.
@@ -612,16 +517,13 @@ impl RadixHeap {
 /// traversal.
 #[derive(Debug, Default)]
 struct SpfaScratch {
-    /// Working predecessor lane for cold runs: the CSR position of the
-    /// edge that last improved each vertex (`NO_PRED` = none).
-    pred_pos: Vec<u32>,
     /// In-frontier bitset, one bit per vertex in `u64` words.
     in_queue: Vec<u64>,
     /// Current frontier generation.
     frontier: Vec<u32>,
     /// Next frontier generation (swapped with `frontier` per drain).
     next: Vec<u32>,
-    /// Staging buffer for the appended edges a delta pass relaxes over.
+    /// Staging buffer for the appended edges a catch-up relaxes over.
     delta: Vec<LogEdge>,
     /// The Dijkstra queue.
     heap: RadixHeap,
@@ -629,7 +531,6 @@ struct SpfaScratch {
 
 impl SpfaScratch {
     /// Resets the bitset and frontiers for a graph of `n` vertices.
-    /// `pred_pos` is reset separately (only cold runs need it).
     fn reset(&mut self, n: usize) {
         let words = n.div_ceil(64);
         self.in_queue.clear();
@@ -638,6 +539,15 @@ impl SpfaScratch {
         self.next.clear();
     }
 
+    /// Resets the arena for `dist.len()` vertices and queues `root` at
+    /// distance 0: the start of a cold traversal.
+    fn seed_root(&mut self, dist: &mut [i64], root: usize) {
+        self.reset(dist.len());
+        dist[root] = 0;
+        self.enqueue(root as u32);
+    }
+
+    /// Queues `v` for the next generation, unless it is queued already.
     #[inline]
     fn enqueue(&mut self, v: u32) {
         let (w, b) = ((v / 64) as usize, v % 64);
@@ -645,12 +555,6 @@ impl SpfaScratch {
             self.in_queue[w] |= 1 << b;
             self.next.push(v);
         }
-    }
-
-    #[inline]
-    fn dequeue(&mut self, v: u32) {
-        let (w, b) = ((v / 64) as usize, v % 64);
-        self.in_queue[w] &= !(1 << b);
     }
 }
 
@@ -666,18 +570,17 @@ struct CachedPaths {
     lp: Arc<LongestPaths>,
 }
 
-/// Memoized analysis state: the CSR form of the latest generation, all
-/// SPFA results computed so far keyed by `(source, direction)`, the
-/// append log that lets stale SPFA results catch up incrementally, the
-/// scratch arena the traversals recycle, and the work counters.
+/// Memoized analysis state: all SPFA results computed so far keyed by
+/// `(source, direction)`, the append log that lets stale results catch
+/// up incrementally, the scratch arena the traversals recycle, and the
+/// work counters.
 #[derive(Debug, Default)]
 struct AnalysisCache {
-    csr: Option<Arc<CsrTopology>>,
     paths: HashMap<(u32, Direction), CachedPaths, FxBuild>,
     /// Edges appended since `log_base`, in insertion order. Maintained
     /// only while memoized results exist (reset whenever `paths` is
     /// empty), so pure construction phases log nothing.
-    log: EdgeLog,
+    log: Vec<LogEdge>,
     /// Edge count at the start of `log`.
     log_base: usize,
     /// The reusable traversal arena; `None` while a query has it out.
@@ -721,7 +624,6 @@ impl<V: Clone> Clone for WeightedDigraph<V> {
         let shared = {
             let cache = self.cache.lock().expect("cache lock");
             AnalysisCache {
-                csr: cache.csr.clone(),
                 paths: cache.paths.clone(),
                 log: cache.log.clone(),
                 log_base: cache.log_base,
@@ -807,13 +709,12 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         }
     }
 
-    /// Records a mutation: the CSR freezes a generation and is rebuilt
-    /// lazily; memoized SPFA results are *kept* and the appended edge (if
-    /// any) is logged so they can delta-relax on their next query.
+    /// Records a mutation: memoized SPFA results are *kept* and the
+    /// appended edge (if any) is logged so they can delta-relax on their
+    /// next query.
     fn note_mutation(&mut self, appended: Option<Edge>) {
         let edge_count = self.edge_count;
         let cache = self.cache.get_mut().expect("cache lock");
-        cache.csr = None;
         if cache.paths.is_empty() {
             // Nothing to catch up: restart the log here so construction
             // phases (thousands of adds before any query) log nothing.
@@ -822,9 +723,12 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         } else if let Some(e) = appended {
             // Endpoints were interned through `add_vertex`, which already
             // guarantees they fit in u32.
-            cache
-                .log
-                .push(e.from as u32, e.to as u32, e.weight, e.label);
+            cache.log.push(LogEdge {
+                from: e.from as u32,
+                to: e.to as u32,
+                label: e.label,
+                weight: e.weight,
+            });
         }
     }
 
@@ -871,28 +775,6 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         self.note_mutation(Some(e));
     }
 
-    /// The frozen CSR form of the current graph generation, built on first
-    /// use and shared until the next mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge count exceeds the `u32` index space (the
-    /// fallible query paths report [`CoreError::IndexOverflow`] instead).
-    pub fn csr(&self) -> Arc<CsrTopology> {
-        self.csr_checked()
-            .expect("graph exceeds the u32 index space")
-    }
-
-    fn csr_checked(&self) -> Result<Arc<CsrTopology>, CoreError> {
-        let mut cache = self.cache.lock().expect("cache lock");
-        if let Some(csr) = &cache.csr {
-            return Ok(csr.clone());
-        }
-        let csr = Arc::new(CsrTopology::build(&self.out, &self.r#in)?);
-        cache.csr = Some(csr.clone());
-        Ok(csr)
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.vertices.len()
@@ -922,6 +804,13 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         self.index.contains_key(v)
     }
 
+    /// The dense index of a query root, or `detail` as the error.
+    fn root(&self, v: &V, detail: &str) -> Result<usize, CoreError> {
+        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: detail.into(),
+        })
+    }
+
     /// Outgoing edges of vertex index `i`.
     ///
     /// # Panics
@@ -946,30 +835,26 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     }
 
     /// Longest-path weights from `src` to every vertex (`None` =
-    /// unreachable), via a fresh SPFA over the frozen CSR form.
+    /// unreachable), via a fresh SPFA over the adjacency rows.
     ///
     /// Each call traverses afresh — it neither consults nor populates the
     /// per-source result memo, so one-shot callers pay exactly one SPFA
-    /// and retain no result. (The frozen [`CsrTopology`] the traversal
-    /// runs over *is* built and retained on first use, shared by every
-    /// query until the graph mutates, and the traversal borrows the
-    /// shared scratch arena like every other query.) On hot paths that
-    /// revisit sources, prefer [`WeightedDigraph::longest_from_cached`],
-    /// which shares one memoized traversal across repeated queries.
+    /// and retain no result (the traversal borrows the shared scratch
+    /// arena like every other query). On hot paths that revisit sources,
+    /// prefer [`WeightedDigraph::longest_from_cached`], which shares one
+    /// memoized traversal across repeated queries.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
     /// reachable from `src`.
     pub fn longest_from(&self, src: &V) -> Result<LongestPaths, CoreError> {
-        let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_from: source vertex not in graph".into(),
-        })?;
+        let s = self.root(src, "longest_from: source vertex not in graph")?;
         self.uncached_spfa(s, Direction::Forward)
     }
 
     /// Longest-path weights from every vertex *to* `dst` (`None` =
-    /// no path), via a fresh SPFA on the reversed CSR adjacency; see
+    /// no path), via a fresh SPFA over the incoming rows; see
     /// [`WeightedDigraph::longest_from`] for the cached/uncached contract.
     ///
     /// # Errors
@@ -977,17 +862,14 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     /// Returns [`CoreError::PositiveCycle`] if a positive cycle reaches
     /// `dst`.
     pub fn longest_to(&self, dst: &V) -> Result<LongestPaths, CoreError> {
-        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_to: destination vertex not in graph".into(),
-        })?;
+        let s = self.root(dst, "longest_to: destination vertex not in graph")?;
         self.uncached_spfa(s, Direction::Backward)
     }
 
     fn uncached_spfa(&self, src: usize, dir: Direction) -> Result<LongestPaths, CoreError> {
-        let csr = self.csr_checked()?;
         let mut scratch = self.take_scratch();
         let mut tally = Tally::default();
-        let result = spfa(&csr, src, dir, &mut scratch, &mut tally);
+        let result = longest_paths(self, src, dir, &mut scratch, &mut tally);
         let mut cache = self.cache.lock().expect("cache lock");
         cache.park(scratch);
         cache.work.spfa.record(tally);
@@ -1002,9 +884,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     ///
     /// Same conditions as [`WeightedDigraph::longest_from`].
     pub fn longest_from_cached(&self, src: &V) -> Result<Arc<LongestPaths>, CoreError> {
-        let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_from: source vertex not in graph".into(),
-        })?;
+        let s = self.root(src, "longest_from: source vertex not in graph")?;
         self.cached_spfa(s, Direction::Forward)
     }
 
@@ -1014,9 +894,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     ///
     /// Same conditions as [`WeightedDigraph::longest_to`].
     pub fn longest_to_cached(&self, dst: &V) -> Result<Arc<LongestPaths>, CoreError> {
-        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_to: destination vertex not in graph".into(),
-        })?;
+        let s = self.root(dst, "longest_to: destination vertex not in graph")?;
         self.cached_spfa(s, Direction::Backward)
     }
 
@@ -1092,13 +970,13 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     /// potential-reweighted Dijkstra when `dijkstra` (the caller vouches
     /// that the rows' potential is feasible on every edge they yield and
     /// keeps every key below `u64::MAX`), otherwise the label-correcting
-    /// walk. Either traversal borrows this graph's scratch arena and
-    /// counts its work here.
+    /// traversal. Either borrows this graph's scratch arena and counts
+    /// its work here.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::PositiveCycle`] if the label-correcting walk
-    /// finds one.
+    /// Returns [`CoreError::PositiveCycle`] if the label-correcting
+    /// traversal finds one.
     pub(crate) fn distances_over<R: Rows>(
         &self,
         rows: &R,
@@ -1111,7 +989,10 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         let result = if dijkstra {
             Ok(dijkstra_over(rows, src, dir, &mut scratch.heap, &mut tally))
         } else {
-            spfa_over(rows, src, dir, &mut scratch, &mut tally)
+            let mut lane = vec![UNREACHABLE; rows.vertex_count()];
+            scratch.seed_root(&mut lane, src);
+            label_correcting(rows, dir, &mut lane, None, &mut scratch, &mut tally)
+                .map(|()| Distances { lane })
         };
         let mut cache = self.cache.lock().expect("cache lock");
         cache.park(scratch);
@@ -1138,7 +1019,6 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                 log_base,
                 scratch: scratch_slot,
                 work,
-                ..
             } = &mut *cache;
             match paths.get_mut(&key) {
                 Some(hit) if hit.vertices == vcount && hit.edges == ecount => {
@@ -1150,20 +1030,14 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                 Some(hit) if hit.edges >= *log_base => {
                     let start = hit.edges - *log_base;
                     let mut scratch = scratch_slot.take().unwrap_or_default();
-                    log.stage_into(start, &mut scratch.delta);
+                    scratch.delta.clear();
+                    scratch.delta.extend_from_slice(&log[start..]);
                     let mut tally = Tally::default();
                     // In the steady streaming state the memo holds the
                     // only strong reference, so this catches up with no
                     // O(n) copy; external holders force one clone.
-                    let result = spfa_delta(
-                        Arc::make_mut(&mut hit.lp),
-                        &self.out,
-                        &self.r#in,
-                        vcount,
-                        dir,
-                        &mut scratch,
-                        &mut tally,
-                    );
+                    let result =
+                        catch_up(self, Arc::make_mut(&mut hit.lp), &mut scratch, &mut tally);
                     work.spfa.record(tally);
                     if scratch_slot.is_none() {
                         *scratch_slot = Some(scratch);
@@ -1188,133 +1062,179 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         }
         // Cold traversal outside the lock: concurrent first touches may
         // duplicate work but never block each other.
-        let csr = self.csr_checked()?;
-        let mut scratch = self.take_scratch();
-        let mut tally = Tally::default();
-        let result = spfa(&csr, src, dir, &mut scratch, &mut tally).map(Arc::new);
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.park(scratch);
-        cache.work.spfa.record(tally);
-        let lp = result?;
-        cache.paths.insert(
-            key,
-            CachedPaths {
-                vertices: vcount,
-                edges: ecount,
-                lp: lp.clone(),
-            },
-        );
-        drop(cache);
+        let lp = Arc::new(self.uncached_spfa(src, dir)?);
+        let cached = CachedPaths {
+            vertices: vcount,
+            edges: ecount,
+            lp: lp.clone(),
+        };
+        self.cache
+            .lock()
+            .expect("cache lock")
+            .paths
+            .insert(key, cached);
         Ok(lp)
     }
 }
 
-/// Queue-based Bellman–Ford (SPFA) for longest paths over the frozen SoA
-/// CSR, with blocked relaxation: the frontier drains in generations, each
-/// generation scanning contiguous target/weight lanes. A graph with no
-/// positive cycle converges within `|V|` drains (the longest simple path
-/// has `|V| − 1` edges), so a run that needs more has found one.
-///
-/// The working predecessor lane records CSR edge positions (one 4-byte
-/// write per improvement); the result's predecessor lanes are
-/// materialized afterwards in one sweep over the rows.
-fn spfa(
-    csr: &CsrTopology,
+/// What a traversal reads: a graph given row by row. A
+/// [`WeightedDigraph`] is rows over its adjacency, a [`CsrTopology`]
+/// rows over its lanes, and `GE(r, σ)`'s view rows over the `GB(r)` it
+/// is cut from ([`crate::extended_graph::GeView`]).
+pub(crate) trait Rows {
+    /// Number of vertices; traversals index them `0..vertex_count()`.
+    fn vertex_count(&self) -> usize;
+
+    /// The potential `π(v)`; 0 for rows without a clock, which only the
+    /// label-correcting traversal walks.
+    fn potential(&self, _v: usize) -> i64 {
+        0
+    }
+
+    /// Calls `f(w, weight, π(w), label)` for every edge of `v`'s row, in
+    /// row order: the edges leaving `v` when `dir` is forward (`w` is the
+    /// head), the edges entering it when backward (`w` is the tail).
+    fn scan(&self, v: usize, dir: Direction, f: impl FnMut(usize, i64, i64, u32));
+}
+
+impl<V> Rows for WeightedDigraph<V> {
+    fn vertex_count(&self) -> usize {
+        self.vertices.len()
+    }
+
+    #[inline(always)]
+    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
+        match dir {
+            Direction::Forward => self.out[v]
+                .iter()
+                .for_each(|e| f(e.to, e.weight, 0, e.label)),
+            Direction::Backward => self.r#in[v]
+                .iter()
+                .for_each(|e| f(e.from, e.weight, 0, e.label)),
+        }
+    }
+}
+
+/// Longest paths from (or, backward, to) `src` over `rows`, with their
+/// predecessor forest: the label-correcting traversal seeded at the root.
+fn longest_paths<R: Rows>(
+    rows: &R,
     src: usize,
     dir: Direction,
     scratch: &mut SpfaScratch,
     tally: &mut Tally,
 ) -> Result<LongestPaths, CoreError> {
-    let n = csr.vertex_count();
-    let lanes = csr.lanes(dir);
-    let mut dist = vec![UNREACHABLE; n];
+    let (mut lane, mut preds) = (vec![UNREACHABLE; rows.vertex_count()], Preds::default());
+    preds.resize(lane.len());
+    scratch.seed_root(&mut lane, src);
+    label_correcting(rows, dir, &mut lane, Some(&mut preds), scratch, tally)?;
+    let dist = Distances { lane };
+    Ok(LongestPaths {
+        src: src as u32,
+        dir,
+        dist,
+        preds,
+    })
+}
+
+/// Catches a converged result over `rows` up with the edges staged in
+/// `scratch.delta`, **in place**: relaxing each staged edge queues
+/// exactly the vertices it improves, and the label-correcting traversal
+/// cascades from them over the live rows (which hold old and new edges
+/// alike), so the converged bulk of the result is never revisited.
+///
+/// Correct because mutations are append-only: every path the old result
+/// accounted for still exists, so its weights are valid lower bounds,
+/// and any strictly better path uses at least one new edge — which is
+/// exactly what gets seeded.
+fn catch_up<R: Rows>(
+    rows: &R,
+    lp: &mut LongestPaths,
+    scratch: &mut SpfaScratch,
+    tally: &mut Tally,
+) -> Result<(), CoreError> {
+    let n = rows.vertex_count();
+    let (dir, dist, preds) = (lp.dir, &mut lp.dist.lane, &mut lp.preds);
+    dist.resize(n, UNREACHABLE);
+    preds.resize(n);
     scratch.reset(n);
-    scratch.pred_pos.clear();
-    scratch.pred_pos.resize(n, NO_PRED);
-    dist[src] = 0;
-    scratch.next.push(src as u32);
-    std::mem::swap(&mut scratch.frontier, &mut scratch.next);
+    tally.scans += scratch.delta.len() as u64;
+    for k in 0..scratch.delta.len() {
+        let e = scratch.delta[k];
+        let (u, v) = match dir {
+            Direction::Forward => (e.from, e.to),
+            Direction::Backward => (e.to, e.from),
+        };
+        let du = dist[u as usize];
+        if du != UNREACHABLE && du + e.weight > dist[v as usize] {
+            dist[v as usize] = du + e.weight;
+            preds.set(v as usize, u, e.weight, e.label);
+            scratch.enqueue(v);
+        }
+    }
+    label_correcting(rows, dir, dist, Some(preds), scratch, tally)
+}
+
+/// The label-correcting traversal (a queue-based Bellman–Ford, "SPFA")
+/// over `rows`, from the frontier its caller queued in `scratch`. Each
+/// generation drains the frontier, scanning every queued vertex's row in
+/// row order; a strict improvement records the vertex's distance in
+/// `dist` and, given `preds`, the edge that made it, and queues the
+/// vertex for the next generation. A graph with no positive cycle
+/// converges within `|V|` generations (the longest simple path has
+/// `|V| − 1` edges), so a traversal that needs more has found one.
+fn label_correcting<R: Rows>(
+    rows: &R,
+    dir: Direction,
+    dist: &mut [i64],
+    mut preds: Option<&mut Preds>,
+    scratch: &mut SpfaScratch,
+    tally: &mut Tally,
+) -> Result<(), CoreError> {
+    let n = rows.vertex_count();
+    // Borrow the bitset and the frontiers apart, so the scan's closure
+    // holds them directly instead of reaching them through the arena on
+    // every edge.
+    let SpfaScratch {
+        in_queue,
+        frontier,
+        next,
+        ..
+    } = scratch;
+    std::mem::swap(frontier, next);
     let mut drains = 0usize;
-    while !scratch.frontier.is_empty() {
+    while !frontier.is_empty() {
         drains += 1;
         if drains > n {
             return Err(CoreError::PositiveCycle);
         }
-        let SpfaScratch {
-            pred_pos,
-            in_queue,
-            frontier,
-            next,
-            ..
-        } = scratch;
         tally.pops += frontier.len() as u64;
+        let mut scans = 0;
         for &u in frontier.iter() {
             let (w, b) = ((u / 64) as usize, u % 64);
             in_queue[w] &= !(1 << b);
             let du = dist[u as usize];
-            // Zip the target/weight lanes of one contiguous row: no
-            // per-edge bounds checks, prefetch-friendly strides.
-            let row = lanes.row(u as usize);
-            tally.scans += row.len() as u64;
-            let base = row.start;
-            let targets = &lanes.targets[row.clone()];
-            let weights = &lanes.weights[row];
-            for (i, (&t, &w)) in targets.iter().zip(weights).enumerate() {
-                let v = t as usize;
-                let cand = du + w;
+            rows.scan(u as usize, dir, |v, weight, _, label| {
+                scans += 1;
+                let cand = du + weight;
                 if cand > dist[v] {
                     dist[v] = cand;
-                    pred_pos[v] = (base + i) as u32;
-                    let (w, b) = ((t / 64) as usize, t % 64);
+                    if let Some(preds) = preds.as_deref_mut() {
+                        preds.set(v, u, weight, label);
+                    }
+                    let (w, b) = (v / 64, v % 64);
                     if in_queue[w] & (1 << b) == 0 {
                         in_queue[w] |= 1 << b;
-                        next.push(t);
+                        next.push(v as u32);
                     }
                 }
-            }
+            });
         }
+        tally.scans += scans;
         frontier.clear();
         std::mem::swap(frontier, next);
     }
-    // Materialize the predecessor lanes: one sweep over the rows assigns
-    // each improved vertex the endpoints of its winning edge position.
-    let mut pred_other = vec![NO_PRED; n];
-    let mut pred_weight = vec![0i64; n];
-    let mut pred_label = vec![0u32; n];
-    for u in 0..n {
-        for p in lanes.row(u) {
-            let v = lanes.targets[p] as usize;
-            if scratch.pred_pos[v] == p as u32 {
-                pred_other[v] = u as u32;
-                pred_weight[v] = lanes.weights[p];
-                pred_label[v] = lanes.labels[p];
-            }
-        }
-    }
-    Ok(LongestPaths {
-        src: src as u32,
-        dir,
-        dist: Distances { lane: dist },
-        pred_other,
-        pred_weight,
-        pred_label,
-    })
-}
-
-/// What a distance traversal reads: a graph given row by row, each row
-/// filtered or extended by the implementor. `GE(r, σ)` implements it as
-/// a view over `GB(r)` ([`crate::extended_graph::GeView`]).
-pub(crate) trait Rows {
-    /// Number of vertices; traversals index them `0..vertex_count()`.
-    fn vertex_count(&self) -> usize;
-
-    /// The potential `π(v)`.
-    fn potential(&self, v: usize) -> i64;
-
-    /// Calls `f(w, weight, π(w))` for every edge of `v`'s row: the edges
-    /// leaving `v` when `dir` is forward (`w` is the head), the edges
-    /// entering it when backward (`w` is the tail).
-    fn scan(&self, v: usize, dir: Direction, f: impl FnMut(usize, i64, i64));
+    Ok(())
 }
 
 /// Potential-reweighted Dijkstra for longest paths over `rows` (see the
@@ -1351,7 +1271,7 @@ fn dijkstra_over<R: Rows>(
         let pu = lane[u];
         lane[u] = pu.wrapping_sub(root).wrapping_sub(slack as i64);
         tally.pops += 1;
-        rows.scan(u, dir, |t, w, pt| {
+        rows.scan(u, dir, |t, w, pt, _| {
             scans += 1;
             let pt = sign.wrapping_mul(pt);
             let cand = slack + pt.wrapping_sub(pu).wrapping_sub(w) as u64;
@@ -1363,147 +1283,6 @@ fn dijkstra_over<R: Rows>(
     }
     tally.scans += scans;
     Distances { lane }
-}
-
-/// The label-correcting walk over `rows`: SPFA's generations and its
-/// `|V|`-drain positive-cycle bound, without predecessors. The fallback
-/// where a view's potential is not feasible.
-fn spfa_over<R: Rows>(
-    rows: &R,
-    src: usize,
-    dir: Direction,
-    scratch: &mut SpfaScratch,
-    tally: &mut Tally,
-) -> Result<Distances, CoreError> {
-    let n = rows.vertex_count();
-    let mut dist = vec![UNREACHABLE; n];
-    scratch.reset(n);
-    dist[src] = 0;
-    scratch.next.push(src as u32);
-    let SpfaScratch {
-        in_queue,
-        frontier,
-        next,
-        ..
-    } = scratch;
-    std::mem::swap(frontier, next);
-    let mut drains = 0usize;
-    while !frontier.is_empty() {
-        drains += 1;
-        if drains > n {
-            return Err(CoreError::PositiveCycle);
-        }
-        tally.pops += frontier.len() as u64;
-        for &u in frontier.iter() {
-            let (w, b) = ((u / 64) as usize, u % 64);
-            in_queue[w] &= !(1 << b);
-            let du = dist[u as usize];
-            rows.scan(u as usize, dir, |t, weight, _| {
-                tally.scans += 1;
-                let cand = du + weight;
-                if cand > dist[t] {
-                    dist[t] = cand;
-                    let (w, b) = (t / 64, t % 64);
-                    if in_queue[w] & (1 << b) == 0 {
-                        in_queue[w] |= 1 << b;
-                        next.push(t as u32);
-                    }
-                }
-            });
-        }
-        frontier.clear();
-        std::mem::swap(frontier, next);
-    }
-    Ok(Distances { lane: dist })
-}
-
-/// Incremental SPFA: catches a converged longest-path result up with the
-/// edges staged in `scratch.delta`, **in place**. The new edges seed the
-/// frontier with exactly the vertices they improve; the cascade then
-/// drains in generations over the live adjacency (which already contains
-/// old and new edges), so the converged bulk of the result is never
-/// revisited. The same `|V|`-drain bound detects positive cycles: an
-/// improvement chain longer than `|V|` revisits some vertex with a
-/// strictly larger distance.
-///
-/// Correct because mutations are append-only: every path the old result
-/// accounted for still exists, so its weights are valid lower bounds,
-/// and any strictly better path uses at least one new edge — which is
-/// exactly what gets seeded.
-fn spfa_delta(
-    lp: &mut LongestPaths,
-    out: &[Vec<Edge>],
-    incoming: &[Vec<Edge>],
-    n: usize,
-    dir: Direction,
-    scratch: &mut SpfaScratch,
-    tally: &mut Tally,
-) -> Result<(), CoreError> {
-    let LongestPaths {
-        dist,
-        pred_other,
-        pred_weight,
-        pred_label,
-        ..
-    } = lp;
-    let dist = &mut dist.lane;
-    dist.resize(n, UNREACHABLE);
-    pred_other.resize(n, NO_PRED);
-    pred_weight.resize(n, 0);
-    pred_label.resize(n, 0);
-    scratch.reset(n);
-    macro_rules! relax {
-        ($e:expr, $u:expr, $v:expr) => {{
-            let du = dist[$u];
-            if du != UNREACHABLE {
-                let cand = du + $e.weight;
-                if cand > dist[$v] {
-                    dist[$v] = cand;
-                    pred_other[$v] = $u as u32;
-                    pred_weight[$v] = $e.weight;
-                    pred_label[$v] = $e.label;
-                    scratch.enqueue($v as u32);
-                }
-            }
-        }};
-    }
-    tally.scans += scratch.delta.len() as u64;
-    for k in 0..scratch.delta.len() {
-        let e = scratch.delta[k];
-        let (u, v) = match dir {
-            Direction::Forward => (e.from as usize, e.to as usize),
-            Direction::Backward => (e.to as usize, e.from as usize),
-        };
-        relax!(e, u, v);
-    }
-    std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-    let mut drains = 0usize;
-    while !scratch.frontier.is_empty() {
-        drains += 1;
-        if drains > n {
-            return Err(CoreError::PositiveCycle);
-        }
-        tally.pops += scratch.frontier.len() as u64;
-        for i in 0..scratch.frontier.len() {
-            let u = scratch.frontier[i];
-            scratch.dequeue(u);
-            let edges = match dir {
-                Direction::Forward => &out[u as usize],
-                Direction::Backward => &incoming[u as usize],
-            };
-            tally.scans += edges.len() as u64;
-            for e in edges {
-                let (u, v) = match dir {
-                    Direction::Forward => (e.from, e.to),
-                    Direction::Backward => (e.to, e.from),
-                };
-                relax!(e, u, v);
-            }
-        }
-        scratch.frontier.clear();
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-    }
-    Ok(())
 }
 
 impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
@@ -1520,9 +1299,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
     /// reachable from `src`.
     pub fn longest_from_dense(&self, src: &V) -> Result<Vec<Option<i64>>, CoreError> {
-        let s = self.index_of(src).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_from_dense: source vertex not in graph".into(),
-        })?;
+        let s = self.root(src, "longest_from_dense: source vertex not in graph")?;
         self.dense(s, Direction::Forward)
     }
 
@@ -1535,9 +1312,7 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     /// Returns [`CoreError::PositiveCycle`] if a positive cycle reaches
     /// `dst`.
     pub fn longest_to_dense(&self, dst: &V) -> Result<Vec<Option<i64>>, CoreError> {
-        let s = self.index_of(dst).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "longest_to_dense: destination vertex not in graph".into(),
-        })?;
+        let s = self.root(dst, "longest_to_dense: destination vertex not in graph")?;
         self.dense(s, Direction::Backward)
     }
 
@@ -1633,6 +1408,34 @@ impl Distances {
     }
 }
 
+/// A predecessor forest as three lanes: each vertex's predecessor on the
+/// walk toward the root (`NO_PRED` = root or unreachable), and the weight
+/// and label of the edge that connects them.
+#[derive(Debug, Clone, Default)]
+struct Preds {
+    other: Vec<u32>,
+    weight: Vec<i64>,
+    label: Vec<u32>,
+}
+
+impl Preds {
+    /// Grows the lanes to `n` vertices; the new ones have no predecessor.
+    fn resize(&mut self, n: usize) {
+        self.other.resize(n, NO_PRED);
+        self.weight.resize(n, 0);
+        self.label.resize(n, 0);
+    }
+
+    /// Records that the best walk to `v` arrives from `u` over an edge of
+    /// `weight` and `label`.
+    #[inline]
+    fn set(&mut self, v: usize, u: u32, weight: i64, label: u32) {
+        self.other[v] = u;
+        self.weight[v] = weight;
+        self.label[v] = label;
+    }
+}
+
 /// The result of an SPFA longest-path computation: [`Distances`] plus a
 /// predecessor forest (as parallel lanes; see the [module docs](self))
 /// for path reconstruction.
@@ -1641,12 +1444,7 @@ pub struct LongestPaths {
     src: u32,
     dir: Direction,
     dist: Distances,
-    /// The predecessor vertex on the walk toward `src` (`NO_PRED` =
-    /// root or unreachable), plus the weight and label of the edge that
-    /// connects them; `path` reassembles `Edge` values from these.
-    pred_other: Vec<u32>,
-    pred_weight: Vec<i64>,
-    pred_label: Vec<u32>,
+    preds: Preds,
 }
 
 impl LongestPaths {
@@ -1682,7 +1480,7 @@ impl LongestPaths {
         let mut edges = Vec::new();
         let mut cur = i;
         while cur != self.src as usize {
-            let other = self.pred_other[cur];
+            let other = self.preds.other[cur];
             assert_ne!(
                 other, NO_PRED,
                 "reachable non-root vertices have predecessors"
@@ -1694,8 +1492,8 @@ impl LongestPaths {
             edges.push(Edge {
                 from,
                 to,
-                weight: self.pred_weight[cur],
-                label: self.pred_label[cur],
+                weight: self.preds.weight[cur],
+                label: self.preds.label[cur],
             });
             cur = other as usize;
         }
@@ -1825,17 +1623,28 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_adjacency() {
+    fn csr_rows_and_trees_equal_the_adjacency_rows() {
         let g = diamond();
-        let csr = g.csr();
-        assert_eq!(csr.vertex_count(), g.vertex_count());
+        let edges: Vec<Edge> = (0..g.vertex_count())
+            .flat_map(|u| g.edges_from(u).iter().copied())
+            .collect();
+        let csr = CsrTopology::from_edges(g.vertex_count(), &edges).unwrap();
         assert_eq!(csr.edge_count(), g.edge_count());
-        for i in 0..g.vertex_count() {
-            assert_eq!(csr.out_edges(i), g.edges_from(i));
-            assert_eq!(csr.in_edges(i), g.edges_to(i));
+        for u in 0..g.vertex_count() {
+            let fwd: Vec<Edge> = csr.row_edges(u, Direction::Forward).collect();
+            let bwd: Vec<Edge> = csr.row_edges(u, Direction::Backward).collect();
+            assert_eq!(fwd, g.edges_from(u));
+            assert_eq!(bwd, g.edges_to(u));
+            for dir in [Direction::Forward, Direction::Backward] {
+                let (a, b) = (
+                    csr.longest_paths(u, dir).unwrap(),
+                    g.uncached_spfa(u, dir).unwrap(),
+                );
+                for v in 0..g.vertex_count() {
+                    assert_eq!((a.weight(v), a.path(v)), (b.weight(v), b.path(v)));
+                }
+            }
         }
-        // The frozen form is shared until the graph mutates.
-        assert!(Arc::ptr_eq(&csr, &g.csr()));
     }
 
     #[test]
@@ -2069,15 +1878,10 @@ mod tests {
             self.clock[v]
         }
 
-        fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64)) {
-            match dir {
-                Direction::Forward => self.g.out[v]
-                    .iter()
-                    .for_each(|e| f(e.to, e.weight, self.clock[e.to])),
-                Direction::Backward => self.g.r#in[v]
-                    .iter()
-                    .for_each(|e| f(e.from, e.weight, self.clock[e.from])),
-            }
+        fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
+            self.g.scan(v, dir, |w, weight, _, label| {
+                f(w, weight, self.clock[w], label)
+            });
         }
     }
 

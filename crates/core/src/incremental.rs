@@ -29,9 +29,10 @@
 //!    lower bound and any strictly better path must use a new edge. The
 //!    graph layer therefore keeps its memoized SPFA results across
 //!    appends and *delta-relaxes* a stale result forward from exactly the
-//!    new edges' endpoints (the frontier) on its next query — an
-//!    incremental SPFA over the frozen-CSR generation plus the appended
-//!    overlay (see [`crate::graph`]), instead of invalidate-and-rebuild.
+//!    new edges' endpoints (the frontier) on its next query — the same
+//!    label-correcting traversal, seeded by the appended edges and
+//!    cascading over the live adjacency rows (see [`crate::graph`]),
+//!    instead of invalidate-and-rebuild.
 //!
 //! 2. **Observer stability.** `past(r, σ)` is determined the moment σ's
 //!    receipts are delivered, and a message sent inside that past whose

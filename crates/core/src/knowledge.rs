@@ -28,7 +28,7 @@ use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
 use crate::bounds_graph::BoundsGraph;
 use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
-use crate::extended_graph::{ExtVertex, GeFrontier, GeView, WitnessGraph};
+use crate::extended_graph::{ClosedGraph, ExtVertex, GeFrontier, GeView};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
@@ -154,7 +154,7 @@ pub struct ObserverState {
     local: Option<Box<BoundsGraph>>,
     /// `GE(r, σ)` materialized for witness paths, on the first witness
     /// query that needs one, and kept with its SPFA trees.
-    witness: OnceLock<Box<WitnessGraph>>,
+    witness: OnceLock<Box<ClosedGraph>>,
     cache: QueryCache,
     /// Delivery-queue scratch recycled across `fast_run_of`/`refute`
     /// constructions at this observer.
@@ -614,7 +614,7 @@ impl<'r> KnowledgeEngine<'r> {
 
     /// `GE(r, σ)` materialized for witness paths, built on first use and
     /// kept in the state.
-    fn witness_graph(&self) -> &WitnessGraph {
+    fn witness_graph(&self) -> &ClosedGraph {
         self.state
             .witness
             .get_or_init(|| Box::new(self.ge().witness_graph(self.run)))
@@ -916,7 +916,7 @@ impl<'r> KnowledgeEngine<'r> {
                     // base, the one traversal that keeps predecessors.
                     let j = t2c.path().procs()[k + 1];
                     let ge = self.witness_graph();
-                    let lp = ge.longest_from(ExtVertex::Node(t1c.base()))?;
+                    let lp = ge.tree(ExtVertex::Node(t1c.base()))?;
                     let idx = ge.index_of(ExtVertex::Aux(j)).expect("every process has ψ");
                     let edges = lp.path(idx).ok_or_else(|| CoreError::InvalidTiming {
                         detail: "ψ binding but unreachable — model bug".into(),
@@ -983,7 +983,7 @@ impl<'r> KnowledgeEngine<'r> {
     /// Longest `GE` path between two vertices converted to a zigzag.
     fn ge_path_zigzag(&self, from: NodeId, to: ExtVertex) -> Result<ZigzagPattern, CoreError> {
         let ge = self.witness_graph();
-        let lp = ge.longest_from(ExtVertex::Node(from))?;
+        let lp = ge.tree(ExtVertex::Node(from))?;
         let idx = ge.index_of(to).ok_or_else(|| CoreError::InvalidTiming {
             detail: "target vertex missing from GE — model bug".into(),
         })?;
@@ -1075,7 +1075,10 @@ impl<'r> KnowledgeEngine<'r> {
             }
             return self.fast_run_with_extension(&t1c, 0, extra).map(Some);
         }
-        let gamma = (u2 as i64 - l1 as i64 - x).max(0) as u64;
+        // γ = max(0, U(p2) − L(p1) − x), exact in i128; one too large for
+        // the fast timing meets its range check.
+        let gamma = (i128::from(u2) - i128::from(l1) - i128::from(x)).max(0);
+        let gamma = u64::try_from(gamma).unwrap_or(u64::MAX);
         self.fast_run_with_extension(&t1c, gamma, extra).map(Some)
     }
 }
@@ -1383,6 +1386,18 @@ mod tests {
             .unwrap();
         validate_run(&fr.run, Strictness::Strict).unwrap();
         assert!(!satisfies(&fr.run, &theta_sigma, &theta_d, -1000).unwrap());
+        // No claim wraps at either end of i64: refuting at x = i64::MIN
+        // needs a γ past any representable timing, and no gap reaches
+        // i64::MAX.
+        assert!(matches!(
+            engine.refute(&theta_sigma, &theta_d, i64::MIN),
+            Err(CoreError::ParameterOutOfRange {
+                parameter: "gamma",
+                ..
+            })
+        ));
+        assert!(!satisfies(&run, &theta_d, &theta_sigma, i64::MAX).unwrap());
+        assert!(satisfies(&run, &theta_sigma, &theta_d, i64::MIN).unwrap());
         // The reverse direction *is* known: σ_D precedes σ by ≥ L_DB + 1.
         assert_eq!(engine.max_x(&theta_d, &theta_sigma).unwrap(), Some(3));
     }

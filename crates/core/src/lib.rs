@@ -10,8 +10,8 @@
 //!   their weights (Definitions 5–6);
 //! * [`precedence`] — the timed-precedence relation `θ --x--> θ'`;
 //! * [`graph`] — a weighted digraph with longest-path computation
-//!   (queue-based Bellman–Ford over a frozen CSR form; bounds graphs have
-//!   no positive cycles) and per-source memoization of results;
+//!   (queue-based Bellman–Ford over its adjacency rows; bounds graphs
+//!   have no positive cycles) and per-source memoization of results;
 //! * [`bounds_graph`] — the basic bounds graph `GB(r)` and its local
 //!   restriction `GB(r, σ)` (Definitions 8, 14);
 //! * [`extended_graph`] — the extended local bounds graph `GE(r, σ)` with

@@ -72,7 +72,9 @@ pub fn satisfies(
         }
         Err(_) => return Ok(false),
     };
-    Ok(t1.ticks() as i64 + x <= t2.ticks() as i64)
+    // Compare the gap with `x`, never add `x` to a time.
+    let gap = i128::from(t2.ticks()) - i128::from(t1.ticks());
+    Ok(gap >= i128::from(x))
 }
 
 /// The exact separation `time_r(θ2) − time_r(θ1)`, i.e. the largest `x`

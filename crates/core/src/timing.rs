@@ -267,7 +267,7 @@ pub fn fast_timing(
     for (vi, tf) in times.iter().enumerate() {
         let tf = tf.ticks() as i64;
         let mut violated = None;
-        walk.scan(vi, Direction::Forward, |to, weight, _| {
+        walk.scan(vi, Direction::Forward, |to, weight, _, _| {
             let tt = times[to].ticks() as i64;
             if weight > tt - tf && violated.is_none() {
                 violated = Some((to, weight, tt));

@@ -1,8 +1,8 @@
 //! Scaling the streaming facade: a 256-process feedback ring served
 //! append-by-append.
 //!
-//! The layout rewrite of the SPFA hot core (SoA CSR, sentinel-coded
-//! scratch arenas, u32 interior ids, delta relaxation) is aimed at runs
+//! The layout of the SPFA hot core (sentinel-coded scratch arenas, u32
+//! interior ids, delta relaxation over live rows) is aimed at runs
 //! whose graphs grow to hundreds of processes while appends stay
 //! µs-scale. This example makes that visible from the public entry
 //! point: a bidirectional ring of n = 256 processes — every process

@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "GB(r): {} vertices, {} edges · GE(r, {sigma}): {} vertices, {} edges",
         gb.node_count(),
         gb.edge_count(),
-        ge.graph().vertex_count(),
-        ge.graph().edge_count(),
+        ge.vertex_count(),
+        ge.edge_count(),
     );
     println!("render with: dot -Tsvg target/figures/ge.dot -o ge.svg");
 

@@ -114,7 +114,7 @@ fn figure_exports_cover_the_run() {
     let ge = ExtendedGraph::new(&run, sigma);
     let ge_dot = dot::extended_graph_dot(&ge, &run);
     assert_eq!(ge_dot.matches("shape=diamond").count(), 5); // one ψ per process
-    assert_eq!(ge_dot.matches(" -> ").count(), ge.graph().edge_count());
+    assert_eq!(ge_dot.matches(" -> ").count(), ge.edge_count());
 
     // The ASCII diagram shows every process and every delivered message.
     let art = diagram::render(&run);

@@ -1,6 +1,6 @@
 //! Property tests for the shared-analysis graph layer: the memoized
-//! cached-CSR longest-path results must be indistinguishable from a fresh
-//! SPFA and from the dense Bellman–Ford reference on random inputs, and
+//! longest-path results must be indistinguishable from a fresh SPFA and
+//! from the dense Bellman–Ford reference on random inputs, and
 //! the positive-cycle error path must fire identically in all three.
 
 use proptest::prelude::*;

@@ -58,11 +58,11 @@
 //! Since the SoA layout rewrite of the SPFA hot core (PR 6), a
 //! **layout tier** pins the rewritten data path directly at sizes where
 //! the layout matters: random raw graphs at n ∈ {64, 256} hold the cold
-//! SPFA, the memoized hit, and the `spfa_delta` catch-up to a textbook
-//! dense Bellman–Ford — per-vertex weights, positive-cycle verdicts, and
-//! predecessor paths that re-walk real edges and sum to the reported
-//! weight — and a counting-allocator test asserts the warm memoized
-//! query loop performs zero heap allocations.
+//! SPFA, the memoized hit, and the append-log catch-up, forward and
+//! backward, to a textbook dense Bellman–Ford — per-vertex weights,
+//! positive-cycle verdicts, and predecessor paths that re-walk real
+//! edges and sum to the reported weight — and a counting-allocator test
+//! asserts the warm memoized query loop performs zero heap allocations.
 //!
 //! A **bulk-builder tier** holds the one-pass graph builders to the naive
 //! Definition 16 graph itself, on the first block's cases: the
@@ -323,13 +323,12 @@ fn naive_fast_timing(
 
 /// Sorted `(other endpoint, weight)` multiset of one adjacency row.
 fn row_multiset(
-    g: &WeightedDigraph<ExtVertex>,
-    edges: &[Edge],
+    g: &ExtendedGraph,
+    edges: impl Iterator<Item = Edge>,
     outgoing: bool,
 ) -> Vec<(ExtVertex, i64)> {
     let mut row: Vec<(ExtVertex, i64)> = edges
-        .iter()
-        .map(|e| (*g.vertex(if outgoing { e.to } else { e.from }), e.weight))
+        .map(|e| (g.vertex(if outgoing { e.to } else { e.from }), e.weight))
         .collect();
     row.sort_unstable();
     row
@@ -370,13 +369,12 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
         let naive = naive_ge(run, sigma, exclude);
         let naive_rev = reversed(&naive);
         let f = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
-        let ge = ExtendedGraph::with_exclusion(run, sigma, exclude);
-        let g = ge.graph();
-        let vertices: BTreeSet<ExtVertex> = g.vertices().copied().collect();
+        let g = &ExtendedGraph::with_exclusion(run, sigma, exclude);
+        let vertices: BTreeSet<ExtVertex> = (0..g.vertex_count()).map(|i| g.vertex(i)).collect();
         assert_eq!(vertices, naive.vertices, "GE vertex set at {sigma}");
         assert_eq!(g.vertex_count(), naive.vertices.len(), "duplicate vertices");
         for &v in &naive.vertices {
-            let i = g.index_of(&v).expect("vertex sets agree");
+            let i = g.index_of(v).expect("vertex sets agree");
             assert_eq!(
                 row_multiset(g, g.edges_from(i), true),
                 sorted(naive.edges.get(&v)),
@@ -419,28 +417,24 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                     "out-row of {v} at {sigma} ({what}, {mode:?})"
                 );
             }
-            let lanes_match = |lane: &Distances, dense: Vec<Option<i64>>, dir: &str| {
-                for (i, want) in dense.into_iter().enumerate() {
-                    assert_eq!(view.vertex(i), *g.vertex(i), "layouts agree");
+            let lanes_match = |lane: &Distances, dense: &BTreeMap<ExtVertex, i64>, dir: &str| {
+                for i in 0..g.vertex_count() {
+                    assert_eq!(view.vertex(i), g.vertex(i), "layouts agree");
                     assert_eq!(
                         lane.weight(i),
-                        want,
+                        dense.get(&g.vertex(i)).copied(),
                         "{dir} lane at {} (σ = {sigma}, {what}, {mode:?})",
                         g.vertex(i)
                     );
                 }
             };
             let observer = ExtVertex::Node(sigma);
-            lanes_match(
-                &view.distances_to(observer).unwrap(),
-                g.longest_to_dense(&observer).unwrap(),
-                "backward",
-            );
+            lanes_match(&view.distances_to(observer).unwrap(), &f, "backward");
             for &anchor in &anchors {
                 let anchor = ExtVertex::Node(anchor);
                 lanes_match(
                     &view.distances_from(anchor).unwrap(),
-                    g.longest_from_dense(&anchor).unwrap(),
+                    &naive_longest_from(&naive, anchor),
                     "forward",
                 );
             }
@@ -1227,9 +1221,9 @@ fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
 }
 
 // ---------------------------------------------------------------------------
-// Layout tier (PR 6): the SoA SPFA hot core — cold, memoized, and
-// delta-relaxed — against a textbook dense Bellman–Ford on raw edge
-// lists, at sizes where the u32/SoA layout actually matters.
+// Layout tier (PR 6): the SPFA hot core — cold, memoized, and
+// delta-relaxed, in both directions — against a textbook dense
+// Bellman–Ford on raw edge lists, at sizes where the layout matters.
 // ---------------------------------------------------------------------------
 
 /// Textbook longest-path Bellman–Ford over a raw edge list: `n − 1`
@@ -1268,13 +1262,15 @@ fn naive_longest_paths(
 /// Holds one engine answer (cold, memoized hit, or delta catch-up) to
 /// the naive reference: same positive-cycle verdict, same per-vertex
 /// weight, and for every reachable vertex a predecessor path that walks
-/// real edges of the graph from `src` and sums to the reported weight.
+/// real edges of the graph and sums to the reported weight — from `src`
+/// to the vertex, or `backward` from the vertex to `src`.
 fn assert_matches_naive(
     g: &WeightedDigraph<usize>,
-    got: &Result<Arc<LongestPaths>, CoreError>,
+    got: Result<&LongestPaths, &CoreError>,
     naive: &Result<Vec<Option<i64>>, ()>,
     n: usize,
     src: usize,
+    backward: bool,
     stage: &str,
 ) {
     match (naive, got) {
@@ -1295,18 +1291,19 @@ fn assert_matches_naive(
                     );
                     continue;
                 };
-                let mut at = src;
+                let (start, end) = if backward { (i, src) } else { (src, i) };
+                let mut at = start;
                 let mut total = 0i64;
                 for e in &path {
-                    assert_eq!(e.from, at, "{stage}: path to {i} is not a walk");
+                    assert_eq!(e.from, at, "{stage}: path at {i} is not a walk");
                     assert!(
                         g.edges_from(e.from).contains(e),
-                        "{stage}: path to {i} uses an edge not in the graph"
+                        "{stage}: path at {i} uses an edge not in the graph"
                     );
                     total += e.weight;
                     at = e.to;
                 }
-                assert_eq!(at, i, "{stage}: path does not end at {i}");
+                assert_eq!(at, end, "{stage}: path at {i} does not end at {end}");
                 assert_eq!(
                     Some(total),
                     expected,
@@ -1325,12 +1322,13 @@ fn assert_matches_naive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The rewritten SoA SPFA (cold and memoized) and `spfa_delta` (the
-    /// append-log catch-up) answer exactly like the textbook dense
-    /// Bellman–Ford on random raw graphs at n ∈ {64, 256} — weights,
-    /// predecessor paths, and positive-cycle verdicts. (The distance
-    /// traversals over rows are held to the same reference on the same
-    /// kind of graphs by `zigzag-core`'s graph unit tests.)
+    /// The label-correcting traversal — cold and memoized, and as the
+    /// append-log catch-up — answers exactly like the textbook dense
+    /// Bellman–Ford on random raw graphs at n ∈ {64, 256}, in both
+    /// directions — weights, predecessor paths, and positive-cycle
+    /// verdicts; backward against the reference over reversed edges.
+    /// (The distance traversals over rows are held to the same reference
+    /// on the same kind of graphs by `zigzag-core`'s graph unit tests.)
     #[test]
     fn layout_spfa_and_delta_match_dense_bellman_ford(
         big in any::<bool>(),
@@ -1360,6 +1358,9 @@ proptest! {
             edges.push((u, v, w));
         }
         let src = src_pick as usize % n;
+        let reversed = |edges: &[(usize, usize, i64)]| -> Vec<(usize, usize, i64)> {
+            edges.iter().map(|&(u, v, w)| (v, u, w)).collect()
+        };
 
         // Stream the first half in and query: a cold SPFA that seeds the
         // memo. (On a positive-cycle verdict the memo entry is dropped,
@@ -1370,18 +1371,28 @@ proptest! {
         }
         let naive_half = naive_longest_paths(n, &edges[..half], src);
         let cold = g.longest_from_cached(&src);
-        assert_matches_naive(&g, &cold, &naive_half, n, src, "prefix");
+        assert_matches_naive(&g, cold.as_deref(), &naive_half, n, src, false, "prefix");
         drop(cold);
+        let naive_half_to = naive_longest_paths(n, &reversed(&edges[..half]), src);
+        let cold_to = g.longest_to_cached(&src);
+        assert_matches_naive(&g, cold_to.as_deref(), &naive_half_to, n, src, true, "prefix to");
+        drop(cold_to);
 
-        // Append the rest and re-query: the memoized result catches up
-        // over the append log via `spfa_delta`.
+        // Append the rest and re-query: the memoized results catch up
+        // over the append log.
         for (i, &(u, v, w)) in edges[half..].iter().enumerate() {
             g.add_edge(u, v, w, (half + i) as u32);
         }
         let naive_full = naive_longest_paths(n, &edges, src);
         let delta = g.longest_from_cached(&src);
-        assert_matches_naive(&g, &delta, &naive_full, n, src, "delta");
+        assert_matches_naive(&g, delta.as_deref(), &naive_full, n, src, false, "delta");
         drop(delta);
+        let naive_full_to = naive_longest_paths(n, &reversed(&edges), src);
+        let delta_to = g.longest_to_cached(&src);
+        assert_matches_naive(&g, delta_to.as_deref(), &naive_full_to, n, src, true, "delta to");
+        drop(delta_to);
+        let fresh_to = g.longest_to(&src);
+        assert_matches_naive(&g, fresh_to.as_ref(), &naive_full_to, n, src, true, "fresh to");
 
         // A fresh unmemoized SPFA and the in-tree dense ablation
         // baseline agree on the final graph too.
@@ -1406,10 +1417,10 @@ proptest! {
 }
 
 /// The warm memoized query loop is allocation-free: after the first
-/// `longest_from_cached` builds the CSR, runs SPFA, and grows the shared
-/// scratch arena, every later hit on the unmodified graph is a lock, a
-/// hash probe, and a refcount bump — zero heap traffic, counted by the
-/// thread-local [`CountingAlloc`] this test binary installs.
+/// `longest_from_cached` runs SPFA and grows the shared scratch arena,
+/// every later hit on the unmodified graph is a lock, a hash probe, and
+/// a refcount bump — zero heap traffic, counted by the thread-local
+/// [`CountingAlloc`] this test binary installs.
 #[test]
 fn warm_query_loop_allocates_nothing() {
     let mut g: WeightedDigraph<usize> = WeightedDigraph::new();

@@ -465,6 +465,26 @@ fn appends_naming_processes_beyond_u32_are_refused() {
     }
 }
 
+/// An `Import` frame whose snapshot declares a channel bound above
+/// `MAX_BOUND`, which no edge weight can carry, is a wire error: served,
+/// it answers the frame's decode error document and opens no session.
+#[test]
+fn imports_with_bounds_beyond_the_cap_are_refused() {
+    let service = ZigzagService::new();
+    let session = service.open_batch(tri_run(2, 30), SessionConfig::new());
+    let Response::Exported(snap) = service.dispatch(session, &Query::Export).unwrap() else {
+        panic!("export answers Exported");
+    };
+    let frame = serve::encode_frame(session, &Query::Import(snap));
+    assert!(frame.contains("chan 0 1 2 5\n"));
+    let hostile = frame.replacen("chan 0 1 2 5\n", "chan 0 1 2 9223372036854775808\n", 1);
+    let err = serve::decode_frame(&hostile).unwrap_err();
+    assert!(matches!(err, Error::Wire { .. }), "{err}");
+    let served = serve::serve(&service, &[hostile], 1);
+    assert_eq!(served, vec![serve::encode_error(&err)]);
+    assert_eq!(service.session_count(), 1);
+}
+
 /// A coordination spec whose `B` is not a process of the run decides
 /// nothing: a batch session opened over the run and a stream session fed
 /// it both answer `CoordDecision` with no `first_known`.
