@@ -1,22 +1,18 @@
 //! Session and serving configuration: cache policy, probe semantics,
 //! coordination spec, and the socket front end's transport knobs.
 //!
-//! Three previously-internal scaling knobs become explicit API here:
+//! A session has two knobs:
 //!
 //! * the **LRU bound** on per-observer analysis states — a serving
 //!   deployment querying millions of observers per stream must not hold
-//!   one warm `ObserverState` per observer forever;
-//! * **append-log compaction** — the graph layer keeps a catch-up log of
-//!   appended edges while memoized longest-path results exist; a very
-//!   long stream carries O(edges) log memory unless it is periodically
-//!   settled and reclaimed;
+//!   one warm `ObserverState` per observer forever. Only queries fill
+//!   the cache: a coordination decision builds its state and drops it.
+//!   The bound is a policy, not semantics: any bound answers every query
+//!   byte-identically to the unbounded default (pinned by the LRU tests)
+//!   and trades memory against rebuild cost only;
 //! * **probe semantics** — whether coordination decisions at a node see
 //!   the node's own FFIP sends (see
 //!   [`zigzag_coord::stream::ProbeSemantics`]).
-//!
-//! All three are policies, not semantics: any configuration answers every
-//! query byte-identically to the unbounded default (pinned by the LRU and
-//! compaction tests); the knobs trade memory against rebuild cost only.
 
 use std::time::Duration;
 
@@ -31,14 +27,10 @@ pub struct CachePolicy {
     /// least-recently-used; an evicted observer's next query rebuilds a
     /// state that answers byte-identically.
     pub max_observers: Option<usize>,
-    /// Compact the stream's graph append-log every this many appends
-    /// (`None` = never, the default). Compaction settles the memoized
-    /// longest-path results and reclaims the log; answers are unaffected.
-    pub compact_every: Option<u64>,
 }
 
 impl CachePolicy {
-    /// The unbounded default (everything kept warm, no compaction) — the
+    /// The unbounded default (every queried observer kept warm) — the
     /// pre-facade engine behavior.
     pub fn unbounded() -> Self {
         CachePolicy::default()
@@ -49,19 +41,13 @@ impl CachePolicy {
         self.max_observers = Some(cap);
         self
     }
-
-    /// Enables periodic append-log compaction (builder style).
-    pub fn compact_every(mut self, appends: u64) -> Self {
-        self.compact_every = Some(appends.max(1));
-        self
-    }
 }
 
 /// Per-session configuration carried by every [`crate::ZigzagService`]
 /// session handle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionConfig {
-    /// The cache policy (LRU bound + compaction cadence).
+    /// The observer-cache policy (the LRU bound).
     pub cache: CachePolicy,
     /// Probe semantics for coordination decisions. The default,
     /// [`ProbeSemantics::IncludeOwnSends`], is the paper's `GE(r, σ)`

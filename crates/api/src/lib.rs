@@ -13,9 +13,9 @@
 //!
 //! Sessions carry an explicit [`SessionConfig`]:
 //!
-//! * [`CachePolicy`] — an LRU bound on warm per-observer analysis states
-//!   plus periodic mid-stream append-log compaction (memory knobs for
-//!   serving deployments; answers are byte-identical under any policy);
+//! * [`CachePolicy`] — an LRU bound on the warm per-observer analysis
+//!   states queries build (a memory knob for serving deployments; answers
+//!   are byte-identical under any bound);
 //! * [`ProbeSemantics`] — whether coordination decisions at a node see
 //!   the node's own FFIP sends;
 //! * an optional [`TimedCoordination`] spec enabling

@@ -180,8 +180,8 @@ impl StreamSession {
 
     /// Opens a session over an engine holding a prefix nobody recorded a
     /// decision state for. With a spec, the coordination progress is
-    /// decided once, here, under the session's cache policy, so its
-    /// decision states stay warm in the session's observer LRU.
+    /// decided once, here; each decision's state is dropped after it, so
+    /// the session opens with an empty observer cache.
     fn of_prefix(engine: IncrementalEngine, config: SessionConfig) -> Self {
         Self::assemble(config, engine, |spec, engine, probe| {
             // The progress walk decides at the prefix's own `B`-nodes
@@ -205,9 +205,8 @@ impl StreamSession {
         })
     }
 
-    /// Applies `config`'s observer cap to `engine` — before `driver`
-    /// runs, so any decision states it builds are kept under the cap —
-    /// and wraps it in a coordination driver when `config` has a spec.
+    /// Applies `config`'s observer cap to `engine` and wraps it in a
+    /// coordination driver when `config` has a spec.
     fn assemble(
         config: SessionConfig,
         mut engine: IncrementalEngine,
@@ -284,8 +283,7 @@ impl StreamSession {
     }
 
     /// Appends one event, evaluating the coordination decision when a
-    /// spec is configured, and running the cache policy's periodic
-    /// append-log compaction.
+    /// spec is configured.
     ///
     /// # Errors
     ///
@@ -297,7 +295,7 @@ impl StreamSession {
         let mut inner = self.inner.write().map_err(|_| Error::Internal {
             detail: "stream session poisoned by a panicked append".into(),
         })?;
-        let report = match &mut *inner {
+        Ok(match &mut *inner {
             StreamInner::Plain(engine) => {
                 let node = engine.append_event(ev)?;
                 AppendReport {
@@ -314,15 +312,7 @@ impl StreamSession {
                     b_knows: step.b_knows,
                 }
             }
-        };
-        // A restored prefix's events count as appended, so compaction
-        // keeps the cadence of a session that streamed them itself.
-        if let Some(every) = self.config.cache.compact_every {
-            if (inner.engine().event_count() as u64).is_multiple_of(every) {
-                inner.engine().compact()?;
-            }
-        }
-        Ok(report)
+        })
     }
 
     /// Answers one query on the current prefix (shared read access).

@@ -27,20 +27,27 @@
 //! against the data actually present, no panics on arbitrary bytes):
 //!
 //! ```text
-//! zigzag-log v1                 zigzag-snap v1
+//! zigzag-log v2                 zigzag-snap v2
 //! probe include                 events 12
-//! cache . 32                    probe include
-//! spec late 4 1 2 0 go a b      cache . 32
+//! cache 32                      probe include
+//! spec late 4 1 2 0 go a b      cache 32
 //! run 5                         spec late 4 1 2 0 go a b
 //! zigzag-run v1                 coord 2 3 0 1
 //! horizon 40                    observers 1
-//! proc 0 C                      obs 2 3 full
+//! proc 0 C                      obs 2 3
 //! proc 1 A                      run 31
 //! chan 0 1 2 5                  zigzag-run v1
 //! ev 0 3 1 ego 1 1 8 0          ...(the skeleton document)
 //! ev 1 8 1 m0 0 1 act           ev 0 3 1 ego 1 1 8 0
 //!                               ...(`events` many `ev` lines)
 //! ```
+//!
+//! The `cache` line holds the observer cap (`.` = unbounded), and each
+//! `obs` line an observer whose state the session's cache held — the
+//! warm-set manifest, which lists query states only (coordination
+//! decisions keep none). Version 1 documents, whose `cache` line also
+//! carried a compaction cadence and whose `obs` lines a mode column, are
+//! refused, and recovery leaves their files as they are.
 //!
 //! Both headers embed the session's *skeleton* run (context + horizon,
 //! no events) through `bcm::codec`, then carry one `ev` line per event
@@ -117,7 +124,6 @@ use zigzag_bcm::stream::{RunEvent, StreamingRun};
 use zigzag_bcm::{Context, NodeId, ProcessId, Run, RunCursor, Time};
 use zigzag_coord::{CoordKind, ProbeSemantics, TimedCoordination};
 use zigzag_core::incremental::IncrementalEngine;
-use zigzag_core::knowledge::ObserverMode;
 
 use crate::config::{CachePolicy, SessionConfig};
 use crate::error::Error;
@@ -125,10 +131,12 @@ use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
 use crate::session::{AppendReport, StreamSession};
 
-/// Version header of the per-session event log.
-pub const LOG_HEADER: &str = "zigzag-log v1";
-/// Version header of the session snapshot / migration document.
-pub const SNAP_HEADER: &str = "zigzag-snap v1";
+/// Version header of the per-session event log. Version 1 logs are
+/// refused (see the [module docs](self)).
+pub const LOG_HEADER: &str = "zigzag-log v2";
+/// Version header of the session snapshot / migration document. Version
+/// 1 documents are refused.
+pub const SNAP_HEADER: &str = "zigzag-snap v2";
 
 fn bad(line: usize, detail: impl Into<String>) -> Error {
     Error::Store {
@@ -225,8 +233,9 @@ pub struct SessionSnapshot {
     pub first_known: Option<NodeId>,
     /// The coordination driver's trigger node `σ_C`, if seen.
     pub sigma_c: Option<NodeId>,
-    /// The `(observer, mode)` warm-set manifest.
-    pub observers: Vec<(NodeId, ObserverMode)>,
+    /// The warm-set manifest: the observers whose query states the
+    /// session's cache held.
+    pub observers: Vec<NodeId>,
     /// The grown run prefix, context included.
     pub run: Run,
 }
@@ -241,13 +250,8 @@ fn push_config_lines(out: &mut String, config: &SessionConfig) {
         ProbeSemantics::ExcludeOwnSends => "exclude",
     };
     let _ = writeln!(out, "probe {probe}");
-    let opt = |v: Option<u64>| v.map_or(".".to_string(), |n| n.to_string());
-    let _ = writeln!(
-        out,
-        "cache {} {}",
-        opt(config.cache.max_observers.map(|n| n as u64)),
-        opt(config.cache.compact_every)
-    );
+    let cap = config.cache.max_observers;
+    let _ = writeln!(out, "cache {}", cap.map_or(".".into(), |n| n.to_string()));
     match &config.spec {
         None => {
             let _ = writeln!(out, "spec .");
@@ -294,8 +298,8 @@ impl<'a> Doc<'a> {
             .ok_or_else(|| bad(self.no, format!("missing {what}")))
     }
 
-    /// Remaining lines, O(1) — for validating claimed counts *before*
-    /// allocating or consuming.
+    /// Remaining lines, counted by scanning them — for validating claimed
+    /// counts *before* allocating or consuming.
     fn remaining(&self) -> usize {
         self.lines.clone().count()
     }
@@ -317,14 +321,6 @@ fn parse_num<T: TryFrom<u64>>(doc_line: usize, t: &str, what: &str) -> Result<T,
         .map_err(|_| bad(doc_line, format!("{what} {t:?} out of range")))
 }
 
-fn parse_opt<T: TryFrom<u64>>(doc_line: usize, t: &str, what: &str) -> Result<Option<T>, Error> {
-    if t == "." {
-        Ok(None)
-    } else {
-        parse_num(doc_line, t, what).map(Some)
-    }
-}
-
 /// Parses the `probe` / `cache` / `spec` line triple.
 fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
     let line = doc.next("probe line")?;
@@ -335,13 +331,14 @@ fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
     };
 
     let line = doc.next("cache line")?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.len() != 3 || toks[0] != "cache" {
+    let ["cache", cap] = line.split_whitespace().collect::<Vec<_>>()[..] else {
         return Err(bad(doc.no, format!("bad cache line {line:?}")));
-    }
+    };
     let cache = CachePolicy {
-        max_observers: parse_opt(doc.no, toks[1], "observer cap")?,
-        compact_every: parse_opt(doc.no, toks[2], "compaction cadence")?,
+        max_observers: match cap {
+            "." => None,
+            n => Some(parse_num(doc.no, n, "observer cap")?),
+        },
     };
 
     let line = doc.next("spec line")?;
@@ -441,7 +438,7 @@ fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     codec::decode(&text).map_err(|e| bad(doc.no, format!("embedded run: {e}")))
 }
 
-/// Encodes a [`SessionSnapshot`] into the `zigzag-snap v1` document:
+/// Encodes a [`SessionSnapshot`] into the `zigzag-snap v2` document:
 /// metadata, the embedded skeleton, then one `ev` line per prefix event
 /// (see the [module docs](self)).
 pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
@@ -455,12 +452,8 @@ pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
     push_opt_node(&mut out, snap.sigma_c);
     out.push('\n');
     let _ = writeln!(out, "observers {}", snap.observers.len());
-    for (sigma, mode) in &snap.observers {
-        let mode = match mode {
-            ObserverMode::Full => "full",
-            ObserverMode::ExcludeOwnSends => "exclude",
-        };
-        let _ = writeln!(out, "obs {} {} {mode}", sigma.proc().index(), sigma.index());
+    for sigma in &snap.observers {
+        let _ = writeln!(out, "obs {} {}", sigma.proc().index(), sigma.index());
     }
     push_run_lines(&mut out, &skeleton);
     let mut cursor = RunCursor::new(&snap.run);
@@ -471,7 +464,7 @@ pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
     out
 }
 
-/// Decodes a `zigzag-snap v1` document.
+/// Decodes a `zigzag-snap v2` document.
 ///
 /// # Errors
 ///
@@ -519,23 +512,13 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
     let mut observers = Vec::with_capacity(k);
     for _ in 0..k {
         let line = doc.next("obs line")?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let [tag, p, i, mode] = toks.as_slice() else {
+        let ["obs", p, i] = line.split_whitespace().collect::<Vec<_>>()[..] else {
             return Err(bad(doc.no, format!("bad obs line {line:?}")));
         };
-        if *tag != "obs" {
-            return Err(bad(doc.no, format!("bad obs line {line:?}")));
-        }
-        let sigma = NodeId::new(
+        observers.push(NodeId::new(
             ProcessId::new(parse_num(doc.no, p, "observer process")?),
             parse_num(doc.no, i, "observer index")?,
-        );
-        let mode = match *mode {
-            "full" => ObserverMode::Full,
-            "exclude" => ObserverMode::ExcludeOwnSends,
-            other => return Err(bad(doc.no, format!("bad observer mode {other:?}"))),
-        };
-        observers.push((sigma, mode));
+        ));
     }
 
     let skeleton = parse_run_lines(&mut doc)?;
@@ -605,10 +588,10 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Erro
     }
     let engine = IncrementalEngine::from_prefix(snap.run);
     if warm {
-        for (sigma, mode) in &snap.observers {
+        for &sigma in &snap.observers {
             // Warmth is answer-invariant; a manifest entry naming a node
             // outside the prefix (hostile input) is simply skipped.
-            let _ = engine.engine_mode(*sigma, *mode);
+            let _ = engine.engine(sigma);
         }
     }
     Ok(StreamSession::resume(
@@ -958,15 +941,11 @@ impl SessionStore {
     /// # Errors
     ///
     /// Fails with [`Error::Store`] if the log is missing or its header
-    /// (through the embedded skeleton run) is unreadable — without a
-    /// context there is no last-good state to recover to.
+    /// (through the embedded skeleton run) is unreadable or of another
+    /// version — without a context there is no last-good state to
+    /// recover to. A refused log's files are left as they are.
     pub fn recover(&self, service: &ZigzagService, name: &str) -> Result<Recovered, Error> {
         validate_name(name)?;
-        // Sweep the snapshot temp file a crash between tmp write and
-        // rename leaves behind: it is at best a complete snapshot that
-        // was never installed, at worst a torn one — either way the
-        // durable state is the installed snapshot + log, never the tmp.
-        let _ = fs::remove_file(self.root.join(format!("{name}.snap.tmp")));
         let log_path = self.log_path(name);
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
         let mut snapshot = fs::read(self.snap_path(name))
@@ -1024,6 +1003,12 @@ impl SessionStore {
                     .map_err(|e| io_err("truncating log", &log_path, e))?;
             }
 
+            // Sweep the snapshot temp file a crash between tmp write and
+            // rename leaves behind: it is at best a complete snapshot that
+            // was never installed, at worst a torn one — either way the
+            // durable state is the installed snapshot + log, never the
+            // tmp. A log this store refuses keeps its files as they are.
+            let _ = fs::remove_file(self.root.join(format!("{name}.snap.tmp")));
             let events = session.event_count()? as u64;
             let id = service.install(session);
             self.lock().insert(
@@ -1330,7 +1315,7 @@ mod tests {
         let run = fig_run();
         let service = ZigzagService::new();
         let config = coord_config()
-            .cache(CachePolicy::default().max_observers(8).compact_every(3))
+            .cache(CachePolicy::default().max_observers(8))
             .probe(ProbeSemantics::ExcludeOwnSends);
         let mut spec_config = config.clone();
         if let Some(spec) = spec_config.spec.as_mut() {
@@ -1387,7 +1372,7 @@ mod tests {
         // Targeted malformations.
         let tamper = |from: &str, to: &str| good.replacen(from, to, 1);
         for doc in [
-            tamper("zigzag-snap v1", "zigzag-snap v2"),
+            tamper(SNAP_HEADER, "zigzag-snap v1"),
             tamper("events ", "events x"),
             // Overclaimed counts must be refused before allocation.
             tamper("observers ", "observers 4000000000 "),
@@ -1403,7 +1388,7 @@ mod tests {
             );
         }
         assert!(decode_snapshot("").is_err());
-        assert!(decode_snapshot("zigzag-snap v1").is_err());
+        assert!(decode_snapshot(SNAP_HEADER).is_err());
     }
 
     /// A spec naming a process outside the embedded run's network is
@@ -1415,7 +1400,10 @@ mod tests {
         let run = fig_run();
         let service = ZigzagService::new();
         let (id, _) = service.open_replay(&run, coord_config()).unwrap();
+        // A queried observer gives the manifest its `obs` line.
+        service.dispatch(id, &probes(&run)[0]).unwrap();
         let snap = service.export(id).unwrap();
+        assert_eq!(snap.observers.len(), 1);
         let good = encode_snapshot(&snap);
         assert_eq!(decode_snapshot(&good).unwrap(), snap);
 

@@ -19,12 +19,12 @@
 //!   `h`: append every event of a recorded schedule and answer
 //!   `CoordDecision` after each one. Warm = the serving path (a
 //!   spec-configured stream session whose driver decides each new
-//!   `B`-node on the incremental engine's **cached** own-sends-excluded
-//!   state, one build per `(stream, σ)`). Rebuild = the batch helper per
+//!   `B`-node once, on an own-sends-excluded view of the session's
+//!   `GB(r)` that it then drops). Rebuild = the batch helper per
 //!   poll (`first_knowledge`: one fresh own-sends-excluded `GE` per
-//!   `B`-node, per append) — the only way to
-//!   serve this online before the warm exclude-mode cache. The gap
-//!   widens with the length of `B`'s timeline; CI gates ≥ 5×.
+//!   `B`-node, per append) — the only way to serve this online before
+//!   decisions ran on the session graph. The gap widens with the length
+//!   of `B`'s timeline; CI gates ≥ 5×.
 //! * `serve/append-delta/n` vs `serve/append-rebuild/n` — the PR 3/4
 //!   streaming delta loop, re-recorded through the (now sharded) facade
 //!   for regression tracking against `BENCH_pr3.json`/`BENCH_pr4.json`;

@@ -13,8 +13,9 @@
 //!   schedules on a feedback topology (`B` has outgoing channels,
 //!   including a `B ⇄ D` cycle) through a spec-configured
 //!   `ExcludeOwnSends` stream session, every per-event `B` decision —
-//!   served from the incremental engine's cached own-sends-excluded
-//!   observer states — equals a fresh per-prefix rebuild
+//!   made on an own-sends-excluded view of the session's `GB(r)`, which
+//!   the report still calls a cached decision state — equals a fresh
+//!   per-prefix rebuild
 //!   (`decide_at`: a new excluded `GE`), and the final
 //!   `CoordDecision` equals the in-simulation protocol's action node;
 //! * **V3 — serving observability (PR 7)**: after a warm frame mix, a

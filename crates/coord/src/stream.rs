@@ -32,10 +32,15 @@
 //! coincide exactly; both are sound either way, since extra own-send
 //! evidence is evidence `B` legitimately has.
 //!
-//! Every decision state, warm or fresh ([`decide_at`],
-//! [`first_knowledge`]), reads the sends in σ's past from the run's own
-//! message records; nothing indexes the run for it. A spec whose `B` is
-//! not a process of the run has no `B`-nodes, so every verdict abstains.
+//! The driver decides once per `B`-node, on a view of the stream's own
+//! `GB(r)` built for that decision and dropped after it
+//! ([`IncrementalEngine::uncached_engine`]): the engine's observer cache
+//! keeps only the states queries read. The fresh references
+//! ([`decide_at`], [`first_knowledge`]) build a standalone state per
+//! decision instead. Either reads the sends in σ's past from the run's
+//! own message records; nothing indexes the run for it. A spec whose `B`
+//! is not a process of the run has no `B`-nodes, so every verdict
+//! abstains.
 
 use std::sync::Arc;
 
@@ -64,7 +69,7 @@ pub enum ProbeSemantics {
 
 impl ProbeSemantics {
     /// The [`ObserverMode`] whose `GE(r, σ)` this probe decides on — the
-    /// bridge into the core layer's mode-keyed observer-state caches.
+    /// bridge into the core layer's observer states.
     pub fn mode(self) -> ObserverMode {
         match self {
             ProbeSemantics::IncludeOwnSends => ObserverMode::Full,
@@ -76,7 +81,7 @@ impl ProbeSemantics {
 /// The Protocol 2 decision at `sigma` under the given probe semantics, on
 /// any run containing `sigma`, built from scratch: a fresh decision state
 /// reading the run's own message records. This is the reference the
-/// streaming driver's warm decisions are held to. Returns `false`
+/// streaming driver's decisions on its session graph are held to. Returns `false`
 /// (abstain) when the trigger is absent or the required evidence is not
 /// σ-recognized, exactly like the in-protocol strategy.
 ///
@@ -232,11 +237,13 @@ impl StreamDriver {
     /// Starts a driver over an engine already holding a run prefix whose
     /// decision state nobody recorded — a complete recorded run, say. The
     /// trigger node is looked up once and every `B`-node of the prefix is
-    /// decided in timeline order through the driver's own warm decision
-    /// path, stopping at the first that knows. By observer stability each
-    /// verdict depends only on its node's past, so the driver steps on
-    /// exactly like one that streamed the prefix itself. A spec whose `B`
-    /// is not a process of the run has no `B`-nodes: its driver abstains.
+    /// decided in timeline order through the driver's own decision path,
+    /// stopping at the first that knows; each decision's state is dropped
+    /// after it, so the engine's observer cache is left as it was. By
+    /// observer stability each verdict depends only on its node's past,
+    /// so the driver steps on exactly like one that streamed the prefix
+    /// itself. A spec whose `B` is not a process of the run has no
+    /// `B`-nodes: its driver abstains.
     ///
     /// # Errors
     ///
@@ -325,17 +332,16 @@ impl StreamDriver {
 
     /// Protocol 2's decision at `sigma` on the current prefix: act iff
     /// the spec's precedence is known. Mirrors
-    /// [`crate::optimal::OptimalStrategy`] — through the incremental
-    /// engine's warm observer state, in **both** probe semantics: the
-    /// own-sends-excluded state is as append-stable as the full one (see
-    /// `zigzag_core::incremental`), so `ExcludeOwnSends` decisions run on
-    /// [`IncrementalEngine::engine_mode`]'s cached exclude-mode state
-    /// instead of rebuilding `GE(r, σ)` minus σ's sends per decision.
+    /// [`crate::optimal::OptimalStrategy`] on a view of the engine's
+    /// `GB(r)` in the probe's mode, which
+    /// [`IncrementalEngine::uncached_engine`] builds for this decision
+    /// alone: the driver never decides at a node twice, so no state is
+    /// kept for it. The view copies no edge of `GB(r)`.
     fn decide_at(&self, sigma: NodeId) -> Result<bool, CoordError> {
         let Some(sigma_c) = self.sigma_c else {
             return Ok(false); // no trigger yet: nothing to know
         };
-        let engine = self.engine.engine_mode(sigma, self.probe.mode())?;
+        let engine = self.engine.uncached_engine(sigma, self.probe.mode())?;
         decide_with(&self.spec, &engine, sigma_c, sigma)
     }
 

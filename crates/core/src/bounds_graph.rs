@@ -56,9 +56,9 @@ pub const LABEL_RECV: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct BoundsGraph {
     graph: WeightedDigraph<NodeId>,
-    /// Message behind each labelled send/recv edge, parallel to insertion
-    /// order; looked up by the extraction layer via edge labels only, so we
-    /// keep it simple: send/recv edges can be re-derived from endpoints.
+    /// Number of send/recv edges, two per delivered message. The message
+    /// behind one is re-derived from its endpoints
+    /// ([`BoundsGraph::message_between`]).
     message_edges: usize,
     /// The run's context: the channel bounds every added edge and every
     /// view's `E'''` edges read, and the network's adjacency.
@@ -409,22 +409,18 @@ impl BoundsGraph {
         &self.graph
     }
 
-    /// Number of appended edges held in the underlying graph's catch-up
-    /// log (see [`WeightedDigraph::append_log_len`]).
-    pub fn append_log_len(&self) -> usize {
-        self.graph.append_log_len()
-    }
-
-    /// Settles every memoized longest-path result and reclaims the
-    /// catch-up log (see [`WeightedDigraph::compact`]); answers are
-    /// unaffected. Returns the number of log entries reclaimed.
+    /// The dense index of node `n`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::PositiveCycle`] if settling detects one
-    /// (impossible for graphs of legal runs).
-    pub fn compact(&self) -> Result<usize, CoreError> {
-        self.graph.compact()
+    /// Fails with [`CoreError::NodeNotInRun`] naming `n` if the graph does
+    /// not hold it.
+    pub(crate) fn index(&self, n: NodeId) -> Result<usize, CoreError> {
+        self.graph
+            .index_of(&n)
+            .ok_or_else(|| CoreError::NodeNotInRun {
+                detail: format!("{n} is not in the bounds graph"),
+            })
     }
 
     /// Number of vertices.
@@ -500,19 +496,16 @@ impl BoundsGraph {
     ///
     /// # Errors
     ///
-    /// Fails if either endpoint is not a vertex, or on a positive cycle.
+    /// Fails with [`CoreError::NodeNotInRun`] naming an endpoint that is
+    /// not a vertex, or on a positive cycle.
     pub fn longest_path(
         &self,
         from: NodeId,
         to: NodeId,
     ) -> Result<Option<(i64, Vec<Edge>)>, CoreError> {
-        if !self.graph.contains(&from) || !self.graph.contains(&to) {
-            return Err(CoreError::NodeNotInRun {
-                detail: format!("{from} or {to} not in bounds graph"),
-            });
-        }
+        self.index(from)?;
+        let t = self.index(to)?;
         let lp = self.graph.longest_from(&from)?;
-        let t = self.graph.index_of(&to).expect("checked above");
         match lp.weight(t) {
             Some(w) => Ok(Some((w, lp.path(t).expect("reachable")))),
             None => Ok(None),

@@ -86,14 +86,25 @@ impl FrontierGraph {
         self.graph.index_of(v)
     }
 
+    /// The dense index of recorded node `n`, or
+    /// [`CoreError::NodeNotInRun`] naming it.
+    fn node(&self, n: NodeId) -> Result<usize, CoreError> {
+        self.index_of(ExtVertex::Node(n))
+            .ok_or_else(|| CoreError::NodeNotInRun {
+                detail: format!("{n} is not a recorded node"),
+            })
+    }
+
     /// Longest-path weights from every vertex **to** `sigma` (the tight
     /// precedence bounds of the finite-prefix model).
     ///
     /// # Errors
     ///
-    /// Fails if `sigma` is not a recorded node, or on a positive cycle
-    /// (impossible for graphs of legal runs).
+    /// Fails with [`CoreError::NodeNotInRun`] if `sigma` is not a
+    /// recorded node, or on a positive cycle (impossible for graphs of
+    /// legal runs).
     pub fn longest_to(&self, sigma: NodeId) -> Result<LongestPaths, CoreError> {
+        self.node(sigma)?;
         self.graph
             .longest(ExtVertex::Node(sigma), Direction::Backward)
     }
@@ -104,15 +115,15 @@ impl FrontierGraph {
     ///
     /// # Errors
     ///
-    /// Fails if either node is not recorded, or on a positive cycle.
+    /// Fails with [`CoreError::NodeNotInRun`] naming a node that is not
+    /// recorded, or on a positive cycle.
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
+        self.node(from)?;
+        let to = self.node(to)?;
         let lp = self
             .graph
             .longest(ExtVertex::Node(from), Direction::Forward)?;
-        Ok(self
-            .graph
-            .index_of(ExtVertex::Node(to))
-            .and_then(|i| lp.weight(i)))
+        Ok(lp.weight(to))
     }
 }
 
@@ -931,6 +942,31 @@ mod tests {
             (Some(g), Some(f)) => assert!(f >= g),
             (Some(_), None) => panic!("frontier graph lost a GB path"),
             _ => {}
+        }
+    }
+
+    /// A node the run does not record is refused by name, at either end
+    /// of a tight bound and as a `longest_to` root: beyond its
+    /// timeline, or on a process the network does not have.
+    #[test]
+    fn frontier_graph_refuses_unrecorded_nodes() {
+        let run = tri_run(0, 40);
+        let fg = FrontierGraph::of_run(&run);
+        let i1 = NodeId::new(ProcessId::new(0), 1);
+        for missing in [
+            NodeId::new(ProcessId::new(1), 1_000_000),
+            NodeId::new(ProcessId::new(7), 1),
+        ] {
+            for got in [
+                fg.tight_bound(i1, missing).map(drop),
+                fg.tight_bound(missing, i1).map(drop),
+                fg.longest_to(missing).map(drop),
+            ] {
+                assert!(
+                    matches!(&got, Err(CoreError::NodeNotInRun { detail }) if detail.contains(&missing.to_string())),
+                    "{missing}: {got:?}"
+                );
+            }
         }
     }
 

@@ -330,7 +330,9 @@ impl Rows for CsrTopology {
 /// interior index width (24 bytes instead of [`Edge`]'s 32). The log is
 /// one push per appended edge on the hot mutation path, kept only while
 /// memoized results exist, and copied into [`SpfaScratch::delta`] when a
-/// stale result catches up.
+/// stale result catches up. Nothing trims it while they exist, so it can
+/// hold one entry per edge appended since the first: at most 3/8 of the
+/// two 32-byte adjacency rows each such edge also fills.
 #[derive(Debug, Clone, Copy)]
 struct LogEdge {
     from: u32,
@@ -579,7 +581,8 @@ struct AnalysisCache {
     paths: HashMap<(u32, Direction), CachedPaths, FxBuild>,
     /// Edges appended since `log_base`, in insertion order. Maintained
     /// only while memoized results exist (reset whenever `paths` is
-    /// empty), so pure construction phases log nothing.
+    /// empty), so pure construction phases log nothing; see [`LogEdge`]
+    /// for its size.
     log: Vec<LogEdge>,
     /// Edge count at the start of `log`.
     log_base: usize,
@@ -705,7 +708,12 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
             out,
             r#in,
             edge_count: edges.len(),
-            cache: Mutex::new(AnalysisCache::default()),
+            // The log starts after the bulk edges, so a result cached
+            // before the first append catches up from the right entry.
+            cache: Mutex::new(AnalysisCache {
+                log_base: edges.len(),
+                ..AnalysisCache::default()
+            }),
         }
     }
 
@@ -898,58 +906,6 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
         self.cached_spfa(s, Direction::Backward)
     }
 
-    /// Number of appended edges currently held in the catch-up log.
-    ///
-    /// The log is retained only while memoized SPFA results exist; on a
-    /// very long append-only stream with warm caches it can grow to one
-    /// extra copy of the adjacency. [`WeightedDigraph::compact`] reclaims
-    /// it mid-stream.
-    pub fn append_log_len(&self) -> usize {
-        self.cache.lock().expect("cache lock").log.len()
-    }
-
-    /// Settles every memoized SPFA result (delta-relaxing stale ones over
-    /// the appended edges) and then drops the catch-up log: after this
-    /// call every cached result is current and
-    /// [`WeightedDigraph::append_log_len`] is 0. Returns the number of log
-    /// entries reclaimed.
-    ///
-    /// Answers are unaffected — settling runs exactly the delta
-    /// relaxation the next query would have run lazily; compaction merely
-    /// releases memory the settled results no longer need. Intended as a
-    /// mid-stream maintenance hook for append-only consumers (see
-    /// [`crate::incremental::IncrementalEngine::compact`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::PositiveCycle`] if settling a cached result
-    /// detects one (impossible for graphs of legal runs).
-    pub fn compact(&self) -> Result<usize, CoreError> {
-        // Collect the stale keys first, then settle each outside the lock
-        // (cached_spfa re-locks internally).
-        let (vcount, ecount) = (self.vertices.len(), self.edge_count);
-        let stale: Vec<(u32, Direction)> = {
-            let cache = self.cache.lock().expect("cache lock");
-            cache
-                .paths
-                .iter()
-                .filter(|(_, hit)| hit.vertices != vcount || hit.edges != ecount)
-                .map(|(&key, _)| key)
-                .collect()
-        };
-        for (src, dir) in stale {
-            self.cached_spfa(src as usize, dir)?;
-        }
-        let mut cache = self.cache.lock().expect("cache lock");
-        // Settling may have raced with nothing (no mutation is possible
-        // under &self), so every entry is now current and the whole log
-        // is reclaimable.
-        let dropped = cache.log.len();
-        cache.log.clear();
-        cache.log_base = ecount;
-        Ok(dropped)
-    }
-
     fn take_scratch(&self) -> Box<SpfaScratch> {
         self.cache
             .lock()
@@ -1025,8 +981,8 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
                     return Ok(hit.lp.clone());
                 }
                 // The log begins no later than any surviving entry's
-                // generation (entries are cleared with the log); guard
-                // anyway and fall back to a fresh traversal.
+                // generation (it restarts only while no entry exists);
+                // guard anyway and fall back to a fresh traversal.
                 Some(hit) if hit.edges >= *log_base => {
                     let start = hit.edges - *log_base;
                     let mut scratch = scratch_slot.take().unwrap_or_default();
@@ -1826,36 +1782,6 @@ mod tests {
             warm.weight(g.index_of(&"d").unwrap()),
             connected.weight(g.index_of(&"d").unwrap())
         );
-    }
-
-    #[test]
-    fn compaction_reclaims_the_log_and_keeps_answers() {
-        let mut g: WeightedDigraph<&str> = WeightedDigraph::new();
-        g.add_edge("a", "b", 2, 0);
-        // Warm two sources so later appends are logged.
-        let _ = g.longest_from_cached(&"a").unwrap();
-        let _ = g.longest_to_cached(&"b").unwrap();
-        g.add_edge("b", "c", 3, 0);
-        g.add_edge("a", "c", 1, 0);
-        assert_eq!(g.append_log_len(), 2);
-        let dropped = g.compact().unwrap();
-        assert_eq!(dropped, 2);
-        assert_eq!(g.append_log_len(), 0);
-        // Settled results answer exactly like a fresh traversal.
-        let warm = g.longest_from_cached(&"a").unwrap();
-        let cold = g.longest_from(&"a").unwrap();
-        for v in ["a", "b", "c"] {
-            let i = g.index_of(&v).unwrap();
-            assert_eq!(warm.weight(i), cold.weight(i));
-        }
-        // Appends after compaction still delta-relax correctly.
-        g.add_edge("c", "d", 4, 0);
-        assert_eq!(g.append_log_len(), 1);
-        let after = g.longest_from_cached(&"a").unwrap();
-        assert_eq!(after.weight(g.index_of(&"d").unwrap()), Some(9));
-        assert_eq!(g.compact().unwrap(), 1);
-        // Compacting an empty-log graph is a no-op.
-        assert_eq!(g.compact().unwrap(), 0);
     }
 
     /// A feasible potential of [`diamond`]: the longest distances from

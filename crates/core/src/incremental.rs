@@ -47,22 +47,16 @@
 //!    as an endpoint, and the clock on every past node is its recorded
 //!    time. So the view, its distance memos, canonical rewrites, fast
 //!    timings and chain layouts never go stale: the engine builds each
-//!    observer's state **once**, in O(|past| + n) time and space without
-//!    copying an edge, keeps it warm in a cache, and serves every later
-//!    query from it with zero invalidation.
+//!    queried observer's state **once**, in O(|past| + n) time and space
+//!    without copying an edge, keeps it warm in a cache
+//!    ([`IncrementalEngine::engine`]), and serves every later query from
+//!    it with zero invalidation.
 //!
-//!    The invariant extends verbatim to the **own-sends-excluded** states
-//!    behind `ExcludeOwnSends` coordination probes
-//!    ([`IncrementalEngine::engine_excluding_own_sends`]): the excluded
-//!    edge set — the `E''` edges of messages whose source *is* σ — is
-//!    fixed the moment σ's event (which records its sends) is appended,
-//!    and by causality none of those messages can be delivered inside
-//!    `past(r, σ)` on any extension, so no excluded edge ever needs to
-//!    reappear in another family. The exclude-mode graph is therefore as
-//!    append-stable as the full one, and the engine keeps **both** modes
-//!    of a queried observer warm in the same LRU cache (keyed by
-//!    [`ObserverMode`]) — eliminating the per-decision-node
-//!    `GE(r, σ)` rebuild the batch coordination helpers pay.
+//! A coordination decision is asked once per node, so it is the one
+//! reader the cache does not serve: [`IncrementalEngine::uncached_engine`]
+//! builds the same view, in either [`ObserverMode`], for one decision,
+//! and the state goes when the caller drops the engine. The cache holds
+//! the states queries read, and nothing else.
 //!
 //! Together: appends touch O(event) state, queries at known observers hit
 //! warm caches, and the only per-observer cost is the one-time state
@@ -175,10 +169,10 @@ impl IncrementalEngine {
         }
     }
 
-    /// The `(observer, mode)` keys of every currently cached analysis
-    /// state, in no particular order — the warm-set manifest a session
-    /// snapshot records so recovery can pre-build the same states.
-    pub fn observer_keys(&self) -> Vec<(NodeId, ObserverMode)> {
+    /// The observer of every currently cached analysis state, in no
+    /// particular order — the warm-set manifest a session snapshot
+    /// records so recovery can pre-build the same states.
+    pub fn observer_keys(&self) -> Vec<NodeId> {
         self.observers
             .lock()
             .expect("observer cache lock")
@@ -213,24 +207,6 @@ impl IncrementalEngine {
     pub fn observer_cache_counters(&self) -> (u64, u64, u64) {
         let cache = self.observers.lock().expect("observer cache lock");
         (cache.hits(), cache.misses(), cache.evictions())
-    }
-
-    /// Mid-stream maintenance: settles `GB(r)`'s memoized longest-path
-    /// results and reclaims the graph layer's append log (which otherwise
-    /// carries O(edges) memory — roughly one extra copy of the adjacency
-    /// — for as long as warm caches exist on a long stream). Answers are
-    /// unaffected. Returns the number of log entries reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a positive cycle (impossible for legal feeds).
-    pub fn compact(&self) -> Result<usize, CoreError> {
-        self.gb.compact()
-    }
-
-    /// Number of appended edges currently held in `GB(r)`'s catch-up log.
-    pub fn append_log_len(&self) -> usize {
-        self.gb.append_log_len()
     }
 
     /// Convenience: streams an already-recorded run through a fresh
@@ -305,11 +281,13 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// Fails if `from` is not a recorded node, or on a positive cycle
-    /// (impossible for legal feeds).
+    /// Fails with [`CoreError::NodeNotInRun`] naming `from` or `to` if
+    /// the prefix does not hold it, or on a positive cycle (impossible
+    /// for legal feeds).
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
-        let lp = self.gb.longest_from_cached(from)?;
-        Ok(self.gb.graph().index_of(&to).and_then(|i| lp.weight(i)))
+        self.gb.index(from)?;
+        let to = self.gb.index(to)?;
+        Ok(self.gb.longest_from_cached(from)?.weight(to))
     }
 
     /// Number of observer states built so far.
@@ -318,62 +296,46 @@ impl IncrementalEngine {
     }
 
     /// The knowledge engine observing at `sigma`, wrapped around the
-    /// current prefix. The observer-scoped analysis (the view of `GB(r)`,
-    /// its distance memos, rewrite/timing/chain caches, construction
-    /// arena) is built on first request and reused verbatim after every
-    /// later append (until LRU-evicted, if a cap is set — a rebuilt state
-    /// answers identically).
+    /// current prefix — the query path. The observer-scoped analysis (the
+    /// full-mode view of `GB(r)`, its distance memos, rewrite/timing/chain
+    /// caches, construction arena) is built on first request and reused
+    /// verbatim after every later append (until LRU-evicted, if a cap is
+    /// set — a rebuilt state answers identically).
     ///
     /// # Errors
     ///
     /// Fails if `sigma` has not (yet) appeared in the stream.
     pub fn engine(&self, sigma: NodeId) -> Result<KnowledgeEngine<'_>, CoreError> {
-        self.engine_mode(sigma, ObserverMode::Full)
-    }
-
-    /// [`IncrementalEngine::engine`] under an explicit [`ObserverMode`]:
-    /// the one cached acquisition path for both the full `GE(r, σ)` and
-    /// the own-sends-excluded probe view. States of either mode are built
-    /// on first request, kept warm across appends (sound for both modes —
-    /// see the [module docs](self)), and share the LRU bound.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `sigma` has not (yet) appeared in the stream.
-    pub fn engine_mode(
-        &self,
-        sigma: NodeId,
-        mode: ObserverMode,
-    ) -> Result<KnowledgeEngine<'_>, CoreError> {
         let run = self.stream.run();
         let state = self
             .observers
             .lock()
             .expect("observer cache lock")
-            .get_or_build_mode(sigma, mode, || {
-                ObserverState::view(run, &self.gb, sigma, mode)
+            .get_or_build(sigma, || {
+                ObserverState::view(run, &self.gb, sigma, ObserverMode::Full)
             })?;
         Ok(KnowledgeEngine::over(run, &self.gb, state))
     }
 
-    /// The **warm exclude-mode decision engine** at `sigma`: the
-    /// knowledge engine over `GE(r, σ)` minus σ's own sends — what an
-    /// in-simulation probe at σ sees — built once per `(stream, σ)` and
-    /// served from the same warm cache as the full-mode states
-    /// (shorthand for [`IncrementalEngine::engine_mode`] at
-    /// [`ObserverMode::ExcludeOwnSends`]). This is the serving path of
-    /// `ExcludeOwnSends` coordination decisions; the prefix-differential
-    /// oracle pins it byte-identical to a fresh
-    /// `ObserverState::build_excluding_own_sends` after every append.
+    /// The knowledge engine at `sigma` under `mode`, on a view of `GB(r)`
+    /// built for this call alone — the decision path. The cache is not
+    /// consulted, filled or counted, and the state is dropped with the
+    /// engine. `ExcludeOwnSends` gives `GE(r, σ)` minus σ's own sends,
+    /// what an in-simulation probe at σ sees; the prefix-differential
+    /// oracle pins both modes byte-identical to a fresh
+    /// [`ObserverState::build_mode`] after every append.
     ///
     /// # Errors
     ///
     /// Fails if `sigma` has not (yet) appeared in the stream.
-    pub fn engine_excluding_own_sends(
+    pub fn uncached_engine(
         &self,
         sigma: NodeId,
+        mode: ObserverMode,
     ) -> Result<KnowledgeEngine<'_>, CoreError> {
-        self.engine_mode(sigma, ObserverMode::ExcludeOwnSends)
+        let run = self.stream.run();
+        let state = ObserverState::view(run, &self.gb, sigma, mode)?;
+        Ok(KnowledgeEngine::over(run, &self.gb, Arc::new(state)))
     }
 
     /// Convenience: the exact knowledge threshold `max_x` at observer
@@ -524,18 +486,39 @@ mod tests {
     fn tight_bounds_delta_relax_across_appends() {
         let run = tri_run(2, 35);
         let events = RunCursor::new(&run).collect_events();
-        let mut inc = IncrementalEngine::new(run.context_arc(), run.horizon());
         let i1 = NodeId::new(ProcessId::new(0), 1);
-        for ev in &events {
-            let node = inc.append_event(ev).unwrap();
+        let half = events.len() / 2;
+        let mut prefix = StreamingRun::new(run.context_arc(), run.horizon());
+        for ev in &events[..half] {
+            prefix.append(ev).unwrap();
+        }
+        // Keep the cached source warm so each append delta-relaxes.
+        let check = |inc: &IncrementalEngine, node: NodeId| {
             if !inc.run().appears(i1) {
-                continue;
+                return;
             }
-            // Keep the cached source warm so each append delta-relaxes.
             let got = inc.tight_bound(i1, node).unwrap();
             let batch = BoundsGraph::of_run(inc.run());
             let want = batch.longest_path(i1, node).unwrap().map(|(w, _)| w);
             assert_eq!(got, want, "delta GB bound diverged at {node}");
+        };
+        // Grown from the empty run, and from a bulk-built prefix whose
+        // source is cached before its first append.
+        for (mut inc, rest) in [
+            (
+                IncrementalEngine::new(run.context_arc(), run.horizon()),
+                &events[..],
+            ),
+            (
+                IncrementalEngine::from_prefix(prefix.finish()),
+                &events[half..],
+            ),
+        ] {
+            check(&inc, i1);
+            for ev in rest {
+                let node = inc.append_event(ev).unwrap();
+                check(&inc, node);
+            }
         }
     }
 
@@ -577,40 +560,6 @@ mod tests {
             first_answers[nodes.len() - 1]
         );
         assert_eq!(inc.observer_count(), 0);
-    }
-
-    #[test]
-    fn compaction_reclaims_the_append_log_without_changing_answers() {
-        let run = tri_run(0, 40);
-        let events = RunCursor::new(&run).collect_events();
-        let mut inc = IncrementalEngine::new(run.context_arc(), run.horizon());
-        let i1 = NodeId::new(ProcessId::new(0), 1);
-        let mut compacted = 0usize;
-        for (k, ev) in events.iter().enumerate() {
-            let node = inc.append_event(ev).unwrap();
-            if !inc.run().appears(i1) {
-                continue;
-            }
-            // Keep the memoized source warm so the log actually grows...
-            let got = inc.tight_bound(i1, node).unwrap();
-            let want = BoundsGraph::of_run(inc.run())
-                .longest_path(i1, node)
-                .unwrap()
-                .map(|(w, _)| w);
-            assert_eq!(got, want);
-            // ...and compact mid-stream every third append.
-            if k % 3 == 2 {
-                compacted += inc.compact().unwrap();
-                assert_eq!(inc.append_log_len(), 0);
-            }
-        }
-        assert!(compacted > 0, "compaction never reclaimed anything");
-        // Post-compaction, every answer still equals a scratch rebuild.
-        let scratch = BoundsGraph::of_run(inc.run());
-        for rec in run.nodes() {
-            let want = scratch.longest_path(i1, rec.id()).unwrap().map(|(w, _)| w);
-            assert_eq!(inc.tight_bound(i1, rec.id()).unwrap(), want);
-        }
     }
 
     #[test]

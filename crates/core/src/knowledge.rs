@@ -82,9 +82,10 @@ struct QueryCache {
     answers: Mutex<AnswerRows>,
 }
 
-/// Which edge set an [`ObserverState`]'s `GE(r, σ)` carries — the second
-/// key dimension of [`ObserverCache`], so full and own-sends-excluded
-/// states of the same observer coexist warm without colliding.
+/// Which edge set an [`ObserverState`]'s `GE(r, σ)` carries. Queries read
+/// the full graph; the own-sends-excluded one is the probe view of
+/// `zigzag_coord`'s `ExcludeOwnSends` decisions, which a session builds
+/// per decision and never caches (see [`ObserverCache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ObserverMode {
     /// The paper's full `GE(r, σ)`: σ's own FFIP sends contribute their
@@ -133,20 +134,14 @@ impl ObserverMode {
 /// makes LRU *eviction* sound ([`ObserverCache`]): a dropped state
 /// rebuilt later answers byte-identically.
 ///
-/// The invariant covers **both** [`ObserverMode`]s. The own-sends-
-/// excluded graph is the full `GE(r, σ)` minus the `E''` edges of σ's own
-/// sends, and that excluded set is itself append-stable: σ's sends are
-/// recorded with σ's own event, so the set of messages with source σ is
-/// fixed the moment σ exists, and (by causality) none of their deliveries
-/// can land inside `past(r, σ)` on any extension. An exclude-mode state
-/// built on any prefix containing σ is therefore exactly the state a
-/// fresh [`ObserverState::build_excluding_own_sends`] on any longer
-/// prefix would produce — the soundness argument behind the warm
-/// exclude-mode decision cache of `IncrementalEngine`.
+/// The invariant covers both [`ObserverMode`]s: σ's sends are recorded
+/// with σ's own event, so the `E''` edges the exclude mode leaves out are
+/// fixed the moment σ exists. A session nonetheless caches full-mode
+/// states only, the ones queries name; a coordination decision builds its
+/// state, of either mode, and drops it (see [`crate::incremental`]).
 #[derive(Debug)]
 pub struct ObserverState {
     sigma: NodeId,
-    mode: ObserverMode,
     frontier: GeFrontier,
     /// The graph a standalone state's view reads; `None` for a session's
     /// state, which views the session's `GB(r)`. Boxed, like `witness`,
@@ -176,15 +171,9 @@ impl ObserverState {
         Ok(run.past(sigma))
     }
 
-    fn assemble(
-        sigma: NodeId,
-        mode: ObserverMode,
-        frontier: GeFrontier,
-        local: Option<Box<BoundsGraph>>,
-    ) -> Self {
+    fn assemble(sigma: NodeId, frontier: GeFrontier, local: Option<Box<BoundsGraph>>) -> Self {
         ObserverState {
             sigma,
-            mode,
             frontier,
             local,
             witness: OnceLock::new(),
@@ -206,7 +195,7 @@ impl ObserverState {
         let past = Self::past_of(run, sigma)?;
         let local = BoundsGraph::local(run, &past);
         let frontier = GeFrontier::new(run, &local, past, mode.excluded(sigma));
-        Ok(Self::assemble(sigma, mode, frontier, Some(Box::new(local))))
+        Ok(Self::assemble(sigma, frontier, Some(Box::new(local))))
     }
 
     /// A session's state for observer `sigma`: a view over the session's
@@ -224,7 +213,7 @@ impl ObserverState {
     ) -> Result<Self, CoreError> {
         let past = Self::past_of(run, sigma)?;
         let frontier = GeFrontier::new(run, gb, past, mode.excluded(sigma));
-        Ok(Self::assemble(sigma, mode, frontier, None))
+        Ok(Self::assemble(sigma, frontier, None))
     }
 
     /// Builds the state for observer `sigma` on `run`.
@@ -253,15 +242,12 @@ impl ObserverState {
     pub fn observer(&self) -> NodeId {
         self.sigma
     }
-
-    /// Which [`ObserverMode`] the state's graph carries.
-    pub fn mode(&self) -> ObserverMode {
-        self.mode
-    }
 }
 
 /// A bounded, least-recently-used cache of [`ObserverState`]s — the
-/// per-observer cache of [`crate::incremental::IncrementalEngine`].
+/// per-observer cache of [`crate::incremental::IncrementalEngine`],
+/// keyed by observer. It holds the full-mode states queries read, and
+/// nothing else: coordination decisions build their states outside it.
 ///
 /// Unbounded per-observer caching is right for analyses that revisit a
 /// handful of observers, but a deployment answering queries at millions
@@ -276,12 +262,12 @@ pub struct ObserverCache {
     /// retention entirely: states are built per request and never stored.
     cap: Option<usize>,
     tick: u64,
-    map: HashMap<(NodeId, ObserverMode), (Arc<ObserverState>, u64), FxBuild>,
-    /// Recency index: tick → state key, kept in lockstep with `map` so
+    map: HashMap<NodeId, (Arc<ObserverState>, u64), FxBuild>,
+    /// Recency index: tick → observer, kept in lockstep with `map` so
     /// eviction pops the oldest tick in O(log n) instead of scanning the
     /// whole map per miss (ticks are unique, so this is a faithful LRU
     /// order).
-    recency: BTreeMap<u64, (NodeId, ObserverMode)>,
+    recency: BTreeMap<u64, NodeId>,
     evictions: u64,
     hits: u64,
     misses: u64,
@@ -324,10 +310,9 @@ impl ObserverCache {
         self.map.is_empty()
     }
 
-    /// The `(observer, mode)` key of every retained state, in no
-    /// particular order — the warm-set manifest durable-session
-    /// snapshots record.
-    pub fn keys(&self) -> impl Iterator<Item = (NodeId, ObserverMode)> + '_ {
+    /// The observer of every retained state, in no particular order —
+    /// the warm-set manifest durable-session snapshots record.
+    pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.map.keys().copied()
     }
 
@@ -348,44 +333,40 @@ impl ObserverCache {
         self.misses
     }
 
-    /// The state for `(sigma, mode)`, built with `build` on a miss. On a
-    /// hit the entry's recency is refreshed; on a miss the built state is
+    /// The state for `sigma`, built with `build` on a miss. On a hit the
+    /// entry's recency is refreshed; on a miss the built state is
     /// retained (evicting the least recently used entry if the bound
-    /// would overflow). Full and exclude-mode states of the same observer
-    /// are distinct entries sharing one LRU order and one bound.
+    /// would overflow).
     ///
     /// # Errors
     ///
     /// Propagates the builder's error on a miss.
-    pub fn get_or_build_mode(
+    pub fn get_or_build(
         &mut self,
         sigma: NodeId,
-        mode: ObserverMode,
         build: impl FnOnce() -> Result<ObserverState, CoreError>,
     ) -> Result<Arc<ObserverState>, CoreError> {
         self.tick += 1;
-        let key = (sigma, mode);
         // An unbounded cache never evicts, so recency order is dead
         // weight there — skip the BTreeMap churn on the hot hit path.
         let track = self.cap.is_some();
-        if let Some((state, used)) = self.map.get_mut(&key) {
+        if let Some((state, used)) = self.map.get_mut(&sigma) {
             self.hits += 1;
             if track {
                 self.recency.remove(used);
                 *used = self.tick;
-                self.recency.insert(self.tick, key);
+                self.recency.insert(self.tick, sigma);
             }
             return Ok(state.clone());
         }
         self.misses += 1;
         let built = Arc::new(build()?);
-        debug_assert_eq!(built.mode(), mode, "cached state built in another mode");
         if self.cap == Some(0) {
             return Ok(built); // retention disabled: never stored
         }
-        self.map.insert(key, (built.clone(), self.tick));
+        self.map.insert(sigma, (built.clone(), self.tick));
         if track {
-            self.recency.insert(self.tick, key);
+            self.recency.insert(self.tick, sigma);
             self.enforce();
         }
         Ok(built)

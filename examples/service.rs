@@ -4,9 +4,10 @@
 //! One `ZigzagService` serves the same Figure 1 knowledge workload two
 //! ways — a batch session over the complete recorded run, and a stream
 //! session fed the identical schedule one event at a time (with an LRU
-//! bound on its observer cache and periodic append-log compaction). Every
-//! answer agrees byte-for-byte; the streaming session additionally
-//! reports the Protocol 2 coordination verdict after every event.
+//! bound on the observer states its queries build). Every answer agrees
+//! byte-for-byte; the streaming session additionally reports the
+//! Protocol 2 coordination verdict after every event, deciding on views
+//! of its graph that it does not keep.
 //!
 //! ```text
 //! cargo run --example service
@@ -40,10 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Batch session: the complete recorded run ───────────────────────
     let batch = service.open_batch(run.clone(), SessionConfig::new().spec(spec.clone()));
 
-    // ── Stream session: same schedule, event by event, bounded caches ──
+    // ── Stream session: same schedule, event by event, bounded cache ───
     let config = SessionConfig::new()
         .spec(spec)
-        .cache(CachePolicy::unbounded().max_observers(4).compact_every(8));
+        .cache(CachePolicy::unbounded().max_observers(4));
     let stream = service.open_stream(run.context_arc(), run.horizon(), config);
 
     let sigma_c = run.external_receipt_node(c, "go").expect("go arrived");

@@ -1,4 +1,4 @@
-//! High-throughput serving: the sharded wire loop and warm exclude-mode
+//! High-throughput serving: the sharded wire loop and exclude-mode
 //! coordination.
 //!
 //! A `ZigzagService` with a sharded session table serves a batch of
@@ -6,10 +6,11 @@
 //! one worker, then on four, with byte-identical responses (sessions
 //! hash to shards, each worker owns its shards, answers come back in
 //! per-session arrival order). A second part streams a feedback-topology
-//! schedule into a spec-configured `ExcludeOwnSends` session: the
-//! Protocol 2 decisions are served from the incremental engine's warm
-//! own-sends-excluded observer states instead of rebuilding an excluded
-//! `GE(r, σ)` per decision node.
+//! schedule into a spec-configured `ExcludeOwnSends` session: each
+//! Protocol 2 decision runs on an own-sends-excluded view of the
+//! session's `GB(r)`, built for that decision and dropped after it
+//! instead of rebuilding an excluded `GE(r, σ)` from the run, so the
+//! session's observer cache stays empty.
 //!
 //! ```text
 //! cargo run --example serving
@@ -90,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         serial[0].lines().take(2).collect::<Vec<_>>().join("\n")
     );
 
-    // ── Part 2: warm exclude-mode coordination ─────────────────────────
-    println!("\n── warm exclude-mode coordination (probe view, B ⇄ D) ─────");
+    // ── Part 2: exclude-mode coordination ──────────────────────────────
+    println!("\n── exclude-mode coordination (probe view, B ⇄ D) ──────────");
     let spec = TimedCoordination::new(CoordKind::Late { x: 4 }, a, b, c);
     let session = service.open_stream(
         run.context_arc(),
@@ -108,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             decisions += 1;
             if knows && decisions > 0 {
                 println!(
-                    "B can act at {} (t={}): decided on the cached exclude-mode state",
+                    "B can act at {} (t={}): decided on an exclude-mode view of GB(r)",
                     report.node, report.time
                 );
                 break;
@@ -125,9 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .first_known
             .map_or("(abstains)".to_string(), |n| n.to_string()),
     );
-    println!(
-        "observer states held warm (both modes share the session cache): {}",
-        service.observer_count(session)?
-    );
+    let kept = service.observer_count(session)?;
+    assert_eq!(kept, 0, "decisions keep no observer state");
+    println!("observer states the decisions left in the session cache: {kept}");
     Ok(())
 }

@@ -9,9 +9,9 @@
 //!   or live streams) and answers one serializable `Query` family —
 //!   thresholds, the knowledge predicate, witnesses, fast-run
 //!   refutations, `GB(r)` tight bounds, Protocol 2 coordination
-//!   decisions — through one `dispatch` code path, with explicit cache
-//!   policies (LRU-bounded observer states, mid-stream append-log
-//!   compaction) and probe semantics. `api::serve` fans wire-encoded
+//!   decisions — through one `dispatch` code path, with an explicit
+//!   cache policy (LRU-bounded observer states) and probe semantics.
+//!   `api::serve` fans wire-encoded
 //!   frames across a sharded worker fleet, `api::net` puts that loop on
 //!   a TCP or Unix socket (length-delimited envelopes, backpressure,
 //!   graceful drain), and a `Stats` query reports latency histograms

@@ -41,14 +41,14 @@
 //!   must return responses byte-identical to the serial
 //!   decode-dispatch-encode loop at worker counts 1, 2 and 8 — error
 //!   documents included;
-//! * **warm exclude-mode decision state**: the incremental engine's
-//!   cached own-sends-excluded observer states
-//!   (`engine_excluding_own_sends`) must answer exactly like a fresh
+//! * **exclude-mode decision state**: the incremental engine's
+//!   own-sends-excluded views of its `GB(r)` (`uncached_engine`) must
+//!   answer exactly like a fresh
 //!   `ObserverState::build_excluding_own_sends` on the same prefix after
 //!   **every** append — for the newest node and for a long-lived
-//!   observer whose warm state crosses many appends — and the streaming
-//!   driver's warm exclude-mode Protocol 2 decisions must equal fresh
-//!   per-prefix rebuilds on a feedback (B-with-outgoing-channels)
+//!   observer, whose cached full-mode state crosses many appends — and
+//!   the streaming driver's exclude-mode Protocol 2 decisions must equal
+//!   fresh per-prefix rebuilds on a feedback (B-with-outgoing-channels)
 //!   topology.
 //!
 //! Six proptest blocks × (128 + 96 + 100 + 64 + 32 + 48) cases ≥ the
@@ -392,9 +392,12 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
             Arc::new(ObserverState::build_mode(run, sigma, mode).unwrap()),
         );
         let mut engines = vec![("standalone", standalone)];
-        engines.push(("batch session", batch.engine_mode(sigma, mode).unwrap()));
+        engines.push(("batch session", batch.uncached_engine(sigma, mode).unwrap()));
         if let Some(stream) = &stream {
-            engines.push(("stream session", stream.engine_mode(sigma, mode).unwrap()));
+            engines.push((
+                "stream session",
+                stream.uncached_engine(sigma, mode).unwrap(),
+            ));
         }
         for (what, engine) in &engines {
             let view = engine.ge();
@@ -824,13 +827,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Warm exclude-mode tier: the incremental engine's cached
-    /// own-sends-excluded observer states equal fresh
-    /// `build_excluding_own_sends` states after EVERY append — at the
-    /// newest node (state built this instant) and at a long-lived
-    /// observer (state built many appends ago and never invalidated).
-    /// Random strongly-connected topologies mean every observer has
-    /// outgoing channels, the regime where the two modes differ.
+    /// Exclude-mode tier: the incremental engine's own-sends-excluded
+    /// views of its `GB(r)` equal fresh `build_excluding_own_sends`
+    /// states after EVERY append — at the newest node and at a long-lived
+    /// observer, whose cached full-mode state was built many appends ago
+    /// and never invalidated. Random strongly-connected topologies mean
+    /// every observer has outgoing channels, the regime where the two
+    /// modes differ.
     #[test]
     fn warm_exclude_mode_states_match_fresh_builds_on_every_prefix(
         n in 3usize..6,
@@ -847,24 +850,24 @@ proptest! {
             let tracked_sigma = *tracked.get_or_insert(node);
             let prefix = inc.run();
             for sigma in [node, tracked_sigma] {
-                let warm = inc.engine_excluding_own_sends(sigma).unwrap();
+                let view = inc.uncached_engine(sigma, ObserverMode::ExcludeOwnSends).unwrap();
                 let fresh_state = ObserverState::build_excluding_own_sends(prefix, sigma).unwrap();
                 let fresh = KnowledgeEngine::with_state(prefix, Arc::new(fresh_state));
                 prop_assert_eq!(
-                    warm.max_x_basic_matrix().unwrap(),
+                    view.max_x_basic_matrix().unwrap(),
                     fresh.max_x_basic_matrix().unwrap(),
-                    "warm exclude-mode state diverged from a fresh build at {} (prefix of {})",
+                    "exclude-mode view diverged from a fresh build at {} (prefix of {})",
                     sigma,
                     node
                 );
-                // Both modes stay warm side by side without crosstalk:
-                // the full-mode state still equals its fresh build too.
+                // The cached full-mode state still equals its fresh build
+                // beside the per-call exclude-mode views.
                 let full_state = ObserverState::build(prefix, sigma).unwrap();
                 let full = KnowledgeEngine::with_state(prefix, Arc::new(full_state));
                 prop_assert_eq!(
                     inc.engine(sigma).unwrap().max_x_basic_matrix().unwrap(),
                     full.max_x_basic_matrix().unwrap(),
-                    "full-mode state diverged beside the exclude-mode cache at {}",
+                    "full-mode state diverged beside the exclude-mode views at {}",
                     sigma
                 );
             }
@@ -982,10 +985,10 @@ proptest! {
     }
 }
 
-/// Warm exclude-mode Protocol 2 decisions on a feedback topology (B has
+/// Exclude-mode Protocol 2 decisions on a feedback topology (B has
 /// outgoing channels, including a B ⇄ D cycle — the regime where
 /// exclude-mode differs from the paper's full `GE(r, σ)`): after every
-/// append, the streaming driver's cached decision equals a fresh
+/// append, the streaming driver's decision on its session graph equals a fresh
 /// `decide_at` (rebuilding the own-sends-excluded graph from scratch) on
 /// the same prefix, and the final verdict equals the in-simulation
 /// protocol and the batch helper.
@@ -1019,14 +1022,14 @@ fn warm_exclude_decisions_on_feedback_topology_match_fresh_builds() {
                 .unwrap();
                 assert_eq!(
                     knows, fresh,
-                    "x={x} [{l_bd},{u_bd}] seed {seed}: warm exclude decision \
+                    "x={x} [{l_bd},{u_bd}] seed {seed}: exclude decision \
                      diverged from the fresh rebuild at {}",
                     report.node
                 );
                 decisions += 1;
             }
             assert!(decisions > 0, "no B decisions exercised");
-            // The warm verdict is the protocol's: equal to the
+            // The streamed verdict is the protocol's: equal to the
             // in-simulation action node and to the batch helper.
             assert_eq!(driver.first_known(), verdict.b_node, "x={x} seed {seed}");
             let (first, sigma_c) =
@@ -1107,7 +1110,7 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                 }
                 let engine = driver
                     .engine()
-                    .engine_mode(sigma, ObserverMode::ExcludeOwnSends)
+                    .uncached_engine(sigma, ObserverMode::ExcludeOwnSends)
                     .unwrap();
                 let ge = engine.ge();
                 let edges = ge.edges().len() as u64;
@@ -1126,7 +1129,7 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                 let prefix = driver.engine().run();
                 let alone = IncrementalEngine::from_prefix(prefix.clone());
                 let fresh = alone
-                    .engine_mode(sigma, ObserverMode::ExcludeOwnSends)
+                    .uncached_engine(sigma, ObserverMode::ExcludeOwnSends)
                     .unwrap();
                 if let Some(theta_a) = driver.sigma_c().and_then(|c| spec.theta_a(c).ok()) {
                     let theta_b = GeneralNode::basic(sigma);
@@ -1526,9 +1529,9 @@ fn cold_observer_build_allocations_are_bounded() {
 /// and a first `max_x`, whatever the observer's |V|.
 const SESSION_READ_ALLOCS: u64 = 64;
 
-/// A retained decision state holds no edges. Each `ExcludeOwnSends`
-/// decision of a feedback-topology stream, made on the session's
-/// `GB(r)` and then held (as the observer LRU would hold it), keeps at
+/// A decision state holds no edges. Each `ExcludeOwnSends` decision of a
+/// feedback-topology stream, made on the session's `GB(r)` and then
+/// held (as a caller holding its engine would), keeps at
 /// most `RETAINED_BYTES_PER_VERTEX · (|past(r, σ)| + n)` bytes plus a
 /// constant, with no term in the view's edge count. The session graph's
 /// own buffers — its scratch arena and its walks' slot lane — are sized
@@ -1542,14 +1545,15 @@ fn retained_decision_states_hold_no_edges() {
     let run = sc
         .run(&mut OptimalStrategy, &mut RandomScheduler::seeded(640))
         .unwrap();
-    let mut session = IncrementalEngine::ingest(&run).unwrap();
-    session.set_observer_cap(Some(0));
+    let session = IncrementalEngine::ingest(&run).unwrap();
     let theta_a = spec
         .theta_a(run.external_receipt_node(spec.c, &spec.go_name).unwrap())
         .unwrap();
     let decisions: Vec<NodeId> = run.timeline(spec.b)[1..].iter().map(|r| r.id()).collect();
     let decide = |sigma: NodeId| {
-        let engine = session.engine_excluding_own_sends(sigma).unwrap();
+        let engine = session
+            .uncached_engine(sigma, ObserverMode::ExcludeOwnSends)
+            .unwrap();
         let _ = knows_required(&engine, spec.kind, &theta_a, &GeneralNode::basic(sigma));
         engine
     };
@@ -1572,11 +1576,11 @@ fn retained_decision_states_hold_no_edges() {
     );
 }
 
-/// Bytes a retained decision state may hold per `GE(r, σ)` vertex: two
+/// Bytes a held decision state may hold per `GE(r, σ)` vertex: two
 /// distance lanes and the fast timing's lanes are 25.
 const RETAINED_BYTES_PER_VERTEX: usize = 32;
 
-/// Bytes a retained decision state may hold whatever its size: the
+/// Bytes a held decision state may hold whatever its size: the
 /// state's fixed parts and its small maps (~3.5 KB).
 const RETAINED_BYTES_FIXED: usize = 4096;
 

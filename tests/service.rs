@@ -1,5 +1,5 @@
-//! Facade-level behavior tests: cache policies (LRU bound + warm
-//! rebuild, mid-stream compaction), session lifecycle and error surface,
+//! Facade-level behavior tests: the cache policy (LRU bound + warm
+//! rebuild) and what a session keeps, session lifecycle and error surface,
 //! a concurrency stress test holding interleaved multi-threaded traffic
 //! to the serial replay, and the wire encoding's round-trip guarantee
 //! (encode → decode → identical dispatch result, writer-based encoders
@@ -11,8 +11,8 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use zigzag::api::{
-    serve, wire, CachePolicy, CoordKind, Error, ProbeSemantics, Query, Response, SessionConfig,
-    TimedCoordination, ZigzagService,
+    serve, store, wire, CachePolicy, CoordKind, Error, ProbeSemantics, Query, Response,
+    SessionConfig, SessionStore, StoreConfig, TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
@@ -121,40 +121,6 @@ fn lru_bounded_batch_session_caps_states() {
     }
 }
 
-/// Mid-stream append-log compaction reclaims the log without changing
-/// any answer.
-#[test]
-fn compaction_policy_reclaims_log_and_preserves_answers() {
-    let run = tri_run(0, 45);
-    let service = ZigzagService::new();
-    let compacted = service.open_stream(
-        run.context_arc(),
-        run.horizon(),
-        SessionConfig::new().cache(CachePolicy::unbounded().compact_every(3)),
-    );
-    let plain = service.open_stream(run.context_arc(), run.horizon(), SessionConfig::new());
-    let anchor = NodeId::new(ProcessId::new(0), 1);
-    let mut cursor = RunCursor::new(&run);
-    while let Some(ev) = cursor.next_event() {
-        let node = service.append(compacted, &ev).unwrap().node;
-        service.append(plain, &ev).unwrap();
-        if !service.with_run(compacted, |r| r.appears(anchor)).unwrap() {
-            continue;
-        }
-        // Tight-bound queries keep the memoized SPFA warm, so the append
-        // log would grow without the policy; answers must stay equal.
-        let q = Query::TightBound {
-            from: anchor,
-            to: node,
-        };
-        assert_eq!(
-            service.dispatch(compacted, &q).unwrap(),
-            service.dispatch(plain, &q).unwrap(),
-            "compaction changed an answer at {node}"
-        );
-    }
-}
-
 /// The facade's session lifecycle and error surface: batch sessions
 /// that keep streaming, unknown sessions, missing specs.
 #[test]
@@ -209,6 +175,11 @@ fn session_lifecycle_and_error_surface() {
         let want = answers(replayed);
         let batch = shapes.open_batch(prefix.clone(), config.clone());
         assert_eq!(shapes.event_count(batch).unwrap(), half as u64);
+        // A bound cached before the first append catches up after it.
+        let (from, to) = (first, first);
+        shapes
+            .dispatch(batch, &Query::TightBound { from, to })
+            .unwrap();
         for ev in &events[half..] {
             shapes.append(batch, ev).unwrap();
         }
@@ -255,6 +226,28 @@ fn session_lifecycle_and_error_surface() {
         .unwrap_err();
     assert!(matches!(err, Error::Core(_)));
     assert!(std::error::Error::source(&err).is_some());
+
+    // A tight bound with an endpoint the run does not record — beyond a
+    // timeline, or on a process the network lacks — is refused naming
+    // it, at either end; served as a frame, it answers the error
+    // document.
+    let batch = service.open_batch(run, SessionConfig::new());
+    let p0 = NodeId::new(ProcessId::new(0), 1);
+    let far = NodeId::new(ProcessId::new(1), 1_000_000);
+    let foreign = NodeId::new(ProcessId::new(7), 1);
+    for (from, to, missing) in [(p0, far, far), (p0, foreign, foreign), (far, p0, far)] {
+        let q = Query::TightBound { from, to };
+        let err = service.dispatch(batch, &q).unwrap_err();
+        assert!(
+            matches!(&err, Error::Core(CoreError::NodeNotInRun { detail })
+                if detail.contains(&missing.to_string())),
+            "{q:?}: {err:?}"
+        );
+        if missing == foreign {
+            let served = serve::serve(&service, &[serve::encode_frame(batch, &q)], 1);
+            assert_eq!(served, vec![serve::encode_error(&err)]);
+        }
+    }
 }
 
 /// `FastRun`'s `gamma` and `extra_horizon` arrive from the wire as
@@ -653,7 +646,7 @@ fn coordination_decisions_agree_across_session_shapes() {
             let engine = IncrementalEngine::from_prefix(run.clone());
             graphs_differed |= run.timeline(b)[1..].iter().any(|rec| {
                 let edges = |probe: ProbeSemantics| {
-                    let decider = engine.engine_mode(rec.id(), probe.mode()).unwrap();
+                    let decider = engine.uncached_engine(rec.id(), probe.mode()).unwrap();
                     decider.ge().edges().len()
                 };
                 edges(ProbeSemantics::IncludeOwnSends) != edges(ProbeSemantics::ExcludeOwnSends)
@@ -684,8 +677,9 @@ fn feedback_scenario(x: i64, l_bd: u64, u_bd: u64) -> zigzag::coord::Scenario {
 }
 
 /// A batch session with a spec decides `CoordDecision` at open, under
-/// either probe: its decision states sit warm in its observer LRU, and
-/// answering the query builds nothing more.
+/// either probe, and retains nothing: its observer cache is empty and
+/// counted no miss, answering the query builds nothing, and the decision
+/// equals the fresh-build `first_knowledge`.
 #[test]
 fn batch_sessions_decide_coordination_at_open() {
     let sc = feedback_scenario(4, 1, 9);
@@ -702,11 +696,144 @@ fn batch_sessions_decide_coordination_at_open() {
         let service = ZigzagService::new();
         let config = SessionConfig::new().spec(sc.spec().clone()).probe(probe);
         let batch = service.open_batch(run.clone(), config);
-        let warm = service.observer_count(batch).unwrap();
-        assert!(warm > 0, "{probe:?}: nothing was decided at open");
-        service.dispatch(batch, &Query::CoordDecision).unwrap();
-        assert_eq!(service.observer_count(batch).unwrap(), warm, "{probe:?}");
+        assert_eq!(service.observer_count(batch).unwrap(), 0, "{probe:?}");
+        let Response::CoordDecision(report) =
+            service.dispatch(batch, &Query::CoordDecision).unwrap()
+        else {
+            panic!("CoordDecision answers a report");
+        };
+        let (first_known, sigma_c) =
+            zigzag::coord::first_knowledge(sc.spec(), &run, probe).unwrap();
+        assert!(first_known.is_some(), "{probe:?}: B never knew");
+        assert_eq!((report.first_known, report.sigma_c), (first_known, sigma_c));
+        assert_eq!(service.observer_count(batch).unwrap(), 0, "{probe:?}");
+        assert_eq!(service.stats().observer_misses, 0, "{probe:?}");
     }
+}
+
+/// A session's observer cache holds the states queries read and counts
+/// their misses, and nothing for coordination decisions: on a stream
+/// session that decided at every `B`-node and was polled after every
+/// append, and on a batch session that decided at open, under either
+/// probe, `MaxX` at three observers leaves three states, three misses
+/// and a three-observer export manifest.
+#[test]
+fn sessions_keep_and_count_query_states_only() {
+    let sc = feedback_scenario(4, 1, 9);
+    let (run, _) = sc
+        .run_verified(
+            &mut zigzag::coord::OptimalStrategy,
+            &mut RandomScheduler::seeded(1),
+        )
+        .unwrap();
+    let nodes = observers_of(&run);
+    let queried = [nodes[0], nodes[nodes.len() / 2], *nodes.last().unwrap()];
+    for probe in [
+        ProbeSemantics::IncludeOwnSends,
+        ProbeSemantics::ExcludeOwnSends,
+    ] {
+        let config = SessionConfig::new().spec(sc.spec().clone()).probe(probe);
+        let streamed = ZigzagService::new();
+        let stream = streamed.open_stream(run.context_arc(), run.horizon(), config.clone());
+        let mut decided = 0;
+        for ev in RunCursor::new(&run) {
+            decided += usize::from(streamed.append(stream, &ev).unwrap().b_knows.is_some());
+            streamed.dispatch(stream, &Query::CoordDecision).unwrap();
+        }
+        assert!(decided > 3, "{probe:?}: too few decisions to tell");
+        let batched = ZigzagService::new();
+        let batch = batched.open_batch(run.clone(), config);
+        for (service, id) in [(&streamed, stream), (&batched, batch)] {
+            for &sigma in &queried {
+                let here = GeneralNode::basic(sigma);
+                let q = Query::MaxX {
+                    sigma,
+                    theta1: here.clone(),
+                    theta2: here,
+                };
+                service.dispatch(id, &q).unwrap();
+            }
+            assert_eq!(service.observer_count(id).unwrap(), 3, "{probe:?}");
+            assert_eq!(service.stats().observer_misses, 3, "{probe:?}");
+            let mut manifest = service.export(id).unwrap().observers;
+            manifest.sort();
+            assert_eq!(manifest, queried, "{probe:?}");
+        }
+    }
+}
+
+/// Version 1 store documents are refused, not misread: `recover` refuses
+/// a `zigzag-log v1` log with `Error::Store` and leaves its files as they
+/// were, and a `zigzag-snap v1` document is refused by the snapshot
+/// decoder and, embedded in a served `Import` frame, answers the frame's
+/// error document and opens no session.
+#[test]
+fn version_1_store_documents_are_refused() {
+    // A v1 document: the old header, a compaction cadence on the
+    // `cache` line, and a mode on every `obs` line.
+    let to_v1 = |doc: &str| -> String {
+        doc.replacen("zigzag-log v2\n", "zigzag-log v1\n", 1)
+            .replacen("zigzag-snap v2\n", "zigzag-snap v1\n", 1)
+            .replacen("cache .\n", "cache . .\n", 1)
+            .lines()
+            .map(|l| match l.starts_with("obs ") {
+                true => format!("{l} full\n"),
+                false => format!("{l}\n"),
+            })
+            .collect()
+    };
+    let run = tri_run(2, 30);
+    let dir = std::env::temp_dir().join(format!("zigzag-v1-refusal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = ZigzagService::new();
+    let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(4)).unwrap();
+    let id = store
+        .open_stream(
+            &service,
+            "feed",
+            run.context_arc(),
+            run.horizon(),
+            SessionConfig::new(),
+        )
+        .unwrap();
+    let sigma = observers_of(&run)[0];
+    for ev in RunCursor::new(&run) {
+        store.append(&service, id, &ev).unwrap();
+        // A queried observer puts an `obs` line in every snapshot.
+        service.dispatch(id, &Query::MaxXMatrix { sigma }).unwrap();
+    }
+    let mut files = Vec::new();
+    for path in [store.log_path("feed"), store.snap_path("feed")] {
+        let v1 = to_v1(&std::fs::read_to_string(&path).unwrap());
+        assert!(v1.contains(" v1\n") && v1.contains("cache . .\n"), "{v1}");
+        std::fs::write(&path, &v1).unwrap();
+        files.push((path, v1));
+    }
+    let err = store.recover(&service, "feed").unwrap_err();
+    assert!(matches!(err, Error::Store { .. }), "{err}");
+    for (path, v1) in &files {
+        assert_eq!(&std::fs::read_to_string(path).unwrap(), v1, "{path:?}");
+    }
+
+    let Response::Exported(snap) = service.dispatch(id, &Query::Export).unwrap() else {
+        panic!("export answers Exported");
+    };
+    assert_eq!(snap.observers, vec![sigma]);
+    let v1 = to_v1(&store::encode_snapshot(&snap));
+    assert!(matches!(
+        store::decode_snapshot(&v1),
+        Err(Error::Store { .. })
+    ));
+    let frame = serve::encode_frame(id, &Query::Import(snap));
+    let hostile = to_v1(&frame);
+    assert!(hostile.contains("zigzag-snap v1\n") && hostile.contains(" full\n"));
+    let err = serve::decode_frame(&hostile).unwrap_err();
+    assert!(matches!(err, Error::Wire { .. }), "{err}");
+    let sessions = service.session_count();
+    let served = serve::serve(&service, &[hostile], 1);
+    assert_eq!(served, vec![serve::encode_error(&err)]);
+    assert_eq!(service.session_count(), sessions);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn observers_of(run: &Run) -> Vec<NodeId> {
