@@ -38,7 +38,7 @@
 //! at most once per call; everything non-retryable
 //! ([`Error::is_retryable`] is `false`) surfaces immediately.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -50,7 +50,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use zigzag_bcm::stream::RunEvent;
 
 use crate::error::Error;
-use crate::net::{read_envelope, write_envelope};
+use crate::net::{read_envelope, write_envelope, Conn};
 use crate::query::{Query, Response};
 use crate::serve;
 use crate::service::SessionId;
@@ -139,59 +139,13 @@ enum Target {
     Unix(PathBuf),
 }
 
-/// Either client-side stream transport.
-#[derive(Debug)]
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ClientStream {
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.set_read_timeout(d),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A reconnecting, retrying client for a [`crate::net::NetServer`]; see
 /// the [module docs](self) for the retry and exactly-once semantics.
 #[derive(Debug)]
 pub struct ResilientClient {
     target: Target,
     config: ClientConfig,
-    conn: Option<ClientStream>,
+    conn: Option<Conn>,
     rng: StdRng,
 }
 
@@ -380,28 +334,24 @@ impl ResilientClient {
         }
     }
 
-    fn ensure_conn(&mut self) -> Result<&mut ClientStream, Error> {
+    fn ensure_conn(&mut self) -> Result<&mut Conn, Error> {
         if self.conn.is_none() {
             let connect_err = |e: io::Error| Error::Transport {
                 detail: format!("connecting: {e}"),
             };
-            let stream = match &self.target {
-                Target::Tcp(addr) => {
-                    let s = TcpStream::connect_timeout(addr, self.config.request_deadline)
-                        .map_err(connect_err)?;
-                    // Mirror the server: no Nagle stall on small frames.
-                    s.set_nodelay(true).map_err(connect_err)?;
-                    ClientStream::Tcp(s)
-                }
+            let conn = match &self.target {
+                Target::Tcp(addr) => Conn::Tcp(
+                    TcpStream::connect_timeout(addr, self.config.request_deadline)
+                        .map_err(connect_err)?,
+                ),
                 #[cfg(unix)]
-                Target::Unix(path) => {
-                    ClientStream::Unix(UnixStream::connect(path).map_err(connect_err)?)
-                }
+                Target::Unix(path) => Conn::Unix(UnixStream::connect(path).map_err(connect_err)?),
             };
-            stream
-                .set_read_timeout(Some(self.config.request_deadline))
+            // Mirror the server: no Nagle stall on small frames.
+            conn.set_nodelay().map_err(connect_err)?;
+            conn.set_read_timeout(Some(self.config.request_deadline))
                 .map_err(connect_err)?;
-            self.conn = Some(stream);
+            self.conn = Some(conn);
         }
         Ok(self.conn.as_mut().expect("just ensured"))
     }

@@ -26,7 +26,7 @@
 //! was opened and at every stream prefix — pinned by the differential
 //! oracle.
 //! [`wire`] gives queries and responses a stable line-oriented text
-//! encoding (reusing the `zigzag-run v1` codec for embedded runs), and
+//! encoding (embedding runs as `zigzag-run v2` documents), and
 //! [`serve`] runs the high-throughput form: the session table is sharded
 //! ([`ZigzagService::sharded`]), and [`serve::serve`] fans wire-encoded
 //! request frames across N worker threads, each owning its shards — no

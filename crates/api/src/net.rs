@@ -658,8 +658,10 @@ impl ReplyRail {
     }
 }
 
-/// Either stream transport, behind one read/write surface.
-enum Conn {
+/// Either stream transport, behind one read/write surface — the
+/// server's connections and [`crate::ResilientClient`]'s.
+#[derive(Debug)]
+pub(crate) enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -674,7 +676,7 @@ impl Conn {
         })
     }
 
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_read_timeout(d),
             #[cfg(unix)]
@@ -703,7 +705,7 @@ impl Conn {
 
     /// Disables Nagle on TCP so coalesced writes leave immediately;
     /// Unix sockets have no Nagle and accept trivially.
-    fn set_nodelay(&self) -> io::Result<()> {
+    pub(crate) fn set_nodelay(&self) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_nodelay(true),
             #[cfg(unix)]

@@ -163,7 +163,7 @@ pub struct FastRunReport {
     /// `time(θ)` in the constructed run.
     pub theta_time: Time,
     /// The constructed run itself — a complete, validatable [`Run`]
-    /// (wire-encoded through the `zigzag-run v1` codec).
+    /// (wire-encoded as a `zigzag-run v2` document).
     pub run: Run,
 }
 

@@ -184,18 +184,13 @@ impl ZigzagService {
     /// receiving half of live migration (and the in-process form of
     /// [`Query::Import`]). The restored session answers every query
     /// byte-identically to the exported one and accepts further appends.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::Store`] on an internally inconsistent
-    /// snapshot, or propagates the engine error if its run is malformed.
-    pub fn import(&self, snap: SessionSnapshot) -> Result<SessionId, Error> {
-        let session = crate::store::restore(snap)?;
+    pub fn import(&self, snap: SessionSnapshot) -> SessionId {
+        let session = crate::store::restore(snap);
         self.metrics
             .store
             .migrations
             .fetch_add(1, Ordering::Relaxed);
-        Ok(self.install(session))
+        self.install(session)
     }
 
     /// Installs an already-built session under a fresh handle — every
@@ -364,7 +359,7 @@ impl ZigzagService {
         match query {
             Query::Stats => Ok(Response::Stats(Box::new(stats()))),
             Query::Export => Ok(Response::Exported(Box::new(self.export(id)?))),
-            Query::Import(snap) => Ok(Response::Imported(self.import((**snap).clone())?)),
+            Query::Import(snap) => Ok(Response::Imported(self.import((**snap).clone()))),
             Query::Append(ev) => Ok(Response::Appended(self.append_routed(id, ev)?)),
             Query::EventCount => Ok(Response::EventCount(self.event_count(id)?)),
             Query::Recover => Ok(Response::Recovered(self.recover_routed()?)),
@@ -379,24 +374,20 @@ impl ZigzagService {
         }
     }
 
-    /// A point-in-time [`StatsReport`] with no queue gauges — the answer
-    /// [`ZigzagService::dispatch`] gives [`Query::Stats`]. A [`crate::net`]
-    /// server answers with [`ZigzagService::stats_with_queues`] instead.
+    /// A point-in-time [`StatsReport`] with no queue gauges and no
+    /// transport counters — the answer [`ZigzagService::dispatch`] gives
+    /// [`Query::Stats`]. A [`crate::net`] server answers with
+    /// [`ZigzagService::stats_with_net`] instead.
     pub fn stats(&self) -> StatsReport {
-        self.stats_with_queues(&[])
+        self.stats_with_net(&[], TransportCounters::default())
     }
 
     /// A point-in-time [`StatsReport`] carrying the caller's per-worker
-    /// queue-depth gauges. Cache counters are summed over every open
-    /// session; each shard's lock is held only long enough to copy its
-    /// handle list, never across counter collection.
-    pub fn stats_with_queues(&self, queue_depths: &[u64]) -> StatsReport {
-        self.stats_with_net(queue_depths, TransportCounters::default())
-    }
-
-    /// [`ZigzagService::stats_with_queues`] with the caller's transport
-    /// counters attached — the form a [`crate::net`] server answers
-    /// [`Query::Stats`] with.
+    /// queue-depth gauges and transport counters — the form a
+    /// [`crate::net`] server answers [`Query::Stats`] with. Cache
+    /// counters are summed over every open session; each shard's lock is
+    /// held only long enough to copy its handle list, never across
+    /// counter collection.
     pub fn stats_with_net(
         &self,
         queue_depths: &[u64],

@@ -241,7 +241,6 @@ impl StreamSession {
         };
         Ok(SessionSnapshot {
             config: self.config.clone(),
-            events: engine.event_count() as u64,
             first_known,
             sigma_c,
             observers: engine.observer_keys(),

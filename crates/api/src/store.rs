@@ -27,38 +27,42 @@
 //! against the data actually present, no panics on arbitrary bytes):
 //!
 //! ```text
-//! zigzag-log v2                 zigzag-snap v2
-//! probe include                 events 12
-//! cache 32                      probe include
-//! spec late 4 1 2 0 go a b      cache 32
-//! run 5                         spec late 4 1 2 0 go a b
-//! zigzag-run v1                 coord 2 3 0 1
-//! horizon 40                    observers 1
-//! proc 0 C                      obs 2 3
-//! proc 1 A                      run 31
-//! chan 0 1 2 5                  zigzag-run v1
-//! ev 0 3 1 ego 1 1 8 0          ...(the skeleton document)
-//! ev 1 8 1 m0 0 1 act           ev 0 3 1 ego 1 1 8 0
-//!                               ...(`events` many `ev` lines)
+//! zigzag-log v3                 zigzag-snap v3
+//! probe include                 probe include
+//! cache 32                      cache 32
+//! spec late 4 1 2 0 go a b      spec late 4 1 2 0 go a b
+//! run 6                         coord . . 0 1
+//! zigzag-run v2                 observers 1
+//! horizon 40                    obs 1 1
+//! proc 0 C                      run 8
+//! proc 1 A                      zigzag-run v2
+//! proc 2 B                      horizon 40
+//! chan 0 1 2 5                  proc 0 C
+//! ev 0 3 1 ego 1 1 8 0          proc 1 A
+//! ev 1 8 1 m0 0 1 act           proc 2 B
+//!                               chan 0 1 2 5
+//!                               ev 0 3 1 ego 1 1 8 0
+//!                               ev 1 8 1 m0 0 1 act
 //! ```
 //!
 //! The `cache` line holds the observer cap (`.` = unbounded), and each
 //! `obs` line an observer whose state the session's cache held — the
 //! warm-set manifest, which lists query states only (coordination
-//! decisions keep none). Version 1 documents, whose `cache` line also
-//! carried a compaction cadence and whose `obs` lines a mode column, are
-//! refused, and recovery leaves their files as they are.
+//! decisions keep none).
 //!
-//! Both headers embed the session's *skeleton* run (context + horizon,
-//! no events) through `bcm::codec`, then carry one `ev` line per event
-//! ([`zigzag_bcm::codec::encode_event`]) — the log appends them as they
-//! arrive; the snapshot stores the whole prefix as its `events`-counted
-//! block, decoded by replaying the lines onto the skeleton (the same
-//! exact reconstruction the append path itself uses). A torn final
-//! record, a truncated tail, non-UTF-8 bytes or an overclaimed count
-//! never panic: recovery keeps the longest prefix of records that parse
-//! *and* apply, and truncates the log back to exactly that prefix
-//! before appending resumes.
+//! Both documents embed a `bcm::codec` run document behind a `run
+//! <lines>` count. The log header embeds the session's *skeleton* run
+//! (context + horizon, no events), and the log then appends one `ev`
+//! record per event ([`zigzag_bcm::codec::encode_event`]) as it arrives.
+//! A snapshot embeds its whole run prefix, whose `ev` lines are the same
+//! records; decoding replays them through the same append the live path
+//! uses, so a decoded snapshot is the run the writer froze. Documents of
+//! versions 1 and 2, whose embedded runs were `zigzag-run v1` record
+//! tables, are refused, and recovery leaves their files as they are. A
+//! torn final record, a truncated tail, non-UTF-8 bytes or an
+//! overclaimed count never panic: recovery keeps the longest prefix of
+//! records that parse *and* apply, and truncates the log back to
+//! exactly that prefix before appending resumes.
 //!
 //! # Recovery
 //!
@@ -131,12 +135,12 @@ use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
 use crate::session::{AppendReport, StreamSession};
 
-/// Version header of the per-session event log. Version 1 logs are
-/// refused (see the [module docs](self)).
-pub const LOG_HEADER: &str = "zigzag-log v2";
-/// Version header of the session snapshot / migration document. Version
-/// 1 documents are refused.
-pub const SNAP_HEADER: &str = "zigzag-snap v2";
+/// Version header of the per-session event log. Logs of versions 1 and
+/// 2 are refused (see the [module docs](self)).
+pub const LOG_HEADER: &str = "zigzag-log v3";
+/// Version header of the session snapshot / migration document.
+/// Documents of versions 1 and 2 are refused.
+pub const SNAP_HEADER: &str = "zigzag-snap v3";
 
 fn bad(line: usize, detail: impl Into<String>) -> Error {
     Error::Store {
@@ -226,9 +230,6 @@ pub struct SessionSnapshot {
     /// The session's configuration (cache policy, probe semantics,
     /// coordination spec).
     pub config: SessionConfig,
-    /// Events appended so far; always equals the number of non-initial
-    /// nodes of [`SessionSnapshot::run`] (enforced on decode/restore).
-    pub events: u64,
     /// The coordination driver's earliest known `B`-node, if any.
     pub first_known: Option<NodeId>,
     /// The coordination driver's trigger node `σ_C`, if seen.
@@ -438,14 +439,13 @@ fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     codec::decode(&text).map_err(|e| bad(doc.no, format!("embedded run: {e}")))
 }
 
-/// Encodes a [`SessionSnapshot`] into the `zigzag-snap v2` document:
-/// metadata, the embedded skeleton, then one `ev` line per prefix event
-/// (see the [module docs](self)).
+/// Encodes a [`SessionSnapshot`] into the `zigzag-snap v3` document:
+/// metadata, then the run prefix as an embedded run document (see the
+/// [module docs](self)).
 pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
-    let skeleton = codec::encode(&Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
-    let mut out = String::with_capacity(skeleton.len() + 64 * snap.run.node_count() + 256);
+    let run = codec::encode(&snap.run);
+    let mut out = String::with_capacity(run.len() + 256);
     let _ = writeln!(out, "{SNAP_HEADER}");
-    let _ = writeln!(out, "events {}", snap.events);
     push_config_lines(&mut out, &snap.config);
     out.push_str("coord");
     push_opt_node(&mut out, snap.first_known);
@@ -455,33 +455,23 @@ pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
     for sigma in &snap.observers {
         let _ = writeln!(out, "obs {} {}", sigma.proc().index(), sigma.index());
     }
-    push_run_lines(&mut out, &skeleton);
-    let mut cursor = RunCursor::new(&snap.run);
-    while let Some(ev) = cursor.next_event() {
-        out.push_str(&encode_event(&ev));
-        out.push('\n');
-    }
+    push_run_lines(&mut out, &run);
     out
 }
 
-/// Decodes a `zigzag-snap v2` document.
+/// Decodes a `zigzag-snap v3` document.
 ///
 /// # Errors
 ///
 /// Fails with [`Error::Store`] on any malformation: wrong header,
-/// overclaimed counts, bad tokens, an embedded run that does not decode,
-/// or an event count disagreeing with the embedded run.
+/// overclaimed counts, bad tokens, or an embedded run that does not
+/// decode.
 pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
     let mut doc = Doc::new(text);
     let header = doc.next("header")?;
     if header.trim() != SNAP_HEADER {
         return Err(bad(doc.no, format!("bad header {header:?}")));
     }
-    let line = doc.next("events line")?;
-    let events = line
-        .strip_prefix("events ")
-        .ok_or_else(|| bad(doc.no, format!("expected events line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "event count"))?;
     let config = parse_config_lines(&mut doc)?;
 
     let line = doc.next("coord line")?;
@@ -521,9 +511,9 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
         ));
     }
 
-    let skeleton = parse_run_lines(&mut doc)?;
+    let run = parse_run_lines(&mut doc)?;
     if let Some(spec) = &config.spec {
-        let net = skeleton.context().network();
+        let net = run.context().network();
         if let Some(p) = [spec.a, spec.b, spec.c]
             .into_iter()
             .find(|&p| !net.contains(p))
@@ -534,34 +524,8 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
             ));
         }
     }
-    if events > doc.remaining() as u64 {
-        return Err(bad(
-            doc.no,
-            format!("claims {events} events, {} lines remain", doc.remaining()),
-        ));
-    }
-    // Rebuild the prefix by replaying the `ev` block onto the skeleton —
-    // the exact reconstruction the live append path performs, so a
-    // decoded snapshot is the run the writer froze, byte for byte.
-    let mut prefix = StreamingRun::adopt(skeleton);
-    for _ in 0..events {
-        let line = doc.next("ev line")?;
-        let ev = decode_event(line).map_err(|e| bad(doc.no, format!("embedded event: {e}")))?;
-        prefix
-            .append(&ev)
-            .map_err(|e| bad(doc.no, format!("embedded event does not replay: {e}")))?;
-    }
-    let run = prefix.finish();
-    let non_initial = run.nodes().filter(|r| !r.id().is_initial()).count() as u64;
-    if events != non_initial {
-        return Err(bad(
-            doc.no,
-            format!("claims {events} events but the run holds {non_initial}"),
-        ));
-    }
     Ok(SessionSnapshot {
         config,
-        events,
         first_known,
         sigma_c,
         observers,
@@ -572,20 +536,11 @@ pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
 /// Builds a live [`StreamSession`] from a snapshot: batch-build the
 /// engine over the prefix, optionally pre-warm the manifest's observer
 /// states, seed the coordination progress and the append counter.
-pub(crate) fn restore(snap: SessionSnapshot) -> Result<StreamSession, Error> {
+pub(crate) fn restore(snap: SessionSnapshot) -> StreamSession {
     restore_with(snap, true)
 }
 
-fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Error> {
-    let non_initial = snap.run.nodes().filter(|r| !r.id().is_initial()).count() as u64;
-    if snap.events != non_initial {
-        return Err(Error::Store {
-            detail: format!(
-                "snapshot claims {} events but its run holds {non_initial}",
-                snap.events
-            ),
-        });
-    }
+fn restore_with(snap: SessionSnapshot, warm: bool) -> StreamSession {
     let engine = IncrementalEngine::from_prefix(snap.run);
     if warm {
         for &sigma in &snap.observers {
@@ -594,12 +549,7 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Erro
             let _ = engine.engine(sigma);
         }
     }
-    Ok(StreamSession::resume(
-        snap.config,
-        engine,
-        snap.first_known,
-        snap.sigma_c,
-    ))
+    StreamSession::resume(snap.config, engine, snap.first_known, snap.sigma_c)
 }
 
 // ---------------------------------------------------------------------
@@ -871,13 +821,13 @@ impl SessionStore {
         let snap = service.session(id)?.freeze()?;
         // A snapshot is only trusted if replaying the run's own cursor
         // events onto a fresh skeleton rebuilds it exactly — decoding
-        // replays the `ev` block the same way, so this check (one cheap
-        // engine-less replay) guarantees the restored run is the frozen
-        // one byte for byte. Canonical-order feeds (everything the
-        // simulator or cursor replay produces) always pass; a hand-built
-        // feed whose cursor order renumbers messages degrades to
-        // log-only durability instead of restoring a subtly reordered
-        // run.
+        // replays the embedded run's `ev` lines the same way, so this
+        // check (one cheap engine-less replay) guarantees the restored
+        // run is the frozen one byte for byte. Canonical-order feeds
+        // (everything the simulator or cursor replay produces) always
+        // pass; a hand-built feed whose cursor order renumbers messages
+        // degrades to log-only durability instead of restoring a subtly
+        // reordered run.
         let mut rebuilt =
             StreamingRun::adopt(Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
         let mut cursor = RunCursor::new(&snap.run);
@@ -955,11 +905,11 @@ impl SessionStore {
         // The first pass tries the installed snapshot as the base, the
         // second (and last) the log header as an empty snapshot.
         loop {
-            // The records the base covers are only surface-scanned; the
-            // tail past them is decoded.
-            let covered = snapshot.as_ref().map_or(0, |s| {
-                usize::try_from(s.events).expect("a decoded snapshot's events are its run's nodes")
-            });
+            // The records the base covers, one per non-initial node of its
+            // run, are only surface-scanned; the tail past them is decoded.
+            let covered = snapshot
+                .as_ref()
+                .map_or(0, |s| s.run.node_count() - s.run.context().network().len());
             let parsed = parse_log(&bytes, covered)?;
             let from_snapshot = snapshot.is_some();
             let base = match snapshot.take() {
@@ -968,7 +918,7 @@ impl SessionStore {
                 Some(_) => continue,
                 None => parsed.empty_base(),
             };
-            let session = restore_with(base, self.config.warm_observers)?;
+            let session = restore_with(base, self.config.warm_observers);
             let mut applied = 0;
             for (ev, _) in &parsed.events {
                 if session.append(ev).is_err() {
@@ -1124,7 +1074,6 @@ impl ParsedLog {
     fn empty_base(&self) -> SessionSnapshot {
         SessionSnapshot {
             config: self.config.clone(),
-            events: 0,
             first_known: None,
             sigma_c: None,
             observers: Vec::new(),
@@ -1245,10 +1194,15 @@ mod tests {
     /// The Fig. 1 network with a feedback `B → C` channel (so knowledge
     /// actually flows and coordination decides), driven by FFIP.
     fn fig_run() -> Run {
+        fig_run_named(["C", "A", "B"])
+    }
+
+    /// [`fig_run`] with processes `C`, `A`, `B` named `names`.
+    fn fig_run_named([c, a, bb]: [&str; 3]) -> Run {
         let mut b = Network::builder();
-        let c = b.add_process("C");
-        let a = b.add_process("A");
-        let bb = b.add_process("B");
+        let c = b.add_process(c);
+        let a = b.add_process(a);
+        let bb = b.add_process(bb);
         b.add_channel(c, a, 1, 3).unwrap();
         b.add_channel(c, bb, 7, 9).unwrap();
         b.add_channel(bb, c, 2, 4).unwrap();
@@ -1332,7 +1286,7 @@ mod tests {
         // The empty snapshot (no events yet) round-trips too.
         let empty = service.open_stream(run.context_arc(), run.horizon(), coord_config());
         let snap = service.export(empty).unwrap();
-        assert_eq!(snap.events, 0);
+        assert_eq!(RunCursor::new(&snap.run).remaining(), 0);
         assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
     }
 
@@ -1371,14 +1325,16 @@ mod tests {
 
         // Targeted malformations.
         let tamper = |from: &str, to: &str| good.replacen(from, to, 1);
+        assert!(good.contains(" m0 "));
         for doc in [
             tamper(SNAP_HEADER, "zigzag-snap v1"),
-            tamper("events ", "events x"),
+            tamper(SNAP_HEADER, "zigzag-snap v2"),
+            tamper("zigzag-run v2", "zigzag-run v1"),
             // Overclaimed counts must be refused before allocation.
             tamper("observers ", "observers 4000000000 "),
             tamper("run ", &format!("run {} ", u64::MAX)),
-            // An event count disagreeing with the embedded run.
-            tamper("events ", "events 1"),
+            // An embedded event that does not replay.
+            tamper(" m0 ", " m99 "),
             tamper("probe ", "probe sideways "),
             tamper("coord", "coord zz"),
         ] {
@@ -1570,45 +1526,54 @@ mod tests {
         assert_eq!(service.event_count(rec.id).unwrap(), 0);
     }
 
+    /// Process names a run document must escape to keep: one holding
+    /// `#`, and the empty name.
+    const ODD_NAMES: [&str; 3] = ["C#1", "", "B"];
+
+    /// A crashed session's log replays to the exact run and answers,
+    /// whatever its processes are named.
     #[test]
     fn recovery_replays_the_log_byte_identically() {
-        let run = fig_run();
-        let events = events_of(&run);
-        let probes = probes(&run);
-        let dir = tmpdir("recover-log");
+        for (k, names) in [["C", "A", "B"], ODD_NAMES].into_iter().enumerate() {
+            let run = fig_run_named(names);
+            let events = events_of(&run);
+            let probes = probes(&run);
+            let dir = tmpdir(&format!("recover-log-{k}"));
 
-        // The uninterrupted reference.
-        let reference = ZigzagService::new();
-        let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
-        let expected = answers(&reference, ref_id, &probes);
+            // The uninterrupted reference.
+            let reference = ZigzagService::new();
+            let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
+            let expected = answers(&reference, ref_id, &probes);
 
-        // A durable session, crashed after the last append (drop without
-        // any shutdown protocol).
-        {
+            // A durable session, crashed after the last append (drop
+            // without any shutdown protocol).
+            {
+                let service = ZigzagService::new();
+                let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+                let id = store
+                    .open_stream(
+                        &service,
+                        "feed",
+                        run.context_arc(),
+                        run.horizon(),
+                        coord_config(),
+                    )
+                    .unwrap();
+                for ev in &events {
+                    store.append(&service, id, ev).unwrap();
+                }
+            }
+
             let service = ZigzagService::new();
             let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
+            let rec = store.recover(&service, "feed").unwrap();
+            assert!(!rec.from_snapshot);
+            assert!(!rec.truncated);
+            assert_eq!(rec.replayed_events, events.len() as u64);
+            assert_eq!(answers(&service, rec.id, &probes), expected);
+            assert_eq!(service.stats().store.recoveries, 1);
+            assert_eq!(service.export(rec.id).unwrap().run, run, "{names:?}");
         }
-
-        let service = ZigzagService::new();
-        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
-        let rec = store.recover(&service, "feed").unwrap();
-        assert!(!rec.from_snapshot);
-        assert!(!rec.truncated);
-        assert_eq!(rec.replayed_events, events.len() as u64);
-        assert_eq!(answers(&service, rec.id, &probes), expected);
-        assert_eq!(service.stats().store.recoveries, 1);
     }
 
     #[test]
@@ -1684,52 +1649,57 @@ mod tests {
         assert_eq!(answers(&service, recovered[0].1.id, &probes), expected);
     }
 
+    /// A snapshot plus the log tail past it recovers the exact run and
+    /// answers, whatever its processes are named.
     #[test]
     fn recovery_from_snapshot_plus_tail_is_byte_identical() {
-        let run = fig_run();
-        let events = events_of(&run);
-        let probes = probes(&run);
-        let dir = tmpdir("recover-snap");
+        for (k, names) in [["C", "A", "B"], ODD_NAMES].into_iter().enumerate() {
+            let run = fig_run_named(names);
+            let events = events_of(&run);
+            let probes = probes(&run);
+            let dir = tmpdir(&format!("recover-snap-{k}"));
 
-        let reference = ZigzagService::new();
-        let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
-        let expected = answers(&reference, ref_id, &probes);
+            let reference = ZigzagService::new();
+            let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
+            let expected = answers(&reference, ref_id, &probes);
 
-        {
+            {
+                let service = ZigzagService::new();
+                let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(3)).unwrap();
+                let id = store
+                    .open_stream(
+                        &service,
+                        "feed",
+                        run.context_arc(),
+                        run.horizon(),
+                        coord_config(),
+                    )
+                    .unwrap();
+                for ev in &events {
+                    store.append(&service, id, ev).unwrap();
+                }
+                assert!(store.snap_path("feed").exists());
+                assert!(service.stats().store.snapshots >= 1);
+            }
+
             let service = ZigzagService::new();
             let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(3)).unwrap();
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
-            assert!(store.snap_path("feed").exists());
-            assert!(service.stats().store.snapshots >= 1);
+            let rec = store.recover(&service, "feed").unwrap();
+            assert!(rec.from_snapshot);
+            assert_eq!(
+                rec.restored_events + rec.replayed_events,
+                events.len() as u64
+            );
+            // The snapshot covered a multiple of 3; only the tail replays.
+            assert!(rec.replayed_events < 3);
+            assert_eq!(answers(&service, rec.id, &probes), expected);
+            assert_eq!(service.export(rec.id).unwrap().run, run, "{names:?}");
+
+            // The recovered session keeps appending durably: a second crash
+            // and recovery still matches a fresh full replay.
+            let run2 = fig_run_named(names);
+            assert_eq!(run2, run, "FFIP under the eager scheduler is deterministic");
         }
-
-        let service = ZigzagService::new();
-        let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(3)).unwrap();
-        let rec = store.recover(&service, "feed").unwrap();
-        assert!(rec.from_snapshot);
-        assert_eq!(
-            rec.restored_events + rec.replayed_events,
-            events.len() as u64
-        );
-        // The snapshot covered a multiple of 3; only the tail replays.
-        assert!(rec.replayed_events < 3);
-        assert_eq!(answers(&service, rec.id, &probes), expected);
-
-        // The recovered session keeps appending durably: a second crash
-        // and recovery still matches a fresh full replay.
-        let run2 = fig_run();
-        assert_eq!(run2, run, "FFIP under the eager scheduler is deterministic");
     }
 
     #[test]
@@ -1824,7 +1794,7 @@ mod tests {
         // In-process export/import…
         let snap = source.export(id).unwrap();
         let target = ZigzagService::new();
-        let moved = target.import(snap.clone()).unwrap();
+        let moved = target.import(snap.clone());
         assert_eq!(answers(&target, moved, &probes), expected);
 
         // …and through the dispatch layer (what the socket path uses).
@@ -1851,11 +1821,5 @@ mod tests {
             actions: vec!["post-move".into()],
         };
         target.append(moved, &ev).unwrap();
-
-        // A tampered snapshot (count out of step with its run) is
-        // refused by import.
-        let mut evil = snap;
-        evil.events += 1;
-        assert!(matches!(target.import(evil), Err(Error::Store { .. })));
     }
 }

@@ -96,7 +96,7 @@ fn push_opt_node<W: fmt::Write>(out: &mut W, n: Option<NodeId>) -> fmt::Result {
 }
 
 /// Embeds a session snapshot as `snaplines <k>` followed by the complete
-/// `zigzag-snap v1` document — the same count-then-lines shape as the
+/// `zigzag-snap v3` document — the same count-then-lines shape as the
 /// `runlines` embed of fast-run responses.
 fn push_snapshot<W: fmt::Write>(out: &mut W, snap: &crate::store::SessionSnapshot) -> fmt::Result {
     let encoded = crate::store::encode_snapshot(snap);
@@ -276,7 +276,7 @@ fn encode_response_into<W: fmt::Write>(out: &mut W, r: &Response) -> fmt::Result
             out.write_str("fastrun")?;
             push_node(out, *sigma)?;
             writeln!(out, " {gamma} {}", theta_time.ticks())?;
-            // The embedded run reuses the zigzag-run v1 codec verbatim.
+            // The embedded run is a `zigzag-run v2` document, verbatim.
             let encoded = codec::encode(run);
             writeln!(out, "runlines {}", encoded.lines().count())?;
             for l in encoded.lines() {

@@ -1,41 +1,47 @@
 //! A lossless, dependency-free text codec for recorded runs.
 //!
 //! Experiments produce [`Run`]s worth keeping — counterexamples found by
-//! fuzzing, slow/fast construction witnesses, regression fixtures. The
-//! codec round-trips a run (context included) through a line-oriented
-//! format that diffs well under version control:
+//! fuzzing, slow/fast construction witnesses, regression fixtures — and
+//! the serving layer ships them in fast-run responses and durable
+//! snapshots. A run document is the run's context and horizon followed
+//! by its event feed: one [`encode_event`] line per basic node, in the
+//! [`RunCursor`] order the event log and snapshots already use. It diffs
+//! well under version control:
 //!
 //! ```text
-//! zigzag-run v1
+//! zigzag-run v2
 //! horizon 40
 //! proc 0 C
 //! proc 1 A
 //! chan 0 1 2 5
-//! node 0 1 3            # proc index time
-//! recv 0 1 e0
-//! act 0 1 send_go
-//! ext 0 go              # id name (placement comes from recv lines)
-//! msg 0 0 1 1 5 . . .   # id src-proc src-idx dst scheduled [dst-idx dtime]
+//! ev 0 3 1 ego 1 1 5 0
+//! ev 1 5 1 m0 0 1 send_go
 //! ```
 //!
-//! Decoding replays the events through [`RunBuilder`] in the engine's
-//! canonical `(time, process)` order, so a decoded run is structurally
-//! *identical* (`==`) to the original for every run produced by the
-//! simulator or the construction engines. A number too wide for the id
-//! or count it names is refused, never narrowed to another id.
+//! A `proc` line holds a process's index and its [`escape_token`]-escaped
+//! name, a `chan` line a channel's endpoints and bounds `L U`. Names are
+//! escaped wherever they appear, so any name survives: empty, or holding
+//! spaces, `#` or newlines.
+//!
+//! Decoding rebuilds the context and replays the `ev` lines through
+//! [`StreamingRun::append`], the same append the event log and snapshots
+//! replay through. A decoded run is therefore *identical* (`==`) to the
+//! original whenever the run's message and external ids follow its
+//! feed's `(time, process)` order, as in every run the simulator or the
+//! construction engines produce. A document whose events do not replay —
+//! a delivery or schedule outside its channel's bounds, a receipt of an
+//! unsent message — is refused, and so is a number too wide for the id
+//! or count it names.
 
 #![deny(clippy::cast_possible_truncation)]
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::builder::RunBuilder;
 use crate::error::BcmError;
-use crate::event::Receipt;
 use crate::message::MessageId;
 use crate::net::{Network, ProcessId};
-use crate::run::{NodeId, Run};
-use crate::stream::{ReceiptEvent, RunEvent, SendEvent};
+use crate::run::Run;
+use crate::stream::{ReceiptEvent, RunCursor, RunEvent, SendEvent, StreamingRun};
 use crate::time::Time;
 
 fn bad(line_no: usize, detail: impl Into<String>) -> BcmError {
@@ -54,7 +60,7 @@ fn bad_event(detail: impl Into<String>) -> BcmError {
 /// whitespace character are percent-encoded byte-wise (`%XX`), and the
 /// empty string becomes the marker `%.` so no token is ever empty. Names
 /// escaped this way survive `split_whitespace` tokenization in any
-/// line-oriented format (the event log, session snapshots, spec lines).
+/// line-oriented format (run documents, the event log, spec lines).
 pub fn escape_token(s: &str) -> String {
     if s.is_empty() {
         return "%.".to_string();
@@ -236,15 +242,15 @@ pub fn decode_event(line: &str) -> Result<RunEvent, BcmError> {
     })
 }
 
-/// Encodes a run (with its context) into the `zigzag-run v1` text format.
+/// Encodes a run (with its context) into the `zigzag-run v2` text format.
 pub fn encode(run: &Run) -> String {
     let net = run.context().network();
     let bounds = run.context().bounds();
     let mut out = String::new();
-    let _ = writeln!(out, "zigzag-run v1");
+    let _ = writeln!(out, "zigzag-run v2");
     let _ = writeln!(out, "horizon {}", run.horizon().ticks());
     for p in net.processes() {
-        let _ = writeln!(out, "proc {} {}", p.index(), net.name(p));
+        let _ = writeln!(out, "proc {} {}", p.index(), escape_token(net.name(p)));
     }
     for ch in net.channels() {
         let cb = bounds.get(*ch).expect("recorded channels bounded");
@@ -257,97 +263,21 @@ pub fn encode(run: &Run) -> String {
             cb.upper()
         );
     }
-    for rec in run.nodes() {
-        if rec.id().is_initial() {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "node {} {} {}",
-            rec.id().proc().index(),
-            rec.id().index(),
-            rec.time().ticks()
-        );
-        for r in rec.receipts() {
-            match r {
-                Receipt::Internal(m) => {
-                    let _ = writeln!(
-                        out,
-                        "recv {} {} m{}",
-                        rec.id().proc().index(),
-                        rec.id().index(),
-                        m.index()
-                    );
-                }
-                Receipt::External(e) => {
-                    let _ = writeln!(
-                        out,
-                        "recv {} {} e{}",
-                        rec.id().proc().index(),
-                        rec.id().index(),
-                        e.index()
-                    );
-                }
-            }
-        }
-        for a in rec.actions() {
-            let _ = writeln!(
-                out,
-                "act {} {} {}",
-                rec.id().proc().index(),
-                rec.id().index(),
-                a.name()
-            );
-        }
-    }
-    for e in run.externals() {
-        let _ = writeln!(out, "ext {} {}", e.id().index(), e.name());
-    }
-    for m in run.messages() {
-        let (didx, dtime) = match m.delivery() {
-            Some(d) => (d.node.index().to_string(), d.time.ticks().to_string()),
-            None => (".".into(), ".".into()),
-        };
-        let _ = writeln!(
-            out,
-            "msg {} {} {} {} {} {} {} {}",
-            m.id().index(),
-            m.src().proc().index(),
-            m.src().index(),
-            m.channel().to.index(),
-            m.sent_at().ticks(),
-            m.scheduled_at().ticks(),
-            didx,
-            dtime
-        );
+    for ev in RunCursor::new(run) {
+        out.push_str(&encode_event(&ev));
+        out.push('\n');
     }
     out
 }
 
-#[derive(Debug, Default)]
-struct NodeSpec {
-    time: u64,
-    receipts: Vec<String>,
-    actions: Vec<String>,
-}
-
-/// Decodes a `zigzag-run v1` document back into a [`Run`].
+/// Decodes a `zigzag-run v2` document back into a [`Run`].
 ///
 /// # Errors
 ///
-/// Returns [`BcmError::IllegalRun`] on malformed input, or if the event
-/// order cannot be replayed canonically (runs hand-built in a
-/// non-chronological order may not round-trip; everything the simulator
-/// and the construction engines produce does).
+/// Returns [`BcmError::IllegalRun`] on malformed input, the network
+/// builder's error on an invalid context, and [`StreamingRun::append`]'s
+/// error on an event that does not replay.
 pub fn decode(text: &str) -> Result<Run, BcmError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(bad(1, "empty document"));
-    };
-    if header.trim() != "zigzag-run v1" {
-        return Err(bad(1, format!("bad header {header:?}")));
-    }
-
     /// Token `s` of line `line_no` as a number of type `T`.
     fn narrow<T: TryFrom<u64>>(line_no: usize, s: &str) -> Result<T, BcmError> {
         let n: u64 = s
@@ -356,185 +286,48 @@ pub fn decode(text: &str) -> Result<Run, BcmError> {
         T::try_from(n).map_err(|_| bad(line_no, format!("number {s:?} out of range")))
     }
 
-    let mut horizon: Option<u64> = None;
-    let mut procs: Vec<(usize, String)> = Vec::new();
-    let mut chans: Vec<(u32, u32, u64, u64)> = Vec::new();
-    let mut nodes: BTreeMap<(u32, u32), NodeSpec> = BTreeMap::new();
-    let mut exts: BTreeMap<usize, String> = BTreeMap::new();
-    #[allow(clippy::type_complexity)]
-    let mut msgs: Vec<(usize, u32, u32, u32, u64, u64, Option<(u32, u64)>)> = Vec::new();
-
-    for (ln, raw) in lines {
-        let line_no = ln + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let kind = it.next().expect("non-empty line");
-        let rest: Vec<&str> = it.collect();
-        match kind {
-            "horizon" => {
-                horizon = Some(narrow(
-                    line_no,
-                    rest.first()
-                        .ok_or_else(|| bad(line_no, "missing horizon"))?,
-                )?);
-            }
-            "proc" => {
-                if rest.len() < 2 {
-                    return Err(bad(line_no, "proc needs index and name"));
-                }
-                procs.push((narrow(line_no, rest[0])?, rest[1..].join(" ")));
-            }
-            "chan" => {
-                if rest.len() != 4 {
-                    return Err(bad(line_no, "chan needs from to L U"));
-                }
-                chans.push((
-                    narrow(line_no, rest[0])?,
-                    narrow(line_no, rest[1])?,
-                    narrow(line_no, rest[2])?,
-                    narrow(line_no, rest[3])?,
-                ));
-            }
-            "node" => {
-                if rest.len() != 3 {
-                    return Err(bad(line_no, "node needs proc index time"));
-                }
-                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
-                nodes.entry(key).or_default().time = narrow(line_no, rest[2])?;
-            }
-            "recv" => {
-                if rest.len() != 3 {
-                    return Err(bad(line_no, "recv needs proc index ref"));
-                }
-                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
-                nodes
-                    .get_mut(&key)
-                    .ok_or_else(|| bad(line_no, "recv before node"))?
-                    .receipts
-                    .push(rest[2].to_string());
-            }
-            "act" => {
-                if rest.len() < 3 {
-                    return Err(bad(line_no, "act needs proc index name"));
-                }
-                let key = (narrow(line_no, rest[0])?, narrow(line_no, rest[1])?);
-                nodes
-                    .get_mut(&key)
-                    .ok_or_else(|| bad(line_no, "act before node"))?
-                    .actions
-                    .push(rest[2..].join(" "));
-            }
-            "ext" => {
-                if rest.len() < 2 {
-                    return Err(bad(line_no, "ext needs id name"));
-                }
-                exts.insert(narrow(line_no, rest[0])?, rest[1..].join(" "));
-            }
-            "msg" => {
-                if rest.len() != 8 {
-                    return Err(bad(line_no, "msg needs 8 fields"));
-                }
-                let delivery = if rest[6] == "." {
-                    None
-                } else {
-                    Some((narrow(line_no, rest[6])?, narrow(line_no, rest[7])?))
-                };
-                msgs.push((
-                    narrow(line_no, rest[0])?,
-                    narrow(line_no, rest[1])?,
-                    narrow(line_no, rest[2])?,
-                    narrow(line_no, rest[3])?,
-                    narrow(line_no, rest[4])?,
-                    narrow(line_no, rest[5])?,
-                    delivery,
-                ));
-            }
-            other => return Err(bad(line_no, format!("unknown record {other:?}"))),
-        }
+    let mut lines = (1..).zip(text.lines()).peekable();
+    match lines.next() {
+        Some((_, "zigzag-run v2")) => {}
+        Some((no, header)) => return Err(bad(no, format!("bad header {header:?}"))),
+        None => return Err(bad(1, "empty document")),
     }
-
-    // Rebuild the context.
-    let mut nb = Network::builder();
-    procs.sort_by_key(|(i, _)| *i);
-    for (k, (i, name)) in procs.iter().enumerate() {
-        if *i != k {
-            return Err(bad(0, "proc indices must be dense and ascending"));
-        }
-        nb.add_process(name.clone());
-    }
-    for &(f, t, l, u) in &chans {
-        nb.add_channel(ProcessId::new(f), ProcessId::new(t), l, u)?;
-    }
-    let ctx = nb.build()?;
-    let horizon = Time::new(horizon.ok_or_else(|| bad(0, "missing horizon"))?);
-    let mut rb = RunBuilder::new(ctx, horizon);
-
-    // Replay in canonical (time, process) order, mirroring the engine.
-    msgs.sort_by_key(|m| m.0);
-    let msgs_by_src: BTreeMap<(u32, u32), Vec<usize>> = {
-        let mut map: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (k, m) in msgs.iter().enumerate() {
-            map.entry((m.1, m.2)).or_default().push(k);
-        }
-        map
+    let horizon = match lines.next() {
+        Some((no, line)) => match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["horizon", h] => Time::new(narrow(no, h)?),
+            _ => return Err(bad(no, format!("expected horizon, got {line:?}"))),
+        },
+        None => return Err(bad(2, "missing horizon")),
     };
-    let mut order: Vec<(u64, u32, u32)> = nodes
-        .iter()
-        .map(|(&(p, i), spec)| (spec.time, p, i))
-        .collect();
-    order.sort();
-    let mut next_ext = 0usize;
-    for (time, p, i) in order {
-        let node = rb.add_node(ProcessId::new(p), Time::new(time))?;
-        if node != NodeId::new(ProcessId::new(p), i) {
-            return Err(bad(0, format!("non-dense node index {i} for process {p}")));
-        }
-        let spec = &nodes[&(p, i)];
-        for r in &spec.receipts {
-            if let Some(m) = r.strip_prefix('m') {
-                let id: u32 = m.parse().map_err(|_| bad(0, format!("bad msg ref {r}")))?;
-                rb.deliver(crate::message::MessageId::new(id), node)?;
-            } else if let Some(e) = r.strip_prefix('e') {
-                let id: usize = e.parse().map_err(|_| bad(0, format!("bad ext ref {r}")))?;
-                if id != next_ext {
-                    return Err(bad(0, "external ids out of canonical order"));
-                }
-                let name = exts
-                    .get(&id)
-                    .ok_or_else(|| bad(0, format!("missing ext record {id}")))?;
-                rb.add_external(node, name.clone())?;
-                next_ext += 1;
-            } else {
-                return Err(bad(0, format!("bad receipt ref {r:?}")));
-            }
-        }
-        for a in &spec.actions {
-            rb.act(node, a.clone())?;
-        }
-        // Issue this node's sends in recorded id order.
-        if let Some(ids) = msgs_by_src.get(&(p, i)) {
-            for &k in ids {
-                let (id, _, _, dst, sent, scheduled, _) = msgs[k];
-                if sent != time {
-                    return Err(bad(
-                        0,
-                        format!("msg {id} send time disagrees with its node"),
-                    ));
-                }
-                let got = rb.send(node, ProcessId::new(dst), Time::new(scheduled))?;
-                if got.index() != id {
-                    return Err(bad(0, format!("msg ids out of canonical order at {id}")));
+
+    // The context: `proc` and `chan` lines up to the first event.
+    let mut nb = Network::builder();
+    while let Some((no, line)) = lines.next_if(|(_, line)| !line.starts_with("ev ")) {
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["proc", i, name] => {
+                let name = unescape_token(name).map_err(|e| bad(no, e.to_string()))?;
+                if nb.add_process(name).index() != narrow::<usize>(no, i)? {
+                    return Err(bad(no, "proc indices must be dense and ascending"));
                 }
             }
+            ["chan", from, to, lower, upper] => {
+                nb.add_channel(
+                    ProcessId::new(narrow(no, from)?),
+                    ProcessId::new(narrow(no, to)?),
+                    narrow(no, lower)?,
+                    narrow(no, upper)?,
+                )?;
+            }
+            _ => return Err(bad(no, format!("bad context line {line:?}"))),
         }
     }
-    if next_ext != exts.len() {
-        return Err(bad(0, "dangling ext records"));
+
+    // The events, replayed through the append the event log uses.
+    let mut run = StreamingRun::new(nb.build()?, horizon);
+    for (no, line) in lines {
+        run.append(&decode_event(line).map_err(|e| bad(no, e.to_string()))?)?;
     }
-    Ok(rb.finish())
+    Ok(run.finish())
 }
 
 #[cfg(test)]
@@ -573,24 +366,46 @@ mod tests {
         }
     }
 
+    /// Every name survives the round trip, whatever it holds: `#` (which
+    /// marks no comment), repeated or leading spaces, nothing at all, or
+    /// a newline — as a process, an external and an action.
     #[test]
     fn names_with_spaces_and_comments_survive() {
-        let run = sample(3);
-        let mut text = encode(&run);
-        text.push_str("\n# trailing comment\n\n");
-        let back = decode(&text).unwrap();
-        assert_eq!(run, back);
-        assert!(text.contains("ext 1 other kick"));
+        use crate::builder::RunBuilder;
+        let names = ["a#b", "c  d", " lead", "", "new\nline"];
+        let mut b = Network::builder();
+        let procs: Vec<ProcessId> = names.iter().map(|&name| b.add_process(name)).collect();
+        for pair in procs.windows(2) {
+            b.add_bidirectional(pair[0], pair[1], 1, 3).unwrap();
+        }
+        let mut rb = RunBuilder::new(b.build().unwrap(), Time::new(9));
+        let mut inbound = None;
+        for ((k, &p), (t, name)) in procs.iter().enumerate().zip((1..).zip(names)) {
+            let node = rb.add_node(p, Time::new(t)).unwrap();
+            rb.add_external(node, name).unwrap();
+            if let Some(m) = inbound.take() {
+                rb.deliver(m, node).unwrap();
+            }
+            rb.act(node, name).unwrap();
+            if let Some(&next) = procs.get(k + 1) {
+                inbound = Some(rb.send(node, next, Time::new(t + 1)).unwrap());
+            }
+        }
+        let run = rb.finish();
+        let text = encode(&run);
+        assert!(text.contains("proc 0 a#b\nproc 1 c%20%20d\n"), "{text}");
+        assert_eq!(decode(&text).unwrap(), run);
     }
 
     #[test]
     fn malformed_documents_are_rejected() {
         assert!(decode("").is_err());
         assert!(decode("not a run").is_err());
-        assert!(decode("zigzag-run v1\n").is_err()); // missing horizon
-        assert!(decode("zigzag-run v1\nhorizon 5\nbogus 1 2\n").is_err());
-        assert!(decode("zigzag-run v1\nhorizon 5\nproc 0 a\nrecv 0 1 m0\n").is_err());
-        assert!(decode("zigzag-run v1\nhorizon 5\nproc 0 a\nchan 0 0 1 2\n").is_err());
+        assert!(decode("zigzag-run v2\n").is_err()); // missing horizon
+        assert!(decode("zigzag-run v2\nhorizon 5\nbogus 1 2\n").is_err());
+        assert!(decode("zigzag-run v2\nhorizon 5\nproc 1 a\n").is_err());
+        assert!(decode("zigzag-run v2\nhorizon 5\nproc 0 a\nchan 0 0 1 2\n").is_err());
+        assert!(decode("zigzag-run v2\nhorizon 5\nproc 0 a\nev 0 1 0 0 0\nproc 1 b\n").is_err());
         // A bound that cannot be an edge weight.
         let text = encode(&sample(0));
         assert!(text.contains("chan 0 1 1 4\n"));
@@ -599,10 +414,15 @@ mod tests {
             decode(&wide),
             Err(BcmError::InvalidBounds { upper, .. }) if upper == 1 << 63
         ));
-        // Tampered message id ordering.
-        let run = sample(0);
-        let tampered = encode(&run).replace("msg 0 ", "msg 7 ");
-        assert!(decode(&tampered).is_err());
+        // Version 1 documents and comment lines are refused.
+        assert!(decode(&text.replacen("zigzag-run v2", "zigzag-run v1", 1)).is_err());
+        assert!(decode(&format!("{text}# trailing comment\n")).is_err());
+        // Events that do not replay: a receipt of an unsent message.
+        assert!(text.contains(" m0 "));
+        assert!(matches!(
+            decode(&text.replacen(" m0 ", " m99 ", 1)),
+            Err(BcmError::UnknownNode { .. })
+        ));
     }
 
     #[test]
@@ -671,11 +491,15 @@ mod tests {
         assert!(decode_event("ev 0 3 1 m5 0 0").is_ok());
         assert!(refused(decode_event("ev 0 3 1 m4294967301 0 0")));
 
-        // Token `k` of the first line tagged `tag` of a run document (with
-        // an action at `p0#1`), plus 2³² (a receipt reference keeps its
-        // `m`).
-        let text = encode(&sample(0)) + "act 0 1 fire\n";
+        // Token `k` of the first line tagged `tag` of a run document whose
+        // token `k` is a number, plus 2³² (a receipt reference keeps its
+        // `m`). On `ev` lines token 1 is the process and token 4 the first
+        // receipt (every event has one, and an external one holds no
+        // number, so a message receipt is widened); the first event has
+        // one receipt, so its token 6 is its first send's target.
+        let text = encode(&sample(0));
         assert!(decode(&text).is_ok());
+        assert!(text.contains("\nev 0 1 1 ekick 1 1 4 0\n"), "{text}");
         let widen = |tag: &str, k: usize| {
             let mut widened = false;
             let doc: String = text
@@ -696,39 +520,39 @@ mod tests {
             assert!(widened, "no {tag} token {k}");
             doc
         };
-        let sites = [
-            ("chan", 1),
-            ("chan", 2),
-            ("node", 2),
-            ("recv", 2),
-            ("recv", 3),
-            ("act", 2),
-            ("msg", 3),
-            ("msg", 7),
-        ];
+        let sites = [("chan", 1), ("chan", 2), ("ev", 1), ("ev", 4), ("ev", 6)];
         for (tag, k) in sites {
             assert!(refused(decode(&widen(tag, k))), "{tag} token {k}");
         }
     }
 
+    /// A constructed run round-trips, its message in flight past the
+    /// horizon included. A run whose in-flight message is due outside
+    /// its channel's bounds does not replay, so its document is refused.
     #[test]
     fn constructed_runs_round_trip_too() {
         use crate::builder::RunBuilder;
-        let mut b = Network::builder();
-        let i = b.add_process("i");
-        let j = b.add_process("j");
-        b.add_bidirectional(i, j, 1, 3).unwrap();
-        let ctx = b.build().unwrap();
-        let mut rb = RunBuilder::new(ctx, Time::new(10));
-        let ni = rb.add_node(i, Time::new(2)).unwrap();
-        rb.add_external(ni, "go").unwrap();
-        rb.act(ni, "a").unwrap();
-        let m = rb.send(ni, j, Time::new(4)).unwrap();
-        let nj = rb.add_node(j, Time::new(4)).unwrap();
-        rb.deliver(m, nj).unwrap();
-        let _beyond = rb.send(nj, i, Time::new(12)).unwrap(); // in flight
-        let run = rb.finish();
-        let back = decode(&encode(&run)).unwrap();
-        assert_eq!(run, back);
+        let build = |due: u64| {
+            let mut b = Network::builder();
+            let i = b.add_process("i");
+            let j = b.add_process("j");
+            b.add_bidirectional(i, j, 1, 3).unwrap();
+            let mut rb = RunBuilder::new(b.build().unwrap(), Time::new(5));
+            let ni = rb.add_node(i, Time::new(2)).unwrap();
+            rb.add_external(ni, "go").unwrap();
+            rb.act(ni, "a").unwrap();
+            let m = rb.send(ni, j, Time::new(4)).unwrap();
+            let nj = rb.add_node(j, Time::new(4)).unwrap();
+            rb.deliver(m, nj).unwrap();
+            rb.send(nj, i, Time::new(due)).unwrap(); // in flight
+            rb.finish()
+        };
+        let run = build(6);
+        validate_run(&run, Strictness::Strict).unwrap();
+        assert_eq!(decode(&encode(&run)).unwrap(), run);
+        assert!(matches!(
+            decode(&encode(&build(12))),
+            Err(BcmError::DeliveryOutOfBounds { .. })
+        ));
     }
 }

@@ -13,9 +13,8 @@
 //!   schedules on a feedback topology (`B` has outgoing channels,
 //!   including a `B ⇄ D` cycle) through a spec-configured
 //!   `ExcludeOwnSends` stream session, every per-event `B` decision —
-//!   made on an own-sends-excluded view of the session's `GB(r)`, which
-//!   the report still calls a cached decision state — equals a fresh
-//!   per-prefix rebuild
+//!   made on an own-sends-excluded view of the session's `GB(r)` —
+//!   equals a fresh per-prefix rebuild
 //!   (`decide_at`: a new excluded `GE`), and the final
 //!   `CoordDecision` equals the in-simulation protocol's action node;
 //! * **V3 — serving observability (PR 7)**: after a warm frame mix, a
@@ -357,7 +356,7 @@ pub fn experiment(p: Profile) -> Experiment {
         vec![(4, 4, 0, 40), (5, 4, 1, 40)],
     );
     let mut v2 = Section::new(format!(
-        "V2 — warm exclude-mode coordination (cached decision states vs fresh rebuilds):\n{}",
+        "V2 — warm exclude-mode coordination (decisions on session views vs fresh rebuilds):\n{}",
         format_header(
             &V2_WIDTHS,
             &["x", "seed", "t(warm)", "t(sim)", "decisions", "verdict"]
@@ -368,7 +367,7 @@ pub fn experiment(p: Profile) -> Experiment {
     }
     let v2 = v2.footer(|cells| {
         let decisions: i64 = cells.iter().map(|c| c.metrics[0]).sum();
-        format!("all {decisions} B-node decisions served warm equal their fresh rebuilds\n\n")
+        format!("all {decisions} B-node decisions on session views equal their fresh rebuilds\n\n")
     });
 
     let v3_cases: Vec<(usize, u64, u64, usize)> = p.pick(
@@ -390,7 +389,7 @@ pub fn experiment(p: Profile) -> Experiment {
         format!(
             "all {queries} dispatches counted, one latency sample each\n\n\
              Sessions hash to shards, workers own shards, and the warm\n\
-             exclude-mode states make online Protocol 2 decisions cache-served;\n\
+             GB(r) of a session backs each online Protocol 2 decision's view;\n\
              every byte equals the single-threaded, rebuild-everything baseline,\n\
              and the serving counters reconcile with the frames served.\n"
         )

@@ -10,7 +10,7 @@
 //!
 //! The second act moves the recovered session between two *live*
 //! processes: two `NetServer`s on Unix sockets, a `Query::Export` frame
-//! on one, the returned `zigzag-snap v1` document fed to the other as a
+//! on one, the returned `zigzag-snap v3` document fed to the other as a
 //! `Query::Import` frame, and the same probe asked of both — the
 //! answers come back identical down to the byte.
 //!
@@ -146,7 +146,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let Response::Exported(snap) = wire::decode_response(&doc)? else {
         panic!("export answered with a non-snapshot document");
     };
-    println!("exported a {}-event snapshot from server A", snap.events);
+    println!(
+        "exported a {}-event snapshot from server A",
+        RunCursor::new(&snap.run).remaining()
+    );
 
     // Import into B: any session line routes an import frame.
     write_envelope(

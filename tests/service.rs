@@ -762,17 +762,39 @@ fn sessions_keep_and_count_query_states_only() {
     }
 }
 
-/// Version 1 store documents are refused, not misread: `recover` refuses
-/// a `zigzag-log v1` log with `Error::Store` and leaves its files as they
-/// were, and a `zigzag-snap v1` document is refused by the snapshot
-/// decoder and, embedded in a served `Import` frame, answers the frame's
-/// error document and opens no session.
+/// Store documents of versions 1 and 2 are refused, not misread:
+/// `recover` refuses such a log with `Error::Store` and leaves its files
+/// as they were, and such a snapshot is refused by the snapshot decoder
+/// and, embedded in a served `Import` frame, answers the frame's error
+/// document and opens no session.
 #[test]
 fn version_1_store_documents_are_refused() {
-    // A v1 document: the old header, a compaction cadence on the
-    // `cache` line, and a mode on every `obs` line.
+    // A v2 document: the v2 headers and a `zigzag-run v1` embed holding
+    // the skeleton alone; a snapshot also has an `events` line, and its
+    // `ev` lines follow the embed.
+    let to_v2 = |doc: &str| -> String {
+        let events = doc.lines().filter(|l| l.starts_with("ev ")).count();
+        let snap = doc.contains("zigzag-snap v3\n");
+        doc.lines()
+            .map(|l| match l {
+                "zigzag-log v3" => "zigzag-log v2\n".to_string(),
+                "zigzag-snap v3" => format!("zigzag-snap v2\nevents {events}\n"),
+                "zigzag-run v2" => "zigzag-run v1\n".to_string(),
+                _ => match (l.strip_prefix("run "), l.strip_prefix("snaplines ")) {
+                    (Some(k), _) if snap => {
+                        format!("run {}\n", k.parse::<usize>().unwrap() - events)
+                    }
+                    (_, Some(k)) => format!("snaplines {}\n", k.parse::<usize>().unwrap() + 1),
+                    _ => format!("{l}\n"),
+                },
+            })
+            .collect()
+    };
+    // A v1 document: a v2 one with the v1 headers, a compaction cadence
+    // on the `cache` line, and a mode on every `obs` line.
     let to_v1 = |doc: &str| -> String {
-        doc.replacen("zigzag-log v2\n", "zigzag-log v1\n", 1)
+        to_v2(doc)
+            .replacen("zigzag-log v2\n", "zigzag-log v1\n", 1)
             .replacen("zigzag-snap v2\n", "zigzag-snap v1\n", 1)
             .replacen("cache .\n", "cache . .\n", 1)
             .lines()
@@ -783,57 +805,63 @@ fn version_1_store_documents_are_refused() {
             .collect()
     };
     let run = tri_run(2, 30);
-    let dir = std::env::temp_dir().join(format!("zigzag-v1-refusal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let service = ZigzagService::new();
-    let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(4)).unwrap();
-    let id = store
-        .open_stream(
-            &service,
-            "feed",
-            run.context_arc(),
-            run.horizon(),
-            SessionConfig::new(),
-        )
-        .unwrap();
     let sigma = observers_of(&run)[0];
-    for ev in RunCursor::new(&run) {
-        store.append(&service, id, &ev).unwrap();
-        // A queried observer puts an `obs` line in every snapshot.
-        service.dispatch(id, &Query::MaxXMatrix { sigma }).unwrap();
-    }
-    let mut files = Vec::new();
-    for path in [store.log_path("feed"), store.snap_path("feed")] {
-        let v1 = to_v1(&std::fs::read_to_string(&path).unwrap());
-        assert!(v1.contains(" v1\n") && v1.contains("cache . .\n"), "{v1}");
-        std::fs::write(&path, &v1).unwrap();
-        files.push((path, v1));
-    }
-    let err = store.recover(&service, "feed").unwrap_err();
-    assert!(matches!(err, Error::Store { .. }), "{err}");
-    for (path, v1) in &files {
-        assert_eq!(&std::fs::read_to_string(path).unwrap(), v1, "{path:?}");
-    }
+    for (version, convert) in [("v1", &to_v1 as &dyn Fn(&str) -> String), ("v2", &to_v2)] {
+        let dir =
+            std::env::temp_dir().join(format!("zigzag-{version}-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = ZigzagService::new();
+        let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(4)).unwrap();
+        let id = store
+            .open_stream(
+                &service,
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                SessionConfig::new(),
+            )
+            .unwrap();
+        for ev in RunCursor::new(&run) {
+            store.append(&service, id, &ev).unwrap();
+            // A queried observer puts an `obs` line in every snapshot.
+            service.dispatch(id, &Query::MaxXMatrix { sigma }).unwrap();
+        }
+        let mut files = Vec::new();
+        for path in [store.log_path("feed"), store.snap_path("feed")] {
+            let old = convert(&std::fs::read_to_string(&path).unwrap());
+            assert!(old.contains(&format!(" {version}\n")), "{old}");
+            assert!(old.contains("zigzag-run v1\n"), "{old}");
+            assert!(version == "v2" || old.contains("cache . .\n"), "{old}");
+            std::fs::write(&path, &old).unwrap();
+            files.push((path, old));
+        }
+        let err = store.recover(&service, "feed").unwrap_err();
+        assert!(matches!(err, Error::Store { .. }), "{version}: {err}");
+        for (path, old) in &files {
+            assert_eq!(&std::fs::read_to_string(path).unwrap(), old, "{path:?}");
+        }
 
-    let Response::Exported(snap) = service.dispatch(id, &Query::Export).unwrap() else {
-        panic!("export answers Exported");
-    };
-    assert_eq!(snap.observers, vec![sigma]);
-    let v1 = to_v1(&store::encode_snapshot(&snap));
-    assert!(matches!(
-        store::decode_snapshot(&v1),
-        Err(Error::Store { .. })
-    ));
-    let frame = serve::encode_frame(id, &Query::Import(snap));
-    let hostile = to_v1(&frame);
-    assert!(hostile.contains("zigzag-snap v1\n") && hostile.contains(" full\n"));
-    let err = serve::decode_frame(&hostile).unwrap_err();
-    assert!(matches!(err, Error::Wire { .. }), "{err}");
-    let sessions = service.session_count();
-    let served = serve::serve(&service, &[hostile], 1);
-    assert_eq!(served, vec![serve::encode_error(&err)]);
-    assert_eq!(service.session_count(), sessions);
-    let _ = std::fs::remove_dir_all(&dir);
+        let Response::Exported(snap) = service.dispatch(id, &Query::Export).unwrap() else {
+            panic!("export answers Exported");
+        };
+        assert_eq!(snap.observers, vec![sigma]);
+        let old = convert(&store::encode_snapshot(&snap));
+        assert!(matches!(
+            store::decode_snapshot(&old),
+            Err(Error::Store { .. })
+        ));
+        let frame = serve::encode_frame(id, &Query::Import(snap));
+        let hostile = convert(&frame);
+        assert!(hostile.contains(&format!("zigzag-snap {version}\n")));
+        assert!(version == "v2" || hostile.contains(" full\n"));
+        let err = serve::decode_frame(&hostile).unwrap_err();
+        assert!(matches!(err, Error::Wire { .. }), "{version}: {err}");
+        let sessions = service.session_count();
+        let served = serve::serve(&service, &[hostile], 1);
+        assert_eq!(served, vec![serve::encode_error(&err)]);
+        assert_eq!(service.session_count(), sessions);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 fn observers_of(run: &Run) -> Vec<NodeId> {
@@ -991,7 +1019,9 @@ proptest! {
     ) {
         let ctx = topology::random(n, density as f64 / 10.0, 1, 6, topo_seed).unwrap();
         let mut sim = Simulator::new(ctx, SimConfig::with_horizon(Time::new(18)));
-        sim.external(Time::new(1), ProcessId::new(0), "kick");
+        // `#` and doubled spaces in the name survive the run documents
+        // that fast-run responses embed.
+        sim.external(Time::new(1), ProcessId::new(0), "kick #1  now");
         let run = sim
             .run(&mut Ffip::new(), &mut RandomScheduler::seeded(sched_seed))
             .unwrap();
