@@ -6,10 +6,11 @@
 //! [`crate::net::read_envelope`] pair, and adds the failure handling a
 //! caller facing a faulty network otherwise reimplements badly:
 //!
-//! * **Typed errors** — every server `zigzag-error v1` document is parsed
-//!   back into the [`Error`] it encodes, and every connection-level
-//!   failure (EOF, reset, timeout) becomes [`Error::Transport`], so the
-//!   caller matches one enum instead of string-scraping.
+//! * **Typed errors** — every server `zigzag-error v2` document is read
+//!   back into the [`Error`] its code names ([`crate::serve::decode_error`]),
+//!   and every connection-level failure (EOF, reset, timeout) becomes
+//!   [`Error::Transport`], so the caller matches one enum instead of
+//!   string-scraping.
 //! * **Retry, gated on [`Error::is_retryable`]** — idempotent queries are
 //!   retried transparently across reconnects with capped exponential
 //!   backoff and deterministic jitter (seeded, so a chaos run replays
@@ -375,72 +376,13 @@ impl ResilientClient {
     }
 }
 
-/// Decodes one reply document: a `zigzag-error v1` document becomes the
-/// typed [`Error`] it encodes, anything else parses as a response.
+/// Decodes one reply document: a `zigzag-error v2` document becomes the
+/// typed [`Error`] it carries, anything else parses as a response.
 fn decode_reply(doc: &str) -> Result<Response, Error> {
     if serve::is_error_document(doc) {
-        Err(classify_error_doc(doc))
+        Err(serve::decode_error(doc))
     } else {
         wire::decode_response(doc)
-    }
-}
-
-/// Parses a server `zigzag-error v1` document back into the [`Error`] it
-/// encodes, by its stable display line. Layer errors (model, causality,
-/// coordination) cannot be reconstructed losslessly client-side and
-/// arrive as [`Error::Internal`] carrying the server's text verbatim;
-/// they are non-retryable either way, which is the property the retry
-/// loop needs.
-fn classify_error_doc(doc: &str) -> Error {
-    let line = doc.lines().nth(1).unwrap_or("").trim();
-    if let Some(rest) = line.strip_prefix("server overloaded: worker ") {
-        let worker = rest
-            .split_whitespace()
-            .next()
-            .and_then(|w| w.parse().ok())
-            .unwrap_or(0);
-        return Error::Overloaded { worker };
-    }
-    if let Some(detail) = line.strip_prefix("internal server error: ") {
-        return Error::Internal {
-            detail: detail.into(),
-        };
-    }
-    if let Some(detail) = line.strip_prefix("session store: ") {
-        return Error::Store {
-            detail: detail.into(),
-        };
-    }
-    if let Some(detail) = line.strip_prefix("transport: ") {
-        return Error::Transport {
-            detail: detail.into(),
-        };
-    }
-    if let Some(rest) = line.strip_prefix("unknown session s") {
-        if let Ok(raw) = rest.parse::<u64>() {
-            return Error::UnknownSession {
-                id: SessionId::from_raw(raw),
-            };
-        }
-    }
-    if let Some(rest) = line.strip_prefix("wire: line ") {
-        if let Some((n, detail)) = rest.split_once(": ") {
-            if let Ok(ln) = n.parse() {
-                return Error::Wire {
-                    line: ln,
-                    detail: detail.into(),
-                };
-            }
-        }
-    }
-    if line == "coordination decision requested on a session configured without a spec" {
-        return Error::NoSpec;
-    }
-    if line.starts_with("stats is a service-level query") {
-        return Error::ServiceLevelQuery;
-    }
-    Error::Internal {
-        detail: format!("server reported: {line}"),
     }
 }
 
@@ -477,40 +419,6 @@ mod tests {
             .max_retries(2)
             .backoff(Duration::from_millis(1), Duration::from_millis(4))
             .request_deadline(Duration::from_millis(500))
-    }
-
-    #[test]
-    fn error_documents_classify_back_to_their_typed_errors() {
-        for e in [
-            Error::Overloaded { worker: 3 },
-            Error::Internal {
-                detail: "caught panic in dispatch".into(),
-            },
-            Error::Store {
-                detail: "log unreadable".into(),
-            },
-            Error::Transport {
-                detail: "connection reset".into(),
-            },
-            Error::UnknownSession {
-                id: SessionId::from_raw(42),
-            },
-            Error::Wire {
-                line: 3,
-                detail: "unexpected token".into(),
-            },
-            Error::NoSpec,
-            Error::ServiceLevelQuery,
-        ] {
-            let doc = serve::encode_error(&e);
-            assert_eq!(classify_error_doc(&doc), e, "round-trip failed for {e}");
-        }
-        // Layer errors fall back to Internal carrying the text verbatim —
-        // and stay non-retryable, which is all the retry loop relies on.
-        let layer = Error::Bcm(zigzag_bcm::BcmError::EmptyNetwork);
-        let fallback = classify_error_doc(&serve::encode_error(&layer));
-        assert!(matches!(&fallback, Error::Internal { detail } if detail.contains("model layer")));
-        assert!(!fallback.is_retryable());
     }
 
     #[test]

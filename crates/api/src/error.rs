@@ -5,16 +5,47 @@
 //! kept whole and exposed through [`std::error::Error::source`], so a
 //! caller (or a log formatter walking the chain) sees exactly the failure
 //! the layer reported.
+//!
+//! An error crosses the wire as a code: one table here writes and reads
+//! the line a `zigzag-error v2` document carries (see [`Error`]), and
+//! `Display` is for logs only.
 
 use std::fmt;
 
+use zigzag_bcm::codec::escape_token;
 use zigzag_bcm::BcmError;
 use zigzag_coord::CoordError;
 use zigzag_core::CoreError;
 
 use crate::service::SessionId;
+use crate::wire::Tokens;
 
 /// Errors produced by the `zigzag::api` facade.
+///
+/// # Wire codes
+///
+/// A `zigzag-error v2` document ([`crate::serve::encode_error`]) carries
+/// one line: the variant's code, then its fields. Free text is one
+/// [`escape_token`]-escaped token.
+///
+/// | Variant | Line |
+/// |---|---|
+/// | [`Error::Bcm`] | `bcm <text>` |
+/// | [`Error::Core`] | `core <text>` |
+/// | [`Error::Coord`] | `coord <text>` |
+/// | [`Error::UnknownSession`] | `unknown-session <raw id>` |
+/// | [`Error::NoSpec`] | `no-spec` |
+/// | [`Error::Wire`] | `wire <line> <detail>` |
+/// | [`Error::ServiceLevelQuery`] | `service-level` |
+/// | [`Error::Overloaded`] | `overloaded <worker>` |
+/// | [`Error::Internal`] | `internal <detail>` |
+/// | [`Error::Store`] | `store <detail>` |
+/// | [`Error::Transport`] | `transport <detail>` |
+///
+/// The three layer errors carry their `Display` text and are read back
+/// as [`Error::Internal`] with that text: rebuilding them would need a
+/// codec per layer error. Every other variant reads back equal, so
+/// [`Error::is_retryable`] survives the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -104,6 +135,48 @@ impl Error {
     pub fn is_retryable(&self) -> bool {
         matches!(self, Error::Transport { .. } | Error::Overloaded { .. })
     }
+
+    /// Writes the error's wire line, without its newline: the code and
+    /// its fields (see the [table](Error#wire-codes)).
+    pub(crate) fn write_code<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let text =
+            |out: &mut W, code: &str, text: &str| write!(out, "{code} {}", escape_token(text));
+        match self {
+            Error::Bcm(_) => text(out, "bcm", &self.to_string()),
+            Error::Core(_) => text(out, "core", &self.to_string()),
+            Error::Coord(_) => text(out, "coord", &self.to_string()),
+            Error::UnknownSession { id } => write!(out, "unknown-session {}", id.raw()),
+            Error::NoSpec => out.write_str("no-spec"),
+            Error::Wire { line, detail } => write!(out, "wire {line} {}", escape_token(detail)),
+            Error::ServiceLevelQuery => out.write_str("service-level"),
+            Error::Overloaded { worker } => write!(out, "overloaded {worker}"),
+            Error::Internal { detail } => text(out, "internal", detail),
+            Error::Store { detail } => text(out, "store", detail),
+            Error::Transport { detail } => text(out, "transport", detail),
+        }
+    }
+
+    /// Reads a line [`Error::write_code`] wrote.
+    pub(crate) fn read_code(t: &mut Tokens<'_>) -> Result<Error, Error> {
+        let e = match t.next()? {
+            "bcm" | "core" | "coord" | "internal" => Error::Internal { detail: t.name()? },
+            "unknown-session" => Error::UnknownSession {
+                id: SessionId::from_raw(t.num()?),
+            },
+            "no-spec" => Error::NoSpec,
+            "wire" => Error::Wire {
+                line: t.num()?,
+                detail: t.name()?,
+            },
+            "service-level" => Error::ServiceLevelQuery,
+            "overloaded" => Error::Overloaded { worker: t.num()? },
+            "store" => Error::Store { detail: t.name()? },
+            "transport" => Error::Transport { detail: t.name()? },
+            other => return Err(t.bad(format!("unknown error code {other:?}"))),
+        };
+        t.done()?;
+        Ok(e)
+    }
 }
 
 impl fmt::Display for Error {
@@ -120,7 +193,7 @@ impl fmt::Display for Error {
             Error::Wire { line, detail } => write!(f, "wire: line {line}: {detail}"),
             Error::ServiceLevelQuery => write!(
                 f,
-                "stats is a service-level query; it cannot be nested in a batch \
+                "service-level operations cannot be nested in a batch \
                  or dispatched on a bare session"
             ),
             Error::Overloaded { worker } => {
@@ -209,6 +282,75 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
             assert!(e.source().is_none());
+        }
+    }
+
+    /// The error after `e` in a walk over one error of each variant, with
+    /// `detail` as its free text. The match has no wildcard, so a new
+    /// variant does not compile until it joins the walk, and the walk
+    /// checks that it has a wire code.
+    fn after(e: &Error, detail: &str) -> Option<Error> {
+        let detail = detail.to_string();
+        Some(match e {
+            Error::Bcm(_) => Error::Core(CoreError::PositiveCycle),
+            Error::Core(_) => Error::Coord(CoordError::Core(CoreError::PositiveCycle)),
+            Error::Coord(_) => Error::UnknownSession {
+                id: SessionId::from_raw(42),
+            },
+            Error::UnknownSession { .. } => Error::NoSpec,
+            Error::NoSpec => Error::Wire { line: 3, detail },
+            Error::Wire { .. } => Error::ServiceLevelQuery,
+            Error::ServiceLevelQuery => Error::Overloaded { worker: 7 },
+            Error::Overloaded { .. } => Error::Internal { detail },
+            Error::Internal { .. } => Error::Store { detail },
+            Error::Store { .. } => Error::Transport { detail },
+            Error::Transport { .. } => return None,
+        })
+    }
+
+    #[test]
+    fn error_documents_round_trip_every_variant() {
+        use crate::serve::{decode_error, encode_error, is_error_document};
+
+        for detail in ["a  b 100% #1\nnext", "", "plain"] {
+            let first = Error::Bcm(BcmError::EmptyNetwork);
+            let all: Vec<Error> =
+                std::iter::successors(Some(first), |e| after(e, detail)).collect();
+            assert_eq!(all.len(), 11);
+            for e in &all {
+                let doc = encode_error(e);
+                assert!(is_error_document(&doc), "{doc:?}");
+                assert_eq!(doc.lines().count(), 2, "{doc:?}");
+                // The layer errors come back as Internal with their text.
+                let want = match e {
+                    Error::Bcm(_) | Error::Core(_) | Error::Coord(_) => Error::Internal {
+                        detail: e.to_string(),
+                    },
+                    other => other.clone(),
+                };
+                let back = decode_error(&doc);
+                assert_eq!(back, want, "{doc:?}");
+                assert_eq!(back.is_retryable(), e.is_retryable(), "{e}");
+            }
+        }
+
+        // Another version, an unknown code, a missing, extra or
+        // non-numeric field, or a stray line: a non-retryable Internal.
+        for doc in [
+            "zigzag-error v1\nserver overloaded: worker 3 queue is full\n",
+            "zigzag-error v2\nteapot 1\n",
+            "zigzag-error v2\noverloaded\n",
+            "zigzag-error v2\noverloaded 3 4\n",
+            "zigzag-error v2\noverloaded three\n",
+            "zigzag-error v2\nwire 3\n",
+            "zigzag-error v2\nstore %zz\n",
+            "zigzag-error v2\nno-spec\nno-spec\n",
+            "zigzag-error v2\n",
+            "",
+        ] {
+            let e = decode_error(doc);
+            assert!(matches!(e, Error::Internal { .. }), "{doc:?} -> {e:?}");
+            assert!(!e.is_retryable());
         }
     }
 

@@ -12,7 +12,7 @@
 //! # Envelope
 //!
 //! Both directions carry `zigzag-frame v1` / `zigzag-response v1` /
-//! `zigzag-error v1` documents in the length-delimited envelope
+//! `zigzag-error v2` documents in the length-delimited envelope
 //! specified in [`crate::wire`]'s module docs: a 4-byte big-endian
 //! length followed by that many bytes of UTF-8. [`write_envelope`] /
 //! [`read_envelope`] are the one-at-a-time client halves;
@@ -20,7 +20,7 @@
 //! buffer-reusing halves a pipelining client (and the server itself)
 //! uses. An envelope whose declared length exceeds
 //! [`NetConfig::max_frame_bytes`], or whose bytes are not UTF-8, is
-//! answered with one `zigzag-error v1` envelope and the connection is
+//! answered with one `zigzag-error v2` envelope and the connection is
 //! closed — the declared length is never trusted before the bound
 //! check, so a hostile header cannot make the server allocate.
 //!

@@ -28,7 +28,7 @@
 //! worker count — equal to the serial loop decoding, dispatching and
 //! re-encoding one frame at a time (pinned at worker counts 1/2/8 by the
 //! differential oracle in `tests/oracle.rs`). Frames that fail to decode,
-//! or whose dispatch fails, produce a deterministic `zigzag-error v1`
+//! or whose dispatch fails, produce a deterministic `zigzag-error v2`
 //! document in their slot; the loop never panics on hostile input.
 //!
 //! # Frame format
@@ -43,8 +43,18 @@
 //! — the frame header, the target session's raw handle, then a complete
 //! [`wire::encode_query`] document. Responses are plain
 //! [`wire::encode_response`] documents; failures are
-//! [`encode_error`] documents. Round-tripping is lossless
-//! ([`decode_frame`]).
+//! [`encode_error`] documents:
+//!
+//! ```text
+//! zigzag-error v2
+//! unknown-session 3
+//! ```
+//!
+//! — the error header, then the error's code and its typed fields, free
+//! text escaped as one token (the codes are listed on [`Error`]).
+//! Round-tripping is lossless ([`decode_frame`], [`decode_error`]),
+//! except that the model, causality and coordination layers' errors come
+//! back as [`Error::Internal`] carrying their text.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -57,12 +67,12 @@ use crate::query::Query;
 use crate::service::{SessionId, ZigzagService};
 use crate::session::StreamSession;
 use crate::stats::TransportStats;
-use crate::wire;
+use crate::wire::{self, Lines};
 
 /// Header line of a request frame.
 const FRAME_HEADER: &str = "zigzag-frame v1";
 /// Header line of an error response document.
-const ERROR_HEADER: &str = "zigzag-error v1";
+const ERROR_HEADER: &str = "zigzag-error v2";
 
 /// Writer-based form of [`encode_frame`]; see [`wire::encode_query_to`]
 /// for the writer-based encoder convention.
@@ -84,23 +94,6 @@ pub fn encode_frame(session: SessionId, q: &Query) -> String {
     out
 }
 
-/// Number of frame header lines preceding the embedded query document.
-const FRAME_HEADER_LINES: usize = 2;
-
-/// Re-anchors a wire error raised while decoding the embedded query
-/// document from body-relative to frame-relative line numbers (the two
-/// frame header lines precede the body), so every error a frame
-/// produces points at the actual offending frame line.
-fn offset_body_error(e: Error) -> Error {
-    match e {
-        Error::Wire { line, detail } => Error::Wire {
-            line: line + FRAME_HEADER_LINES,
-            detail,
-        },
-        other => other,
-    }
-}
-
 /// Decodes a `zigzag-frame v1` document into its target session and
 /// query — the inverse of [`encode_frame`].
 ///
@@ -109,9 +102,20 @@ fn offset_body_error(e: Error) -> Error {
 /// Returns [`Error::Wire`] on malformed input, with line numbers
 /// relative to the whole frame.
 pub fn decode_frame(text: &str) -> Result<(SessionId, Query), Error> {
-    let (session, body) = split_frame(text)?;
-    let query = wire::decode_query(body).map_err(offset_body_error)?;
-    Ok((session, query))
+    let mut lines = Lines::new(text);
+    let session = read_session(&mut lines)?;
+    Ok((session, wire::read_query(&mut lines)?))
+}
+
+/// Reads a frame's header and session lines — the cheap routing parse,
+/// which stops there: the query is decoded later, on the owning worker.
+fn read_session(lines: &mut Lines<'_>) -> Result<SessionId, Error> {
+    lines.header(FRAME_HEADER)?;
+    let mut t = lines.tokens()?;
+    t.tag("session")?;
+    let raw = t.num()?;
+    t.done()?;
+    Ok(SessionId::from_raw(raw))
 }
 
 /// Writer-based form of [`encode_error`].
@@ -121,63 +125,44 @@ pub fn decode_frame(text: &str) -> Result<(SessionId, Query), Error> {
 /// Propagates `out`'s write error (encoding itself cannot fail).
 pub fn encode_error_to<W: fmt::Write>(out: &mut W, e: &Error) -> fmt::Result {
     writeln!(out, "{ERROR_HEADER}")?;
-    writeln!(out, "{e}")
+    e.write_code(out)?;
+    out.write_str("\n")
 }
 
-/// Encodes a failed frame's answer: the `zigzag-error v1` document
-/// carrying the error's display text. Deterministic for a given error,
-/// so error slots participate in the serving loop's byte-identity
-/// contract like any response.
+/// Encodes a failed frame's answer: the `zigzag-error v2` document
+/// carrying the error's code and fields (see the [module docs](self)).
+/// Deterministic for a given error, so error slots participate in the
+/// serving loop's byte-identity contract like any response.
 pub fn encode_error(e: &Error) -> String {
     let mut out = String::new();
     encode_error_to(&mut out, e).expect("writing to a String is infallible");
     out
 }
 
-/// Whether a serving-loop output slot holds an `zigzag-error v1`
-/// document (as opposed to a `zigzag-response v1` answer).
-pub fn is_error_document(text: &str) -> bool {
-    text.lines()
-        .next()
-        .is_some_and(|l| l.trim() == ERROR_HEADER)
+/// Decodes a `zigzag-error v2` document back into the [`Error`] it
+/// carries. The model, causality and coordination layers' errors come
+/// back as [`Error::Internal`] carrying their text. So does a document
+/// that does not decode (another version, an unknown code, a missing or
+/// extra field), carrying the reason. None of these is retryable.
+pub fn decode_error(text: &str) -> Error {
+    read_error(&mut Lines::new(text)).unwrap_or_else(|e| Error::Internal {
+        detail: format!("undecodable error document: {e}"),
+    })
 }
 
-/// Splits a frame into its target session and the embedded query
-/// document, validating the two header lines only — the cheap routing
-/// parse; the query body is decoded later, on the owning worker.
-pub(crate) fn split_frame(text: &str) -> Result<(SessionId, &str), Error> {
-    let bad = |line: usize, detail: String| Error::Wire { line, detail };
-    let mut rest = text;
-    let mut take_line = |line_no: usize| -> Result<&str, Error> {
-        let end = rest
-            .find('\n')
-            .ok_or_else(|| bad(line_no, "unexpected end of frame".into()))?;
-        let line = &rest[..end];
-        rest = &rest[end + 1..];
-        Ok(line)
-    };
-    let header = take_line(1)?;
-    if header.trim() != FRAME_HEADER {
-        return Err(bad(1, format!("bad frame header {header:?}")));
-    }
-    let session_line = take_line(2)?;
-    let mut toks = session_line.split_whitespace();
-    if toks.next() != Some("session") {
-        return Err(bad(
-            2,
-            format!("expected session line, got {session_line:?}"),
-        ));
-    }
-    let raw = toks
-        .next()
-        .ok_or_else(|| bad(2, "missing session handle".into()))?;
-    let raw: u64 = raw
-        .parse()
-        .map_err(|_| bad(2, format!("bad session handle {raw:?}")))?;
-    if let Some(extra) = toks.next() {
-        return Err(bad(2, format!("trailing token {extra:?}")));
-    }
-    Ok((SessionId::from_raw(raw), rest))
+fn read_error(lines: &mut Lines<'_>) -> Result<Error, Error> {
+    lines.header(ERROR_HEADER)?;
+    let e = Error::read_code(&mut lines.tokens()?)?;
+    lines.end()?;
+    Ok(e)
+}
+
+/// Whether a serving-loop output slot holds a `zigzag-error v2`
+/// document (as opposed to a `zigzag-response v1` answer).
+pub fn is_error_document(text: &str) -> bool {
+    Lines::new(text)
+        .try_next()
+        .is_some_and(|l| l.trim() == ERROR_HEADER)
 }
 
 /// The live gauges a [`crate::net`] server hands its workers so a
@@ -224,8 +209,7 @@ pub(crate) fn respond_into(
     out: &mut String,
 ) {
     let answer = catch_unwind(AssertUnwindSafe(|| {
-        split_frame(frame).and_then(|(id, body)| {
-            let query = wire::decode_query(body).map_err(offset_body_error)?;
+        decode_frame(frame).and_then(|(id, query)| {
             let stats = || {
                 let (depths, transport) = net
                     .map(|v| {
@@ -275,13 +259,14 @@ fn respond(
     out
 }
 
-/// The worker a frame belongs to: the owner of its session's shard. A
-/// frame whose session line cannot even be parsed has no shard; worker 0
-/// answers it (with the wire error), keeping the assignment total and
-/// deterministic.
+/// The worker a frame belongs to: the owner of its session's shard. It
+/// reads the frame's two header lines only, so routing costs the same
+/// for any frame size. A frame whose session line cannot even be parsed
+/// has no shard; worker 0 answers it (with the wire error), keeping the
+/// assignment total and deterministic.
 pub(crate) fn owner_of(service: &ZigzagService, frame: &str, workers: usize) -> usize {
-    match split_frame(frame) {
-        Ok((id, _)) => service.shard_of(id) % workers.max(1),
+    match read_session(&mut Lines::new(frame)) {
+        Ok(id) => service.shard_of(id) % workers.max(1),
         Err(_) => 0,
     }
 }
@@ -417,6 +402,30 @@ mod tests {
             matches!(err, Error::Wire { line: 3, .. }),
             "body error not re-anchored: {err}"
         );
+    }
+
+    /// A snapshot embedded in an `Import` frame is read in place, so a
+    /// malformed one reports the frame line it breaks on.
+    #[test]
+    fn embedded_snapshot_errors_point_at_frame_lines() {
+        let service = ZigzagService::new();
+        let id = service.open_batch(fig1_run(), SessionConfig::new());
+        let snap = service.export(id).unwrap();
+        let frame = encode_frame(id, &Query::Import(Box::new(snap)));
+        let line_of = |prefix: &str| frame.lines().position(|l| l.starts_with(prefix)).unwrap() + 1;
+        // Frame, session, query header, `import`, `snaplines`, then the
+        // snapshot's header and its probe line.
+        assert_eq!(line_of("probe "), 7);
+        for (from, to, line) in [
+            ("probe include", "probe sideways", 7),
+            ("zigzag-run v2", "zigzag-run v1", line_of("run ")),
+        ] {
+            let err = decode_frame(&frame.replacen(from, to, 1)).unwrap_err();
+            assert!(
+                matches!(err, Error::Wire { line: l, .. } if l == line),
+                "{from}: {err}"
+            );
+        }
     }
 
     #[test]

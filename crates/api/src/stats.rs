@@ -4,7 +4,7 @@
 //! A serving deployment needs its load problems diagnosable *from the
 //! wire*: a client that can send queries must be able to ask where the
 //! time goes without shelling into the host. The `Stats` query surfaces
-//! three signals through the ordinary wire encoding:
+//! four signals through the ordinary wire encoding:
 //!
 //! * **per-query latency** — a fixed, log-spaced histogram
 //!   ([`LatencyHistogram`]) of dispatch wall times, recorded by every

@@ -123,7 +123,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use zigzag_bcm::codec::{self, decode_event, encode_event, escape_token, unescape_token};
+use zigzag_bcm::codec::{self, decode_event, encode_event, escape_token};
 use zigzag_bcm::stream::{RunEvent, StreamingRun};
 use zigzag_bcm::{Context, NodeId, ProcessId, Run, RunCursor, Time};
 use zigzag_coord::{CoordKind, ProbeSemantics, TimedCoordination};
@@ -134,6 +134,7 @@ use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
 use crate::session::{AppendReport, StreamSession};
+use crate::wire::{push_embed, Lines};
 
 /// Version header of the per-session event log. Logs of versions 1 and
 /// 2 are refused (see the [module docs](self)).
@@ -142,9 +143,9 @@ pub const LOG_HEADER: &str = "zigzag-log v3";
 /// Documents of versions 1 and 2 are refused.
 pub const SNAP_HEADER: &str = "zigzag-snap v3";
 
-fn bad(line: usize, detail: impl Into<String>) -> Error {
+fn unmanaged(id: SessionId) -> Error {
     Error::Store {
-        detail: format!("line {line}: {}", detail.into()),
+        detail: format!("session {id} is not managed by this store"),
     }
 }
 
@@ -277,116 +278,57 @@ fn push_config_lines(out: &mut String, config: &SessionConfig) {
     }
 }
 
-/// A line-stepping parser over a decoded document, tracking 1-based line
-/// numbers for error reporting (the same shape as `wire`'s).
-struct Doc<'a> {
-    lines: std::str::Lines<'a>,
-    no: usize,
-}
+/// Reads the `probe` / `cache` / `spec` line triple.
+fn read_config_lines(lines: &mut Lines<'_>) -> Result<SessionConfig, Error> {
+    let mut t = lines.tokens()?;
+    t.tag("probe")?;
+    let probe = match t.next()? {
+        "include" => ProbeSemantics::IncludeOwnSends,
+        "exclude" => ProbeSemantics::ExcludeOwnSends,
+        other => return Err(t.bad(format!("bad probe {other:?}"))),
+    };
+    t.done()?;
 
-impl<'a> Doc<'a> {
-    fn new(text: &'a str) -> Self {
-        Doc {
-            lines: text.lines(),
-            no: 0,
+    let mut t = lines.tokens()?;
+    t.tag("cache")?;
+    let max_observers = t.opt()?;
+    t.done()?;
+
+    let mut t = lines.tokens()?;
+    t.tag("spec")?;
+    let kind = match t.next()? {
+        "." => None,
+        "early" => Some(CoordKind::Early { x: t.num()? }),
+        "late" => Some(CoordKind::Late { x: t.num()? }),
+        "window" => Some(CoordKind::Window {
+            after: t.num()?,
+            within: t.num()?,
+        }),
+        other => return Err(t.bad(format!("bad spec kind {other:?}"))),
+    };
+    let spec = match kind {
+        None => None,
+        Some(kind) => {
+            let (a, b, c) = (t.num()?, t.num()?, t.num()?);
+            let mut spec = TimedCoordination::new(
+                kind,
+                ProcessId::new(a),
+                ProcessId::new(b),
+                ProcessId::new(c),
+            );
+            spec.go_name = t.name()?;
+            spec.a_action = t.name()?;
+            spec.b_action = t.name()?;
+            Some(spec)
         }
-    }
-
-    fn next(&mut self, what: &str) -> Result<&'a str, Error> {
-        self.no += 1;
-        self.lines
-            .next()
-            .ok_or_else(|| bad(self.no, format!("missing {what}")))
-    }
-
-    /// Remaining lines, counted by scanning them — for validating claimed
-    /// counts *before* allocating or consuming.
-    fn remaining(&self) -> usize {
-        self.lines.clone().count()
-    }
-}
-
-fn parse_u64(doc_line: usize, t: &str, what: &str) -> Result<u64, Error> {
-    t.parse()
-        .map_err(|_| bad(doc_line, format!("bad {what} {t:?}")))
-}
-
-fn parse_i64(doc_line: usize, t: &str, what: &str) -> Result<i64, Error> {
-    t.parse()
-        .map_err(|_| bad(doc_line, format!("bad {what} {t:?}")))
-}
-
-/// Token `t` as a number of type `T`, refused when it does not fit.
-fn parse_num<T: TryFrom<u64>>(doc_line: usize, t: &str, what: &str) -> Result<T, Error> {
-    T::try_from(parse_u64(doc_line, t, what)?)
-        .map_err(|_| bad(doc_line, format!("{what} {t:?} out of range")))
-}
-
-/// Parses the `probe` / `cache` / `spec` line triple.
-fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
-    let line = doc.next("probe line")?;
-    let probe = match line.strip_prefix("probe ").map(str::trim) {
-        Some("include") => ProbeSemantics::IncludeOwnSends,
-        Some("exclude") => ProbeSemantics::ExcludeOwnSends,
-        _ => return Err(bad(doc.no, format!("bad probe line {line:?}"))),
     };
+    t.done()?;
 
-    let line = doc.next("cache line")?;
-    let ["cache", cap] = line.split_whitespace().collect::<Vec<_>>()[..] else {
-        return Err(bad(doc.no, format!("bad cache line {line:?}")));
-    };
-    let cache = CachePolicy {
-        max_observers: match cap {
-            "." => None,
-            n => Some(parse_num(doc.no, n, "observer cap")?),
-        },
-    };
-
-    let line = doc.next("spec line")?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    let spec = match toks.as_slice() {
-        ["spec", "."] => None,
-        ["spec", kind @ ("early" | "late"), x, rest @ ..] => {
-            let x = parse_i64(doc.no, x, "separation")?;
-            let kind = if *kind == "early" {
-                CoordKind::Early { x }
-            } else {
-                CoordKind::Late { x }
-            };
-            Some(parse_spec_tail(doc.no, kind, rest)?)
-        }
-        ["spec", "window", after, within, rest @ ..] => {
-            let kind = CoordKind::Window {
-                after: parse_i64(doc.no, after, "separation")?,
-                within: parse_i64(doc.no, within, "separation")?,
-            };
-            Some(parse_spec_tail(doc.no, kind, rest)?)
-        }
-        _ => return Err(bad(doc.no, format!("bad spec line {line:?}"))),
-    };
-
-    Ok(SessionConfig { cache, probe, spec })
-}
-
-fn parse_spec_tail(
-    doc_line: usize,
-    kind: CoordKind,
-    rest: &[&str],
-) -> Result<TimedCoordination, Error> {
-    let [a, b, c, go, a_action, b_action] = rest else {
-        return Err(bad(doc_line, "spec line needs a b c and three names"));
-    };
-    let proc = |t: &str| -> Result<ProcessId, Error> {
-        Ok(ProcessId::new(parse_num(doc_line, t, "process")?))
-    };
-    let name = |t: &str| -> Result<String, Error> {
-        unescape_token(t).map_err(|e| bad(doc_line, e.to_string()))
-    };
-    let mut spec = TimedCoordination::new(kind, proc(a)?, proc(b)?, proc(c)?);
-    spec.go_name = name(go)?;
-    spec.a_action = name(a_action)?;
-    spec.b_action = name(b_action)?;
-    Ok(spec)
+    Ok(SessionConfig {
+        cache: CachePolicy { max_observers },
+        probe,
+        spec,
+    })
 }
 
 fn push_opt_node(out: &mut String, n: Option<NodeId>) {
@@ -398,45 +340,15 @@ fn push_opt_node(out: &mut String, n: Option<NodeId>) {
     }
 }
 
-fn parse_opt_node(doc_line: usize, p: &str, i: &str) -> Result<Option<NodeId>, Error> {
-    match (p, i) {
-        (".", ".") => Ok(None),
-        _ => Ok(Some(NodeId::new(
-            ProcessId::new(parse_num(doc_line, p, "node process")?),
-            parse_num(doc_line, i, "node index")?,
-        ))),
+/// A reader error as the store reports it: [`Error::Store`], with the
+/// line.
+fn store_error(e: Error) -> Error {
+    match e {
+        Error::Wire { line, detail } => Error::Store {
+            detail: format!("line {line}: {detail}"),
+        },
+        other => other,
     }
-}
-
-/// Appends the embedded-run section: a `run <nlines>` count line followed
-/// by the complete `bcm::codec` document.
-fn push_run_lines(out: &mut String, encoded_run: &str) {
-    let _ = writeln!(out, "run {}", encoded_run.lines().count());
-    out.push_str(encoded_run);
-    if !encoded_run.ends_with('\n') {
-        out.push('\n');
-    }
-}
-
-/// Parses the embedded-run section, count-validated before consumption.
-fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
-    let line = doc.next("run count line")?;
-    let n: usize = line
-        .strip_prefix("run ")
-        .ok_or_else(|| bad(doc.no, format!("expected run count line, got {line:?}")))
-        .and_then(|t| parse_num(doc.no, t.trim(), "run line count"))?;
-    if n > doc.remaining() {
-        return Err(bad(
-            doc.no,
-            format!("run section claims {n} lines, {} remain", doc.remaining()),
-        ));
-    }
-    let mut text = String::new();
-    for _ in 0..n {
-        text.push_str(doc.next("run line")?);
-        text.push('\n');
-    }
-    codec::decode(&text).map_err(|e| bad(doc.no, format!("embedded run: {e}")))
 }
 
 /// Encodes a [`SessionSnapshot`] into the `zigzag-snap v3` document:
@@ -455,7 +367,7 @@ pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
     for sigma in &snap.observers {
         let _ = writeln!(out, "obs {} {}", sigma.proc().index(), sigma.index());
     }
-    push_run_lines(&mut out, &run);
+    let _ = push_embed(&mut out, "run", &run);
     out
 }
 
@@ -467,63 +379,55 @@ pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
 /// overclaimed counts, bad tokens, or an embedded run that does not
 /// decode.
 pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
-    let mut doc = Doc::new(text);
-    let header = doc.next("header")?;
-    if header.trim() != SNAP_HEADER {
-        return Err(bad(doc.no, format!("bad header {header:?}")));
-    }
-    let config = parse_config_lines(&mut doc)?;
+    read_snapshot(&mut Lines::new(text)).map_err(store_error)
+}
 
-    let line = doc.next("coord line")?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    let [tag, fk_p, fk_i, sc_p, sc_i] = toks.as_slice() else {
-        return Err(bad(doc.no, format!("bad coord line {line:?}")));
+/// Reads a `zigzag-snap v3` document from `lines` — a file's, or one
+/// embedded in a migration frame, whose errors then point at the frame's
+/// lines. Its errors are [`Error::Wire`].
+pub(crate) fn read_snapshot(lines: &mut Lines<'_>) -> Result<SessionSnapshot, Error> {
+    lines.header(SNAP_HEADER)?;
+    let config = read_config_lines(lines)?;
+
+    let mut t = lines.tokens()?;
+    t.tag("coord")?;
+    // An absent node is written `. .`, two tokens like a present one.
+    let mut opt_node = || {
+        let node = t.opt_node()?;
+        if node.is_none() {
+            t.tag(".")?;
+        }
+        Ok::<_, Error>(node)
     };
-    if *tag != "coord" {
-        return Err(bad(doc.no, format!("bad coord line {line:?}")));
-    }
-    let first_known = parse_opt_node(doc.no, fk_p, fk_i)?;
-    let sigma_c = parse_opt_node(doc.no, sc_p, sc_i)?;
+    let (first_known, sigma_c) = (opt_node()?, opt_node()?);
+    t.done()?;
 
-    let line = doc.next("observers line")?;
-    let k: usize = line
-        .strip_prefix("observers ")
-        .ok_or_else(|| bad(doc.no, format!("expected observers line, got {line:?}")))
-        .and_then(|t| parse_num(doc.no, t.trim(), "observer count"))?;
-    if k > doc.remaining() {
-        return Err(bad(
-            doc.no,
-            format!(
-                "manifest claims {k} observers, {} lines remain",
-                doc.remaining()
-            ),
-        ));
-    }
+    let mut t = lines.tokens()?;
+    t.tag("observers")?;
+    let k = lines.expect_lines(t.num()?, "observer manifest")?;
+    t.done()?;
     let mut observers = Vec::with_capacity(k);
     for _ in 0..k {
-        let line = doc.next("obs line")?;
-        let ["obs", p, i] = line.split_whitespace().collect::<Vec<_>>()[..] else {
-            return Err(bad(doc.no, format!("bad obs line {line:?}")));
-        };
-        observers.push(NodeId::new(
-            ProcessId::new(parse_num(doc.no, p, "observer process")?),
-            parse_num(doc.no, i, "observer index")?,
-        ));
+        let mut t = lines.tokens()?;
+        t.tag("obs")?;
+        observers.push(t.node()?);
+        t.done()?;
     }
 
-    let run = parse_run_lines(&mut doc)?;
+    let run = lines.run("run")?;
     if let Some(spec) = &config.spec {
         let net = run.context().network();
         if let Some(p) = [spec.a, spec.b, spec.c]
             .into_iter()
             .find(|&p| !net.contains(p))
         {
-            return Err(bad(
-                doc.no,
-                format!("spec names {p}, not a process of the embedded run"),
-            ));
+            return Err(Error::Wire {
+                line: lines.line_no(),
+                detail: format!("spec names {p}, not a process of the embedded run"),
+            });
         }
     }
+    lines.end()?;
     Ok(SessionSnapshot {
         config,
         first_known,
@@ -700,11 +604,7 @@ impl SessionStore {
             .open(&path)
             .map_err(|e| io_err("creating log", &path, e))?;
 
-        let skeleton = Run::skeleton(context.clone(), horizon);
-        let mut header = String::new();
-        let _ = writeln!(header, "{LOG_HEADER}");
-        push_config_lines(&mut header, &config);
-        push_run_lines(&mut header, &codec::encode(&skeleton));
+        let header = log_header(&config, &Run::skeleton(context.clone(), horizon));
         log.write_all(header.as_bytes())
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
@@ -746,11 +646,15 @@ impl SessionStore {
         id: SessionId,
         ev: &RunEvent,
     ) -> Result<AppendReport, Error> {
+        // Checked first, so an unmanaged session is refused unchanged;
+        // the store lock is not held across the engine append, so
+        // appends to different sessions do not serialize on it.
+        if !self.manages(id) {
+            return Err(unmanaged(id));
+        }
         let report = service.append(id, ev)?;
         let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| Error::Store {
-            detail: format!("session {id} is not managed by this store"),
-        })?;
+        let st = open.get_mut(&id.raw()).ok_or_else(|| unmanaged(id))?;
         let mut line = encode_event(ev);
         line.push('\n');
         let path = self.log_path(&st.name);
@@ -803,9 +707,7 @@ impl SessionStore {
     /// file-system errors, or if the session is poisoned.
     pub fn snapshot(&self, service: &ZigzagService, id: SessionId) -> Result<bool, Error> {
         let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| Error::Store {
-            detail: format!("session {id} is not managed by this store"),
-        })?;
+        let st = open.get_mut(&id.raw()).ok_or_else(|| unmanaged(id))?;
         self.write_snapshot(service, id, st)
     }
 
@@ -1034,14 +936,27 @@ impl SessionStore {
     }
 }
 
+/// The log header: its version, the session's configuration and its
+/// skeleton run (context and horizon, no events).
+fn log_header(config: &SessionConfig, skeleton: &Run) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{LOG_HEADER}");
+    push_config_lines(&mut out, config);
+    let _ = push_embed(&mut out, "run", &codec::encode(skeleton));
+    out
+}
+
+/// Reads the header [`log_header`] writes.
+fn read_log_header(lines: &mut Lines<'_>) -> Result<(SessionConfig, Run), Error> {
+    lines.header(LOG_HEADER)?;
+    Ok((read_config_lines(lines)?, lines.run("run")?))
+}
+
 /// Regenerates a complete log document (header + one record per event)
 /// from a recovered session's run — used when the snapshot outlived the
 /// log tail.
 fn rebuild_log_text(parsed: &ParsedLog, session: &StreamSession) -> Result<String, Error> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{LOG_HEADER}");
-    push_config_lines(&mut out, &parsed.config);
-    push_run_lines(&mut out, &codec::encode(&parsed.skeleton));
+    let mut out = log_header(&parsed.config, &parsed.skeleton);
     session.with_engine(|engine| {
         for ev in RunCursor::new(engine.run()) {
             out.push_str(&encode_event(&ev));
@@ -1104,43 +1019,30 @@ fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
     let torn_tail = utf8_cut || complete.len() < bytes.len();
 
     // The header (through the embedded skeleton run) must be intact.
-    let mut doc = Doc::new(complete);
-    let header = doc.next("header")?;
-    if header.trim() != LOG_HEADER {
-        return Err(bad(doc.no, format!("bad header {header:?}")));
-    }
-    let config = parse_config_lines(&mut doc)?;
-    let skeleton = parse_run_lines(&mut doc)?;
-    let header_lines = doc.no;
+    let mut lines = Lines::new(complete);
+    let (config, skeleton) = read_log_header(&mut lines).map_err(store_error)?;
 
-    // Everything after the header is event records; compute byte offsets
-    // by re-walking the same `\n`-complete prefix.
-    let mut offset = 0u64;
+    // Everything after the header is event records; a record ends where
+    // the rest after it begins.
+    let end = |lines: &Lines<'_>| (complete.len() - lines.rest().len()) as u64;
+    let mut covered_len = end(&lines);
     let mut skipped = 0usize;
     let mut events = Vec::new();
-    let mut covered_len = 0u64;
     let mut truncated = torn_tail;
-    let mut record = 0usize;
-    for (no, line) in complete.split_inclusive('\n').enumerate() {
-        offset += line.len() as u64;
-        if no < header_lines {
-            covered_len = offset;
-            continue;
-        }
-        let body = line.trim_end_matches(['\n', '\r']);
-        if record < decode_from {
+    while let Some(line) = lines.try_next() {
+        if skipped < decode_from {
             // Covered by the snapshot: a complete `ev`-tagged line is
             // enough — its content was validated when it was written and
             // is never replayed on this path.
-            if !body.starts_with("ev ") {
+            if !line.starts_with("ev ") {
                 truncated = true;
                 break;
             }
             skipped += 1;
-            covered_len = offset;
+            covered_len = end(&lines);
         } else {
-            match decode_event(body) {
-                Ok(ev) => events.push((ev, offset)),
+            match decode_event(line) {
+                Ok(ev) => events.push((ev, end(&lines))),
                 Err(_) => {
                     // First malformed record: everything from here on is
                     // untrusted (later records' stream-scoped message ids
@@ -1150,7 +1052,6 @@ fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
                 }
             }
         }
-        record += 1;
     }
     Ok(ParsedLog {
         config,
@@ -1335,6 +1236,8 @@ mod tests {
             tamper("run ", &format!("run {} ", u64::MAX)),
             // An embedded event that does not replay.
             tamper(" m0 ", " m99 "),
+            // A line after the run section.
+            format!("{good}obs 0 1\n"),
             tamper("probe ", "probe sideways "),
             tamper("coord", "coord zz"),
         ] {
@@ -1446,6 +1349,12 @@ mod tests {
                 SessionConfig::new(),
             )
             .is_err());
+        // An append to a session the store does not manage is refused
+        // and leaves the session as it was.
+        let plain = service.open_stream(run.context_arc(), run.horizon(), SessionConfig::new());
+        let err = store.append(&service, plain, &events_of(&run)[0]);
+        assert!(matches!(err, Err(Error::Store { .. })), "{err:?}");
+        assert_eq!(service.event_count(plain).unwrap(), 0);
     }
 
     /// A created log and an installed snapshot are durable only once the

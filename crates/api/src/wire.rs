@@ -17,6 +17,13 @@
 //! dispatching a decoded query returns the identical response (pinned by
 //! a property test in `tests/service.rs`).
 //!
+//! This module also holds the crate's one document reader: a line cursor
+//! and a token cursor that read queries, responses, frames, error
+//! documents, snapshots and log headers. A document inside another — a
+//! run in a snapshot or a fast-run response, a snapshot in a migration —
+//! is written as a `<tag> <k>` line followed by its `k` lines, and read
+//! in place from the outer document.
+//!
 //! # zigzag-frame v1 over stream transports
 //!
 //! On an in-memory batch, frames and responses are plain strings. On a
@@ -32,20 +39,20 @@
 //!
 //! where the document is, client→server, a complete `zigzag-frame v1`
 //! text ([`crate::serve::encode_frame`]) and, server→client, a
-//! `zigzag-response v1` or `zigzag-error v1` text — exactly the strings
+//! `zigzag-response v1` or `zigzag-error v2` text — exactly the strings
 //! the in-process [`crate::serve::serve`] loop consumes and produces, so
 //! the socket boundary adds framing and nothing else. Responses come
 //! back in the connection's frame-arrival order. A length above the
 //! server's configured cap, or a payload that is not UTF-8, is
 //! unrecoverable (the stream can no longer be re-synchronized): the
-//! server answers one `zigzag-error v1` envelope and closes the
+//! server answers one `zigzag-error v2` envelope and closes the
 //! connection. See [`crate::net`] for the listener.
 
 #![deny(clippy::cast_possible_truncation)]
 
 use std::fmt;
 
-use zigzag_bcm::{codec, NetPath, NodeId, ProcessId, Time};
+use zigzag_bcm::{codec, NetPath, NodeId, ProcessId, Run, Time};
 use zigzag_core::{GeneralNode, MaxXMatrix};
 
 use crate::error::Error;
@@ -95,37 +102,16 @@ fn push_opt_node<W: fmt::Write>(out: &mut W, n: Option<NodeId>) -> fmt::Result {
     }
 }
 
-/// Embeds a session snapshot as `snaplines <k>` followed by the complete
-/// `zigzag-snap v3` document — the same count-then-lines shape as the
-/// `runlines` embed of fast-run responses.
-fn push_snapshot<W: fmt::Write>(out: &mut W, snap: &crate::store::SessionSnapshot) -> fmt::Result {
-    let encoded = crate::store::encode_snapshot(snap);
-    writeln!(out, "snaplines {}", encoded.lines().count())?;
-    for l in encoded.lines() {
-        out.write_str(l)?;
-        out.write_str("\n")?;
-    }
-    Ok(())
-}
-
-/// Reads a `snaplines`-embedded snapshot back, count-validated before
-/// any line is consumed.
-fn pull_snapshot(lines: &mut Lines<'_>) -> Result<crate::store::SessionSnapshot, Error> {
-    let kline = lines.next()?;
-    let kno = lines.line_no();
-    let mut kt = Tokens::new(kline, kno);
-    if kt.next()? != "snaplines" {
-        return Err(bad(kno, "expected snaplines"));
-    }
-    let k = lines.expect_lines(kt.num()?, "embedded snapshot")?;
-    kt.done()?;
-    let mut encoded = String::new();
-    for _ in 0..k {
-        encoded.push_str(lines.next()?);
-        encoded.push('\n');
-    }
-    crate::store::decode_snapshot(&encoded)
-        .map_err(|e| bad(lines.line_no(), format!("embedded snapshot: {e}")))
+/// Embeds a complete document as a `<tag> <k>` line followed by its `k`
+/// lines: the one shape of every document inside another — a run in a
+/// snapshot or log header (`run`), a snapshot in a migration
+/// (`snaplines`), a run in a fast-run response (`runlines`).
+/// [`Lines::embed`] reads it back. `doc` ends with a newline, as every
+/// encoder's output does.
+pub(crate) fn push_embed<W: fmt::Write>(out: &mut W, tag: &str, doc: &str) -> fmt::Result {
+    debug_assert!(doc.ends_with('\n'), "embedded documents end with a newline");
+    writeln!(out, "{tag} {}", doc.lines().count())?;
+    out.write_str(doc)
 }
 
 fn encode_query_into<W: fmt::Write>(out: &mut W, q: &Query) -> fmt::Result {
@@ -191,7 +177,7 @@ fn encode_query_into<W: fmt::Write>(out: &mut W, q: &Query) -> fmt::Result {
         Query::Export => out.write_str("export\n"),
         Query::Import(snap) => {
             out.write_str("import\n")?;
-            push_snapshot(out, snap)
+            push_embed(out, "snaplines", &crate::store::encode_snapshot(snap))
         }
         Query::Append(ev) => {
             // `append` followed by one `ev …` line in the run codec's
@@ -277,13 +263,7 @@ fn encode_response_into<W: fmt::Write>(out: &mut W, r: &Response) -> fmt::Result
             push_node(out, *sigma)?;
             writeln!(out, " {gamma} {}", theta_time.ticks())?;
             // The embedded run is a `zigzag-run v2` document, verbatim.
-            let encoded = codec::encode(run);
-            writeln!(out, "runlines {}", encoded.lines().count())?;
-            for l in encoded.lines() {
-                out.write_str(l)?;
-                out.write_str("\n")?;
-            }
-            Ok(())
+            push_embed(out, "runlines", &codec::encode(run))
         }
         Response::CoordDecision(CoordReport {
             first_known,
@@ -344,7 +324,7 @@ fn encode_response_into<W: fmt::Write>(out: &mut W, r: &Response) -> fmt::Result
         }
         Response::Exported(snap) => {
             out.write_str("exported\n")?;
-            push_snapshot(out, snap)
+            push_embed(out, "snaplines", &crate::store::encode_snapshot(snap))
         }
         Response::Imported(id) => writeln!(out, "imported {}", id.raw()),
         Response::Appended(n) => writeln!(out, "appended {n}"),
@@ -383,44 +363,57 @@ pub fn encode_response(r: &Response) -> String {
     out
 }
 
-/// A cursor over the document's lines, tracking position for errors.
-/// Wraps the borrowing line iterator directly — decoding a frame never
-/// allocates a line table (the socket fast path decodes one frame per
-/// request at steady state; see `tests/netalloc.rs`).
-struct Lines<'a> {
-    it: std::str::Lines<'a>,
+/// A cursor over a document's lines, tracking 1-based line numbers for
+/// errors: the crate's one reader. Queries, responses, frames, error
+/// documents, snapshots and log headers are all read through it, and a
+/// document embedded in another ([`push_embed`]) is read in place by a
+/// cursor over its slice of the outer document, numbered as the outer
+/// lines. It borrows the document and never allocates (the socket fast
+/// path decodes one frame per request at steady state; see
+/// `tests/netalloc.rs`). Its errors are [`Error::Wire`]; the store
+/// reports them as [`Error::Store`].
+pub(crate) struct Lines<'a> {
+    /// The document after the lines read so far.
+    rest: &'a str,
     pos: usize,
-    /// Lines not yet consumed, counted once at construction and kept in
-    /// step — so count-field validation is O(1) per check. (Walking a
-    /// clone of the iterator instead would make a document of N
-    /// count-bearing lines cost O(N²) to refuse: a remotely triggerable
-    /// CPU sink at 16 MiB frames.)
-    left: usize,
+    /// Lines not yet read: counted at the first count check and kept in
+    /// step after it, so each check is O(1). (Walking the rest per check
+    /// would make a document of N count-bearing lines cost O(N²) to
+    /// refuse: a remotely triggerable CPU sink at 16 MiB frames.) A
+    /// document without count fields is never counted, which lets routing
+    /// read a frame's two header lines without walking its query.
+    left: Option<usize>,
 }
 
 impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        let it = text.lines();
+    pub(crate) fn new(text: &'a str) -> Self {
         Lines {
-            left: it.clone().count(),
-            it,
+            rest: text,
             pos: 0,
+            left: None,
         }
     }
 
-    fn line_no(&self) -> usize {
+    /// The number of the line read last (0 before the first).
+    pub(crate) fn line_no(&self) -> usize {
         self.pos
     }
 
-    /// Lines left in the document — O(1), maintained by [`Lines::try_next`].
-    fn remaining(&self) -> usize {
-        self.left
+    /// The document after the lines read so far.
+    pub(crate) fn rest(&self) -> &'a str {
+        self.rest
+    }
+
+    /// Lines left in the document — O(1) after the first call.
+    fn remaining(&mut self) -> usize {
+        let rest = self.rest;
+        *self.left.get_or_insert_with(|| rest.lines().count())
     }
 
     /// Validates a count field that promises `n` further lines: a
     /// malformed document must produce [`Error::Wire`], never a
     /// pre-allocation of attacker-controlled size.
-    fn expect_lines(&self, n: usize, what: &str) -> Result<usize, Error> {
+    pub(crate) fn expect_lines(&mut self, n: usize, what: &str) -> Result<usize, Error> {
         let remaining = self.remaining();
         if n > remaining {
             return Err(bad(
@@ -431,27 +424,85 @@ impl<'a> Lines<'a> {
         Ok(n)
     }
 
-    fn next(&mut self) -> Result<&'a str, Error> {
-        let line = self
-            .try_next()
-            .ok_or_else(|| bad(self.pos, "unexpected end of document"))?;
-        Ok(line)
+    pub(crate) fn next(&mut self) -> Result<&'a str, Error> {
+        self.try_next()
+            .ok_or_else(|| bad(self.pos, "unexpected end of document"))
     }
 
     /// [`Lines::next`] without the error construction — for end-of-input
     /// probes where exhaustion is the expected case (building and
     /// discarding the error there would put an allocation on the decode
-    /// fast path).
-    fn try_next(&mut self) -> Option<&'a str> {
-        let line = self.it.next()?;
+    /// fast path). Splits lines as [`str::lines`] does.
+    pub(crate) fn try_next(&mut self) -> Option<&'a str> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let line = match self.rest.split_once('\n') {
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
+        };
         self.pos += 1;
-        self.left -= 1;
+        if let Some(left) = &mut self.left {
+            *left -= 1;
+        }
         Some(line)
+    }
+
+    /// The next line, as tokens.
+    pub(crate) fn tokens(&mut self) -> Result<Tokens<'a>, Error> {
+        let line = self.next()?;
+        Ok(Tokens::new(line, self.pos))
+    }
+
+    /// Reads the next line as the version header `header`.
+    pub(crate) fn header(&mut self, header: &str) -> Result<(), Error> {
+        let line = self.next()?;
+        if line.trim() != header {
+            return Err(bad(self.pos, format!("bad header {line:?}")));
+        }
+        Ok(())
+    }
+
+    /// Checks that the document ends here.
+    pub(crate) fn end(&mut self) -> Result<(), Error> {
+        match self.try_next() {
+            None => Ok(()),
+            Some(extra) => Err(bad(self.pos, format!("trailing line {extra:?}"))),
+        }
+    }
+
+    /// Reads a document embedded behind `tag` (see [`push_embed`]): a
+    /// cursor over its lines, borrowed from this document and numbered
+    /// as its lines. The count is validated before any line is read.
+    pub(crate) fn embed(&mut self, tag: &str) -> Result<Lines<'a>, Error> {
+        let mut t = self.tokens()?;
+        t.tag(tag)?;
+        let k = self.expect_lines(t.num()?, tag)?;
+        t.done()?;
+        let (start, pos) = (self.rest, self.pos);
+        for _ in 0..k {
+            self.try_next();
+        }
+        Ok(Lines {
+            rest: &start[..start.len() - self.rest.len()],
+            pos,
+            left: Some(k),
+        })
+    }
+
+    /// Reads a `zigzag-run v2` document embedded behind `tag`, decoding
+    /// it in place. Its errors point at the `tag` line.
+    pub(crate) fn run(&mut self, tag: &str) -> Result<Run, Error> {
+        let embed = self.embed(tag)?;
+        codec::decode(embed.rest).map_err(|e| bad(embed.pos, format!("embedded run: {e}")))
     }
 }
 
 /// A token cursor over one line.
-struct Tokens<'a> {
+pub(crate) struct Tokens<'a> {
     it: std::str::SplitWhitespace<'a>,
     line_no: usize,
 }
@@ -464,42 +515,62 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<&'a str, Error> {
-        self.it
-            .next()
-            .ok_or_else(|| bad(self.line_no, "missing token"))
+    /// An [`Error::Wire`] at this line.
+    pub(crate) fn bad(&self, detail: impl Into<String>) -> Error {
+        bad(self.line_no, detail)
     }
 
-    fn num<T: std::str::FromStr>(&mut self) -> Result<T, Error> {
+    pub(crate) fn next(&mut self) -> Result<&'a str, Error> {
+        self.it.next().ok_or_else(|| self.bad("missing token"))
+    }
+
+    /// Reads the token `tag`.
+    pub(crate) fn tag(&mut self, tag: &str) -> Result<(), Error> {
+        if self.next()? != tag {
+            return Err(self.bad(format!("expected {tag}")));
+        }
+        Ok(())
+    }
+
+    /// A number of type `T`; one too wide for `T` is refused.
+    pub(crate) fn num<T: std::str::FromStr>(&mut self) -> Result<T, Error> {
         let tok = self.next()?;
         tok.parse()
-            .map_err(|_| bad(self.line_no, format!("bad number {tok:?}")))
+            .map_err(|_| self.bad(format!("bad number {tok:?}")))
     }
 
-    fn node(&mut self) -> Result<NodeId, Error> {
+    /// A name or free text, [`codec::escape_token`]-escaped.
+    pub(crate) fn name(&mut self) -> Result<String, Error> {
+        let tok = self.next()?;
+        codec::unescape_token(tok).map_err(|e| self.bad(format!("bad name: {e}")))
+    }
+
+    pub(crate) fn node(&mut self) -> Result<NodeId, Error> {
         let p: u32 = self.num()?;
         let i: u32 = self.num()?;
         Ok(NodeId::new(ProcessId::new(p), i))
     }
 
-    fn opt(&mut self) -> Result<Option<i64>, Error> {
+    /// A number of type `T`, or `.` for none.
+    pub(crate) fn opt<T: std::str::FromStr>(&mut self) -> Result<Option<T>, Error> {
         let tok = self.next()?;
         if tok == "." {
             return Ok(None);
         }
         tok.parse()
             .map(Some)
-            .map_err(|_| bad(self.line_no, format!("bad value {tok:?}")))
+            .map_err(|_| self.bad(format!("bad value {tok:?}")))
     }
 
-    fn opt_node(&mut self) -> Result<Option<NodeId>, Error> {
+    /// A node, or `.` for none.
+    pub(crate) fn opt_node(&mut self) -> Result<Option<NodeId>, Error> {
         let tok = self.next()?;
         if tok == "." {
             return Ok(None);
         }
         let p: u32 = tok
             .parse()
-            .map_err(|_| bad(self.line_no, format!("bad process {tok:?}")))?;
+            .map_err(|_| self.bad(format!("bad process {tok:?}")))?;
         let i: u32 = self.num()?;
         Ok(Some(NodeId::new(ProcessId::new(p), i)))
     }
@@ -516,30 +587,28 @@ impl<'a> Tokens<'a> {
         // The n path tokens must already be on this line; reject the
         // count before allocating for it.
         if n > self.remaining_on_line() {
-            return Err(bad(self.line_no, format!("path promises {n} hops")));
+            return Err(self.bad(format!("path promises {n} hops")));
         }
         let mut procs = Vec::with_capacity(n);
         for _ in 0..n {
             procs.push(ProcessId::new(self.num()?));
         }
-        let path = NetPath::new(procs)
-            .map_err(|e| bad(self.line_no, format!("bad general-node path: {e}")))?;
-        GeneralNode::new(base, path)
-            .map_err(|e| bad(self.line_no, format!("bad general node: {e}")))
+        let path =
+            NetPath::new(procs).map_err(|e| self.bad(format!("bad general-node path: {e}")))?;
+        GeneralNode::new(base, path).map_err(|e| self.bad(format!("bad general node: {e}")))
     }
 
-    fn done(&mut self) -> Result<(), Error> {
+    /// Checks that the line ends here.
+    pub(crate) fn done(&mut self) -> Result<(), Error> {
         match self.it.next() {
-            Some(tok) => Err(bad(self.line_no, format!("trailing token {tok:?}"))),
+            Some(tok) => Err(self.bad(format!("trailing token {tok:?}"))),
             None => Ok(()),
         }
     }
 }
 
 fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error> {
-    let line = lines.next()?;
-    let no = lines.line_no();
-    let mut t = Tokens::new(line, no);
+    let mut t = lines.tokens()?;
     let kind = t.next()?;
     let q = match kind {
         "maxx" => Query::MaxX {
@@ -576,7 +645,6 @@ fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error
         "recover" => Query::Recover,
         "append" => {
             t.done()?;
-            lines.expect_lines(1, "appended event")?;
             let evline = lines.next()?;
             let ev = codec::decode_event(evline)
                 .map_err(|e| bad(lines.line_no(), format!("embedded event: {e}")))?;
@@ -584,11 +652,14 @@ fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error
         }
         "import" => {
             t.done()?;
-            return Ok(Query::Import(Box::new(pull_snapshot(lines)?)));
+            let mut snap = lines.embed("snaplines")?;
+            return Ok(Query::Import(Box::new(crate::store::read_snapshot(
+                &mut snap,
+            )?)));
         }
         "batch" => {
             if depth >= MAX_BATCH_DEPTH {
-                return Err(bad(no, format!("batch nesting exceeds {MAX_BATCH_DEPTH}")));
+                return Err(t.bad(format!("batch nesting exceeds {MAX_BATCH_DEPTH}")));
             }
             let k = lines.expect_lines(t.num()?, "query batch")?;
             t.done()?;
@@ -598,7 +669,7 @@ fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error
             }
             return Ok(Query::QueryBatch(queries));
         }
-        other => return Err(bad(no, format!("unknown query {other:?}"))),
+        other => return Err(t.bad(format!("unknown query {other:?}"))),
     };
     t.done()?;
     Ok(q)
@@ -610,30 +681,26 @@ fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error
 ///
 /// Returns [`Error::Wire`] on malformed input.
 pub fn decode_query(text: &str) -> Result<Query, Error> {
-    let mut lines = Lines::new(text);
-    let header = lines.next()?;
-    if header.trim() != QUERY_HEADER {
-        return Err(bad(1, format!("bad header {header:?}")));
-    }
-    let q = decode_query_from(&mut lines, 0)?;
-    match lines.try_next() {
-        None => Ok(q),
-        Some(extra) => Err(bad(lines.line_no(), format!("trailing line {extra:?}"))),
-    }
+    read_query(&mut Lines::new(text))
+}
+
+/// Reads a complete `zigzag-query v1` document, header to end, from
+/// `lines` — on its own, or as the body of a frame.
+pub(crate) fn read_query(lines: &mut Lines<'_>) -> Result<Query, Error> {
+    lines.header(QUERY_HEADER)?;
+    let q = decode_query_from(lines, 0)?;
+    lines.end()?;
+    Ok(q)
 }
 
 /// Decodes one `<tag> <n> <v0> … <v(n-1)>` gauge line of a stats
 /// document, validating the count against the line before allocating.
 fn counted_u64s(lines: &mut Lines<'_>, tag: &str) -> Result<Vec<u64>, Error> {
-    let line = lines.next()?;
-    let no = lines.line_no();
-    let mut t = Tokens::new(line, no);
-    if t.next()? != tag {
-        return Err(bad(no, format!("expected {tag}")));
-    }
+    let mut t = lines.tokens()?;
+    t.tag(tag)?;
     let n: usize = t.num()?;
     if n > t.remaining_on_line() {
-        return Err(bad(no, format!("{tag} promises {n} values")));
+        return Err(t.bad(format!("{tag} promises {n} values")));
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -686,12 +753,8 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             // n rows plus the mnodes line must follow.
             let n = lines.expect_lines(t.num::<usize>()?.saturating_add(1), "matrix")? - 1;
             t.done()?;
-            let nline = lines.next()?;
-            let nno = lines.line_no();
-            let mut nt = Tokens::new(nline, nno);
-            if nt.next()? != "mnodes" {
-                return Err(bad(nno, "expected mnodes"));
-            }
+            let mut nt = lines.tokens()?;
+            nt.tag("mnodes")?;
             let mut nodes = Vec::with_capacity(n);
             for _ in 0..n {
                 nodes.push(nt.node()?);
@@ -701,12 +764,8 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             // n² (which a malicious count could inflate quadratically).
             let mut data = Vec::new();
             for _ in 0..n {
-                let rline = lines.next()?;
-                let rno = lines.line_no();
-                let mut rt = Tokens::new(rline, rno);
-                if rt.next()? != "mrow" {
-                    return Err(bad(rno, "expected mrow"));
-                }
+                let mut rt = lines.tokens()?;
+                rt.tag("mrow")?;
                 for _ in 0..n {
                     data.push(rt.opt()?);
                 }
@@ -714,7 +773,7 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             }
             MaxXMatrix::from_parts(nodes, data)
                 .map(Response::MaxXMatrix)
-                .map_err(|e| bad(nno, format!("bad matrix: {e}")))
+                .map_err(|e| nt.bad(format!("bad matrix: {e}")))
         }
         "tight" => {
             let v = t.opt()?;
@@ -726,21 +785,7 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             let gamma: u64 = t.num()?;
             let theta_time = Time::new(t.num()?);
             t.done()?;
-            let kline = lines.next()?;
-            let kno = lines.line_no();
-            let mut kt = Tokens::new(kline, kno);
-            if kt.next()? != "runlines" {
-                return Err(bad(kno, "expected runlines"));
-            }
-            let k = lines.expect_lines(kt.num()?, "embedded run")?;
-            kt.done()?;
-            let mut encoded = String::new();
-            for _ in 0..k {
-                encoded.push_str(lines.next()?);
-                encoded.push('\n');
-            }
-            let run = codec::decode(&encoded)
-                .map_err(|e| bad(lines.line_no(), format!("embedded run: {e}")))?;
+            let run = lines.run("runlines")?;
             Ok(Response::FastRun(FastRunReport {
                 sigma,
                 gamma,
@@ -763,12 +808,8 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             let observer_misses: u64 = t.num()?;
             let observer_evictions: u64 = t.num()?;
             t.done()?;
-            let lline = lines.next()?;
-            let lno = lines.line_no();
-            let mut lt = Tokens::new(lline, lno);
-            if lt.next()? != "lat" {
-                return Err(bad(lno, "expected lat"));
-            }
+            let mut lt = lines.tokens()?;
+            lt.tag("lat")?;
             let mut latency = crate::stats::LatencyHistogram::new();
             for b in latency.buckets.iter_mut() {
                 *b = lt.num()?;
@@ -835,7 +876,10 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
         }
         "exported" => {
             t.done()?;
-            Ok(Response::Exported(Box::new(pull_snapshot(lines)?)))
+            let mut snap = lines.embed("snaplines")?;
+            Ok(Response::Exported(Box::new(crate::store::read_snapshot(
+                &mut snap,
+            )?)))
         }
         "imported" => {
             let raw: u64 = t.num()?;
@@ -857,14 +901,9 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
             t.done()?;
             let mut list = Vec::with_capacity(k);
             for _ in 0..k {
-                let rline = lines.next()?;
-                let rno = lines.line_no();
-                let mut rt = Tokens::new(rline, rno);
-                if rt.next()? != "rec" {
-                    return Err(bad(rno, "expected rec"));
-                }
-                let name = codec::unescape_token(rt.next()?)
-                    .map_err(|e| bad(rno, format!("bad session name: {e}")))?;
+                let mut rt = lines.tokens()?;
+                rt.tag("rec")?;
+                let name = rt.name()?;
                 let raw: u64 = rt.num()?;
                 rt.done()?;
                 list.push((name, crate::service::SessionId::from_raw(raw)));
@@ -882,15 +921,10 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
 /// Returns [`Error::Wire`] on malformed input.
 pub fn decode_response(text: &str) -> Result<Response, Error> {
     let mut lines = Lines::new(text);
-    let header = lines.next()?;
-    if header.trim() != RESPONSE_HEADER {
-        return Err(bad(1, format!("bad header {header:?}")));
-    }
+    lines.header(RESPONSE_HEADER)?;
     let r = decode_response_from(&mut lines, 0)?;
-    match lines.try_next() {
-        None => Ok(r),
-        Some(extra) => Err(bad(lines.line_no(), format!("trailing line {extra:?}"))),
-    }
+    lines.end()?;
+    Ok(r)
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! inverts that: any change to the run means rebuilding the bounds graphs
 //! and every derived engine from scratch.
 //! [`IncrementalEngine`] is the append-only form: a run is grown
-//! one [`RunEvent`] at a time ([`IncrementalEngine::append_event`] /
-//! [`IncrementalEngine::append_batch`]) and every analysis layer is
-//! **delta-updated** — after each append, `max_x` / `knows` /
-//! `max_x_basic_matrix` / `fast_run_of` answer exactly as a freshly built
-//! batch engine on the same prefix would (the prefix-differential oracle
-//! in `tests/oracle.rs` pins this byte-for-byte).
+//! one [`RunEvent`] at a time ([`IncrementalEngine::append_event`]) and
+//! every analysis layer is **delta-updated** — after each append,
+//! `max_x` / `knows` / `max_x_basic_matrix` / `fast_run_of` answer
+//! exactly as a freshly built batch engine on the same prefix would (the
+//! prefix-differential oracle in `tests/oracle.rs` pins this
+//! byte-for-byte).
 //!
 //! # The delta-relaxation invariant
 //!
@@ -241,19 +241,6 @@ impl IncrementalEngine {
         let node = self.stream.append(ev)?;
         self.gb.append_node(self.stream.run(), node);
         Ok(node)
-    }
-
-    /// Appends a batch of events in order, returning the created nodes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first inconsistent event, which changes nothing; the
-    /// events before it stay applied.
-    pub fn append_batch<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a RunEvent>,
-    ) -> Result<Vec<NodeId>, CoreError> {
-        events.into_iter().map(|ev| self.append_event(ev)).collect()
     }
 
     /// The run as grown so far — a genuine [`Run`] prefix, usable by any

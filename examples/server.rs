@@ -7,7 +7,7 @@
 //! and written with a single syscall, and the replies are scanned back
 //! in order through a reusable `EnvelopeScanner`. The frames cover
 //! knowledge queries, a query batch, and a deliberately hostile frame
-//! (answered with a deterministic `zigzag-error v1` document in its
+//! (answered with a deterministic `zigzag-error v2` document in its
 //! arrival slot); a final `stats` query shows the serving counters —
 //! latency histogram, observer-cache hits/misses, queue depths, and the
 //! transport counters proving the syscall amortization — all read from

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use zigzag::api::net::{
     encode_envelope_into, read_envelope, write_envelope, EnvelopeScanner, NetConfig, NetServer,
 };
-use zigzag::api::{serve, wire, Query, Response, SessionConfig, SessionId, ZigzagService};
+use zigzag::api::{serve, wire, Error, Query, Response, SessionConfig, SessionId, ZigzagService};
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
 use zigzag::bcm::{Run, RunCursor, SimConfig, Simulator, Time};
@@ -172,7 +172,7 @@ fn shutdown_drains_every_accepted_frame() {
 }
 
 /// Hostile envelopes: an oversized declared length and a non-UTF-8
-/// payload are each answered with one zigzag-error v1 envelope and a
+/// payload are each answered with one zigzag-error v2 envelope and a
 /// closed connection — no allocation from the hostile header, no panic.
 #[test]
 fn hostile_envelopes_get_one_error_document_then_close() {
@@ -243,7 +243,7 @@ fn closed_sessions_are_not_served_stale() {
     write_envelope(&mut conn, &frame).unwrap();
     let second = read_envelope(&mut conn, 1 << 22).unwrap().unwrap();
     assert!(serve::is_error_document(&second), "{second:?}");
-    assert!(second.contains("unknown session"), "{second:?}");
+    assert_eq!(serve::decode_error(&second), Error::UnknownSession { id });
     server.shutdown();
 }
 

@@ -286,7 +286,14 @@ fn fast_run_parameters_that_overflow_are_refused_by_name() {
         assert!(!err.is_retryable());
         let served = serve::serve(&service, &[serve::encode_frame(session, &q)], 1);
         assert_eq!(served, vec![serve::encode_error(&err)]);
-        assert!(served[0].contains(&format!("{parameter} = {value}")));
+        // A client reads the refusal back with the parameter named.
+        let Error::Internal { detail } = serve::decode_error(&served[0]) else {
+            panic!("a causality-layer error reads back as Internal");
+        };
+        assert!(
+            detail.contains(&format!("{parameter} = {value}")),
+            "{detail}"
+        );
     }
 }
 
@@ -1192,9 +1199,13 @@ fn stats_is_service_level_only() {
     };
     assert_eq!(again, report);
 
-    // Nested in a batch, the whole dispatch fails with the typed error.
-    let err = service
-        .dispatch(id, &Query::QueryBatch(vec![Query::Stats]))
-        .unwrap_err();
-    assert!(matches!(err, Error::ServiceLevelQuery), "{err:?}");
+    // Nested in a batch, the whole dispatch fails with the typed error,
+    // for every service-level operation, and its text names none of them.
+    for q in [Query::Stats, Query::EventCount] {
+        let err = service
+            .dispatch(id, &Query::QueryBatch(vec![q]))
+            .unwrap_err();
+        assert!(matches!(err, Error::ServiceLevelQuery), "{err:?}");
+        assert!(!err.to_string().contains("stats"), "{err}");
+    }
 }
