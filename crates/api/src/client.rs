@@ -35,8 +35,9 @@
 //! # What the client never retries
 //!
 //! Non-idempotent queries ([`crate::Query::Append`] outside the probed
-//! [`ResilientClient::append`] path, [`crate::Query::Import`]) are sent
-//! at most once per call; everything non-retryable
+//! [`ResilientClient::append`] path, [`crate::Query::Import`],
+//! [`crate::Query::Recover`]) are sent at most once per call; everything
+//! non-retryable
 //! ([`Error::is_retryable`] is `false`) surfaces immediately.
 
 use std::io;
@@ -198,19 +199,20 @@ impl ResilientClient {
 
     /// Dispatches one query and returns the typed response.
     ///
-    /// Idempotent queries (everything except [`Query::Append`] and
-    /// [`Query::Import`]) are retried across reconnects on any
-    /// [retryable](Error::is_retryable) failure, up to
+    /// Idempotent queries (everything except [`Query::Append`],
+    /// [`Query::Import`] and [`Query::Recover`]) are retried across
+    /// reconnects on any [retryable](Error::is_retryable) failure, up to
     /// [`ClientConfig::max_retries`]; non-idempotent queries are sent at
     /// most once — use [`ResilientClient::append`] for the probed,
-    /// exactly-once append path.
+    /// exactly-once append path. (A retried `Recover` would answer
+    /// without the sessions a lost first answer attached.)
     ///
     /// # Errors
     ///
     /// Any [`Error`]: server-reported errors arrive typed, transport
     /// failures as [`Error::Transport`].
     pub fn query(&mut self, id: SessionId, q: &Query) -> Result<Response, Error> {
-        let idempotent = !matches!(q, Query::Append(_) | Query::Import(_));
+        let idempotent = !matches!(q, Query::Append(_) | Query::Import(_) | Query::Recover);
         let frame = serve::encode_frame(id, q);
         let mut attempt = 0u32;
         loop {
@@ -292,11 +294,15 @@ impl ResilientClient {
     /// Triggers the server's supervised recovery sweep
     /// ([`crate::Query::Recover`]) and returns what it attached. The
     /// frame still addresses a session (any id routes it); pass the id of
-    /// any session, or `SessionId::from_raw(0)`.
+    /// any session, or `SessionId::from_raw(0)`. The sweep is sent at
+    /// most once: after a lost answer, its sessions may be attached
+    /// already, and a second sweep would not list them.
     ///
     /// # Errors
     ///
-    /// Any [`Error`]; [`Error::Store`] if the server has no supervisor.
+    /// Any [`Error`]; [`Error::Store`] if the server has no supervisor,
+    /// and [`Error::Transport`] if the answer was lost — the sweep may
+    /// have run.
     pub fn recover(&mut self, id: SessionId) -> Result<Vec<(String, SessionId)>, Error> {
         match self.query(id, &Query::Recover)? {
             Response::Recovered(list) => Ok(list),
@@ -501,5 +507,63 @@ mod tests {
         let err = client.query(id, &Query::EventCount).unwrap_err();
         assert!(matches!(err, Error::Transport { .. }), "got {err}");
         assert!(err.is_retryable());
+    }
+
+    /// A `Recover` whose answer is lost is not resent: the lost sweep
+    /// attached the session, and a resent one would answer without it.
+    #[test]
+    fn a_recover_whose_answer_is_lost_is_not_resent() {
+        use crate::fault::{FaultPlan, FaultRates};
+        use crate::store::{SessionStore, StoreConfig};
+        use crate::supervisor::SessionSupervisor;
+
+        let dir =
+            std::env::temp_dir().join(format!("zigzag-client-test-{}-recover", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = fig_run();
+        let service = Arc::new(ZigzagService::new());
+        let store = Arc::new(SessionStore::open(&dir, StoreConfig::new()).unwrap());
+        let (_sup, swept) = SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
+        assert!(swept.is_empty());
+        // A log another process left behind after the sweep at bind.
+        {
+            let other = ZigzagService::new();
+            let id = SessionStore::open(&dir, StoreConfig::new())
+                .unwrap()
+                .open_stream(
+                    &other,
+                    "feed",
+                    run.context_arc(),
+                    run.horizon(),
+                    SessionConfig::new(),
+                )
+                .unwrap();
+            for ev in RunCursor::new(&run) {
+                other.append(id, &ev).unwrap();
+            }
+        }
+
+        // The server's first write, the sweep's answer, is reset.
+        let rates = FaultRates {
+            write_reset: 1000,
+            ..FaultRates::default()
+        };
+        let plan = Arc::new(FaultPlan::with_budget(1, rates, 1));
+        let server = NetServer::bind_tcp(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            NetConfig::new().workers(2).faults(plan),
+        )
+        .unwrap();
+        let mut client =
+            ResilientClient::connect_tcp(server.local_addr().unwrap(), fast_config()).unwrap();
+        let any = SessionId::from_raw(0);
+        let err = client.recover(any).unwrap_err();
+        assert!(matches!(err, Error::Transport { .. }), "got {err}");
+        assert_eq!(service.session_count(), 1, "the lost sweep attached it");
+        // The plan is spent, and nothing is left to attach.
+        assert_eq!(client.recover(any).unwrap(), Vec::new());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

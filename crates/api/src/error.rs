@@ -94,8 +94,9 @@ pub enum Error {
         detail: String,
     },
     /// The durable session store failed: an I/O error on a log or
-    /// snapshot file, a malformed on-disk document, or a store operation
-    /// addressed to a session it does not manage.
+    /// snapshot file, a malformed on-disk document, a store operation
+    /// addressed to a session whose log it does not hold, or an append
+    /// to a durable session whose log an earlier failure broke.
     Store {
         /// What happened (I/O errors are rendered in, since
         /// `std::io::Error` is neither `Clone` nor `PartialEq`).

@@ -117,12 +117,12 @@ pub enum Query {
     ),
     /// Appends one event to the addressed stream session over the wire.
     /// Service-level like [`Query::Export`] (cannot nest in a batch or
-    /// hit a bare session): the service routes the append through the
-    /// durable store when a [`crate::SessionSupervisor`] manages the
-    /// session, so wire appends and in-process appends share one
-    /// durability path. Answered by [`Response::Appended`] carrying the
-    /// session's event count *after* the append — the anchor for the
-    /// client's exactly-once probe.
+    /// hit a bare session): the service hands it to the session's one
+    /// append path, [`crate::ZigzagService::append`], so a durable
+    /// session logs a wire append exactly like an in-process one.
+    /// Answered by [`Response::Appended`] carrying the session's event
+    /// count *after* the append — the anchor for the client's
+    /// exactly-once probe.
     Append(
         /// The event to append.
         Box<zigzag_bcm::RunEvent>,
@@ -132,10 +132,12 @@ pub enum Query {
     /// decide whether an append whose answer was lost actually landed.
     EventCount,
     /// Asks the service's attached [`crate::SessionSupervisor`] to sweep
-    /// its store directory and recover every session log not already
-    /// attached. Service-level; the frame's session line is used for
-    /// worker routing only. Answers [`Response::Recovered`] with the
-    /// (name, id) pairs recovered by *this* call.
+    /// its store directory and recover every session log no live session
+    /// of its store holds. Service-level; the frame's session line is
+    /// used for worker routing only. Answers [`Response::Recovered`] with
+    /// the (name, id) pairs recovered by *this* call, so it is not
+    /// idempotent: a second sweep answers without what the first
+    /// attached.
     Recover,
 }
 

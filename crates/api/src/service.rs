@@ -68,9 +68,10 @@ struct Metrics {
     dispatches: AtomicU64,
     /// Wall-time histogram over those dispatches.
     latency: LatencyRecorder,
-    /// Durability counters, billed into by every attached
-    /// [`crate::store::SessionStore`] and by export/import.
-    store: StoreStats,
+    /// Durability counters, billed into by the logs of this service's
+    /// durable sessions, by [`crate::store::SessionStore`] and by
+    /// export/import.
+    store: Arc<StoreStats>,
 }
 
 /// The unified service facade; see the [module docs](self) and the
@@ -90,11 +91,10 @@ pub struct ZigzagService {
     shards: Box<[Shard]>,
     next: AtomicU64,
     metrics: Metrics,
-    /// The [`SessionSupervisor`] whose durable store takes this service's
-    /// wire-level appends on the sessions it manages (log + fsync +
-    /// snapshot cadence) and answers [`Query::Recover`]. Only a [`Weak`]
-    /// reference: the supervisor owns the service, never the other way
-    /// around, so dropping the supervisor detaches it without a cycle.
+    /// The [`SessionSupervisor`] whose store answers [`Query::Recover`] —
+    /// the hook's only reader. Only a [`Weak`] reference: the supervisor
+    /// owns the service, never the other way around, so dropping the
+    /// supervisor detaches it without a cycle.
     supervisor: Mutex<Option<Weak<SessionSupervisor>>>,
 }
 
@@ -155,11 +155,16 @@ impl ZigzagService {
         (id.0 % self.shards.len() as u64) as usize
     }
 
-    /// The service's durability counters — billed into by
-    /// [`crate::store::SessionStore`] operations and by the
-    /// export/import path, surfaced by [`Query::Stats`].
+    /// The service's durability counters — billed into by its durable
+    /// sessions' logs, by [`crate::store::SessionStore`] operations and
+    /// by the export/import path, surfaced by [`Query::Stats`].
     pub fn store_stats(&self) -> &StoreStats {
         &self.metrics.store
+    }
+
+    /// The durability counters, for a durable session's log to bill.
+    pub(crate) fn shared_store_stats(&self) -> Arc<StoreStats> {
+        Arc::clone(&self.metrics.store)
     }
 
     /// Serializes a live session into a portable [`SessionSnapshot`] —
@@ -265,14 +270,14 @@ impl ZigzagService {
         Ok((self.install(session), reports))
     }
 
-    /// Appends one event to a session. Only that session's own write
-    /// lock is taken; queries on other sessions proceed.
+    /// Appends one event to a session — the one append path, which a wire
+    /// [`Query::Append`] and [`crate::SessionStore::append`] reach too.
+    /// Only that session's own locks are taken; queries on other
+    /// sessions proceed. A durable session logs the event.
     ///
     /// # Errors
     ///
-    /// Fails on unknown sessions, or if the event is inconsistent with
-    /// the grown prefix. A rejected event changes nothing: the session
-    /// keeps answering and appending as if it was never offered.
+    /// Fails on unknown sessions, or as [`StreamSession::append`] does.
     pub fn append(&self, id: SessionId, ev: &RunEvent) -> Result<AppendReport, Error> {
         self.session(id)?.append(ev)
     }
@@ -285,18 +290,6 @@ impl ZigzagService {
     /// Fails on unknown sessions, or if the session is poisoned.
     pub fn event_count(&self, id: SessionId) -> Result<u64, Error> {
         Ok(self.session(id)?.event_count()? as u64)
-    }
-
-    /// The append path behind [`Query::Append`]: routes through the
-    /// attached supervisor's durable store when one manages `id`, falling
-    /// back to the plain in-memory [`ZigzagService::append`]. Answers the
-    /// event count after the append.
-    pub(crate) fn append_routed(&self, id: SessionId, ev: &RunEvent) -> Result<u64, Error> {
-        match self.supervisor().filter(|sup| sup.store().manages(id)) {
-            Some(sup) => sup.store().append(self, id, ev),
-            None => self.append(id, ev),
-        }?;
-        self.event_count(id)
     }
 
     /// The recovery sweep behind [`Query::Recover`]: delegates to the
@@ -345,10 +338,10 @@ impl ZigzagService {
     /// the serving load, they aren't part of it). For Stats, Import and
     /// Recover the id is routing information only. Export, Append and
     /// EventCount read the live table, never the memo: a migration must
-    /// see the current session, appends route through the attached
-    /// durable store, and the event count is the client's exactly-once
-    /// probe. Everything else is a session query, timed into the
-    /// service's histogram.
+    /// see the current session, an append to a closed session must be
+    /// refused rather than land in a memoized one, and the event count is
+    /// the client's exactly-once probe. Everything else is a session
+    /// query, timed into the service's histogram.
     pub(crate) fn route(
         &self,
         id: SessionId,
@@ -360,7 +353,11 @@ impl ZigzagService {
             Query::Stats => Ok(Response::Stats(Box::new(stats()))),
             Query::Export => Ok(Response::Exported(Box::new(self.export(id)?))),
             Query::Import(snap) => Ok(Response::Imported(self.import((**snap).clone()))),
-            Query::Append(ev) => Ok(Response::Appended(self.append_routed(id, ev)?)),
+            Query::Append(ev) => {
+                let session = self.session(id)?;
+                session.append(ev)?;
+                Ok(Response::Appended(session.event_count()? as u64))
+            }
             Query::EventCount => Ok(Response::EventCount(self.event_count(id)?)),
             Query::Recover => Ok(Response::Recovered(self.recover_routed()?)),
             _ => {
@@ -467,7 +464,9 @@ impl ZigzagService {
             .sum()
     }
 
-    /// Closes a session, releasing its state.
+    /// Closes a session, releasing its state. A durable session's log is
+    /// released with it (once no in-flight request still holds the
+    /// session), so its store may recover the log again.
     ///
     /// # Errors
     ///

@@ -20,10 +20,12 @@
 //! Sessions synchronize **individually**, never through a shared lock:
 //! each session guards its growing engine with one `RwLock` — queries
 //! share read access, appends take the write side. One slow query on one
-//! session never blocks traffic on another. The only re-entrancy hazard
-//! is a [`crate::ZigzagService::with_run`] closure calling back into the
-//! *same* session (read-read recursion on its `RwLock`), which the
-//! method docs forbid.
+//! session never blocks traffic on another. A durable session also holds
+//! its log's append lock across each append, but the write side only
+//! while it applies the event (see [`crate::store`]). The only
+//! re-entrancy hazard is a [`crate::ZigzagService::with_run`] closure
+//! calling back into the *same* session (read-read recursion on its
+//! `RwLock`), which the method docs forbid.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
@@ -35,7 +37,7 @@ use zigzag_core::incremental::IncrementalEngine;
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
-use crate::store::SessionSnapshot;
+use crate::store::{Log, SessionSnapshot};
 
 /// What one appended event meant for a stream session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,9 +134,9 @@ impl StreamInner {
             },
             // Service-level: a bare session has no service-wide counters
             // to answer Stats with, cannot export its own handle or
-            // install an import, must take appends through the durable
-            // store (and never inside a batch, where the exactly-once
-            // probe could not tell which member landed), and cannot sweep
+            // install an import, takes appends through its own `append`
+            // and never inside a batch (where the exactly-once probe
+            // could not tell which member landed), and cannot sweep
             // the store directory. `ZigzagService::route` answers them
             // before any session is resolved.
             Query::Stats
@@ -156,13 +158,15 @@ impl StreamInner {
 /// [`IncrementalEngine`] (plus a [`StreamDriver`] when a coordination
 /// spec is configured), under the session's [`CachePolicy`]. The engine
 /// sits behind a session-local `RwLock`: queries share read access,
-/// appends take the write side — no cross-session lock exists.
+/// appends take the write side — no cross-session lock exists. A durable
+/// session also owns its log; see the [module docs](self).
 ///
 /// [`CachePolicy`]: crate::CachePolicy
 #[derive(Debug)]
 pub struct StreamSession {
     inner: RwLock<StreamInner>,
     config: SessionConfig,
+    log: Option<Log>,
 }
 
 impl StreamSession {
@@ -220,7 +224,21 @@ impl StreamSession {
         StreamSession {
             inner: RwLock::new(inner),
             config,
+            log: None,
         }
+    }
+
+    /// This session, made durable: it logs every append to `log`.
+    pub(crate) fn logged(self, log: Log) -> Self {
+        StreamSession {
+            log: Some(log),
+            ..self
+        }
+    }
+
+    /// The log of a durable session.
+    pub(crate) fn log(&self) -> Option<&Log> {
+        self.log.as_ref()
     }
 
     /// A point-in-time [`SessionSnapshot`] of everything a durable
@@ -282,15 +300,29 @@ impl StreamSession {
     }
 
     /// Appends one event, evaluating the coordination decision when a
-    /// spec is configured.
+    /// spec is configured. A durable session then logs it, under its
+    /// append lock (see the [module docs](self)).
     ///
     /// # Errors
     ///
     /// Fails if the event is inconsistent with the grown prefix, as
     /// [`IncrementalEngine::append_event`] documents. A rejected event
     /// changes nothing: the session keeps answering and appending as if
-    /// it was never offered.
+    /// it was never offered. A durable session fails with
+    /// [`Error::Store`] if the log write fails, and from then on refuses
+    /// every append with [`Error::Store`].
     pub fn append(&self, ev: &RunEvent) -> Result<AppendReport, Error> {
+        let Some(log) = &self.log else {
+            return self.apply(ev);
+        };
+        let mut writer = log.lock()?;
+        let report = self.apply(ev)?;
+        log.record(&mut writer, ev, self)?;
+        Ok(report)
+    }
+
+    /// Applies one event to the engine, under the write lock.
+    fn apply(&self, ev: &RunEvent) -> Result<AppendReport, Error> {
         let mut inner = self.inner.write().map_err(|_| Error::Internal {
             detail: "stream session poisoned by a panicked append".into(),
         })?;

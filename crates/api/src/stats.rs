@@ -128,7 +128,8 @@ impl TransportStats {
 pub struct StoreCounters {
     /// Event records appended to session logs.
     pub events_logged: u64,
-    /// Bytes written to session logs and snapshots (headers included).
+    /// Bytes written to session logs and snapshots (headers included,
+    /// and logs that recovery regenerates).
     pub bytes_written: u64,
     /// Session snapshots written (cadence-triggered and explicit).
     pub snapshots: u64,
@@ -140,9 +141,9 @@ pub struct StoreCounters {
 }
 
 /// The shared-state form of [`StoreCounters`]: one relaxed atomic per
-/// counter, billed into by every [`crate::store::SessionStore`] attached
-/// to a service and by the service's own export/import path,
-/// snapshotted for [`StatsReport`].
+/// counter, billed into by the service's durable sessions' logs, by
+/// [`crate::store::SessionStore`] operations on the service and by the
+/// service's own export/import path, snapshotted for [`StatsReport`].
 #[derive(Debug, Default)]
 pub struct StoreStats {
     /// See [`StoreCounters::events_logged`].
@@ -304,8 +305,8 @@ pub struct StatsReport {
     pub transport: TransportCounters,
     /// Durability counters of the answering service: events logged,
     /// bytes persisted, snapshots, recoveries and migrations (see
-    /// [`StoreCounters`]). All zero when no [`crate::store::SessionStore`]
-    /// is attached and no migration was served.
+    /// [`StoreCounters`]). All zero while the service has held no
+    /// durable session and served no migration.
     pub store: StoreCounters,
 }
 

@@ -1,17 +1,34 @@
 //! Durable sessions: per-session event logs, snapshots, crash recovery
 //! and live migration.
 //!
-//! Every session of a [`ZigzagService`] can be made **durable** by
-//! routing its appends through a [`SessionStore`]: each appended
-//! [`RunEvent`] is written as one self-delimiting record to an
-//! append-only per-session log, and every
-//! [`StoreConfig::snapshot_every`] appends the session's full state —
-//! run prefix, configuration, coordination progress, warm-observer
-//! manifest — is serialized into an atomically-replaced snapshot file.
-//! After a crash, [`SessionStore::recover`] rebuilds the session from
-//! snapshot + log tail (or from the log alone), **byte-identical** to the
-//! uninterrupted session at the last durable append — pinned at every
-//! append boundary by the recovery oracle tier (`tests/oracle.rs`).
+//! A stream session that [`SessionStore::open_stream`] opens or
+//! [`SessionStore::recover`] rebuilds is **durable**: it owns its log.
+//! Each [`RunEvent`] it applies — whichever path offered it:
+//! [`ZigzagService::append`], a wire [`crate::Query::Append`] or
+//! [`SessionStore::append`] — is written as one self-delimiting record to
+//! its append-only log, and every [`StoreConfig::snapshot_every`] appends
+//! the session's full state — run prefix, configuration, coordination
+//! progress, warm-observer manifest — is serialized into an
+//! atomically-replaced snapshot file. After a crash,
+//! [`SessionStore::recover`] rebuilds the session from snapshot + log
+//! tail (or from the log alone), **byte-identical** to the uninterrupted
+//! session at the last durable append — pinned at every append boundary
+//! by the recovery oracle tier (`tests/oracle.rs`).
+//!
+//! # One writer per log
+//!
+//! The session applies each event and then writes its record (and any
+//! cadence snapshot) under one per-session append lock, so the log holds
+//! the events the session acknowledged, in the order it applied them.
+//! Queries take only the engine's read lock and never wait on a write or
+//! an `fsync`. A failed record write, `fsync` or snapshot **breaks** the
+//! log: the session keeps answering queries, but refuses every later
+//! append with [`Error::Store`] — its memory may be one event ahead of
+//! its log — until recovery replaces it. A store instance holds the name
+//! of every log a live session of it owns, and releases it when that
+//! session drops (after [`ZigzagService::close`], or with its service):
+//! [`SessionStore::recover`] refuses a held name, and
+//! [`SessionStore::recover_all`] skips it.
 //!
 //! The same snapshot document doubles as the **migration envelope**:
 //! [`crate::Query::Export`] serializes a live session into a
@@ -115,13 +132,13 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use zigzag_bcm::codec::{self, decode_event, encode_event, escape_token};
 use zigzag_bcm::stream::{RunEvent, StreamingRun};
@@ -134,6 +151,7 @@ use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
 use crate::session::{AppendReport, StreamSession};
+use crate::stats::StoreStats;
 use crate::wire::{push_embed, Lines};
 
 /// Version header of the per-session event log. Logs of versions 1 and
@@ -142,12 +160,6 @@ pub const LOG_HEADER: &str = "zigzag-log v3";
 /// Version header of the session snapshot / migration document.
 /// Documents of versions 1 and 2 are refused.
 pub const SNAP_HEADER: &str = "zigzag-snap v3";
-
-fn unmanaged(id: SessionId) -> Error {
-    Error::Store {
-        detail: format!("session {id} is not managed by this store"),
-    }
-}
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Store {
@@ -460,15 +472,6 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> StreamSession {
 // The store.
 // ---------------------------------------------------------------------
 
-/// One durably-logged session's writer-side state.
-#[derive(Debug)]
-struct DurableSession {
-    name: String,
-    log: File,
-    /// Events in the log (drives the snapshot cadence).
-    events: u64,
-}
-
 /// What [`SessionStore::recover`] rebuilt; see the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovered {
@@ -485,242 +488,141 @@ pub struct Recovered {
     pub truncated: bool,
 }
 
-/// The per-session durable store; see the [module docs](self).
-///
-/// A store manages a directory of `<name>.log` / `<name>.snap` file
-/// pairs and the set of open sessions it is logging for. It is bound to
-/// no particular service: every operation takes the [`ZigzagService`]
-/// whose session table it should act on (and whose
-/// [`ZigzagService::store_stats`] it bills).
+/// A store instance's hold on one name, taken by
+/// [`SessionStore::open_stream`] and [`SessionStore::recover`] and kept
+/// by the name's [`Log`]: dropping it releases the name. It carries a
+/// handle on its store, which the log writes through.
 #[derive(Debug)]
-pub struct SessionStore {
-    root: PathBuf,
-    config: StoreConfig,
-    open: Mutex<HashMap<u64, DurableSession>>,
-    /// Deterministic chaos hook ([`crate::FaultPlan`]); `None` (the
-    /// default) is a single never-taken branch on every write seam.
-    faults: Option<Arc<FaultPlan>>,
+struct Claim {
+    store: SessionStore,
+    name: String,
 }
 
-impl SessionStore {
-    /// Opens (creating if needed) a store rooted at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::Store`] if the directory cannot be created.
-    pub fn open(root: impl Into<PathBuf>, config: StoreConfig) -> Result<Self, Error> {
-        let root = root.into();
-        fs::create_dir_all(&root).map_err(|e| io_err("creating store root", &root, e))?;
-        Ok(SessionStore {
-            root,
-            config,
-            open: Mutex::new(HashMap::new()),
-            faults: None,
-        })
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.store.held().remove(&self.name);
     }
+}
 
-    /// Arms this store with a deterministic fault plan: log appends may
-    /// tear, fsyncs may fail, snapshot writes may hit disk-full —
-    /// exactly as scheduled by the plan. Chaos-testing hook; production
-    /// stores never call this.
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
+/// A durable session's log, owned by its [`StreamSession`] (see
+/// [One writer per log](self#one-writer-per-log)). It bills the
+/// counters of the service the session was opened or recovered on.
+#[derive(Debug)]
+pub(crate) struct Log {
+    claim: Claim,
+    path: PathBuf,
+    stats: Arc<StoreStats>,
+    /// The append lock.
+    writer: Mutex<Writer>,
+}
 
-    /// Whether `id` is a durable session managed by this store.
-    pub fn manages(&self, id: SessionId) -> bool {
-        self.lock().contains_key(&id.raw())
-    }
+/// The state behind a [`Log`]'s append lock.
+#[derive(Debug)]
+pub(crate) struct Writer {
+    file: File,
+    /// Events in the log (drives the snapshot cadence).
+    events: u64,
+    /// The failure that broke the log, if one did.
+    broken: Option<String>,
+}
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The store's policy.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    /// The log file backing durable session `name`.
-    pub fn log_path(&self, name: &str) -> PathBuf {
-        self.root.join(format!("{name}.log"))
-    }
-
-    /// The snapshot file backing durable session `name`.
-    pub fn snap_path(&self, name: &str) -> PathBuf {
-        self.root.join(format!("{name}.snap"))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, DurableSession>> {
-        self.open.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// `sync_all` with the fault plan's fsync site consulted first — the
-    /// seam every durability-relevant sync in this store goes through.
-    fn sync_file(&self, file: &File, path: &Path) -> Result<(), Error> {
-        if let Some(plan) = &self.faults {
-            if plan.on_fsync() {
-                return Err(Error::Store {
-                    detail: format!("injected fsync failure on {}", path.display()),
-                });
-            }
+impl Writer {
+    /// Passes `out` through, breaking the log if it is a failure.
+    fn break_on<T>(&mut self, out: Result<T, Error>) -> Result<T, Error> {
+        if let Err(e) = &out {
+            self.broken = Some(e.to_string());
         }
-        file.sync_all().map_err(|e| io_err("syncing", path, e))
+        out
     }
+}
 
-    /// Syncs the store directory, through [`SessionStore::sync_file`]: a
-    /// created file or a rename is durable only once its parent
-    /// directory is synced.
-    fn sync_root(&self) -> Result<(), Error> {
-        let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
-        self.sync_file(&dir, &self.root)
-    }
-
-    /// Opens a **durable** stream session: a fresh session on `service`
-    /// plus a fresh event log seeded with the session's header (config +
-    /// embedded skeleton run). Fails if a log for `name` already exists —
-    /// recover or delete it explicitly instead of silently clobbering
-    /// history.
+impl Log {
+    /// Takes the append lock.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] on an invalid name, an existing log,
-    /// or file-system errors.
-    pub fn open_stream(
-        &self,
-        service: &ZigzagService,
-        name: &str,
-        context: Arc<Context>,
-        horizon: Time,
-        config: SessionConfig,
-    ) -> Result<SessionId, Error> {
-        validate_name(name)?;
-        let path = self.log_path(name);
-        let mut log = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .map_err(|e| io_err("creating log", &path, e))?;
-
-        let header = log_header(&config, &Run::skeleton(context.clone(), horizon));
-        log.write_all(header.as_bytes())
-            .map_err(|e| io_err("writing log header", &path, e))?;
-        if self.config.fsync == FsyncPolicy::Always {
-            self.sync_file(&log, &path)?;
-            self.sync_root()?;
+    /// Fails with [`Error::Store`] once a failed write broke the log.
+    pub(crate) fn lock(&self) -> Result<MutexGuard<'_, Writer>, Error> {
+        let refuse = |cause: &str| Error::Store {
+            detail: format!(
+                "the log of {} broke ({cause}); recover the session to append again",
+                self.claim.name
+            ),
+        };
+        // An append that panicked holding the lock may have applied an
+        // event it never logged.
+        let writer = self
+            .writer
+            .lock()
+            .map_err(|_| refuse("an append panicked"))?;
+        match &writer.broken {
+            None => Ok(writer),
+            Some(cause) => Err(refuse(cause)),
         }
-        service
-            .store_stats()
-            .bytes_written
-            .fetch_add(header.len() as u64, Ordering::Relaxed);
-
-        let id = service.open_stream(context, horizon, config);
-        self.lock().insert(
-            id.raw(),
-            DurableSession {
-                name: name.to_string(),
-                log,
-                events: 0,
-            },
-        );
-        Ok(id)
     }
 
-    /// Appends one event durably: through the service's normal append
-    /// path first, then as one log record, then — every
-    /// [`StoreConfig::snapshot_every`] appends — a snapshot. An
-    /// inconsistent event is rejected before any byte is written and
-    /// changes nothing: the session and its log stay as they were.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the session's append error, or fails with
-    /// [`Error::Store`] if `id` is not store-managed or the write fails
-    /// (after which the in-memory session is ahead of the log; treat
-    /// store errors as fatal for the session).
-    pub fn append(
+    /// Writes the record of an event `session` just applied, then —
+    /// every [`StoreConfig::snapshot_every`] records — a snapshot. A
+    /// failure breaks the log.
+    pub(crate) fn record(
         &self,
-        service: &ZigzagService,
-        id: SessionId,
+        writer: &mut Writer,
         ev: &RunEvent,
-    ) -> Result<AppendReport, Error> {
-        // Checked first, so an unmanaged session is refused unchanged;
-        // the store lock is not held across the engine append, so
-        // appends to different sessions do not serialize on it.
-        if !self.manages(id) {
-            return Err(unmanaged(id));
-        }
-        let report = service.append(id, ev)?;
-        let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| unmanaged(id))?;
+        session: &StreamSession,
+    ) -> Result<(), Error> {
+        let out = self.write_record(writer, ev, session);
+        writer.break_on(out)
+    }
+
+    fn write_record(
+        &self,
+        writer: &mut Writer,
+        ev: &RunEvent,
+        session: &StreamSession,
+    ) -> Result<(), Error> {
+        let store = &self.claim.store;
         let mut line = encode_event(ev);
         line.push('\n');
-        let path = self.log_path(&st.name);
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = &store.faults {
             if let LogFault::Torn(cut) = plan.on_log_write(line.len()) {
                 // A torn write: a strict prefix of the record reaches the
                 // file, then the append fails. Recovery truncates the torn
-                // record away; until then the in-memory session is ahead
-                // of the log, which is why store errors are fatal for the
-                // session.
-                let _ = st.log.write_all(&line.as_bytes()[..cut]);
+                // record away.
+                let _ = writer.file.write_all(&line.as_bytes()[..cut]);
                 return Err(Error::Store {
                     detail: format!(
                         "injected torn write ({cut}/{} bytes) on {}",
                         line.len(),
-                        path.display()
+                        self.path.display()
                     ),
                 });
             }
         }
-        st.log
+        writer
+            .file
             .write_all(line.as_bytes())
-            .map_err(|e| io_err("appending to log", &path, e))?;
-        if self.config.fsync == FsyncPolicy::Always {
-            self.sync_file(&st.log, &path)?;
+            .map_err(|e| io_err("appending to log", &self.path, e))?;
+        if store.config.fsync == FsyncPolicy::Always {
+            store.sync_file(&writer.file, &self.path)?;
         }
-        st.events += 1;
-        let stats = service.store_stats();
-        stats.events_logged.fetch_add(1, Ordering::Relaxed);
-        stats
+        writer.events += 1;
+        self.stats.events_logged.fetch_add(1, Ordering::Relaxed);
+        self.stats
             .bytes_written
             .fetch_add(line.len() as u64, Ordering::Relaxed);
-        if let Some(every) = self.config.snapshot_every {
-            if st.events.is_multiple_of(every) {
-                self.write_snapshot(service, id, st)?;
+        match store.config.snapshot_every {
+            Some(every) if writer.events.is_multiple_of(every) => {
+                self.write_snapshot(writer, session).map(|_| ())
             }
+            _ => Ok(()),
         }
-        Ok(report)
-    }
-
-    /// Writes a snapshot of session `id` right now, regardless of
-    /// cadence. Returns `false` (writing nothing) when the session's run
-    /// does not round-trip the canonical codec — possible only for
-    /// hand-built non-chronological feeds — in which case recovery
-    /// replays the (always complete) log instead.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Error::Store`] if `id` is not store-managed, on
-    /// file-system errors, or if the session is poisoned.
-    pub fn snapshot(&self, service: &ZigzagService, id: SessionId) -> Result<bool, Error> {
-        let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| unmanaged(id))?;
-        self.write_snapshot(service, id, st)
     }
 
     /// Snapshot write shared by the cadence path and the explicit API.
     /// Atomic: written to a temp file, synced per policy, renamed over
     /// the live snapshot.
-    fn write_snapshot(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        st: &mut DurableSession,
-    ) -> Result<bool, Error> {
-        let snap = service.session(id)?.freeze()?;
+    fn write_snapshot(&self, writer: &Writer, session: &StreamSession) -> Result<bool, Error> {
+        let snap = session.freeze()?;
         // A snapshot is only trusted if replaying the run's own cursor
         // events onto a fresh skeleton rebuilds it exactly — decoding
         // replays the embedded run's `ev` lines the same way, so this
@@ -745,15 +647,16 @@ impl SessionStore {
         }
         let text = encode_snapshot(&snap);
 
-        let final_path = self.snap_path(&st.name);
-        let tmp_path = self.root.join(format!("{}.snap.tmp", st.name));
-        if self.config.fsync != FsyncPolicy::Never {
+        let (store, name) = (&self.claim.store, &self.claim.name);
+        let final_path = store.snap_path(name);
+        let tmp_path = store.root.join(format!("{name}.snap.tmp"));
+        if store.config.fsync != FsyncPolicy::Never {
             // The snapshot claims coverage of every logged event below
             // its count; make the log at least that durable first.
-            self.sync_file(&st.log, &self.log_path(&st.name))?;
+            store.sync_file(&writer.file, &self.path)?;
         }
         let mut tmp = File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = &store.faults {
             if plan.on_snapshot_write() {
                 // Disk-full mid-snapshot: the temp file stays behind as
                 // the orphan a crashed writer would leave — exactly what
@@ -766,21 +669,243 @@ impl SessionStore {
         }
         tmp.write_all(text.as_bytes())
             .map_err(|e| io_err("writing", &tmp_path, e))?;
-        if self.config.fsync != FsyncPolicy::Never {
-            self.sync_file(&tmp, &tmp_path)?;
+        if store.config.fsync != FsyncPolicy::Never {
+            store.sync_file(&tmp, &tmp_path)?;
         }
         drop(tmp);
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err("installing", &final_path, e))?;
-        if self.config.fsync != FsyncPolicy::Never {
-            self.sync_root()?;
+        if store.config.fsync != FsyncPolicy::Never {
+            store.sync_root()?;
         }
 
-        let stats = service.store_stats();
-        stats.snapshots.fetch_add(1, Ordering::Relaxed);
-        stats
+        self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
+        self.stats
             .bytes_written
             .fetch_add(text.len() as u64, Ordering::Relaxed);
         Ok(true)
+    }
+}
+
+/// The per-session durable store; see the [module docs](self).
+///
+/// A store manages a directory of `<name>.log` / `<name>.snap` file
+/// pairs. Its operations take the [`ZigzagService`] whose session table
+/// they act on: the sessions it opens or recovers there own their logs
+/// and bill that service's [`ZigzagService::store_stats`].
+#[derive(Debug)]
+pub struct SessionStore {
+    root: PathBuf,
+    config: StoreConfig,
+    /// The names whose logs live sessions of this store hold, shared
+    /// with their [`Claim`]s.
+    held: Arc<Mutex<HashSet<String>>>,
+    /// Deterministic chaos hook ([`crate::FaultPlan`]); `None` (the
+    /// default) is a single never-taken branch on every write seam.
+    faults: Option<Arc<FaultPlan>>,
+}
+
+impl SessionStore {
+    /// Opens (creating if needed) a store rooted at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Store`] if the directory cannot be created.
+    pub fn open(root: impl Into<PathBuf>, config: StoreConfig) -> Result<Self, Error> {
+        let root = root.into();
+        fs::create_dir_all(&root).map_err(|e| io_err("creating store root", &root, e))?;
+        Ok(SessionStore {
+            root,
+            config,
+            held: Arc::default(),
+            faults: None,
+        })
+    }
+
+    /// Arms this store with a deterministic fault plan: log appends may
+    /// tear, fsyncs may fail, snapshot writes may hit disk-full —
+    /// exactly as scheduled by the plan — in the logs it opens or
+    /// recovers from now on. Chaos-testing hook; production stores never
+    /// call this.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// The store's root directory.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// The store's policy.
+    pub fn config(&self) -> &StoreConfig {
+        &self.config
+    }
+
+    /// The log file backing durable session `name`.
+    pub fn log_path(&self, name: &str) -> PathBuf {
+        self.root.join(format!("{name}.log"))
+    }
+
+    /// The snapshot file backing durable session `name`.
+    pub fn snap_path(&self, name: &str) -> PathBuf {
+        self.root.join(format!("{name}.snap"))
+    }
+
+    fn held(&self) -> MutexGuard<'_, HashSet<String>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `sync_all` with the fault plan's fsync site consulted first — the
+    /// seam every durability-relevant sync in this store goes through.
+    fn sync_file(&self, file: &File, path: &Path) -> Result<(), Error> {
+        if let Some(plan) = &self.faults {
+            if plan.on_fsync() {
+                return Err(Error::Store {
+                    detail: format!("injected fsync failure on {}", path.display()),
+                });
+            }
+        }
+        file.sync_all().map_err(|e| io_err("syncing", path, e))
+    }
+
+    /// Syncs the store directory, through [`SessionStore::sync_file`]: a
+    /// created file or a rename is durable only once its parent
+    /// directory is synced.
+    fn sync_root(&self) -> Result<(), Error> {
+        let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
+        self.sync_file(&dir, &self.root)
+    }
+
+    /// Claims `name` for a live session of this store.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Store`] if a live session holds it already.
+    fn claim(&self, name: &str) -> Result<Claim, Error> {
+        if !self.held().insert(name.to_string()) {
+            return Err(Error::Store {
+                detail: format!("a live session of this store holds the log of {name}"),
+            });
+        }
+        let store = SessionStore {
+            root: self.root.clone(),
+            config: self.config,
+            held: Arc::clone(&self.held),
+            faults: self.faults.clone(),
+        };
+        Ok(Claim {
+            store,
+            name: name.to_string(),
+        })
+    }
+
+    /// The log `file` as `claim`'s name's log, billing `service`.
+    fn log(&self, service: &ZigzagService, claim: Claim, file: File, events: u64) -> Log {
+        Log {
+            path: self.log_path(&claim.name),
+            claim,
+            stats: service.shared_store_stats(),
+            writer: Mutex::new(Writer {
+                file,
+                events,
+                broken: None,
+            }),
+        }
+    }
+
+    /// Session `id`'s log, if this store holds it.
+    fn log_of<'s>(&self, session: &'s StreamSession, id: SessionId) -> Result<&'s Log, Error> {
+        session
+            .log()
+            .filter(|log| Arc::ptr_eq(&log.claim.store.held, &self.held))
+            .ok_or_else(|| Error::Store {
+                detail: format!("session {id} is not a durable session of this store"),
+            })
+    }
+
+    /// Opens a **durable** stream session: a fresh session on `service`
+    /// that owns a fresh event log seeded with the session's header
+    /// (config + embedded skeleton run). Fails if a log for `name`
+    /// already exists — recover or delete it explicitly instead of
+    /// silently clobbering history.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Store`] on an invalid name, an existing log,
+    /// or file-system errors.
+    pub fn open_stream(
+        &self,
+        service: &ZigzagService,
+        name: &str,
+        context: Arc<Context>,
+        horizon: Time,
+        config: SessionConfig,
+    ) -> Result<SessionId, Error> {
+        validate_name(name)?;
+        let claim = self.claim(name)?;
+        let path = self.log_path(name);
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| io_err("creating log", &path, e))?;
+
+        let header = log_header(&config, &Run::skeleton(context.clone(), horizon));
+        file.write_all(header.as_bytes())
+            .map_err(|e| io_err("writing log header", &path, e))?;
+        if self.config.fsync == FsyncPolicy::Always {
+            self.sync_file(&file, &path)?;
+            self.sync_root()?;
+        }
+        service
+            .store_stats()
+            .bytes_written
+            .fetch_add(header.len() as u64, Ordering::Relaxed);
+
+        let session = StreamSession::new(context, horizon, config);
+        Ok(service.install(session.logged(self.log(service, claim, file, 0))))
+    }
+
+    /// Appends one event to durable session `id` through
+    /// [`ZigzagService::append`]'s path: apply, then one log record,
+    /// then — every [`StoreConfig::snapshot_every`] records — a
+    /// snapshot. An inconsistent event is rejected before any byte is
+    /// written and changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`ZigzagService::append`] does, or with [`Error::Store`]
+    /// if this store does not hold `id`'s log. After a failed write the
+    /// session refuses every append until [`SessionStore::recover`]
+    /// replaces it.
+    pub fn append(
+        &self,
+        service: &ZigzagService,
+        id: SessionId,
+        ev: &RunEvent,
+    ) -> Result<AppendReport, Error> {
+        let session = service.session(id)?;
+        self.log_of(&session, id)?;
+        session.append(ev)
+    }
+
+    /// Writes a snapshot of durable session `id` right now, regardless of
+    /// cadence. Returns `false` (writing nothing) when the session's run
+    /// does not round-trip the canonical codec — possible only for
+    /// hand-built non-chronological feeds — in which case recovery
+    /// replays the (always complete) log instead.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Store`] if this store does not hold `id`'s
+    /// log, if the log is broken, or on file-system errors (which break
+    /// it), and with [`Error::Internal`] if the session is poisoned.
+    pub fn snapshot(&self, service: &ZigzagService, id: SessionId) -> Result<bool, Error> {
+        let session = service.session(id)?;
+        let log = self.log_of(&session, id)?;
+        let mut writer = log.lock()?;
+        let out = log.write_snapshot(&writer, &session);
+        writer.break_on(out)
     }
 
     /// Recovers durable session `name` into a fresh session of
@@ -788,19 +913,27 @@ impl SessionStore {
     /// last durable append — see the [module docs](self) for the one
     /// recovery loop. A torn or corrupt log tail is dropped — the file is
     /// truncated back to the longest prefix of records that parse *and*
-    /// apply — and appending may resume through [`SessionStore::append`].
+    /// apply — and the recovered session owns the log from there.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] if the log is missing or its header
-    /// (through the embedded skeleton run) is unreadable or of another
-    /// version — without a context there is no last-good state to
-    /// recover to. A refused log's files are left as they are.
+    /// Fails with [`Error::Store`] if a live session of this store holds
+    /// `name`'s log, if the log is missing, or if its header (through the
+    /// embedded skeleton run) is unreadable or of another version —
+    /// without a context there is no last-good state to recover to. A
+    /// refused log's files are left as they are.
     pub fn recover(&self, service: &ZigzagService, name: &str) -> Result<Recovered, Error> {
         validate_name(name)?;
-        let log_path = self.log_path(name);
+        let claim = self.claim(name)?;
+        self.recover_claimed(service, claim)
+    }
+
+    /// [`SessionStore::recover`] of a name this store just claimed.
+    fn recover_claimed(&self, service: &ZigzagService, claim: Claim) -> Result<Recovered, Error> {
+        let log_path = self.log_path(&claim.name);
+        let tmp_path = self.root.join(format!("{}.snap.tmp", claim.name));
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
-        let mut snapshot = fs::read(self.snap_path(name))
+        let mut snapshot = fs::read(self.snap_path(&claim.name))
             .ok()
             .and_then(|b| String::from_utf8(b).ok())
             .and_then(|text| decode_snapshot(&text).ok());
@@ -842,8 +975,12 @@ impl SessionStore {
                 let text = rebuild_log_text(&parsed, &session)?;
                 fs::write(&log_path, text.as_bytes())
                     .map_err(|e| io_err("rewriting log", &log_path, e))?;
+                service
+                    .store_stats()
+                    .bytes_written
+                    .fetch_add(text.len() as u64, Ordering::Relaxed);
             }
-            let log = OpenOptions::new()
+            let file = OpenOptions::new()
                 .append(true)
                 .open(&log_path)
                 .map_err(|e| io_err("reopening log", &log_path, e))?;
@@ -851,7 +988,7 @@ impl SessionStore {
                 .last()
                 .map_or(parsed.covered_len, |&(_, end)| end);
             if !outlived && good_len < bytes.len() as u64 {
-                log.set_len(good_len)
+                file.set_len(good_len)
                     .map_err(|e| io_err("truncating log", &log_path, e))?;
             }
 
@@ -860,17 +997,10 @@ impl SessionStore {
             // was never installed, at worst a torn one — either way the
             // durable state is the installed snapshot + log, never the
             // tmp. A log this store refuses keeps its files as they are.
-            let _ = fs::remove_file(self.root.join(format!("{name}.snap.tmp")));
+            let _ = fs::remove_file(&tmp_path);
             let events = session.event_count()? as u64;
-            let id = service.install(session);
-            self.lock().insert(
-                id.raw(),
-                DurableSession {
-                    name: name.to_string(),
-                    log,
-                    events,
-                },
-            );
+            let log = self.log(service, claim, file, events);
+            let id = service.install(session.logged(log));
             service
                 .store_stats()
                 .recoveries
@@ -885,19 +1015,12 @@ impl SessionStore {
         }
     }
 
-    /// Stops logging for session `id` (files are kept; the session stays
-    /// open on its service). Returns whether the session was managed.
-    pub fn detach(&self, id: SessionId) -> bool {
-        self.lock().remove(&id.raw()).is_some()
-    }
-
-    /// Recovers every `<name>.log` in the store directory that is not
-    /// already attached to an open durable session — the supervisor's
-    /// startup sweep and the implementation of [`crate::Query::Recover`].
-    /// Orphaned `<name>.snap.tmp` files whose log is gone are deleted
-    /// along the way (those with a log are swept by the per-name
-    /// [`SessionStore::recover`]). Returns the recovered sessions sorted
-    /// by name.
+    /// Recovers every `<name>.log` in the store directory whose log no
+    /// live session of this store holds — the supervisor's startup sweep
+    /// and the implementation of [`crate::Query::Recover`]. Orphaned
+    /// `<name>.snap.tmp` files whose log is gone are deleted along the
+    /// way (those with a log are swept by the per-name recovery). Returns
+    /// the recovered sessions sorted by name.
     ///
     /// # Errors
     ///
@@ -905,19 +1028,17 @@ impl SessionStore {
     /// any individual recovery fails (already-recovered sessions stay
     /// attached).
     pub fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, Recovered)>, Error> {
-        let attached: std::collections::HashSet<String> =
-            self.lock().values().map(|d| d.name.clone()).collect();
+        let root = &self.root;
         let mut names = Vec::new();
-        let entries =
-            fs::read_dir(&self.root).map_err(|e| io_err("listing store root", &self.root, e))?;
+        let entries = fs::read_dir(root).map_err(|e| io_err("listing store root", root, e))?;
         for entry in entries {
-            let entry = entry.map_err(|e| io_err("listing store root", &self.root, e))?;
+            let entry = entry.map_err(|e| io_err("listing store root", root, e))?;
             let fname = entry.file_name();
             let Some(fname) = fname.to_str() else {
                 continue;
             };
             if let Some(stem) = fname.strip_suffix(".log") {
-                if validate_name(stem).is_ok() && !attached.contains(stem) {
+                if validate_name(stem).is_ok() {
                     names.push(stem.to_string());
                 }
             } else if let Some(stem) = fname.strip_suffix(".snap.tmp") {
@@ -929,8 +1050,11 @@ impl SessionStore {
         names.sort();
         let mut out = Vec::with_capacity(names.len());
         for name in names {
-            let rec = self.recover(service, &name)?;
-            out.push((name, rec));
+            // A name a live session holds is skipped.
+            if let Ok(claim) = self.claim(&name) {
+                let rec = self.recover_claimed(service, claim)?;
+                out.push((name, rec));
+            }
         }
         Ok(out)
     }
@@ -1163,6 +1287,33 @@ mod tests {
             .iter()
             .map(|q| service.dispatch(id, q).unwrap())
             .collect()
+    }
+
+    /// Opens durable session `name` over `run`'s context.
+    fn open_durable(
+        store: &SessionStore,
+        service: &ZigzagService,
+        name: &str,
+        run: &Run,
+    ) -> SessionId {
+        store
+            .open_stream(
+                service,
+                name,
+                run.context_arc(),
+                run.horizon(),
+                coord_config(),
+            )
+            .unwrap()
+    }
+
+    /// The events a fresh store instance in `dir` — the next process
+    /// after a crash — recovers from `name`'s log.
+    fn recovered_events(dir: &Path, name: &str) -> u64 {
+        let service = ZigzagService::new();
+        let store = SessionStore::open(dir, StoreConfig::new()).unwrap();
+        let rec = store.recover(&service, name).unwrap();
+        rec.restored_events + rec.replayed_events
     }
 
     #[test]
@@ -1501,8 +1652,8 @@ mod tests {
 
         // First life: a fault plan forces disk-full exactly once, mid
         // snapshot — the crash-between-tmp-write-and-rename shape. A
-        // torn `feed.snap.tmp` stays behind; the log record had already
-        // landed, so the session stays consistent and appending resumes.
+        // torn `feed.snap.tmp` stays behind; every log record had already
+        // landed, so recovery loses nothing.
         {
             let service = ZigzagService::new();
             let rates = FaultRates {
@@ -1689,6 +1840,182 @@ mod tests {
         let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
         assert!(store.recover(&service, "feed").is_err());
         assert!(store.recover(&service, "no-such-session").is_err());
+    }
+
+    /// Two services share one store and both number their first session
+    /// 0: each session's appends still land in its own log.
+    #[test]
+    fn sessions_of_two_services_keep_their_own_logs() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("two-services");
+        {
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let (a, b) = (ZigzagService::new(), ZigzagService::new());
+            let id = open_durable(&store, &a, "a", &run);
+            assert_eq!(open_durable(&store, &b, "b", &run), id);
+            for ev in &events {
+                store.append(&a, id, ev).unwrap();
+            }
+        }
+        assert_eq!(recovered_events(&dir, "a"), events.len() as u64);
+        assert_eq!(recovered_events(&dir, "b"), 0);
+    }
+
+    /// A durable session logs what every append path acknowledges: wire
+    /// `Append`s on a service with no supervisor bound, and
+    /// `ZigzagService::append` mixed with `SessionStore::append`.
+    #[test]
+    fn every_append_path_logs_a_durable_session() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("append-paths");
+        {
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let service = ZigzagService::new();
+            let wire = open_durable(&store, &service, "wire", &run);
+            let mixed = open_durable(&store, &service, "mixed", &run);
+            for (k, ev) in events.iter().enumerate() {
+                let append = Query::Append(Box::new(ev.clone()));
+                assert_eq!(
+                    service.dispatch(wire, &append).unwrap(),
+                    Response::Appended(k as u64 + 1)
+                );
+                if k == 0 {
+                    service.append(mixed, ev).unwrap();
+                } else {
+                    store.append(&service, mixed, ev).unwrap();
+                }
+            }
+        }
+        for name in ["wire", "mixed"] {
+            assert_eq!(recovered_events(&dir, name), events.len() as u64, "{name}");
+        }
+    }
+
+    /// After a failed record write the session refuses every later append,
+    /// by every path, and an explicit snapshot, while it keeps answering
+    /// queries; recovery holds every acknowledged append.
+    #[test]
+    fn a_broken_log_refuses_appends_until_recovery() {
+        use crate::fault::{FaultPlan, FaultRates};
+
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("broken");
+        let acked = 5;
+        {
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let service = ZigzagService::new();
+            let id = open_durable(&store, &service, "feed", &run);
+            for ev in &events[..acked] {
+                store.append(&service, id, ev).unwrap();
+            }
+        }
+        {
+            // The next life tears its first record write.
+            let rates = FaultRates {
+                torn_log_write: 1000,
+                ..FaultRates::default()
+            };
+            let store = SessionStore::open(&dir, StoreConfig::new())
+                .unwrap()
+                .with_faults(Arc::new(FaultPlan::with_budget(5, rates, 1)));
+            let service = ZigzagService::new();
+            let id = store.recover(&service, "feed").unwrap().id;
+            let torn = store.append(&service, id, &events[acked]).unwrap_err();
+            assert!(
+                matches!(&torn, Error::Store { detail } if detail.contains("injected torn write")),
+                "{torn}"
+            );
+            // The torn event is in memory only.
+            let count = service.event_count(id).unwrap();
+            assert_eq!(count, acked as u64 + 1);
+            for ev in &events[acked + 1..] {
+                for refused in [
+                    store.append(&service, id, ev).map(|_| ()),
+                    service.append(id, ev).map(|_| ()),
+                    service
+                        .dispatch(id, &Query::Append(Box::new(ev.clone())))
+                        .map(|_| ()),
+                ] {
+                    assert!(matches!(refused, Err(Error::Store { .. })), "{refused:?}");
+                }
+                assert_eq!(service.event_count(id).unwrap(), count);
+            }
+            let snapshot = store.snapshot(&service, id);
+            assert!(matches!(snapshot, Err(Error::Store { .. })), "{snapshot:?}");
+            assert!(service.dispatch(id, &Query::CoordDecision).is_ok());
+        }
+        assert_eq!(recovered_events(&dir, "feed"), acked as u64);
+    }
+
+    /// A live session's log is held: `recover` refuses its name and
+    /// `recover_all` skips it. Closing the session releases the log, and
+    /// the sweep then recovers it.
+    #[test]
+    fn live_logs_are_held_and_closed_ones_recovered() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("held");
+        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+        let service = ZigzagService::new();
+        let id = open_durable(&store, &service, "feed", &run);
+        for ev in &events {
+            store.append(&service, id, ev).unwrap();
+        }
+
+        let err = store.recover(&service, "feed").unwrap_err();
+        assert!(matches!(err, Error::Store { .. }), "{err}");
+        assert!(store.recover_all(&service).unwrap().is_empty());
+        assert_eq!(service.session_count(), 1);
+
+        service.close(id).unwrap();
+        let swept = store.recover_all(&service).unwrap();
+        assert_eq!(swept.len(), 1);
+        assert_eq!(swept[0].0, "feed");
+        assert_eq!(swept[0].1.replayed_events, events.len() as u64);
+        assert!(!swept[0].1.truncated);
+        assert_eq!(service.session_count(), 1);
+    }
+
+    /// The store's byte counter adds up to the bytes it writes: a log's
+    /// header and records, a snapshot, and a log regenerated because the
+    /// snapshot outlived it.
+    #[test]
+    fn store_counters_add_up_to_the_bytes_written() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("billing");
+        let log = dir.join("feed.log");
+        let len = |path: &Path| fs::metadata(path).unwrap().len();
+        {
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let service = ZigzagService::new();
+            let id = open_durable(&store, &service, "feed", &run);
+            for ev in &events {
+                store.append(&service, id, ev).unwrap();
+            }
+            assert_eq!(service.stats().store.bytes_written, len(&log));
+            assert!(store.snapshot(&service, id).unwrap());
+            assert_eq!(
+                service.stats().store.bytes_written,
+                len(&log) + len(&dir.join("feed.snap"))
+            );
+        }
+        // The log loses its last record, which the snapshot covers.
+        let full = fs::read(&log).unwrap();
+        let cut = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap();
+        fs::write(&log, &full[..=cut]).unwrap();
+        let service = ZigzagService::new();
+        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+        let rec = store.recover(&service, "feed").unwrap();
+        assert!(rec.from_snapshot && rec.truncated);
+        assert_eq!(fs::read(&log).unwrap(), full, "the log was not regenerated");
+        assert_eq!(service.stats().store.bytes_written, full.len() as u64);
     }
 
     #[test]

@@ -2,28 +2,27 @@
 //! [`SessionStore`] to a [`ZigzagService`] so crash recovery is a serving
 //! property, not a manual chore.
 //!
-//! PR 9's durability layer already recovers any single session on demand
-//! (`SessionStore::recover`), but someone has to *call* it — after a
-//! crash, a human (or ad-hoc glue code) must list the store directory and
-//! reattach each log. The supervisor closes that gap:
+//! [`SessionStore::recover`] rebuilds one session on demand, but after a
+//! crash someone has to list the store directory and call it for each
+//! log. The supervisor does that:
 //!
 //! * **On startup** ([`SessionSupervisor::bind`]) every `<name>.log` in
-//!   the store directory is recovered and reattached automatically, and
-//!   orphaned `<name>.snap.tmp` files (a crash between snapshot write and
-//!   rename) are swept.
+//!   the store directory whose log no live session of the store holds is
+//!   recovered and reattached, and orphaned `<name>.snap.tmp` files (a
+//!   crash between snapshot write and rename) are swept.
 //! * **On demand** a [`crate::Query::Recover`] frame — over a socket or
 //!   in-process — triggers the same sweep and answers which sessions it
 //!   attached, so a fleet controller can drive recovery remotely.
-//! * **Durable wire appends**: while the supervisor is attached, a
-//!   [`crate::Query::Append`] on a store-managed session routes through
-//!   [`SessionStore::append`] (log + fsync + snapshot cadence) instead of
-//!   the plain in-memory path, so socket clients get exactly the
-//!   durability in-process callers get.
+//!
+//! Appends need no supervisor: a durable session owns its log (see
+//! [`crate::store`]), so a wire [`crate::Query::Append`] is logged like
+//! any other append, whether or not a supervisor is bound.
 //!
 //! Ownership is deliberately one-way: the supervisor holds `Arc`s to the
 //! service and store; the service holds only a [`std::sync::Weak`] hook
-//! back. Dropping the supervisor detaches the hook — no reference cycle,
-//! and a service can outlive (or never have) its supervisor.
+//! back, which only [`crate::Query::Recover`] reads. Dropping the
+//! supervisor detaches the hook — no reference cycle, and a service can
+//! outlive (or never have) its supervisor.
 
 use std::sync::Arc;
 
@@ -44,10 +43,11 @@ pub struct SessionSupervisor {
 }
 
 impl SessionSupervisor {
-    /// Binds `store` to `service`, registers the durable-routing hook,
-    /// and runs the startup recovery sweep: every unattached log in the
-    /// store directory is recovered and reattached. Returns the
-    /// supervisor and what the sweep recovered (sorted by name).
+    /// Binds `store` to `service`, registers the recovery hook, and runs
+    /// the startup recovery sweep: every log in the store directory that
+    /// no live session of `store` holds is recovered and reattached.
+    /// Returns the supervisor and what the sweep recovered (sorted by
+    /// name).
     ///
     /// # Errors
     ///
@@ -163,8 +163,7 @@ mod tests {
             );
         }
 
-        // The hook is live: a wire-level EventCount/Append route through
-        // the durable store.
+        // The recovered sessions serve wire-level queries.
         let id = recovered[0].1.id;
         let Response::EventCount(n) = service.dispatch(id, &Query::EventCount).unwrap() else {
             panic!("wrong response variant");
@@ -230,9 +229,10 @@ mod tests {
             assert_eq!(n, k as u64 + 1);
         }
 
-        // The appends hit the log: a fresh service recovers all of them.
+        // The appends hit the log: once the session is closed, which
+        // releases its log, a fresh service recovers all of them.
         drop(_sup);
-        store.detach(id);
+        service.close(id).unwrap();
         let fresh = ZigzagService::new();
         let rec = store.recover(&fresh, "gamma").unwrap();
         assert_eq!(

@@ -197,9 +197,6 @@ fn store_costs(c: &mut Criterion) {
             let mut state: Option<(ZigzagService, SessionId, usize)> = None;
             b.iter(|| {
                 if state.as_ref().is_none_or(|(_, _, pos)| pos + n > total) {
-                    if let Some((_, id, _)) = state.take() {
-                        store.detach(id);
-                    }
                     let service = ZigzagService::new();
                     let name = format!("s{}", next.fetch_add(1, Ordering::Relaxed));
                     let id = store

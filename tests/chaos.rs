@@ -262,11 +262,12 @@ fn store_life(
 }
 
 /// Store chaos: torn log writes, failed fsyncs, and disk-full snapshots,
-/// budget-bounded, under the given fsync policy. Every store failure is
-/// treated as fatal for the process — the service is dropped on the spot
-/// and a fresh [`SessionSupervisor::bind`] recovers the directory — after
-/// which an event-count probe resolves the did-it-land ambiguity and
-/// appending resumes. Opening the durable session can fail too (under
+/// budget-bounded, under the given fsync policy. A store failure breaks
+/// the session's log: the live session must refuse the next event with
+/// [`Error::Store`] and stay unchanged. Then the process crashes — the
+/// service is dropped and a fresh [`SessionSupervisor::bind`] recovers
+/// the directory — after which an event-count probe resolves the
+/// did-it-land ambiguity and appending resumes. Opening the durable session can fail too (under
 /// [`FsyncPolicy::Always`] its header is synced): that is a crash like
 /// any other, and the sweep recovers the log that holds only a header.
 /// The fully-fed state must answer byte-identically to the fault-free
@@ -338,11 +339,24 @@ fn store_chaos_case(seed: u64, budget: u64, fsync: FsyncPolicy) -> (u64, u64) {
         match step {
             Ok(()) => {}
             Err(Error::Store { detail }) => {
-                // A store failure is fatal for the session (the in-memory
-                // state may be ahead of the log). Crash and recover.
+                // A store failure breaks the session's log (the in-memory
+                // state may be ahead of it): the live session refuses the
+                // next event unchanged. Crash and recover.
                 assert!(detail.contains("injected"), "real store failure: {detail}");
                 if detail.contains("injected fsync failure") {
                     fsync_failures += 1;
+                }
+                if let Some(feed) = id {
+                    let count = service.event_count(feed).unwrap();
+                    if let Some(next) = events.get(count as usize) {
+                        let offered =
+                            service.dispatch(feed, &Query::Append(Box::new(next.clone())));
+                        assert!(
+                            matches!(offered, Err(Error::Store { .. })),
+                            "life {lives}: a broken log answered {offered:?}"
+                        );
+                        assert_eq!(service.event_count(feed).unwrap(), count);
+                    }
                 }
                 lives += 1;
                 assert!(
