@@ -88,7 +88,9 @@ impl SessionConfig {
 
 /// Tuning knobs for a [`crate::net::NetServer`]. They are policies, not
 /// semantics: every configuration answers every frame byte-identically
-/// (pinned by the loopback tests).
+/// (pinned by the loopback tests). None of them is a clock the server
+/// polls on: connections block in the kernel until bytes, answers or a
+/// shutdown arrive, and only [`NetConfig::drain_timeout`] is a duration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Number of dispatch workers (clamped to at least 1). Frames are
@@ -112,17 +114,12 @@ pub struct NetConfig {
     /// without limit. Pipelining clients should keep their in-flight
     /// window below this.
     pub max_inflight_frames: usize,
-    /// How often idle readers and the accept loop check the shutdown
-    /// flag — the latency floor of [`crate::net::NetServer::shutdown`],
-    /// not of request handling (reads return as soon as data arrives).
-    pub poll_interval: Duration,
-    /// Bound on how long [`crate::net::NetServer::shutdown`] waits for a
-    /// stalled connection to drain (`None` = wait forever, the pre-PR-10
-    /// behavior). A client that stops reading its replies can otherwise
-    /// hang the drain on a full kernel buffer; once a connection's writer
-    /// has made no progress for this long during shutdown, outstanding
-    /// slots are answered with deterministic [`crate::Error::Internal`]
-    /// envelopes where possible and the connection is abandoned.
+    /// Bound on the whole drain of [`crate::net::NetServer::shutdown`]:
+    /// how long it waits for its connections to answer the frames they
+    /// read (`None` = wait forever). A client that stops reading its
+    /// replies can otherwise hang the drain on a full kernel buffer; the
+    /// connections still running at the deadline are shut down both
+    /// ways, and their unsent answers are dropped.
     pub drain_timeout: Option<Duration>,
     /// Deterministic chaos hook ([`crate::FaultPlan`]): when set, the
     /// server's per-connection reads and writes consult the plan (short
@@ -139,7 +136,6 @@ impl Default for NetConfig {
             queue_capacity: 64,
             max_frame_bytes: 16 << 20,
             max_inflight_frames: 1024,
-            poll_interval: Duration::from_millis(25),
             drain_timeout: Some(Duration::from_secs(30)),
             faults: None,
         }
@@ -173,12 +169,6 @@ impl NetConfig {
     /// Sets the per-connection in-flight frame bound.
     pub fn max_inflight_frames(mut self, frames: usize) -> Self {
         self.max_inflight_frames = frames;
-        self
-    }
-
-    /// Sets the shutdown-flag poll interval.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 

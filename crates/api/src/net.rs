@@ -30,7 +30,7 @@
 //! accept loop ──▶ per-connection reader ──▶ bounded worker queues ──▶ workers
 //!                  │ (slurps large reads,                               │
 //!                  │  scans frames, routes by shard)                    ▼
-//!                  ▼                                          reply rail (seq-ordered)
+//!                  ▼                                       reply rail (ring of slots)
 //!          per-connection writer ◀── coalesced batched writes ◀─────────┘
 //! ```
 //!
@@ -41,9 +41,9 @@
 //!   boundaries reassembled in place. A pipelining client's N frames
 //!   cost a handful of reads, not 2·N.
 //! * **Coalesced writes** — worker answers land on a per-connection
-//!   reply rail that reorders them by arrival sequence; each writer
-//!   wakeup drains *all* answers that are ready in arrival order and
-//!   writes them as one batched envelope run with a single flush (one
+//!   reply rail, a ring of answer slots indexed by arrival sequence;
+//!   each writer wakeup pops *every* filled slot at the front and writes
+//!   the answers as one batched envelope run with a single flush (one
 //!   `write` per 256 KiB accumulated). `TCP_NODELAY` is set on accepted
 //!   TCP sockets so batching never trades throughput for Nagle latency.
 //! * **Allocation-free steady state** — frame and response documents
@@ -64,23 +64,30 @@
 //!   frames without reading replies stalls its reader at the window —
 //!   its own writes eventually block on the kernel buffers — instead of
 //!   growing the reply rail. Nothing buffers without bound.
-//! * **Ordering** — the reader stamps every accepted frame with a
-//!   per-connection sequence number; the reply rail releases answers to
-//!   the writer in exactly that order, so each connection reads its
-//!   responses in the order it wrote its requests (rejections
-//!   included).
+//! * **Ordering** — the reader issues every accepted frame the next
+//!   slot on its connection's reply rail; the writer pops slots in
+//!   exactly that order, so each connection reads its responses in the
+//!   order it wrote its requests (rejections included).
+//! * **Event-driven lifecycle** — readers and writers block in the
+//!   kernel with no socket timeouts and never poll: a reader wakes only
+//!   for bytes or end of stream, a writer only for answers. A writer
+//!   shuts its socket down when its connection is done, so the client
+//!   sees end of stream right after its last answer.
 //! * **Graceful drain** — [`NetServer::shutdown`] stops accepting new
-//!   connections, lets every reader finish the data already in flight
-//!   (a reader only exits at a frame boundary once its socket goes
-//!   idle, so no fully-received frame is dropped), lets the workers
-//!   drain their queues, and joins every thread. Every frame read off a
-//!   socket gets exactly one response envelope. A connection that fails
-//!   setup (e.g. the socket cannot be cloned for the writer half) is
-//!   answered with one deterministic error envelope and counted, never
-//!   dropped silently. The drain is deadline-bounded
-//!   ([`NetConfig::drain_timeout`]): a client that stops reading its
-//!   replies mid-drain is abandoned once its connection makes no write
-//!   progress for that long, instead of hanging the shutdown.
+//!   connections and shuts every live socket down for reading: a
+//!   blocked `read` wakes, still returns the bytes the kernel already
+//!   holds, then reports end of stream. So every frame the server has
+//!   received is answered, and a client that keeps sending cannot hold
+//!   the drain open: a Unix socket refuses its later writes, and over
+//!   TCP the reader stops the first time it finds no unread bytes.
+//!   Every frame read off a socket gets exactly one response envelope.
+//!   A connection that fails setup (e.g. the socket cannot be cloned)
+//!   is answered with one deterministic error envelope and counted,
+//!   never dropped silently. The drain is bounded as a whole
+//!   ([`NetConfig::drain_timeout`]): connections still running at the
+//!   deadline — a client that stopped reading its replies — are shut
+//!   down both ways and their unsent answers dropped, instead of
+//!   hanging the shutdown.
 //! * **Observability** — per-worker queue depths are kept as atomic
 //!   gauges and every reader/writer bumps the server's
 //!   [`TransportStats`] (bytes and syscalls each way, frames per read,
@@ -114,19 +121,20 @@
 //! # }
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use crate::config::NetConfig;
 use crate::error::Error;
@@ -458,7 +466,7 @@ impl EnvelopeScanner {
 /// it there after decoding.
 struct Job {
     frame: String,
-    /// Arrival position on its connection; the reply rail orders by it.
+    /// Its slot on the connection's reply rail: its arrival position.
     seq: u64,
     /// The connection's reply rail.
     rail: Arc<ReplyRail>,
@@ -512,53 +520,29 @@ impl BufPool {
     }
 }
 
-/// One sequenced answer waiting on a connection's reply rail. Ordered
-/// by sequence number alone (each is pushed exactly once).
-struct SeqDoc {
-    seq: u64,
-    doc: String,
-}
-
-impl PartialEq for SeqDoc {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for SeqDoc {}
-impl PartialOrd for SeqDoc {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SeqDoc {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.seq.cmp(&other.seq)
-    }
-}
-
-/// The per-connection reply rail: workers (and the reader's direct
-/// rejections) push `(seq, document)` answers; the writer takes, per
-/// wakeup, **every** answer that is ready in arrival order — the unit
-/// of write coalescing. Replaces PR 7's per-frame channel send +
-/// `BTreeMap` reorder with one heap under one lock, allocation-free
-/// when warm.
+/// The per-connection reply rail: a ring of answer slots indexed by
+/// sequence number. The reader issues a slot per accepted frame
+/// ([`ReplyRail::issue`]), a worker or a rejection fills it
+/// ([`ReplyRail::fill`]), and the writer pops the filled prefix — every
+/// answer that is ready in arrival order, the unit of write coalescing
+/// ([`ReplyRail::pop_ready`]). Allocation-free when warm.
 struct ReplyRail {
     inner: Mutex<RailInner>,
+    /// Signalled when the front slot is filled or the rail closes — what
+    /// the writer waits for.
     ready: Condvar,
-    /// Signalled when the writer advances `next` — what a reader blocked
-    /// on the in-flight window ([`ReplyRail::wait_window`]) waits for.
+    /// Signalled when the writer pops slots — what a reader blocked on
+    /// the in-flight window waits for.
     released: Condvar,
 }
 
 struct RailInner {
-    /// Answers not yet released, min-heap by sequence.
-    pending: BinaryHeap<Reverse<SeqDoc>>,
-    /// The next sequence number the writer will release.
+    /// Issued slots not yet popped: `slots[i]` answers sequence number
+    /// `next + i`.
+    slots: VecDeque<Option<String>>,
+    /// The sequence number of the front slot.
     next: u64,
-    /// Total sequence numbers the reader issued; meaningful once
-    /// `closed`.
-    issued: u64,
-    /// The reader is done issuing sequence numbers.
+    /// The reader is done issuing slots.
     closed: bool,
 }
 
@@ -566,9 +550,8 @@ impl ReplyRail {
     fn new() -> Self {
         ReplyRail {
             inner: Mutex::new(RailInner {
-                pending: BinaryHeap::new(),
+                slots: VecDeque::new(),
                 next: 0,
-                issued: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -576,78 +559,69 @@ impl ReplyRail {
         }
     }
 
-    /// Blocks until issuing sequence number `seq` would keep fewer than
-    /// `window` answers outstanding (`seq - next < window`), or until
-    /// `timeout` elapses with the window still full — the reader's
-    /// backpressure gate. A client that pipelines frames without
-    /// reading its replies stalls its reader here (so its own writes
-    /// eventually block on the kernel buffers) instead of growing the
-    /// pending heap without bound. Returns whether there is room.
-    fn wait_window(&self, seq: u64, window: u64, timeout: Duration) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if seq - inner.next < window {
-                return true;
-            }
-            let (guard, wait) = self
-                .released
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if wait.timed_out() && seq - inner.next >= window {
-                return false;
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, RailInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Delivers the answer for sequence `seq` (exactly one per issued
-    /// sequence number — the drain guarantee's bookkeeping). The writer
-    /// is woken only when this answer is the one it is blocked on: an
-    /// out-of-order answer cannot unblock it, and skipping the wake
-    /// keeps in-order bursts from paying one futex syscall per reply.
-    fn push(&self, seq: u64, doc: String) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let head = seq == inner.next;
-        inner.pending.push(Reverse(SeqDoc { seq, doc }));
+    /// Issues the next slot and returns its sequence number, first
+    /// blocking while `window` slots are outstanding — the reader's
+    /// backpressure gate. A client that pipelines frames without reading
+    /// its replies stalls its reader here (so its own writes eventually
+    /// block on the kernel buffers) instead of growing the ring without
+    /// bound.
+    fn issue(&self, window: usize) -> u64 {
+        let mut inner = self.lock();
+        while inner.slots.len() >= window {
+            inner = self
+                .released
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        inner.slots.push_back(None);
+        inner.next + inner.slots.len() as u64 - 1
+    }
+
+    /// Fills slot `seq` with its answer (exactly once per issued slot —
+    /// the drain guarantee's bookkeeping). The writer is woken only when
+    /// this is the front slot it is blocked on: a later slot cannot
+    /// unblock it, and skipping the wake keeps in-order bursts from
+    /// paying one futex syscall per reply.
+    fn fill(&self, seq: u64, doc: String) {
+        let mut inner = self.lock();
+        let at = (seq - inner.next) as usize;
+        inner.slots[at] = Some(doc);
         drop(inner);
-        if head {
+        if at == 0 {
             self.ready.notify_one();
         }
     }
 
-    /// The reader is done: `issued` sequence numbers exist in total.
-    /// Once all of them have been released the writer exits.
-    fn close(&self, issued: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.closed = true;
-        inner.issued = issued;
-        drop(inner);
+    /// The reader is done issuing slots. Once every issued slot has been
+    /// popped the writer exits.
+    fn close(&self) {
+        self.lock().closed = true;
         self.ready.notify_one();
     }
 
-    /// Blocks until at least one in-order answer is ready, then moves
-    /// **all** answers that are ready in arrival order into `batch`
-    /// (cleared first is the caller's job). Returns `false` — without
-    /// touching `batch` — once the rail is closed and fully drained.
+    /// Blocks until the front slot is filled, then moves **all** answers
+    /// of the filled prefix into `batch` (cleared first is the caller's
+    /// job). Returns `false` — without touching `batch` — once the rail
+    /// is closed and every issued slot has been popped.
     fn pop_ready(&self, batch: &mut Vec<String>) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         loop {
-            while inner
-                .pending
-                .peek()
-                .is_some_and(|Reverse(sd)| sd.seq == inner.next)
-            {
-                let Reverse(sd) = inner.pending.pop().expect("peeked");
-                batch.push(sd.doc);
+            while let Some(doc) = inner.slots.front_mut().and_then(Option::take) {
+                inner.slots.pop_front();
                 inner.next += 1;
+                batch.push(doc);
             }
             if !batch.is_empty() {
-                // `next` advanced: a reader stalled on the in-flight
+                // Slots were popped: a reader stalled on the in-flight
                 // window may now have room.
                 self.released.notify_one();
                 return true;
             }
-            if inner.closed && inner.next >= inner.issued {
+            if inner.closed && inner.slots.is_empty() {
                 return false;
             }
             inner = self
@@ -684,25 +658,6 @@ impl Conn {
         }
     }
 
-    /// Bounds one blocking `write` (`SO_SNDTIMEO`). Set per *socket*,
-    /// not per handle — but only the writer half ever writes, so giving
-    /// its stalls a poll cadence does not perturb the reader.
-    fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_write_timeout(d),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_write_timeout(d),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
     /// Disables Nagle on TCP so coalesced writes leave immediately;
     /// Unix sockets have no Nagle and accept trivially.
     pub(crate) fn set_nodelay(&self) -> io::Result<()> {
@@ -713,15 +668,15 @@ impl Conn {
         }
     }
 
-    /// Tears the connection down both ways: the client observes EOF and
-    /// the reader half (a clone of the same socket) unblocks with
-    /// `Ok(0)` — how a writer that can no longer keep the stream in
-    /// sync closes out instead of leaving the peer waiting forever.
-    fn shutdown_both(&self) -> io::Result<()> {
+    /// Shuts the socket down — every handle on it, clones included. For
+    /// reading: a blocked `read` wakes, returns the bytes the kernel
+    /// already holds, then `Ok(0)`. Both ways: additionally the client
+    /// observes end of stream and a blocked `write` fails.
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Tcp(s) => s.shutdown(how),
             #[cfg(unix)]
-            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(how),
         }
     }
 }
@@ -756,8 +711,8 @@ impl Write for Conn {
 
 /// A [`Conn`] half that bills every `read`/`write` call and its byte
 /// count to the server's [`TransportStats`] — the source of the
-/// syscalls-per-frame ratios [`crate::Query::Stats`] reports. Timeout
-/// and error returns still count the call (they were syscalls).
+/// syscalls-per-frame ratios [`crate::Query::Stats`] reports. Error
+/// returns still count the call (they were syscalls).
 ///
 /// This is also the chaos seam: when a [`FaultPlan`] is armed
 /// ([`NetConfig::faults`]), each call first consults the plan — a
@@ -859,8 +814,8 @@ impl Listener {
 }
 
 /// Routes one accepted frame into its owning worker's bounded queue, or
-/// rejects it in place with a deterministic error document on the reply
-/// rail. The gauge is raised before the send and lowered again on
+/// rejects it in place with a deterministic error document in its rail
+/// slot. The gauge is raised before the send and lowered again on
 /// rejection, so it never under-counts a queued frame; a rejected
 /// frame's buffer goes straight back to the pool.
 fn route_frame(
@@ -892,30 +847,29 @@ fn route_frame(
                 ),
             };
             pool.put(job.frame);
-            rail.push(seq, serve::encode_error(&e));
+            rail.fill(seq, serve::encode_error(&e));
         }
     }
 }
 
 /// The per-connection reader: slurps large reads into its
-/// [`EnvelopeScanner`], routes every complete frame in the buffer
-/// (stamped with arrival sequence numbers) before the next syscall, and
-/// closes the rail with the issued total so the writer can drain.
-#[allow(clippy::too_many_arguments)]
+/// [`EnvelopeScanner`] and routes every complete frame in the buffer,
+/// each in the next rail slot, before the next syscall. It blocks in
+/// `read` until bytes or end of stream arrive — a shut-down socket
+/// reports the latter once the bytes already received are read — then
+/// closes the rail so the writer can drain.
 fn reader_loop(
     mut conn: CountedConn,
     service: Arc<ZigzagService>,
     txs: Vec<SyncSender<Job>>,
     depths: Arc<Vec<AtomicUsize>>,
     config: NetConfig,
-    shutdown: Arc<AtomicBool>,
     rail: Arc<ReplyRail>,
     pool: Arc<BufPool>,
 ) {
     let stats = Arc::clone(&conn.stats);
     let mut scanner = EnvelopeScanner::new(config.max_frame_bytes);
-    let window = config.max_inflight_frames.max(1) as u64;
-    let mut seq = 0u64;
+    let window = config.max_inflight_frames.max(1);
     'serve: loop {
         // Drain every complete envelope already buffered before paying
         // for another syscall — the read-side amortization.
@@ -924,31 +878,13 @@ fn reader_loop(
                 Ok(Some(frame)) => {
                     // Backpressure: never hold more than the in-flight
                     // window of answers for a client that is not
-                    // reading them — stall here until the writer
-                    // releases room (its progress is the client's
-                    // reads), re-checking shutdown on the poll cadence.
-                    while !rail.wait_window(seq, window, config.poll_interval) {
-                        if shutdown.load(Ordering::Relaxed) {
-                            // Draining, and the client still is not
-                            // consuming replies: answer this frame's
-                            // slot deterministically and give up on the
-                            // connection rather than stall the drain.
-                            let err = Error::Internal {
-                                detail: format!(
-                                    "connection exceeded its {window}-frame in-flight window \
-                                     during shutdown"
-                                ),
-                            };
-                            rail.push(seq, serve::encode_error(&err));
-                            seq += 1;
-                            break 'serve;
-                        }
-                    }
+                    // reading them — the writer's progress (the
+                    // client's reads) releases room.
+                    let seq = rail.issue(window);
                     stats.frames_in.fetch_add(1, Ordering::Relaxed);
                     let mut owned = pool.get();
                     owned.push_str(frame);
                     route_frame(&service, &txs, &depths, &pool, owned, seq, &rail);
-                    seq += 1;
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -963,8 +899,7 @@ fn reader_loop(
                             ScanError::NotUtf8 => "frame envelope is not valid UTF-8".into(),
                         },
                     };
-                    rail.push(seq, serve::encode_error(&err));
-                    seq += 1;
+                    rail.fill(rail.issue(window), serve::encode_error(&err));
                     break 'serve;
                 }
             }
@@ -975,172 +910,84 @@ fn reader_loop(
             Ok(0) => break,
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // The drain rule: data still flowing keeps the reader
-                // alive past shutdown; the first *idle* timeout after
-                // the flag ends it. Complete frames were all routed
-                // above, so at most a partial envelope is abandoned.
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
             Err(_) => break,
         }
     }
-    // Closing the rail with the issued total lets the writer exit once
-    // every in-flight answer for this connection has been delivered —
-    // the drain guarantee.
-    rail.close(seq);
+    rail.close();
 }
 
-/// The per-connection writer: per rail wakeup, takes **every** answer
-/// that is ready in arrival order and writes the whole run as batched
-/// envelopes — one coalesced `write` per `WRITE_COALESCE_BYTES`
-/// accumulated, one flush per wakeup. Each document buffer is recycled
-/// the moment its bytes are copied into the batch, *before* they reach
-/// the socket, so a client reacting instantly to an answer finds warm
-/// pool buffers waiting instead of racing this thread for the return.
-/// A write failure or an unframeable (>4 GiB) document flips `broken`:
-/// the stream can no longer be kept in sync, so the connection is shut
-/// down both ways — the client observes EOF instead of waiting forever
-/// for replies that will never arrive, and this connection's reader
-/// unblocks with `Ok(0)` and exits. The rail is still drained (the
-/// drain guarantee is about answering, the bookkeeping must complete)
-/// but nothing more is written.
-///
-/// Writes are stall-bounded during a drain: each `write` carries the
-/// poll-interval `SO_SNDTIMEO` set by [`prepare_connection`], and
-/// [`write_all_bounded`] retries timeouts forever in normal operation
-/// but gives up — breaking the connection — once the server is shutting
-/// down and the client has made no progress for
-/// [`NetConfig::drain_timeout`]. A client that stops reading mid-drain
-/// therefore bounds the shutdown instead of hanging it.
-fn writer_loop(
-    mut conn: CountedConn,
-    rail: Arc<ReplyRail>,
-    pool: Arc<BufPool>,
-    shutdown: Arc<AtomicBool>,
-    drain_timeout: Option<Duration>,
-) {
-    let stats = Arc::clone(&conn.stats);
+/// The per-connection writer: per rail wakeup, writes **every** answer
+/// that is ready in arrival order ([`write_batch`]). A write failure or
+/// an unframeable (>4 GiB) document breaks the connection: the stream
+/// can no longer be kept in sync, so the socket is shut down both ways —
+/// the client observes EOF instead of waiting forever for replies that
+/// will never arrive, and this connection's reader unblocks with `Ok(0)`
+/// and exits. The rail is still drained (its reader may be waiting on
+/// the in-flight window) but nothing more is written. When the rail is
+/// done the writer shuts the socket down too, so the client sees end of
+/// stream after its last answer even though [`NetServer`] still holds a
+/// handle on the socket. It holds `_done` until it returns: that is how
+/// [`NetServer`]'s drain waits for it.
+fn writer_loop(mut conn: CountedConn, rail: Arc<ReplyRail>, pool: Arc<BufPool>, _done: Sender<()>) {
     let mut batch: Vec<String> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
     let mut broken = false;
-    let mut torn_down = false;
     while rail.pop_ready(&mut batch) {
-        out.clear();
-        let mut delivered = false;
-        for doc in batch.drain(..) {
-            if !broken {
-                match u32::try_from(doc.len()) {
-                    Ok(len) => {
-                        out.extend_from_slice(&len.to_be_bytes());
-                        out.extend_from_slice(doc.as_bytes());
-                        // Counted *before* the bytes can reach the
-                        // client, so any counter snapshot taken after
-                        // reading a reply already includes that reply.
-                        stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                        delivered = true;
-                    }
-                    // A >4 GiB document cannot be framed; the stream
-                    // cannot be re-synchronized past it.
-                    Err(_) => broken = true,
-                }
-            }
-            // Recycle *before* the bytes go out: once the client reads
-            // this answer it may immediately send its next frame, and
-            // the reader and worker must find warm buffers in the pool
-            // rather than racing this thread for the return.
-            pool.put(doc);
-            if !broken && out.len() >= WRITE_COALESCE_BYTES {
-                if write_all_bounded(&mut conn, &out, &shutdown, drain_timeout).is_err() {
-                    broken = true;
-                }
-                out.clear();
-            }
-        }
-        if !broken && delivered {
-            // Same ordering rule as the per-reply count above.
-            stats.writer_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        if !broken
-            && !out.is_empty()
-            && write_all_bounded(&mut conn, &out, &shutdown, drain_timeout).is_err()
-        {
+        if broken {
+            batch.drain(..).for_each(|doc| pool.put(doc));
+        } else if write_batch(&mut conn, &mut batch, &mut out, &pool).is_err() {
             broken = true;
-        }
-        if !broken && conn.flush().is_err() {
-            broken = true;
-        }
-        if broken && !torn_down {
-            // The stream cannot be re-synchronized: close the socket so
-            // the client sees EOF promptly (and our reader exits)
-            // rather than a connection that silently stopped answering.
-            torn_down = true;
-            let _ = conn.conn.shutdown_both();
+            let _ = conn.conn.shutdown(Shutdown::Both);
         }
     }
+    let _ = conn.conn.shutdown(Shutdown::Both);
 }
 
-/// Writes all of `buf`, retrying the poll-cadence write timeouts — but
-/// only while the drain deadline allows. In normal operation a full
-/// kernel buffer (a client not reading its replies) stalls here
-/// indefinitely, exactly like the old blocking `write_all`; once
-/// `shutdown` is set, a stall that makes no progress for `drain_timeout`
-/// (when bounded) gives up with `TimedOut` so a dead client cannot hang
-/// [`NetServer::shutdown`]. Any byte of progress resets the stall clock.
-fn write_all_bounded(
+/// Writes `batch` as one run of envelopes — one coalesced `write` per
+/// `WRITE_COALESCE_BYTES` accumulated in `out`, one flush — leaving
+/// `batch` empty. Each document buffer is recycled the moment its bytes
+/// are copied into `out`, *before* they reach the socket: once the
+/// client reads an answer it may immediately send its next frame, and
+/// the reader and worker must find warm buffers in the pool rather than
+/// racing this thread for the return.
+///
+/// # Errors
+///
+/// Fails on a write or flush error, or on a document too large to frame
+/// (whose bytes and those after it are then never written).
+fn write_batch(
     conn: &mut CountedConn,
-    buf: &[u8],
-    shutdown: &AtomicBool,
-    drain_timeout: Option<Duration>,
+    batch: &mut Vec<String>,
+    out: &mut Vec<u8>,
+    pool: &BufPool,
 ) -> io::Result<()> {
-    let mut rest = buf;
-    let mut stalled_since: Option<Instant> = None;
-    while !rest.is_empty() {
-        match conn.write(rest) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                stalled_since = None;
-                rest = &rest[n..];
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let since = *stalled_since.get_or_insert_with(Instant::now);
-                if shutdown.load(Ordering::Relaxed)
-                    && drain_timeout.is_some_and(|limit| since.elapsed() >= limit)
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "connection made no write progress within the shutdown drain deadline",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
+    out.clear();
+    for doc in batch.drain(..) {
+        let framed = encode_envelope_into(out, &doc);
+        pool.put(doc);
+        framed?;
+        // Counted *before* the bytes can reach the client, so any
+        // counter snapshot taken after reading a reply already includes
+        // that reply.
+        conn.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+        if out.len() >= WRITE_COALESCE_BYTES {
+            conn.write_all(out)?;
+            out.clear();
         }
     }
-    Ok(())
+    // Same ordering rule as the per-reply count above.
+    conn.stats.writer_flushes.fetch_add(1, Ordering::Relaxed);
+    conn.write_all(out)?;
+    conn.flush()
 }
 
-/// Applies the per-connection socket options and clones the writer
-/// half. Any failure aborts setup — the caller then refuses the
-/// connection loudly instead of dropping it.
-fn prepare_connection(conn: &Conn, poll_interval: Duration) -> io::Result<Conn> {
-    // Accepted sockets may inherit the listener's non-blocking mode on
-    // some platforms; readers use plain timeouts instead.
-    conn.set_nonblocking(false)?;
-    conn.set_read_timeout(Some(poll_interval))?;
-    // The write timeout is the drain deadline's probe cadence: writer
-    // stalls surface as `TimedOut` every poll interval instead of
-    // blocking forever, so `write_all_bounded` can check the shutdown
-    // flag between retries.
-    conn.set_write_timeout(Some(poll_interval))?;
+/// Sets `TCP_NODELAY` and clones the socket twice: the writer's half,
+/// and the handle [`NetServer`] keeps to shut the connection down. Any
+/// failure aborts setup — the caller then refuses the connection loudly
+/// instead of dropping it.
+fn prepare_connection(conn: &Conn) -> io::Result<(Conn, Conn)> {
     conn.set_nodelay()?;
-    conn.try_clone()
+    Ok((conn.try_clone()?, conn.try_clone()?))
 }
 
 /// Answers a connection that failed setup with one deterministic error
@@ -1155,12 +1002,22 @@ fn refuse_connection<W: Write>(conn: &mut W, stats: &TransportStats) {
     let _ = write_envelope(conn, &doc);
 }
 
+/// One live connection as [`NetServer`] tracks it: a handle on its
+/// socket, which shutdown closes for reading, and its two threads.
+#[derive(Debug)]
+struct Connection {
+    socket: Conn,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
+}
+
 /// The accept loop: **blocking** accepts — a fresh connection is served
 /// the instant the kernel hands it over, with no poll-interval latency
 /// in the connection path. [`NetServer::stop`] unblocks the loop by
 /// flipping the shutdown flag and making one throwaway connection to
 /// the listener itself; the loop drops any connection accepted after
-/// the flag (including that dummy) and exits.
+/// the flag (including that dummy) and exits. Each writer holds a clone
+/// of `done`, so the channel disconnects once every connection is done.
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: Listener,
@@ -1169,16 +1026,17 @@ fn accept_loop(
     depths: Arc<Vec<AtomicUsize>>,
     config: NetConfig,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Connection>>>,
     pool: Arc<BufPool>,
     stats: Arc<TransportStats>,
+    done: Sender<()>,
 ) {
     loop {
         match listener.accept() {
             Ok(_) | Err(_) if shutdown.load(Ordering::Relaxed) => break,
             Ok(mut conn) => {
-                let writer_conn = match prepare_connection(&conn, config.poll_interval) {
-                    Ok(c) => c,
+                let (writer_conn, socket) = match prepare_connection(&conn) {
+                    Ok(halves) => halves,
                     Err(_) => {
                         refuse_connection(&mut conn, &stats);
                         continue;
@@ -1194,9 +1052,8 @@ fn accept_loop(
                     };
                     let rail = Arc::clone(&rail);
                     let pool = Arc::clone(&pool);
-                    let shutdown = Arc::clone(&shutdown);
-                    let drain = config.drain_timeout;
-                    std::thread::spawn(move || writer_loop(conn, rail, pool, shutdown, drain))
+                    let done = done.clone();
+                    std::thread::spawn(move || writer_loop(conn, rail, pool, done))
                 };
                 let reader = {
                     let conn = CountedConn {
@@ -1207,19 +1064,21 @@ fn accept_loop(
                     let service = Arc::clone(&service);
                     let txs = txs.clone();
                     let depths = Arc::clone(&depths);
-                    let shutdown = Arc::clone(&shutdown);
                     let config = config.clone();
                     let pool = Arc::clone(&pool);
                     std::thread::spawn(move || {
-                        reader_loop(conn, service, txs, depths, config, shutdown, rail, pool)
+                        reader_loop(conn, service, txs, depths, config, rail, pool)
                     })
                 };
-                let mut handles = conns.lock().unwrap_or_else(PoisonError::into_inner);
-                // Reap connections that already finished so the handle
-                // vector tracks *live* connections, not total churn.
-                handles.retain(|h| !h.is_finished());
-                handles.push(reader);
-                handles.push(writer);
+                let mut live = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                // Reap connections that already finished so the vector
+                // tracks *live* connections, not total churn.
+                live.retain(|c| !(c.reader.is_finished() && c.writer.is_finished()));
+                live.push(Connection {
+                    socket,
+                    reader,
+                    writer,
+                });
             }
             // Transient accept failures (EINTR, a connection aborted in
             // the backlog); a brief pause avoids a hot error loop.
@@ -1237,7 +1096,11 @@ fn accept_loop(
 pub struct NetServer {
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Connection>>>,
+    /// Disconnects once the accept loop and every connection's writer
+    /// are done; nothing is ever sent on it.
+    done: Receiver<()>,
+    drain_timeout: Option<Duration>,
     workers: Vec<JoinHandle<()>>,
     worker_txs: Vec<SyncSender<Job>>,
     transport: Arc<TransportStats>,
@@ -1316,19 +1179,12 @@ impl NetServer {
                 std::thread::Builder::new()
                     .name(format!("zigzag-net-worker-{w}"))
                     .spawn(move || {
-                        // The memo map is recycled across jobs but
-                        // cleared per job: a session closed between two
-                        // frames must answer the second with
-                        // UnknownSession, not be served stale.
-                        let mut memo = HashMap::new();
                         while let Ok(job) = rx.recv() {
                             depths[w].fetch_sub(1, Ordering::Relaxed);
-                            memo.clear();
                             let mut out = pool.get();
                             serve::respond_into(
                                 &service,
                                 &job.frame,
-                                &mut memo,
                                 Some(&serve::NetView {
                                     queues: &depths,
                                     transport: &transport,
@@ -1336,13 +1192,15 @@ impl NetServer {
                                 &mut out,
                             );
                             pool.put(job.frame);
-                            job.rail.push(job.seq, out);
+                            job.rail.fill(job.seq, out);
                         }
                     })?,
             );
         }
         let conns = Arc::new(Mutex::new(Vec::new()));
         let wake = listener.try_clone().ok();
+        let drain_timeout = config.drain_timeout;
+        let (done_tx, done) = mpsc::channel();
         let accept = {
             let service = Arc::clone(&service);
             let txs = worker_txs.clone();
@@ -1356,6 +1214,7 @@ impl NetServer {
                 .spawn(move || {
                     accept_loop(
                         listener, service, txs, depths, config, shutdown, conns, pool, stats,
+                        done_tx,
                     )
                 })?
         };
@@ -1363,6 +1222,8 @@ impl NetServer {
             shutdown,
             accept: Some(accept),
             conns,
+            done,
+            drain_timeout,
             workers,
             worker_txs,
             transport,
@@ -1385,19 +1246,24 @@ impl NetServer {
     }
 
     /// Gracefully drains and stops the server: no new connections are
-    /// accepted, every frame already read off a socket is answered,
-    /// worker queues are drained, all threads are joined, and (for Unix
-    /// servers) the socket file is unlinked.
+    /// accepted, every live socket is shut down for reading, every frame
+    /// the server received is answered, worker queues are drained, all
+    /// threads are joined, and (for Unix servers) the socket file is
+    /// unlinked. A client that keeps sending cannot hold the drain open:
+    /// on a Unix socket its writes fail after the read shutdown, and over
+    /// TCP, where the kernel still takes its bytes, the reader stops the
+    /// first time it finds none unread — so a TCP client holds the drain
+    /// only while it keeps that queue from ever emptying, and at most
+    /// until the deadline below.
     ///
     /// Delivery blocks on the clients, but only up to
-    /// [`NetConfig::drain_timeout`]: a connection whose client stops
-    /// reading holds its pending answers in the socket buffer, and the
-    /// drain waits until they fit, the client goes away, or the deadline
-    /// passes — after which outstanding slots are answered with
-    /// deterministic [`Error::Internal`] envelopes where delivery is
-    /// still possible and the connection is abandoned. With
-    /// `drain_timeout: None` the drain waits forever (the pre-deadline
-    /// behavior).
+    /// [`NetConfig::drain_timeout`], a bound on the whole drain: a
+    /// connection whose client stops reading holds its pending answers
+    /// in the socket buffer, and the drain waits until they fit, the
+    /// client goes away, or the deadline passes — after which the
+    /// connections still running are shut down both ways and their
+    /// unsent answers dropped. With `drain_timeout: None` the drain
+    /// waits forever.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -1451,13 +1317,25 @@ impl NetServer {
             }
             let _ = h.join();
         }
-        // Readers exit at their first idle frame boundary (answering
-        // everything already in flight first); writers exit once every
-        // answer for their connection has been delivered.
-        let handles =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for h in handles {
-            let _ = h.join();
+        // Readers read what the kernel already holds, then see end of
+        // stream; writers exit once every answer for their connection
+        // has been delivered.
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        for c in &conns {
+            let _ = c.socket.shutdown(Shutdown::Read);
+        }
+        // Nothing is ever sent on `done`: both waits end when the last
+        // writer drops its sender, or at the deadline.
+        let _ = match self.drain_timeout {
+            None => self.done.recv().ok(),
+            Some(limit) => self.done.recv_timeout(limit).ok(),
+        };
+        // Past the deadline, a writer blocked on a client that stopped
+        // reading fails its write and drains its rail unwritten.
+        for c in conns {
+            let _ = c.socket.shutdown(Shutdown::Both);
+            let _ = c.reader.join();
+            let _ = c.writer.join();
         }
         // With every reader gone, dropping the senders lets each worker
         // drain whatever is still queued and exit.
@@ -1568,9 +1446,10 @@ mod tests {
             crate::service::SessionId::from_raw(3),
             &crate::query::Query::CoordDecision,
         );
-        route_frame(&service, &txs, &depths, &pool, frame.clone(), 0, &rail);
+        let (first, second) = (rail.issue(2), rail.issue(2));
+        route_frame(&service, &txs, &depths, &pool, frame.clone(), first, &rail);
         assert_eq!(depths[0].load(Ordering::Relaxed), 1);
-        route_frame(&service, &txs, &depths, &pool, frame, 1, &rail);
+        route_frame(&service, &txs, &depths, &pool, frame, second, &rail);
         assert_eq!(
             depths[0].load(Ordering::Relaxed),
             1,
@@ -1578,15 +1457,13 @@ mod tests {
         );
         // The rejected frame's answer sits in its arrival slot (seq 1);
         // seq 0 is still owed by the queued job, so nothing is ready.
-        let inner = rail.inner.lock().unwrap();
-        assert_eq!(inner.pending.len(), 1);
-        let Reverse(sd) = inner.pending.peek().unwrap();
-        assert_eq!(sd.seq, 1);
-        assert!(serve::is_error_document(&sd.doc));
-        assert_eq!(
-            sd.doc,
-            serve::encode_error(&Error::Overloaded { worker: 0 })
-        );
+        let inner = rail.lock();
+        assert_eq!(inner.next, 0);
+        assert_eq!(inner.slots.len(), 2);
+        assert!(inner.slots[0].is_none());
+        let doc = inner.slots[1].as_deref().unwrap();
+        assert!(serve::is_error_document(doc));
+        assert_eq!(doc, serve::encode_error(&Error::Overloaded { worker: 0 }));
     }
 
     #[test]
@@ -1614,31 +1491,37 @@ mod tests {
     #[test]
     fn reply_rail_releases_in_arrival_order_and_drains_on_close() {
         let rail = ReplyRail::new();
-        rail.push(1, "b".into());
-        rail.push(2, "c".into());
-        let mut batch = Vec::new();
-        // Nothing ready: seq 0 is missing. Push it from another thread
-        // while pop_ready blocks.
+        let issued: Vec<u64> = (0..3).map(|_| rail.issue(8)).collect();
+        assert_eq!(issued, [0, 1, 2]);
+        rail.fill(1, "b".into());
+        rail.fill(2, "c".into());
+        // Nothing is ready while slot 0 is unfilled: a writer blocked in
+        // pop_ready cannot have answered before the fill below.
         std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10));
-                rail.push(0, "a".into());
+            let (tx, rx) = mpsc::channel();
+            let rail = &rail;
+            s.spawn(move || {
+                let mut batch = Vec::new();
+                assert!(rail.pop_ready(&mut batch));
+                tx.send(batch).unwrap();
             });
-            assert!(rail.pop_ready(&mut batch));
+            assert!(rx.try_recv().is_err());
+            rail.fill(0, "a".into());
+            // One wakeup released everything that became ready, in order.
+            assert_eq!(rx.recv().unwrap(), ["a", "b", "c"]);
         });
-        // One wakeup released everything that became ready, in order.
-        assert_eq!(batch, ["a", "b", "c"]);
-        batch.clear();
-        rail.push(3, "d".into());
-        rail.close(5);
+        let mut batch = Vec::new();
+        assert_eq!((rail.issue(8), rail.issue(8)), (3, 4));
+        rail.fill(3, "d".into());
+        rail.close();
         assert!(rail.pop_ready(&mut batch));
         assert_eq!(batch, ["d"]);
         batch.clear();
-        rail.push(4, "e".into());
+        rail.fill(4, "e".into());
         assert!(rail.pop_ready(&mut batch));
         assert_eq!(batch, ["e"]);
         batch.clear();
-        // Closed and fully drained: the writer is told to exit.
+        // Closed and every issued slot popped: the writer is told to exit.
         assert!(!rail.pop_ready(&mut batch));
         assert!(batch.is_empty());
     }
@@ -1646,24 +1529,24 @@ mod tests {
     #[test]
     fn reply_rail_window_stalls_full_connections_and_releases_on_drain() {
         let rail = ReplyRail::new();
-        // Nothing outstanding: the first `window` sequences have room.
-        assert!(rail.wait_window(0, 2, Duration::from_millis(1)));
-        assert!(rail.wait_window(1, 2, Duration::from_millis(1)));
-        // Issuing seq 2 would put 3 answers in flight against next=0:
-        // the gate times out rather than admitting it.
-        assert!(!rail.wait_window(2, 2, Duration::from_millis(5)));
-        // The writer draining answers opens the window while a reader
-        // is blocked on it.
-        rail.push(0, "a".into());
-        rail.push(1, "b".into());
+        // Nothing outstanding: the first `window` slots issue at once.
+        assert_eq!(rail.issue(2), 0);
+        assert_eq!(rail.issue(2), 1);
         std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10));
-                let mut batch = Vec::new();
-                assert!(rail.pop_ready(&mut batch));
-                assert_eq!(batch, ["a", "b"]);
-            });
-            assert!(rail.wait_window(2, 2, Duration::from_secs(5)));
+            let (tx, rx) = mpsc::channel();
+            let rail = &rail;
+            // A third slot would put 3 answers in flight against a
+            // window of 2: the reader blocks until the writer pops.
+            s.spawn(move || tx.send(rail.issue(2)).unwrap());
+            assert!(rx.try_recv().is_err());
+            // Filled answers still occupy the window until popped.
+            rail.fill(0, "a".into());
+            rail.fill(1, "b".into());
+            assert!(rx.try_recv().is_err());
+            let mut batch = Vec::new();
+            assert!(rail.pop_ready(&mut batch));
+            assert_eq!(batch, ["a", "b"]);
+            assert_eq!(rx.recv().unwrap(), 2);
         });
     }
 }

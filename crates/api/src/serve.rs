@@ -12,16 +12,16 @@
 //! * **no cross-worker locking on the steady path** — a shard's handle
 //!   map is only ever touched by its owning worker during the loop, so
 //!   its mutex never contends, and dispatch itself runs on the resolved
-//!   [`StreamSession`] outside any table lock;
+//!   session outside any table lock;
 //! * **per-session arrival order** — all frames of one session land on
 //!   one worker, which processes its frames in arrival order; responses
 //!   are written back into the arrival-order slot of the output, so each
 //!   session sees its answers in exactly the order it asked;
-//! * **pipelining** — a worker resolves each session through its shard's
-//!   lock **once** per loop (memoized thereafter), so a stream of frames
-//!   — and every query inside a [`crate::Query::QueryBatch`] frame — on
-//!   the same session pays one shard-local lock acquisition, not one per
-//!   query.
+//! * **one lookup per frame** — a worker resolves each frame's session
+//!   through its shard's (uncontended) lock, so a session closed between
+//!   two frames answers the second with [`Error::UnknownSession`]; every
+//!   query inside a [`crate::Query::QueryBatch`] frame shares that one
+//!   lookup.
 //!
 //! Byte-identity is the contract: for a fixed frame batch against a fixed
 //! session table, [`serve`] returns the same `Vec<String>` at **every**
@@ -56,16 +56,13 @@
 //! except that the model, causality and coordination layers' errors come
 //! back as [`Error::Internal`] carrying their text.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::error::Error;
 use crate::query::Query;
 use crate::service::{SessionId, ZigzagService};
-use crate::session::StreamSession;
 use crate::stats::TransportStats;
 use crate::wire::{self, Lines};
 
@@ -175,14 +172,13 @@ pub(crate) struct NetView<'a> {
     pub transport: &'a TransportStats,
 }
 
-/// Answers one frame into `out` (cleared first): decode, resolve
-/// (through `memo`, so one session is looked up through its shard's lock
-/// at most once per loop), dispatch, encode — *the* per-frame code path
-/// shared by the serial loop, every worker, and the [`crate::net`] front
-/// end, which is what makes [`serve`] worker-count-invariant (and the
-/// socket server byte-identical to it). Writing into a caller-recycled
-/// `String` keeps the warm socket path allocation-free (pinned by
-/// `tests/netalloc.rs`).
+/// Answers one frame into `out` (cleared first): decode, resolve the
+/// session through its shard's lock, dispatch, encode — *the* per-frame
+/// code path shared by the serial loop, every worker, and the
+/// [`crate::net`] front end, which is what makes [`serve`]
+/// worker-count-invariant (and the socket server byte-identical to it).
+/// Writing into a caller-recycled `String` keeps the warm socket path
+/// allocation-free (pinned by `tests/netalloc.rs`).
 ///
 /// Three serving concerns live here so every caller gets them for free:
 ///
@@ -199,12 +195,10 @@ pub(crate) struct NetView<'a> {
 /// * **Panic containment** — a panic anywhere in decode or dispatch is
 ///   caught and answered as a deterministic [`Error::Internal`] document,
 ///   so one hostile or buggy frame cannot take down the worker (or, under
-///   [`serve`]'s join, the whole batch). The memo only caches `Arc`
-///   clones inserted whole, so observing it across the catch is sound.
+///   [`serve`]'s join, the whole batch).
 pub(crate) fn respond_into(
     service: &ZigzagService,
     frame: &str,
-    memo: &mut HashMap<u64, Arc<StreamSession>>,
     net: Option<&NetView<'_>>,
     out: &mut String,
 ) {
@@ -223,15 +217,7 @@ pub(crate) fn respond_into(
                     .unwrap_or_default();
                 service.stats_with_net(&depths, transport)
             };
-            let resolve = || match memo.get(&id.raw()) {
-                Some(session) => Ok(Arc::clone(session)),
-                None => {
-                    let session = service.session(id)?;
-                    memo.insert(id.raw(), Arc::clone(&session));
-                    Ok(session)
-                }
-            };
-            service.route(id, &query, stats, resolve)
+            service.route(id, &query, stats)
         })
     }))
     .unwrap_or_else(|_| {
@@ -249,13 +235,9 @@ pub(crate) fn respond_into(
 
 /// [`respond_into`] for the in-process loop, which has no worker queues
 /// or transport counters to report and collects owned documents anyway.
-fn respond(
-    service: &ZigzagService,
-    frame: &str,
-    memo: &mut HashMap<u64, Arc<StreamSession>>,
-) -> String {
+fn respond(service: &ZigzagService, frame: &str) -> String {
     let mut out = String::new();
-    respond_into(service, frame, memo, None, &mut out);
+    respond_into(service, frame, None, &mut out);
     out
 }
 
@@ -295,10 +277,9 @@ pub fn serve<S: AsRef<str> + Sync>(
 ) -> Vec<String> {
     let workers = workers.max(1).min(frames.len().max(1));
     if workers <= 1 {
-        let mut memo = HashMap::new();
         return frames
             .iter()
-            .map(|f| respond(service, f.as_ref(), &mut memo))
+            .map(|f| respond(service, f.as_ref()))
             .collect();
     }
     // Route once on the calling thread (one header parse per frame),
@@ -313,12 +294,11 @@ pub fn serve<S: AsRef<str> + Sync>(
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut memo = HashMap::new();
                     frames
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| owners[*i] == w)
-                        .map(|(i, f)| (i, respond(service, f.as_ref(), &mut memo)))
+                        .map(|(i, f)| (i, respond(service, f.as_ref())))
                         .collect::<Vec<_>>()
                 })
             })

@@ -323,31 +323,27 @@ impl ZigzagService {
     /// Fails on unknown sessions or on the underlying engine error of the
     /// failing query.
     pub fn dispatch(&self, id: SessionId, query: &Query) -> Result<Response, Error> {
-        self.route(id, query, || self.stats(), || self.session(id))
+        self.route(id, query, || self.stats())
     }
 
     /// Routes one query addressed to `id` — the one `match` shared by
     /// [`ZigzagService::dispatch`] and the [`crate::serve`] /
-    /// [`crate::net`] loops, which differ only in the two hooks: `stats`
+    /// [`crate::net`] loops, which differ only in the `stats` hook that
     /// builds the [`Query::Stats`] answer (a socket server attaches its
-    /// queue gauges and transport counters), and `resolve` looks the
-    /// session up (the serving loops memoize it per loop).
+    /// queue gauges and transport counters). Every query resolves its
+    /// session through the live table, once.
     ///
     /// Service-level operations are answered here, before any session is
     /// resolved, and are not counted as dispatches (they measure or move
     /// the serving load, they aren't part of it). For Stats, Import and
-    /// Recover the id is routing information only. Export, Append and
-    /// EventCount read the live table, never the memo: a migration must
-    /// see the current session, an append to a closed session must be
-    /// refused rather than land in a memoized one, and the event count is
-    /// the client's exactly-once probe. Everything else is a session
+    /// Recover the id is routing information only; Export, Append and
+    /// EventCount act on its session. Every other query is a session
     /// query, timed into the service's histogram.
     pub(crate) fn route(
         &self,
         id: SessionId,
         query: &Query,
         stats: impl FnOnce() -> StatsReport,
-        resolve: impl FnOnce() -> Result<Arc<StreamSession>, Error>,
     ) -> Result<Response, Error> {
         match query {
             Query::Stats => Ok(Response::Stats(Box::new(stats()))),
@@ -361,7 +357,7 @@ impl ZigzagService {
             Query::EventCount => Ok(Response::EventCount(self.event_count(id)?)),
             Query::Recover => Ok(Response::Recovered(self.recover_routed()?)),
             _ => {
-                let session = resolve()?;
+                let session = self.session(id)?;
                 let start = Instant::now();
                 let out = session.dispatch(query);
                 self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);

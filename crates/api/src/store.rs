@@ -94,6 +94,11 @@
 //! (the log wins), and a snapshot that outlived the log — covering
 //! records the log lost — regenerates the log from its run.
 //!
+//! A snapshot and a regenerated log are installed the same way: written
+//! to `<file>.tmp`, synced, renamed over the file, and the directory
+//! synced. A crash leaves the old file or the new one, plus at most an
+//! orphaned temp file, which recovery deletes.
+//!
 //! # Fsync policy
 //!
 //! By default ([`FsyncPolicy::Never`]) records are written (one `write`
@@ -101,7 +106,8 @@
 //! loses nothing the kernel accepted, a crash of the *host* may lose the
 //! tail — which recovery then trims to the last good record.
 //! [`FsyncPolicy::OnSnapshot`] syncs log and snapshot at every snapshot
-//! point; [`FsyncPolicy::Always`] syncs the log after every append.
+//! point; [`FsyncPolicy::Always`] syncs the log after every append. Both
+//! sync every file the store installs, regenerated logs included.
 //!
 //! # Recovery speed
 //!
@@ -627,11 +633,11 @@ impl Log {
         // events onto a fresh skeleton rebuilds it exactly — decoding
         // replays the embedded run's `ev` lines the same way, so this
         // check (one cheap engine-less replay) guarantees the restored
-        // run is the frozen one byte for byte. Canonical-order feeds
-        // (everything the simulator or cursor replay produces) always
-        // pass; a hand-built feed whose cursor order renumbers messages
-        // degrades to log-only durability instead of restoring a subtly
-        // reordered run.
+        // run is the frozen one byte for byte. A session's run was grown
+        // by appends, and the cursor keeps the numbering of any run some
+        // feed grew, so this passes; were it to fail, the session would
+        // degrade to log-only durability instead of restoring a subtly
+        // renumbered run.
         let mut rebuilt =
             StreamingRun::adopt(Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
         let mut cursor = RunCursor::new(&snap.run);
@@ -647,36 +653,14 @@ impl Log {
         }
         let text = encode_snapshot(&snap);
 
-        let (store, name) = (&self.claim.store, &self.claim.name);
-        let final_path = store.snap_path(name);
-        let tmp_path = store.root.join(format!("{name}.snap.tmp"));
+        let store = &self.claim.store;
         if store.config.fsync != FsyncPolicy::Never {
             // The snapshot claims coverage of every logged event below
             // its count; make the log at least that durable first.
             store.sync_file(&writer.file, &self.path)?;
         }
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
-        if let Some(plan) = &store.faults {
-            if plan.on_snapshot_write() {
-                // Disk-full mid-snapshot: the temp file stays behind as
-                // the orphan a crashed writer would leave — exactly what
-                // recover() sweeps. The live snapshot is untouched.
-                let _ = tmp.write_all(&text.as_bytes()[..text.len() / 2]);
-                return Err(Error::Store {
-                    detail: format!("injected disk-full writing {}", tmp_path.display()),
-                });
-            }
-        }
-        tmp.write_all(text.as_bytes())
-            .map_err(|e| io_err("writing", &tmp_path, e))?;
-        if store.config.fsync != FsyncPolicy::Never {
-            store.sync_file(&tmp, &tmp_path)?;
-        }
-        drop(tmp);
-        fs::rename(&tmp_path, &final_path).map_err(|e| io_err("installing", &final_path, e))?;
-        if store.config.fsync != FsyncPolicy::Never {
-            store.sync_root()?;
-        }
+        let disk_full = store.faults.as_ref().is_some_and(|p| p.on_snapshot_write());
+        store.install(&store.snap_path(&self.claim.name), &text, disk_full)?;
 
         self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -774,6 +758,34 @@ impl SessionStore {
     fn sync_root(&self) -> Result<(), Error> {
         let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
         self.sync_file(&dir, &self.root)
+    }
+
+    /// Replaces the file at `path` with `text` atomically: written to
+    /// `<path>.tmp`, synced unless the policy is [`FsyncPolicy::Never`],
+    /// renamed over `path`, then the directory synced. With `disk_full`
+    /// (an injected fault) half of `text` reaches the temp file and the
+    /// write fails, leaving the orphan a crashed writer would — exactly
+    /// what recovery sweeps — and `path` untouched.
+    fn install(&self, path: &Path, text: &str, disk_full: bool) -> Result<(), Error> {
+        let tmp_path = tmp_path_of(path);
+        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
+        if disk_full {
+            let _ = tmp.write_all(&text.as_bytes()[..text.len() / 2]);
+            return Err(Error::Store {
+                detail: format!("injected disk-full writing {}", tmp_path.display()),
+            });
+        }
+        tmp.write_all(text.as_bytes())
+            .map_err(|e| io_err("writing", &tmp_path, e))?;
+        if self.config.fsync != FsyncPolicy::Never {
+            self.sync_file(&tmp, &tmp_path)?;
+        }
+        drop(tmp);
+        fs::rename(&tmp_path, path).map_err(|e| io_err("installing", path, e))?;
+        if self.config.fsync != FsyncPolicy::Never {
+            self.sync_root()?;
+        }
+        Ok(())
     }
 
     /// Claims `name` for a live session of this store.
@@ -931,9 +943,9 @@ impl SessionStore {
     /// [`SessionStore::recover`] of a name this store just claimed.
     fn recover_claimed(&self, service: &ZigzagService, claim: Claim) -> Result<Recovered, Error> {
         let log_path = self.log_path(&claim.name);
-        let tmp_path = self.root.join(format!("{}.snap.tmp", claim.name));
+        let snap_path = self.snap_path(&claim.name);
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
-        let mut snapshot = fs::read(self.snap_path(&claim.name))
+        let mut snapshot = fs::read(&snap_path)
             .ok()
             .and_then(|b| String::from_utf8(b).ok())
             .and_then(|text| decode_snapshot(&text).ok());
@@ -973,8 +985,7 @@ impl SessionStore {
             let outlived = parsed.skipped < covered;
             if outlived {
                 let text = rebuild_log_text(&parsed, &session)?;
-                fs::write(&log_path, text.as_bytes())
-                    .map_err(|e| io_err("rewriting log", &log_path, e))?;
+                self.install(&log_path, &text, false)?;
                 service
                     .store_stats()
                     .bytes_written
@@ -992,12 +1003,14 @@ impl SessionStore {
                     .map_err(|e| io_err("truncating log", &log_path, e))?;
             }
 
-            // Sweep the snapshot temp file a crash between tmp write and
-            // rename leaves behind: it is at best a complete snapshot that
-            // was never installed, at worst a torn one — either way the
-            // durable state is the installed snapshot + log, never the
+            // Sweep the temp files a crash between tmp write and rename
+            // leaves behind: each is at best a complete file that was
+            // never installed, at worst a torn one — either way the
+            // durable state is the installed snapshot + log, never a
             // tmp. A log this store refuses keeps its files as they are.
-            let _ = fs::remove_file(&tmp_path);
+            for path in [&snap_path, &log_path] {
+                let _ = fs::remove_file(tmp_path_of(path));
+            }
             let events = session.event_count()? as u64;
             let log = self.log(service, claim, file, events);
             let id = service.install(session.logged(log));
@@ -1018,9 +1031,9 @@ impl SessionStore {
     /// Recovers every `<name>.log` in the store directory whose log no
     /// live session of this store holds — the supervisor's startup sweep
     /// and the implementation of [`crate::Query::Recover`]. Orphaned
-    /// `<name>.snap.tmp` files whose log is gone are deleted along the
-    /// way (those with a log are swept by the per-name recovery). Returns
-    /// the recovered sessions sorted by name.
+    /// `<name>.snap.tmp` and `<name>.log.tmp` files whose log is gone are
+    /// deleted along the way (those with a log are swept by the per-name
+    /// recovery). Returns the recovered sessions sorted by name.
     ///
     /// # Errors
     ///
@@ -1041,7 +1054,10 @@ impl SessionStore {
                 if validate_name(stem).is_ok() {
                     names.push(stem.to_string());
                 }
-            } else if let Some(stem) = fname.strip_suffix(".snap.tmp") {
+            } else if let Some(stem) = fname
+                .strip_suffix(".snap.tmp")
+                .or_else(|| fname.strip_suffix(".log.tmp"))
+            {
                 if !self.log_path(stem).exists() {
                     let _ = fs::remove_file(entry.path());
                 }
@@ -1058,6 +1074,13 @@ impl SessionStore {
         }
         Ok(out)
     }
+}
+
+/// The temp file `path` is written to before it is renamed into place.
+fn tmp_path_of(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    tmp.into()
 }
 
 /// The log header: its version, the session's configuration and its
@@ -2016,6 +2039,53 @@ mod tests {
         assert!(rec.from_snapshot && rec.truncated);
         assert_eq!(fs::read(&log).unwrap(), full, "the log was not regenerated");
         assert_eq!(service.stats().store.bytes_written, full.len() as u64);
+    }
+
+    /// A log regenerated because the snapshot outlived it is installed
+    /// like a snapshot: under `Always` its temp file and the directory
+    /// are synced through the fault seam, and an orphaned `.log.tmp` a
+    /// crash left mid-rewrite is swept.
+    #[test]
+    fn regenerated_logs_are_synced_and_installed_atomically() {
+        use crate::fault::{FaultPlan, FaultRates};
+
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("regenerate");
+        let log = dir.join("feed.log");
+        {
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let service = ZigzagService::new();
+            let id = open_durable(&store, &service, "feed", &run);
+            for ev in &events {
+                store.append(&service, id, ev).unwrap();
+            }
+            assert!(store.snapshot(&service, id).unwrap());
+        }
+        // The log loses its last record, which the snapshot covers, and
+        // a torn temp file of an earlier rewrite lies beside it.
+        let full = fs::read(&log).unwrap();
+        let cut = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap();
+        fs::write(&log, &full[..=cut]).unwrap();
+        fs::write(dir.join("feed.log.tmp"), b"zigzag-log").unwrap();
+        fs::write(dir.join("ghost.log.tmp"), b"torn bytes").unwrap();
+
+        let plan = Arc::new(FaultPlan::new(1, FaultRates::default()));
+        let store = SessionStore::open(&dir, StoreConfig::new().fsync(FsyncPolicy::Always))
+            .unwrap()
+            .with_faults(plan.clone());
+        let service = ZigzagService::new();
+        let recovered = store.recover_all(&service).unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert!(recovered[0].1.from_snapshot && recovered[0].1.truncated);
+        assert_eq!(plan.fsyncs_consulted(), 2, "temp file and directory");
+        assert_eq!(fs::read(&log).unwrap(), full, "the log was not regenerated");
+        for orphan in ["feed.log.tmp", "ghost.log.tmp"] {
+            assert!(!dir.join(orphan).exists(), "{orphan} not swept");
+        }
     }
 
     #[test]

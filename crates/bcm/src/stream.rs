@@ -10,8 +10,9 @@
 //!   environment's committed delivery times), and its local actions;
 //! * a [`RunCursor`] replays a recorded [`Run`] as an ordered event feed
 //!   without cloning the run: events borrow nothing and are emitted in
-//!   global `(time, process)` order, exactly the order the simulator
-//!   created the nodes;
+//!   global `(time, process)` order as far as the run's own message
+//!   numbering allows — for simulator-produced runs exactly the order the
+//!   simulator created the nodes;
 //! * a [`StreamingRun`] grows a [`Run`] from such a feed, append-only.
 //!
 //! Feeding a cursor's events into a streaming run reconstructs the source
@@ -23,19 +24,21 @@
 //! # Message identity
 //!
 //! Events reference messages by *stream-scoped* [`MessageId`]s: the `k`-th
-//! send emitted by the feed is message `k`. For simulator-produced runs
-//! this numbering coincides with the run's own (the simulator also
-//! assigns ids in node-creation order); for hand-built runs the cursor
-//! renumbers transparently.
-
-use std::collections::HashMap;
+//! send emitted by the feed is message `k`. The cursor keeps the run's
+//! own numbering whenever some feed order does: at each step it emits the
+//! `(time, process)`-least ready node whose sends take the next stream
+//! ids. A run grown from any feed (a session's apply order, even one out
+//! of `(time, process)` order) therefore replays with its ids intact, and
+//! a simulator-produced run replays in plain `(time, process)` order. Only
+//! a hand-built run whose ids follow no feed order is renumbered, then
+//! transparently.
 
 use crate::builder::RunBuilder;
 use crate::error::BcmError;
 use crate::event::Receipt;
 use crate::message::MessageId;
 use crate::net::{Channel, Context, ProcessId};
-use crate::run::{NodeId, Run};
+use crate::run::{NodeId, NodeRecord, Run};
 use crate::time::Time;
 
 /// One receipt of a [`RunEvent`].
@@ -79,29 +82,28 @@ pub struct RunEvent {
 #[derive(Debug)]
 pub struct RunCursor<'r> {
     run: &'r Run,
-    /// Non-initial nodes in global `(time, process)` order.
-    order: Vec<NodeId>,
+    /// Per process, the timeline index of its next node to emit.
+    next: Vec<usize>,
+    /// Events emitted so far.
     pos: usize,
-    /// Source-run message id → stream-scoped id, filled as sends are
-    /// emitted (identity for simulator-produced runs).
-    renumber: HashMap<MessageId, MessageId>,
+    /// Events in the whole feed (the run's non-initial nodes).
+    len: usize,
+    /// Source-run message id → stream-scoped id, set as sends are
+    /// emitted (identity while the feed keeps the run's numbering).
+    renumber: Vec<Option<MessageId>>,
     emitted_sends: u32,
 }
 
 impl<'r> RunCursor<'r> {
     /// Positions a cursor at the start of `run`'s event feed.
     pub fn new(run: &'r Run) -> Self {
-        let mut order: Vec<NodeId> = run
-            .nodes()
-            .filter(|rec| !rec.id().is_initial())
-            .map(|rec| rec.id())
-            .collect();
-        order.sort_by_key(|&n| (run.time(n).expect("recorded node"), n.proc()));
+        let procs = run.context().network().len();
         RunCursor {
             run,
-            order,
+            next: vec![1; procs],
             pos: 0,
-            renumber: HashMap::new(),
+            len: run.node_count() - procs,
+            renumber: vec![None; run.messages().len()],
             emitted_sends: 0,
         }
     }
@@ -118,16 +120,57 @@ impl<'r> RunCursor<'r> {
 
     /// Number of events not yet emitted.
     pub fn remaining(&self) -> usize {
-        self.order.len() - self.pos
+        self.len - self.pos
+    }
+
+    /// The node the next event grows: among the timelines' next nodes
+    /// whose delivered messages are all emitted, the `(time,
+    /// process)`-least one whose sends take the next stream ids, or —
+    /// when none does, and the feed must renumber — the least one.
+    fn pick(&self) -> NodeId {
+        let mut keeps: Option<&NodeRecord> = None;
+        let mut least: Option<&NodeRecord> = None;
+        for (p, &k) in self.next.iter().enumerate() {
+            let Some(rec) = self.run.timeline(ProcessId::new(p as u32)).get(k) else {
+                continue;
+            };
+            let ready = rec.receipts().iter().all(|r| match r {
+                Receipt::External(_) => true,
+                Receipt::Internal(m) => self.renumber[m.index()].is_some(),
+            });
+            if !ready {
+                continue;
+            }
+            // Timelines are scanned in process order, so a strict `<`
+            // keeps the lower process on a time tie.
+            let before = |best: Option<&NodeRecord>| best.is_none_or(|b| rec.time() < b.time());
+            if before(least) {
+                least = Some(rec);
+            }
+            let numbered = (self.emitted_sends..)
+                .zip(rec.sent())
+                .all(|(k, m)| m.index() == k as usize);
+            if numbered && before(keeps) {
+                keeps = Some(rec);
+            }
+        }
+        keeps
+            .or(least)
+            .expect("sends precede deliveries in a recorded run")
+            .id()
     }
 
     /// Emits the next event of the feed, or `None` when the run is fully
     /// replayed.
     #[allow(clippy::should_implement_trait)]
     pub fn next_event(&mut self) -> Option<RunEvent> {
-        let node = *self.order.get(self.pos)?;
+        if self.remaining() == 0 {
+            return None;
+        }
+        let node = self.pick();
+        self.next[node.proc().index()] += 1;
         self.pos += 1;
-        let rec = self.run.node(node).expect("ordered nodes are recorded");
+        let rec = self.run.node(node).expect("picked nodes are recorded");
         let receipts = rec
             .receipts()
             .iter()
@@ -135,19 +178,16 @@ impl<'r> RunCursor<'r> {
                 Receipt::External(e) => {
                     ReceiptEvent::External(self.run.external(*e).name().to_string())
                 }
-                Receipt::Internal(m) => ReceiptEvent::Message(
-                    *self
-                        .renumber
-                        .get(m)
-                        .expect("sends precede deliveries in (time, proc) order"),
-                ),
+                Receipt::Internal(m) => {
+                    ReceiptEvent::Message(self.renumber[m.index()].expect("picked nodes are ready"))
+                }
             })
             .collect();
         let sends = rec
             .sent()
             .iter()
             .map(|&m| {
-                self.renumber.insert(m, MessageId::new(self.emitted_sends));
+                self.renumber[m.index()] = Some(MessageId::new(self.emitted_sends));
                 self.emitted_sends += 1;
                 let mr = self.run.message(m);
                 SendEvent {
@@ -365,7 +405,7 @@ mod tests {
         let j = b.add_process("j");
         b.add_bidirectional(i, j, 1, 8).unwrap();
         let ctx = b.build().unwrap();
-        let mut rb = RunBuilder::new(ctx, Time::new(12));
+        let mut rb = RunBuilder::new(ctx.clone(), Time::new(12));
         let ni = rb.add_node(i, Time::new(5)).unwrap();
         rb.add_external(ni, "late_kick").unwrap();
         let m_late = rb.send(ni, j, Time::new(7)).unwrap();
@@ -378,16 +418,38 @@ mod tests {
         rb.deliver(m_early, ni2).unwrap();
         let run = rb.finish();
 
-        let mut cursor = RunCursor::new(&run);
-        let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
-        let mut nodes = Vec::new();
-        while let Some(ev) = cursor.next_event() {
-            nodes.push(stream.append(&ev).unwrap());
-        }
-        // Emission order is (time, proc): j@2, i@5, j@7, i@9.
-        assert_eq!(nodes, vec![nj, ni, nj2, ni2]);
-        let rebuilt = stream.finish();
+        let replay = |run: &Run| {
+            let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
+            let nodes: Vec<NodeId> = RunCursor::new(run)
+                .map(|ev| stream.append(&ev).unwrap())
+                .collect();
+            (nodes, stream.finish())
+        };
+        // i@5 goes first: its send takes stream id 0, which is the run's
+        // own id for it, while j@2's would not be. The feed keeps the
+        // run's numbering, so the replay is exact.
+        let (nodes, rebuilt) = replay(&run);
+        assert_eq!(nodes, vec![ni, nj, nj2, ni2]);
+        assert_eq!(rebuilt, run);
+
+        // Here i@5 both receives j@2's message and sends the run's
+        // message 0: no feed order keeps the numbering, so the cursor
+        // falls back to (time, proc) order — j@2, i@5, j@7 — and
+        // renumbers.
+        let mut rb = RunBuilder::new(ctx, Time::new(12));
+        let ni = rb.add_node(i, Time::new(5)).unwrap();
+        let m_late = rb.send(ni, j, Time::new(7)).unwrap();
+        let nj = rb.add_node(j, Time::new(2)).unwrap();
+        rb.add_external(nj, "early_kick").unwrap();
+        let m_early = rb.send(nj, i, Time::new(5)).unwrap();
+        rb.deliver(m_early, ni).unwrap();
+        let nj2 = rb.add_node(j, Time::new(7)).unwrap();
+        rb.deliver(m_late, nj2).unwrap();
+        let run = rb.finish();
+        let (nodes, rebuilt) = replay(&run);
+        assert_eq!(nodes, vec![nj, ni, nj2]);
         // Message *content* is identical even though ids are renumbered.
+        assert_ne!(rebuilt, run);
         assert_eq!(rebuilt.node_count(), run.node_count());
         for rec in run.nodes() {
             assert_eq!(rebuilt.time(rec.id()), Some(rec.time()));
@@ -395,16 +457,15 @@ mod tests {
             assert_eq!(b.receipts().len(), rec.receipts().len());
             assert_eq!(b.sent().len(), rec.sent().len());
         }
-        let sched: Vec<Time> = run.messages().iter().map(|m| m.scheduled_at()).collect();
+        let mut sched: Vec<Time> = run.messages().iter().map(|m| m.scheduled_at()).collect();
         let mut resched: Vec<Time> = rebuilt
             .messages()
             .iter()
             .map(|m| m.scheduled_at())
             .collect();
+        sched.sort();
         resched.sort();
-        let mut sorted = sched;
-        sorted.sort();
-        assert_eq!(resched, sorted);
+        assert_eq!(resched, sched);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zigzag_api::net::{read_envelope, write_envelope, NetConfig, NetServer};
@@ -95,14 +94,8 @@ fn resilience_overhead(c: &mut Criterion) {
 
     let path = std::env::temp_dir().join(format!("zigzag-bench-chaos-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let server = NetServer::bind_unix(
-        &path,
-        Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(2)),
-    )
-    .expect("bind unix socket");
+    let server = NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(2))
+        .expect("bind unix socket");
 
     let mut raw = UnixStream::connect(&path).expect("server is listening");
     let mut resilient = ResilientClient::connect_unix(&path, ClientConfig::new());

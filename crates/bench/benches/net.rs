@@ -31,7 +31,6 @@
 //! Run with `CRITERION_JSON=BENCH_pr8.json cargo bench --bench net`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zigzag_api::net::{encode_envelope_into, EnvelopeScanner, NetConfig, NetServer};
@@ -129,10 +128,7 @@ fn net_overhead(c: &mut Criterion) {
         let server = NetServer::bind_unix(
             &path,
             Arc::clone(&service),
-            NetConfig::new()
-                .workers(workers)
-                .queue_capacity(256)
-                .poll_interval(Duration::from_millis(2)),
+            NetConfig::new().workers(workers).queue_capacity(256),
         )
         .expect("bind unix socket");
         // The tentpole contract before timing: the socket path returns

@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     use std::io::Write;
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
-    use std::time::Duration;
 
     use zigzag::api::net::{read_envelope, write_envelope, NetConfig, NetServer};
     use zigzag::api::{
@@ -128,11 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (path_a, path_b) = (sock("a"), sock("b"));
     let _ = std::fs::remove_file(&path_a);
     let _ = std::fs::remove_file(&path_b);
-    let cfg = || {
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(5))
-    };
+    let cfg = || NetConfig::new().workers(2);
     let server_a = NetServer::bind_unix(&path_a, Arc::clone(&service), cfg())?;
     let service_b = Arc::new(ZigzagService::sharded(4));
     let server_b = NetServer::bind_unix(&path_b, Arc::clone(&service_b), cfg())?;

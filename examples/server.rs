@@ -22,7 +22,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     use std::io::Write;
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
-    use std::time::Duration;
 
     use zigzag::api::net::{
         encode_envelope_into, write_envelope, EnvelopeScanner, NetConfig, NetServer,
@@ -58,13 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path =
         std::env::temp_dir().join(format!("zigzag-server-example-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let server = NetServer::bind_unix(
-        &path,
-        Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(5)),
-    )?;
+    let server = NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(2))?;
     println!(
         "── serving on {} (2 workers) ───────────────────────",
         path.display()

@@ -153,7 +153,6 @@ fn net_chaos_case(seed: u64, budget: u64) -> u64 {
         Arc::clone(&service),
         NetConfig::new()
             .workers(2)
-            .poll_interval(Duration::from_millis(5))
             .drain_timeout(Some(Duration::from_millis(500)))
             .faults(Arc::clone(&plan)),
     )

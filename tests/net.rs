@@ -6,9 +6,9 @@
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use zigzag::api::net::{
@@ -105,14 +105,8 @@ fn unix_socket_responses_are_byte_identical_to_in_process_serve() {
         let reference = serve::serve(&service, &frames, 1);
 
         let path = socket_path("ident");
-        let server = NetServer::bind_unix(
-            &path,
-            Arc::clone(&service),
-            NetConfig::new()
-                .workers(3)
-                .poll_interval(Duration::from_millis(5)),
-        )
-        .unwrap();
+        let server =
+            NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(3)).unwrap();
         let mut conn = UnixStream::connect(&path).unwrap();
         for frame in &frames {
             write_envelope(&mut conn, frame).unwrap();
@@ -136,14 +130,8 @@ fn shutdown_drains_every_accepted_frame() {
     let reference = serve::serve(&service, &frames, 1);
 
     let path = socket_path("drain");
-    let server = NetServer::bind_unix(
-        &path,
-        Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(5)),
-    )
-    .unwrap();
+    let server =
+        NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(2)).unwrap();
     let mut conn = UnixStream::connect(&path).unwrap();
     for frame in &frames {
         write_envelope(&mut conn, frame).unwrap();
@@ -171,6 +159,129 @@ fn shutdown_drains_every_accepted_frame() {
     );
 }
 
+/// The drain over TCP: after a read shutdown a TCP socket keeps queueing
+/// what the peer sends (a Unix socket refuses it), so the reader stops at
+/// the first empty queue — still after every frame already received.
+#[test]
+fn tcp_shutdown_drains_every_accepted_frame() {
+    let (service, frames) = service_and_frames(5);
+    let reference = serve::serve(&service, &frames, 1);
+    let server = NetServer::bind_tcp(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        NetConfig::new().workers(2),
+    )
+    .unwrap();
+    let mut conn = std::net::TcpStream::connect(server.local_addr().unwrap()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut request_bytes = Vec::new();
+    for frame in &frames {
+        encode_envelope_into(&mut request_bytes, frame).unwrap();
+    }
+    conn.write_all(&request_bytes).unwrap();
+    // As in the Unix drain test: the first answer pins that the
+    // connection is accepted with every frame on the server's side.
+    let first = read_envelope(&mut conn, 1 << 22).unwrap().unwrap();
+    assert_eq!(&first, &reference[0]);
+    let drainer = std::thread::spawn(move || server.shutdown());
+    for (i, expected) in reference.iter().enumerate().skip(1) {
+        let got = read_envelope(&mut conn, 1 << 22).unwrap().unwrap();
+        assert_eq!(&got, expected, "frame={i}");
+    }
+    drainer.join().unwrap();
+    assert!(
+        read_envelope(&mut conn, 1 << 22).unwrap().is_none(),
+        "connection did not close cleanly after the drained answers"
+    );
+}
+
+/// A client that never stops sending cannot hold the drain open: the
+/// read shutdown ends its stream, `shutdown` returns promptly while the
+/// client is still sending, and every frame whose write succeeded is
+/// answered before the connection closes.
+#[test]
+fn shutdown_returns_while_a_client_keeps_sending() {
+    let (service, _) = service_and_frames(31);
+    let path = socket_path("busy");
+    let server =
+        NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(2)).unwrap();
+    let mut envelope = Vec::new();
+    let stats = serve::encode_frame(SessionId::from_raw(0), &Query::Stats);
+    encode_envelope_into(&mut envelope, &stats).unwrap();
+    let mut conn = UnixStream::connect(&path).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let client = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            // Bounded, so a drain that waits on the client fails the
+            // test below instead of hanging it.
+            let give_up = Instant::now() + Duration::from_secs(3);
+            let (mut written, mut answered) = (0u64, 0u64);
+            while !stop.load(Ordering::Relaxed) && Instant::now() < give_up {
+                if conn.write_all(&envelope).is_err() {
+                    break;
+                }
+                written += 1;
+                match read_envelope(&mut conn, 1 << 22) {
+                    Ok(Some(doc)) => {
+                        assert!(!serve::is_error_document(&doc), "{doc:?}");
+                        answered += 1;
+                    }
+                    _ => break,
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (written, answered)
+        })
+    };
+    let warm = Instant::now() + Duration::from_secs(5);
+    while server.transport().frames_out < 20 && Instant::now() < warm {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    let (written, answered) = client.join().unwrap();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "shutdown took {elapsed:?} against a client that keeps sending"
+    );
+    assert!(written >= 20, "the client barely ran: {written} frames");
+    assert_eq!(answered, written, "a written frame went unanswered");
+}
+
+/// An idle connection costs no syscalls: its reader blocks in one `read`
+/// until bytes or end of stream arrive, with no timeout to wake it.
+#[test]
+fn idle_connections_make_no_read_syscalls() {
+    let (service, _) = service_and_frames(37);
+    let path = socket_path("idle");
+    let server = NetServer::bind_unix(&path, service, NetConfig::new().workers(1)).unwrap();
+    let mut envelope = Vec::new();
+    let stats = serve::encode_frame(SessionId::from_raw(0), &Query::Stats);
+    encode_envelope_into(&mut envelope, &stats).unwrap();
+    let mut conn = UnixStream::connect(&path).unwrap();
+    conn.write_all(&envelope).unwrap();
+    read_envelope(&mut conn, 1 << 22).unwrap().unwrap();
+    // One read returned the frame; the second, billed as it starts, is
+    // the one the reader now blocks in.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.transport().read_syscalls < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let before = server.transport().read_syscalls;
+    assert_eq!(before, 2);
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        server.transport().read_syscalls,
+        before,
+        "an idle connection kept reading"
+    );
+    drop(conn);
+    server.shutdown();
+}
+
 /// Hostile envelopes: an oversized declared length and a non-UTF-8
 /// payload are each answered with one zigzag-error v2 envelope and a
 /// closed connection — no allocation from the hostile header, no panic.
@@ -181,10 +292,7 @@ fn hostile_envelopes_get_one_error_document_then_close() {
     let server = NetServer::bind_unix(
         &path,
         service,
-        NetConfig::new()
-            .workers(1)
-            .max_frame_bytes(1 << 16)
-            .poll_interval(Duration::from_millis(5)),
+        NetConfig::new().workers(1).max_frame_bytes(1 << 16),
     )
     .unwrap();
 
@@ -226,14 +334,8 @@ fn closed_sessions_are_not_served_stale() {
     let frame = serve::encode_frame(id, &Query::MaxXMatrix { sigma });
 
     let path = socket_path("close");
-    let server = NetServer::bind_unix(
-        &path,
-        Arc::clone(&service),
-        NetConfig::new()
-            .workers(1)
-            .poll_interval(Duration::from_millis(5)),
-    )
-    .unwrap();
+    let server =
+        NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(1)).unwrap();
     let mut conn = UnixStream::connect(&path).unwrap();
     write_envelope(&mut conn, &frame).unwrap();
     let first = read_envelope(&mut conn, 1 << 22).unwrap().unwrap();
@@ -259,9 +361,7 @@ fn stats_query_over_the_socket_reports_warm_counters() {
     let server = NetServer::bind_unix(
         &path,
         Arc::clone(&service),
-        NetConfig::new()
-            .workers(workers)
-            .poll_interval(Duration::from_millis(5)),
+        NetConfig::new().workers(workers),
     )
     .unwrap();
     let mut conn = UnixStream::connect(&path).unwrap();
@@ -304,10 +404,7 @@ fn tiny_inflight_window_still_answers_pipelined_clients_in_order() {
     let server = NetServer::bind_unix(
         &path,
         Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .max_inflight_frames(2)
-            .poll_interval(Duration::from_millis(5)),
+        NetConfig::new().workers(2).max_inflight_frames(2),
     )
     .unwrap();
     let mut request_bytes = Vec::new();
@@ -332,9 +429,7 @@ fn tcp_responses_match_in_process_serve() {
     let server = NetServer::bind_tcp(
         "127.0.0.1:0",
         Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(5)),
+        NetConfig::new().workers(2),
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
@@ -528,12 +623,7 @@ fn pipelined_client_is_byte_identical_and_counters_prove_amortization() {
     let server = NetServer::bind_unix(
         &path,
         Arc::clone(&service),
-        NetConfig::new()
-            .workers(2)
-            .queue_capacity(2 * frames.len())
-            // A lazy poll keeps idle shutdown checks from inflating the
-            // read-syscall counter the amortization assertion reads.
-            .poll_interval(Duration::from_millis(50)),
+        NetConfig::new().workers(2).queue_capacity(2 * frames.len()),
     )
     .unwrap();
     let mut request_bytes = Vec::new();
@@ -622,11 +712,7 @@ fn live_migration_between_two_net_servers_answers_byte_identically() {
     let service_b = Arc::new(ZigzagService::new());
 
     let (path_a, path_b) = (socket_path("mig-a"), socket_path("mig-b"));
-    let net = || {
-        NetConfig::new()
-            .workers(2)
-            .poll_interval(Duration::from_millis(5))
-    };
+    let net = || NetConfig::new().workers(2);
     let server_a = NetServer::bind_unix(&path_a, Arc::clone(&service_a), net()).unwrap();
     let server_b = NetServer::bind_unix(&path_b, Arc::clone(&service_b), net()).unwrap();
     let mut conn_a = UnixStream::connect(&path_a).unwrap();
@@ -696,7 +782,6 @@ fn shutdown_is_bounded_when_a_client_stops_reading() {
         Arc::clone(&service),
         NetConfig::new()
             .workers(2)
-            .poll_interval(Duration::from_millis(5))
             .drain_timeout(Some(Duration::from_millis(200))),
     )
     .unwrap();

@@ -26,7 +26,6 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use zigzag::api::net::{encode_envelope_into, EnvelopeScanner, NetConfig, NetServer};
 use zigzag::api::{serve, Query, SessionConfig, ZigzagService};
@@ -100,14 +99,8 @@ fn warm_framed_round_trips_allocate_nothing() {
 
     let path = std::env::temp_dir().join(format!("zigzag-netalloc-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let server = NetServer::bind_unix(
-        &path,
-        Arc::clone(&service),
-        NetConfig::new()
-            .workers(1)
-            .poll_interval(Duration::from_millis(10)),
-    )
-    .unwrap();
+    let server =
+        NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(1)).unwrap();
     let mut conn = UnixStream::connect(&path).unwrap();
     let mut scanner = EnvelopeScanner::new(1 << 20);
 

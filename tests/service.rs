@@ -424,6 +424,98 @@ fn refused_appends_over_the_wire_change_nothing() {
     assert!(off_channel > 0 && out_of_bounds > 0);
 }
 
+/// A session fed out of `(time, process)` order keeps its message ids
+/// when it moves: B@5 sends m0 to A, then A@2 sends m1 to B. Exported
+/// and imported through wire frames, the moved session accepts the next
+/// append — A@7 receiving m0 — and answers like the source; a snapshot
+/// of it is written, and recovery restores it and replays that append.
+#[test]
+fn out_of_order_feeds_keep_their_message_ids_across_migration_and_snapshots() {
+    use zigzag::bcm::stream::SendEvent;
+    use zigzag::bcm::MessageId;
+
+    let mut b = zigzag::bcm::Network::builder();
+    let a = b.add_process("A");
+    let bb = b.add_process("B");
+    b.add_channel(a, bb, 1, 3).unwrap();
+    b.add_channel(bb, a, 1, 3).unwrap();
+    let context = std::sync::Arc::new(b.build().unwrap());
+    let event = |proc, time, receipt, send: Option<(ProcessId, u64)>| RunEvent {
+        proc,
+        time: Time::new(time),
+        receipts: vec![receipt],
+        sends: send
+            .map(|(to, at)| SendEvent {
+                to,
+                deliver_at: Time::new(at),
+            })
+            .into_iter()
+            .collect(),
+        actions: Vec::new(),
+    };
+    let kick = || ReceiptEvent::External("kick".into());
+    let feed = [
+        event(bb, 5, kick(), Some((a, 7))),
+        event(a, 2, kick(), Some((bb, 4))),
+    ];
+    let next = event(a, 7, ReceiptEvent::Message(MessageId::new(0)), None);
+
+    let dir = std::env::temp_dir().join(format!("zigzag-swapped-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let served = |service: &ZigzagService, id, q: Query| {
+        let out = serve::serve(service, &[serve::encode_frame(id, &q)], 1);
+        wire::decode_response(&out[0]).unwrap_or_else(|e| panic!("{q:?}: {e}: {}", out[0]))
+    };
+    let append = |ev: &RunEvent| Query::Append(Box::new(ev.clone()));
+    {
+        let source = ZigzagService::new();
+        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+        let id = store
+            .open_stream(
+                &source,
+                "swapped",
+                std::sync::Arc::clone(&context),
+                Time::new(20),
+                SessionConfig::new(),
+            )
+            .unwrap();
+        for ev in &feed {
+            served(&source, id, append(ev));
+        }
+        let Response::Exported(snap) = served(&source, id, Query::Export) else {
+            panic!("export answers Exported");
+        };
+        let target = ZigzagService::new();
+        let any = zigzag::api::SessionId::from_raw(0);
+        let Response::Imported(moved) = served(&target, any, Query::Import(snap)) else {
+            panic!("import answers Imported");
+        };
+        assert!(store.snapshot(&source, id).unwrap(), "snapshot refused");
+
+        assert_eq!(served(&source, id, append(&next)), Response::Appended(3));
+        assert_eq!(served(&target, moved, append(&next)), Response::Appended(3));
+        let sigma = NodeId::new(a, 2);
+        for q in [
+            Query::MaxXMatrix { sigma },
+            Query::TightBound {
+                from: NodeId::new(bb, 1),
+                to: sigma,
+            },
+        ] {
+            assert_eq!(served(&source, id, q.clone()), served(&target, moved, q));
+        }
+    }
+    // After a crash the snapshot restores the first two events, and the
+    // third replays on top of it.
+    let service = ZigzagService::new();
+    let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+    let rec = store.recover(&service, "swapped").unwrap();
+    assert!(rec.from_snapshot);
+    assert_eq!((rec.restored_events, rec.replayed_events), (2, 1));
+    assert!(!rec.truncated);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An `Append` frame whose event names a process beyond `u32` is a wire
 /// error, not the event of the process 2³² below it: served, it answers
 /// the frame's decode error document and the session's event count does
