@@ -84,9 +84,11 @@ golden_tests!(
 /// Witness bytes on the `cold-observer-read` inputs of the repository
 /// benchmark: `max_x` and the rendered σ-visible witness (the string the
 /// wire sends) for every 7th observer of three 640-event prefixes, from
-/// two anchors. The witness path follows SPFA tie-breaks, which follow
-/// the insertion order of every adjacency row of `GE(r, σ)`, so this pins
-/// the graph builders' edge order and not only their answers.
+/// two anchors. The witness path is the canonical maximum-weight path of
+/// `GE(r, σ)`: the fewest edges, then each hop's least `(label, vertex
+/// index)` tight in-edge. No row order decides it, so a graph builder may
+/// reorder its edges; `tests/oracle.rs` holds each served witness to a
+/// naive reference of the same rule, and this pins the bytes end to end.
 #[test]
 fn witness_bytes() {
     use std::fmt::Write as _;

@@ -76,15 +76,11 @@
 //!
 //! # Witness paths
 //!
-//! Witness paths are read off an SPFA predecessor tree, and the served
-//! witness bytes follow SPFA's tie-breaks over the row order of the one
-//! bulk build of a closed graph: per process its successor edges, then
-//! its `E'` edge; per message its `±` pair or its `E''` edge; then the
-//! `E'''` edges. [`ExtendedGraph`], the frontier graph of
-//! [`crate::construct`] and an observer state's witness graph all hold
-//! that build, laid out once as CSR lanes straight from the edge list,
-//! with the trees its witness queries have grown; every distance query
-//! reads the view.
+//! A witness path is the canonical maximum-weight path of
+//! [`crate::graph`], read off the view's memoized distances by a hop pass
+//! over its rows, so row order decides no served byte. [`ExtendedGraph`]
+//! and the frontier graph of [`crate::construct`] materialize a closed
+//! graph for drawings and constructions.
 
 #![deny(clippy::cast_possible_wrap)]
 
@@ -174,9 +170,10 @@ impl NodeLayout {
     }
 }
 
-/// The edges of a [`ClosedGraph`] over `layout`, in its row order (see
-/// the [module docs](self)); a message sent at `exclude_src` contributes
-/// no edge.
+/// The edges of a [`ClosedGraph`] over `layout`, in its row order: per
+/// process its successor edges, then its `E'` edge; per message its `±`
+/// pair or its `E''` edge; then the `E'''` edges. A message sent at
+/// `exclude_src` contributes no edge.
 fn closed_edges(run: &Run, layout: &NodeLayout, exclude_src: Option<NodeId>) -> Vec<Edge> {
     let (net, bounds) = (run.context().network(), run.context().bounds());
     let n = net.len();
@@ -254,8 +251,6 @@ pub(crate) struct GeFrontier {
     layout: NodeLayout,
     /// The bounds-graph index of each past node, by view index.
     nodes: Vec<u32>,
-    /// The messages sent here contribute no edge (`ExcludeOwnSends`).
-    exclude_src: Option<NodeId>,
     /// The `ψ` clock, one value per process.
     psi: Vec<i64>,
     /// The `E''` overlay, in sender order.
@@ -399,7 +394,6 @@ impl GeFrontier {
             past,
             layout,
             nodes,
-            exclude_src,
             psi,
             unseen,
             psi_at,
@@ -527,14 +521,6 @@ impl<'a> GeView<'a> {
         &self.frontier.layout
     }
 
-    /// `GE(r, σ)` materialized for witness paths: the closed graph of
-    /// [`ExtendedGraph`]'s bulk build. `run` is the run the view was cut
-    /// from, or any extension of it.
-    pub(crate) fn witness_graph(&self, run: &Run) -> ClosedGraph {
-        let fr = self.frontier;
-        ClosedGraph::build(run, fr.layout.clone(), fr.exclude_src)
-    }
-
     /// One walk over the view's rows.
     pub(crate) fn walk(&self) -> Walk<'a> {
         let mut slots = self.gb.take_slots();
@@ -552,20 +538,13 @@ impl<'a> GeView<'a> {
 
 /// A bounds graph closed by one auxiliary vertex per process and the
 /// `E'`/`E''`/`E'''` edge families, materialized once in its bulk build's
-/// row order as CSR lanes, with the witness trees grown on it (see the
-/// [module docs](self)): `GE(r, σ)` over the nodes of `past(r, σ)` — an
-/// [`ExtendedGraph`], or an observer state's witness graph — and the
-/// horizon-closed [`crate::construct::FrontierGraph`] over every
-/// recorded node. Packing the lanes straight from the edge list skips
-/// adjacency rows and an interner: on perfbench `cold-observer-read`
-/// (2 vCPUs, release build) that served ~1.2× the requests at ~20% less
-/// CPU per request.
+/// row order as CSR lanes: `GE(r, σ)` over the nodes of `past(r, σ)` (an
+/// [`ExtendedGraph`]) and the horizon-closed
+/// [`crate::construct::FrontierGraph`] over every recorded node.
 #[derive(Debug, Clone)]
 pub(crate) struct ClosedGraph {
     layout: NodeLayout,
     csr: CsrTopology,
-    /// Witness trees by root, shared with every clone of the graph.
-    trees: Arc<Mutex<HashMap<u32, Arc<LongestPaths>, FxBuild>>>,
 }
 
 impl ClosedGraph {
@@ -578,7 +557,6 @@ impl ClosedGraph {
             csr: CsrTopology::from_edges(n, &edges)
                 .expect("a closed graph fits the u32 index space"),
             layout,
-            trees: Arc::default(),
         }
     }
 
@@ -609,35 +587,15 @@ impl ClosedGraph {
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
     pub(crate) fn longest(&self, v: ExtVertex, dir: Direction) -> Result<LongestPaths, CoreError> {
-        self.csr.longest_paths(self.root(v)?, dir)
-    }
-
-    /// The witness tree from `v`: [`ClosedGraph::longest`] forward,
-    /// memoized per root.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClosedGraph::longest`].
-    pub(crate) fn tree(&self, v: ExtVertex) -> Result<Arc<LongestPaths>, CoreError> {
-        let src = self.root(v)? as u32;
-        if let Some(hit) = self.trees.lock().expect("tree memo lock").get(&src) {
-            return Ok(hit.clone());
-        }
-        let lp = Arc::new(self.csr.longest_paths(src as usize, Direction::Forward)?);
-        let mut trees = self.trees.lock().expect("tree memo lock");
-        trees.insert(src, lp.clone());
-        Ok(lp)
-    }
-
-    fn root(&self, v: ExtVertex) -> Result<usize, CoreError> {
-        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+        let root = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
             detail: format!("root {v} is not a vertex of the closed graph"),
-        })
+        })?;
+        self.csr.longest_paths(root, dir)
     }
 }
 
 /// One walk over a [`GeView`]'s rows (see [`GeView::walk`]): what its
-/// distance traversals and the Lemma 17 check read.
+/// distance traversals, witness paths and the Lemma 17 check read.
 pub(crate) struct Walk<'a> {
     gb: &'a BoundsGraph,
     frontier: &'a GeFrontier,
@@ -751,8 +709,8 @@ impl Rows for Walk<'_> {
 }
 
 /// The extended local bounds graph `GE(r, σ)`, materialized: the bulk
-/// build that witness paths and drawings read (see the
-/// [module docs](self)). Distances come from a [`GeView`].
+/// build that drawings read. Distances come from a [`GeView`], and
+/// witness paths from its distances (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct ExtendedGraph {
     observer: NodeId,

@@ -20,13 +20,11 @@
 //! * **Label-correcting SPFA** (a queue-based Bellman–Ford) needs
 //!   nothing but the rows and, given predecessor lanes, writes each
 //!   vertex's winning edge as it relaxes, so its results carry a
-//!   predecessor forest ([`LongestPaths`]). It serves every path query:
-//!   `GB(r)`'s tight bounds and the witness paths of `crate::knowledge`
-//!   (the served witness bytes follow SPFA's tie-breaks, i.e. the row
-//!   order). One function runs it three ways: seeded at a root for a
-//!   cold query, seeded by the edges appended since a memoized result for
-//!   that result's catch-up (below), and without predecessor lanes for a
-//!   view whose clock fails.
+//!   predecessor forest ([`LongestPaths`]). It serves `GB(r)`'s tight
+//!   bounds and paths and the closed graphs' queries. One function runs
+//!   it three ways: seeded at a root for a cold query, seeded by the
+//!   edges appended since a memoized result for that result's catch-up
+//!   (below), and without predecessor lanes for a view whose clock fails.
 //! * **Potential-reweighted Dijkstra** answers a view's distance queries
 //!   when its potential is *feasible* — `π(u) + w ≤ π(v)` on every edge
 //!   the rows yield: Johnson reweighting turns every edge into a
@@ -42,6 +40,15 @@
 //! rows, or a view of them, count their queue pops and edge scans on
 //! that graph ([`WeightedDigraph::work`]) and borrow its scratch arena.
 //!
+//! The witness paths of `crate::knowledge` are defined by the graph, not
+//! by a traversal's tie-breaks: among the maximum-weight paths from the
+//! root, the one with the fewest edges, each vertex entered by its least
+//! `(label, tail index)` tight in-edge (`d(u) + w = d(v)`) from the
+//! previous hop level. `canonical_path` reads it off any traversal's
+//! distances with one breadth-first pass over the tight edges and one
+//! backward scan along the path; the hop levels keep the zero-weight
+//! cycles of channels with `L = U` from looping.
+//!
 //! # Shared analysis
 //!
 //! Causal-order queries are the hot path of the knowledge engine: a single
@@ -52,7 +59,7 @@
 //! against an unmodified graph are O(1) — and allocation-free — after
 //! first touch ([`WeightedDigraph::longest_from_cached`] /
 //! [`WeightedDigraph::longest_to_cached`]). A view memoizes its distance
-//! results itself, and the materialized `GE(r, σ)` its witness trees.
+//! results itself.
 //!
 //! The memo survives mutation **monotonically**: the only mutations the
 //! graph supports are additions ([`WeightedDigraph::add_vertex`] /
@@ -1241,6 +1248,58 @@ fn dijkstra_over<R: Rows>(
     Distances { lane }
 }
 
+/// The canonical maximum-weight path from `src` to `dst` over `rows`,
+/// given `dist`, the longest-path weights from `src` (see the
+/// [module docs](self)), as edges in walk order; `None` if `dst` is
+/// unreachable. The hop pass stops at `dst`'s level: every lower level
+/// is complete by then. Sums are checked, so a wrapped one never reads
+/// as tight.
+pub(crate) fn canonical_path<R: Rows>(
+    rows: &R,
+    dist: &Distances,
+    src: usize,
+    dst: usize,
+) -> Option<Vec<Edge>> {
+    let d = &dist.lane;
+    // `u` is always a reached vertex here; `v` need not be.
+    let tight =
+        |u: usize, w: i64, v: usize| d[v] != UNREACHABLE && d[u].checked_add(w) == Some(d[v]);
+    let mut level = vec![u32::MAX; rows.vertex_count()];
+    let mut queue = vec![src as u32];
+    level[src] = 0;
+    let mut head = 0;
+    while level[dst] == u32::MAX {
+        let u = *queue.get(head)? as usize;
+        head += 1;
+        let next = level[u] + 1;
+        rows.scan(u, Direction::Forward, |v, w, _, _| {
+            if level[v] == u32::MAX && tight(u, w, v) {
+                level[v] = next;
+                queue.push(v as u32);
+            }
+        });
+    }
+    let mut path = Vec::with_capacity(level[dst] as usize);
+    let mut v = dst;
+    while v != src {
+        let (want, mut best) = (level[v] - 1, None);
+        rows.scan(v, Direction::Backward, |u, w, _, label| {
+            if level[u] == want
+                && tight(u, w, v)
+                && best.is_none_or(|(l, b, _)| (label, u) < (l, b))
+            {
+                best = Some((label, u, w));
+            }
+        });
+        let (label, u, w) =
+            best.expect("a vertex at hop level k > 0 has a tight in-edge from k − 1");
+        path.push(Edge::new(u, v, w, label));
+        v = u;
+    }
+    path.reverse();
+    Some(path)
+}
+
 impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
     /// Longest-path weights from `src` via the classic dense Bellman–Ford
     /// (`|V| − 1` full relaxation rounds plus a detection round).
@@ -1601,6 +1660,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn canonical_paths_take_fewest_hops_then_least_label_and_tail() {
+        // a = 0 reaches f by two 2-hop paths of weight 3 (labels 2 via b,
+        // 1 via c) and g by two of weight 2 (label 1 via b and via c);
+        // e at weight 3 by a 3-hop path and a 2-hop one through d; a ⇄ b
+        // is a zero-weight cycle.
+        let edges = [
+            (0, 1, 1, 0),  // a → b
+            (1, 0, -1, 2), // b → a
+            (0, 2, 2, 0),  // a → c
+            (1, 3, 1, 0),  // b → d
+            (2, 3, 0, 0),  // c → d
+            (0, 3, 2, 9),  // a → d
+            (3, 4, 1, 0),  // d → e
+            (1, 5, 2, 2),  // b → f
+            (2, 5, 1, 1),  // c → f
+            (1, 6, 1, 1),  // b → g
+            (2, 6, 0, 1),  // c → g
+        ]
+        .map(|(u, v, w, l)| Edge::new(u, v, w, l));
+        let mut reversed = edges;
+        reversed.reverse();
+        let expect = |t: usize, want: &[(usize, usize, u32)]| {
+            for list in [&edges[..], &reversed[..]] {
+                let g = WeightedDigraph::from_edges((0..7).collect(), list);
+                let dist = g.longest_from(&0).unwrap().dist;
+                let path = canonical_path(&g, &dist, 0, t).unwrap();
+                let got: Vec<_> = path.iter().map(|e| (e.from, e.to, e.label)).collect();
+                assert_eq!(got, want, "path to {t}");
+                assert_eq!(path.iter().map(|e| e.weight).sum::<i64>(), dist.lane[t]);
+            }
+        };
+        expect(0, &[]);
+        expect(1, &[(0, 1, 0)]);
+        expect(4, &[(0, 3, 9), (3, 4, 0)]);
+        expect(5, &[(0, 2, 0), (2, 5, 1)]);
+        expect(6, &[(0, 1, 0), (1, 6, 1)]);
+        let g = WeightedDigraph::from_edges((0..8).collect(), &edges);
+        let dist = g.longest_from(&0).unwrap().dist;
+        assert!(
+            canonical_path(&g, &dist, 0, 7).is_none(),
+            "7 is unreachable"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! precedence fails ([`KnowledgeEngine::refute`]).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
@@ -28,10 +28,11 @@ use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
 use crate::bounds_graph::BoundsGraph;
 use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
-use crate::extended_graph::{ClosedGraph, ExtVertex, GeFrontier, GeView};
+use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
+use crate::graph::{canonical_path, Edge};
 use crate::node::GeneralNode;
 use crate::pattern::ZigzagPattern;
 use crate::timing::{fast_timing, FastTiming};
@@ -118,10 +119,9 @@ impl ObserverMode {
 /// graph: the session's `GB(r)` for a state an
 /// [`crate::incremental::IncrementalEngine`] builds, which therefore
 /// holds no edges of its own, or `GB(r, σ)` (Definition 14), built once
-/// and owned by a standalone state ([`ObserverState::build`]). A
-/// witness query materializes `GE(r, σ)` inside the state, once, for its
-/// SPFA paths, and the state keeps it with its SPFA trees: a state that
-/// has answered a witness holds O(|E|) again, until it is dropped.
+/// and owned by a standalone state ([`ObserverState::build`]). A witness
+/// path is read off the memoized distances by a pass over the view's
+/// rows, so a state that has answered a witness holds no edges either.
 ///
 /// Split out of [`KnowledgeEngine`] so append-only consumers can keep it
 /// alive across run growth: by the *observer-stability invariant*
@@ -144,12 +144,9 @@ pub struct ObserverState {
     sigma: NodeId,
     frontier: GeFrontier,
     /// The graph a standalone state's view reads; `None` for a session's
-    /// state, which views the session's `GB(r)`. Boxed, like `witness`,
-    /// so a session's retained state stays small.
+    /// state, which views the session's `GB(r)`. Boxed, so a session's
+    /// retained state stays small.
     local: Option<Box<BoundsGraph>>,
-    /// `GE(r, σ)` materialized for witness paths, on the first witness
-    /// query that needs one, and kept with its SPFA trees.
-    witness: OnceLock<Box<ClosedGraph>>,
     cache: QueryCache,
     /// Delivery-queue scratch recycled across `fast_run_of`/`refute`
     /// constructions at this observer.
@@ -176,7 +173,6 @@ impl ObserverState {
             sigma,
             frontier,
             local,
-            witness: OnceLock::new(),
             cache: QueryCache::default(),
             arena: Mutex::new(RunArena::new()),
         }
@@ -593,14 +589,6 @@ impl<'r> KnowledgeEngine<'r> {
         GeView::new(gb, &self.state.frontier)
     }
 
-    /// `GE(r, σ)` materialized for witness paths, built on first use and
-    /// kept in the state.
-    fn witness_graph(&self) -> &ClosedGraph {
-        self.state
-            .witness
-            .get_or_init(|| Box::new(self.ge().witness_graph(self.run)))
-    }
-
     /// Rewrites `θ = ⟨σ', p⟩` into the equivalent node whose chain never
     /// re-enters `past(r, σ)`: hops whose deliveries `σ` has seen are
     /// folded into the base. In every run indistinguishable at `σ` the two
@@ -871,12 +859,15 @@ impl<'r> KnowledgeEngine<'r> {
         let (t2, hops) = self.walk(&ft, &chain, &t2c)?;
         let max_x = t2.ticks() as i64 - chain.arrival.ticks() as i64;
 
+        let ge = self.ge();
+        let vertex = |i| ge.vertex(i);
         let split = hops.iter().rposition(|h| !matches!(h, FastHop::Lower));
         let pattern = match split {
             // The whole chain runs at lower bounds: GB/GE path to the base,
             // head extended along the full chain (Lemma 14 + Lemma 16).
             None => {
-                let z = self.ge_path_zigzag(t1c.base(), ExtVertex::Node(t2c.base()))?;
+                let edges = self.ge_path(t1c.base(), ExtVertex::Node(t2c.base()))?;
+                let z = zigzag_from_ge_walk(&vertex, t1c.base(), &edges)?;
                 let z = extend_head(&z, t2c.path())?;
                 anchor_tail(&z, &t1c)?
             }
@@ -893,23 +884,11 @@ impl<'r> KnowledgeEngine<'r> {
                     // The chain is held back by the frontier of `hop k`'s
                     // process (Lemma 12/15, "type 3"): boundary fork whose
                     // tail chains through the ψ trail.
-                    // Witness paths are read off the SPFA tree from θ1's
-                    // base, the one traversal that keeps predecessors.
                     let j = t2c.path().procs()[k + 1];
-                    let ge = self.witness_graph();
-                    let lp = ge.tree(ExtVertex::Node(t1c.base()))?;
-                    let idx = ge.index_of(ExtVertex::Aux(j)).expect("every process has ψ");
-                    let edges = lp.path(idx).ok_or_else(|| CoreError::InvalidTiming {
-                        detail: "ψ binding but unreachable — model bug".into(),
-                    })?;
-                    let cut = edges
-                        .iter()
-                        .rposition(|e| matches!(ge.vertex(e.to), ExtVertex::Node(_)));
-                    let (prefix, suffix) = match cut {
-                        Some(c) => edges.split_at(c + 1),
-                        None => (&edges[..0], &edges[..]),
-                    };
-                    let z = zigzag_from_ge_walk(&|i| ge.vertex(i), t1c.base(), prefix)?;
+                    let edges = self.ge_path(t1c.base(), ExtVertex::Aux(j))?;
+                    let last_node = edges.iter().rposition(|e| ge.vertex(e.to).node().is_some());
+                    let (prefix, suffix) = edges.split_at(last_node.map_or(0, |c| c + 1));
+                    let z = zigzag_from_ge_walk(&vertex, t1c.base(), prefix)?;
                     let mut trail: Vec<ProcessId> =
                         suffix.iter().map(|e| ge.vertex(e.to).proc()).collect();
                     trail.reverse(); // [j, …, l1]
@@ -961,17 +940,17 @@ impl<'r> KnowledgeEngine<'r> {
         Ok(MaxXMatrix { nodes, data })
     }
 
-    /// Longest `GE` path between two vertices converted to a zigzag.
-    fn ge_path_zigzag(&self, from: NodeId, to: ExtVertex) -> Result<ZigzagPattern, CoreError> {
-        let ge = self.witness_graph();
-        let lp = ge.tree(ExtVertex::Node(from))?;
-        let idx = ge.index_of(to).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "target vertex missing from GE — model bug".into(),
-        })?;
-        let edges = lp.path(idx).ok_or_else(|| CoreError::InvalidTiming {
-            detail: "reachable target has no path — model bug".into(),
-        })?;
-        zigzag_from_ge_walk(&|i| ge.vertex(i), from, &edges)
+    /// The canonical maximum-weight `GE(r, σ)` path from `from` to a
+    /// vertex the fast timing reaches (see [`crate::graph`]), read off the
+    /// memoized distances that timing computed.
+    fn ge_path(&self, from: NodeId, to: ExtVertex) -> Result<Vec<Edge>, CoreError> {
+        let ge = self.ge();
+        let dist = ge.distances_from(ExtVertex::Node(from))?;
+        let ends = ge.index_of(ExtVertex::Node(from)).zip(ge.index_of(to));
+        ends.and_then(|(src, dst)| canonical_path(&ge.walk(), &dist, src, dst))
+            .ok_or_else(|| CoreError::InvalidTiming {
+                detail: format!("{to} is reached from {from} but has no path — model bug"),
+            })
     }
 
     /// Constructs the γ-fast run of `θ1` — the extremal indistinguishable

@@ -20,10 +20,14 @@
 //! A third, **prefix-differential** block streams each run through the
 //! incremental engine and holds it to the batch answers after *every*
 //! append: `max_x` / `knows` / `max_x_basic_matrix` byte-for-byte on a
-//! fresh `KnowledgeEngine` over the same prefix, served witnesses
-//! against that engine's after wire encoding, `GB(r)` tight bounds
+//! fresh `KnowledgeEngine` over the same prefix, `GB(r)` tight bounds
 //! against a scratch `BoundsGraph`, and exact reconstruction of the
-//! source run once the feed drains.
+//! source run once the feed drains. Every witness it serves, and that
+//! engine's, must equal the reference's wire bytes: the canonical
+//! maximum-weight path (fewest edges, then each hop's least
+//! `(label, vertex)` tight in-edge), computed from the naive graph and
+//! its dense Bellman–Ford and rendered by the public extraction
+//! functions.
 //!
 //! Since the `zigzag::api` facade landed, the first and third blocks
 //! additionally route every comparison through
@@ -87,7 +91,8 @@
 //! session's graph). A hand-built run with a delivery outside its channel
 //! bounds fails the clock, and its views walk label-correcting to the
 //! naive answers. A decision state kept after its decision holds no
-//! edges: its live bytes are bounded by its vertex count (a per-thread
+//! edges, and neither does a query state that has answered a witness:
+//! their live bytes are bounded by their vertex count (a per-thread
 //! live-bytes counter in the same allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -104,14 +109,17 @@ use zigzag::bcm::validate::{validate_run, Strictness};
 use zigzag::bcm::{
     topology, MessageId, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time,
 };
-use zigzag::core::bounds_graph::BoundsGraph;
-use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph};
+use zigzag::core::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
+use zigzag::core::extended_graph::{
+    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
+};
+use zigzag::core::extract::{anchor_tail, zigzag_from_ge_path};
 use zigzag::core::graph::{Distances, Edge, LongestPaths, TraversalWork, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
 use zigzag::core::knowledge::{KnowledgeEngine, ObserverMode, ObserverState};
 use zigzag::core::precedence::satisfies;
 use zigzag::core::timing::fast_timing;
-use zigzag::core::{CoreError, GeneralNode};
+use zigzag::core::{CoreError, GeneralNode, VisibleZigzag};
 
 /// A pass-through [`System`] wrapper counting this thread's heap
 /// allocations, backing the layout tier's zero-allocation assertion on
@@ -162,11 +170,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// One naive row: `(other endpoint, weight, label)` per edge.
+type NaiveRow = Vec<(ExtVertex, i64, u32)>;
+
 /// The naive Definition 16 graph: `BTreeMap` adjacency, one entry per
 /// vertex, no dense indices, rebuilt from scratch per observer.
 struct NaiveGe {
     vertices: BTreeSet<ExtVertex>,
-    edges: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>>,
+    edges: BTreeMap<ExtVertex, NaiveRow>,
 }
 
 /// `GE(r, σ)` per Definition 16; `exclude_src = Some(σ)` drops the `E''`
@@ -176,12 +187,13 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
     let net = run.context().network();
     let bounds = run.context().bounds();
     let mut vertices: BTreeSet<ExtVertex> = BTreeSet::new();
-    let mut edges: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>> = BTreeMap::new();
-    let add = |edges: &mut BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>>,
+    let mut edges: BTreeMap<ExtVertex, NaiveRow> = BTreeMap::new();
+    let add = |edges: &mut BTreeMap<ExtVertex, NaiveRow>,
                from: ExtVertex,
                to: ExtVertex,
-               w: i64| {
-        edges.entry(from).or_default().push((to, w));
+               w: i64,
+               label: u32| {
+        edges.entry(from).or_default().push((to, w, label));
     };
 
     for n in past.iter() {
@@ -197,9 +209,16 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
                     ExtVertex::Node(NodeId::new(p, k - 1)),
                     ExtVertex::Node(NodeId::new(p, k)),
                     1,
+                    LABEL_SUCCESSOR,
                 );
             }
-            add(&mut edges, ExtVertex::Node(boundary), ExtVertex::Aux(p), 1);
+            add(
+                &mut edges,
+                ExtVertex::Node(boundary),
+                ExtVertex::Aux(p),
+                1,
+                LABEL_BOUNDARY,
+            );
         }
     }
     // Message edges: within-past pairs get ±bound edges; sends whose
@@ -217,12 +236,14 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
                 ExtVertex::Node(m.src()),
                 ExtVertex::Node(d),
                 cb.lower() as i64,
+                LABEL_SEND,
             );
             add(
                 &mut edges,
                 ExtVertex::Node(d),
                 ExtVertex::Node(m.src()),
                 -(cb.upper() as i64),
+                LABEL_RECV,
             );
         } else {
             add(
@@ -230,6 +251,7 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
                 ExtVertex::Aux(m.channel().to),
                 ExtVertex::Node(m.src()),
                 -(cb.upper() as i64),
+                LABEL_UNSEEN,
             );
         }
     }
@@ -240,6 +262,7 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
             ExtVertex::Aux(ch.to),
             ExtVertex::Aux(ch.from),
             -(bounds.get(*ch).expect("covered").upper() as i64),
+            LABEL_AUX_CHAN,
         );
     }
     NaiveGe { vertices, edges }
@@ -254,7 +277,7 @@ fn naive_longest_from(ge: &NaiveGe, src: ExtVertex) -> BTreeMap<ExtVertex, i64> 
         let mut changed = false;
         for (from, outs) in &ge.edges {
             let Some(&df) = dist.get(from) else { continue };
-            for &(to, w) in outs {
+            for &(to, w, _) in outs {
                 let cand = df + w;
                 if dist.get(&to).is_none_or(|&dt| cand > dt) {
                     dist.insert(to, cand);
@@ -273,10 +296,10 @@ fn naive_longest_from(ge: &NaiveGe, src: ExtVertex) -> BTreeMap<ExtVertex, i64> 
 /// original's in-rows, and longest paths *from* `v` in it are longest
 /// paths *to* `v` in the original.
 fn reversed(ge: &NaiveGe) -> NaiveGe {
-    let mut edges: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>> = BTreeMap::new();
+    let mut edges: BTreeMap<ExtVertex, NaiveRow> = BTreeMap::new();
     for (&from, outs) in &ge.edges {
-        for &(to, w) in outs {
-            edges.entry(to).or_default().push((from, w));
+        for &(to, w, label) in outs {
+            edges.entry(to).or_default().push((from, w, label));
         }
     }
     NaiveGe {
@@ -321,14 +344,14 @@ fn naive_fast_timing(
         .collect()
 }
 
-/// Sorted `(other endpoint, weight)` multiset of one adjacency row.
-fn row_multiset(
-    g: &ExtendedGraph,
-    edges: impl Iterator<Item = Edge>,
-    outgoing: bool,
-) -> Vec<(ExtVertex, i64)> {
-    let mut row: Vec<(ExtVertex, i64)> = edges
-        .map(|e| (g.vertex(if outgoing { e.to } else { e.from }), e.weight))
+/// Sorted `(other endpoint, weight, label)` multiset of one adjacency
+/// row.
+fn row_multiset(g: &ExtendedGraph, edges: impl Iterator<Item = Edge>, outgoing: bool) -> NaiveRow {
+    let mut row: NaiveRow = edges
+        .map(|e| {
+            let other = if outgoing { e.to } else { e.from };
+            (g.vertex(other), e.weight, e.label)
+        })
         .collect();
     row.sort_unstable();
     row
@@ -336,7 +359,7 @@ fn row_multiset(
 
 /// Bulk-builder tier: the materialized `ExtendedGraph::with_exclusion`,
 /// in both modes, has the naive vertex set and the naive
-/// `(target, weight)` multiset in every out-row and in-row.
+/// `(target, weight, label)` multiset in every out-row and in-row.
 ///
 /// View tier: `GE(r, σ)` as a view over a standalone engine's
 /// `GB(r, σ)`, over a batch session's `GB(r)` (bulk-order rows) and over
@@ -359,7 +382,7 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
     let batch = IncrementalEngine::from_prefix(run.clone());
     let stream = IncrementalEngine::ingest(run).ok();
     assert_eq!(stream.is_some(), clock, "{sigma}: only legal runs stream");
-    let sorted = |row: Option<&Vec<(ExtVertex, i64)>>| {
+    let sorted = |row: Option<&NaiveRow>| {
         let mut row = row.cloned().unwrap_or_default();
         row.sort_unstable();
         row
@@ -407,11 +430,13 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                 "clock verdict at {sigma} ({what}, {mode:?})"
             );
             assert_eq!(view.vertex_count(), g.vertex_count());
-            let mut rows: BTreeMap<ExtVertex, Vec<(ExtVertex, i64)>> = BTreeMap::new();
+            let mut rows: BTreeMap<ExtVertex, NaiveRow> = BTreeMap::new();
             for e in view.edges() {
-                rows.entry(view.vertex(e.from))
-                    .or_default()
-                    .push((view.vertex(e.to), e.weight));
+                rows.entry(view.vertex(e.from)).or_default().push((
+                    view.vertex(e.to),
+                    e.weight,
+                    e.label,
+                ));
             }
             for &v in &naive.vertices {
                 assert_eq!(
@@ -482,8 +507,130 @@ fn naive_max_x_table(
     out
 }
 
+/// A naive path: `(tail, head, weight, label)` per edge, in walk order.
+type NaivePath = Vec<(ExtVertex, ExtVertex, i64, u32)>;
+
+/// The canonical maximum-weight paths from `src`, straight from their
+/// definition: a hop BFS from `src` over the tight edges
+/// (`d(u) + w = d(v)` under the dense Bellman–Ford `d`), then, back from
+/// each target, every vertex's least `(label, vertex)` tight in-edge
+/// from the previous hop level. Vertex order is `GE(r, σ)`'s dense-index
+/// order. `None` for an unreachable target.
+fn naive_canonical_paths(
+    ge: &NaiveGe,
+    d: &BTreeMap<ExtVertex, i64>,
+    src: ExtVertex,
+    targets: &[ExtVertex],
+) -> Vec<Option<NaivePath>> {
+    let tight = |u: &ExtVertex, w: i64, v: &ExtVertex| match (d.get(u), d.get(v)) {
+        (Some(&du), Some(&dv)) => du.checked_add(w) == Some(dv),
+        _ => false,
+    };
+    let mut level: BTreeMap<ExtVertex, usize> = BTreeMap::from([(src, 0)]);
+    let mut queue = std::collections::VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for &(v, w, _) in ge.edges.get(&u).into_iter().flatten() {
+            if !level.contains_key(&v) && tight(&u, w, &v) {
+                level.insert(v, level[&u] + 1);
+                queue.push_back(v);
+            }
+        }
+    }
+    let rev = reversed(ge);
+    let path_to = |mut v: ExtVertex| {
+        let mut path = Vec::new();
+        while v != src {
+            let want = level.get(&v)?.checked_sub(1)?;
+            let (label, u, w) = rev.edges[&v]
+                .iter()
+                .filter(|(u, w, _)| level.get(u) == Some(&want) && tight(u, *w, &v))
+                .map(|&(u, w, label)| (label, u, w))
+                .min()
+                .expect("a vertex past the root has a tight in-edge from the level below");
+            path.push((u, v, w, label));
+            v = u;
+        }
+        path.reverse();
+        Some(path)
+    };
+    targets.iter().map(|&t| path_to(t)).collect()
+}
+
+/// The wire bytes of the reference answer to `Query::Witness` at `sigma`
+/// for each basic pair `(a, b)` in `pairs`: the naive canonical path from
+/// `a` to `b`, rendered by the public `zigzag_from_ge_path` and
+/// `anchor_tail`, weighing the dense Bellman–Ford distance.
+fn naive_witness_bytes(
+    run: &Run,
+    sigma: NodeId,
+    pairs: &[(NodeId, NodeId)],
+) -> BTreeMap<(NodeId, NodeId), String> {
+    let naive = naive_ge(run, sigma, None);
+    let ge = ExtendedGraph::new(run, sigma);
+    let mut by_anchor: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &(a, b) in pairs {
+        by_anchor.entry(a).or_default().push(b);
+    }
+    let mut out = BTreeMap::new();
+    for (a, targets) in by_anchor {
+        let (from, theta1) = (ExtVertex::Node(a), GeneralNode::basic(a));
+        let d = naive_longest_from(&naive, from);
+        let ends: Vec<ExtVertex> = targets.iter().map(|&b| ExtVertex::Node(b)).collect();
+        for (&b, path) in targets
+            .iter()
+            .zip(naive_canonical_paths(&naive, &d, from, &ends))
+        {
+            let witness = path.map(|path| {
+                let edges: Vec<Edge> = path
+                    .iter()
+                    .map(|&(u, v, weight, label)| Edge {
+                        from: ge.index_of(u).expect("vertex sets agree"),
+                        to: ge.index_of(v).expect("vertex sets agree"),
+                        weight,
+                        label,
+                    })
+                    .collect();
+                let z = zigzag_from_ge_path(&ge, a, &edges).unwrap();
+                let z = anchor_tail(&z, &theta1).unwrap();
+                WitnessReport {
+                    weight: d[&ExtVertex::Node(b)],
+                    pattern: VisibleZigzag::new(z, sigma).to_string(),
+                }
+            });
+            out.insert((a, b), wire::encode_response(&Response::Witness(witness)));
+        }
+    }
+    out
+}
+
+/// The first and the last three of `nodes`.
+fn corners(nodes: &[NodeId]) -> (&[NodeId], &[NodeId]) {
+    let n = nodes.len();
+    (&nodes[..n.min(3)], &nodes[n.saturating_sub(3)..])
+}
+
+/// Each of the first three of `nodes` to each of the last three.
+fn corner_pairs(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    let (first, last) = corners(nodes);
+    let pairs = first.iter().map(|&a| last.iter().map(move |&b| (a, b)));
+    pairs.flatten().collect()
+}
+
+/// The witness pairs sampled over `nodes`: every node to each of the
+/// last three, and each of the first three to every node — the long
+/// paths, where maximum-weight paths tie.
+fn witness_pairs(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    let (first, last) = corners(nodes);
+    let mut pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    for &a in nodes {
+        pairs.extend(last.iter().map(|&b| (a, b)));
+        pairs.extend(first.iter().map(|&f| (f, a)));
+    }
+    pairs.into_iter().collect()
+}
+
 /// The response a `Query::Witness` gets from a standalone engine at its
-/// observer — the reference the sessions' served witnesses are held to.
+/// observer.
 fn standalone_witness(engine: &KnowledgeEngine<'_>, q: &Query) -> Response {
     let Query::Witness { theta1, theta2, .. } = q else {
         unreachable!("witness queries only");
@@ -650,6 +797,27 @@ proptest! {
                 unreachable!("matrix queries return matrices");
             };
             prop_assert_eq!(&served, &online, "dispatched matrix diverged at {}", node);
+            // Its witnesses, served on the stream session's append-order
+            // rows and on the batch engine's, equal the reference bytes.
+            let nodes: Vec<NodeId> = prefix.past(node).iter().filter(|k| !k.is_initial()).collect();
+            let reference = naive_witness_bytes(prefix, node, &corner_pairs(&nodes));
+            for (&(a, b), want) in &reference {
+                let q = Query::Witness {
+                    sigma: node,
+                    theta1: GeneralNode::basic(a),
+                    theta2: GeneralNode::basic(b),
+                };
+                prop_assert_eq!(
+                    &wire::encode_response(&service.dispatch(session, &q).unwrap()),
+                    want,
+                    "dispatched witness diverged on {:?}", q
+                );
+                prop_assert_eq!(
+                    &wire::encode_response(&standalone_witness(&batch, &q)),
+                    want,
+                    "standalone witness diverged on {:?}", q
+                );
+            }
 
             // The long-lived observer: sampled max_x/knows against a
             // fresh batch engine on the same prefix.
@@ -660,40 +828,47 @@ proptest! {
                 .iter()
                 .filter(|k| !k.is_initial())
                 .collect();
-            for &a in nodes.iter().take(3) {
-                for &b in nodes.iter().rev().take(3) {
-                    let (ta, tb) = (GeneralNode::basic(a), GeneralNode::basic(b));
-                    let want = cold.max_x(&ta, &tb).unwrap();
-                    prop_assert_eq!(warm.max_x(&ta, &tb).unwrap(), want,
-                        "max_x({}, {}) diverged at observer {}", a, b, tracked_sigma);
-                    prop_assert_eq!(
-                        inc.knows(tracked_sigma, &ta, &tb, want.unwrap_or(0)).unwrap(),
-                        cold.knows(&ta, &tb, want.unwrap_or(0)).unwrap()
-                    );
-                    // The stream session serves the identical threshold...
-                    prop_assert_eq!(
-                        service
-                            .dispatch(session, &Query::MaxX {
-                                sigma: tracked_sigma,
-                                theta1: ta.clone(),
-                                theta2: tb.clone(),
-                            })
-                            .unwrap(),
-                        Response::MaxX(want),
-                        "dispatched max_x diverged at {}", node
-                    );
-                    // ...and the standalone engine's witness, byte for byte.
-                    let q = Query::Witness {
-                        sigma: tracked_sigma,
-                        theta1: ta,
-                        theta2: tb,
-                    };
-                    prop_assert_eq!(
-                        wire::encode_response(&service.dispatch(session, &q).unwrap()),
-                        wire::encode_response(&standalone_witness(&cold, &q)),
-                        "dispatched witness diverged at {}", node
-                    );
-                }
+            let pairs = corner_pairs(&nodes);
+            let reference = naive_witness_bytes(prefix, tracked_sigma, &pairs);
+            for &(a, b) in &pairs {
+                let (ta, tb) = (GeneralNode::basic(a), GeneralNode::basic(b));
+                let want = cold.max_x(&ta, &tb).unwrap();
+                prop_assert_eq!(warm.max_x(&ta, &tb).unwrap(), want,
+                    "max_x({}, {}) diverged at observer {}", a, b, tracked_sigma);
+                prop_assert_eq!(
+                    inc.knows(tracked_sigma, &ta, &tb, want.unwrap_or(0)).unwrap(),
+                    cold.knows(&ta, &tb, want.unwrap_or(0)).unwrap()
+                );
+                // The stream session serves the identical threshold...
+                prop_assert_eq!(
+                    service
+                        .dispatch(session, &Query::MaxX {
+                            sigma: tracked_sigma,
+                            theta1: ta.clone(),
+                            theta2: tb.clone(),
+                        })
+                        .unwrap(),
+                    Response::MaxX(want),
+                    "dispatched max_x diverged at {}", node
+                );
+                // ...and the reference witness, byte for byte, as does
+                // the standalone engine.
+                let q = Query::Witness {
+                    sigma: tracked_sigma,
+                    theta1: ta,
+                    theta2: tb,
+                };
+                let want = &reference[&(a, b)];
+                prop_assert_eq!(
+                    &wire::encode_response(&service.dispatch(session, &q).unwrap()),
+                    want,
+                    "dispatched witness diverged at {}", node
+                );
+                prop_assert_eq!(
+                    &wire::encode_response(&standalone_witness(&cold, &q)),
+                    want,
+                    "standalone witness diverged at {}", node
+                );
             }
 
             // Global GB(r) tight bounds, delta-relaxed vs from-scratch vs
@@ -723,10 +898,9 @@ proptest! {
         prop_assert!(service.with_run(session, |grown| grown == &run).unwrap());
 
         // A batch session over the full run answers every sampled query
-        // exactly like the fully-grown stream session, and serves the
-        // standalone engine's witnesses byte for byte.
+        // exactly like the fully-grown stream session.
+        let batch_session = service.open_batch(run.clone(), SessionConfig::new());
         if let Some(sigma) = tracked {
-            let batch_session = service.open_batch(run.clone(), SessionConfig::new());
             for q in [
                 Query::MaxXMatrix { sigma },
                 Query::TightBound {
@@ -740,23 +914,33 @@ proptest! {
                     "batch and stream sessions diverged on {:?}", q
                 );
             }
+        }
+        // Both sessions, and a standalone engine, serve the reference
+        // witness bytes for the sampled pairs of basic nodes at the
+        // deepest and the shallowest observer.
+        for sigma in observers(&run) {
             let cold = KnowledgeEngine::new(&run, sigma).unwrap();
             let nodes: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
-            for &a in nodes.iter().take(3) {
-                for &b in nodes.iter().rev().take(3) {
-                    let q = Query::Witness {
-                        sigma,
-                        theta1: GeneralNode::basic(a),
-                        theta2: GeneralNode::basic(b),
-                    };
-                    let want = wire::encode_response(&standalone_witness(&cold, &q));
-                    for id in [batch_session, session] {
-                        prop_assert_eq!(
-                            wire::encode_response(&service.dispatch(id, &q).unwrap()),
-                            want.clone(),
-                            "served witness diverged on {:?}", q
-                        );
-                    }
+            let pairs = witness_pairs(&nodes);
+            let reference = naive_witness_bytes(&run, sigma, &pairs);
+            for &(a, b) in &pairs {
+                let q = Query::Witness {
+                    sigma,
+                    theta1: GeneralNode::basic(a),
+                    theta2: GeneralNode::basic(b),
+                };
+                let want = &reference[&(a, b)];
+                prop_assert_eq!(
+                    &wire::encode_response(&standalone_witness(&cold, &q)),
+                    want,
+                    "standalone witness diverged on {:?}", q
+                );
+                for id in [batch_session, session] {
+                    prop_assert_eq!(
+                        &wire::encode_response(&service.dispatch(id, &q).unwrap()),
+                        want,
+                        "served witness diverged on {:?}", q
+                    );
                 }
             }
         }
@@ -1529,59 +1713,103 @@ fn cold_observer_build_allocations_are_bounded() {
 /// and a first `max_x`, whatever the observer's |V|.
 const SESSION_READ_ALLOCS: u64 = 64;
 
-/// A decision state holds no edges. Each `ExcludeOwnSends` decision of a
-/// feedback-topology stream, made on the session's `GB(r)` and then
-/// held (as a caller holding its engine would), keeps at
-/// most `RETAINED_BYTES_PER_VERTEX · (|past(r, σ)| + n)` bytes plus a
-/// constant, with no term in the view's edge count. The session graph's
-/// own buffers — its scratch arena and its walks' slot lane — are sized
-/// by one decision at the largest observer first, so the count is the
-/// state's.
-#[test]
-fn retained_decision_states_hold_no_edges() {
-    use zigzag::coord::{knows_required, OptimalStrategy};
+/// The feedback-topology stream the retained-state tests read: its spec,
+/// its run, and its `B` nodes past the initial one, the observers.
+fn retained_state_stream() -> (zigzag::coord::TimedCoordination, Run, Vec<NodeId>) {
+    use zigzag::coord::OptimalStrategy;
 
     let (spec, sc) = feedback_scenario(4, 1, 9, 640);
     let run = sc
         .run(&mut OptimalStrategy, &mut RandomScheduler::seeded(640))
         .unwrap();
-    let session = IncrementalEngine::ingest(&run).unwrap();
-    let theta_a = spec
-        .theta_a(run.external_receipt_node(spec.c, &spec.go_name).unwrap())
-        .unwrap();
-    let decisions: Vec<NodeId> = run.timeline(spec.b)[1..].iter().map(|r| r.id()).collect();
-    let decide = |sigma: NodeId| {
-        let engine = session
-            .uncached_engine(sigma, ObserverMode::ExcludeOwnSends)
-            .unwrap();
-        let _ = knows_required(&engine, spec.kind, &theta_a, &GeneralNode::basic(sigma));
-        engine
-    };
-    drop(decide(*decisions.last().unwrap()));
+    let observers = run.timeline(spec.b)[1..].iter().map(|r| r.id()).collect();
+    (spec, run, observers)
+}
+
+/// Builds, answers and holds one state per observer with `answer` (as a
+/// caller holding its engine would), and asserts that each keeps at most
+/// `RETAINED_BYTES_PER_VERTEX · (|past(r, σ)| + n)` bytes plus a
+/// constant, with no term in the view's edge count. The session graph's
+/// own buffers — its scratch arena and its walks' slot lane — are sized
+/// by one answer at the last observer first, so the count is the state's.
+fn assert_held_states_hold_no_edges<'s>(
+    what: &str,
+    observers: &[NodeId],
+    answer: impl Fn(NodeId) -> KnowledgeEngine<'s>,
+) {
+    drop(answer(*observers.last().unwrap()));
     let mut widest = 0;
-    for &sigma in &decisions {
+    for &sigma in observers {
         let before = thread_live_bytes();
-        let held = decide(sigma);
+        let held = answer(sigma);
         let bytes = thread_live_bytes() - before;
         let (vertices, edges) = (held.ge().vertex_count(), held.ge().edges().len());
         assert!(
             bytes <= (RETAINED_BYTES_PER_VERTEX * vertices + RETAINED_BYTES_FIXED) as i64,
-            "decision state at {sigma} (|V| = {vertices}, |E| = {edges}) holds {bytes} bytes"
+            "{what} state at {sigma} (|V| = {vertices}, |E| = {edges}) holds {bytes} bytes"
         );
         widest = widest.max(edges);
     }
     assert!(
         widest >= 500,
-        "decision graphs too small to tell: |E| ≤ {widest}"
+        "{what} graphs too small to tell: |E| ≤ {widest}"
     );
 }
 
-/// Bytes a held decision state may hold per `GE(r, σ)` vertex: two
-/// distance lanes and the fast timing's lanes are 25.
+/// A decision state holds no edges: each `ExcludeOwnSends` decision of
+/// the feedback stream, made on the session's `GB(r)` and then held,
+/// stays within the retained-state bound.
+#[test]
+fn retained_decision_states_hold_no_edges() {
+    use zigzag::coord::knows_required;
+
+    let (spec, run, observers) = retained_state_stream();
+    let session = IncrementalEngine::ingest(&run).unwrap();
+    let theta_a = spec
+        .theta_a(run.external_receipt_node(spec.c, &spec.go_name).unwrap())
+        .unwrap();
+    assert_held_states_hold_no_edges("decision", &observers, |sigma| {
+        let engine = session
+            .uncached_engine(sigma, ObserverMode::ExcludeOwnSends)
+            .unwrap();
+        let _ = knows_required(&engine, spec.kind, &theta_a, &GeneralNode::basic(sigma));
+        engine
+    });
+}
+
+/// A query state that has answered a witness holds no edges either: the
+/// witness path is read off the view's distances, not a materialized
+/// `GE(r, σ)`. Each full-mode state of the feedback stream, built on the
+/// session's `GB(r)`, answers a `Witness` from C's go node to σ, and is
+/// then held within the retained-state bound.
+#[test]
+fn retained_witness_states_hold_no_edges() {
+    let (spec, run, observers) = retained_state_stream();
+    let session = IncrementalEngine::ingest(&run).unwrap();
+    let go = run.external_receipt_node(spec.c, &spec.go_name).unwrap();
+    let observers: Vec<NodeId> = observers
+        .into_iter()
+        .filter(|&sigma| run.past(sigma).contains(go))
+        .collect();
+    assert!(
+        observers.len() >= 8,
+        "{} observers know the go",
+        observers.len()
+    );
+    assert_held_states_hold_no_edges("witness", &observers, |sigma| {
+        let engine = session.uncached_engine(sigma, ObserverMode::Full).unwrap();
+        let witness = engine.witness(&GeneralNode::basic(go), &GeneralNode::basic(sigma));
+        assert!(witness.unwrap().is_some(), "σ = {sigma} saw the go node");
+        engine
+    });
+}
+
+/// Bytes a held decision or witness state may hold per `GE(r, σ)`
+/// vertex: two distance lanes and the fast timing's lanes are 25.
 const RETAINED_BYTES_PER_VERTEX: usize = 32;
 
-/// Bytes a held decision state may hold whatever its size: the
-/// state's fixed parts and its small maps (~3.5 KB).
+/// Bytes a held decision or witness state may hold whatever its size:
+/// the state's fixed parts and its small maps (~3.5 KB).
 const RETAINED_BYTES_FIXED: usize = 4096;
 
 // ---------------------------------------------------------------------
