@@ -17,7 +17,9 @@
 //! Every path weight is a sound timed-precedence bound between its
 //! endpoints (Lemma 1); the **longest** path is the tight one (proof of
 //! Theorem 2); and every path induces a zigzag pattern of equal weight
-//! (Lemma 5, implemented in [`crate::extract`]).
+//! (Lemma 5, implemented in [`crate::extract`]). So a tight bound needs
+//! only distances, and [`BoundsGraph::longest_path`] reports the
+//! canonical maximum-weight path of [`crate::graph`], read off them.
 //!
 //! # The run's clock
 //!
@@ -43,7 +45,7 @@ use zigzag_bcm::run::Past;
 use zigzag_bcm::{Bounds, Channel, Context, MessageId, NodeId, ProcessId, Run, Time};
 
 use crate::error::CoreError;
-use crate::graph::{Edge, LongestPaths, WeightedDigraph};
+use crate::graph::{Distances, Edge, WeightedDigraph};
 
 /// Edge label: a timeline-successor edge (weight 1).
 pub const LABEL_SUCCESSOR: u32 = 0;
@@ -446,7 +448,7 @@ impl BoundsGraph {
     ///
     /// Fails if `sigma` is not a vertex, or on a positive cycle
     /// (impossible for graphs of legal runs).
-    pub fn longest_to(&self, sigma: NodeId) -> Result<LongestPaths, CoreError> {
+    pub fn longest_to(&self, sigma: NodeId) -> Result<Distances, CoreError> {
         self.graph.longest_to(&sigma)
     }
 
@@ -455,27 +457,14 @@ impl BoundsGraph {
     /// # Errors
     ///
     /// Same conditions as [`BoundsGraph::longest_to`].
-    pub fn longest_from(&self, sigma: NodeId) -> Result<LongestPaths, CoreError> {
+    pub fn longest_from(&self, sigma: NodeId) -> Result<Distances, CoreError> {
         self.graph.longest_from(&sigma)
     }
 
-    /// Memoized [`BoundsGraph::longest_to`]: repeated queries share one
-    /// traversal, and on a graph grown with [`BoundsGraph::append_node`]
-    /// a stale result is delta-relaxed over just the appended edges
-    /// instead of recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BoundsGraph::longest_to`].
-    pub fn longest_to_cached(
-        &self,
-        sigma: NodeId,
-    ) -> Result<std::sync::Arc<LongestPaths>, CoreError> {
-        self.graph.longest_to_cached(&sigma)
-    }
-
-    /// Memoized [`BoundsGraph::longest_from`]; see
-    /// [`BoundsGraph::longest_to_cached`].
+    /// Memoized [`BoundsGraph::longest_from`]: the result is kept per
+    /// source, 8 bytes per vertex, and on a graph grown with
+    /// [`BoundsGraph::append_node`] a stale one is delta-relaxed over just
+    /// the appended edges instead of recomputed.
     ///
     /// # Errors
     ///
@@ -483,7 +472,7 @@ impl BoundsGraph {
     pub fn longest_from_cached(
         &self,
         sigma: NodeId,
-    ) -> Result<std::sync::Arc<LongestPaths>, CoreError> {
+    ) -> Result<std::sync::Arc<Distances>, CoreError> {
         self.graph.longest_from_cached(&sigma)
     }
 
@@ -492,7 +481,11 @@ impl BoundsGraph {
     ///
     /// By Lemma 1, `from --weight--> to` holds in the run; by the proof of
     /// Theorem 2 this is the **tight** such bound over all runs with this
-    /// bounds graph.
+    /// bounds graph. The path is the canonical one of
+    /// [`WeightedDigraph::longest_path`]: the fewest edges, each hop's
+    /// least `(label, tail index)` tight in-edge, where the index is the
+    /// `NodeId` order for a bulk-built graph and the recording order for
+    /// a grown one.
     ///
     /// # Errors
     ///
@@ -504,12 +497,8 @@ impl BoundsGraph {
         to: NodeId,
     ) -> Result<Option<(i64, Vec<Edge>)>, CoreError> {
         self.index(from)?;
-        let t = self.index(to)?;
-        let lp = self.graph.longest_from(&from)?;
-        match lp.weight(t) {
-            Some(w) => Ok(Some((w, lp.path(t).expect("reachable")))),
-            None => Ok(None),
-        }
+        self.index(to)?;
+        self.graph.longest_path(&from, &to)
     }
 
     /// The σ-precedence set `V_σ` (Definition 12): all vertices with a path
@@ -673,7 +662,7 @@ mod tests {
             let mut cursor = RunCursor::new(&run);
             let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
             let mut grown = BoundsGraph::skeleton(stream.run());
-            // Keep warm cached queries alive across appends so every
+            // Keep a warm cached query alive across appends so every
             // append exercises the delta-relaxation path.
             let i1 = NodeId::new(ProcessId::new(0), 1);
             while let Some(ev) = cursor.next_event() {
@@ -686,8 +675,8 @@ mod tests {
                 if !stream.run().appears(i1) {
                     continue;
                 }
-                let warm = grown.longest_to_cached(i1).unwrap();
-                let cold = batch.longest_to(i1).unwrap();
+                let warm = grown.longest_from_cached(i1).unwrap();
+                let cold = batch.longest_from(i1).unwrap();
                 for rec in stream.run().nodes() {
                     let (gi, bi) = (
                         grown.graph().index_of(&rec.id()).unwrap(),

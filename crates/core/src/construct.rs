@@ -37,7 +37,7 @@ use zigzag_bcm::{Bounds, Channel, ExternalId, NodeId, ProcessId, Run, Time};
 use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
 use crate::error::CoreError;
 use crate::extended_graph::{ClosedGraph, ExtVertex, GeView};
-use crate::graph::{Direction, LongestPaths};
+use crate::graph::{Direction, Distances};
 use crate::node::GeneralNode;
 use crate::timing::{fast_timing, FastTiming, NodeTiming};
 
@@ -96,14 +96,15 @@ impl FrontierGraph {
     }
 
     /// Longest-path weights from every vertex **to** `sigma` (the tight
-    /// precedence bounds of the finite-prefix model).
+    /// precedence bounds of the finite-prefix model), by a fresh backward
+    /// traversal of the closed graph.
     ///
     /// # Errors
     ///
     /// Fails with [`CoreError::NodeNotInRun`] if `sigma` is not a
     /// recorded node, or on a positive cycle (impossible for graphs of
     /// legal runs).
-    pub fn longest_to(&self, sigma: NodeId) -> Result<LongestPaths, CoreError> {
+    pub fn longest_to(&self, sigma: NodeId) -> Result<Distances, CoreError> {
         self.node(sigma)?;
         self.graph
             .longest(ExtVertex::Node(sigma), Direction::Backward)

@@ -80,7 +80,9 @@
 //! [`crate::graph`], read off the view's memoized distances by a hop pass
 //! over its rows, so row order decides no served byte. [`ExtendedGraph`]
 //! and the frontier graph of [`crate::construct`] materialize a closed
-//! graph for drawings and constructions.
+//! graph for drawings and constructions; a closed graph's paths
+//! ([`ExtendedGraph::longest_path`]) follow the same rule over the same
+//! vertex layout.
 
 #![deny(clippy::cast_possible_wrap)]
 
@@ -96,7 +98,7 @@ use crate::bounds_graph::{
 };
 use crate::error::CoreError;
 use crate::fx::FxBuild;
-use crate::graph::{CsrTopology, Direction, Distances, Edge, GraphWork, LongestPaths, Rows};
+use crate::graph::{canonical_path, CsrTopology, Direction, Distances, Edge, GraphWork, Rows};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -580,17 +582,21 @@ impl ClosedGraph {
         self.layout.ext_vertex(i)
     }
 
-    /// Longest paths from (or, backward, to) `v`, with their predecessor
-    /// tree: a fresh traversal.
+    /// The dense index of `v`, or an error naming it.
+    fn root(&self, v: ExtVertex) -> Result<usize, CoreError> {
+        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("root {v} is not a vertex of the closed graph"),
+        })
+    }
+
+    /// Longest-path weights from (or, backward, to) `v`: a fresh
+    /// traversal.
     ///
     /// # Errors
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub(crate) fn longest(&self, v: ExtVertex, dir: Direction) -> Result<LongestPaths, CoreError> {
-        let root = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
-            detail: format!("root {v} is not a vertex of the closed graph"),
-        })?;
-        self.csr.longest_paths(root, dir)
+    pub(crate) fn longest(&self, v: ExtVertex, dir: Direction) -> Result<Distances, CoreError> {
+        self.csr.distances(self.root(v)?, dir)
     }
 }
 
@@ -806,7 +812,7 @@ impl ExtendedGraph {
     /// # Errors
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub fn longest_from(&self, v: ExtVertex) -> Result<LongestPaths, CoreError> {
+    pub fn longest_from(&self, v: ExtVertex) -> Result<Distances, CoreError> {
         self.graph.longest(v, Direction::Forward)
     }
 
@@ -815,8 +821,27 @@ impl ExtendedGraph {
     /// # Errors
     ///
     /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub fn longest_to(&self, v: ExtVertex) -> Result<LongestPaths, CoreError> {
+    pub fn longest_to(&self, v: ExtVertex) -> Result<Distances, CoreError> {
         self.graph.longest(v, Direction::Backward)
+    }
+
+    /// The longest path from `from` to `to`, as `(weight, edges)` in
+    /// dense indices; `Ok(None)` if no path exists. The path is the
+    /// canonical one a witness reads off a view (see the
+    /// [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// Fails if either endpoint is not a vertex, or on a positive cycle.
+    pub fn longest_path(
+        &self,
+        from: ExtVertex,
+        to: ExtVertex,
+    ) -> Result<Option<(i64, Vec<Edge>)>, CoreError> {
+        let (s, t) = (self.graph.root(from)?, self.graph.root(to)?);
+        let csr = &self.graph.csr;
+        let dist = csr.distances(s, Direction::Forward)?;
+        Ok(dist.weight(t).zip(canonical_path(csr, &dist, s, t)))
     }
 }
 

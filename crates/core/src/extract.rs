@@ -158,8 +158,9 @@ pub fn zigzag_from_gb_path(
 }
 
 /// The tight precedence between two nodes together with its zigzag
-/// witness: computes the longest `from → to` path in `GB(r)` and extracts
-/// the Lemma 5 pattern. Returns `Ok(None)` if no path constrains the pair.
+/// witness: computes the canonical longest `from → to` path in `GB(r)`
+/// ([`BoundsGraph::longest_path`]) and extracts the Lemma 5 pattern.
+/// Returns `Ok(None)` if no path constrains the pair.
 ///
 /// By Theorem 2, whenever the system supports `from --x--> to` the
 /// returned weight is at least `x`.
@@ -460,11 +461,11 @@ mod tests {
             let sources: Vec<NodeId> = past.iter().filter(|n| !n.is_initial()).collect();
             let mut checked = 0;
             for &a in &sources {
-                let lp = ge.longest_from(ExtVertex::Node(a)).unwrap();
                 for &b in &sources {
-                    let bi = ge.index_of(ExtVertex::Node(b)).unwrap();
-                    let Some(w) = lp.weight(bi) else { continue };
-                    let edges = lp.path(bi).unwrap();
+                    let ends = (ExtVertex::Node(a), ExtVertex::Node(b));
+                    let Some((w, edges)) = ge.longest_path(ends.0, ends.1).unwrap() else {
+                        continue;
+                    };
                     let z = zigzag_from_ge_path(&ge, a, &edges).unwrap();
                     let vz = VisibleZigzag::new(z, sigma);
                     let report = match vz.validate(&run) {

@@ -258,11 +258,12 @@ pub struct ObserverCache {
     /// retention entirely: states are built per request and never stored.
     cap: Option<usize>,
     tick: u64,
+    /// Each state with the tick of its last use.
     map: HashMap<NodeId, (Arc<ObserverState>, u64), FxBuild>,
-    /// Recency index: tick → observer, kept in lockstep with `map` so
-    /// eviction pops the oldest tick in O(log n) instead of scanning the
-    /// whole map per miss (ticks are unique, so this is a faithful LRU
-    /// order).
+    /// Recency index under a cap: tick → observer, kept in lockstep with
+    /// `map` so eviction pops the oldest tick in O(log n) instead of
+    /// scanning the whole map per miss (ticks are unique, so this is a
+    /// faithful LRU order). Empty while unbounded.
     recency: BTreeMap<u64, NodeId>,
     evictions: u64,
     hits: u64,
@@ -290,9 +291,15 @@ impl ObserverCache {
 
     /// Re-bounds the cache, evicting least-recently-used states
     /// immediately if the new bound is tighter than the current
-    /// population.
+    /// population. The recency index is rebuilt from each state's last
+    /// use, which an unbounded cache records without indexing.
     pub fn set_cap(&mut self, cap: Option<usize>) {
         self.cap = cap;
+        self.recency.clear();
+        if cap.is_some() {
+            let ticks = self.map.iter().map(|(&sigma, &(_, used))| (used, sigma));
+            self.recency.extend(ticks);
+        }
         self.enforce();
     }
 
@@ -343,16 +350,17 @@ impl ObserverCache {
         build: impl FnOnce() -> Result<ObserverState, CoreError>,
     ) -> Result<Arc<ObserverState>, CoreError> {
         self.tick += 1;
-        // An unbounded cache never evicts, so recency order is dead
-        // weight there — skip the BTreeMap churn on the hot hit path.
+        // An unbounded cache never evicts, so it only stamps the tick —
+        // no BTreeMap churn on the hot hit path — and `set_cap` indexes
+        // the stamps if a cap arrives later.
         let track = self.cap.is_some();
         if let Some((state, used)) = self.map.get_mut(&sigma) {
             self.hits += 1;
             if track {
                 self.recency.remove(used);
-                *used = self.tick;
                 self.recency.insert(self.tick, sigma);
             }
+            *used = self.tick;
             return Ok(state.clone());
         }
         self.misses += 1;

@@ -45,7 +45,7 @@
 //! | Paper | API |
 //! |-------|-----|
 //! | Theorem 1 (sufficiency) | [`pattern::ZigzagPattern::validate`] + [`precedence::satisfies`] |
-//! | Theorem 2 (necessity) | [`bounds_graph::BoundsGraph::longest_path`] + [`extract::zigzag_from_gb_path`] + [`construct::slow_run`] |
+//! | Theorem 2 (necessity) | [`bounds_graph::BoundsGraph::longest_path`] (the canonical maximum-weight path, read off distances) + [`extract::zigzag_from_gb_path`] + [`construct::slow_run`] |
 //! | Theorem 4 (visible zigzag) | [`knowledge::KnowledgeEngine`] |
 
 #![forbid(unsafe_code)]

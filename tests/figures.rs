@@ -335,10 +335,11 @@ fn figure8_unseen_delivery_constraint() {
     // σ_j1 --(1 − U_ij)--> σ_i1 … wait: the unseen delivery lands *after*
     // j's boundary σ_j1, so σ_i1 >= σ_j1 + 1 − U_ij.
     let ge = ExtendedGraph::new(&run, sigma);
-    let lp = ge.longest_from(ExtVertex::Node(sigma_j1)).unwrap();
-    let w = lp
-        .weight(ge.index_of(ExtVertex::Node(sigma_i1)).unwrap())
+    let (w, path) = ge
+        .longest_path(ExtVertex::Node(sigma_j1), ExtVertex::Node(sigma_i1))
+        .unwrap()
         .expect("constraint path exists");
+    assert_eq!(path.iter().map(|e| e.weight).sum::<i64>(), w);
     assert!(w >= 1 - 6, "σ_j1 --({w})--> σ_i1 weaker than 1 − U_ij");
     // And the knowledge engine exposes exactly this as a max-x answer.
     let engine = KnowledgeEngine::new(&run, sigma).unwrap();

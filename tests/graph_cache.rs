@@ -50,8 +50,9 @@ proptest! {
     }
 
     /// A random positive cycle is reported as `PositiveCycle` by the
-    /// cached path, the uncached SPFA and the dense reference alike, and
-    /// the error is not wrongly memoized as a success afterwards.
+    /// cached path, the uncached SPFA in both directions and the dense
+    /// reference alike, and the error is not wrongly memoized as a
+    /// success afterwards.
     #[test]
     fn positive_cycles_error_on_every_path(
         len in 2usize..6,
@@ -78,7 +79,7 @@ proptest! {
             Err(CoreError::PositiveCycle)
         ));
         prop_assert!(matches!(
-            g.longest_to_cached(&0),
+            g.longest_to(&0),
             Err(CoreError::PositiveCycle)
         ));
         // Still an error on the second (would-be cached) attempt.

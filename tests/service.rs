@@ -121,6 +121,64 @@ fn lru_bounded_batch_session_caps_states() {
     }
 }
 
+/// A snapshot's manifest is warmed before the snapshot's observer cap
+/// applies, and the cap keeps the warmed states' LRU order. Over wire
+/// frames: an `Import` whose snapshot caps its cache at 1 over two `obs`
+/// lines imports with one state kept; after a cap-2 session with two warm
+/// states migrates, a third observer evicts one of them and its repeat
+/// query is a hit.
+#[test]
+fn imported_caps_keep_the_lru_order_of_warmed_states() {
+    let run = tri_run(2, 30);
+    let sigmas = observers_of(&run);
+    let source = ZigzagService::new();
+    let capped = SessionConfig::new().cache(CachePolicy::unbounded().max_observers(2));
+    let session = source.open_batch(run, capped);
+    for &sigma in &sigmas[..2] {
+        source
+            .dispatch(session, &Query::MaxXMatrix { sigma })
+            .unwrap();
+    }
+    let Response::Exported(snap) = source.dispatch(session, &Query::Export).unwrap() else {
+        panic!("export answers Exported");
+    };
+    assert_eq!(snap.observers.len(), 2);
+    let frame = serve::encode_frame(session, &Query::Import(snap));
+    assert!(frame.contains("\ncache 2\n"), "{frame}");
+
+    let answer = |target: &ZigzagService, frame: &str| {
+        let reply = serve::serve(target, &[frame], 1);
+        wire::decode_response(&reply[0]).unwrap_or_else(|e| panic!("{e}: {}", reply[0]))
+    };
+    // (hits, misses, evictions) over every session of `target`.
+    let counters = |target: &ZigzagService| {
+        let Response::Stats(report) = answer(target, &serve::encode_frame(session, &Query::Stats))
+        else {
+            panic!("stats answers Stats");
+        };
+        let r = *report;
+        (r.observer_hits, r.observer_misses, r.observer_evictions)
+    };
+    let import = |target: &ZigzagService, frame: &str| match answer(target, frame) {
+        Response::Imported(id) => id,
+        other => panic!("import answered {other:?}"),
+    };
+
+    let target = ZigzagService::new();
+    let id = import(&target, &frame.replacen("\ncache 2\n", "\ncache 1\n", 1));
+    assert_eq!(target.observer_count(id).unwrap(), 1);
+    assert_eq!(counters(&target), (0, 2, 1));
+
+    let target = ZigzagService::new();
+    let id = import(&target, &frame);
+    let third = serve::encode_frame(id, &Query::MaxXMatrix { sigma: sigmas[2] });
+    for want in [(0, 3, 1), (1, 3, 1)] {
+        answer(&target, &third);
+        assert_eq!(counters(&target), want);
+    }
+    assert_eq!(target.observer_count(id).unwrap(), 2);
+}
+
 /// The facade's session lifecycle and error surface: batch sessions
 /// that keep streaming, unknown sessions, missing specs.
 #[test]

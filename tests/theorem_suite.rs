@@ -20,8 +20,9 @@ use zigzag::core::GeneralNode;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Theorem 1: every zigzag extracted from a GB path validates, and the
-    /// realized gap dominates the weight in the generating run.
+    /// Theorem 1: every GB path sums to its weight, the zigzag extracted
+    /// from it validates at that weight, and the realized gap dominates
+    /// the weight in the generating run.
     #[test]
     fn theorem1_zigzag_sufficiency(w in workloads()) {
         let run = w.run();
@@ -35,6 +36,7 @@ proptest! {
         for &a in nodes.iter().take(6) {
             for &b in nodes.iter().take(6) {
                 let Some((weight, edges)) = gb.longest_path(a, b).unwrap() else { continue };
+                prop_assert_eq!(edges.iter().map(|e| e.weight).sum::<i64>(), weight);
                 let z = zigzag_from_gb_path(&gb, a, &edges).unwrap();
                 match z.validate(&run) {
                     Ok(report) => {
