@@ -200,6 +200,7 @@ pub struct StoreConfig {
     /// Whether recovery pre-builds the observer states named by the
     /// snapshot's warm-set manifest (the default), so the recovered
     /// session answers its working set warm like the one that crashed.
+    /// It builds at most as many as the snapshot's cache cap keeps.
     /// Cache warmth never changes answers.
     pub warm_observers: bool,
 }
@@ -456,22 +457,30 @@ pub(crate) fn read_snapshot(lines: &mut Lines<'_>) -> Result<SessionSnapshot, Er
 }
 
 /// Builds a live [`StreamSession`] from a snapshot: batch-build the
-/// engine over the prefix, optionally pre-warm the manifest's observer
-/// states, seed the coordination progress and the append counter.
+/// engine over the prefix, seed the coordination progress and the append
+/// counter, and optionally pre-warm the manifest's observer states, at
+/// most as many as the snapshot's cache cap keeps.
 pub(crate) fn restore(snap: SessionSnapshot) -> StreamSession {
     restore_with(snap, true)
 }
 
 fn restore_with(snap: SessionSnapshot, warm: bool) -> StreamSession {
+    let keep = snap.config.cache.max_observers.unwrap_or(usize::MAX);
     let engine = IncrementalEngine::from_prefix(snap.run);
+    let session = StreamSession::resume(snap.config, engine, snap.first_known, snap.sigma_c);
     if warm {
-        for &sigma in &snap.observers {
-            // Warmth is answer-invariant; a manifest entry naming a node
-            // outside the prefix (hostile input) is simply skipped.
-            let _ = engine.engine(sigma);
-        }
+        // The session has applied its cap: warming past it would build
+        // states only to evict them. A fresh session is never poisoned.
+        let _ = session.with_engine(|engine| {
+            for &sigma in snap.observers.iter().take(keep) {
+                // Warmth is answer-invariant; a manifest entry naming a
+                // node outside the prefix (hostile input) is simply
+                // skipped.
+                let _ = engine.engine(sigma);
+            }
+        });
     }
-    StreamSession::resume(snap.config, engine, snap.first_known, snap.sigma_c)
+    session
 }
 
 // ---------------------------------------------------------------------

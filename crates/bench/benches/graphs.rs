@@ -6,7 +6,9 @@ use zigzag_bcm::ProcessId;
 use zigzag_bench::{kicked_run, scaled_context};
 use zigzag_core::bounds_graph::BoundsGraph;
 use zigzag_core::construct::FrontierGraph;
-use zigzag_core::extended_graph::{ExtVertex, ExtendedGraph};
+use zigzag_core::extended_graph::ExtVertex;
+use zigzag_core::knowledge::{KnowledgeEngine, ObserverMode};
+use zigzag_core::IncrementalEngine;
 
 fn graph_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph-construction");
@@ -22,8 +24,9 @@ fn graph_construction(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("GB", n), &run, |b, run| {
             b.iter(|| BoundsGraph::of_run(run));
         });
+        // A standalone GE(r, σ): GB(r, σ) and its view.
         group.bench_with_input(BenchmarkId::new("GE", n), &run, |b, run| {
-            b.iter(|| ExtendedGraph::new(run, sigma));
+            b.iter(|| KnowledgeEngine::new(run, sigma).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("frontier", n), &run, |b, run| {
             b.iter(|| FrontierGraph::of_run(run));
@@ -44,13 +47,18 @@ fn longest_paths(c: &mut Criterion) {
             .last()
             .unwrap();
         let gb = BoundsGraph::of_run(&run);
-        let ge = ExtendedGraph::new(&run, sigma);
         group.bench_with_input(BenchmarkId::new("GB-to-sigma", n), &gb, |b, gb| {
             b.iter(|| gb.longest_to(sigma).unwrap());
         });
+        // A view memoizes its distances, so each iteration cuts a fresh
+        // view of a session's GB(r) and runs one traversal on it.
+        let session = IncrementalEngine::from_prefix(run.clone());
         let anchor = run.past(sigma).iter().find(|k| !k.is_initial()).unwrap();
-        group.bench_with_input(BenchmarkId::new("GE-from-anchor", n), &ge, |b, ge| {
-            b.iter(|| ge.longest_from(ExtVertex::Node(anchor)).unwrap());
+        group.bench_with_input(BenchmarkId::new("GE-from-anchor", n), &session, |b, s| {
+            b.iter(|| {
+                let engine = s.uncached_engine(sigma, ObserverMode::Full).unwrap();
+                engine.ge().distances_from(ExtVertex::Node(anchor)).unwrap()
+            });
         });
     }
     group.finish();

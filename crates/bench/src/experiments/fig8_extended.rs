@@ -6,7 +6,8 @@
 
 use zigzag_bcm::{NodeId, ProcessId};
 use zigzag_core::bounds_graph::BoundsGraph;
-use zigzag_core::extended_graph::{ExtVertex, ExtendedGraph};
+use zigzag_core::extended_graph::ExtVertex;
+use zigzag_core::knowledge::KnowledgeEngine;
 
 use super::Profile;
 use crate::harness::{CellOutput, Experiment, Section};
@@ -49,12 +50,13 @@ pub fn experiment(p: Profile) -> Experiment {
                 for sigma in picks {
                     let past = run.past(sigma);
                     let local = BoundsGraph::local(&run, &past);
-                    let ge = ExtendedGraph::new(&run, sigma);
+                    let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+                    let ge = engine.ge();
                     let nodes: Vec<NodeId> =
                         past.iter().filter(|k| !k.is_initial()).take(8).collect();
                     for &x in &nodes {
                         let lp_local = local.longest_from(x).unwrap();
-                        let lp_ge = ge.longest_from(ExtVertex::Node(x)).unwrap();
+                        let lp_ge = ge.distances_from(ExtVertex::Node(x)).unwrap();
                         for &y in &nodes {
                             if x == y {
                                 continue;

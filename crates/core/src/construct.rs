@@ -24,7 +24,9 @@
 //! `GB(r)` under the horizon exactly the way `GE(r, σ)` closes `GB(r, σ)`
 //! under the observer's knowledge horizon (Definition 16): one auxiliary
 //! vertex per process ("the earliest beyond-the-prefix delivery point"),
-//! plus the `E'`/`E''`/`E'''` edge families. Slow runs are tight with
+//! plus the `E'`/`E''`/`E'''` edge families. It is built the same way
+//! too: `GB(r)` cut at every recorded node by the construction behind
+//! every observer's view of `GE(r, σ)`. Slow runs are tight with
 //! respect to frontier longest paths; for node pairs well inside the
 //! prefix these coincide with plain `GB(r)` longest paths.
 
@@ -36,7 +38,7 @@ use zigzag_bcm::{Bounds, Channel, ExternalId, NodeId, ProcessId, Run, Time};
 
 use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
 use crate::error::CoreError;
-use crate::extended_graph::{ClosedGraph, ExtVertex, GeView};
+use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::graph::{Direction, Distances};
 use crate::node::GeneralNode;
 use crate::timing::{fast_timing, FastTiming, NodeTiming};
@@ -52,23 +54,29 @@ use crate::timing::{fast_timing, FastTiming, NodeTiming};
 ///   after `ω_j`;
 /// * `E'''`: `ω_i --(−U_ji)--> ω_j` for every channel `(j, i)` — FFIP
 ///   re-floods whatever is delivered beyond the prefix.
+///
+/// It is `GB(r)` cut at every recorded node by the construction that
+/// cuts an observer's `GE(r, σ)` (see [`crate::extended_graph`]), so its
+/// traversals run Dijkstra under the run's clock where the clock holds.
 #[derive(Debug, Clone)]
 pub struct FrontierGraph {
-    graph: ClosedGraph,
+    gb: BoundsGraph,
+    frontier: GeFrontier,
 }
 
 impl FrontierGraph {
-    /// Builds the frontier graph of `run`: the `GE` bulk build with every
-    /// recorded node in the "past", so a message is "seen" exactly when
-    /// it was delivered.
+    /// Builds the frontier graph of `run`: `GB(r)` with every recorded
+    /// node inside the cut, so a message is "seen" exactly when it was
+    /// delivered.
     pub fn of_run(run: &Run) -> Self {
-        let graph = ClosedGraph::build(run, NodeLayout::of_run(run), None);
-        FrontierGraph { graph }
+        let gb = BoundsGraph::of_run(run);
+        let frontier = GeFrontier::new(run, &gb, NodeLayout::of_run(run), None);
+        FrontierGraph { gb, frontier }
     }
 
     /// Number of vertices: the recorded nodes and one `ω` per process.
     pub fn vertex_count(&self) -> usize {
-        self.graph.vertex_count()
+        self.frontier.vertex_count()
     }
 
     /// The vertex at dense index `i`: a recorded node, or the `ω` of a
@@ -78,12 +86,12 @@ impl FrontierGraph {
     ///
     /// Panics if `i` is not below [`FrontierGraph::vertex_count`].
     pub fn vertex(&self, i: usize) -> ExtVertex {
-        self.graph.vertex(i)
+        self.frontier.vertex(i)
     }
 
     /// Dense index of a vertex, if present.
     pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
-        self.graph.index_of(v)
+        self.frontier.layout().ext_index(v)
     }
 
     /// The dense index of recorded node `n`, or
@@ -97,7 +105,7 @@ impl FrontierGraph {
 
     /// Longest-path weights from every vertex **to** `sigma` (the tight
     /// precedence bounds of the finite-prefix model), by a fresh backward
-    /// traversal of the closed graph.
+    /// traversal.
     ///
     /// # Errors
     ///
@@ -105,9 +113,8 @@ impl FrontierGraph {
     /// recorded node, or on a positive cycle (impossible for graphs of
     /// legal runs).
     pub fn longest_to(&self, sigma: NodeId) -> Result<Distances, CoreError> {
-        self.node(sigma)?;
-        self.graph
-            .longest(ExtVertex::Node(sigma), Direction::Backward)
+        let s = self.node(sigma)?;
+        self.frontier.distances(&self.gb, s, Direction::Backward)
     }
 
     /// The tight bound on `time(to) − time(from)` over all runs sharing
@@ -119,12 +126,10 @@ impl FrontierGraph {
     /// Fails with [`CoreError::NodeNotInRun`] naming a node that is not
     /// recorded, or on a positive cycle.
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
-        self.node(from)?;
-        let to = self.node(to)?;
-        let lp = self
-            .graph
-            .longest(ExtVertex::Node(from), Direction::Forward)?;
-        Ok(lp.weight(to))
+        let s = self.node(from)?;
+        let t = self.node(to)?;
+        let lp = self.frontier.distances(&self.gb, s, Direction::Forward)?;
+        Ok(lp.weight(t))
     }
 }
 
@@ -944,6 +949,10 @@ mod tests {
             (Some(_), None) => panic!("frontier graph lost a GB path"),
             _ => {}
         }
+        // A legal run's clock holds at the horizon too: the traversal ran
+        // Dijkstra, and nothing walked label-correcting.
+        let work = fg.gb.graph().work();
+        assert_eq!((work.dijkstra.traversals, work.spfa.traversals), (1, 0));
     }
 
     /// A node the run does not record is refused by name, at either end

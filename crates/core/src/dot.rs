@@ -20,9 +20,7 @@ use std::fmt::Write as _;
 use zigzag_bcm::{Network, Run};
 
 use crate::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
-use crate::extended_graph::{
-    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
-};
+use crate::extended_graph::{ExtVertex, GeView, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN};
 
 fn style(label: u32) -> &'static str {
     match label {
@@ -105,7 +103,7 @@ pub fn bounds_graph_dot(gb: &BoundsGraph, run: &Run) -> String {
 
 /// Renders `GE(r, σ)` in the style of the paper's Figure 8, with the
 /// auxiliary `ψ` vertices as diamonds on the right.
-pub fn extended_graph_dot(ge: &ExtendedGraph, run: &Run) -> String {
+pub fn extended_graph_dot(ge: GeView<'_>, run: &Run) -> String {
     let mut out = String::from("digraph ge {\n  rankdir=LR;\n  node [shape=box fontsize=10];\n");
     let name_of = |v: ExtVertex| match v {
         ExtVertex::Node(n) => format!("n{}_{}", n.proc().index(), n.index()),
@@ -128,17 +126,15 @@ pub fn extended_graph_dot(ge: &ExtendedGraph, run: &Run) -> String {
             }
         }
     }
-    for vi in 0..ge.vertex_count() {
-        for e in ge.edges_from(vi) {
-            let _ = writeln!(
-                out,
-                "  {} -> {} [label=\"{}\" {}];",
-                name_of(ge.vertex(e.from)),
-                name_of(ge.vertex(e.to)),
-                e.weight,
-                style(e.label)
-            );
-        }
+    for e in ge.edges() {
+        let _ = writeln!(
+            out,
+            "  {} -> {} [label=\"{}\" {}];",
+            name_of(ge.vertex(e.from)),
+            name_of(ge.vertex(e.to)),
+            e.weight,
+            style(e.label)
+        );
     }
     out.push_str("}\n");
     out
@@ -147,6 +143,7 @@ pub fn extended_graph_dot(ge: &ExtendedGraph, run: &Run) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::KnowledgeEngine;
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::EagerScheduler;
     use zigzag_bcm::{NodeId, ProcessId, SimConfig, Simulator, Time};
@@ -188,8 +185,8 @@ mod tests {
     fn ge_dot_marks_observer_and_auxes() {
         let r = run();
         let sigma = NodeId::new(ProcessId::new(1), 1);
-        let ge = ExtendedGraph::new(&r, sigma);
-        let dot = extended_graph_dot(&ge, &r);
+        let engine = KnowledgeEngine::new(&r, sigma).unwrap();
+        let dot = extended_graph_dot(engine.ge(), &r);
         assert!(dot.contains("(σ)"));
         assert!(dot.contains("shape=diamond"));
         assert!(dot.contains("ψ(i)") && dot.contains("ψ(j)"));

@@ -32,21 +32,24 @@
 //! # A view over `GB(r)`
 //!
 //! `past(r, σ)` is downward closed on every timeline, so it is a
-//! frontier: one prefix length per process, σ's vector clock
-//! ([`Past`]). Definition 16's `GE(r, σ)` is `GB(r)` restricted to that
-//! frontier plus the `ψ` vertices and their small edge families, so an
-//! observer does not copy the graph. Its frontier holds the past,
-//! the `n` values of the `ψ` clock (below) and an `E''` overlay: the
-//! messages sent inside the frontier and not delivered inside it, less
-//! σ's own under `ExcludeOwnSends`, read from the run's own message
-//! records. A [`GeView`] pairs it with the
-//! [`BoundsGraph`] it is cut from: the session's `GB(r)`, or a
-//! standalone engine's `GB(r, σ)` (Definition 14). A distance traversal
-//! over the view reads the graph's live rows, skips every edge that
-//! leaves the frontier, and adds the overlay, the `E'` edges and the
-//! `E'''` channel edges, which it reads from the network's sorted
-//! adjacency and the context's bounds table. Its lanes come out in the
-//! layout above.
+//! frontier: one prefix length per process, σ's vector clock. Definition
+//! 16's `GE(r, σ)` is `GB(r)` restricted to that frontier plus the `ψ`
+//! vertices and their small edge families, so an observer does not copy
+//! the graph. Its frontier holds the cut, the `n` values of the `ψ` clock
+//! (below) and an `E''` overlay: the messages sent inside the frontier
+//! and not delivered inside it, less σ's own under `ExcludeOwnSends`,
+//! read from the run's own message records. A [`GeView`] pairs it with
+//! σ's [`Past`] and the [`BoundsGraph`] it is cut from: the session's
+//! `GB(r)`, or a standalone engine's `GB(r, σ)` (Definition 14). A
+//! distance traversal over the view reads the graph's live rows, skips
+//! every edge that leaves the frontier, and adds the overlay, the `E'`
+//! edges and the `E'''` channel edges, which it reads from the network's
+//! sorted adjacency and the context's bounds table. Its lanes come out in
+//! the layout above.
+//!
+//! The same construction cut at the recording horizon, every recorded
+//! node inside the frontier, is the frontier graph of
+//! [`crate::construct`]: `GB(r)` closed at the end of a finite prefix.
 //!
 //! The view is append-stable: every edge a run adds after σ has a new
 //! node as an endpoint, which lies outside the frontier, and a message
@@ -78,11 +81,9 @@
 //!
 //! A witness path is the canonical maximum-weight path of
 //! [`crate::graph`], read off the view's memoized distances by a hop pass
-//! over its rows, so row order decides no served byte. [`ExtendedGraph`]
-//! and the frontier graph of [`crate::construct`] materialize a closed
-//! graph for drawings and constructions; a closed graph's paths
-//! ([`ExtendedGraph::longest_path`]) follow the same rule over the same
-//! vertex layout.
+//! over its rows, so row order decides no served byte.
+//! [`GeView::longest_path`] reads the path of any pair the same way, for
+//! drawings, extraction and tests.
 
 #![deny(clippy::cast_possible_wrap)]
 
@@ -93,12 +94,10 @@ use std::sync::{Arc, Mutex};
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{Context, NodeId, ProcessId, Run};
 
-use crate::bounds_graph::{
-    weights, BoundsGraph, NodeLayout, Slot, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR,
-};
+use crate::bounds_graph::{weights, BoundsGraph, NodeLayout, Slot};
 use crate::error::CoreError;
 use crate::fx::FxBuild;
-use crate::graph::{canonical_path, CsrTopology, Direction, Distances, Edge, GraphWork, Rows};
+use crate::graph::{canonical_path, Direction, Distances, Edge, GraphWork, Rows};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -172,52 +171,6 @@ impl NodeLayout {
     }
 }
 
-/// The edges of a [`ClosedGraph`] over `layout`, in its row order: per
-/// process its successor edges, then its `E'` edge; per message its `±`
-/// pair or its `E''` edge; then the `E'''` edges. A message sent at
-/// `exclude_src` contributes no edge.
-fn closed_edges(run: &Run, layout: &NodeLayout, exclude_src: Option<NodeId>) -> Vec<Edge> {
-    let (net, bounds) = (run.context().network(), run.context().bounds());
-    let n = net.len();
-    let psi = |p: ProcessId| layout.nodes() + p.index();
-    let mut edges = Vec::with_capacity(
-        layout.nodes() + 2 * n + net.channels().len() + 2 * run.messages().len(),
-    );
-    let mut push = |from, to, weight, label| edges.push(Edge::new(from, to, weight, label));
-    for p in net.processes() {
-        let range = layout.range(p.index());
-        if range.is_empty() {
-            continue;
-        }
-        for i in range.start + 1..range.end {
-            push(i - 1, i, 1, LABEL_SUCCESSOR);
-        }
-        push(range.end - 1, psi(p), 1, LABEL_BOUNDARY);
-    }
-    for m in run.messages() {
-        let Some(si) = layout.index(m.src()) else {
-            continue;
-        };
-        if Some(m.src()) == exclude_src {
-            continue;
-        }
-        let c = m.channel();
-        let (lower, upper) = weights(bounds, c.from, c.to);
-        match m.delivery().and_then(|d| layout.index(d.node)) {
-            Some(di) => {
-                push(si, di, lower, LABEL_SEND);
-                push(di, si, -upper, LABEL_RECV);
-            }
-            None => push(psi(c.to), si, -upper, LABEL_UNSEEN),
-        }
-    }
-    for (ch, _) in bounds.iter() {
-        let upper = weights(bounds, ch.from, ch.to).1;
-        push(psi(ch.to), psi(ch.from), -upper, LABEL_AUX_CHAN);
-    }
-    edges
-}
-
 /// `(j, U_jp)` for every channel `j → p`, in `j` order: the `E'''` edges
 /// out of `ψ_p`.
 fn channels_into(context: &Context, p: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
@@ -243,15 +196,25 @@ struct Unseen {
     weight: i64,
 }
 
-/// The observer-scoped part of `GE(r, σ)` as a view over a bounds graph
-/// (see the [module docs](self)): the frontier `past(r, σ)`, the `ψ`
-/// clock, the `E''` overlay, and the view's distance results. Its size
-/// is O(|past| + n + |E''|), plus the memoized lanes.
-#[derive(Debug)]
+/// A frontier's distance results keyed by `(source, direction)`. A clone
+/// starts empty.
+#[derive(Debug, Default)]
+struct DistanceMemo(Mutex<HashMap<(u32, Direction), Arc<Distances>, FxBuild>>);
+
+impl Clone for DistanceMemo {
+    fn clone(&self) -> Self {
+        DistanceMemo::default()
+    }
+}
+
+/// A bounds graph closed at a per-process cut (see the
+/// [module docs](self)): the cut's layout, the `ψ` clock, the `E''`
+/// overlay, and the distance results of the views over it. Its size is
+/// O(|cut| + n + |E''|), plus the memoized lanes.
+#[derive(Debug, Clone)]
 pub(crate) struct GeFrontier {
-    past: Past,
     layout: NodeLayout,
-    /// The bounds-graph index of each past node, by view index.
+    /// The bounds-graph index of each node inside the cut, by view index.
     nodes: Vec<u32>,
     /// The `ψ` clock, one value per process.
     psi: Vec<i64>,
@@ -263,26 +226,26 @@ pub(crate) struct GeFrontier {
     by_psi: Vec<u32>,
     /// Whether traversals run Dijkstra under the clock.
     dijkstra: bool,
-    /// Distance results keyed by `(source, direction)`.
-    dists: Mutex<HashMap<(u32, Direction), Arc<Distances>, FxBuild>>,
+    dists: DistanceMemo,
 }
 
 impl GeFrontier {
-    /// Cuts `GE(r, σ)` at `past` = `past(r, σ)` out of `gb`, a bounds
-    /// graph of `run` (or of a prefix of it) that holds every past node,
-    /// reading the sends in the past from `run`'s message records. A
-    /// message sent at `exclude_src` contributes no edge. Reads `gb`'s
-    /// clock, never its rows.
+    /// Closes `gb`, a bounds graph of `run` (or of a prefix of it), at
+    /// the cut `layout`: its first `layout.range(p).len()` nodes of each
+    /// process `p`, which `gb` must hold — `past(r, σ)` for `GE(r, σ)`,
+    /// every recorded node for the frontier graph. A message sent inside
+    /// the cut and not delivered inside it is unseen, read from `run`'s
+    /// message records; one sent at `exclude_src` contributes no edge.
+    /// Reads `gb`'s clock, never its rows.
     pub(crate) fn new(
         run: &Run,
         gb: &BoundsGraph,
-        past: Past,
+        layout: NodeLayout,
         exclude_src: Option<NodeId>,
     ) -> Self {
         const UNSET: i64 = i64::MIN;
         let context = run.context();
         let n = context.network().len();
-        let layout = NodeLayout::of_past(&past, n);
         let mut nodes = Vec::with_capacity(layout.nodes());
         for p in 0..n {
             nodes.extend_from_slice(&gb.timeline(p)[..layout.range(p).len()]);
@@ -302,7 +265,7 @@ impl GeFrontier {
                 }
                 for &m in rec.sent() {
                     let m = run.message(m);
-                    if m.delivery().is_some_and(|d| past.contains(d.node)) {
+                    if m.delivery().is_some_and(|d| layout.index(d.node).is_some()) {
                         continue;
                     }
                     let c = m.channel();
@@ -393,7 +356,6 @@ impl GeFrontier {
         let dijkstra =
             feasible && u128::from(max_slack) * (vertices as u128) < u128::from(u64::MAX);
         GeFrontier {
-            past,
             layout,
             nodes,
             psi,
@@ -401,40 +363,95 @@ impl GeFrontier {
             psi_at,
             by_psi,
             dijkstra,
-            dists: Mutex::new(HashMap::default()),
+            dists: DistanceMemo::default(),
         }
+    }
+
+    /// Number of vertices: the nodes inside the cut and one `ψ` per
+    /// process.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.layout.nodes() + self.layout.procs()
+    }
+
+    /// The vertex layout the dense indices follow.
+    pub(crate) fn layout(&self) -> &NodeLayout {
+        &self.layout
+    }
+
+    /// The vertex at dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`GeFrontier::vertex_count`].
+    pub(crate) fn vertex(&self, i: usize) -> ExtVertex {
+        assert!(i < self.vertex_count(), "vertex index {i} out of range");
+        self.layout.ext_vertex(i)
+    }
+
+    /// One walk over `gb`'s rows cut at this frontier; `gb` must be the
+    /// graph the frontier was cut from.
+    pub(crate) fn walk<'a>(&'a self, gb: &'a BoundsGraph) -> Walk<'a> {
+        let mut slots = gb.take_slots();
+        for (v, &g) in self.nodes.iter().enumerate() {
+            let pi = gb.clock(g as usize);
+            slots[g as usize] = Slot { view: v as u32, pi };
+        }
+        Walk {
+            gb,
+            frontier: self,
+            slots,
+        }
+    }
+
+    /// Longest-path weights from (or, backward, to) dense vertex `src`
+    /// over [`GeFrontier::walk`]: Dijkstra under the clock where it
+    /// holds, label-correcting elsewhere. Not memoized.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a positive cycle (impossible for graphs of legal runs).
+    pub(crate) fn distances(
+        &self,
+        gb: &BoundsGraph,
+        src: usize,
+        dir: Direction,
+    ) -> Result<Distances, CoreError> {
+        gb.graph()
+            .distances_over(&self.walk(gb), src, dir, self.dijkstra)
     }
 }
 
 /// `GE(r, σ)` read through the bounds graph it is cut from: an
-/// observer's frontier paired with the session's `GB(r)` or a standalone
-/// engine's `GB(r, σ)` (see the [module docs](self)). Obtained from
-/// [`crate::knowledge::KnowledgeEngine::ge`]; cheap to copy.
+/// observer's frontier and past paired with the session's `GB(r)` or a
+/// standalone engine's `GB(r, σ)` (see the [module docs](self)).
+/// Obtained from [`crate::knowledge::KnowledgeEngine::ge`]; cheap to
+/// copy.
 #[derive(Debug, Clone, Copy)]
 pub struct GeView<'a> {
     gb: &'a BoundsGraph,
     frontier: &'a GeFrontier,
+    past: &'a Past,
 }
 
 impl<'a> GeView<'a> {
-    /// Pairs `frontier` with the graph it was cut from.
-    pub(crate) fn new(gb: &'a BoundsGraph, frontier: &'a GeFrontier) -> Self {
-        GeView { gb, frontier }
+    /// Pairs `frontier`, cut at `past`, with the graph it was cut from.
+    pub(crate) fn new(gb: &'a BoundsGraph, frontier: &'a GeFrontier, past: &'a Past) -> Self {
+        GeView { gb, frontier, past }
     }
 
     /// The observer node `σ`.
     pub fn observer(&self) -> NodeId {
-        self.frontier.past.of()
+        self.past.of()
     }
 
     /// The causal past the view was cut at.
     pub fn past(&self) -> &'a Past {
-        &self.frontier.past
+        self.past
     }
 
     /// Number of vertices: the past nodes and one `ψ` per process.
     pub fn vertex_count(&self) -> usize {
-        self.frontier.layout.nodes() + self.frontier.layout.procs()
+        self.frontier.vertex_count()
     }
 
     /// Dense index of a vertex, if present: index arithmetic over the
@@ -449,8 +466,7 @@ impl<'a> GeView<'a> {
     ///
     /// Panics if `i` is not below [`GeView::vertex_count`].
     pub fn vertex(&self, i: usize) -> ExtVertex {
-        assert!(i < self.vertex_count(), "vertex index {i} out of range");
-        self.frontier.layout.ext_vertex(i)
+        self.frontier.vertex(i)
     }
 
     /// Whether the view's distance traversals run Dijkstra under the
@@ -468,13 +484,42 @@ impl<'a> GeView<'a> {
 
     /// Every edge of `GE(r, σ)`, in dense indices, out-row by out-row.
     pub fn edges(&self) -> Vec<Edge> {
-        let (walk, mut edges) = (self.walk(), Vec::new());
-        for v in 0..self.vertex_count() {
-            walk.scan(v, Direction::Forward, |w, weight, _, label| {
-                edges.push(Edge::new(v, w, weight, label));
-            });
-        }
-        edges
+        (0..self.vertex_count())
+            .flat_map(|v| self.edges_from(v))
+            .collect()
+    }
+
+    /// The edges leaving vertex index `i`, in dense indices and row
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`GeView::vertex_count`].
+    pub fn edges_from(&self, i: usize) -> Vec<Edge> {
+        self.row(i, Direction::Forward)
+    }
+
+    /// The edges entering vertex index `i`, in dense indices and row
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`GeView::vertex_count`].
+    pub fn edges_to(&self, i: usize) -> Vec<Edge> {
+        self.row(i, Direction::Backward)
+    }
+
+    fn row(&self, i: usize, dir: Direction) -> Vec<Edge> {
+        assert!(i < self.vertex_count(), "vertex index {i} out of range");
+        let mut row = Vec::new();
+        self.walk().scan(i, dir, |w, weight, _, label| {
+            let (from, to) = match dir {
+                Direction::Forward => (i, w),
+                Direction::Backward => (w, i),
+            };
+            row.push(Edge::new(from, to, weight, label));
+        });
+        row
     }
 
     /// Longest-path weights from `v` to every vertex, memoized per
@@ -498,20 +543,42 @@ impl<'a> GeView<'a> {
         self.distances(v, Direction::Backward)
     }
 
+    /// The longest path from `from` to `to`, as `(weight, edges)` in
+    /// dense indices; `Ok(None)` if no path exists. The path is the
+    /// canonical one of [`crate::graph`], read off the memoized
+    /// [`GeView::distances_from`] lane: a served witness is this path
+    /// between its canonical bases.
+    ///
+    /// # Errors
+    ///
+    /// Fails if either endpoint is not a vertex, or on a positive cycle.
+    pub fn longest_path(
+        &self,
+        from: ExtVertex,
+        to: ExtVertex,
+    ) -> Result<Option<(i64, Vec<Edge>)>, CoreError> {
+        let (s, t) = (self.root(from)?, self.root(to)?);
+        let dist = self.distances_from(from)?;
+        Ok(dist
+            .weight(t)
+            .zip(canonical_path(&self.walk(), &dist, s, t)))
+    }
+
+    /// The dense index of `v`, or an error naming it.
+    fn root(&self, v: ExtVertex) -> Result<usize, CoreError> {
+        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
+            detail: format!("{v} is not a vertex of GE(r, σ)"),
+        })
+    }
+
     fn distances(&self, v: ExtVertex, dir: Direction) -> Result<Arc<Distances>, CoreError> {
-        let src = self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
-            detail: format!("distance root {v} is not a vertex of GE(r, σ)"),
-        })?;
+        let src = self.root(v)?;
         let key = (src as u32, dir);
-        let memo = &self.frontier.dists;
+        let memo = &self.frontier.dists.0;
         if let Some(hit) = memo.lock().expect("distance memo lock").get(&key) {
             return Ok(hit.clone());
         }
-        let dist =
-            self.gb
-                .graph()
-                .distances_over(&self.walk(), src, dir, self.frontier.dijkstra)?;
-        let dist = Arc::new(dist);
+        let dist = Arc::new(self.frontier.distances(self.gb, src, dir)?);
         memo.lock()
             .expect("distance memo lock")
             .insert(key, dist.clone());
@@ -520,88 +587,17 @@ impl<'a> GeView<'a> {
 
     /// The vertex layout the dense indices follow.
     pub(crate) fn layout(&self) -> &'a NodeLayout {
-        &self.frontier.layout
+        self.frontier.layout()
     }
 
     /// One walk over the view's rows.
     pub(crate) fn walk(&self) -> Walk<'a> {
-        let mut slots = self.gb.take_slots();
-        for (v, &g) in self.frontier.nodes.iter().enumerate() {
-            let pi = self.gb.clock(g as usize);
-            slots[g as usize] = Slot { view: v as u32, pi };
-        }
-        Walk {
-            gb: self.gb,
-            frontier: self.frontier,
-            slots,
-        }
+        self.frontier.walk(self.gb)
     }
 }
 
-/// A bounds graph closed by one auxiliary vertex per process and the
-/// `E'`/`E''`/`E'''` edge families, materialized once in its bulk build's
-/// row order as CSR lanes: `GE(r, σ)` over the nodes of `past(r, σ)` (an
-/// [`ExtendedGraph`]) and the horizon-closed
-/// [`crate::construct::FrontierGraph`] over every recorded node.
-#[derive(Debug, Clone)]
-pub(crate) struct ClosedGraph {
-    layout: NodeLayout,
-    csr: CsrTopology,
-}
-
-impl ClosedGraph {
-    /// The closed graph over `layout`'s nodes of `run` and one `ψ` per
-    /// process. A message sent at `exclude_src` contributes no edge.
-    pub(crate) fn build(run: &Run, layout: NodeLayout, exclude_src: Option<NodeId>) -> Self {
-        let edges = closed_edges(run, &layout, exclude_src);
-        let n = layout.nodes() + layout.procs();
-        ClosedGraph {
-            csr: CsrTopology::from_edges(n, &edges)
-                .expect("a closed graph fits the u32 index space"),
-            layout,
-        }
-    }
-
-    /// Number of vertices: the nodes and one `ψ` per process.
-    pub(crate) fn vertex_count(&self) -> usize {
-        self.layout.nodes() + self.layout.procs()
-    }
-
-    /// Dense index of a vertex, if present.
-    pub(crate) fn index_of(&self, v: ExtVertex) -> Option<usize> {
-        self.layout.ext_index(v)
-    }
-
-    /// The vertex at dense index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not below [`ClosedGraph::vertex_count`].
-    pub(crate) fn vertex(&self, i: usize) -> ExtVertex {
-        assert!(i < self.vertex_count(), "vertex index {i} out of range");
-        self.layout.ext_vertex(i)
-    }
-
-    /// The dense index of `v`, or an error naming it.
-    fn root(&self, v: ExtVertex) -> Result<usize, CoreError> {
-        self.index_of(v).ok_or_else(|| CoreError::InvalidTiming {
-            detail: format!("root {v} is not a vertex of the closed graph"),
-        })
-    }
-
-    /// Longest-path weights from (or, backward, to) `v`: a fresh
-    /// traversal.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub(crate) fn longest(&self, v: ExtVertex, dir: Direction) -> Result<Distances, CoreError> {
-        self.csr.distances(self.root(v)?, dir)
-    }
-}
-
-/// One walk over a [`GeView`]'s rows (see [`GeView::walk`]): what its
-/// distance traversals, witness paths and the Lemma 17 check read.
+/// One walk over a [`GeFrontier`]'s rows (see [`GeFrontier::walk`]):
+/// what its distance traversals, paths and the Lemma 17 check read.
 pub(crate) struct Walk<'a> {
     gb: &'a BoundsGraph,
     frontier: &'a GeFrontier,
@@ -620,7 +616,7 @@ impl Drop for Walk<'_> {
 }
 
 impl Walk<'_> {
-    /// The dense index, in the bounds graph, of past node `v`.
+    /// The dense index, in the bounds graph, of node `v` inside the cut.
     fn gb_index(&self, v: usize) -> usize {
         self.frontier.nodes[v] as usize
     }
@@ -628,7 +624,7 @@ impl Walk<'_> {
 
 impl Rows for Walk<'_> {
     fn vertex_count(&self) -> usize {
-        self.frontier.layout.nodes() + self.frontier.layout.procs()
+        self.frontier.vertex_count()
     }
 
     fn potential(&self, v: usize) -> i64 {
@@ -714,140 +710,10 @@ impl Rows for Walk<'_> {
     }
 }
 
-/// The extended local bounds graph `GE(r, σ)`, materialized: the bulk
-/// build that drawings read. Distances come from a [`GeView`], and
-/// witness paths from its distances (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct ExtendedGraph {
-    observer: NodeId,
-    past: Past,
-    graph: ClosedGraph,
-}
-
-impl ExtendedGraph {
-    /// Builds `GE(r, σ)` for the observer node `sigma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` does not appear in `run`.
-    pub fn new(run: &Run, sigma: NodeId) -> Self {
-        Self::with_exclusion(run, sigma, None)
-    }
-
-    /// [`ExtendedGraph::new`], skipping every message sent at
-    /// `exclude_src`. Passing `Some(σ)` builds the graph a strategy
-    /// probed mid-simulation sees — the node exists but its own FFIP
-    /// sends are not yet recorded, so their unseen-delivery `E''` edges
-    /// are absent (the `ExcludeOwnSends` probe semantics of
-    /// `zigzag_coord::stream`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` does not appear in `run`.
-    pub fn with_exclusion(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> Self {
-        let past = run.past(sigma);
-        let layout = NodeLayout::of_past(&past, run.context().network().len());
-        ExtendedGraph {
-            observer: sigma,
-            past,
-            graph: ClosedGraph::build(run, layout, exclude_src),
-        }
-    }
-
-    /// The observer node `σ`.
-    pub fn observer(&self) -> NodeId {
-        self.observer
-    }
-
-    /// The causal past the graph was built from.
-    pub fn past(&self) -> &Past {
-        &self.past
-    }
-
-    /// Number of vertices: the past nodes and one `ψ` per process.
-    pub fn vertex_count(&self) -> usize {
-        self.graph.vertex_count()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.graph.csr.edge_count()
-    }
-
-    /// The vertex at dense index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not below [`ExtendedGraph::vertex_count`].
-    pub fn vertex(&self, i: usize) -> ExtVertex {
-        self.graph.vertex(i)
-    }
-
-    /// Dense index of a vertex, if present: index arithmetic over the
-    /// vertex layout (see the [module docs](self)), no interning lookup.
-    pub fn index_of(&self, v: ExtVertex) -> Option<usize> {
-        self.graph.index_of(v)
-    }
-
-    /// Outgoing edges of vertex index `i`, in row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn edges_from(&self, i: usize) -> impl Iterator<Item = Edge> + '_ {
-        self.graph.csr.row_edges(i, Direction::Forward)
-    }
-
-    /// Incoming edges of vertex index `i`, in row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn edges_to(&self, i: usize) -> impl Iterator<Item = Edge> + '_ {
-        self.graph.csr.row_edges(i, Direction::Backward)
-    }
-
-    /// Longest-path weights from `v` to every vertex.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub fn longest_from(&self, v: ExtVertex) -> Result<Distances, CoreError> {
-        self.graph.longest(v, Direction::Forward)
-    }
-
-    /// Longest-path weights from every vertex to `v`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `v` is not a vertex, or on a positive cycle.
-    pub fn longest_to(&self, v: ExtVertex) -> Result<Distances, CoreError> {
-        self.graph.longest(v, Direction::Backward)
-    }
-
-    /// The longest path from `from` to `to`, as `(weight, edges)` in
-    /// dense indices; `Ok(None)` if no path exists. The path is the
-    /// canonical one a witness reads off a view (see the
-    /// [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Fails if either endpoint is not a vertex, or on a positive cycle.
-    pub fn longest_path(
-        &self,
-        from: ExtVertex,
-        to: ExtVertex,
-    ) -> Result<Option<(i64, Vec<Edge>)>, CoreError> {
-        let (s, t) = (self.graph.root(from)?, self.graph.root(to)?);
-        let csr = &self.graph.csr;
-        let dist = csr.distances(s, Direction::Forward)?;
-        Ok(dist.weight(t).zip(canonical_path(csr, &dist, s, t)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::KnowledgeEngine;
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::RandomScheduler;
     use zigzag_bcm::{Network, SimConfig, Simulator, Time};
@@ -871,7 +737,8 @@ mod tests {
     fn structure_matches_definition_16() {
         let run = tri_run(0);
         let j1 = NodeId::new(ProcessId::new(1), 1);
-        let ge = ExtendedGraph::new(&run, j1);
+        let engine = KnowledgeEngine::new(&run, j1).unwrap();
+        let ge = engine.ge();
         let past = ge.past();
         // Aux vertices exist for all 3 processes.
         for p in run.context().network().processes() {
@@ -882,6 +749,18 @@ mod tests {
         let mut e_unseen = 0;
         let mut e_aux = 0;
         for vi in 0..ge.vertex_count() {
+            let mut incoming = ge.edges_to(vi);
+            for e in &incoming {
+                assert_eq!(e.to, vi);
+            }
+            let mut found = Vec::new();
+            for u in 0..ge.vertex_count() {
+                found.extend(ge.edges_from(u).into_iter().filter(|e| e.to == vi));
+            }
+            let key = |e: &Edge| (e.from, e.weight, e.label);
+            incoming.sort_unstable_by_key(key);
+            found.sort_unstable_by_key(key);
+            assert_eq!(incoming, found, "in-row of {}", ge.vertex(vi));
             for e in ge.edges_from(vi) {
                 match e.label {
                     LABEL_BOUNDARY => {
@@ -927,10 +806,10 @@ mod tests {
         if !run.appears(sigma) {
             return; // schedule did not produce it; other seeds cover
         }
-        let ge = ExtendedGraph::new(&run, sigma);
+        let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+        let ge = engine.ge();
         // Find any E'' edge and check a path from the receiving process's
         // boundary to the sender exists with weight 1 − U.
-        let mut checked = false;
         for vi in 0..ge.vertex_count() {
             for e in ge.edges_from(vi) {
                 if e.label != LABEL_UNSEEN {
@@ -941,14 +820,12 @@ mod tests {
                 let Some(boundary) = ge.past().boundary(psi.proc()) else {
                     continue;
                 };
-                let lp = ge.longest_from(ExtVertex::Node(boundary)).unwrap();
+                let lp = ge.distances_from(ExtVertex::Node(boundary)).unwrap();
                 let w = lp.weight(ge.index_of(sender).unwrap()).unwrap();
                 // At least the two-edge path boundary -> ψ -> sender.
                 assert!(w > e.weight);
-                checked = true;
             }
         }
-        let _ = checked;
     }
 
     #[test]
@@ -957,8 +834,9 @@ mod tests {
         for seed in 0..5 {
             let run = tri_run(seed);
             let j1 = NodeId::new(ProcessId::new(1), 1);
-            let ge = ExtendedGraph::new(&run, j1);
-            let lp = ge.longest_to(ExtVertex::Node(j1)).unwrap();
+            let engine = KnowledgeEngine::new(&run, j1).unwrap();
+            let ge = engine.ge();
+            let lp = ge.distances_to(ExtVertex::Node(j1)).unwrap();
             for n in ge.past().iter() {
                 assert!(
                     lp.reaches(ge.index_of(ExtVertex::Node(n)).unwrap()),
@@ -983,132 +861,14 @@ mod tests {
     }
 
     #[test]
-    fn views_equal_the_materialized_graph_and_run_on_the_clock() {
-        // Figure 1's C → A, C → B: at C's first node, A and B are outside
-        // the past and have no outgoing channels, so ψ_A and ψ_B have no
-        // in-edges at all and take the clock's least value.
-        let mut b = Network::builder();
-        let c = b.add_process("C");
-        let a = b.add_process("A");
-        let bb = b.add_process("B");
-        b.add_channel(c, a, 1, 3).unwrap();
-        b.add_channel(c, bb, 7, 9).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(30)));
-        sim.external(Time::new(2), c, "go");
-        let fig1 = sim
-            .run(&mut Ffip::new(), &mut RandomScheduler::seeded(3))
-            .unwrap();
-        let runs = (0..4).map(tri_run).chain([fig1]);
-        for run in runs {
-            // Append-order rows, bulk-order rows, and the local graph.
-            let stream = crate::incremental::IncrementalEngine::ingest(&run).unwrap();
-            let batch = BoundsGraph::of_run(&run);
-            let nodes: Vec<NodeId> = run.nodes().map(|r| r.id()).collect();
-            let firsts = nodes.iter().filter(|n| n.index() == 1).copied();
-            for sigma in firsts.chain(nodes.last().copied()) {
-                let local = BoundsGraph::local(&run, &run.past(sigma));
-                for exclude in [None, Some(sigma)] {
-                    let ge = ExtendedGraph::with_exclusion(&run, sigma, exclude);
-                    let mut want: Vec<(usize, usize, i64, u32)> = (0..ge.vertex_count())
-                        .flat_map(|v| ge.edges_from(v))
-                        .map(|e| (e.from, e.to, e.weight, e.label))
-                        .collect();
-                    want.sort_unstable();
-                    let root = ExtVertex::Node(sigma);
-                    let spfa = ge.longest_to(root).unwrap();
-                    for gb in [stream.bounds_graph(), &batch, &local] {
-                        let frontier = GeFrontier::new(&run, gb, run.past(sigma), exclude);
-                        let view = GeView::new(gb, &frontier);
-                        assert!(view.has_potential(), "clock rejected at {sigma}");
-                        let mut got: Vec<(usize, usize, i64, u32)> = view
-                            .edges()
-                            .into_iter()
-                            .map(|e| (e.from, e.to, e.weight, e.label))
-                            .collect();
-                        got.sort_unstable();
-                        assert_eq!(got, want, "edges of the view at {sigma}");
-                        let dist = view.distances_to(root).unwrap();
-                        for i in 0..view.vertex_count() {
-                            assert_eq!(dist.weight(i), spfa.weight(i));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Asserts that the views of `GE(r, σ)` over `GB(r)` and `GB(r, σ)`
-    /// take Dijkstra iff `dijkstra`, and that both match SPFA over the
-    /// materialized graph from and to σ.
-    fn assert_views_match_spfa(run: &Run, sigma: NodeId, dijkstra: bool) {
-        let ge = ExtendedGraph::new(run, sigma);
-        let root = ExtVertex::Node(sigma);
-        let (from, to) = (ge.longest_from(root).unwrap(), ge.longest_to(root).unwrap());
-        let local = BoundsGraph::local(run, &run.past(sigma));
-        for gb in [&BoundsGraph::of_run(run), &local] {
-            let frontier = GeFrontier::new(run, gb, run.past(sigma), None);
-            let view = GeView::new(gb, &frontier);
-            assert_eq!(view.has_potential(), dijkstra, "traversal at {sigma}");
-            let (d_from, d_to) = (
-                view.distances_from(root).unwrap(),
-                view.distances_to(root).unwrap(),
-            );
-            for i in 0..view.vertex_count() {
-                assert_eq!(d_from.weight(i), from.weight(i), "from {sigma} to {i}");
-                assert_eq!(d_to.weight(i), to.weight(i), "from {i} to {sigma}");
-            }
-            let work = view.work();
-            let ran = if dijkstra { work.dijkstra } else { work.spfa };
-            assert_eq!(ran.traversals, 2);
-        }
-    }
-
-    /// A two-process run with a message each way and one late node on
-    /// `i` at `late`; the last node of `i` is returned with the run.
-    fn run_with_late_node(late: u64) -> (Run, NodeId) {
-        use zigzag_bcm::builder::RunBuilder;
-        let mut nb = Network::builder();
-        let i = nb.add_process("i");
-        let j = nb.add_process("j");
-        nb.add_bidirectional(i, j, 1, 3).unwrap();
-        let mut rb = RunBuilder::new(nb.build().unwrap(), Time::new(late + 1));
-        let i1 = rb.add_node(i, Time::new(1)).unwrap();
-        let to_j = rb.send(i1, j, Time::new(2)).unwrap();
-        let j1 = rb.add_node(j, Time::new(2)).unwrap();
-        rb.deliver(to_j, j1).unwrap();
-        let to_i = rb.send(j1, i, Time::new(4)).unwrap();
-        let i2 = rb.add_node(i, Time::new(4)).unwrap();
-        rb.deliver(to_i, i2).unwrap();
-        let i3 = rb.add_node(i, Time::new(late)).unwrap();
-        (rb.finish(), i3)
-    }
-
-    #[test]
-    fn clocks_that_overflow_fall_back_to_the_label_correcting_walk() {
-        // Recorded times past i64::MAX saturate there on the clock, where
-        // the graph's edges still hold; but `ψ_i` lies one past the
-        // boundary `i3`, beyond i64::MAX, so the views refuse the clock.
-        let (run, sigma) = run_with_late_node(i64::MAX as u64 + 2);
-        assert!(BoundsGraph::of_run(&run).clock_holds());
-        assert_views_match_spfa(&run, sigma, false);
-        // Every slack fits, but the largest (~2^62, into `i3` and `ψ_j`)
-        // times |V| = 8 reaches u64::MAX: a Dijkstra key could overflow,
-        // so the views walk label-correcting on a clock that holds.
-        let (run, sigma) = run_with_late_node(1 << 62);
-        assert!(BoundsGraph::of_run(&run).clock_holds());
-        assert_views_match_spfa(&run, sigma, false);
-        // At ~2^59 the keys fit, and the views run Dijkstra.
-        let (run, sigma) = run_with_late_node(1 << 59);
-        assert_views_match_spfa(&run, sigma, true);
-    }
-
-    #[test]
     fn repeated_view_queries_share_one_traversal() {
         let run = tri_run(2);
         let gb = BoundsGraph::of_run(&run);
         let sigma = run.nodes().last().unwrap().id();
-        let frontier = GeFrontier::new(&run, &gb, run.past(sigma), None);
-        let view = GeView::new(&gb, &frontier);
+        let past = run.past(sigma);
+        let cut = || NodeLayout::of_past(&past, run.context().network().len());
+        let frontier = GeFrontier::new(&run, &gb, cut(), None);
+        let view = GeView::new(&gb, &frontier, &past);
         let root = ExtVertex::Node(sigma);
         let (from, to) = (
             view.distances_from(root).unwrap(),
@@ -1118,10 +878,13 @@ mod tests {
         assert_eq!(work.dijkstra.traversals, 2);
         assert!(Arc::ptr_eq(&from, &view.distances_from(root).unwrap()));
         assert!(Arc::ptr_eq(&to, &view.distances_to(root).unwrap()));
+        // A path reads the memoized lane.
+        let (w, _) = view.longest_path(root, root).unwrap().unwrap();
+        assert_eq!(w, 0);
         assert_eq!(view.work(), work, "a memo hit does no work");
         // Another view over the same graph has a memo of its own.
-        let again = GeFrontier::new(&run, &gb, run.past(sigma), None);
-        let other = GeView::new(&gb, &again);
+        let again = GeFrontier::new(&run, &gb, cut(), None);
+        let other = GeView::new(&gb, &again, &past);
         assert!(!Arc::ptr_eq(&from, &other.distances_from(root).unwrap()));
         assert_eq!(other.work().dijkstra.traversals, 3);
     }
@@ -1131,8 +894,8 @@ mod tests {
         for seed in 0..5 {
             let run = tri_run(seed);
             let j1 = NodeId::new(ProcessId::new(1), 1);
-            let ge = ExtendedGraph::new(&run, j1);
-            assert!(ge.longest_from(ExtVertex::Node(j1)).is_ok());
+            let engine = KnowledgeEngine::new(&run, j1).unwrap();
+            assert!(engine.ge().distances_from(ExtVertex::Node(j1)).is_ok());
         }
     }
 }

@@ -14,9 +14,7 @@ use zigzag_bcm::{NetPath, NodeId, ProcessId, Run};
 
 use crate::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
 use crate::error::CoreError;
-use crate::extended_graph::{
-    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
-};
+use crate::extended_graph::{ExtVertex, GeView, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN};
 use crate::fork::TwoLeggedFork;
 use crate::graph::Edge;
 use crate::node::GeneralNode;
@@ -280,7 +278,7 @@ fn ge_steps(
 /// Returns [`CoreError::MalformedPattern`] if the edges are not a GE walk
 /// between original vertices.
 pub fn zigzag_from_ge_path(
-    ge: &ExtendedGraph,
+    ge: GeView<'_>,
     from: NodeId,
     edges: &[Edge],
 ) -> Result<ZigzagPattern, CoreError> {
@@ -456,7 +454,8 @@ mod tests {
             if !run.appears(sigma) {
                 continue;
             }
-            let ge = ExtendedGraph::new(&run, sigma);
+            let engine = crate::knowledge::KnowledgeEngine::new(&run, sigma).unwrap();
+            let ge = engine.ge();
             let past = run.past(sigma);
             let sources: Vec<NodeId> = past.iter().filter(|n| !n.is_initial()).collect();
             let mut checked = 0;
@@ -466,7 +465,7 @@ mod tests {
                     let Some((w, edges)) = ge.longest_path(ends.0, ends.1).unwrap() else {
                         continue;
                     };
-                    let z = zigzag_from_ge_path(&ge, a, &edges).unwrap();
+                    let z = zigzag_from_ge_path(ge, a, &edges).unwrap();
                     let vz = VisibleZigzag::new(z, sigma);
                     let report = match vz.validate(&run) {
                         Ok(rep) => rep,

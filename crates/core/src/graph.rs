@@ -12,21 +12,21 @@
 //! A traversal reads a graph through the crate-internal `Rows` trait: a
 //! vertex count, a potential, and a scan of one vertex's row yielding
 //! each edge's far end, weight and label and the far end's potential.
-//! A [`WeightedDigraph`] is rows over its adjacency, the closed graphs
-//! of [`crate::extended_graph`] rows over CSR lanes, and an observer's
-//! view of `GE(r, σ)` rows over the `GB(r)` it is cut from, filtered at
-//! σ's frontier, plus a small overlay.
+//! A [`WeightedDigraph`] is rows over its adjacency, and a bounds graph
+//! closed by auxiliary vertices — an observer's view of `GE(r, σ)`, or
+//! the frontier graph of [`crate::construct`] — rows over the `GB(r)`
+//! it is cut from, filtered at the cut, plus a small overlay (see
+//! [`crate::extended_graph`]).
 //!
 //! * **Label-correcting SPFA** (a queue-based Bellman–Ford) needs
-//!   nothing but the rows. It serves `GB(r)`'s tight bounds and the
-//!   closed graphs' queries, and walks a view whose clock fails. One
-//!   function runs it two ways: seeded at a root for a cold query, and
-//!   seeded by the edges appended since a memoized result for that
-//!   result's catch-up (below).
-//! * **Potential-reweighted Dijkstra** answers a view's distance queries
-//!   when its potential is *feasible* — `π(u) + w ≤ π(v)` on every edge
-//!   the rows yield: Johnson reweighting turns every edge into a
-//!   non-negative slack `π(v) − π(u) − w`, so each vertex settles once
+//!   nothing but the rows. It serves `GB(r)`'s tight bounds, and walks a
+//!   closed graph whose clock fails. One function runs it two ways:
+//!   seeded at a root for a cold query, and seeded by the edges appended
+//!   since a memoized result for that result's catch-up (below).
+//! * **Potential-reweighted Dijkstra** answers a closed graph's distance
+//!   queries when its potential is *feasible* — `π(u) + w ≤ π(v)` on
+//!   every edge the rows yield: Johnson reweighting turns every edge into
+//!   a non-negative slack `π(v) − π(u) − w`, so each vertex settles once
 //!   and each edge is scanned at most once. A valid timing is exactly
 //!   such a potential (Lemma 8), and the run's own recorded times are
 //!   one; rows without a clock yield potential 0.
@@ -34,8 +34,9 @@
 //! Either returns [`Distances`], one weight per vertex and nothing
 //! else. Both are tested against a dense Bellman–Ford
 //! ([`WeightedDigraph::longest_from_dense`]). Traversals over a graph's
-//! rows, or a view of them, count their queue pops and edge scans on
-//! that graph ([`WeightedDigraph::work`]) and borrow its scratch arena.
+//! rows, or a closed graph cut from them, count their queue pops and
+//! edge scans on that graph ([`WeightedDigraph::work`]) and borrow its
+//! scratch arena.
 //!
 //! # Paths
 //!
@@ -46,10 +47,10 @@
 //! index is the dense one. `canonical_path` reads it off any traversal's
 //! distances with one breadth-first pass over the tight edges and one
 //! backward scan along the path; the hop levels keep the zero-weight
-//! cycles of channels with `L = U` from looping. The witnesses of
-//! `crate::knowledge`, `GB(r)`'s paths
-//! ([`WeightedDigraph::longest_path`]) and a closed graph's all follow
-//! this one rule.
+//! cycles of channels with `L = U` from looping. `GB(r)`'s paths
+//! ([`WeightedDigraph::longest_path`]) and those of `GE(r, σ)`
+//! ([`crate::extended_graph::GeView::longest_path`]), which the
+//! witnesses of `crate::knowledge` are, all follow this one rule.
 //!
 //! # Shared analysis
 //!
@@ -60,7 +61,8 @@
 //! memoized per source and shared as an [`Arc`]: repeated queries against
 //! an unmodified graph are O(1) — and allocation-free — after first touch
 //! ([`WeightedDigraph::longest_from_cached`]). Backward traversals are
-//! not memoized, and a view memoizes its distance results itself.
+//! not memoized, and a view of `GE(r, σ)` memoizes its distance results
+//! itself.
 //!
 //! The memo survives mutation **monotonically**: the only mutations the
 //! graph supports are additions ([`WeightedDigraph::add_vertex`] /
@@ -78,18 +80,13 @@
 //!
 //! # Data layout
 //!
-//! Each graph has one layout, and the hot core is struct-of-arrays over
-//! `u32` indices:
+//! The core has one graph layout, adjacency rows, and its hot lanes are
+//! over `u32` indices:
 //!
 //! * A [`WeightedDigraph`] keeps one adjacency row of [`Edge`] records
-//!   per vertex and direction, which its traversals and every view over
-//!   it scan in place; [`WeightedDigraph::from_edges`] allocates each row
-//!   once.
-//! * A closed graph, built once and never appended to, is CSR: each
-//!   direction as four parallel lanes — `off: Vec<u32>` row offsets plus
-//!   `targets: Vec<u32>`, `weights: Vec<i64>`, `labels: Vec<u32>` —
-//!   packed from its edge list by a stable counting sort, so each row
-//!   holds its edges in list order, like adjacency rows built from it.
+//!   per vertex and direction, which its traversals and every closed
+//!   graph cut from it scan in place; [`WeightedDigraph::from_edges`]
+//!   allocates each row once.
 //! * [`Distances`] is one sentinel-coded lane: `Vec<i64>` with
 //!   [`i64::MIN`] meaning *unreachable* (no `Option` tag bytes), 8 bytes
 //!   per vertex. A path is rebuilt from it on demand (see *Paths*), so no
@@ -142,7 +139,7 @@ const UNREACHABLE: i64 = i64::MIN;
 /// Narrows a `usize` into the graph's interior `u32` index space.
 ///
 /// This is the single checked-conversion site for the hot core: vertex
-/// counts, interned vertex ids, and CSR offsets all funnel through it.
+/// counts and interned vertex ids funnel through it.
 /// Infallible public signatures (`add_vertex`, `from_edges`) unwrap the
 /// result; fallible builders propagate it.
 ///
@@ -178,148 +175,6 @@ impl Edge {
             to,
             weight,
             label,
-        }
-    }
-}
-
-/// One direction of the CSR form: row offsets plus three parallel edge
-/// lanes. `targets[p]` is the vertex a scan of row `u` reaches through
-/// position `p` (the edge's head for the forward lanes, its tail for the
-/// reverse lanes).
-#[derive(Debug, Clone, Default)]
-struct CsrLanes {
-    off: Vec<u32>,
-    targets: Vec<u32>,
-    weights: Vec<i64>,
-    labels: Vec<u32>,
-}
-
-impl CsrLanes {
-    /// Packs an edge list over `n` vertices into lanes by a stable
-    /// counting sort on each edge's row, so each row holds its edges in
-    /// list order. `row_is_target` selects the rows: `false` packs
-    /// outgoing rows (a scan reaches `e.to`), `true` incoming rows (a
-    /// scan reaches `e.from`).
-    fn pack_edges(n: usize, edges: &[Edge], row_is_target: bool) -> CsrLanes {
-        let ends = |e: &Edge| match row_is_target {
-            false => (e.from, e.to),
-            true => (e.to, e.from),
-        };
-        let mut off = vec![0u32; n + 1];
-        for e in edges {
-            off[ends(e).0 + 1] += 1;
-        }
-        for u in 0..n {
-            off[u + 1] += off[u];
-        }
-        let mut next = off[..n].to_vec();
-        let mut lanes = CsrLanes {
-            targets: vec![0; edges.len()],
-            weights: vec![0; edges.len()],
-            labels: vec![0; edges.len()],
-            off,
-        };
-        for e in edges {
-            let (row, reach) = ends(e);
-            let p = next[row] as usize;
-            next[row] += 1;
-            lanes.targets[p] = reach as u32;
-            lanes.weights[p] = e.weight;
-            lanes.labels[p] = e.label;
-        }
-        lanes
-    }
-
-    #[inline]
-    fn row(&self, u: usize) -> std::ops::Range<usize> {
-        self.off[u] as usize..self.off[u + 1] as usize
-    }
-}
-
-/// A graph built once and never appended to, in compressed sparse rows:
-/// forward and reverse adjacency as struct-of-arrays lanes plus offsets
-/// (see the [module docs](self)). The closed graphs of
-/// [`crate::extended_graph`] — the materialized `GE(r, σ)` and the
-/// frontier graph — take this form.
-#[derive(Debug, Clone)]
-pub(crate) struct CsrTopology {
-    fwd: CsrLanes,
-    rev: CsrLanes,
-}
-
-impl CsrTopology {
-    /// The CSR form of the graph over `n` vertices whose rows hold
-    /// `edges` in list order: the rows [`WeightedDigraph::from_edges`]
-    /// builds from the same list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::IndexOverflow`] if the graph exceeds the
-    /// `u32` index space.
-    pub(crate) fn from_edges(n: usize, edges: &[Edge]) -> Result<Self, CoreError> {
-        checked_u32(n, "vertex count")?;
-        checked_u32(edges.len(), "edge count")?;
-        Ok(CsrTopology {
-            fwd: CsrLanes::pack_edges(n, edges, false),
-            rev: CsrLanes::pack_edges(n, edges, true),
-        })
-    }
-
-    fn lanes(&self, dir: Direction) -> &CsrLanes {
-        match dir {
-            Direction::Forward => &self.fwd,
-            Direction::Backward => &self.rev,
-        }
-    }
-
-    /// Number of edges.
-    pub(crate) fn edge_count(&self) -> usize {
-        self.fwd.targets.len()
-    }
-
-    /// The edges of `u`'s row in `dir`, in row order: the edges leaving
-    /// `u` forward, the edges entering it backward.
-    pub(crate) fn row_edges(&self, u: usize, dir: Direction) -> impl Iterator<Item = Edge> + '_ {
-        let lanes = self.lanes(dir);
-        lanes.row(u).map(move |p| {
-            let reach = lanes.targets[p] as usize;
-            let (from, to) = match dir {
-                Direction::Forward => (u, reach),
-                Direction::Backward => (reach, u),
-            };
-            Edge::new(from, to, lanes.weights[p], lanes.labels[p])
-        })
-    }
-
-    /// Longest-path weights from (or, backward, to) `src`: a fresh
-    /// label-correcting traversal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::PositiveCycle`] if a positive cycle is
-    /// connected to `src`.
-    pub(crate) fn distances(&self, src: usize, dir: Direction) -> Result<Distances, CoreError> {
-        let mut scratch = SpfaScratch::default();
-        label_correcting_from(self, src, dir, &mut scratch, &mut Tally::default())
-    }
-}
-
-impl Rows for CsrTopology {
-    fn vertex_count(&self) -> usize {
-        self.fwd.off.len() - 1
-    }
-
-    #[inline(always)]
-    fn scan(&self, v: usize, dir: Direction, mut f: impl FnMut(usize, i64, i64, u32)) {
-        // Zip the lanes of one contiguous row: no per-edge bounds checks,
-        // prefetch-friendly strides.
-        let lanes = self.lanes(dir);
-        let row = lanes.row(v);
-        let targets = &lanes.targets[row.clone()];
-        let weights = &lanes.weights[row.clone()];
-        let labels = &lanes.labels[row];
-        for ((&t, &w), &label) in targets.iter().zip(weights).zip(labels) {
-            f(t as usize, w, 0, label);
         }
     }
 }
@@ -1014,9 +869,9 @@ impl<V: Hash + Eq + Clone> WeightedDigraph<V> {
 }
 
 /// What a traversal reads: a graph given row by row. A
-/// [`WeightedDigraph`] is rows over its adjacency, a [`CsrTopology`]
-/// rows over its lanes, and `GE(r, σ)`'s view rows over the `GB(r)` it
-/// is cut from ([`crate::extended_graph::GeView`]).
+/// [`WeightedDigraph`] is rows over its adjacency, and a closed graph's
+/// walk rows over the `GB(r)` it is cut from (see
+/// [`crate::extended_graph`]).
 pub(crate) trait Rows {
     /// Number of vertices; traversals index them `0..vertex_count()`.
     fn vertex_count(&self) -> usize;
@@ -1489,34 +1344,6 @@ mod tests {
             Err(CoreError::PositiveCycle)
         ));
         assert!(g.longest_from_dense(&"nope").is_err());
-    }
-
-    #[test]
-    fn csr_rows_and_distances_equal_the_adjacency_rows() {
-        let g = diamond();
-        let edges: Vec<Edge> = (0..g.vertex_count())
-            .flat_map(|u| g.edges_from(u).iter().copied())
-            .collect();
-        let csr = CsrTopology::from_edges(g.vertex_count(), &edges).unwrap();
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for u in 0..g.vertex_count() {
-            let fwd: Vec<Edge> = csr.row_edges(u, Direction::Forward).collect();
-            let bwd: Vec<Edge> = csr.row_edges(u, Direction::Backward).collect();
-            assert_eq!(fwd, g.edges_from(u));
-            assert_eq!(bwd, g.edges_to(u));
-            for dir in [Direction::Forward, Direction::Backward] {
-                let (a, b) = (
-                    csr.distances(u, dir).unwrap(),
-                    g.distances_over(&g, u, dir, false).unwrap(),
-                );
-                for v in 0..g.vertex_count() {
-                    assert_eq!(a.weight(v), b.weight(v));
-                    if dir == Direction::Forward {
-                        assert_eq!(canonical_path(&csr, &a, u, v), canonical_path(&g, &b, u, v));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -25,14 +25,14 @@ use std::sync::{Arc, Mutex};
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::BoundsGraph;
+use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
-use crate::graph::{canonical_path, Edge};
+use crate::graph::Edge;
 use crate::node::GeneralNode;
 use crate::pattern::ZigzagPattern;
 use crate::timing::{fast_timing, FastTiming};
@@ -114,9 +114,9 @@ impl ObserverMode {
 /// and the construction arena.
 ///
 /// The view is a frontier, not a copy (see [`crate::extended_graph`]):
-/// σ's causal past, the `n` values of the `ψ` clock, the `E''` overlay,
-/// and the memoized distance lanes. Its rows are those of a bounds
-/// graph: the session's `GB(r)` for a state an
+/// σ's causal past, the cut it makes, the `n` values of the `ψ` clock,
+/// the `E''` overlay, and the memoized distance lanes. Its rows are those
+/// of a bounds graph: the session's `GB(r)` for a state an
 /// [`crate::incremental::IncrementalEngine`] builds, which therefore
 /// holds no edges of its own, or `GB(r, σ)` (Definition 14), built once
 /// and owned by a standalone state ([`ObserverState::build`]). A witness
@@ -141,7 +141,7 @@ impl ObserverMode {
 /// state, of either mode, and drops it (see [`crate::incremental`]).
 #[derive(Debug)]
 pub struct ObserverState {
-    sigma: NodeId,
+    past: Past,
     frontier: GeFrontier,
     /// The graph a standalone state's view reads; `None` for a session's
     /// state, which views the session's `GB(r)`. Boxed, so a session's
@@ -154,23 +154,26 @@ pub struct ObserverState {
 }
 
 impl ObserverState {
-    /// `past(r, σ)`, the frontier every state of `sigma` is cut at.
+    /// `past(r, σ)` and its layout: the frontier every state of `sigma`
+    /// is cut at.
     ///
     /// # Errors
     ///
     /// Fails if `sigma` does not appear in `run`.
-    fn past_of(run: &Run, sigma: NodeId) -> Result<Past, CoreError> {
+    fn past_of(run: &Run, sigma: NodeId) -> Result<(Past, NodeLayout), CoreError> {
         if !run.appears(sigma) {
             return Err(CoreError::NodeNotInRun {
                 detail: format!("observer {sigma} does not appear in the run"),
             });
         }
-        Ok(run.past(sigma))
+        let past = run.past(sigma);
+        let layout = NodeLayout::of_past(&past, run.context().network().len());
+        Ok((past, layout))
     }
 
-    fn assemble(sigma: NodeId, frontier: GeFrontier, local: Option<Box<BoundsGraph>>) -> Self {
+    fn assemble(past: Past, frontier: GeFrontier, local: Option<Box<BoundsGraph>>) -> Self {
         ObserverState {
-            sigma,
+            past,
             frontier,
             local,
             cache: QueryCache::default(),
@@ -188,10 +191,10 @@ impl ObserverState {
     ///
     /// Fails if `sigma` does not appear in `run`.
     pub fn build_mode(run: &Run, sigma: NodeId, mode: ObserverMode) -> Result<Self, CoreError> {
-        let past = Self::past_of(run, sigma)?;
+        let (past, layout) = Self::past_of(run, sigma)?;
         let local = BoundsGraph::local(run, &past);
-        let frontier = GeFrontier::new(run, &local, past, mode.excluded(sigma));
-        Ok(Self::assemble(sigma, frontier, Some(Box::new(local))))
+        let frontier = GeFrontier::new(run, &local, layout, mode.excluded(sigma));
+        Ok(Self::assemble(past, frontier, Some(Box::new(local))))
     }
 
     /// A session's state for observer `sigma`: a view over the session's
@@ -207,9 +210,9 @@ impl ObserverState {
         sigma: NodeId,
         mode: ObserverMode,
     ) -> Result<Self, CoreError> {
-        let past = Self::past_of(run, sigma)?;
-        let frontier = GeFrontier::new(run, gb, past, mode.excluded(sigma));
-        Ok(Self::assemble(sigma, frontier, None))
+        let (past, layout) = Self::past_of(run, sigma)?;
+        let frontier = GeFrontier::new(run, gb, layout, mode.excluded(sigma));
+        Ok(Self::assemble(past, frontier, None))
     }
 
     /// Builds the state for observer `sigma` on `run`.
@@ -236,7 +239,7 @@ impl ObserverState {
 
     /// The observer node `σ` the state was built for.
     pub fn observer(&self) -> NodeId {
-        self.sigma
+        self.past.of()
     }
 }
 
@@ -586,7 +589,7 @@ impl<'r> KnowledgeEngine<'r> {
 
     /// The observer node `σ`.
     pub fn observer(&self) -> NodeId {
-        self.state.sigma
+        self.state.observer()
     }
 
     /// The extended bounds graph `GE(r, σ)` backing the decisions, as a
@@ -594,7 +597,7 @@ impl<'r> KnowledgeEngine<'r> {
     pub fn ge(&self) -> GeView<'_> {
         let gb = self.state.local.as_deref().or(self.session);
         let gb = gb.expect("a session's state is read with its session's GB(r)");
-        GeView::new(gb, &self.state.frontier)
+        GeView::new(gb, &self.state.frontier, &self.state.past)
     }
 
     /// Rewrites `θ = ⟨σ', p⟩` into the equivalent node whose chain never
@@ -623,8 +626,8 @@ impl<'r> KnowledgeEngine<'r> {
         }
         let canonical = crate::construct::canonicalize_in_past(
             self.run,
-            self.ge().past(),
-            self.state.sigma,
+            &self.state.past,
+            self.observer(),
             theta,
         )?;
         self.state
@@ -909,7 +912,7 @@ impl<'r> KnowledgeEngine<'r> {
                 FastHop::Lower => unreachable!("split index is a non-Lower hop"),
             },
         };
-        Ok(Some((max_x, VisibleZigzag::new(pattern, self.state.sigma))))
+        Ok(Some((max_x, VisibleZigzag::new(pattern, self.observer()))))
     }
 
     /// All-pairs knowledge thresholds over the (non-initial) nodes of
@@ -949,13 +952,11 @@ impl<'r> KnowledgeEngine<'r> {
     }
 
     /// The canonical maximum-weight `GE(r, σ)` path from `from` to a
-    /// vertex the fast timing reaches (see [`crate::graph`]), read off the
-    /// memoized distances that timing computed.
+    /// vertex the fast timing reaches ([`GeView::longest_path`]), read off
+    /// the memoized distances that timing computed.
     fn ge_path(&self, from: NodeId, to: ExtVertex) -> Result<Vec<Edge>, CoreError> {
-        let ge = self.ge();
-        let dist = ge.distances_from(ExtVertex::Node(from))?;
-        let ends = ge.index_of(ExtVertex::Node(from)).zip(ge.index_of(to));
-        ends.and_then(|(src, dst)| canonical_path(&ge.walk(), &dist, src, dst))
+        let path = self.ge().longest_path(ExtVertex::Node(from), to)?;
+        path.map(|(_, edges)| edges)
             .ok_or_else(|| CoreError::InvalidTiming {
                 detail: format!("{to} is reached from {from} but has no path — model bug"),
             })

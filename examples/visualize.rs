@@ -18,7 +18,7 @@ use zigzag::bcm::scheduler::RandomScheduler;
 use zigzag::bcm::{diagram, Network, SimConfig, Simulator, Time};
 use zigzag::core::bounds_graph::BoundsGraph;
 use zigzag::core::dot;
-use zigzag::core::extended_graph::ExtendedGraph;
+use zigzag::core::KnowledgeEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Figure 2b network.
@@ -55,8 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // σ = B's last recorded node (where the protocol would decide).
     let sigma = run.timeline(b).last().unwrap().id();
-    let ge = ExtendedGraph::new(&run, sigma);
-    let ge_dot = dot::extended_graph_dot(&ge, &run);
+    // A standalone engine's view of GE(r, σ).
+    let engine = KnowledgeEngine::new(&run, sigma)?;
+    let ge = engine.ge();
+    let ge_dot = dot::extended_graph_dot(ge, &run);
     fs::write(out_dir.join("ge.dot"), &ge_dot)?;
 
     println!("wrote target/figures/{{network,gb,ge}}.dot");
@@ -65,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gb.node_count(),
         gb.edge_count(),
         ge.vertex_count(),
-        ge.edge_count(),
+        ge.edges().len(),
     );
     println!("render with: dot -Tsvg target/figures/ge.dot -o ge.svg");
 

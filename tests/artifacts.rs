@@ -8,7 +8,6 @@ use zigzag::bcm::validate::{validate_run, Strictness};
 use zigzag::bcm::{codec, diagram, Network, RunStats, SimConfig, Simulator, Time};
 use zigzag::core::bounds_graph::BoundsGraph;
 use zigzag::core::dot;
-use zigzag::core::extended_graph::ExtendedGraph;
 use zigzag::core::knowledge::KnowledgeEngine;
 use zigzag::core::GeneralNode;
 
@@ -111,10 +110,11 @@ fn figure_exports_cover_the_run() {
         .last()
         .unwrap()
         .id();
-    let ge = ExtendedGraph::new(&run, sigma);
-    let ge_dot = dot::extended_graph_dot(&ge, &run);
+    let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+    let ge = engine.ge();
+    let ge_dot = dot::extended_graph_dot(ge, &run);
     assert_eq!(ge_dot.matches("shape=diamond").count(), 5); // one ψ per process
-    assert_eq!(ge_dot.matches(" -> ").count(), ge.edge_count());
+    assert_eq!(ge_dot.matches(" -> ").count(), ge.edges().len());
 
     // The ASCII diagram shows every process and every delivered message.
     let art = diagram::render(&run);

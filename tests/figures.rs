@@ -9,7 +9,7 @@ use zigzag::bcm::validate::{validate_run, Strictness};
 use zigzag::bcm::{Channel, NetPath, Network, NodeId, ProcessId, Run, SimConfig, Simulator, Time};
 use zigzag::core::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND};
 use zigzag::core::construct::slow_run;
-use zigzag::core::extended_graph::{ExtVertex, ExtendedGraph};
+use zigzag::core::extended_graph::ExtVertex;
 use zigzag::core::knowledge::KnowledgeEngine;
 use zigzag::core::visible::VisibleZigzag;
 use zigzag::core::{GeneralNode, TwoLeggedFork, ZigzagPattern};
@@ -334,15 +334,15 @@ fn figure8_unseen_delivery_constraint() {
     // σ has NOT seen the delivery of σ_i1's message to j, yet knows
     // σ_j1 --(1 − U_ij)--> σ_i1 … wait: the unseen delivery lands *after*
     // j's boundary σ_j1, so σ_i1 >= σ_j1 + 1 − U_ij.
-    let ge = ExtendedGraph::new(&run, sigma);
-    let (w, path) = ge
+    let engine = KnowledgeEngine::new(&run, sigma).unwrap();
+    let (w, path) = engine
+        .ge()
         .longest_path(ExtVertex::Node(sigma_j1), ExtVertex::Node(sigma_i1))
         .unwrap()
         .expect("constraint path exists");
     assert_eq!(path.iter().map(|e| e.weight).sum::<i64>(), w);
     assert!(w >= 1 - 6, "σ_j1 --({w})--> σ_i1 weaker than 1 − U_ij");
     // And the knowledge engine exposes exactly this as a max-x answer.
-    let engine = KnowledgeEngine::new(&run, sigma).unwrap();
     let m = engine
         .max_x(&GeneralNode::basic(sigma_j1), &GeneralNode::basic(sigma_i1))
         .unwrap()

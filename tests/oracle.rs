@@ -4,7 +4,7 @@
 //! topologies and schedules.
 //!
 //! The reference rebuilds `GE(r, σ)` straight from Definition 16 into
-//! `BTreeMap` adjacency (no CSR, no interning), runs a textbook dense
+//! `BTreeMap` adjacency (no dense indices, no interning), runs a textbook dense
 //! Bellman–Ford per source (no SPFA, no memoization, fresh maps per
 //! call), and answers basic-node `max_x` queries as plain longest-path
 //! weights. Anything the engine amortizes — shared `GE`, cached SPFA,
@@ -70,24 +70,28 @@
 //! Definition 8 graph, and a counting-allocator test asserts the warm
 //! memoized query loop performs zero heap allocations.
 //!
-//! A **bulk-builder tier** holds the one-pass graph builders to the naive
-//! Definition 16 graph itself, on the first block's cases: the
-//! materialized `ExtendedGraph::with_exclusion`, in both modes, has the
-//! naive vertex set and the naive `(target, weight)` multiset in every
-//! row. A second counting-allocator test gates the cold path: a cold
-//! standalone `ObserverState::build` allocates at most `2·|V| + 64`
-//! times and the first `max_x` on it a size-independent number of
-//! times, and on a session, building a state and answering its first
-//! `max_x` allocates a constant number of times whatever |V|.
+//! A **frontier tier** holds the frontier graph of `construct`, `GB(r)`
+//! closed at the recording horizon, to Definition 16 closed there, on the
+//! first block's cases and the out-of-bounds run below: `longest_to(σ)`
+//! at every vertex and `tight_bound` from a spread of roots, against the
+//! dense Bellman–Ford. A second counting-allocator test gates the cold
+//! path: a cold standalone `ObserverState::build` allocates at most
+//! `2·|V| + 64` times and the first `max_x` on it a size-independent
+//! number of times, and on a session, building a state and answering
+//! its first `max_x` allocates a constant number of times whatever |V|.
 //!
 //! A **view tier** holds `GE(r, σ)` as a view — over a standalone
 //! engine's `GB(r, σ)`, a batch session's `GB(r)` (bulk-order rows) and
 //! a stream session's (append-order rows), in both observer modes — to
 //! the naive graph on the first block's cases and on feedback-topology
-//! streams: its out-rows, its forward and backward distance lanes
+//! streams: its vertex set, the `(endpoint, weight, label)` multiset of
+//! every out-row and in-row, its forward and backward distance lanes
 //! against the dense Bellman–Ford, and its dense `FastTiming` against a
 //! naive Definition 23 evaluation for γ ∈ {0, 5}. Each view runs
-//! Dijkstra under the run's own clock. Every `B`-node decision on those
+//! Dijkstra under the run's own clock, and so do Figure 1's run, whose
+//! `ψ` vertices have no in-edges, and a run with a late node whose keys
+//! fit; a later node, whose `ψ` or keys would overflow, walks
+//! label-correcting to the same answers. Every `B`-node decision on those
 //! streams runs without SPFA, with each traversal scanning at most `|E|`
 //! edges and popping at most `|E| + 1` entries (the work counters on the
 //! session's graph). A hand-built run with a delivery outside its channel
@@ -112,8 +116,9 @@ use zigzag::bcm::{
     topology, MessageId, NodeId, ProcessId, Run, RunCursor, SimConfig, Simulator, Time,
 };
 use zigzag::core::bounds_graph::{BoundsGraph, LABEL_RECV, LABEL_SEND, LABEL_SUCCESSOR};
+use zigzag::core::construct::FrontierGraph;
 use zigzag::core::extended_graph::{
-    ExtVertex, ExtendedGraph, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
+    ExtVertex, GeView, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
 };
 use zigzag::core::extract::{anchor_tail, zigzag_from_ge_path};
 use zigzag::core::graph::{Distances, Edge, TraversalWork, WeightedDigraph};
@@ -185,10 +190,13 @@ struct NaiveGraph<V> {
 /// The naive Definition 16 graph, rebuilt per observer.
 type NaiveGe = NaiveGraph<ExtVertex>;
 
-/// `GE(r, σ)` per Definition 16; `exclude_src = Some(σ)` drops the `E''`
+/// Definition 16's closure of a per-timeline cut of `run`: `cut[p]` is
+/// the last node of process `p` inside it, if any. `GE(r, σ)` cuts at
+/// `past(r, σ)` ([`naive_ge`]), and the frontier graph at every recorded
+/// node ([`naive_frontier`]). `exclude_src = Some(σ)` drops the `E''`
 /// edges of σ's own sends (the own-sends-excluded probe graph).
-fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
-    let past = run.past(sigma);
+fn naive_closure(run: &Run, cut: &[Option<NodeId>], exclude_src: Option<NodeId>) -> NaiveGe {
+    let inside = |n: NodeId| cut[n.proc().index()].is_some_and(|b| n.index() <= b.index());
     let net = run.context().network();
     let bounds = run.context().bounds();
     let mut vertices: BTreeSet<ExtVertex> = BTreeSet::new();
@@ -201,14 +209,13 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
         edges.entry(from).or_default().push((to, w, label));
     };
 
-    for n in past.iter() {
-        vertices.insert(ExtVertex::Node(n));
-    }
     for p in net.processes() {
         vertices.insert(ExtVertex::Aux(p));
-        // Successor edges within the past, then E' boundary → ψ_p.
-        if let Some(boundary) = past.boundary(p) {
+        // The cut's nodes and successor edges, then E' boundary → ψ_p.
+        if let Some(boundary) = cut[p.index()] {
+            vertices.insert(ExtVertex::Node(NodeId::new(p, 0)));
             for k in 1..=boundary.index() {
+                vertices.insert(ExtVertex::Node(NodeId::new(p, k)));
                 add(
                     &mut edges,
                     ExtVertex::Node(NodeId::new(p, k - 1)),
@@ -226,14 +233,14 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
             );
         }
     }
-    // Message edges: within-past pairs get ±bound edges; sends whose
-    // delivery σ has not seen get E'' edges from ψ of the receiver.
+    // Message edges: pairs inside the cut get ±bound edges; sends whose
+    // delivery lies outside it get E'' edges from ψ of the receiver.
     for m in run.messages() {
-        if !past.contains(m.src()) || Some(m.src()) == exclude_src {
+        if !inside(m.src()) || Some(m.src()) == exclude_src {
             continue;
         }
         let cb = bounds.get(m.channel()).expect("bounds cover channels");
-        let seen = m.delivery().map(|d| past.contains(d.node)).unwrap_or(false);
+        let seen = m.delivery().map(|d| inside(d.node)).unwrap_or(false);
         if seen {
             let d = m.delivery().expect("checked").node;
             add(
@@ -271,6 +278,26 @@ fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
         );
     }
     NaiveGe { vertices, edges }
+}
+
+/// `GE(r, σ)` per Definition 16.
+fn naive_ge(run: &Run, sigma: NodeId, exclude_src: Option<NodeId>) -> NaiveGe {
+    let past = run.past(sigma);
+    let cut: Vec<Option<NodeId>> = run
+        .context()
+        .network()
+        .processes()
+        .map(|p| past.boundary(p))
+        .collect();
+    naive_closure(run, &cut, exclude_src)
+}
+
+/// The frontier graph: Definition 16 closed at the recording horizon.
+fn naive_frontier(run: &Run) -> NaiveGe {
+    let net = run.context().network();
+    let last = |p| run.timeline(p).last().map(|r| r.id());
+    let cut: Vec<Option<NodeId>> = net.processes().map(last).collect();
+    naive_closure(run, &cut, None)
 }
 
 /// Textbook dense Bellman–Ford for longest paths: `|V| − 1` full rounds
@@ -349,33 +376,31 @@ fn naive_fast_timing(
         .collect()
 }
 
-/// Sorted `(other endpoint, weight, label)` multiset of one adjacency
-/// row.
-fn row_multiset(g: &ExtendedGraph, edges: impl Iterator<Item = Edge>, outgoing: bool) -> NaiveRow {
+/// Sorted `(other endpoint, weight, label)` multiset of one row of a
+/// view.
+fn row_multiset(view: GeView<'_>, edges: Vec<Edge>, outgoing: bool) -> NaiveRow {
     let mut row: NaiveRow = edges
+        .into_iter()
         .map(|e| {
             let other = if outgoing { e.to } else { e.from };
-            (g.vertex(other), e.weight, e.label)
+            (view.vertex(other), e.weight, e.label)
         })
         .collect();
     row.sort_unstable();
     row
 }
 
-/// Bulk-builder tier: the materialized `ExtendedGraph::with_exclusion`,
-/// in both modes, has the naive vertex set and the naive
-/// `(target, weight, label)` multiset in every out-row and in-row.
-///
 /// View tier: `GE(r, σ)` as a view over a standalone engine's
 /// `GB(r, σ)`, over a batch session's `GB(r)` (bulk-order rows) and over
 /// a stream session's (append-order rows; a run that is no legal stream
-/// has none), in both modes, has the naive out-rows; its distance lanes
-/// — forward from each anchor, backward to σ — equal the dense
-/// Bellman–Ford at every vertex; and the dense `FastTiming` over it
-/// equals the naive Definition 23 evaluation at every vertex, in
+/// has none), in both modes, has the naive vertex set and the naive
+/// `(endpoint, weight, label)` multiset in every out-row and in-row; its
+/// distance lanes — forward from each anchor, backward to σ — equal the
+/// dense Bellman–Ford at every vertex; and the dense `FastTiming` over
+/// it equals the naive Definition 23 evaluation at every vertex, in
 /// `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors. Each view
-/// ran on the run's clock iff `clock` (every legal run's does), and
-/// label-correcting otherwise.
+/// ran on the run's clock iff `clock`, its traversals counted as
+/// Dijkstra, and label-correcting (counted as SPFA) otherwise.
 fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) {
     let past: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
     let anchors: Vec<NodeId> = past
@@ -386,7 +411,10 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
         .collect();
     let batch = IncrementalEngine::from_prefix(run.clone());
     let stream = IncrementalEngine::ingest(run).ok();
-    assert_eq!(stream.is_some(), clock, "{sigma}: only legal runs stream");
+    assert!(
+        stream.is_some() || !clock,
+        "{sigma}: a run on its clock streams"
+    );
     let sorted = |row: Option<&NaiveRow>| {
         let mut row = row.cloned().unwrap_or_default();
         row.sort_unstable();
@@ -397,23 +425,6 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
         let naive = naive_ge(run, sigma, exclude);
         let naive_rev = reversed(&naive);
         let f = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
-        let g = &ExtendedGraph::with_exclusion(run, sigma, exclude);
-        let vertices: BTreeSet<ExtVertex> = (0..g.vertex_count()).map(|i| g.vertex(i)).collect();
-        assert_eq!(vertices, naive.vertices, "GE vertex set at {sigma}");
-        assert_eq!(g.vertex_count(), naive.vertices.len(), "duplicate vertices");
-        for &v in &naive.vertices {
-            let i = g.index_of(v).expect("vertex sets agree");
-            assert_eq!(
-                row_multiset(g, g.edges_from(i), true),
-                sorted(naive.edges.get(&v)),
-                "out-row of {v} at {sigma} ({mode:?})"
-            );
-            assert_eq!(
-                row_multiset(g, g.edges_to(i), false),
-                sorted(naive_rev.edges.get(&v)),
-                "in-row of {v} at {sigma} ({mode:?})"
-            );
-        }
 
         let standalone = KnowledgeEngine::with_state(
             run,
@@ -434,33 +445,38 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                 clock,
                 "clock verdict at {sigma} ({what}, {mode:?})"
             );
-            assert_eq!(view.vertex_count(), g.vertex_count());
-            let mut rows: BTreeMap<ExtVertex, NaiveRow> = BTreeMap::new();
-            for e in view.edges() {
-                rows.entry(view.vertex(e.from)).or_default().push((
-                    view.vertex(e.to),
-                    e.weight,
-                    e.label,
-                ));
-            }
+            let n = view.vertex_count();
+            let vertices: BTreeSet<ExtVertex> = (0..n).map(|i| view.vertex(i)).collect();
+            assert_eq!(
+                vertices, naive.vertices,
+                "GE vertex set at {sigma} ({what})"
+            );
+            assert_eq!(n, naive.vertices.len(), "duplicate vertices ({what})");
             for &v in &naive.vertices {
+                let i = view.index_of(v).expect("vertex sets agree");
+                assert_eq!(view.vertex(i), v, "layout round trip ({what})");
                 assert_eq!(
-                    sorted(rows.get(&v)),
+                    row_multiset(view, view.edges_from(i), true),
                     sorted(naive.edges.get(&v)),
                     "out-row of {v} at {sigma} ({what}, {mode:?})"
                 );
+                assert_eq!(
+                    row_multiset(view, view.edges_to(i), false),
+                    sorted(naive_rev.edges.get(&v)),
+                    "in-row of {v} at {sigma} ({what}, {mode:?})"
+                );
             }
             let lanes_match = |lane: &Distances, dense: &BTreeMap<ExtVertex, i64>, dir: &str| {
-                for i in 0..g.vertex_count() {
-                    assert_eq!(view.vertex(i), g.vertex(i), "layouts agree");
+                for i in 0..n {
                     assert_eq!(
                         lane.weight(i),
-                        dense.get(&g.vertex(i)).copied(),
+                        dense.get(&view.vertex(i)).copied(),
                         "{dir} lane at {} (σ = {sigma}, {what}, {mode:?})",
-                        g.vertex(i)
+                        view.vertex(i)
                     );
                 }
             };
+            let before = view.work();
             let observer = ExtVertex::Node(sigma);
             lanes_match(&view.distances_to(observer).unwrap(), &f, "backward");
             for &anchor in &anchors {
@@ -471,6 +487,13 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                     "forward",
                 );
             }
+            let work = view.work();
+            let (ran, idle) = match clock {
+                true => ((work.dijkstra, before.dijkstra), (work.spfa, before.spfa)),
+                false => ((work.spfa, before.spfa), (work.dijkstra, before.dijkstra)),
+            };
+            assert!(ran.0.traversals > ran.1.traversals, "{what} at {sigma}");
+            assert_eq!(idle.0, idle.1, "{what} at {sigma} ran the other traversal");
             for &anchor in &anchors {
                 let d = naive_longest_from(&naive, ExtVertex::Node(anchor));
                 for gamma in [0u64, 5] {
@@ -490,6 +513,40 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                     }
                 }
             }
+        }
+    }
+}
+
+/// The frontier graph of `run` against [`naive_frontier`]: its vertex
+/// set and layout, `longest_to(σ)` at every vertex for each of `sigmas`,
+/// and `tight_bound` from a spread of roots to every recorded node,
+/// against the dense Bellman–Ford.
+fn assert_frontier_graph_matches_naive(run: &Run, sigmas: &[NodeId]) {
+    let fg = FrontierGraph::of_run(run);
+    let naive = naive_frontier(run);
+    let n = fg.vertex_count();
+    let vertices: BTreeSet<ExtVertex> = (0..n).map(|i| fg.vertex(i)).collect();
+    assert_eq!(vertices, naive.vertices, "frontier vertex set");
+    assert_eq!(n, naive.vertices.len(), "duplicate frontier vertices");
+    let naive_rev = reversed(&naive);
+    for &sigma in sigmas {
+        let lane = fg.longest_to(sigma).unwrap();
+        let want = naive_longest_from(&naive_rev, ExtVertex::Node(sigma));
+        for i in 0..n {
+            let v = fg.vertex(i);
+            assert_eq!(fg.index_of(v), Some(i), "frontier layout at {v}");
+            assert_eq!(lane.weight(i), want.get(&v).copied(), "{v} to {sigma}");
+        }
+    }
+    let nodes: Vec<NodeId> = run.nodes().map(|r| r.id()).collect();
+    for &root in nodes.iter().step_by((nodes.len() / 4).max(1)) {
+        let want = naive_longest_from(&naive, ExtVertex::Node(root));
+        for &to in &nodes {
+            assert_eq!(
+                fg.tight_bound(root, to).unwrap(),
+                want.get(&ExtVertex::Node(to)).copied(),
+                "tight bound from {root} to {to}"
+            );
         }
     }
 }
@@ -572,7 +629,8 @@ fn naive_witness_bytes(
     pairs: &[(NodeId, NodeId)],
 ) -> BTreeMap<(NodeId, NodeId), String> {
     let naive = naive_ge(run, sigma, None);
-    let ge = ExtendedGraph::new(run, sigma);
+    let engine = KnowledgeEngine::new(run, sigma).unwrap();
+    let ge = engine.ge();
     let mut by_anchor: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for &(a, b) in pairs {
         by_anchor.entry(a).or_default().push(b);
@@ -589,7 +647,7 @@ fn naive_witness_bytes(
             let witness = path.map(|path| {
                 let index = |v| ge.index_of(v).expect("vertex sets agree");
                 let (weight, edges) = indexed_path(d[&ExtVertex::Node(b)], &path, index);
-                let z = zigzag_from_ge_path(&ge, a, &edges).unwrap();
+                let z = zigzag_from_ge_path(ge, a, &edges).unwrap();
                 let z = anchor_tail(&z, &theta1).unwrap();
                 WitnessReport {
                     weight,
@@ -684,6 +742,7 @@ proptest! {
         let run = random_run(n, density, topo_seed, sched_seed, 22);
         let service = ZigzagService::new();
         let session = service.open_batch(run.clone(), SessionConfig::new());
+        assert_frontier_graph_matches_naive(&run, &observers(&run));
         for sigma in observers(&run) {
             assert_ge_and_fast_timing_match_naive(&run, sigma, true);
             let past = run.past(sigma);
@@ -1355,12 +1414,83 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
     assert!(decided > 0, "no decision traversed its graph");
 }
 
+/// A two-process run with a message each way and one late node on `i`
+/// at `late`; the last node of `i` is returned with the run.
+fn run_with_late_node(late: u64) -> (Run, NodeId) {
+    use zigzag::bcm::builder::RunBuilder;
+    use zigzag::bcm::Network;
+
+    let mut nb = Network::builder();
+    let i = nb.add_process("i");
+    let j = nb.add_process("j");
+    nb.add_bidirectional(i, j, 1, 3).unwrap();
+    let mut rb = RunBuilder::new(nb.build().unwrap(), Time::new(late + 1));
+    let i1 = rb.add_node(i, Time::new(1)).unwrap();
+    let to_j = rb.send(i1, j, Time::new(2)).unwrap();
+    let j1 = rb.add_node(j, Time::new(2)).unwrap();
+    rb.deliver(to_j, j1).unwrap();
+    let to_i = rb.send(j1, i, Time::new(4)).unwrap();
+    let i2 = rb.add_node(i, Time::new(4)).unwrap();
+    rb.deliver(to_i, i2).unwrap();
+    let i3 = rb.add_node(i, Time::new(late)).unwrap();
+    (rb.finish(), i3)
+}
+
+/// The view tier at the edges of the run's clock, on hand-built cases.
+/// Figure 1's C → A, C → B: at C's first node, A and B are outside the
+/// past and have no outgoing channels, so ψ_A and ψ_B have no in-edges
+/// at all and take the clock's least value; the views keep the clock at
+/// each process's first node and at the last node. And a run with one
+/// late node on `i`, whose `GB(r)` keeps its clock: the views refuse it
+/// when `ψ_i` or a Dijkstra key would overflow, and keep it otherwise.
+#[test]
+fn views_keep_or_refuse_the_clock_at_its_edges() {
+    use zigzag::bcm::Network;
+
+    let mut b = Network::builder();
+    let c = b.add_process("C");
+    let a = b.add_process("A");
+    let bb = b.add_process("B");
+    b.add_channel(c, a, 1, 3).unwrap();
+    b.add_channel(c, bb, 7, 9).unwrap();
+    let mut sim = Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(30)));
+    sim.external(Time::new(2), c, "go");
+    let fig1 = sim
+        .run(&mut Ffip::new(), &mut RandomScheduler::seeded(3))
+        .unwrap();
+    let nodes: Vec<NodeId> = fig1.nodes().map(|r| r.id()).collect();
+    let firsts = nodes.iter().filter(|n| n.index() == 1);
+    for &sigma in firsts.chain(nodes.last()) {
+        assert_ge_and_fast_timing_match_naive(&fig1, sigma, true);
+    }
+
+    for (late, clock) in [
+        // Recorded times past i64::MAX saturate there on the clock, where
+        // the graph's edges still hold; but `ψ_i` lies one past the
+        // boundary `i3`, beyond i64::MAX.
+        (i64::MAX as u64 + 2, false),
+        // Every slack fits, but the largest (~2^62, into `i3` and `ψ_j`)
+        // times |V| = 8 reaches u64::MAX: a Dijkstra key could overflow.
+        (1 << 62, false),
+        // At ~2^59 the keys fit.
+        (1 << 59, true),
+    ] {
+        let (run, sigma) = run_with_late_node(late);
+        assert!(
+            BoundsGraph::of_run(&run).clock_holds(),
+            "late node at {late}"
+        );
+        assert_ge_and_fast_timing_match_naive(&run, sigma, clock);
+    }
+}
+
 /// A hand-built run with one delivery later than its channel's upper
 /// bound. Its recorded times are no valid timing, so `GB(r)` and every
 /// observer's `GB(r, σ)` that holds the delivery fail the clock check,
 /// and their views walk label-correcting (counted as SPFA). The answers
 /// still equal the naive reference: `max_x`/`knows` per pair, the
-/// distance lanes, and the fast timing at every vertex.
+/// distance lanes, the fast timing at every vertex, and the frontier
+/// graph's bounds.
 #[test]
 fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
     use zigzag::bcm::builder::RunBuilder;
@@ -1391,6 +1521,8 @@ fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
     rb.deliver(back, j2).unwrap();
     let run = rb.finish();
     assert!(validate_run(&run, Strictness::Strict).is_err());
+    assert!(IncrementalEngine::ingest(&run).is_err(), "no legal stream");
+    assert_frontier_graph_matches_naive(&run, &[j1, k1, i2, j2]);
 
     for sigma in [j1, k1, i2, j2] {
         assert_ge_and_fast_timing_match_naive(&run, sigma, false);

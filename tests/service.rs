@@ -121,19 +121,21 @@ fn lru_bounded_batch_session_caps_states() {
     }
 }
 
-/// A snapshot's manifest is warmed before the snapshot's observer cap
-/// applies, and the cap keeps the warmed states' LRU order. Over wire
-/// frames: an `Import` whose snapshot caps its cache at 1 over two `obs`
-/// lines imports with one state kept; after a cap-2 session with two warm
-/// states migrates, a third observer evicts one of them and its repeat
-/// query is a hit.
+/// A snapshot's observer cap applies before its manifest is warmed, so
+/// a restore builds at most as many states as the cap keeps, and the cap
+/// keeps the warmed states' LRU order. Over wire frames: an `Import`
+/// whose snapshot caps its cache at 1 over two `obs` lines builds one
+/// state and keeps it; after a cap-2 session with two warm states
+/// migrates, a third observer evicts one of them and its repeat query is
+/// a hit. A store's recovery with `warm_observers(true)` of such a
+/// capped snapshot builds one state too.
 #[test]
 fn imported_caps_keep_the_lru_order_of_warmed_states() {
     let run = tri_run(2, 30);
     let sigmas = observers_of(&run);
     let source = ZigzagService::new();
     let capped = SessionConfig::new().cache(CachePolicy::unbounded().max_observers(2));
-    let session = source.open_batch(run, capped);
+    let session = source.open_batch(run.clone(), capped);
     for &sigma in &sigmas[..2] {
         source
             .dispatch(session, &Query::MaxXMatrix { sigma })
@@ -167,7 +169,7 @@ fn imported_caps_keep_the_lru_order_of_warmed_states() {
     let target = ZigzagService::new();
     let id = import(&target, &frame.replacen("\ncache 2\n", "\ncache 1\n", 1));
     assert_eq!(target.observer_count(id).unwrap(), 1);
-    assert_eq!(counters(&target), (0, 2, 1));
+    assert_eq!(counters(&target), (0, 1, 0));
 
     let target = ZigzagService::new();
     let id = import(&target, &frame);
@@ -177,6 +179,44 @@ fn imported_caps_keep_the_lru_order_of_warmed_states() {
         assert_eq!(counters(&target), want);
     }
     assert_eq!(target.observer_count(id).unwrap(), 2);
+
+    // A durable cap-1 session's snapshot, with a second `obs` line added
+    // to its manifest.
+    let dir = std::env::temp_dir().join(format!("zigzag-capped-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+    let writer = ZigzagService::new();
+    let one = SessionConfig::new().cache(CachePolicy::unbounded().max_observers(1));
+    let id = store
+        .open_stream(&writer, "capped", run.context_arc(), run.horizon(), one)
+        .unwrap();
+    for ev in RunCursor::new(&run) {
+        store.append(&writer, id, &ev).unwrap();
+    }
+    writer
+        .dispatch(id, &Query::MaxXMatrix { sigma: sigmas[0] })
+        .unwrap();
+    assert!(store.snapshot(&writer, id).unwrap(), "snapshot refused");
+    writer.close(id).unwrap();
+    let obs = |sigma: NodeId| format!("obs {} {}\n", sigma.proc().index(), sigma.index());
+    let path = store.snap_path("capped");
+    let snap = std::fs::read_to_string(&path).unwrap();
+    let two = obs(sigmas[0]) + &obs(sigmas[1]);
+    let snap = snap.replacen(
+        &format!("observers 1\n{}", obs(sigmas[0])),
+        &format!("observers 2\n{two}"),
+        1,
+    );
+    assert!(snap.contains(&two), "{snap}");
+    std::fs::write(&path, snap).unwrap();
+
+    let target = ZigzagService::new();
+    let warm = SessionStore::open(&dir, StoreConfig::new().warm_observers(true)).unwrap();
+    let rec = warm.recover(&target, "capped").unwrap();
+    assert!(rec.from_snapshot);
+    assert_eq!(target.observer_count(rec.id).unwrap(), 1);
+    assert_eq!(counters(&target), (0, 1, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The facade's session lifecycle and error surface: batch sessions
