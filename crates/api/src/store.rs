@@ -65,7 +65,10 @@
 //! The `cache` line holds the observer cap (`.` = unbounded), and each
 //! `obs` line an observer whose state the session's cache held — the
 //! warm-set manifest, which lists query states only (coordination
-//! decisions keep none).
+//! decisions keep none), from least to most recently used. A restore
+//! warms its last `cache` entries in order, so the session keeps the
+//! states and the recency the source had; a manifest in any other order
+//! still reads.
 //!
 //! Both documents embed a `bcm::codec` run document behind a `run
 //! <lines>` count. The log header embeds the session's *skeleton* run
@@ -255,7 +258,7 @@ pub struct SessionSnapshot {
     /// The coordination driver's trigger node `σ_C`, if seen.
     pub sigma_c: Option<NodeId>,
     /// The warm-set manifest: the observers whose query states the
-    /// session's cache held.
+    /// session's cache held, from least to most recently used.
     pub observers: Vec<NodeId>,
     /// The grown run prefix, context included.
     pub run: Run,
@@ -470,9 +473,13 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> StreamSession {
     let session = StreamSession::resume(snap.config, engine, snap.first_known, snap.sigma_c);
     if warm {
         // The session has applied its cap: warming past it would build
-        // states only to evict them. A fresh session is never poisoned.
+        // states only to evict them. The manifest runs from least to most
+        // recently used, so its last `keep` entries, warmed in order, are
+        // the states the source kept last, in its recency; any order
+        // still reads. A fresh session is never poisoned.
+        let skip = snap.observers.len().saturating_sub(keep);
         let _ = session.with_engine(|engine| {
-            for &sigma in snap.observers.iter().take(keep) {
+            for &sigma in &snap.observers[skip..] {
                 // Warmth is answer-invariant; a manifest entry naming a
                 // node outside the prefix (hostile input) is simply
                 // skipped.

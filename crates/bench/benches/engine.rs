@@ -1,5 +1,5 @@
 //! B6 — the shared-analysis query engine: cold (fresh engine per query,
-//! the seed behavior) vs warm (one engine, memoized SPFA + timing caches)
+//! the seed behavior) vs warm (one engine, memoized lanes + answer caches)
 //! `max_x` queries, plus batched thresholds, on `scaled_context`
 //! topologies of n ∈ {6, 12, 24} processes.
 //!
@@ -44,8 +44,8 @@ fn cold_vs_warm(c: &mut Criterion) {
             });
         });
 
-        // Shared-analysis behavior: one engine, memoized longest paths and
-        // fast timings shared across queries.
+        // Shared-analysis behavior: one engine, memoized distance lanes
+        // and answers shared across queries.
         let engine = KnowledgeEngine::new(&run, sigma).unwrap();
         for (ta, tb) in &queries {
             let _ = engine.max_x(ta, tb).unwrap(); // warm the caches

@@ -27,7 +27,7 @@ fn knowledge_queries(c: &mut Criterion) {
             b.iter(|| KnowledgeEngine::new(run, sigma).unwrap());
         });
         // One engine across iterations: these measure the *warm* query
-        // path (memoized distances + timing caches); a warm witness still
+        // path (memoized distances + answer caches); a warm witness still
         // re-runs its path pass. Cold-vs-warm is isolated in
         // benches/engine.rs.
         let engine = KnowledgeEngine::new(&run, sigma).unwrap();
@@ -38,7 +38,7 @@ fn knowledge_queries(c: &mut Criterion) {
             b.iter(|| e.witness(&tx, &ty).unwrap());
         });
         // A fresh engine per iteration: the cold witness a serving miss
-        // pays — the observer build, the fast timing and the path pass.
+        // pays — the observer build, one distance lane and the path pass.
         group.bench_with_input(BenchmarkId::new("witness-cold", n), &run, |b, run| {
             b.iter(|| {
                 let e = KnowledgeEngine::new(run, sigma).unwrap();

@@ -169,9 +169,10 @@ impl IncrementalEngine {
         }
     }
 
-    /// The observer of every currently cached analysis state, in no
-    /// particular order — the warm-set manifest a session snapshot
-    /// records so recovery can pre-build the same states.
+    /// The observer of every currently cached analysis state, from least
+    /// to most recently used — the warm-set manifest a session snapshot
+    /// records so recovery can pre-build the same states in the same
+    /// recency.
     pub fn observer_keys(&self) -> Vec<NodeId> {
         self.observers
             .lock()

@@ -18,24 +18,40 @@
 //! exactly the max-x weight ([`KnowledgeEngine::witness`], Corollary 1);
 //! every negative answer with a legal indistinguishable run in which the
 //! precedence fails ([`KnowledgeEngine::refute`]).
+//!
+//! # One traversal per base
+//!
+//! The 0-fast timing gives every vertex reachable from `θ1`'s base `σ'`
+//! its forward distance `d(σ', v)` plus one shift (Definition 23), so the
+//! gap `time(θ2) − time(θ1)` is a difference of distances and the shift
+//! cancels. `max_x`, `knows`, `witness` and `refute`'s yes/no step
+//! therefore read the forward lane of `σ'` alone (`timing::fast_lane`),
+//! lay `θ1`'s chain out and walk `θ2`'s as offsets from it, and run one
+//! distance traversal per distinct base. A full
+//! [`crate::timing::FastTiming`], with its traversal to the observer, is
+//! built only for a constructed run: [`KnowledgeEngine::fast_run_of`]
+//! and `refute`'s counterexample.
+
+#![deny(clippy::cast_possible_wrap)]
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{NetPath, NodeId, ProcessId, Run, Time};
+use zigzag_bcm::{BcmError, Bounds, Channel, NetPath, NodeId, ProcessId, Run};
 
-use crate::bounds_graph::{BoundsGraph, NodeLayout};
+use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
 use crate::construct::{Extension, FastRun, RunArena};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
 use crate::fork::TwoLeggedFork;
 use crate::fx::FxBuild;
-use crate::graph::Edge;
+use crate::graph::{Distances, Edge};
 use crate::node::GeneralNode;
 use crate::pattern::ZigzagPattern;
-use crate::timing::{fast_timing, FastTiming};
+use crate::timing::{fast_lane, fast_timing, FastTiming};
 use crate::visible::VisibleZigzag;
 
 /// How one hop of a node's message chain is delivered in the 0-fast run.
@@ -50,14 +66,30 @@ enum FastHop {
     ChainUpper(usize),
 }
 
-/// `θ1`'s chain layout in the fast run: position times and the condition-2
-/// delivery prescriptions.
+/// `θ1`'s chain layout in the 0-fast run: position offsets and the
+/// condition-2 delivery prescriptions. Every offset is a time in that run
+/// less the timing's shift, so its base `σ'` sits at `d(σ') = 0`.
 #[derive(Debug)]
 struct ChainInfo {
-    /// `(sending process, send time, destination) → (arrival, position)`.
-    map: BTreeMap<(ProcessId, Time, ProcessId), (Time, usize)>,
-    /// Arrival time of the full chain: `time(θ1)` in the fast run.
-    arrival: Time,
+    /// `(sending process, send offset, destination) → (arrival offset,
+    /// position)`.
+    map: BTreeMap<(ProcessId, i64, ProcessId), (i64, usize)>,
+    /// Arrival offset of the full chain: `time(θ1)` in the 0-fast run,
+    /// less the shift.
+    arrival: i64,
+}
+
+/// `(L, U)` of hop `c` of a general node's chain as edge weights, or the
+/// error naming a hop that is not a channel: a chain past the observer's
+/// past comes from the caller unchecked.
+fn hop_weights(bounds: &Bounds, c: Channel) -> Result<(i64, i64), CoreError> {
+    if bounds.get(c).is_none() {
+        return Err(CoreError::Bcm(BcmError::MissingChannel {
+            from: c.from,
+            to: c.to,
+        }));
+    }
+    Ok(weights(bounds, c.from, c.to))
 }
 
 /// The memoized `max_x` answer table: per-`θ1` rows of per-`θ2` final
@@ -65,22 +97,48 @@ struct ChainInfo {
 type AnswerRows = HashMap<GeneralNode, HashMap<GeneralNode, Option<i64>, FxBuild>, FxBuild>;
 
 /// Memoized per-query state shared by `knows` / `max_x` / `witness` /
-/// `refute` on the same engine: canonical node rewrites, 0-fast timings
-/// per anchor base, and `θ1` chain layouts. All derived purely from the
-/// immutable `(run, σ)` pair, so entries never go stale.
+/// `refute` / `fast_run_of` on the same engine: canonical node rewrites,
+/// the checked forward lane per anchor base and `θ1` chain layouts, which
+/// the answers read, and the γ-fast timings constructions read. All
+/// derived purely from the immutable `(run, σ)` pair, so entries never go
+/// stale.
 #[derive(Debug, Default)]
 struct QueryCache {
     canonical: Mutex<HashMap<GeneralNode, GeneralNode, FxBuild>>,
+    /// The forward distance lane of each canonical `θ1` base, each
+    /// checked against Lemma 17 once ([`fast_lane`]); the view's memo
+    /// holds the same lane.
+    lanes: Mutex<HashMap<NodeId, Arc<Distances>, FxBuild>>,
+    /// Keyed by canonical `θ1`: the layout is in offsets from its base's
+    /// lane, which no γ moves.
+    chains: Mutex<HashMap<GeneralNode, Arc<ChainInfo>, FxBuild>>,
+    /// The γ-fast timing per `(base, γ)`, for constructions only
+    /// ([`KnowledgeEngine::fast_run_of`] and `refute`'s counterexample).
     timings: Mutex<HashMap<(NodeId, u64), Arc<FastTiming>, FxBuild>>,
-    /// Keyed by `(canonical θ1, γ)`: the layout is computed under the
-    /// γ-fast timing of θ1's base, so γ must be part of the identity.
-    chains: Mutex<HashMap<(GeneralNode, u64), Arc<ChainInfo>, FxBuild>>,
     /// Final `max_x` answers per `(θ1, θ2)` (uncanonicalized, so repeat
     /// queries skip even the canonical rewrite). Sound for the same
     /// reason the state itself is reusable across appends: the answer is
     /// a pure function of the immutable `(GE(r, σ), θ1, θ2)` triple.
     /// Nested so the hot lookup borrows both keys and clones nothing.
     answers: Mutex<AnswerRows>,
+}
+
+/// The value `memo` holds for `key`, built with `build` on a miss. The
+/// lock is released while building, so racing misses may each build; the
+/// value is a pure function of the key, so either result is the same.
+fn memoized<K: Eq + Hash + Clone, V: Clone>(
+    memo: &Mutex<HashMap<K, V, FxBuild>>,
+    key: &K,
+    build: impl FnOnce() -> Result<V, CoreError>,
+) -> Result<V, CoreError> {
+    if let Some(hit) = memo.lock().expect("query cache lock").get(key) {
+        return Ok(hit.clone());
+    }
+    let value = build()?;
+    memo.lock()
+        .expect("query cache lock")
+        .insert(key.clone(), value.clone());
+    Ok(value)
 }
 
 /// Which edge set an [`ObserverState`]'s `GE(r, σ)` carries. Queries read
@@ -316,10 +374,17 @@ impl ObserverCache {
         self.map.is_empty()
     }
 
-    /// The observer of every retained state, in no particular order —
-    /// the warm-set manifest durable-session snapshots record.
+    /// The observer of every retained state, from least to most recently
+    /// used — the warm-set manifest durable-session snapshots record, so
+    /// warming it in order rebuilds the same recency.
     pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.map.keys().copied()
+        let mut by_use: Vec<(u64, NodeId)> = self
+            .map
+            .iter()
+            .map(|(&sigma, &(_, used))| (used, sigma))
+            .collect();
+        by_use.sort_unstable();
+        by_use.into_iter().map(|(_, sigma)| sigma)
     }
 
     /// Total number of states evicted so far.
@@ -614,146 +679,108 @@ impl<'r> KnowledgeEngine<'r> {
     ///   `time = 0` nodes);
     /// * [`CoreError::NodeNotInRun`] if a hop is not a channel.
     fn canonicalize(&self, theta: &GeneralNode) -> Result<GeneralNode, CoreError> {
-        if let Some(hit) = self
-            .state
-            .cache
-            .canonical
-            .lock()
-            .expect("canonical cache lock")
-            .get(theta)
-        {
-            return Ok(hit.clone());
-        }
-        let canonical = crate::construct::canonicalize_in_past(
-            self.run,
-            &self.state.past,
-            self.observer(),
-            theta,
-        )?;
-        self.state
-            .cache
-            .canonical
-            .lock()
-            .expect("canonical cache lock")
-            .insert(theta.clone(), canonical.clone());
-        Ok(canonical)
+        memoized(&self.state.cache.canonical, theta, || {
+            let (past, sigma) = (&self.state.past, self.observer());
+            crate::construct::canonicalize_in_past(self.run, past, sigma, theta)
+        })
     }
 
-    /// The memoized 0-/γ-fast timing anchored at `base`, computed once
-    /// per distinct `(base, γ)` for the lifetime of the engine. Its two
-    /// distance traversals are memoized by the view, so every γ at one
-    /// base shares them; each is a Dijkstra under the run's clock (see
+    /// The memoized γ-fast timing anchored at `base`, computed once per
+    /// distinct `(base, γ)` for the lifetime of the engine, for
+    /// constructions. Its two distance traversals are memoized by the
+    /// view, so every γ at one base shares them, and the forward one with
+    /// the answers' lane; each is a Dijkstra under the run's clock (see
     /// [`crate::extended_graph`]).
     fn timing(&self, base: NodeId, gamma: u64) -> Result<Arc<FastTiming>, CoreError> {
-        if let Some(hit) = self
-            .state
-            .cache
-            .timings
-            .lock()
-            .expect("timing cache lock")
-            .get(&(base, gamma))
-        {
-            return Ok(hit.clone());
-        }
-        let ft = Arc::new(fast_timing(self.ge(), base, gamma)?);
-        self.state
-            .cache
-            .timings
-            .lock()
-            .expect("timing cache lock")
-            .insert((base, gamma), ft.clone());
-        Ok(ft)
+        memoized(&self.state.cache.timings, &(base, gamma), || {
+            fast_timing(self.ge(), base, gamma).map(Arc::new)
+        })
     }
 
-    /// The memoized chain layout of a canonical `θ1` under its 0-fast
-    /// timing.
-    fn chain_info_cached(
-        &self,
-        ft: &FastTiming,
-        theta: &GeneralNode,
-    ) -> Result<Arc<ChainInfo>, CoreError> {
-        let key = (theta.clone(), ft.gamma);
-        if let Some(hit) = self
-            .state
-            .cache
-            .chains
-            .lock()
-            .expect("chain cache lock")
-            .get(&key)
-        {
-            return Ok(hit.clone());
-        }
-        let chain = Arc::new(self.chain_info(ft, theta)?);
-        self.state
-            .cache
-            .chains
-            .lock()
-            .expect("chain cache lock")
-            .insert(key, chain.clone());
-        Ok(chain)
+    /// The memoized forward lane of a canonical base, checked against
+    /// Lemma 17 on its first use (see the [module docs](self)).
+    fn lane(&self, base: NodeId) -> Result<Arc<Distances>, CoreError> {
+        memoized(&self.state.cache.lanes, &base, || {
+            fast_lane(self.ge(), base)
+        })
+    }
+
+    /// The memoized chain layout of a canonical `θ1` in the 0-fast run.
+    fn chain_info_cached(&self, theta: &GeneralNode) -> Result<Arc<ChainInfo>, CoreError> {
+        memoized(&self.state.cache.chains, theta, || {
+            self.chain_info(theta).map(Arc::new)
+        })
     }
 
     /// Lays out a canonical node's chain at upper bounds (Definition 24
-    /// condition 2) starting from its fast-timing base time.
-    fn chain_info(&self, ft: &FastTiming, theta: &GeneralNode) -> Result<ChainInfo, CoreError> {
+    /// condition 2), in offsets from its base at 0.
+    fn chain_info(&self, theta: &GeneralNode) -> Result<ChainInfo, CoreError> {
         let bounds = self.run.context().bounds();
-        let mut t = ft
-            .node_time(theta.base())
-            .expect("canonical bases lie in the past");
+        let mut t = 0;
         let mut map = BTreeMap::new();
         for (m, hop) in theta.path().hops().enumerate() {
-            let u = bounds
-                .get(hop)
-                .ok_or(CoreError::Bcm(zigzag_bcm::BcmError::MissingChannel {
-                    from: hop.from,
-                    to: hop.to,
-                }))?
-                .upper();
-            let next = t + u;
+            let (_, upper) = hop_weights(bounds, hop)?;
+            let next = t + upper;
             map.insert((hop.from, t, hop.to), (next, m + 1));
             t = next;
         }
         Ok(ChainInfo { map, arrival: t })
     }
 
-    /// Resolves a canonical node's arrival time in the 0-fast run of `θ1`
-    /// without materializing the run: condition-2 hops follow `θ1`'s
-    /// pinned chain, all other hops land at `max(t + L, T(ψ))`.
+    /// Resolves a canonical node's arrival offset in the 0-fast run of
+    /// `θ1` from its base's offset `start`, without materializing the
+    /// run: condition-2 hops follow `θ1`'s pinned chain, all other hops
+    /// land at `max(t + L, d(ψ))`, where an unreached `ψ` never binds.
     fn walk(
         &self,
-        ft: &FastTiming,
+        lane: &Distances,
         chain: &ChainInfo,
         theta2: &GeneralNode,
-    ) -> Result<(Time, Vec<FastHop>), CoreError> {
+        start: i64,
+    ) -> Result<(i64, Vec<FastHop>), CoreError> {
+        let ge = self.ge();
         let bounds = self.run.context().bounds();
-        let mut t = ft
-            .node_time(theta2.base())
-            .expect("canonical bases lie in the past");
+        let mut t = start;
         let mut hops = Vec::new();
         for hop in theta2.path().hops() {
-            let cb =
-                bounds
-                    .get(hop)
-                    .ok_or(CoreError::Bcm(zigzag_bcm::BcmError::MissingChannel {
-                        from: hop.from,
-                        to: hop.to,
-                    }))?;
+            let (lower, _) = hop_weights(bounds, hop)?;
             if let Some(&(tn, pos)) = chain.map.get(&(hop.from, t, hop.to)) {
                 t = tn;
                 hops.push(FastHop::ChainUpper(pos));
-            } else {
-                let low = t + cb.lower();
-                let psi = ft.aux_time(hop.to).expect("every process has ψ");
-                if low >= psi {
-                    t = low;
-                    hops.push(FastHop::Lower);
-                } else {
+                continue;
+            }
+            let low = t + lower;
+            let psi = ge.index_of(ExtVertex::Aux(hop.to));
+            match lane.weight(psi.expect("every process has ψ")) {
+                Some(psi) if psi > low => {
                     t = psi;
                     hops.push(FastHop::Psi);
+                }
+                _ => {
+                    t = low;
+                    hops.push(FastHop::Lower);
                 }
             }
         }
         Ok((t, hops))
+    }
+
+    /// The 0-fast gap `time(θ2) − time(θ1)` of two canonical nodes and
+    /// the hops of `θ2`'s chain, or `None` when `θ2`'s base is unreachable
+    /// from `θ1`'s in `GE(r, σ)`.
+    fn gap(
+        &self,
+        t1c: &GeneralNode,
+        t2c: &GeneralNode,
+    ) -> Result<Option<(i64, Vec<FastHop>)>, CoreError> {
+        let lane = self.lane(t1c.base())?;
+        let base2 = self.ge().index_of(ExtVertex::Node(t2c.base()));
+        let Some(start) = base2.and_then(|i| lane.weight(i)) else {
+            return Ok(None);
+        };
+        let chain = self.chain_info_cached(t1c)?;
+        let (t2, hops) = self.walk(&lane, &chain, t2c, start)?;
+        Ok(Some((t2 - chain.arrival, hops)))
     }
 
     /// The exact knowledge threshold: the largest `x` for which
@@ -799,20 +826,14 @@ impl<'r> KnowledgeEngine<'r> {
     ) -> Result<Option<i64>, CoreError> {
         let t1c = self.canonicalize(theta1)?;
         let t2c = self.canonicalize(theta2)?;
-        let ft = self.timing(t1c.base(), 0)?;
-        if !ft.is_reachable(ExtVertex::Node(t2c.base())) {
-            return Ok(None);
-        }
-        let chain = self.chain_info_cached(&ft, &t1c)?;
-        let (t2, _) = self.walk(&ft, &chain, &t2c)?;
-        Ok(Some(t2.ticks() as i64 - chain.arrival.ticks() as i64))
+        Ok(self.gap(&t1c, &t2c)?.map(|(gap, _)| gap))
     }
 
     /// Batched [`KnowledgeEngine::max_x`]: answers every `(θ1, θ2)` query
-    /// in one call, sharing canonicalization, fast timings and chain
-    /// layouts across queries (queries with a common `θ1` cost one pair
-    /// of distance traversals total). Results are positionally aligned
-    /// with `queries`.
+    /// in one call, sharing canonicalization, distance lanes and chain
+    /// layouts across queries (queries with a common `θ1` cost one
+    /// distance traversal total). Results are positionally aligned with
+    /// `queries`.
     ///
     /// # Errors
     ///
@@ -862,13 +883,9 @@ impl<'r> KnowledgeEngine<'r> {
     ) -> Result<Option<(i64, VisibleZigzag)>, CoreError> {
         let t1c = self.canonicalize(theta1)?;
         let t2c = self.canonicalize(theta2)?;
-        let ft = self.timing(t1c.base(), 0)?;
-        if !ft.is_reachable(ExtVertex::Node(t2c.base())) {
+        let Some((max_x, hops)) = self.gap(&t1c, &t2c)? else {
             return Ok(None);
-        }
-        let chain = self.chain_info_cached(&ft, &t1c)?;
-        let (t2, hops) = self.walk(&ft, &chain, &t2c)?;
-        let max_x = t2.ticks() as i64 - chain.arrival.ticks() as i64;
+        };
 
         let ge = self.ge();
         let vertex = |i| ge.vertex(i);
@@ -952,8 +969,8 @@ impl<'r> KnowledgeEngine<'r> {
     }
 
     /// The canonical maximum-weight `GE(r, σ)` path from `from` to a
-    /// vertex the fast timing reaches ([`GeView::longest_path`]), read off
-    /// the memoized distances that timing computed.
+    /// vertex its lane reaches ([`GeView::longest_path`]), read off that
+    /// memoized lane.
     fn ge_path(&self, from: NodeId, to: ExtVertex) -> Result<Vec<Edge>, CoreError> {
         let path = self.ge().longest_path(ExtVertex::Node(from), to)?;
         path.map(|(_, edges)| edges)
@@ -1034,11 +1051,7 @@ impl<'r> KnowledgeEngine<'r> {
         let extra =
             Extension::Derived(u2 + bounds.path_upper(t1c.path()).map_err(CoreError::Bcm)? + 2);
 
-        let ft = self.timing(t1c.base(), 0)?;
-        if ft.is_reachable(ExtVertex::Node(t2c.base())) {
-            let chain = self.chain_info_cached(&ft, &t1c)?;
-            let (t2, _) = self.walk(&ft, &chain, &t2c)?;
-            let m = t2.ticks() as i64 - chain.arrival.ticks() as i64;
+        if let Some((m, _)) = self.gap(&t1c, &t2c)? {
             if x <= m {
                 return Ok(None);
             }
@@ -1059,7 +1072,7 @@ mod tests {
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::{EagerScheduler, RandomScheduler};
     use zigzag_bcm::validate::{validate_run, Strictness};
-    use zigzag_bcm::{Network, SimConfig, Simulator};
+    use zigzag_bcm::{Network, SimConfig, Simulator, Time};
 
     /// Figure 1 context: C → A `[1,3]`, C → B `[7,9]`.
     fn fig1_run() -> (Run, ProcessId, ProcessId, ProcessId) {
@@ -1402,8 +1415,8 @@ mod tests {
 
     #[test]
     fn warm_queries_match_cold_and_batch() {
-        // Repeated queries on one engine (memoized SPFA, canonical and
-        // timing caches) must answer exactly like a fresh engine per query
+        // Repeated queries on one engine (memoized lanes, canonical and
+        // chain caches) must answer exactly like a fresh engine per query
         // — the seed behavior — and like the batched API.
         for seed in 0..4 {
             let run = tri_run(seed, 50);

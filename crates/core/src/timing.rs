@@ -15,8 +15,10 @@
 //!
 //! # Fast-timing lanes
 //!
-//! A [`FastTiming`] is computed for every observer-cache miss that asks a
-//! knowledge question, so it is stored densely: a `times` lane and a
+//! A [`FastTiming`] is built for each γ-fast run a caller constructs
+//! ([`crate::construct::fast_run`],
+//! [`crate::knowledge::KnowledgeEngine::fast_run_of`] and `refute`'s
+//! counterexample), so it is stored densely: a `times` lane and a
 //! `reachable` lane, each indexed by `GE(r, σ)` vertex index. The index
 //! follows the graph's vertex layout (see [`crate::extended_graph`]) —
 //! past nodes in `(process, index)` order, then `ψ_0, ψ_1, …` — so a
@@ -29,15 +31,24 @@
 //! / [`GeView::distances_to`]) — and checks Lemma 17 in one linear scan
 //! over the same rows the traversals read: `GB(r)`'s, cut at the
 //! frontier, plus the view's overlay.
+//!
+//! A knowledge answer needs no absolute time. Every vertex reachable
+//! from `σ'` gets `d(v)` plus one shift, `1 + F1 − F2 + γ − D`, and the
+//! 0-fast run's gaps between such vertices are differences of `d`, so
+//! the answers read the forward lane alone (`fast_lane`): one
+//! traversal, and none to the observer. Its Lemma 17 check covers the
+//! reached region the answers read, by the same scan.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use zigzag_bcm::{NodeId, Time};
 
 use crate::bounds_graph::{BoundsGraph, NodeLayout};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, GeView};
-use crate::graph::{Direction, Rows};
+use crate::graph::{Direction, Distances, Rows};
 
 /// A timing assignment for a subset of the basic nodes of a run.
 pub type NodeTiming = BTreeMap<NodeId, Time>;
@@ -173,6 +184,80 @@ impl FastTiming {
     }
 }
 
+/// `sigma_prime` as a vertex of `ge`, or the error naming it outside the
+/// observer's past.
+fn anchor(ge: &GeView<'_>, sigma_prime: NodeId) -> Result<ExtVertex, CoreError> {
+    let start = ExtVertex::Node(sigma_prime);
+    match ge.index_of(start) {
+        Some(_) => Ok(start),
+        None => Err(CoreError::NotRecognized {
+            observer: ge.observer(),
+            detail: format!("{sigma_prime} is not in past(r, σ)"),
+        }),
+    }
+}
+
+/// Lemma 17's check in one linear scan over `ge`'s rows: every edge
+/// `u --w--> v` leaving a vertex `u` that `t` assigns satisfies
+/// `t(u) + w ≤ t(v)`, and one into a vertex `t` leaves unassigned is a
+/// violation. `what` names the assignment in the error.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidTiming`] naming the first violated edge.
+fn check_lemma_17(
+    ge: &GeView<'_>,
+    what: fmt::Arguments<'_>,
+    t: impl Fn(usize) -> Option<i64>,
+) -> Result<(), CoreError> {
+    let walk = ge.walk();
+    for u in 0..walk.vertex_count() {
+        let Some(tu) = t(u) else { continue };
+        let mut violated = None;
+        walk.scan(u, Direction::Forward, |v, weight, _, _| {
+            let tv = t(v);
+            let holds = tv.is_some_and(|tv| i128::from(tu) + i128::from(weight) <= i128::from(tv));
+            if !holds && violated.is_none() {
+                violated = Some((v, weight, tv));
+            }
+        });
+        if let Some((v, weight, tv)) = violated {
+            let layout = ge.layout();
+            let tv = tv.map_or_else(|| "unreached".to_owned(), |tv| tv.to_string());
+            return Err(CoreError::InvalidTiming {
+                detail: format!(
+                    "{what} violates {} --{weight}--> {} (T={tu} vs T={tv})",
+                    layout.ext_vertex(u),
+                    layout.ext_vertex(v)
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The forward distance lane from `sigma_prime` in `GE(r, σ)`: the
+/// 0-fast timing of Definition 23 on the vertices reachable from
+/// `sigma_prime`, less its shift (see the [module docs](self)). `None`
+/// marks an unreachable vertex. Lemma 17 is checked on the reached
+/// region: `d(u) + w ≤ d(v)` on every edge leaving a reached vertex,
+/// whose head must be reached too.
+///
+/// # Errors
+///
+/// Fails if `sigma_prime` is not a past node of the graph's observer, on
+/// a positive cycle, or with [`CoreError::InvalidTiming`] if the lane
+/// violates an edge.
+pub(crate) fn fast_lane(ge: GeView<'_>, sigma_prime: NodeId) -> Result<Arc<Distances>, CoreError> {
+    let lane = ge.distances_from(anchor(&ge, sigma_prime)?)?;
+    check_lemma_17(
+        &ge,
+        format_args!("the 0-fast lane from {sigma_prime}"),
+        |v| lane.weight(v),
+    )?;
+    Ok(lane)
+}
+
 /// Computes the γ-fast timing of `sigma_prime` (the base of `θ'`) in
 /// `GE(r, σ)` per Definition 23:
 ///
@@ -195,14 +280,7 @@ pub fn fast_timing(
     sigma_prime: NodeId,
     gamma: u64,
 ) -> Result<FastTiming, CoreError> {
-    let start = ExtVertex::Node(sigma_prime);
-    if ge.index_of(start).is_none() {
-        return Err(CoreError::NotRecognized {
-            observer: ge.observer(),
-            detail: format!("{sigma_prime} is not in past(r, σ)"),
-        });
-    }
-    let lp_from = ge.distances_from(start)?;
+    let lp_from = ge.distances_from(anchor(&ge, sigma_prime)?)?;
     let lp_to_sigma = ge.distances_to(ExtVertex::Node(ge.observer()))?;
     let layout = ge.layout();
     // Dense indices below `originals` are past nodes, the rest are ψs.
@@ -260,29 +338,11 @@ pub fn fast_timing(
         reachable.push(lp_from.reaches(vi));
     }
 
-    // Lemma 17 check: every GE edge constraint holds, in one linear scan
-    // over the rows. Times lie in [0, i64::MAX], so `tt − tf` cannot
-    // overflow where `tf + w` could.
-    let walk = ge.walk();
-    for (vi, tf) in times.iter().enumerate() {
-        let tf = tf.ticks() as i64;
-        let mut violated = None;
-        walk.scan(vi, Direction::Forward, |to, weight, _, _| {
-            let tt = times[to].ticks() as i64;
-            if weight > tt - tf && violated.is_none() {
-                violated = Some((to, weight, tt));
-            }
-        });
-        if let Some((to, weight, tt)) = violated {
-            return Err(CoreError::InvalidTiming {
-                detail: format!(
-                    "fast timing violates {} --{weight}--> {} (T={tf} vs T={tt})",
-                    layout.ext_vertex(vi),
-                    layout.ext_vertex(to)
-                ),
-            });
-        }
-    }
+    // Lemma 17 check: every GE edge constraint holds. Times lie in
+    // [0, i64::MAX], so each converts back exactly.
+    check_lemma_17(&ge, format_args!("fast timing"), |v| {
+        Some(times[v].ticks() as i64)
+    })?;
     Ok(FastTiming {
         gamma,
         layout: layout.clone(),

@@ -121,7 +121,7 @@ use zigzag::core::extended_graph::{
     ExtVertex, GeView, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
 };
 use zigzag::core::extract::{anchor_tail, zigzag_from_ge_path};
-use zigzag::core::graph::{Distances, Edge, TraversalWork, WeightedDigraph};
+use zigzag::core::graph::{Distances, Edge, GraphWork, TraversalWork, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
 use zigzag::core::knowledge::{KnowledgeEngine, ObserverMode, ObserverState};
 use zigzag::core::precedence::satisfies;
@@ -1330,8 +1330,9 @@ fn feedback_scenario(
 /// Every `B`-node decision of the streaming driver on feedback-topology
 /// streams (`Late` spec, `ExcludeOwnSends`) runs on the run's clock. The
 /// decision's view kept its clock, nothing fell back to SPFA, the
-/// decision made zero or one pair of Dijkstra traversals, and each
-/// scanned at most `|E|` edges and popped at most `|E| + 1` entries.
+/// decision made zero Dijkstra traversals or one, the forward lane its
+/// `knows` reads, and each scanned at most `|E|` edges and popped at
+/// most `|E| + 1` entries.
 /// The work counters live on the session's `GB(r)`, so the driver's
 /// decision is read as the change they show across its step. A Dijkstra
 /// pops every vertex its root reaches once and scans each one's whole
@@ -1373,7 +1374,7 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                 assert_eq!(work.spfa, before.spfa, "SPFA ran at {sigma}");
                 let traversals = work.dijkstra.traversals - before.dijkstra.traversals;
                 assert!(
-                    matches!(traversals, 0 | 2),
+                    matches!(traversals, 0 | 1),
                     "{traversals} traversals at {sigma}"
                 );
 
@@ -1406,7 +1407,7 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                     single.dijkstra.max_scans <= edges && single.dijkstra.max_pops <= edges + 1,
                     "decision at {sigma} (|E| = {edges}): {single:?}"
                 );
-                decided += traversals / 2;
+                decided += traversals;
                 assert_ge_and_fast_timing_match_naive(prefix, sigma, true);
             }
         }
@@ -1833,11 +1834,17 @@ fn warm_query_loop_allocates_nothing() {
 /// cold standalone `ObserverState::build` builds `GB(r, σ)`, so it
 /// allocates at most twice per `GE(r, σ)` vertex (its out and in rows,
 /// each allocated once) plus a constant, and the first basic-node
-/// `max_x` on a fresh state allocates a size-independent count — the
-/// fast timing is dense lanes, not per-vertex map nodes. A session's
+/// `max_x` on a fresh state allocates a size-independent count — it
+/// reads one dense distance lane, not per-vertex map nodes. A session's
 /// state is a view over the session's `GB(r)`: building it and answering
 /// a first `max_x` on it allocates at most a constant number of times,
 /// whatever |V|, on a stream session and a batch session alike.
+///
+/// The same cold reads as traversals, the work counters of the session's
+/// `GB(r)` read as deltas: a cold `max_x`, `knows` and `witness` at a new
+/// state each run exactly one Dijkstra traversal, the forward lane from
+/// θ1's base, and no SPFA; a fast run at the witness's state then adds
+/// exactly one, the backward lane to the observer.
 #[test]
 fn cold_observer_build_allocations_are_bounded() {
     let run = random_run(12, 3, 11, 1, 60);
@@ -1902,6 +1909,41 @@ fn cold_observer_build_allocations_are_bounded() {
         "first max_x allocated {small_allocs} times at |V| = {v_small} \
          but {large_allocs} at |V| = {v_large}"
     );
+
+    let fresh: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&s| s != small && s != large && run.past(s).contains(nodes[0]))
+        .take(3)
+        .collect();
+    let [at_max_x, at_knows, at_witness] = fresh[..] else {
+        panic!("three more observers see the anchor");
+    };
+    for session in &sessions {
+        let work = || session.bounds_graph().graph().work();
+        let one_traversal = |before: GraphWork, what: &str| {
+            let after = work();
+            assert_eq!(after.spfa, before.spfa, "{what} ran SPFA");
+            let traversals = after.dijkstra.traversals - before.dijkstra.traversals;
+            assert_eq!(traversals, 1, "{what} ran {traversals} traversals");
+        };
+        let before = work();
+        let theta2 = GeneralNode::basic(at_max_x);
+        session.max_x(at_max_x, &anchor, &theta2).unwrap();
+        one_traversal(before, "a cold max_x");
+        let before = work();
+        let theta2 = GeneralNode::basic(at_knows);
+        session.knows(at_knows, &anchor, &theta2, 0).unwrap();
+        one_traversal(before, "a cold knows");
+        let before = work();
+        let engine = session.engine(at_witness).unwrap();
+        let theta2 = GeneralNode::basic(at_witness);
+        assert!(engine.witness(&anchor, &theta2).unwrap().is_some());
+        one_traversal(before, "a cold witness");
+        let before = work();
+        engine.fast_run_of(&anchor, 0, 0).unwrap();
+        one_traversal(before, "a fast run after the witness");
+    }
 }
 
 /// The allocations a cold read on a session may make: the view's build
@@ -2000,11 +2042,13 @@ fn retained_witness_states_hold_no_edges() {
 }
 
 /// Bytes a held decision or witness state may hold per `GE(r, σ)`
-/// vertex: two distance lanes and the fast timing's lanes are 25.
-const RETAINED_BYTES_PER_VERTEX: usize = 32;
+/// vertex: its frontier's node index (4) and the one distance lane its
+/// answer read (8) are 12. A fast timing's lanes and the backward lane
+/// would add 17.
+const RETAINED_BYTES_PER_VERTEX: usize = 16;
 
 /// Bytes a held decision or witness state may hold whatever its size:
-/// the state's fixed parts and its small maps (~3.5 KB).
+/// the state's fixed parts and its small maps (~2.5 KB).
 const RETAINED_BYTES_FIXED: usize = 4096;
 
 // ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use zigzag::api::{
     serve, store, wire, CachePolicy, CoordKind, Error, ProbeSemantics, Query, Response,
-    SessionConfig, SessionStore, StoreConfig, TimedCoordination, ZigzagService,
+    SessionConfig, SessionId, SessionStore, StoreConfig, TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
@@ -122,40 +122,28 @@ fn lru_bounded_batch_session_caps_states() {
 }
 
 /// A snapshot's observer cap applies before its manifest is warmed, so
-/// a restore builds at most as many states as the cap keeps, and the cap
-/// keeps the warmed states' LRU order. Over wire frames: an `Import`
-/// whose snapshot caps its cache at 1 over two `obs` lines builds one
-/// state and keeps it; after a cap-2 session with two warm states
-/// migrates, a third observer evicts one of them and its repeat query is
-/// a hit. A store's recovery with `warm_observers(true)` of such a
-/// capped snapshot builds one state too.
+/// a restore builds at most as many states as the cap keeps, and the
+/// manifest runs from least to most recently used, so a restore keeps
+/// the states and the LRU order the source had. Over wire frames, for
+/// every ordered pair (x, y) of the first eight observers of a cap-2
+/// session queried at x, then y: the export lists x, then y. An `Import`
+/// whose snapshot caps its cache at 1 builds one state, y's, and a query
+/// at y hits. Imported as exported, a third observer evicts x, its repeat
+/// query and a query at y hit, and x is rebuilt. A store's recovery with
+/// `warm_observers(true)` of a cap-1 snapshot over two `obs` lines builds
+/// one state too, the later line's.
 #[test]
 fn imported_caps_keep_the_lru_order_of_warmed_states() {
     let run = tri_run(2, 30);
     let sigmas = observers_of(&run);
-    let source = ZigzagService::new();
-    let capped = SessionConfig::new().cache(CachePolicy::unbounded().max_observers(2));
-    let session = source.open_batch(run.clone(), capped);
-    for &sigma in &sigmas[..2] {
-        source
-            .dispatch(session, &Query::MaxXMatrix { sigma })
-            .unwrap();
-    }
-    let Response::Exported(snap) = source.dispatch(session, &Query::Export).unwrap() else {
-        panic!("export answers Exported");
-    };
-    assert_eq!(snap.observers.len(), 2);
-    let frame = serve::encode_frame(session, &Query::Import(snap));
-    assert!(frame.contains("\ncache 2\n"), "{frame}");
-
     let answer = |target: &ZigzagService, frame: &str| {
         let reply = serve::serve(target, &[frame], 1);
         wire::decode_response(&reply[0]).unwrap_or_else(|e| panic!("{e}: {}", reply[0]))
     };
     // (hits, misses, evictions) over every session of `target`.
     let counters = |target: &ZigzagService| {
-        let Response::Stats(report) = answer(target, &serve::encode_frame(session, &Query::Stats))
-        else {
+        let stats = serve::encode_frame(SessionId::from_raw(0), &Query::Stats);
+        let Response::Stats(report) = answer(target, &stats) else {
             panic!("stats answers Stats");
         };
         let r = *report;
@@ -165,20 +153,53 @@ fn imported_caps_keep_the_lru_order_of_warmed_states() {
         Response::Imported(id) => id,
         other => panic!("import answered {other:?}"),
     };
+    let query =
+        |id: SessionId, sigma: NodeId| serve::encode_frame(id, &Query::MaxXMatrix { sigma });
 
-    let target = ZigzagService::new();
-    let id = import(&target, &frame.replacen("\ncache 2\n", "\ncache 1\n", 1));
-    assert_eq!(target.observer_count(id).unwrap(), 1);
-    assert_eq!(counters(&target), (0, 1, 0));
+    let capped = SessionConfig::new().cache(CachePolicy::unbounded().max_observers(2));
+    let firsts = &sigmas[..8];
+    for (&x, &y) in firsts
+        .iter()
+        .flat_map(|x| firsts.iter().map(move |y| (x, y)))
+    {
+        if x == y {
+            continue;
+        }
+        let z = *firsts.iter().find(|&&z| z != x && z != y).unwrap();
+        let source = ZigzagService::new();
+        let session = source.open_batch(run.clone(), capped.clone());
+        for sigma in [x, y] {
+            source
+                .dispatch(session, &Query::MaxXMatrix { sigma })
+                .unwrap();
+        }
+        let Response::Exported(snap) = source.dispatch(session, &Query::Export).unwrap() else {
+            panic!("export answers Exported");
+        };
+        assert_eq!(snap.observers, [x, y], "manifest after {x}, {y}");
+        let frame = serve::encode_frame(session, &Query::Import(snap));
+        assert!(frame.contains("\ncache 2\n"), "{frame}");
 
-    let target = ZigzagService::new();
-    let id = import(&target, &frame);
-    let third = serve::encode_frame(id, &Query::MaxXMatrix { sigma: sigmas[2] });
-    for want in [(0, 3, 1), (1, 3, 1)] {
-        answer(&target, &third);
-        assert_eq!(counters(&target), want);
+        let target = ZigzagService::new();
+        let id = import(&target, &frame.replacen("\ncache 2\n", "\ncache 1\n", 1));
+        assert_eq!(target.observer_count(id).unwrap(), 1);
+        assert_eq!(counters(&target), (0, 1, 0));
+        answer(&target, &query(id, y));
+        assert_eq!(counters(&target), (1, 1, 0), "cap 1 after {x}, {y}");
+
+        let target = ZigzagService::new();
+        let id = import(&target, &frame);
+        for (sigma, want) in [
+            (z, (0, 3, 1)),
+            (z, (1, 3, 1)),
+            (y, (2, 3, 1)),
+            (x, (2, 4, 2)),
+        ] {
+            answer(&target, &query(id, sigma));
+            assert_eq!(counters(&target), want, "at {sigma} after {x}, {y}");
+        }
+        assert_eq!(target.observer_count(id).unwrap(), 2);
     }
-    assert_eq!(target.observer_count(id).unwrap(), 2);
 
     // A durable cap-1 session's snapshot, with a second `obs` line added
     // to its manifest.
@@ -216,6 +237,8 @@ fn imported_caps_keep_the_lru_order_of_warmed_states() {
     assert!(rec.from_snapshot);
     assert_eq!(target.observer_count(rec.id).unwrap(), 1);
     assert_eq!(counters(&target), (0, 1, 0));
+    answer(&target, &query(rec.id, sigmas[1]));
+    assert_eq!(counters(&target), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
