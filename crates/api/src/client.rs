@@ -6,6 +6,13 @@
 //! [`crate::net::read_envelope`] pair, and adds the failure handling a
 //! caller facing a faulty network otherwise reimplements badly:
 //!
+//! * **One `write` per request** — each request is encoded, header and
+//!   document, into a buffer the client keeps and sent with one write,
+//!   so the server's reader never wakes on a bare header. Replies are
+//!   read through an [`EnvelopeScanner`] that lives and dies with the
+//!   connection; bytes after the one expected reply are a transport
+//!   failure.
+//!
 //! * **Typed errors** — every server `zigzag-error v2` document is read
 //!   back into the [`Error`] its code names ([`crate::serve::decode_error`]),
 //!   and every connection-level failure (EOF, reset, timeout) becomes
@@ -40,7 +47,7 @@
 //! non-retryable
 //! ([`Error::is_retryable`] is `false`) surfaces immediately.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -52,7 +59,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use zigzag_bcm::stream::RunEvent;
 
 use crate::error::Error;
-use crate::net::{read_envelope, write_envelope, Conn};
+use crate::net::{encode_envelope_into, Conn, EnvelopeScanner};
 use crate::query::{Query, Response};
 use crate::serve;
 use crate::service::SessionId;
@@ -141,13 +148,27 @@ enum Target {
     Unix(PathBuf),
 }
 
+/// Spare room each reply read asks the kernel for: a reply up to this
+/// size takes one read, a larger one a second read sized to its rest.
+const REPLY_CHUNK_BYTES: usize = 4096;
+
+/// An open connection and the scanner its replies are read through,
+/// dropped together: a discarded connection leaves no buffered bytes.
+#[derive(Debug)]
+struct Link {
+    conn: Conn,
+    replies: EnvelopeScanner,
+}
+
 /// A reconnecting, retrying client for a [`crate::net::NetServer`]; see
 /// the [module docs](self) for the retry and exactly-once semantics.
 #[derive(Debug)]
 pub struct ResilientClient {
     target: Target,
     config: ClientConfig,
-    conn: Option<Conn>,
+    link: Option<Link>,
+    /// The request envelope being sent, reused across requests.
+    request: Vec<u8>,
     rng: StdRng,
 }
 
@@ -187,7 +208,8 @@ impl ResilientClient {
         ResilientClient {
             target,
             config,
-            conn: None,
+            link: None,
+            request: Vec::new(),
             rng,
         }
     }
@@ -216,7 +238,7 @@ impl ResilientClient {
         let frame = serve::encode_frame(id, q);
         let mut attempt = 0u32;
         loop {
-            match self.exchange(&frame).and_then(|doc| decode_reply(&doc)) {
+            match self.exchange(&frame) {
                 Ok(resp) => return Ok(resp),
                 Err(e) if idempotent && e.is_retryable() && attempt < self.config.max_retries => {
                     self.backoff(attempt);
@@ -248,8 +270,7 @@ impl ResilientClient {
         let frame = serve::encode_frame(id, &Query::Append(Box::new(ev.clone())));
         let mut attempt = 0u32;
         loop {
-            let outcome = self.exchange(&frame).and_then(|doc| decode_reply(&doc));
-            match outcome {
+            match self.exchange(&frame) {
                 Ok(Response::Appended(n)) => return Ok(n),
                 Ok(other) => {
                     return Err(Error::Wire {
@@ -314,35 +335,55 @@ impl ResilientClient {
     }
 
     /// One request/reply exchange on the current connection (establishing
-    /// it if needed). Any failure discards the connection — after a
-    /// timeout or torn read the stream may be desynchronized mid-envelope
-    /// and can never be trusted again.
-    fn exchange(&mut self, frame: &str) -> Result<String, Error> {
-        let out = self.exchange_inner(frame);
+    /// it if needed), returning the decoded reply. A transport failure
+    /// discards the connection — after a timeout, a torn read or an
+    /// unexpected byte the stream may be desynchronized mid-envelope and
+    /// can never be trusted again; a server error document keeps it.
+    fn exchange(&mut self, frame: &str) -> Result<Response, Error> {
+        let out = self.round_trip(frame);
         if out.is_err() {
-            self.conn = None;
+            self.link = None;
         }
-        out
+        out?
     }
 
-    fn exchange_inner(&mut self, frame: &str) -> Result<String, Error> {
-        let max = self.config.max_frame_bytes;
-        let conn = self.ensure_conn()?;
-        write_envelope(conn, frame).map_err(|e| Error::Transport {
+    /// Sends `frame` as one envelope in one write and reads the one reply
+    /// it gets; the outer error is the transport's.
+    fn round_trip(&mut self, frame: &str) -> Result<Result<Response, Error>, Error> {
+        self.request.clear();
+        encode_envelope_into(&mut self.request, frame).map_err(|e| Error::Transport {
             detail: format!("sending request: {e}"),
         })?;
-        match read_envelope(conn, max).map_err(|e| Error::Transport {
-            detail: format!("reading reply: {e}"),
-        })? {
-            Some(doc) => Ok(doc),
-            None => Err(Error::Transport {
+        self.ensure_link()?;
+        let link = self.link.as_mut().expect("just ensured");
+        link.conn
+            .write_all(&self.request)
+            .map_err(|e| Error::Transport {
+                detail: format!("sending request: {e}"),
+            })?;
+        let doc = link
+            .replies
+            .recv(&mut link.conn)
+            .map_err(|e| Error::Transport {
+                detail: format!("reading reply: {e}"),
+            })?
+            .ok_or_else(|| Error::Transport {
                 detail: "server closed the connection before answering".into(),
-            }),
+            })?;
+        let reply = decode_reply(doc);
+        if !link.replies.is_empty() {
+            return Err(Error::Transport {
+                detail: format!(
+                    "{} bytes arrived after the reply",
+                    link.replies.pending_bytes()
+                ),
+            });
         }
+        Ok(reply)
     }
 
-    fn ensure_conn(&mut self) -> Result<&mut Conn, Error> {
-        if self.conn.is_none() {
+    fn ensure_link(&mut self) -> Result<(), Error> {
+        if self.link.is_none() {
             let connect_err = |e: io::Error| Error::Transport {
                 detail: format!("connecting: {e}"),
             };
@@ -358,9 +399,11 @@ impl ResilientClient {
             conn.set_nodelay().map_err(connect_err)?;
             conn.set_read_timeout(Some(self.config.request_deadline))
                 .map_err(connect_err)?;
-            self.conn = Some(conn);
+            let replies =
+                EnvelopeScanner::with_chunk(self.config.max_frame_bytes, REPLY_CHUNK_BYTES);
+            self.link = Some(Link { conn, replies });
         }
-        Ok(self.conn.as_mut().expect("just ensured"))
+        Ok(())
     }
 
     /// The delay before retry number `attempt` (0-based): exponential
@@ -507,6 +550,96 @@ mod tests {
         let err = client.query(id, &Query::EventCount).unwrap_err();
         assert!(matches!(err, Error::Transport { .. }), "got {err}");
         assert!(err.is_retryable());
+    }
+
+    #[cfg(unix)]
+    fn socket_path(tag: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "zigzag-client-test-{}-{tag}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Each request is one envelope in one `write`, so the server's
+    /// reader takes every frame in one `read`: N sequential queries add
+    /// exactly N frames and N reads to its counters. A header written
+    /// apart from its document would now and then wake the reader on
+    /// the bare header and cost it a second read.
+    #[cfg(unix)]
+    #[test]
+    fn sequential_queries_cost_the_server_one_read_each() {
+        const N: u64 = 5000;
+        let service = Arc::new(ZigzagService::new());
+        let id = service.open_batch(fig_run(), SessionConfig::new());
+        let path = socket_path("one-read");
+        let server =
+            NetServer::bind_unix(&path, Arc::clone(&service), NetConfig::new().workers(1)).unwrap();
+        // The reader bills a read as it starts, so once it blocks for the
+        // next frame the counters hold still.
+        let settled = |reads: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while server.transport().read_syscalls < reads && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            server.transport()
+        };
+        let mut client = ResilientClient::connect_unix(&path, fast_config());
+        // The first query connects; the reader then blocks in its second
+        // read.
+        let events = client.event_count(id).unwrap();
+        let before = settled(2);
+        assert_eq!((before.frames_in, before.read_syscalls), (1, 2));
+        for _ in 0..N {
+            assert_eq!(client.event_count(id).unwrap(), events);
+        }
+        let after = settled(before.read_syscalls + N);
+        assert_eq!(after.frames_in - before.frames_in, N);
+        assert_eq!(after.read_syscalls - before.read_syscalls, N);
+        drop(client);
+        server.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Bytes after the one expected reply desynchronize the stream: the
+    /// exchange fails as a transport error and the next request
+    /// reconnects.
+    #[cfg(unix)]
+    #[test]
+    fn bytes_after_the_reply_discard_the_connection() {
+        use crate::net::read_envelope;
+        use std::os::unix::net::UnixListener;
+
+        let path = socket_path("trailing");
+        let listener = UnixListener::bind(&path).unwrap();
+        let server = std::thread::spawn(move || {
+            let reply = wire::encode_response(&Response::EventCount(3));
+            for extra in [true, false] {
+                let (mut conn, _) = listener.accept().unwrap();
+                read_envelope(&mut conn, 1 << 20).unwrap().unwrap();
+                let mut out = Vec::new();
+                encode_envelope_into(&mut out, &reply).unwrap();
+                if extra {
+                    encode_envelope_into(&mut out, &reply).unwrap();
+                }
+                conn.write_all(&out).unwrap();
+                // Hold the connection until the client drops it.
+                assert!(read_envelope(&mut conn, 1 << 20).unwrap().is_none());
+            }
+        });
+        let mut client = ResilientClient::connect_unix(&path, fast_config().max_retries(0));
+        let id = SessionId::from_raw(0);
+        let err = client.event_count(id).unwrap_err();
+        assert!(
+            matches!(&err, Error::Transport { detail } if detail.contains("after the reply")),
+            "got {err}"
+        );
+        assert_eq!(client.event_count(id).unwrap(), 3);
+        drop(client);
+        server.join().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A `Recover` whose answer is lost is not resent: the lost sweep

@@ -39,17 +39,16 @@ use std::time::Duration;
 /// write_syscalls` is the payload a single write carried. A server
 /// stuck at ~1 frame per syscall is paying PR 7's two-syscalls-per-
 /// envelope tax; a pipelining client should push both ratios well
-/// above one. Idle readers still poll (each timeout is a counted
-/// `read`), so ratios on a mostly-idle server understate the busy-path
-/// amortization.
+/// above one. A reader's `read` is billed as it starts, so each open
+/// connection's reader counts the one it is blocked in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportCounters {
     /// Payload + envelope-header bytes read off client sockets.
     pub bytes_in: u64,
     /// Payload + envelope-header bytes written back to client sockets.
     pub bytes_out: u64,
-    /// `read` calls issued on client sockets (including reads that
-    /// returned no data: EOF probes and poll-interval timeouts).
+    /// `read` calls issued on client sockets, billed as each starts
+    /// (including reads that returned no data: end-of-stream probes).
     pub read_syscalls: u64,
     /// `write` calls issued on client sockets (the kernel may split a
     /// very large batched write; each server-issued call counts once).

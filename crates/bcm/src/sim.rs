@@ -4,6 +4,14 @@
 //! event-driven; the environment (a [`Scheduler`]) chooses delivery times
 //! within channel bounds; every receipt triggers FFIP flooding to all
 //! out-neighbors; the application [`Protocol`] chooses local actions.
+//!
+//! An event costs its receipts, its sends and their event-queue
+//! operations, so a run takes time linear in its events and messages (up
+//! to the queue's logarithm). The [`View`] handed to the protocol at each
+//! event computes `past(r, σ)` only when the protocol reads it, and that
+//! read walks the whole past: a protocol that reads its past at every
+//! event makes the run quadratic, one that never does
+//! ([`crate::protocols::Ffip`]) keeps it linear.
 
 use std::collections::BTreeMap;
 

@@ -6,6 +6,14 @@
 //! *structure* of its causal past (who received what from whom, in which
 //! local order) — and **no real-time information whatsoever**. There is
 //! deliberately no method on `View` that returns a [`crate::Time`].
+//!
+//! A view computes `past(r, σ)` the first time a query reads it, not when
+//! it is built: the breadth-first walk over the receipts in the past
+//! costs O(size of the past), and the simulator builds a view at every
+//! event. A protocol pays for its past only at the events where it reads
+//! it; [`crate::protocols::Ffip`] never does.
+
+use std::sync::OnceLock;
 
 use crate::event::{ActionRecord, Receipt};
 use crate::message::{ExternalId, MessageId};
@@ -21,7 +29,8 @@ use crate::run::{NodeId, Past, Run};
 pub struct View<'r> {
     run: &'r Run,
     node: NodeId,
-    past: Past,
+    /// `past(r, σ)`, computed on first read.
+    past: OnceLock<Past>,
 }
 
 impl<'r> View<'r> {
@@ -31,8 +40,12 @@ impl<'r> View<'r> {
     ///
     /// Panics if `node` does not appear in `run`.
     pub fn new(run: &'r Run, node: NodeId) -> Self {
-        let past = run.past(node);
-        View { run, node, past }
+        assert!(run.appears(node), "view of a node that does not appear");
+        View {
+            run,
+            node,
+            past: OnceLock::new(),
+        }
     }
 
     /// The current basic node `σ`.
@@ -51,14 +64,14 @@ impl<'r> View<'r> {
         self.run.context()
     }
 
-    /// The causal past of the current node.
+    /// The causal past of the current node, computed on the first call.
     pub fn past(&self) -> &Past {
-        &self.past
+        self.past.get_or_init(|| self.run.past(self.node))
     }
 
     /// Whether `node` is in the causal past (σ-recognized base).
     pub fn knows_node(&self, node: NodeId) -> bool {
-        self.past.contains(node)
+        self.past().contains(node)
     }
 
     /// Receipts observed at the current node.
@@ -71,7 +84,7 @@ impl<'r> View<'r> {
 
     /// Receipts observed at `node`, if `node` is in the past.
     pub fn receipts_at(&self, node: NodeId) -> Option<&'r [Receipt]> {
-        self.past
+        self.past()
             .contains(node)
             .then(|| self.run.node(node).map(|r| r.receipts()))
             .flatten()
@@ -79,7 +92,7 @@ impl<'r> View<'r> {
 
     /// Actions performed at `node`, if `node` is in the past.
     pub fn actions_at(&self, node: NodeId) -> Option<&'r [ActionRecord]> {
-        self.past
+        self.past()
             .contains(node)
             .then(|| self.run.node(node).map(|r| r.actions()))
             .flatten()
@@ -91,27 +104,26 @@ impl<'r> View<'r> {
     /// sending history), so this is locally observable.
     pub fn sender(&self, m: MessageId) -> Option<NodeId> {
         let src = self.run.message(m).src();
-        self.past.contains(src).then_some(src)
+        self.past().contains(src).then_some(src)
     }
 
     /// Where the message `m` sent from within the past was delivered, if
     /// that delivery is itself in the past. (A process cannot observe
     /// deliveries outside its past.)
     pub fn delivery_of(&self, m: MessageId) -> Option<NodeId> {
+        let past = self.past();
         let rec = self.run.message(m);
-        if !self.past.contains(rec.src()) {
+        if !past.contains(rec.src()) {
             return None;
         }
-        rec.delivery()
-            .map(|d| d.node)
-            .filter(|n| self.past.contains(*n))
+        rec.delivery().map(|d| d.node).filter(|n| past.contains(*n))
     }
 
     /// Messages sent by `node` (with their destination processes), if
     /// `node` is in the past. Under FFIP every non-initial node sends to
     /// every out-neighbor, and the sends are part of the sender's history.
     pub fn sent_by(&self, node: NodeId) -> Option<Vec<(MessageId, ProcessId)>> {
-        if !self.past.contains(node) {
+        if !self.past().contains(node) {
             return None;
         }
         let rec = self.run.node(node)?;
@@ -127,13 +139,13 @@ impl<'r> View<'r> {
     /// if that receipt is in the past.
     pub fn external_node(&self, proc: ProcessId, name: &str) -> Option<NodeId> {
         let node = self.run.external_receipt_node(proc, name)?;
-        self.past.contains(node).then_some(node)
+        self.past().contains(node).then_some(node)
     }
 
     /// The name of external input `e`, if its receipt is in the past.
     pub fn external_name(&self, e: ExternalId) -> Option<&'r str> {
         let rec = self.run.external(e);
-        self.past.contains(rec.node()).then(|| rec.name())
+        self.past().contains(rec.node()).then(|| rec.name())
     }
 
     /// Whether process `self.proc()` has already performed an action named
@@ -162,8 +174,8 @@ impl<'r> View<'r> {
 mod tests {
     use super::*;
     use crate::net::Network;
-    use crate::protocols::Ffip;
-    use crate::scheduler::EagerScheduler;
+    use crate::protocols::{Ffip, ScriptedActions};
+    use crate::scheduler::{EagerScheduler, RandomScheduler};
     use crate::sim::{SimConfig, Simulator};
     use crate::time::Time;
 
@@ -223,5 +235,64 @@ mod tests {
         let view_c0 = View::new(&run, NodeId::initial(c));
         assert_eq!(view_c0.external_name(e), None);
         assert_eq!(view_c0.external_node(c, "go"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not appear")]
+    fn a_view_of_a_node_that_does_not_appear_panics() {
+        let run = relay_run();
+        View::new(&run, NodeId::new(ProcessId::new(1), 99));
+    }
+
+    /// The lazily computed past keeps a view shareable across threads.
+    #[test]
+    fn views_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<View<'_>>();
+    }
+
+    /// The past a view computes on first read is `run.past`, whichever
+    /// query reads it first, and the restricted queries answer from it.
+    #[test]
+    fn views_answer_from_the_runs_past() {
+        let run = {
+            let mut b = Network::builder();
+            let c = b.add_process("c");
+            let a = b.add_process("a");
+            let bb = b.add_process("b");
+            b.add_bidirectional(c, a, 1, 3).unwrap();
+            b.add_bidirectional(a, bb, 2, 4).unwrap();
+            b.add_channel(c, bb, 4, 7).unwrap();
+            let mut sim =
+                Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(25)));
+            sim.external(Time::new(2), c, "go");
+            let mut script = ScriptedActions::new();
+            script.on_external(c, "go", "send_go");
+            script.on_hear(bb, NodeId::new(c, 1), "b");
+            sim.run(&mut script, &mut RandomScheduler::seeded(5))
+                .unwrap()
+        };
+        assert!(run.action_node(ProcessId::new(2), "b").is_some());
+        let nodes: Vec<NodeId> = run.nodes().map(|r| r.id()).collect();
+        for &n in &nodes {
+            let past = run.past(n);
+            assert_eq!(View::new(&run, n).past(), &past, "{n}");
+            let view = View::new(&run, n);
+            for &other in &nodes {
+                assert_eq!(view.knows_node(other), past.contains(other), "{n}: {other}");
+            }
+            for msg in run.messages() {
+                let src = msg.src();
+                let known = past.contains(src);
+                assert_eq!(view.sender(msg.id()), known.then_some(src), "{n}");
+                let delivered = msg.delivery().map(|d| d.node);
+                assert_eq!(
+                    view.delivery_of(msg.id()),
+                    delivered.filter(|&d| known && past.contains(d)),
+                    "{n}"
+                );
+            }
+            assert_eq!(view.past(), &past, "{n}");
+        }
     }
 }

@@ -306,16 +306,16 @@ pub(crate) fn zigzag_from_ge_walk(
 
 /// Lemma 16: extends the head of a pattern's top fork along `ext`,
 /// producing a pattern to `to_node() · ext` whose weight grows by
-/// `L(ext)`.
+/// `L(ext)`. The forks below the top move into the result.
 ///
 /// # Errors
 ///
 /// Fails if `ext` does not start at the current head's process.
-pub fn extend_head(pattern: &ZigzagPattern, ext: &NetPath) -> Result<ZigzagPattern, CoreError> {
+pub fn extend_head(pattern: ZigzagPattern, ext: &NetPath) -> Result<ZigzagPattern, CoreError> {
     if ext.is_singleton() {
-        return Ok(pattern.clone());
+        return Ok(pattern);
     }
-    let mut forks = pattern.forks().to_vec();
+    let mut forks = pattern.into_forks();
     let top = forks.pop().expect("patterns are non-empty");
     let head = top.head_path().compose(ext).map_err(CoreError::Bcm)?;
     forks.push(TwoLeggedFork::new(
@@ -329,17 +329,17 @@ pub fn extend_head(pattern: &ZigzagPattern, ext: &NetPath) -> Result<ZigzagPatte
 /// Prepends the Lemma 10 "type 1" fork anchoring a pattern at a general
 /// node `θ1 = ⟨σ1, p1⟩` whose chain weight is `−U(p1)`: a fork with base
 /// and head at `σ1` and tail `θ1`. If `p1` is a singleton this is the
-/// identity.
+/// identity. The pattern's forks move into the result.
 ///
 /// # Errors
 ///
 /// Fails if the pattern's first fork does not sit at `σ1`'s process.
 pub fn anchor_tail(
-    pattern: &ZigzagPattern,
+    pattern: ZigzagPattern,
     theta1: &GeneralNode,
 ) -> Result<ZigzagPattern, CoreError> {
     if theta1.is_basic() {
-        return Ok(pattern.clone());
+        return Ok(pattern);
     }
     let fork = TwoLeggedFork::new(
         GeneralNode::basic(theta1.base()),
@@ -495,10 +495,10 @@ mod tests {
         let z = zigzag_from_gb_path(&gb, i1, &edges).unwrap();
         // Anchor the tail at θ1 = ⟨i1, [i, j]⟩ (weight −U_ij = −5)…
         let theta1 = GeneralNode::chain(i1, &[j]).unwrap();
-        let anchored = anchor_tail(&z, &theta1).unwrap();
+        let anchored = anchor_tail(z.clone(), &theta1).unwrap();
         // …and extend the head by one hop j → k (weight +L_jk = +1).
         let ext = NetPath::new(vec![j, ProcessId::new(2)]).unwrap();
-        let extended = extend_head(&anchored, &ext).unwrap();
+        let extended = extend_head(anchored, &ext).unwrap();
         match extended.validate(&run) {
             Ok(rep) => {
                 assert_eq!(rep.weight, w - 5 + 1);
@@ -509,7 +509,7 @@ mod tests {
             Err(e) => panic!("{e}"),
         }
         // Basic anchors and singleton extensions are identities.
-        assert_eq!(&anchor_tail(&z, &GeneralNode::basic(i1)).unwrap(), &z);
-        assert_eq!(&extend_head(&z, &NetPath::singleton(j)).unwrap(), &z);
+        assert_eq!(anchor_tail(z.clone(), &GeneralNode::basic(i1)).unwrap(), z);
+        assert_eq!(extend_head(z.clone(), &NetPath::singleton(j)).unwrap(), z);
     }
 }

@@ -896,8 +896,8 @@ impl<'r> KnowledgeEngine<'r> {
             None => {
                 let edges = self.ge_path(t1c.base(), ExtVertex::Node(t2c.base()))?;
                 let z = zigzag_from_ge_walk(&vertex, t1c.base(), &edges)?;
-                let z = extend_head(&z, t2c.path())?;
-                anchor_tail(&z, &t1c)?
+                let z = extend_head(z, t2c.path())?;
+                anchor_tail(z, &t1c)?
             }
             Some(k) => match hops[k] {
                 FastHop::ChainUpper(pos) => {
@@ -923,8 +923,8 @@ impl<'r> KnowledgeEngine<'r> {
                     let q = NetPath::new(trail).map_err(CoreError::Bcm)?;
                     let base = GeneralNode::new(t2c.base(), t2c.path().prefix(k + 2))?;
                     let top = TwoLeggedFork::new(base, t2c.path().suffix(k + 1), q)?;
-                    let z = z.concat(&ZigzagPattern::single(top))?;
-                    anchor_tail(&z, &t1c)?
+                    let z = z.concat(ZigzagPattern::single(top))?;
+                    anchor_tail(z, &t1c)?
                 }
                 FastHop::Lower => unreachable!("split index is a non-Lower hop"),
             },

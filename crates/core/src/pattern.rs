@@ -87,6 +87,11 @@ impl ZigzagPattern {
         &self.forks
     }
 
+    /// The forks `F_1, …, F_c`, by value.
+    pub(crate) fn into_forks(self) -> Vec<TwoLeggedFork> {
+        self.forks
+    }
+
     /// Number of forks `c`.
     pub fn len(&self) -> usize {
         self.forks.len()
@@ -174,14 +179,14 @@ impl ZigzagPattern {
 
     /// Concatenates two patterns whose junction satisfies the structural
     /// condition (`head` of `self`'s last fork and `tail` of `other`'s
-    /// first fork on the same process).
+    /// first fork on the same process), moving the forks of both.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedPattern`] on a junction mismatch.
-    pub fn concat(&self, other: &ZigzagPattern) -> Result<ZigzagPattern, CoreError> {
-        let mut forks = self.forks.clone();
-        forks.extend(other.forks.iter().cloned());
+    pub fn concat(self, other: ZigzagPattern) -> Result<ZigzagPattern, CoreError> {
+        let mut forks = self.forks;
+        forks.extend(other.forks);
         ZigzagPattern::new(forks)
     }
 }
@@ -345,7 +350,7 @@ mod tests {
         let z = fig2_pattern(&f, &run);
         let first = ZigzagPattern::single(z.forks()[0].clone());
         let second = ZigzagPattern::single(z.forks()[1].clone());
-        let joined = first.concat(&second).unwrap();
+        let joined = first.concat(second.clone()).unwrap();
         assert_eq!(joined.len(), 2);
         assert!(!joined.is_empty());
         assert_eq!(joined.validate(&run).unwrap(), z.validate(&run).unwrap());
@@ -354,6 +359,6 @@ mod tests {
         assert_eq!(joined.from_node().proc(), f.a);
         assert_eq!(joined.to_node().proc(), f.b);
         // Mismatched concat fails.
-        assert!(second.concat(&second).is_err());
+        assert!(second.clone().concat(second).is_err());
     }
 }

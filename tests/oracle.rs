@@ -648,7 +648,7 @@ fn naive_witness_bytes(
                 let index = |v| ge.index_of(v).expect("vertex sets agree");
                 let (weight, edges) = indexed_path(d[&ExtVertex::Node(b)], &path, index);
                 let z = zigzag_from_ge_path(ge, a, &edges).unwrap();
-                let z = anchor_tail(&z, &theta1).unwrap();
+                let z = anchor_tail(z, &theta1).unwrap();
                 WitnessReport {
                     weight,
                     pattern: VisibleZigzag::new(z, sigma).to_string(),
