@@ -19,10 +19,13 @@ pub enum Strictness {
     /// to a legal infinite run with no further constraints.
     Strict,
     /// Undelivered messages are tolerated (their deliveries are taken to
-    /// happen beyond the recorded prefix). Delivered messages must still
+    /// happen beyond the recorded prefix) unless the prefix strands one:
+    /// its window `t_µ + U` is not after its receiver's latest recorded
+    /// node, so no extension can deliver it. Delivered messages must still
     /// respect their bounds. Used for runs constructed from timing
     /// functions whose node set is an explicit finite subset (see the
-    /// discussion in DESIGN.md §5).
+    /// discussion in DESIGN.md §5), and for stream prefixes: a
+    /// causal-order feed of a legal run never strands a message.
     Prefix,
 }
 
@@ -46,7 +49,8 @@ fn illegal(detail: impl Into<String>) -> BcmError {
 ///    with time `>= 1`;
 /// 4. FFIP flooding: every non-initial node sent exactly one message per
 ///    out-neighbor;
-/// 5. mandatory delivery per the chosen [`Strictness`].
+/// 5. mandatory delivery per the chosen [`Strictness`], and under either
+///    no message stranded behind its receiver's latest node.
 ///
 /// # Errors
 ///
@@ -163,12 +167,25 @@ pub fn validate_run(run: &Run, strictness: Strictness) -> Result<(), BcmError> {
                 }
             }
             None => {
-                if strictness == Strictness::Strict && m.sent_at() + cb.upper() <= horizon {
+                let due = m.sent_at() + cb.upper();
+                if strictness == Strictness::Strict && due <= horizon {
                     return Err(illegal(format!(
                         "message {} overdue: sent at {} on {ch} (U = {}), undelivered at horizon {horizon}",
                         m.id(),
                         m.sent_at(),
                         cb.upper()
+                    )));
+                }
+                let latest = run.timeline(ch.to).last().map(|r| r.time());
+                if latest.is_some_and(|latest| due <= latest) {
+                    return Err(illegal(format!(
+                        "message {} stranded: sent at {} on {ch} (U = {}), undelivered while {} \
+                         recorded a node at {}",
+                        m.id(),
+                        m.sent_at(),
+                        cb.upper(),
+                        ch.to,
+                        latest.expect("checked above")
                     )));
                 }
             }
@@ -324,6 +341,45 @@ mod tests {
 
     fn victim_mut_id(n: NodeId) -> NodeId {
         n
+    }
+
+    /// A prefix fed out of causal order, `B@5` and then `A@2` sending to
+    /// `B` on a `[1, 3]` channel, strands that message: its window closes
+    /// at 5, and `B`'s next node must come after 5. With a `[1, 6]`
+    /// channel the same feed leaves it deliverable.
+    #[test]
+    fn prefixes_that_strand_a_message_are_refused() {
+        use crate::stream::{ReceiptEvent, RunEvent, SendEvent, StreamingRun};
+        for (upper, deliver_at, stranded) in [(3, 4, true), (6, 7, false)] {
+            let mut b = Network::builder();
+            let a = b.add_process("A");
+            let bb = b.add_process("B");
+            b.add_channel(a, bb, 1, upper).unwrap();
+            b.add_channel(bb, a, 1, 3).unwrap();
+            let mut stream = StreamingRun::new(b.build().unwrap(), Time::new(20));
+            for (proc, time, to, at) in [(bb, 5, a, 7), (a, 2, bb, deliver_at)] {
+                stream
+                    .append(&RunEvent {
+                        proc,
+                        time: Time::new(time),
+                        receipts: vec![ReceiptEvent::External("kick".into())],
+                        sends: vec![SendEvent {
+                            to,
+                            deliver_at: Time::new(at),
+                        }],
+                        actions: Vec::new(),
+                    })
+                    .unwrap();
+            }
+            let got = validate_run(stream.run(), Strictness::Prefix);
+            match stranded {
+                true => assert!(
+                    matches!(&got, Err(BcmError::IllegalRun { detail }) if detail.contains("stranded")),
+                    "{got:?}"
+                ),
+                false => got.unwrap(),
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn cold_vs_warm(c: &mut Criterion) {
             .flat_map(|&a| nodes.iter().map(move |&b| (a.into(), b.into())))
             .collect();
 
-        // Seed behavior: a fresh engine per query, every SPFA from scratch.
+        // Seed behavior: a fresh engine per query, every traversal from scratch.
         group.bench_with_input(BenchmarkId::new("cold-max-x", n), &run, |b, run| {
             let mut k = 0usize;
             b.iter(|| {

@@ -8,7 +8,7 @@
 //!   the parallel render is the family-level speedup, on single-core CI
 //!   the two measure the fan-out's overhead (≈ none).
 //! * `family/fastrun-cold/n` vs `family/fastrun-warm/n` — constructing a
-//!   γ-fast run the seed way (fresh `GE(r, σ)` + SPFA per call, the old
+//!   γ-fast run the seed way (fresh `GE(r, σ)` and traversals per call, the old
 //!   `refute`/`fast_run_of` behavior) vs through the engine's shared
 //!   graph and memoized timings.
 //! * `family/matrix-dense/n` — the dense all-pairs `max_x` matrix on a
@@ -69,7 +69,7 @@ fn fast_run_sharing(c: &mut Criterion) {
             .collect();
 
         // Seed behavior: every construction re-materializes GE(r, σ) and
-        // re-runs the fast-timing SPFA pair.
+        // re-runs the fast timing's traversal pair.
         group.bench_with_input(BenchmarkId::new("fastrun-cold", n), &run, |b, run| {
             let mut k = 0usize;
             b.iter(|| {

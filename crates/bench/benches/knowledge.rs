@@ -49,7 +49,7 @@ fn knowledge_queries(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fast-run", n), &engine, |b, e| {
             b.iter(|| e.fast_run_of(&tx, 0, 20).unwrap());
         });
-        // Batch all-pairs thresholds (one SPFA per source).
+        // Batch all-pairs thresholds (one traversal per source).
         group.bench_with_input(BenchmarkId::new("max-x-matrix", n), &engine, |b, e| {
             b.iter(|| e.max_x_basic_matrix().unwrap());
         });

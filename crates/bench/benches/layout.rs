@@ -1,12 +1,14 @@
-//! B10 — the data-layout tier: the SPFA hot core measured in isolation.
+//! B10 — the data-layout tier: the hot core's one traversal, Dijkstra
+//! under the graph's clock, measured in isolation.
 //!
 //! Three rows per vertex count n ∈ {24, 128, 256}, on a synthetic
-//! bounds-shaped digraph (a potential function certifies it free of
-//! positive cycles, like every graph derived from a real timed run):
+//! bounds-shaped digraph whose clock `t(v) = 4v` holds on every edge,
+//! like the recorded times of every real timed run (Lemma 8):
 //!
-//! * `layout/cold-build/n` — intern n vertices, insert ~5n edges and run
-//!   one cold SPFA over the adjacency rows (`longest_from`). This is the
-//!   path a batch `BoundsGraph::of_run` pays once per run.
+//! * `layout/cold-build/n` — intern n vertices at their times, insert ~5n
+//!   edges and run one cold Dijkstra over the adjacency rows
+//!   (`longest_from`). This is the path a batch `BoundsGraph::of_run`
+//!   pays once per run.
 //! * `layout/warm-query/n` — the memoized hit: `longest_from_cached` on
 //!   an already-analyzed graph (lock, map probe, `Arc` clone, one read).
 //!   The counting-allocator test in `tests/oracle.rs` pins this loop to
@@ -14,8 +16,8 @@
 //! * `layout/append-delta/n` — the streaming shape: resume from a warm
 //!   snapshot (clone shares the analysis cache), append 16 edges one at
 //!   a time, re-query the cached source after every append so each
-//!   answer is served by the label-correcting catch-up over the append
-//!   log.
+//!   answer is served by the catch-up over the append log: a Dijkstra
+//!   seeded at the heads the appended edge improves.
 //!
 //! Every row is answer-checked against the dense Bellman–Ford baseline
 //! (`longest_from_dense`) before anything is timed, so old- and
@@ -45,16 +47,20 @@ impl Rng {
     }
 }
 
+/// The clock of the synthetic graphs: vertex `v` at time `4v`.
+fn t(v: u32) -> i64 {
+    i64::from(v) * 4
+}
+
 /// A bounds-shaped edge list over vertices `0..n`: a successor chain plus
 /// random chords. Every edge `u → v` carries weight
-/// `t(v) − t(u) − slack` for the potential `t(v) = 4v` and `slack ≥ 0`,
-/// so every cycle has non-positive weight — the same certificate a valid
-/// timing function gives a real bounds graph (Lemma 17 shape). Backward
-/// chords are strongly negative, forward chords can be positive; the mix
-/// matches `BoundsGraph`'s ±(L, U) message pairs.
+/// `t(v) − t(u) − slack` for the clock `t` and `slack ≥ 0`, so the clock
+/// holds on every edge — the certificate a valid timing function gives a
+/// real bounds graph (Lemma 17 shape). Backward chords are strongly
+/// negative, forward chords can be positive; the mix matches
+/// `BoundsGraph`'s ±(L, U) message pairs.
 fn edge_list(n: u32, seed: u64) -> Vec<(u32, u32, i64, u32)> {
     let mut rng = Rng(seed);
-    let t = |v: u32| i64::from(v) * 4;
     let mut edges = Vec::new();
     for v in 0..n.saturating_sub(1) {
         edges.push((v, v + 1, t(v + 1) - t(v) - (rng.below(3) as i64), 0));
@@ -71,10 +77,13 @@ fn edge_list(n: u32, seed: u64) -> Vec<(u32, u32, i64, u32)> {
     edges
 }
 
-fn build(edges: &[(u32, u32, i64, u32)]) -> WeightedDigraph<u32> {
+fn build(n: u32, edges: &[(u32, u32, i64, u32)]) -> WeightedDigraph<u32> {
     let mut g = WeightedDigraph::new();
+    for v in 0..n {
+        g.add_vertex(v, t(v));
+    }
     for &(u, v, w, l) in edges {
-        g.add_edge(u, v, w, l);
+        g.add_edge(&u, &v, w, l);
     }
     g
 }
@@ -88,30 +97,32 @@ fn layout_rows(c: &mut Criterion) {
         let edges = edge_list(n, 0xC0FF_EE00 + u64::from(n));
         let src = 0u32;
 
-        // Answer-check once before timing: engine SPFA vs dense
+        // Answer-check once before timing: the engine's Dijkstra vs dense
         // Bellman–Ford on the full graph.
-        let full = build(&edges);
-        let lp = full.longest_from(&src).expect("no positive cycle");
+        let full = build(n, &edges);
+        let lp = full.longest_from(&src).expect("the clock holds");
         let dense = full.longest_from_dense(&src).expect("no positive cycle");
         for (i, &expected) in dense.iter().enumerate() {
-            assert_eq!(lp.weight(i), expected, "SPFA diverged from dense at {i}");
+            assert_eq!(
+                lp.weight(i),
+                expected,
+                "Dijkstra diverged from dense at {i}"
+            );
         }
 
         group.bench_with_input(BenchmarkId::new("cold-build", n), &edges, |b, edges| {
             b.iter(|| {
-                let g = build(edges);
-                g.longest_from(&src)
-                    .expect("no positive cycle")
-                    .max_weight()
+                let g = build(n, edges);
+                g.longest_from(&src).expect("the clock holds").max_weight()
             });
         });
 
-        let warm = build(&edges);
-        warm.longest_from_cached(&src).expect("no positive cycle");
+        let warm = build(n, &edges);
+        warm.longest_from_cached(&src).expect("the clock holds");
         group.bench_with_input(BenchmarkId::new("warm-query", n), &warm, |b, warm| {
             b.iter(|| {
                 warm.longest_from_cached(&src)
-                    .expect("no positive cycle")
+                    .expect("the clock holds")
                     .max_weight()
             });
         });
@@ -120,8 +131,8 @@ fn layout_rows(c: &mut Criterion) {
         // TAIL edges and replays them one at a time, querying after each
         // append — the `IncrementalEngine::append_event` shape.
         let split = edges.len() - TAIL;
-        let base = build(&edges[..split]);
-        base.longest_from_cached(&src).expect("no positive cycle");
+        let base = build(n, &edges[..split]);
+        base.longest_from_cached(&src).expect("the clock holds");
         let tail = &edges[split..];
 
         // Answer-check the delta path against the fresh full graph.
@@ -129,8 +140,8 @@ fn layout_rows(c: &mut Criterion) {
             let mut g = base.clone();
             let mut last = None;
             for &(u, v, w, l) in tail {
-                g.add_edge(u, v, w, l);
-                last = Some(g.longest_from_cached(&src).expect("no positive cycle"));
+                g.add_edge(&u, &v, w, l);
+                last = Some(g.longest_from_cached(&src).expect("the clock holds"));
             }
             last.expect("non-empty tail")
         };
@@ -138,7 +149,7 @@ fn layout_rows(c: &mut Criterion) {
             assert_eq!(
                 delta_lp.weight(i),
                 expected,
-                "delta-relaxed answers diverged from dense at {i}"
+                "caught-up answers diverged from dense at {i}"
             );
         }
 
@@ -150,8 +161,8 @@ fn layout_rows(c: &mut Criterion) {
                     let mut g = base.clone();
                     let mut acc = 0i64;
                     for &(u, v, w, l) in *tail {
-                        g.add_edge(u, v, w, l);
-                        let lp = g.longest_from_cached(&src).expect("no positive cycle");
+                        g.add_edge(&u, &v, w, l);
+                        let lp = g.longest_from_cached(&src).expect("the clock holds");
                         acc ^= lp.max_weight().unwrap_or(0);
                     }
                     acc

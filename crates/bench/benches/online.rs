@@ -13,7 +13,7 @@
 //!   honest against the CI gate).
 //! * `online/append-rebuild/n` — the seed pipeline's behavior: any change
 //!   invalidates everything, so every event pays a fresh
-//!   [`KnowledgeEngine`] (graph + SPFA) and a fresh [`BoundsGraph`] on
+//!   [`KnowledgeEngine`] (graph + traversals) and a fresh [`BoundsGraph`] on
 //!   the grown prefix.
 //!
 //! Both sides answer identically (asserted before timing). CI gates the

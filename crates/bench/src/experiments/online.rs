@@ -13,8 +13,8 @@
 //!   a spec-configured stream session, the earliest event at which `B`'s
 //!   knowledge holds (`Query::CoordDecision`) is exactly the node where
 //!   the batch Protocol 2 acted;
-//! * **O3 — delta-relaxed global bounds**: the session's dispatched
-//!   `TightBound` answers, delta-relaxed across appends, equal a
+//! * **O3 — caught-up global bounds**: the session's dispatched
+//!   `TightBound` answers, caught up across appends, equal a
 //!   from-scratch [`BoundsGraph`] per prefix.
 //!
 //! All report text is byte-deterministic in both profiles (counts and
@@ -128,7 +128,7 @@ fn o2_row(x: i64, seed: u64) -> CellOutput {
 
 const O3_WIDTHS: [usize; 4] = [3, 8, 7, 10];
 
-/// One O3 row: delta-relaxed GB tight bounds (dispatched through the
+/// One O3 row: caught-up GB tight bounds (dispatched through the
 /// facade) vs scratch rebuilds.
 fn o3_row(n: usize, seed: u64, horizon: u64) -> CellOutput {
     let ctx = scaled_context(n, 0.4, seed + 100);
@@ -155,7 +155,7 @@ fn o3_row(n: usize, seed: u64, horizon: u64) -> CellOutput {
         if !recorded {
             continue;
         }
-        // The cached source stays warm, so each append delta-relaxes.
+        // The cached source stays warm, so each append catches up.
         let Response::TightBound(got) = service
             .dispatch(
                 session,

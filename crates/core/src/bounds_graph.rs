@@ -25,17 +25,16 @@
 //!
 //! By Lemma 8 the recorded times of a legal run are a valid timing of
 //! its bounds graph: `T(u) + w ≤ T(v)` on every edge. A [`BoundsGraph`]
-//! keeps those times as a lane beside its vertices and checks the
-//! inequality once per edge, as the bulk builders lay the edges out and
-//! as [`BoundsGraph::append_node`] adds them
-//! ([`BoundsGraph::clock_holds`]). An edge never changes once added, so
-//! the verdict is append-stable. The views of
-//! [`crate::extended_graph`] read this clock as the potential of their
-//! Dijkstra; a hand-built run with a delivery outside its channel
-//! bounds fails the check, and its views walk label-correcting instead.
-//! A recorded time beyond `i64::MAX` saturates there: any clock values
-//! that pass the check are a feasible potential, so answers never depend
-//! on how an unrepresentable time converts.
+//! hands those times to its [`WeightedDigraph`] as the clock, which checks
+//! the inequality once per edge, as the bulk builder lays the edges out
+//! and as [`BoundsGraph::append_node`] adds them, and runs every
+//! longest-path query as a Dijkstra under it (see [`crate::graph`]). The
+//! views of [`crate::extended_graph`] read the same clock as the
+//! potential of theirs. A hand-built run with a delivery outside its
+//! channel bounds fails the check, and every traversal refuses it with
+//! [`CoreError::ClockFails`]. A recorded time beyond `i64::MAX` saturates
+//! there: any clock values that pass the check are a feasible potential,
+//! so answers never depend on how an unrepresentable time converts.
 
 #![deny(clippy::cast_possible_wrap)]
 
@@ -70,14 +69,6 @@ pub struct BoundsGraph {
     /// last entry of a timeline is its latest node, the source of the
     /// next successor edge — no interning lookup needed on append.
     timelines: Vec<Vec<u32>>,
-    /// The run's clock: each vertex's recorded time, by dense index (see
-    /// the [module docs](self)).
-    clock: Vec<i64>,
-    /// Whether `clock[u] + w ≤ clock[v]` holds on every edge.
-    clock_holds: bool,
-    /// The largest slack `clock[v] − clock[u] − w` over every edge, which
-    /// bounds the keys of a Dijkstra under the clock.
-    max_slack: u64,
     /// Spare slot lanes for the walks of views over this graph.
     slots: SlotPool,
 }
@@ -91,6 +82,19 @@ pub(crate) fn weights(bounds: &Bounds, from: ProcessId, to: ProcessId) -> (i64, 
         .expect("validated runs have bounds for every channel");
     let weight = |ticks: u64| i64::try_from(ticks).expect("contexts cap bounds at MAX_BOUND");
     (weight(b.lower()), weight(b.upper()))
+}
+
+/// `(L, U)` of hop `c` of a general node's chain as edge weights, or the
+/// error naming a hop that is not a channel: a chain past the observer's
+/// past comes from the caller unchecked.
+pub(crate) fn hop_weights(bounds: &Bounds, c: Channel) -> Result<(i64, i64), CoreError> {
+    if bounds.get(c).is_none() {
+        return Err(CoreError::Bcm(zigzag_bcm::BcmError::MissingChannel {
+            from: c.from,
+            to: c.to,
+        }));
+    }
+    Ok(weights(bounds, c.from, c.to))
 }
 
 /// A recorded time on the run's clock, saturating at `i64::MAX` (see the
@@ -264,60 +268,11 @@ impl BoundsGraph {
             edges.push(Edge::new(di, si, -upper, LABEL_RECV));
             message_edges += 2;
         }
-        let mut gb = BoundsGraph {
-            graph: WeightedDigraph::from_edges(layout.node_ids().collect(), &edges),
+        BoundsGraph {
+            graph: WeightedDigraph::from_edges(layout.node_ids().collect(), clock, &edges),
             message_edges,
             context,
             timelines,
-            clock,
-            clock_holds: true,
-            max_slack: 0,
-            slots: SlotPool::default(),
-        };
-        for e in &edges {
-            gb.check_clock(e.from, e.to, e.weight);
-        }
-        gb
-    }
-
-    /// Checks the clock on one added edge `from --weight--> to`.
-    fn check_clock(&mut self, from: usize, to: usize, weight: i64) {
-        let slack = self.clock[to]
-            .checked_sub(self.clock[from])
-            .and_then(|d| d.checked_sub(weight));
-        match slack {
-            Some(s) if s >= 0 => self.max_slack = self.max_slack.max(s as u64),
-            _ => self.clock_holds = false,
-        }
-    }
-
-    /// Adds `from --weight--> to` to the graph and checks the clock on it.
-    fn add_edge(&mut self, from: usize, to: usize, weight: i64, label: u32) {
-        self.graph.add_edge_indexed(from, to, weight, label);
-        self.check_clock(from, to, weight);
-    }
-
-    /// The empty-run graph `GB` of a freshly started stream: one vertex
-    /// per initial node, no edges. Grown node-by-node with
-    /// [`BoundsGraph::append_node`]; at every prefix the grown graph has
-    /// the same vertices, edges and longest paths as
-    /// [`BoundsGraph::of_run`] on that prefix.
-    pub fn skeleton(run: &Run) -> Self {
-        let mut graph = WeightedDigraph::new();
-        let mut timelines = Vec::new();
-        let mut clock = Vec::new();
-        for p in run.context().network().processes() {
-            timelines.push(vec![graph.add_vertex(NodeId::initial(p)) as u32]);
-            clock.push(clock_time(run.timeline(p)[0].time()));
-        }
-        BoundsGraph {
-            graph,
-            message_edges: 0,
-            context: run.context_arc(),
-            timelines,
-            clock,
-            clock_holds: true,
-            max_slack: 0,
             slots: SlotPool::default(),
         }
     }
@@ -328,14 +283,18 @@ impl BoundsGraph {
     /// the node, each checked against the clock. Because `GB(r)` only
     /// ever gains vertices and edges as a run extends, this is a monotone
     /// delta — the graph's memoized longest-path results survive and
-    /// delta-relax (see [`crate::graph`]).
+    /// catch up (see [`crate::graph`]). At every prefix the grown graph
+    /// has the same vertices, edges and longest paths as
+    /// [`BoundsGraph::of_run`] on that prefix, and an empty stream's graph
+    /// is [`BoundsGraph::of_run`] of its skeleton run.
     ///
     /// Must be called once per non-initial node, in recording order, with
     /// the node (and its receipts) already present in `run`.
     pub fn append_node(&mut self, run: &Run, node: NodeId) {
+        let rec = run.node(node).expect("appended nodes are recorded");
         // Intern the new node once; every other endpoint below is an
         // earlier node, found on its timeline.
-        let ni = self.graph.add_vertex(node);
+        let ni = self.graph.add_vertex(node, clock_time(rec.time()));
         let timeline = &mut self.timelines[node.proc().index()];
         let pi = *timeline
             .last()
@@ -346,9 +305,7 @@ impl BoundsGraph {
             "append_node out of recording order"
         );
         timeline.push(ni as u32);
-        let rec = run.node(node).expect("appended nodes are recorded");
-        self.clock.push(clock_time(rec.time()));
-        self.add_edge(pi, ni, 1, LABEL_SUCCESSOR);
+        self.graph.add_edge_indexed(pi, ni, 1, LABEL_SUCCESSOR);
         for receipt in rec.receipts() {
             let Some(m) = receipt.internal() else {
                 continue;
@@ -358,27 +315,10 @@ impl BoundsGraph {
             let (lower, upper) = weights(self.context.bounds(), c.from, c.to);
             let src = mr.src();
             let si = self.timelines[src.proc().index()][src.index() as usize] as usize;
-            self.add_edge(si, ni, lower, LABEL_SEND);
-            self.add_edge(ni, si, -upper, LABEL_RECV);
+            self.graph.add_edge_indexed(si, ni, lower, LABEL_SEND);
+            self.graph.add_edge_indexed(ni, si, -upper, LABEL_RECV);
             self.message_edges += 2;
         }
-    }
-
-    /// Whether the run's recorded times satisfy every edge of the graph
-    /// (see the [module docs](self)): true for every run whose
-    /// deliveries respect their channel bounds.
-    pub fn clock_holds(&self) -> bool {
-        self.clock_holds
-    }
-
-    /// The largest slack of any edge under the clock.
-    pub(crate) fn max_slack(&self) -> u64 {
-        self.max_slack
-    }
-
-    /// The recorded time of dense vertex `i`.
-    pub(crate) fn clock(&self, i: usize) -> i64 {
-        self.clock[i]
     }
 
     /// The dense indices of process `p`'s nodes, in timeline order.
@@ -392,7 +332,7 @@ impl BoundsGraph {
     pub(crate) fn take_slots(&self) -> Vec<Slot> {
         let spare = self.slots.0.lock().expect("slot pool lock").pop();
         let mut slots = spare.unwrap_or_default();
-        slots.resize(self.clock.len(), Slot::OUTSIDE);
+        slots.resize(self.graph.vertex_count(), Slot::OUTSIDE);
         slots
     }
 
@@ -446,8 +386,10 @@ impl BoundsGraph {
     ///
     /// # Errors
     ///
-    /// Fails if `sigma` is not a vertex, or on a positive cycle
-    /// (impossible for graphs of legal runs).
+    /// Fails if `sigma` is not a vertex, or with [`CoreError::ClockFails`]
+    /// if the run's clock fails on an edge (impossible for legal runs
+    /// whose times stay below `i64::MAX`; see
+    /// [`WeightedDigraph::check_clock`]).
     pub fn longest_to(&self, sigma: NodeId) -> Result<Distances, CoreError> {
         self.graph.longest_to(&sigma)
     }
@@ -463,8 +405,8 @@ impl BoundsGraph {
 
     /// Memoized [`BoundsGraph::longest_from`]: the result is kept per
     /// source, 8 bytes per vertex, and on a graph grown with
-    /// [`BoundsGraph::append_node`] a stale one is delta-relaxed over just
-    /// the appended edges instead of recomputed.
+    /// [`BoundsGraph::append_node`] a stale one catches up from just the
+    /// appended edges instead of being recomputed.
     ///
     /// # Errors
     ///
@@ -490,7 +432,7 @@ impl BoundsGraph {
     /// # Errors
     ///
     /// Fails with [`CoreError::NodeNotInRun`] naming an endpoint that is
-    /// not a vertex, or on a positive cycle.
+    /// not a vertex, or with [`CoreError::ClockFails`].
     pub fn longest_path(
         &self,
         from: NodeId,
@@ -661,9 +603,9 @@ mod tests {
             let run = two_proc_run(seed, 30);
             let mut cursor = RunCursor::new(&run);
             let mut stream = StreamingRun::new(run.context_arc(), run.horizon());
-            let mut grown = BoundsGraph::skeleton(stream.run());
+            let mut grown = BoundsGraph::of_run(stream.run());
             // Keep a warm cached query alive across appends so every
-            // append exercises the delta-relaxation path.
+            // append exercises the catch-up path.
             let i1 = NodeId::new(ProcessId::new(0), 1);
             while let Some(ev) = cursor.next_event() {
                 let node = stream.append(&ev).unwrap();
@@ -694,11 +636,12 @@ mod tests {
     }
 
     #[test]
-    fn no_positive_cycles_in_legal_runs() {
+    fn legal_runs_keep_their_clock() {
         for seed in 0..10 {
             let run = two_proc_run(seed, 60);
             let gb = BoundsGraph::of_run(&run);
             let i1 = NodeId::new(ProcessId::new(0), 1);
+            gb.graph().check_clock().unwrap();
             assert!(gb.longest_to(i1).is_ok());
             assert!(gb.longest_from(i1).is_ok());
         }

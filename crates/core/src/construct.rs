@@ -30,13 +30,15 @@
 //! respect to frontier longest paths; for node pairs well inside the
 //! prefix these coincide with plain `GB(r)` longest paths.
 
+#![deny(clippy::cast_possible_wrap)]
+
 use std::collections::BTreeMap;
 
 use zigzag_bcm::builder::RunBuilder;
 use zigzag_bcm::run::Past;
 use zigzag_bcm::{Bounds, Channel, ExternalId, NodeId, ProcessId, Run, Time};
 
-use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
+use crate::bounds_graph::{hop_weights, weights, BoundsGraph, NodeLayout};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::graph::{Direction, Distances};
@@ -57,7 +59,8 @@ use crate::timing::{fast_timing, FastTiming, NodeTiming};
 ///
 /// It is `GB(r)` cut at every recorded node by the construction that
 /// cuts an observer's `GE(r, σ)` (see [`crate::extended_graph`]), so its
-/// traversals run Dijkstra under the run's clock where the clock holds.
+/// traversals run Dijkstra under the run's clock, and refuse a run whose
+/// clock fails.
 #[derive(Debug, Clone)]
 pub struct FrontierGraph {
     gb: BoundsGraph,
@@ -110,8 +113,8 @@ impl FrontierGraph {
     /// # Errors
     ///
     /// Fails with [`CoreError::NodeNotInRun`] if `sigma` is not a
-    /// recorded node, or on a positive cycle (impossible for graphs of
-    /// legal runs).
+    /// recorded node, or with [`CoreError::ClockFails`] if the run's clock
+    /// fails on the frontier graph (impossible for legal runs).
     pub fn longest_to(&self, sigma: NodeId) -> Result<Distances, CoreError> {
         let s = self.node(sigma)?;
         self.frontier.distances(&self.gb, s, Direction::Backward)
@@ -124,7 +127,7 @@ impl FrontierGraph {
     /// # Errors
     ///
     /// Fails with [`CoreError::NodeNotInRun`] naming a node that is not
-    /// recorded, or on a positive cycle.
+    /// recorded, or with [`CoreError::ClockFails`].
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
         let s = self.node(from)?;
         let t = self.node(to)?;
@@ -401,7 +404,7 @@ fn boundaries_of(run: &Run, timing: &NodeTiming) -> Result<Vec<u32>, CoreError> 
 /// least one past the kept boundary, closed under the `E'''` channel
 /// constraints `ω_i <= ω_j + U_ji`, and must not violate any in-flight
 /// upper bound `ω_j <= T(σ_i) + U_ij` (Lemma 8's legality condition at the
-/// horizon).
+/// horizon). Computed in `i128`, so no `u64` time wraps.
 fn frontier_for_timing(
     run: &Run,
     timing: &NodeTiming,
@@ -410,24 +413,18 @@ fn frontier_for_timing(
     let net = run.context().network();
     let bounds = run.context().bounds();
     let n = net.len();
-    let mut omega: Vec<i64> = (0..n)
-        .map(|pi| {
-            let b = boundary[pi];
-            if b == 0 {
-                1
-            } else {
-                timing
-                    .get(&NodeId::new(ProcessId::new(pi as u32), b))
-                    .map(|t| t.ticks() as i64 + 1)
-                    .unwrap_or(1)
-            }
+    let ticks = |node: &NodeId| timing.get(node).map(|t| i128::from(t.ticks()));
+    let mut omega: Vec<i128> = (0..n)
+        .map(|pi| match boundary[pi] {
+            0 => 1,
+            b => ticks(&NodeId::new(ProcessId::new(pi as u32), b)).map_or(1, |t| t + 1),
         })
         .collect();
     // Longest-path (lower-bound) propagation over ω_b >= ω_a − U_ba.
     for _ in 0..=n {
         let mut changed = false;
         for ch in net.channels() {
-            let u = weights(bounds, ch.from, ch.to).1;
+            let u = i128::from(weights(bounds, ch.from, ch.to).1);
             // Constraint ω_{ch.to} <= ω_{ch.from} + U, i.e.
             // ω_{ch.from} >= ω_{ch.to} − U.
             let need = omega[ch.to.index()] - u;
@@ -454,12 +451,8 @@ fn frontier_for_timing(
         if kept_delivery {
             continue;
         }
-        let t_src = timing
-            .get(&src)
-            .copied()
-            .map(|t| t.ticks() as i64)
-            .unwrap_or(0);
-        let u = weights(bounds, m.channel().from, m.channel().to).1;
+        let t_src = ticks(&src).unwrap_or(0);
+        let u = i128::from(weights(bounds, m.channel().from, m.channel().to).1);
         if omega[m.channel().to.index()] > t_src + u {
             return Err(CoreError::InvalidTiming {
                 detail: format!(
@@ -473,10 +466,16 @@ fn frontier_for_timing(
             });
         }
     }
-    Ok(omega
+    omega
         .into_iter()
-        .map(|t| Time::new(t.max(0) as u64))
-        .collect())
+        .map(|t| {
+            u64::try_from(t.max(0))
+                .map(Time::new)
+                .map_err(|_| CoreError::InvalidTiming {
+                    detail: format!("a frontier time {t} exceeds the u64 clock"),
+                })
+        })
+        .collect()
 }
 
 /// Constructs the run `r[T]` of Lemma 8 from a valid timing function over a
@@ -693,61 +692,33 @@ pub struct FastRun {
     pub theta_time: Time,
 }
 
-/// Walks `theta`'s message chain, recording the Definition 24 condition-2
-/// prescriptions (chain deliveries pinned to channel upper bounds once the
-/// chain leaves the observer's past) and the resulting arrival time.
-/// Condition-2 delivery pins keyed by `(sender, send time, destination)`.
-type ChainPins = BTreeMap<(ProcessId, Time, ProcessId), Time>;
-
-fn chain_prescriptions(
-    run: &Run,
-    past: &Past,
-    ft: &FastTiming,
-    theta: &GeneralNode,
+/// The Definition 24 condition-2 layout of a canonical node's chain:
+/// [`canonicalize_in_past`] folded every hop whose delivery the observer
+/// has seen into the base, so the chain leaves the past there and every
+/// hop is pinned to its channel's upper bound. Each hop's channel with its
+/// send and arrival offsets from the base at 0, in chain order; the
+/// construction adds `T(base)`, and the knowledge answers read the
+/// offsets as they are.
+///
+/// # Errors
+///
+/// Fails with [`zigzag_bcm::BcmError::MissingChannel`] naming a hop that
+/// is not a channel.
+pub(crate) fn chain_layout(
     bounds: &Bounds,
-) -> Result<(ChainPins, Time), CoreError> {
-    let sigma_prime = theta.base();
-    let mut t = ft
-        .node_time(sigma_prime)
-        .ok_or_else(|| CoreError::NotRecognized {
-            observer: past.of(),
-            detail: format!("{sigma_prime} is not in past(r, σ)"),
-        })?;
-    let mut map = BTreeMap::new();
-    let mut inside: Option<NodeId> = Some(sigma_prime);
-    for hop in theta.path().hops() {
-        let u = bounds
-            .get(hop)
-            .ok_or(CoreError::Bcm(zigzag_bcm::BcmError::MissingChannel {
-                from: hop.from,
-                to: hop.to,
-            }))?;
-        let mut stayed = false;
-        if let Some(node) = inside {
-            let m = run
-                .message_from_to(node, hop.to)
-                .ok_or_else(|| CoreError::NodeNotInRun {
-                    detail: format!(
-                        "no message from {node} to {} (initial node or missing channel)",
-                        hop.to
-                    ),
-                })?;
-            if let Some(d) = run.message(m).delivery() {
-                if past.contains(d.node) {
-                    inside = Some(d.node);
-                    t = ft.node_time(d.node).expect("past nodes are timed");
-                    stayed = true;
-                }
-            }
-        }
-        if !stayed {
-            let next = t + u.upper();
-            map.insert((hop.from, t, hop.to), next);
-            t = next;
-            inside = None;
-        }
-    }
-    Ok((map, t))
+    theta: &GeneralNode,
+) -> Result<Vec<(Channel, i64, i64)>, CoreError> {
+    let mut t = 0;
+    theta
+        .path()
+        .hops()
+        .map(|hop| {
+            let (_, upper) = hop_weights(bounds, hop)?;
+            let send = t;
+            t += upper;
+            Ok((hop, send, t))
+        })
+        .collect()
 }
 
 /// Constructs the γ-fast run `fast_γ^σ(r, θ')` of Definition 24.
@@ -857,8 +828,20 @@ pub(crate) fn fast_run_from_timing(
 ) -> Result<FastRun, CoreError> {
     let sigma = past.of();
     let gamma = ft.gamma;
-    let bounds = run.context().bounds();
-    let (chain_upper, theta_time) = chain_prescriptions(run, past, &ft, canonical, bounds)?;
+    let base = ft
+        .node_time(canonical.base())
+        .ok_or_else(|| CoreError::NotRecognized {
+            observer: sigma,
+            detail: format!("{} is not in past(r, σ)", canonical.base()),
+        })?;
+    // Offsets are sums of upper bounds, so never negative.
+    let at = |offset: i64| base + offset.unsigned_abs();
+    let mut chain_upper = BTreeMap::new();
+    let mut theta_time = base;
+    for (hop, send, arrive) in chain_layout(run.context().bounds(), canonical)? {
+        chain_upper.insert((hop.from, at(send), hop.to), at(arrive));
+        theta_time = at(arrive);
+    }
 
     // The past is a per-timeline prefix and iterates in timeline order.
     let mut kept = vec![Vec::new(); run.context().network().len()];
@@ -949,10 +932,8 @@ mod tests {
             (Some(_), None) => panic!("frontier graph lost a GB path"),
             _ => {}
         }
-        // A legal run's clock holds at the horizon too: the traversal ran
-        // Dijkstra, and nothing walked label-correcting.
-        let work = fg.gb.graph().work();
-        assert_eq!((work.dijkstra.traversals, work.spfa.traversals), (1, 0));
+        // A legal run's clock holds at the horizon too: one Dijkstra ran.
+        assert_eq!(fg.gb.graph().work().traversals, 1);
     }
 
     /// A node the run does not record is refused by name, at either end
@@ -1096,6 +1077,30 @@ mod tests {
         ));
     }
 
+    /// What `node` sees in `run`: its causal past's boundary per process
+    /// and its receipts — each message by sender node and channel, each
+    /// external by name — as a sorted multiset.
+    fn local_view(run: &Run, node: NodeId) -> (Vec<Option<NodeId>>, Vec<String>) {
+        let past = run.past(node);
+        let net = run.context().network();
+        let boundaries = net.processes().map(|p| past.boundary(p)).collect();
+        let mut receipts: Vec<String> = run
+            .node(node)
+            .expect("the node appears")
+            .receipts()
+            .iter()
+            .map(|r| match *r {
+                Receipt::Internal(m) => {
+                    let m = run.message(m);
+                    format!("message from {} on {}", m.src(), m.channel())
+                }
+                Receipt::External(e) => format!("external {}", run.external(e).name()),
+            })
+            .collect();
+        receipts.sort_unstable();
+        (boundaries, receipts)
+    }
+
     #[test]
     fn fast_run_is_legal_and_indistinguishable_at_sigma() {
         for seed in 0..8 {
@@ -1112,11 +1117,16 @@ mod tests {
             let theta = GeneralNode::basic(anchor);
             let fr = fast_run(&run, sigma, &theta, 0, 20).unwrap();
             validate_run(&fr.run, Strictness::Strict).unwrap();
-            // σ's past is reproduced node-for-node: same receipts shape.
+            // σ's past is reproduced node for node, each node seeing the
+            // same boundaries and receipts: the runs are indistinguishable
+            // at σ.
             for node in past.iter() {
-                let a = run.node(node).unwrap();
-                let b = fr.run.node(node).expect("past node missing in fast run");
-                assert_eq!(a.receipts().len(), b.receipts().len());
+                assert!(fr.run.appears(node), "past node {node} missing in fast run");
+                assert_eq!(
+                    local_view(&fr.run, node),
+                    local_view(&run, node),
+                    "seed {seed}: {node}"
+                );
                 if !node.is_initial() {
                     assert_eq!(
                         fr.run.time(node),

@@ -28,8 +28,25 @@ pub enum CoreError {
         detail: String,
     },
     /// The bounds graph contains a positive cycle — impossible for graphs
-    /// derived from actual runs; indicates corrupted input.
+    /// derived from actual runs; indicates corrupted input. Only the dense
+    /// Bellman–Ford references detect it: a traversal refuses a graph with
+    /// one as [`CoreError::ClockFails`].
     PositiveCycle,
+    /// A graph's clock — the run's recorded times, by Lemma 8 a valid
+    /// timing of every legal run's bounds graph — is no feasible potential
+    /// for its longest-path traversal: it fails `T(from) + w ≤ T(to)` on
+    /// an edge (a delivery outside its channel bounds, an in-flight
+    /// message no extension can deliver, or times saturated at
+    /// `i64::MAX`), or the span of its times and its least weight could
+    /// take a key to `u64::MAX`, which no bounds graph's can. Every
+    /// traversal of the graph refuses with it.
+    ClockFails {
+        /// The first failing edge, as `from --weight--> to`; for a key
+        /// that could overflow, the lightest edge.
+        edge: String,
+        /// How the clock fails on it.
+        detail: String,
+    },
     /// A graph outgrew the `u32` interior index space (more than 2³² − 1
     /// vertices or edges); the hot core stores all indices as `u32` and
     /// checks every narrowing conversion instead of truncating.
@@ -85,6 +102,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::MalformedFork { detail } => write!(f, "malformed two-legged fork: {detail}"),
             CoreError::PositiveCycle => write!(f, "bounds graph contains a positive cycle"),
+            CoreError::ClockFails { edge, detail } => {
+                write!(f, "the run's clock fails on {edge}: {detail}")
+            }
             CoreError::IndexOverflow { detail } => {
                 write!(f, "graph exceeds the u32 index space: {detail}")
             }
@@ -129,6 +149,10 @@ mod tests {
         let errors: Vec<CoreError> = vec![
             BcmError::EmptyNetwork.into(),
             CoreError::PositiveCycle,
+            CoreError::ClockFails {
+                edge: "x".into(),
+                detail: "x".into(),
+            },
             CoreError::NodeNotInRun { detail: "x".into() },
             CoreError::MalformedPattern { detail: "x".into() },
             CoreError::MalformedFork { detail: "x".into() },

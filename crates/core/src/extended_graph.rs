@@ -60,22 +60,25 @@
 //! # The run's clock
 //!
 //! By Lemma 8 the recorded times of a legal run are a valid timing of
-//! its bounds graph, which checks them once per edge
-//! ([`BoundsGraph::clock_holds`]). On the past nodes they are the
-//! potential of the view's potential-reweighted Dijkstra
-//! ([`crate::graph`]); each `ψ_p` gets the least value its `E′`/`E‴`
-//! in-edges allow (a fixpoint over the `n` auxiliary vertices, settled
-//! in decreasing order since every `E‴` weight is `−U ≤ 0`). The `E″`
-//! upper bounds then hold whenever the run's FFIP deliveries respect
-//! `[L, U]`: a message σ has not seen reaches its receiver `j` within
-//! `U` of its send, and each FFIP re-flood from there reaches the next
-//! process within that channel's `U`; each arrival lies after the
+//! its bounds graph, whose [`crate::graph::WeightedDigraph`] checks them
+//! once per edge. On the past nodes they are the potential of the view's
+//! potential-reweighted Dijkstra ([`crate::graph`]); each `ψ_p` gets the
+//! least value its `E′`/`E‴` in-edges allow (a fixpoint over the `n`
+//! auxiliary vertices, settled in decreasing order since every `E‴`
+//! weight is `−U ≤ 0`). The `E″` upper bounds then hold whenever the
+//! run's FFIP deliveries respect `[L, U]` and every in-flight message can
+//! still be delivered: a message σ has not seen reaches its receiver `j`
+//! within `U` of its send, and each FFIP re-flood from there reaches the
+//! next process within that channel's `U`; each arrival lies after the
 //! receiving process's boundary (or beyond the horizon), or σ would have
 //! seen the message. The view checks the overlay in one scan when it is
 //! built. A clock that fails anywhere — a hand-built run with a delivery
-//! outside its channel bounds, say — leaves the view's traversals on the
-//! same walk run label-correcting ([`GeView::has_potential`] tells
-//! which).
+//! outside its channel bounds, a feed that strands a message behind its
+//! receiver's latest node, or a boundary at `i64::MAX`, past which `ψ`
+//! has no room, say — leaves the view with no traversal, as would a span
+//! of times too wide for the keys (see [`crate::graph`]): every distance
+//! query refuses with [`CoreError::ClockFails`] naming the first failing
+//! edge.
 //!
 //! # Witness paths
 //!
@@ -97,7 +100,7 @@ use zigzag_bcm::{Context, NodeId, ProcessId, Run};
 use crate::bounds_graph::{weights, BoundsGraph, NodeLayout, Slot};
 use crate::error::CoreError;
 use crate::fx::FxBuild;
-use crate::graph::{canonical_path, Direction, Distances, Edge, GraphWork, Rows};
+use crate::graph::{canonical_path, ClockCheck, Direction, Distances, Edge, Rows, TraversalWork};
 
 /// Edge label: `E'` boundary-to-auxiliary edge (weight 1).
 pub const LABEL_BOUNDARY: u32 = 3;
@@ -224,8 +227,9 @@ pub(crate) struct GeFrontier {
     /// the `E''` edges leaving `ψ_p`.
     psi_at: Vec<u32>,
     by_psi: Vec<u32>,
-    /// Whether traversals run Dijkstra under the clock.
-    dijkstra: bool,
+    /// Why traversals may not run Dijkstra under the clock, if they may
+    /// not: every distance query answers it.
+    refusal: Option<CoreError>,
     dists: DistanceMemo,
 }
 
@@ -297,7 +301,7 @@ impl GeFrontier {
         // `j → v`. A ψ with neither kind of in-edge gets the least value of
         // the clock, which its out-edges (weights −U ≤ 0) allow too.
         let mut psi: Vec<i64> = (0..n)
-            .map(|p| boundary(p).map_or(UNSET, |b| gb.clock(b).saturating_add(1)))
+            .map(|p| boundary(p).map_or(UNSET, |b| gb.graph().clock(b).saturating_add(1)))
             .collect();
         let mut queue: BinaryHeap<(i64, usize)> = (0..n)
             .filter(|&v| psi[v] != UNSET)
@@ -317,7 +321,7 @@ impl GeFrontier {
         }
         let firsts = (0..n).filter(|&p| boundary(p).is_some());
         let least = firsts
-            .map(|p| gb.clock(nodes[layout.range(p).start] as usize))
+            .map(|p| gb.graph().clock(nodes[layout.range(p).start] as usize))
             .chain(psi.iter().copied().filter(|&t| t != UNSET))
             .min()
             .unwrap_or(0);
@@ -326,35 +330,37 @@ impl GeFrontier {
         }
 
         // The clock over the overlay, E' and E''': every slack
-        // `π(head) − π(tail) − w` must be non-negative, and the largest
-        // (with GB's own) must keep every Dijkstra key below `u64::MAX`.
-        let mut feasible = gb.clock_holds();
-        let mut max_slack = gb.max_slack();
-        let mut note = |head: i64, tail: i64, weight: i64| match head
-            .checked_sub(tail)
-            .and_then(|d| d.checked_sub(weight))
-        {
-            Some(s) if s >= 0 => max_slack = max_slack.max(s as u64),
-            _ => feasible = false,
+        // `π(head) − π(tail) − w` must be non-negative, and the span and
+        // least weight of these edges and GB's must keep every Dijkstra
+        // key below `u64::MAX` at the view's vertex count. The overlay's
+        // edges are noted in view indices. An edge of GB the clock fails
+        // on refuses the view wherever it lies: telling whether it lies
+        // inside the cut would scan the cut's rows.
+        let vertices = layout.nodes() + n;
+        let time = |v: usize| match v.checked_sub(layout.nodes()) {
+            Some(p) => psi[p],
+            None => gb.graph().clock(nodes[v] as usize),
         };
+        let mut check = ClockCheck::default();
+        let mut note = |e: Edge| check.note(e, (time(e.from), time(e.to)));
         for p in 0..n {
-            if let Some(b) = boundary(p) {
-                note(psi[p], gb.clock(b), 1);
+            let psi_p = layout.nodes() + p;
+            if !layout.range(p).is_empty() {
+                note(Edge::new(layout.range(p).end - 1, psi_p, 1, LABEL_BOUNDARY));
             }
             for (j, upper) in channels_into(context, p) {
-                note(psi[j], psi[p], -upper);
+                note(Edge::new(psi_p, layout.nodes() + j, -upper, LABEL_AUX_CHAN));
             }
         }
         for e in &unseen {
-            note(
-                gb.clock(nodes[e.src as usize] as usize),
-                psi[e.to as usize],
-                e.weight,
-            );
+            let psi_to = layout.nodes() + e.to as usize;
+            note(Edge::new(psi_to, e.src as usize, e.weight, LABEL_UNSEEN));
         }
-        let vertices = layout.nodes() + n;
-        let dijkstra =
-            feasible && u128::from(max_slack) * (vertices as u128) < u128::from(u64::MAX);
+        check.widen(gb.graph().clock_check());
+        let refusal = gb
+            .graph()
+            .clock_refusal(vertices)
+            .or_else(|| check.refusal(vertices, |v| layout.ext_vertex(v), time));
         GeFrontier {
             layout,
             nodes,
@@ -362,7 +368,7 @@ impl GeFrontier {
             unseen,
             psi_at,
             by_psi,
-            dijkstra,
+            refusal,
             dists: DistanceMemo::default(),
         }
     }
@@ -393,7 +399,7 @@ impl GeFrontier {
     pub(crate) fn walk<'a>(&'a self, gb: &'a BoundsGraph) -> Walk<'a> {
         let mut slots = gb.take_slots();
         for (v, &g) in self.nodes.iter().enumerate() {
-            let pi = gb.clock(g as usize);
+            let pi = gb.graph().clock(g as usize);
             slots[g as usize] = Slot { view: v as u32, pi };
         }
         Walk {
@@ -404,20 +410,23 @@ impl GeFrontier {
     }
 
     /// Longest-path weights from (or, backward, to) dense vertex `src`
-    /// over [`GeFrontier::walk`]: Dijkstra under the clock where it
-    /// holds, label-correcting elsewhere. Not memoized.
+    /// over [`GeFrontier::walk`], by Dijkstra under the clock. Not
+    /// memoized.
     ///
     /// # Errors
     ///
-    /// Fails on a positive cycle (impossible for graphs of legal runs).
+    /// Returns the frontier's [`CoreError::ClockFails`] refusal if the
+    /// clock fails on one of its edges or its keys could overflow.
     pub(crate) fn distances(
         &self,
         gb: &BoundsGraph,
         src: usize,
         dir: Direction,
     ) -> Result<Distances, CoreError> {
-        gb.graph()
-            .distances_over(&self.walk(gb), src, dir, self.dijkstra)
+        match &self.refusal {
+            Some(e) => Err(e.clone()),
+            None => Ok(gb.graph().distances_over(&self.walk(gb), src, dir)),
+        }
     }
 }
 
@@ -469,16 +478,9 @@ impl<'a> GeView<'a> {
         self.frontier.vertex(i)
     }
 
-    /// Whether the view's distance traversals run Dijkstra under the
-    /// run's clock, rather than the label-correcting walk (see the
-    /// [module docs](self)).
-    pub fn has_potential(&self) -> bool {
-        self.frontier.dijkstra
-    }
-
     /// The traversal work done on the bounds graph's rows, by this view
     /// and every other view over the same graph.
-    pub fn work(&self) -> GraphWork {
+    pub fn work(&self) -> TraversalWork {
         self.gb.graph().work()
     }
 
@@ -527,8 +529,8 @@ impl<'a> GeView<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if `v` is not a vertex, or on a positive cycle (impossible
-    /// for graphs of legal runs).
+    /// Fails if `v` is not a vertex, or with [`CoreError::ClockFails`] if
+    /// the run's clock fails on the view (see the [module docs](self)).
     pub fn distances_from(&self, v: ExtVertex) -> Result<Arc<Distances>, CoreError> {
         self.distances(v, Direction::Forward)
     }
@@ -551,7 +553,8 @@ impl<'a> GeView<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if either endpoint is not a vertex, or on a positive cycle.
+    /// Fails if either endpoint is not a vertex, or with
+    /// [`CoreError::ClockFails`].
     pub fn longest_path(
         &self,
         from: ExtVertex,
@@ -620,6 +623,11 @@ impl Walk<'_> {
     fn gb_index(&self, v: usize) -> usize {
         self.frontier.nodes[v] as usize
     }
+
+    /// The time of node `v` inside the cut on the run's clock.
+    fn node_time(&self, v: usize) -> i64 {
+        self.gb.graph().clock(self.gb_index(v))
+    }
 }
 
 impl Rows for Walk<'_> {
@@ -630,7 +638,7 @@ impl Rows for Walk<'_> {
     fn potential(&self, v: usize) -> i64 {
         match v.checked_sub(self.frontier.layout.nodes()) {
             Some(p) => self.frontier.psi[p],
-            None => self.gb.clock(self.gb_index(v)),
+            None => self.node_time(v),
         }
     }
 
@@ -683,12 +691,7 @@ impl Rows for Walk<'_> {
                 for &i in &fr.by_psi[fr.psi_at[p] as usize..fr.psi_at[p + 1] as usize] {
                     let e = fr.unseen[i as usize];
                     let src = e.src as usize;
-                    f(
-                        src,
-                        e.weight,
-                        self.gb.clock(self.gb_index(src)),
-                        LABEL_UNSEEN,
-                    );
+                    f(src, e.weight, self.node_time(src), LABEL_UNSEEN);
                 }
                 // E''' out of ψ_p: one per channel j → p.
                 for (j, upper) in channels_into(self.gb.context(), p) {
@@ -699,7 +702,7 @@ impl Rows for Walk<'_> {
                 let range = fr.layout.range(p);
                 if !range.is_empty() {
                     let b = range.end - 1;
-                    f(b, 1, self.gb.clock(self.gb_index(b)), LABEL_BOUNDARY);
+                    f(b, 1, self.node_time(b), LABEL_BOUNDARY);
                 }
                 // E''' into ψ_p: one per channel p → i.
                 for (i, upper) in channels_out_of(self.gb.context(), p) {
@@ -875,7 +878,7 @@ mod tests {
             view.distances_to(root).unwrap(),
         );
         let work = view.work();
-        assert_eq!(work.dijkstra.traversals, 2);
+        assert_eq!(work.traversals, 2);
         assert!(Arc::ptr_eq(&from, &view.distances_from(root).unwrap()));
         assert!(Arc::ptr_eq(&to, &view.distances_to(root).unwrap()));
         // A path reads the memoized lane.
@@ -886,11 +889,11 @@ mod tests {
         let again = GeFrontier::new(&run, &gb, cut(), None);
         let other = GeView::new(&gb, &again, &past);
         assert!(!Arc::ptr_eq(&from, &other.distances_from(root).unwrap()));
-        assert_eq!(other.work().dijkstra.traversals, 3);
+        assert_eq!(other.work().traversals, 3);
     }
 
     #[test]
-    fn no_positive_cycles() {
+    fn legal_views_keep_the_clock() {
         for seed in 0..5 {
             let run = tri_run(seed);
             let j1 = NodeId::new(ProcessId::new(1), 1);

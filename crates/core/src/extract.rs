@@ -40,7 +40,7 @@ enum PathStep {
     },
 }
 
-fn vertex_node<V: std::hash::Hash + Eq + Clone + Copy>(
+fn vertex_node<V: std::hash::Hash + Eq + Copy + std::fmt::Display>(
     g: &crate::graph::WeightedDigraph<V>,
     i: usize,
 ) -> V {
@@ -165,7 +165,8 @@ pub fn zigzag_from_gb_path(
 ///
 /// # Errors
 ///
-/// Fails if either node is missing from the graph or on a positive cycle.
+/// Fails if either node is missing from the graph or with
+/// [`CoreError::ClockFails`] if the run's clock fails on it.
 pub fn zigzag_for_pair(
     run: &Run,
     from: NodeId,

@@ -15,7 +15,7 @@
 //! prefix-differential oracle in `tests/oracle.rs` pins this
 //! byte-for-byte).
 //!
-//! # The delta-relaxation invariant
+//! # The catch-up invariant
 //!
 //! Two structural facts make per-append cost proportional to the change
 //! rather than to the run, and both are load-bearing for correctness:
@@ -27,12 +27,11 @@
 //!    only message table: nothing mirrors them. Nothing is removed or
 //!    re-weighted, so every memoized longest-path result remains a valid
 //!    lower bound and any strictly better path must use a new edge. The
-//!    graph layer therefore keeps its memoized SPFA results across
-//!    appends and *delta-relaxes* a stale result forward from exactly the
-//!    new edges' endpoints (the frontier) on its next query — the same
-//!    label-correcting traversal, seeded by the appended edges and
-//!    cascading over the live adjacency rows (see [`crate::graph`]),
-//!    instead of invalidate-and-rebuild.
+//!    graph layer therefore keeps its memoized results across appends
+//!    and catches a stale result up on its next query — a Dijkstra under
+//!    the run's clock seeded at the heads the appended edges improve,
+//!    which settles each improved vertex once over the live adjacency
+//!    rows (see [`crate::graph`]) — instead of invalidate-and-rebuild.
 //!
 //! 2. **Observer stability.** `past(r, σ)` is determined the moment σ's
 //!    receipts are delivered, and a message sent inside that past whose
@@ -128,7 +127,7 @@ use crate::node::GeneralNode;
 pub struct IncrementalEngine {
     stream: StreamingRun,
     /// The global basic bounds graph `GB(r)`, grown monotonically; its
-    /// memoized longest paths delta-relax across appends, and every
+    /// memoized longest paths catch up across appends, and every
     /// observer state is a view over it.
     gb: BoundsGraph,
     /// One lazily built, append-stable analysis state per queried
@@ -139,15 +138,10 @@ pub struct IncrementalEngine {
 
 impl IncrementalEngine {
     /// Starts an empty stream over `context` (initial nodes only),
-    /// recording up to `horizon`.
+    /// recording up to `horizon`: [`IncrementalEngine::from_prefix`] of
+    /// the skeleton run.
     pub fn new(context: impl Into<Arc<Context>>, horizon: Time) -> Self {
-        let stream = StreamingRun::new(context, horizon);
-        let gb = BoundsGraph::skeleton(stream.run());
-        IncrementalEngine {
-            stream,
-            gb,
-            observers: Mutex::new(ObserverCache::new(None)),
-        }
+        Self::from_prefix(Run::skeleton(context, horizon))
     }
 
     /// Resumes streaming on top of an already-recorded run prefix — the
@@ -256,7 +250,7 @@ impl IncrementalEngine {
     }
 
     /// The global basic bounds graph `GB(r)` of the grown prefix. Its
-    /// `longest_*_cached` queries delta-relax across appends instead of
+    /// `longest_*_cached` queries catch up across appends instead of
     /// recomputing.
     pub fn bounds_graph(&self) -> &BoundsGraph {
         &self.gb
@@ -264,14 +258,14 @@ impl IncrementalEngine {
 
     /// The tight bound on `time(to) − time(from)` supported by the grown
     /// prefix's `GB(r)` — the streaming form of
-    /// [`BoundsGraph::longest_path`], served from the delta-relaxed
+    /// [`BoundsGraph::longest_path`], served from the caught-up
     /// per-source memo.
     ///
     /// # Errors
     ///
     /// Fails with [`CoreError::NodeNotInRun`] naming `from` or `to` if
-    /// the prefix does not hold it, or on a positive cycle (impossible
-    /// for legal feeds).
+    /// the prefix does not hold it, or with [`CoreError::ClockFails`] if
+    /// the run's clock fails on `GB(r)` (see [`crate::graph`]).
     pub fn tight_bound(&self, from: NodeId, to: NodeId) -> Result<Option<i64>, CoreError> {
         self.gb.index(from)?;
         let to = self.gb.index(to)?;
@@ -480,7 +474,7 @@ mod tests {
         for ev in &events[..half] {
             prefix.append(ev).unwrap();
         }
-        // Keep the cached source warm so each append delta-relaxes.
+        // Keep the cached source warm so each append catches up.
         let check = |inc: &IncrementalEngine, node: NodeId| {
             if !inc.run().appears(i1) {
                 return;

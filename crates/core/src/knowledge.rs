@@ -39,10 +39,10 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use zigzag_bcm::run::Past;
-use zigzag_bcm::{BcmError, Bounds, Channel, NetPath, NodeId, ProcessId, Run};
+use zigzag_bcm::{NetPath, NodeId, ProcessId, Run};
 
-use crate::bounds_graph::{weights, BoundsGraph, NodeLayout};
-use crate::construct::{Extension, FastRun, RunArena};
+use crate::bounds_graph::{hop_weights, BoundsGraph, NodeLayout};
+use crate::construct::{chain_layout, Extension, FastRun, RunArena};
 use crate::error::CoreError;
 use crate::extended_graph::{ExtVertex, GeFrontier, GeView};
 use crate::extract::{anchor_tail, extend_head, zigzag_from_ge_walk};
@@ -77,19 +77,6 @@ struct ChainInfo {
     /// Arrival offset of the full chain: `time(θ1)` in the 0-fast run,
     /// less the shift.
     arrival: i64,
-}
-
-/// `(L, U)` of hop `c` of a general node's chain as edge weights, or the
-/// error naming a hop that is not a channel: a chain past the observer's
-/// past comes from the caller unchecked.
-fn hop_weights(bounds: &Bounds, c: Channel) -> Result<(i64, i64), CoreError> {
-    if bounds.get(c).is_none() {
-        return Err(CoreError::Bcm(BcmError::MissingChannel {
-            from: c.from,
-            to: c.to,
-        }));
-    }
-    Ok(weights(bounds, c.from, c.to))
 }
 
 /// The memoized `max_x` answer table: per-`θ1` rows of per-`θ2` final
@@ -713,18 +700,17 @@ impl<'r> KnowledgeEngine<'r> {
     }
 
     /// Lays out a canonical node's chain at upper bounds (Definition 24
-    /// condition 2), in offsets from its base at 0.
+    /// condition 2), in offsets from its base at 0: the layout of the
+    /// construction ([`chain_layout`]), keyed for the walk.
     fn chain_info(&self, theta: &GeneralNode) -> Result<ChainInfo, CoreError> {
-        let bounds = self.run.context().bounds();
-        let mut t = 0;
         let mut map = BTreeMap::new();
-        for (m, hop) in theta.path().hops().enumerate() {
-            let (_, upper) = hop_weights(bounds, hop)?;
-            let next = t + upper;
-            map.insert((hop.from, t, hop.to), (next, m + 1));
-            t = next;
+        let mut arrival = 0;
+        let layout = chain_layout(self.run.context().bounds(), theta)?;
+        for (m, (hop, send, arrive)) in layout.into_iter().enumerate() {
+            map.insert((hop.from, send, hop.to), (arrive, m + 1));
+            arrival = arrive;
         }
-        Ok(ChainInfo { map, arrival: t })
+        Ok(ChainInfo { map, arrival })
     }
 
     /// Resolves a canonical node's arrival offset in the 0-fast run of
@@ -945,7 +931,8 @@ impl<'r> KnowledgeEngine<'r> {
     ///
     /// # Errors
     ///
-    /// Fails on a positive cycle (impossible for graphs of legal runs).
+    /// Fails with [`CoreError::ClockFails`] if the run's clock fails on
+    /// the view (impossible for legal runs).
     pub fn max_x_basic_matrix(&self) -> Result<MaxXMatrix, CoreError> {
         let ge = self.ge();
         // Past iteration is in (process, index) order — ascending NodeId —

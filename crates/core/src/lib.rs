@@ -9,9 +9,11 @@
 //! * [`fork`] / [`pattern`] — two-legged forks and zigzag patterns with
 //!   their weights (Definitions 5–6);
 //! * [`precedence`] — the timed-precedence relation `θ --x--> θ'`;
-//! * [`graph`] — a weighted digraph with longest-path computation
-//!   (queue-based Bellman–Ford over its adjacency rows; bounds graphs
-//!   have no positive cycles) and per-source memoization of results;
+//! * [`graph`] — a weighted digraph on a clock with longest-path
+//!   computation (one traversal: Dijkstra reweighted by the clock, which
+//!   for a bounds graph is the run's recorded times, a valid timing by
+//!   Lemma 8) and per-source memoization of results that catch up across
+//!   appends;
 //! * [`bounds_graph`] — the basic bounds graph `GB(r)` and its local
 //!   restriction `GB(r, σ)` (Definitions 8, 14);
 //! * [`extended_graph`] — the extended local bounds graph `GE(r, σ)` with

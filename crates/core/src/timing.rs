@@ -39,6 +39,8 @@
 //! traversal, and none to the observer. Its Lemma 17 check covers the
 //! reached region the answers read, by the same scan.
 
+#![deny(clippy::cast_possible_wrap)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -54,7 +56,8 @@ use crate::graph::{Direction, Distances, Rows};
 pub type NodeTiming = BTreeMap<NodeId, Time>;
 
 /// Checks Definition 10: for every edge of `gb` with both endpoints in the
-/// domain of `t`, `T(v1) + w <= T(v2)`.
+/// domain of `t`, `T(v1) + w <= T(v2)`, compared without wrapping at any
+/// `u64` time.
 ///
 /// # Errors
 ///
@@ -67,7 +70,7 @@ pub fn check_valid_timing(gb: &BoundsGraph, t: &NodeTiming) -> Result<(), CoreEr
         for e in g.edges_from(vi) {
             let to = *g.vertex(e.to);
             let Some(&tt) = t.get(&to) else { continue };
-            if tf.ticks() as i64 + e.weight > tt.ticks() as i64 {
+            if i128::from(tf.ticks()) + i128::from(e.weight) > i128::from(tt.ticks()) {
                 return Err(CoreError::InvalidTiming {
                     detail: format!(
                         "edge {from} --{}--> {to} violated: T({from})={tf}, T({to})={tt}",
@@ -115,7 +118,8 @@ pub struct SlowTiming {
 ///
 /// # Errors
 ///
-/// Fails if `sigma` is not a vertex of `gb` or on a positive cycle.
+/// Fails if `sigma` is not a vertex of `gb`, or with
+/// [`CoreError::ClockFails`] if the run's clock fails on it.
 pub fn slow_timing(gb: &BoundsGraph, sigma: NodeId) -> Result<SlowTiming, CoreError> {
     let lp = gb.longest_to(sigma)?;
     let d_max = lp.max_weight().unwrap_or(0);
@@ -245,8 +249,9 @@ fn check_lemma_17(
 ///
 /// # Errors
 ///
-/// Fails if `sigma_prime` is not a past node of the graph's observer, on
-/// a positive cycle, or with [`CoreError::InvalidTiming`] if the lane
+/// Fails if `sigma_prime` is not a past node of the graph's observer,
+/// with [`CoreError::ClockFails`] if the run's clock fails on the view,
+/// or with [`CoreError::InvalidTiming`] if the lane
 /// violates an edge.
 pub(crate) fn fast_lane(ge: GeView<'_>, sigma_prime: NodeId) -> Result<Arc<Distances>, CoreError> {
     let lane = ge.distances_from(anchor(&ge, sigma_prime)?)?;
@@ -272,8 +277,9 @@ pub(crate) fn fast_lane(ge: GeView<'_>, sigma_prime: NodeId) -> Result<Arc<Dista
 ///
 /// # Errors
 ///
-/// Fails if `sigma_prime` is not a past node of the graph's observer, on
-/// a positive cycle, or with [`CoreError::ParameterOutOfRange`] if
+/// Fails if `sigma_prime` is not a past node of the graph's observer,
+/// with [`CoreError::ClockFails`] if the run's clock fails on the view,
+/// or with [`CoreError::ParameterOutOfRange`] if
 /// `gamma` pushes a time past `i64::MAX`.
 pub fn fast_timing(
     ge: GeView<'_>,
@@ -341,7 +347,7 @@ pub fn fast_timing(
     // Lemma 17 check: every GE edge constraint holds. Times lie in
     // [0, i64::MAX], so each converts back exactly.
     check_lemma_17(&ge, format_args!("fast timing"), |v| {
-        Some(times[v].ticks() as i64)
+        i64::try_from(times[v].ticks()).ok()
     })?;
     Ok(FastTiming {
         gamma,
@@ -384,6 +390,32 @@ mod tests {
             let t: NodeTiming = run.nodes().map(|r| (r.id(), r.time())).collect();
             check_valid_timing(&gb, &t).unwrap();
         }
+    }
+
+    /// A time past `i64::MAX` is compared as the number it is: on a
+    /// two-process FFIP run, `T(p0#1) = 2^63 + 5` and `T(p0#2) = 10`
+    /// violate the successor edge `p0#1 --1--> p0#2`, however the times
+    /// would wrap as `i64`.
+    #[test]
+    fn times_past_i64_max_do_not_wrap() {
+        let mut b = Network::builder();
+        let i = b.add_process("i");
+        let j = b.add_process("j");
+        b.add_bidirectional(i, j, 1, 2).unwrap();
+        let mut sim = Simulator::new(b.build().unwrap(), SimConfig::with_horizon(Time::new(20)));
+        sim.external(Time::new(1), i, "kick");
+        let run = sim
+            .run(&mut Ffip::new(), &mut RandomScheduler::seeded(0))
+            .unwrap();
+        let (i1, i2) = (NodeId::new(i, 1), NodeId::new(i, 2));
+        assert!(run.appears(i2));
+        let t: NodeTiming = [(i1, Time::new((1 << 63) + 5)), (i2, Time::new(10))].into();
+        let gb = BoundsGraph::of_run(&run);
+        assert!(matches!(
+            check_valid_timing(&gb, &t),
+            Err(CoreError::InvalidTiming { detail }) if detail.contains("p0#1 --1--> p0#2")
+        ));
+        assert!(crate::construct::run_by_timing(&run, &t).is_err());
     }
 
     #[test]
@@ -444,7 +476,7 @@ mod tests {
             let lp = gb.longest_to(sigma).unwrap();
             for (&n, &t) in &st.timing {
                 let d = lp.weight(gb.graph().index_of(&n).unwrap()).unwrap();
-                assert_eq!(st.d_max - d, t.ticks() as i64);
+                assert_eq!(st.d_max - d, i64::try_from(t.ticks()).unwrap());
             }
         }
     }

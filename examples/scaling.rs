@@ -1,16 +1,18 @@
 //! Scaling the streaming facade: a 256-process feedback ring served
 //! append-by-append.
 //!
-//! The layout of the SPFA hot core (sentinel-coded scratch arenas, u32
-//! interior ids, delta relaxation over live rows) is aimed at runs
+//! The layout of the Dijkstra hot core (sentinel-coded distance lanes,
+//! a recycled radix-heap arena, u32 interior ids, catch-ups seeded at
+//! the appended edges over live rows) is aimed at runs
 //! whose graphs grow to hundreds of processes while appends stay
 //! µs-scale. This example makes that visible from the public entry
 //! point: a bidirectional ring of n = 256 processes — every process
 //! sits on feedback cycles in both directions — is simulated once, then
 //! replayed through a `ZigzagService` stream session. Every appended
 //! event is followed by a `TightBound` query at the brand-new node, so
-//! each answer delta-relaxes the memoized longest-path state over just
-//! the appended edges instead of re-running SPFA on the whole `GB(r)`.
+//! each answer catches the memoized longest-path state up over just the
+//! appended edges, settling only the vertices they raise, instead of
+//! traversing the whole `GB(r)` again.
 //! A final `MaxX` query at the deepest observer exercises the `GE(r, σ)`
 //! construction and the knowledge walk on the grown prefix.
 //!

@@ -1,7 +1,8 @@
 //! Property tests for the shared-analysis graph layer: the memoized
-//! longest-path results must be indistinguishable from a fresh SPFA and
-//! from the dense Bellman–Ford reference on random inputs, and
-//! the positive-cycle error path must fire identically in all three.
+//! longest-path results must be indistinguishable from a fresh Dijkstra
+//! and from the dense Bellman–Ford reference on random inputs, and a
+//! positive cycle, which no clock satisfies, must be refused on every
+//! traversal path while the dense reference reports it.
 
 use proptest::prelude::*;
 use zigzag::bcm::protocols::Ffip;
@@ -15,7 +16,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On bounds graphs of runs over `topology::random` networks, every
-    /// source agrees across cached, fresh-SPFA and dense computations —
+    /// source agrees across cached, fresh and dense computations —
     /// and cached results are genuinely shared.
     #[test]
     fn cached_equals_fresh_equals_dense(
@@ -49,10 +50,11 @@ proptest! {
         }
     }
 
-    /// A random positive cycle is reported as `PositiveCycle` by the
-    /// cached path, the uncached SPFA in both directions and the dense
-    /// reference alike, and the error is not wrongly memoized as a
-    /// success afterwards.
+    /// A random positive cycle fails every clock, so the cached path and
+    /// the uncached traversal in both directions refuse it with
+    /// `ClockFails` naming the cycle's closing edge, the refusal is not
+    /// memoized as a success afterwards, and the dense reference reports
+    /// the cycle as `PositiveCycle`.
     #[test]
     fn positive_cycles_error_on_every_path(
         len in 2usize..6,
@@ -60,29 +62,26 @@ proptest! {
         extra in 0i64..3,
     ) {
         let mut g = WeightedDigraph::new();
+        for k in 0..=len {
+            g.add_vertex(k, (k as i64) * weight);
+        }
         for k in 0..len {
             // Cycle of total weight `weight` > 0 plus benign chords.
             let w = if k == 0 { weight } else { 0 };
-            g.add_edge(k, (k + 1) % len, w, 0);
-            g.add_edge(k, len, -extra, 1); // sink chord, harmless
+            g.add_edge(&k, &((k + 1) % len), w, 0);
+            g.add_edge(&k, &len, -extra, 1); // sink chord, harmless
         }
-        prop_assert!(matches!(
-            g.longest_from_cached(&0),
-            Err(CoreError::PositiveCycle)
-        ));
-        prop_assert!(matches!(
-            g.longest_from(&0),
-            Err(CoreError::PositiveCycle)
-        ));
+        let refused = |got: Result<(), CoreError>| {
+            matches!(got, Err(CoreError::ClockFails { edge, .. }) if edge.contains("--> 0"))
+        };
+        prop_assert!(refused(g.longest_from_cached(&0).map(drop)));
+        prop_assert!(refused(g.longest_from(&0).map(drop)));
+        prop_assert!(refused(g.longest_to(&0).map(drop)));
         prop_assert!(matches!(
             g.longest_from_dense(&0),
             Err(CoreError::PositiveCycle)
         ));
-        prop_assert!(matches!(
-            g.longest_to(&0),
-            Err(CoreError::PositiveCycle)
-        ));
         // Still an error on the second (would-be cached) attempt.
-        prop_assert!(g.longest_from_cached(&0).is_err());
+        prop_assert!(refused(g.longest_from_cached(&0).map(drop)));
     }
 }

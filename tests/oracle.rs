@@ -5,9 +5,9 @@
 //!
 //! The reference rebuilds `GE(r, σ)` straight from Definition 16 into
 //! `BTreeMap` adjacency (no dense indices, no interning), runs a textbook dense
-//! Bellman–Ford per source (no SPFA, no memoization, fresh maps per
+//! Bellman–Ford per source (no heap, no memoization, fresh maps per
 //! call), and answers basic-node `max_x` queries as plain longest-path
-//! weights. Anything the engine amortizes — shared `GE`, cached SPFA,
+//! weights. Anything the engine amortizes — shared `GE`, cached traversals,
 //! the dense all-pairs matrix, the GE-sharing `fast_run_of`/`refute`
 //! path — must produce *exactly* these answers:
 //!
@@ -59,13 +59,16 @@
 //! 200-random-case floor (and the 100-case prefix floor); every
 //! run-level case is a fresh `(topology, schedule)` pair.
 //!
-//! Since the SoA layout rewrite of the SPFA hot core, a **layout tier**
-//! pins the rewritten data path directly at sizes where the layout
-//! matters: random raw graphs at n ∈ {64, 256} hold the cold SPFA in
-//! both directions, the memoized hit and the append-log catch-up to a
-//! textbook dense Bellman–Ford — per-vertex weights and positive-cycle
-//! verdicts — and the path to every vertex of the final graph to the
-//! naive canonical reference, summing to its weight. A bulk-built
+//! A **layout tier** pins the hot core's one traversal directly at sizes
+//! where the layout matters: random raw graphs on a clock at
+//! n ∈ {64, 256} (each edge weighs `t(v) − t(u) − slack`) hold the cold
+//! Dijkstra in both directions, the memoized hit and the append-log
+//! catch-up to a textbook dense Bellman–Ford, and the path to every
+//! vertex of the final graph to the naive canonical reference, summing
+//! to its weight. On the graph shape of `benches/layout.rs` a counter
+//! test pins a cold traversal at one pop per reached vertex and one scan
+//! per reached edge, and each catch-up at one pop per vertex it raises.
+//! A bulk-built
 //! `GB(r)`'s `longest_path` is held to the same reference over the naive
 //! Definition 8 graph, and a counting-allocator test asserts the warm
 //! memoized query loop performs zero heap allocations.
@@ -90,13 +93,15 @@
 //! naive Definition 23 evaluation for γ ∈ {0, 5}. Each view runs
 //! Dijkstra under the run's own clock, and so do Figure 1's run, whose
 //! `ψ` vertices have no in-edges, and a run with a late node whose keys
-//! fit; a later node, whose `ψ` or keys would overflow, walks
-//! label-correcting to the same answers. Every `B`-node decision on those
-//! streams runs without SPFA, with each traversal scanning at most `|E|`
-//! edges and popping at most `|E| + 1` entries (the work counters on the
-//! session's graph). A hand-built run with a delivery outside its channel
-//! bounds fails the clock, and its views walk label-correcting to the
-//! naive answers. A decision state kept after its decision holds no
+//! fit. A later node, whose `ψ` or keys would overflow, a hand-built run
+//! with a delivery outside its channel bounds, and a feed that strands a
+//! message behind its receiver's latest node fail the clock: `GB(r)`
+//! (where its own edges fail) and every view refuse each traversal —
+//! cold, memoized, caught up — with `CoreError::ClockFails`, and do no
+//! traversal work. Every `B`-node decision on the feedback streams runs
+//! zero traversals or one, scanning at most `|E|` edges and popping at
+//! most `|E| + 1` vertices (the work counters on the session's graph).
+//! A decision state kept after its decision holds no
 //! edges, and neither does a query state that has answered a witness:
 //! their live bytes are bounded by their vertex count (a per-thread
 //! live-bytes counter in the same allocator).
@@ -121,7 +126,7 @@ use zigzag::core::extended_graph::{
     ExtVertex, GeView, LABEL_AUX_CHAN, LABEL_BOUNDARY, LABEL_UNSEEN,
 };
 use zigzag::core::extract::{anchor_tail, zigzag_from_ge_path};
-use zigzag::core::graph::{Distances, Edge, GraphWork, TraversalWork, WeightedDigraph};
+use zigzag::core::graph::{Distances, Edge, TraversalWork, WeightedDigraph};
 use zigzag::core::incremental::IncrementalEngine;
 use zigzag::core::knowledge::{KnowledgeEngine, ObserverMode, ObserverState};
 use zigzag::core::precedence::satisfies;
@@ -398,9 +403,11 @@ fn row_multiset(view: GeView<'_>, edges: Vec<Edge>, outgoing: bool) -> NaiveRow 
 /// distance lanes — forward from each anchor, backward to σ — equal the
 /// dense Bellman–Ford at every vertex; and the dense `FastTiming` over
 /// it equals the naive Definition 23 evaluation at every vertex, in
-/// `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors. Each view
-/// ran on the run's clock iff `clock`, its traversals counted as
-/// Dijkstra, and label-correcting (counted as SPFA) otherwise.
+/// `BTreeMap` order, for γ ∈ {0, 5} at a spread of anchors, its
+/// traversals counted on the bounds graph. Unless `clock`, the rows are
+/// still the naive ones, but every distance query, path, fast timing and
+/// `max_x` refuses with one `CoreError::ClockFails`, and nothing
+/// traverses.
 fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) {
     let past: Vec<NodeId> = run.past(sigma).iter().filter(|k| !k.is_initial()).collect();
     let anchors: Vec<NodeId> = past
@@ -440,11 +447,6 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
         }
         for (what, engine) in &engines {
             let view = engine.ge();
-            assert_eq!(
-                view.has_potential(),
-                clock,
-                "clock verdict at {sigma} ({what}, {mode:?})"
-            );
             let n = view.vertex_count();
             let vertices: BTreeSet<ExtVertex> = (0..n).map(|i| view.vertex(i)).collect();
             assert_eq!(
@@ -478,6 +480,27 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
             };
             let before = view.work();
             let observer = ExtVertex::Node(sigma);
+            if !clock {
+                let refusal = view.distances_to(observer).unwrap_err();
+                assert!(
+                    matches!(refusal, CoreError::ClockFails { .. }),
+                    "{refusal} at {sigma} ({what}, {mode:?})"
+                );
+                let same = |got: Result<(), CoreError>, query: &str| {
+                    assert_eq!(got, Err(refusal.clone()), "{query} at {sigma} ({what})");
+                };
+                let basic = |n: NodeId| GeneralNode::basic(n);
+                for &anchor in &anchors {
+                    let v = ExtVertex::Node(anchor);
+                    same(view.distances_from(v).map(drop), "distances_from");
+                    same(view.longest_path(v, observer).map(drop), "longest_path");
+                    same(fast_timing(view, anchor, 0).map(drop), "fast_timing");
+                    let max_x = engine.max_x(&basic(anchor), &basic(sigma));
+                    same(max_x.map(drop), "max_x");
+                }
+                assert_eq!(view.work(), before, "{what} traversed at {sigma}");
+                continue;
+            }
             lanes_match(&view.distances_to(observer).unwrap(), &f, "backward");
             for &anchor in &anchors {
                 let anchor = ExtVertex::Node(anchor);
@@ -488,12 +511,7 @@ fn assert_ge_and_fast_timing_match_naive(run: &Run, sigma: NodeId, clock: bool) 
                 );
             }
             let work = view.work();
-            let (ran, idle) = match clock {
-                true => ((work.dijkstra, before.dijkstra), (work.spfa, before.spfa)),
-                false => ((work.spfa, before.spfa), (work.dijkstra, before.dijkstra)),
-            };
-            assert!(ran.0.traversals > ran.1.traversals, "{what} at {sigma}");
-            assert_eq!(idle.0, idle.1, "{what} at {sigma} ran the other traversal");
+            assert!(work.traversals > before.traversals, "{what} at {sigma}");
             for &anchor in &anchors {
                 let d = naive_longest_from(&naive, ExtVertex::Node(anchor));
                 for gamma in [0u64, 5] {
@@ -1324,12 +1342,11 @@ fn feedback_scenario(
 
 // ---------------------------------------------------------------------------
 // Distance tier: the potential-reweighted Dijkstra on the run's own
-// clock, and the SPFA fallback where that clock is not a valid timing.
+// clock, and the refusal where that clock is not a valid timing.
 // ---------------------------------------------------------------------------
 
 /// Every `B`-node decision of the streaming driver on feedback-topology
 /// streams (`Late` spec, `ExcludeOwnSends`) runs on the run's clock. The
-/// decision's view kept its clock, nothing fell back to SPFA, the
 /// decision made zero Dijkstra traversals or one, the forward lane its
 /// `knows` reads, and each scanned at most `|E|` edges and popped at
 /// most `|E| + 1` entries.
@@ -1367,12 +1384,7 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                 let ge = engine.ge();
                 let edges = ge.edges().len() as u64;
                 let work = ge.work();
-                assert!(
-                    ge.has_potential(),
-                    "decision view at {sigma} lost its clock"
-                );
-                assert_eq!(work.spfa, before.spfa, "SPFA ran at {sigma}");
-                let traversals = work.dijkstra.traversals - before.dijkstra.traversals;
+                let traversals = work.traversals - before.traversals;
                 assert!(
                     matches!(traversals, 0 | 1),
                     "{traversals} traversals at {sigma}"
@@ -1388,23 +1400,19 @@ fn feedback_decisions_run_dijkstra_on_the_run_clock() {
                     let _ = knows_required(&fresh, spec.kind, &theta_a, &theta_b);
                 }
                 let single = fresh.ge().work();
-                assert_eq!(single.spfa, TraversalWork::default(), "SPFA ran at {sigma}");
+                assert_eq!(single.traversals, traversals, "decision at {sigma}");
                 assert_eq!(
-                    single.dijkstra.traversals, traversals,
-                    "decision at {sigma}"
-                );
-                assert_eq!(
-                    single.dijkstra.scans,
-                    work.dijkstra.scans - before.dijkstra.scans,
+                    single.scans,
+                    work.scans - before.scans,
                     "edge scans of the decision at {sigma}"
                 );
                 assert_eq!(
-                    single.dijkstra.pops,
-                    work.dijkstra.pops - before.dijkstra.pops,
+                    single.pops,
+                    work.pops - before.pops,
                     "pops of the decision at {sigma}"
                 );
                 assert!(
-                    single.dijkstra.max_scans <= edges && single.dijkstra.max_pops <= edges + 1,
+                    single.max_scans <= edges && single.max_pops <= edges + 1,
                     "decision at {sigma} (|E| = {edges}): {single:?}"
                 );
                 decided += traversals;
@@ -1437,13 +1445,60 @@ fn run_with_late_node(late: u64) -> (Run, NodeId) {
     (rb.finish(), i3)
 }
 
+/// Asserts that `run`'s `GB(r)` refuses every traversal with one
+/// `CoreError::ClockFails` naming its first failing edge: cold forward,
+/// backward and path queries, the memo (twice: a refusal is never
+/// memoized as a success), and the catch-up of a graph grown node by
+/// node in time order, whose memo at the first recorded node was warm
+/// before the failing edge arrived. Nothing traverses.
+fn assert_gb_refuses(run: &Run) {
+    let gb = BoundsGraph::of_run(run);
+    let refusal = gb.graph().check_clock().unwrap_err();
+    assert!(matches!(refusal, CoreError::ClockFails { .. }), "{refusal}");
+    let mut nodes: Vec<(Time, NodeId)> = run
+        .nodes()
+        .filter(|r| !r.id().is_initial())
+        .map(|r| (r.time(), r.id()))
+        .collect();
+    nodes.sort_unstable();
+    let root = nodes[0].1;
+    let same = |got: Result<(), CoreError>, path: &str| {
+        assert_eq!(got, Err(refusal.clone()), "{path}");
+    };
+    same(gb.longest_from(root).map(drop), "cold forward");
+    same(gb.longest_to(root).map(drop), "cold backward");
+    same(gb.longest_path(root, root).map(drop), "path");
+    same(gb.longest_from_cached(root).map(drop), "memo");
+    same(gb.longest_from_cached(root).map(drop), "memo again");
+    assert_eq!(gb.graph().work(), TraversalWork::default());
+
+    let mut grown = BoundsGraph::of_run(&Run::skeleton(run.context_arc(), run.horizon()));
+    let mut warm = false;
+    for &(_, node) in &nodes {
+        grown.append_node(run, node);
+        if grown.graph().check_clock().is_ok() {
+            grown.longest_from_cached(root).unwrap();
+            warm = true;
+        }
+    }
+    assert!(warm, "the memo was warm before the clock failed");
+    let caught = grown.longest_from_cached(root).unwrap_err();
+    assert!(matches!(caught, CoreError::ClockFails { .. }), "{caught}");
+    assert_eq!(caught, grown.graph().check_clock().unwrap_err(), "catch-up");
+}
+
 /// The view tier at the edges of the run's clock, on hand-built cases.
 /// Figure 1's C → A, C → B: at C's first node, A and B are outside the
 /// past and have no outgoing channels, so ψ_A and ψ_B have no in-edges
 /// at all and take the clock's least value; the views keep the clock at
-/// each process's first node and at the last node. And a run with one
-/// late node on `i`, whose `GB(r)` keeps its clock: the views refuse it
-/// when `ψ_i` or a Dijkstra key would overflow, and keep it otherwise.
+/// each process's first node and at the last node. A run with one late
+/// node on `i` keeps its clock at 2^59 and 2^62, where its `GB(r)`
+/// equals the dense Bellman–Ford from every node; past `i64::MAX` the
+/// node's time saturates and `GB(r)` still keeps it, but `ψ_i` lies
+/// beyond it, so every view refuses on the `E'` edge into `ψ_i`. And a feed
+/// that strands a message behind its receiver's latest node is no legal
+/// prefix: its `GB(r)` keeps the clock, but the views whose overlay holds
+/// the stranded message refuse.
 #[test]
 fn views_keep_or_refuse_the_clock_at_its_edges() {
     use zigzag::bcm::Network;
@@ -1468,32 +1523,136 @@ fn views_keep_or_refuse_the_clock_at_its_edges() {
     for (late, clock) in [
         // Recorded times past i64::MAX saturate there on the clock, where
         // the graph's edges still hold; but `ψ_i` lies one past the
-        // boundary `i3`, beyond i64::MAX.
+        // boundary `i3`, beyond i64::MAX, so its `E'` edge fails.
         (i64::MAX as u64 + 2, false),
-        // Every slack fits, but the largest (~2^62, into `i3` and `ψ_j`)
-        // times |V| = 8 reaches u64::MAX: a Dijkstra key could overflow.
-        (1 << 62, false),
-        // At ~2^59 the keys fit.
+        // The clock spans less than 2^63 and the least weight is −3, so
+        // every key fits.
+        (1 << 62, true),
         (1 << 59, true),
     ] {
         let (run, sigma) = run_with_late_node(late);
-        assert!(
-            BoundsGraph::of_run(&run).clock_holds(),
-            "late node at {late}"
-        );
+        let gb = BoundsGraph::of_run(&run);
+        gb.graph().check_clock().unwrap();
+        for r in run.nodes().filter(|r| !r.id().is_initial()) {
+            let (lane, dense) = (
+                gb.longest_from(r.id()).unwrap(),
+                gb.graph().longest_from_dense(&r.id()).unwrap(),
+            );
+            let lane: Vec<Option<i64>> = (0..dense.len()).map(|i| lane.weight(i)).collect();
+            assert_eq!(lane, dense, "GB(r) from {} (late node at {late})", r.id());
+        }
         assert_ge_and_fast_timing_match_naive(&run, sigma, clock);
+    }
+    let (saturated, sigma) = run_with_late_node(i64::MAX as u64 + 2);
+    let engine = KnowledgeEngine::new(&saturated, sigma).unwrap();
+    let refused = engine.ge().distances_to(ExtVertex::Node(sigma));
+    assert!(
+        matches!(&refused, Err(CoreError::ClockFails { edge, .. }) if edge == "p0#3 --1--> ψ(p0)"),
+        "{refused:?}"
+    );
+
+    // B@5, then A@2 sending to B on a [1, 3] channel: the message's
+    // window closes at 5, which B's latest node does not precede. A's
+    // node at 7 sees B@5, and its view holds the stranded message.
+    let mut nb = Network::builder();
+    let a = nb.add_process("A");
+    let bb = nb.add_process("B");
+    nb.add_channel(a, bb, 1, 3).unwrap();
+    nb.add_channel(bb, a, 1, 3).unwrap();
+    let mut engine = IncrementalEngine::new(nb.build().unwrap(), Time::new(20));
+    for (proc, time, to, at) in [(bb, 5, a, 7), (a, 2, bb, 4)] {
+        engine
+            .append_event(&RunEvent {
+                proc,
+                time: Time::new(time),
+                receipts: vec![ReceiptEvent::External("kick".into())],
+                sends: vec![SendEvent {
+                    to,
+                    deliver_at: Time::new(at),
+                }],
+                actions: Vec::new(),
+            })
+            .unwrap();
+    }
+    let sigma = engine
+        .append_event(&RunEvent {
+            proc: a,
+            time: Time::new(7),
+            receipts: vec![ReceiptEvent::Message(MessageId::new(0))],
+            sends: Vec::new(),
+            actions: Vec::new(),
+        })
+        .unwrap();
+    let stranded = engine.run().clone();
+    assert!(validate_run(&stranded, Strictness::Prefix).is_err());
+    engine.bounds_graph().graph().check_clock().unwrap();
+    assert_ge_and_fast_timing_match_naive(&stranded, sigma, false);
+    let refused = engine.max_x_basic_matrix(sigma);
+    assert!(
+        matches!(&refused, Err(CoreError::ClockFails { edge, .. }) if edge == "ψ(p1) ---3--> p0#1"),
+        "{refused:?}"
+    );
+}
+
+/// A legal feed answers on any clock origin: a random run streamed with
+/// every time shifted by an epoch-nanosecond origin (~1.7 · 10^18)
+/// serves, after every append, the tight bounds between all its nodes,
+/// the new node's `max_x` matrix and its `knows` verdicts of the same
+/// run streamed from zero; only the span of the times and the weights
+/// bound a key, not the times themselves.
+#[test]
+fn epoch_nanosecond_feeds_answer_as_from_zero() {
+    const EPOCH: u64 = 1_700_000_000_000_000_000;
+    let run = random_run(4, 10, 7, 7, 22);
+    let events: Vec<RunEvent> = RunCursor::new(&run).collect();
+    assert!(events.len() >= 11, "{} events", events.len());
+    let shift = |t: Time| Time::new(t.ticks() + EPOCH);
+    let mut zero = IncrementalEngine::new(run.context_arc(), run.horizon());
+    let mut epoch = IncrementalEngine::new(run.context_arc(), shift(run.horizon()));
+    for ev in &events {
+        let mut shifted = ev.clone();
+        shifted.time = shift(ev.time);
+        for send in &mut shifted.sends {
+            send.deliver_at = shift(send.deliver_at);
+        }
+        let sigma = zero.append_event(ev).unwrap();
+        assert_eq!(epoch.append_event(&shifted).unwrap(), sigma);
+        let nodes: Vec<NodeId> = zero
+            .run()
+            .nodes()
+            .map(|r| r.id())
+            .filter(|k| !k.is_initial())
+            .collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                let want = zero.tight_bound(a, b).unwrap();
+                assert_eq!(epoch.tight_bound(a, b).unwrap(), want, "{a} → {b}");
+            }
+        }
+        let matrix = zero.max_x_basic_matrix(sigma).unwrap();
+        assert_eq!(
+            epoch.max_x_basic_matrix(sigma).unwrap(),
+            matrix,
+            "at {sigma}"
+        );
+        for (a, b, x) in matrix.iter() {
+            let Some(x) = x else { continue };
+            let (a, b) = (GeneralNode::basic(a), GeneralNode::basic(b));
+            assert!(epoch.knows(sigma, &a, &b, x).unwrap());
+            assert!(!epoch.knows(sigma, &a, &b, x + 1).unwrap());
+        }
     }
 }
 
 /// A hand-built run with one delivery later than its channel's upper
-/// bound. Its recorded times are no valid timing, so `GB(r)` and every
-/// observer's `GB(r, σ)` that holds the delivery fail the clock check,
-/// and their views walk label-correcting (counted as SPFA). The answers
-/// still equal the naive reference: `max_x`/`knows` per pair, the
-/// distance lanes, the fast timing at every vertex, and the frontier
-/// graph's bounds.
+/// bound. Its recorded times are no valid timing, so `GB(r)` refuses
+/// every traversal with `CoreError::ClockFails` naming the delivery's
+/// `−U` edge — cold, memoized and caught up — and so do the frontier
+/// graph and every observer's view whose past holds the delivery: their
+/// distance lanes, paths, fast timings and `max_x`/`knows` answers.
+/// Nothing traverses.
 #[test]
-fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
+fn out_of_bounds_delivery_is_refused_on_every_path() {
     use zigzag::bcm::builder::RunBuilder;
     use zigzag::bcm::Network;
 
@@ -1523,49 +1682,51 @@ fn out_of_bounds_delivery_falls_back_to_spfa_with_the_same_answers() {
     let run = rb.finish();
     assert!(validate_run(&run, Strictness::Strict).is_err());
     assert!(IncrementalEngine::ingest(&run).is_err(), "no legal stream");
-    assert_frontier_graph_matches_naive(&run, &[j1, k1, i2, j2]);
+
+    assert_gb_refuses(&run);
+    let refusal = BoundsGraph::of_run(&run).graph().check_clock().unwrap_err();
+    assert!(
+        matches!(&refusal, CoreError::ClockFails { edge, .. } if edge == "p1#1 ---4--> p0#1"),
+        "{refusal}"
+    );
+    let fg = FrontierGraph::of_run(&run);
+    assert_eq!(fg.longest_to(j2).unwrap_err(), refusal);
+    assert_eq!(fg.tight_bound(i1, j2).unwrap_err(), refusal);
 
     for sigma in [j1, k1, i2, j2] {
         assert_ge_and_fast_timing_match_naive(&run, sigma, false);
         let nodes: Vec<NodeId> = run.past(sigma).iter().filter(|n| !n.is_initial()).collect();
-        let reference = naive_max_x_table(&run, sigma, &nodes);
         let engine = KnowledgeEngine::new(&run, sigma).unwrap();
         for &a in &nodes {
             for &b in &nodes {
                 let (ta, tb) = (GeneralNode::basic(a), GeneralNode::basic(b));
-                let want = reference[&(a, b)];
-                assert_eq!(engine.max_x(&ta, &tb).unwrap(), want, "max_x({a}, {b})");
-                if let Some(m) = want {
-                    assert!(engine.knows(&ta, &tb, m).unwrap());
-                    assert!(!engine.knows(&ta, &tb, m + 1).unwrap());
-                }
+                assert_eq!(
+                    engine.max_x(&ta, &tb),
+                    Err(refusal.clone()),
+                    "max_x({a}, {b})"
+                );
+                assert_eq!(engine.knows(&ta, &tb, 0), Err(refusal.clone()));
             }
         }
-        let work = engine.ge().work();
-        assert!(!engine.ge().has_potential());
-        assert_eq!(work.dijkstra, TraversalWork::default());
-        assert!(work.spfa.traversals > 0, "no SPFA fallback at {sigma}");
+        assert_eq!(engine.ge().work(), TraversalWork::default());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Layout tier: the SPFA hot core — cold, memoized and delta-relaxed
-// forward, cold backward — against a textbook dense Bellman–Ford on raw
-// edge lists, at sizes where the layout matters, and every path the
-// graphs report against a naive canonical reference.
+// Layout tier: the hot core's one traversal — cold, memoized and caught
+// up forward, cold backward — against a textbook dense Bellman–Ford on
+// raw edge lists on a clock, at sizes where the layout matters, its work
+// counted on the bench's graph shape, and every path the graphs report
+// against a naive canonical reference.
 // ---------------------------------------------------------------------------
 
 /// Textbook longest-path Bellman–Ford over a raw edge list: `n − 1`
-/// full relaxation rounds plus a detection round; no CSR, no queue, no
-/// reuse. `Err(())` means a positive cycle is reachable from `src`.
-fn naive_longest_paths(
-    n: usize,
-    edges: &[(usize, usize, i64)],
-    src: usize,
-) -> Result<Vec<Option<i64>>, ()> {
+/// full relaxation rounds; no queue, no reuse. The graphs it is given
+/// have a clock, so no positive cycle.
+fn naive_longest_paths(n: usize, edges: &[(usize, usize, i64)], src: usize) -> Vec<Option<i64>> {
     let mut dist: Vec<Option<i64>> = vec![None; n];
     dist[src] = Some(0);
-    let relax = |dist: &mut Vec<Option<i64>>| {
+    for _ in 1..n.max(1) {
         let mut changed = false;
         for &(u, v, w) in edges {
             let Some(du) = dist[u] else { continue };
@@ -1575,43 +1736,22 @@ fn naive_longest_paths(
                 changed = true;
             }
         }
-        changed
-    };
-    for _ in 1..n.max(1) {
-        if !relax(&mut dist) {
-            return Ok(dist);
+        if !changed {
+            break;
         }
     }
-    if relax(&mut dist) {
-        return Err(());
-    }
-    Ok(dist)
+    dist
 }
 
-/// Holds one engine answer (cold, memoized hit, or delta catch-up) to
-/// the naive reference: the same positive-cycle verdict and the same
-/// weight at every vertex.
-fn assert_matches_naive(
-    got: Result<&Distances, &CoreError>,
-    naive: &Result<Vec<Option<i64>>, ()>,
-    stage: &str,
-) {
-    match (naive, got) {
-        (Err(()), Err(CoreError::PositiveCycle)) => {}
-        (Ok(naive), Ok(dist)) => {
-            for (i, &expected) in naive.iter().enumerate() {
-                assert_eq!(
-                    dist.weight(i),
-                    expected,
-                    "{stage}: dist diverged at vertex {i}"
-                );
-            }
-        }
-        (naive, got) => panic!(
-            "{stage}: positive-cycle verdicts diverged (naive err: {}, engine err: {})",
-            naive.is_err(),
-            got.is_err()
-        ),
+/// Holds one engine answer (cold, memoized hit, or catch-up) to the
+/// naive reference: the same weight at every vertex.
+fn assert_matches_naive(got: &Distances, naive: &[Option<i64>], stage: &str) {
+    for (i, &expected) in naive.iter().enumerate() {
+        assert_eq!(
+            got.weight(i),
+            expected,
+            "{stage}: dist diverged at vertex {i}"
+        );
     }
 }
 
@@ -1643,34 +1783,33 @@ fn assert_path(got: Option<(i64, Vec<Edge>)>, want: Option<(i64, Vec<Edge>)>, wh
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The label-correcting traversal — cold and memoized, and as the
-    /// append-log catch-up, forward; cold, backward — answers exactly
-    /// like the textbook dense Bellman–Ford on random raw graphs at
-    /// n ∈ {64, 256}: weights and positive-cycle verdicts, backward
-    /// against the reference over reversed edges. On the final graph,
-    /// the path to every vertex is the naive canonical reference's.
-    /// (The distance traversals over rows are held to the same reference
-    /// on the same kind of graphs by `zigzag-core`'s graph unit tests.)
+    /// The one traversal — cold and memoized, and as the append-log
+    /// catch-up, forward; cold, backward — answers exactly like the
+    /// textbook dense Bellman–Ford on random raw graphs on a clock at
+    /// n ∈ {64, 256}: each edge `u → v` weighs `t(v) − t(u) − slack` for
+    /// a random clock `t` and `slack ∈ [0, 10]`, backward against the
+    /// reference over reversed edges. On the final graph, the path to
+    /// every vertex is the naive canonical reference's.
     #[test]
-    fn layout_spfa_and_delta_match_dense_bellman_ford(
+    fn layout_dijkstra_and_catch_up_match_dense_bellman_ford(
         big in any::<bool>(),
         dag_only in any::<bool>(),
-        raw in collection::vec((0u16..=u16::MAX, 0u16..=u16::MAX, -10i64..=10), 64..=512),
+        clock in collection::vec(0i64..1024, 256),
+        raw in collection::vec((0u16..=u16::MAX, 0u16..=u16::MAX, 0i64..=10), 64..=512),
         src_pick in 0u16..=u16::MAX,
     ) {
         let n = if big { 256usize } else { 64 };
-        // Intern vertices 0..n up front (key = dense index), so the edge
+        // Vertices 0..n at their times (key = dense index), so the edge
         // split below never references an unknown endpoint.
         let mut g: WeightedDigraph<usize> = WeightedDigraph::new();
-        for i in 0..n {
-            g.add_vertex(i);
+        for (i, &t) in clock.iter().enumerate().take(n) {
+            g.add_vertex(i, t);
         }
         // `dag_only` forces u < v (acyclic by construction); otherwise
-        // arbitrary endpoints make positive cycles likely, exercising
-        // the verdict path of every traversal flavour. An edge's label is
-        // its position in `edges`.
+        // arbitrary endpoints close cycles, every one non-positive under
+        // the clock. An edge's label is its position in `edges`.
         let mut edges: Vec<(usize, usize, i64)> = Vec::new();
-        for &(a, b, w) in &raw {
+        for &(a, b, slack) in &raw {
             let (mut u, mut v) = (a as usize % n, b as usize % n);
             if u == v {
                 continue;
@@ -1678,72 +1817,125 @@ proptest! {
             if dag_only && u > v {
                 std::mem::swap(&mut u, &mut v);
             }
-            edges.push((u, v, w));
+            edges.push((u, v, clock[v] - clock[u] - slack));
         }
         let src = src_pick as usize % n;
         let reversed = |edges: &[(usize, usize, i64)]| -> Vec<(usize, usize, i64)> {
             edges.iter().map(|&(u, v, w)| (v, u, w)).collect()
         };
 
-        // Stream the first half in and query: a cold SPFA that seeds the
-        // memo. (On a positive-cycle verdict the memo entry is dropped,
-        // so the full-graph query below re-runs cold — also pinned.)
+        // Stream the first half in and query: a cold Dijkstra that seeds
+        // the memo.
         let half = edges.len() / 2;
         for (i, &(u, v, w)) in edges[..half].iter().enumerate() {
-            g.add_edge(u, v, w, i as u32);
+            g.add_edge(&u, &v, w, i as u32);
         }
-        let naive_half = naive_longest_paths(n, &edges[..half], src);
-        assert_matches_naive(g.longest_from_cached(&src).as_deref(), &naive_half, "prefix");
+        let cached = g.longest_from_cached(&src).unwrap();
+        assert_matches_naive(&cached, &naive_longest_paths(n, &edges[..half], src), "prefix");
         let naive_half_to = naive_longest_paths(n, &reversed(&edges[..half]), src);
-        assert_matches_naive(g.longest_to(&src).as_ref(), &naive_half_to, "prefix to");
+        assert_matches_naive(&g.longest_to(&src).unwrap(), &naive_half_to, "prefix to");
 
         // Append the rest and re-query: the memoized result catches up
         // over the append log.
         for (i, &(u, v, w)) in edges[half..].iter().enumerate() {
-            g.add_edge(u, v, w, (half + i) as u32);
+            g.add_edge(&u, &v, w, (half + i) as u32);
         }
-        let naive_full = naive_longest_paths(n, &edges, src);
-        assert_matches_naive(g.longest_from_cached(&src).as_deref(), &naive_full, "delta");
+        let naive = naive_longest_paths(n, &edges, src);
+        assert_matches_naive(&g.longest_from_cached(&src).unwrap(), &naive, "catch-up");
         let naive_full_to = naive_longest_paths(n, &reversed(&edges), src);
-        assert_matches_naive(g.longest_to(&src).as_ref(), &naive_full_to, "fresh to");
+        assert_matches_naive(&g.longest_to(&src).unwrap(), &naive_full_to, "fresh to");
 
-        // A fresh unmemoized SPFA and the in-tree dense ablation
+        // A fresh unmemoized Dijkstra and the in-tree dense ablation
         // baseline agree on the final graph too, and every vertex's path
         // is the canonical one.
-        match (&naive_full, g.longest_from(&src), g.longest_from_dense(&src)) {
-            (Ok(naive), Ok(fresh), Ok(dense)) => {
-                for (i, &expected) in naive.iter().enumerate() {
-                    prop_assert_eq!(fresh.weight(i), expected);
-                    prop_assert_eq!(dense[i], expected);
-                }
-                let mut graph = NaiveGraph {
-                    vertices: (0..n).collect(),
-                    edges: BTreeMap::new(),
-                };
-                for (label, &(u, v, w)) in edges.iter().enumerate() {
-                    graph.edges.entry(u).or_default().push((v, w, label as u32));
-                }
-                let d: BTreeMap<usize, i64> = naive
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, w)| Some((i, (*w)?)))
-                    .collect();
-                let targets: Vec<usize> = (0..n).collect();
-                let paths = naive_canonical_paths(&graph, &d, src, &targets);
-                for (t, path) in paths.iter().enumerate() {
-                    let want = path.as_ref().map(|p| indexed_path(d[&t], p, |v| v));
-                    let got = g.longest_path(&src, &t).unwrap();
-                    assert_path(got, want, &format!("path {src} -> {t}"));
-                }
+        let fresh = g.longest_from(&src).unwrap();
+        let dense = g.longest_from_dense(&src).unwrap();
+        for (i, &expected) in naive.iter().enumerate() {
+            prop_assert_eq!(fresh.weight(i), expected);
+            prop_assert_eq!(dense[i], expected);
+        }
+        let mut graph = NaiveGraph {
+            vertices: (0..n).collect(),
+            edges: BTreeMap::new(),
+        };
+        for (label, &(u, v, w)) in edges.iter().enumerate() {
+            graph.edges.entry(u).or_default().push((v, w, label as u32));
+        }
+        let d: BTreeMap<usize, i64> = naive
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| Some((i, (*w)?)))
+            .collect();
+        let targets: Vec<usize> = (0..n).collect();
+        let paths = naive_canonical_paths(&graph, &d, src, &targets);
+        for (t, path) in paths.iter().enumerate() {
+            let want = path.as_ref().map(|p| indexed_path(d[&t], p, |v| v));
+            let got = g.longest_path(&src, &t).unwrap();
+            assert_path(got, want, &format!("path {src} -> {t}"));
+        }
+    }
+}
+
+/// The work counters on the graph shape of `benches/layout.rs`: vertices
+/// `0..n` at times `4v`, a successor chain and `4n` random chords, each
+/// edge weighing `4v − 4u − slack`. A cold Dijkstra from 0 pops each of
+/// the `n` vertices once and scans each of the `5n − 1` edges once
+/// (128 / 639 at n = 128, 256 / 1279 at n = 256). Replaying the last 16
+/// edges one append at a time, each query's catch-up pops exactly the
+/// vertices whose distance it raised, and the result equals the dense
+/// Bellman–Ford.
+#[test]
+fn layout_traversals_pop_each_vertex_they_settle_once() {
+    for n in [128u32, 256] {
+        let mut state = 0x5EED_0000 + u64::from(n);
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let t = |v: u32| i64::from(v) * 4;
+        let mut edges: Vec<(u32, u32, i64)> = (0..n - 1)
+            .map(|v| (v, v + 1, 4 - below(3) as i64))
+            .collect();
+        for _ in 0..4 * n {
+            let u = below(u64::from(n)) as u32;
+            let v = (u + 1 + below(u64::from(n) - 1) as u32) % n;
+            edges.push((u, v, t(v) - t(u) - below(8) as i64));
+        }
+        let build = |edges: &[(u32, u32, i64)]| {
+            let mut g: WeightedDigraph<u32> = WeightedDigraph::new();
+            for v in 0..n {
+                g.add_vertex(v, t(v));
             }
-            (Err(()), Err(CoreError::PositiveCycle), Err(CoreError::PositiveCycle)) => {}
-            (naive, fresh, dense) => prop_assert!(
-                false,
-                "verdicts diverged: naive err {}, fresh err {}, dense err {}",
-                naive.is_err(),
-                fresh.is_err(),
-                dense.is_err()
-            ),
+            for (k, &(u, v, w)) in edges.iter().enumerate() {
+                g.add_edge(&u, &v, w, k as u32);
+            }
+            g
+        };
+        let full = build(&edges);
+        full.longest_from(&0).unwrap();
+        let cold = full.work();
+        assert_eq!(
+            (cold.pops, cold.scans),
+            (u64::from(n), 5 * u64::from(n) - 1)
+        );
+
+        let split = edges.len() - 16;
+        let mut g = build(&edges[..split]);
+        let mut last = g.longest_from_cached(&0).unwrap();
+        for (k, &(u, v, w)) in edges.iter().enumerate().skip(split) {
+            g.add_edge(&u, &v, w, k as u32);
+            let before = g.work();
+            let now = g.longest_from_cached(&0).unwrap();
+            let raised = (0..n as usize).filter(|&i| now.weight(i) != last.weight(i));
+            let pops = g.work().pops - before.pops;
+            assert_eq!(pops, raised.count() as u64, "n = {n}, append {k}");
+            last = now;
+        }
+        let dense = g.longest_from_dense(&0).unwrap();
+        for (i, want) in dense.into_iter().enumerate() {
+            assert_eq!(last.weight(i), want, "n = {n}: vertex {i}");
         }
     }
 }
@@ -1800,7 +1992,7 @@ proptest! {
 }
 
 /// The warm memoized query loop is allocation-free: after the first
-/// `longest_from_cached` runs SPFA and grows the shared scratch arena,
+/// `longest_from_cached` runs Dijkstra and grows the shared scratch arena,
 /// every later hit on the unmodified graph is a lock, a hash probe, and
 /// a refcount bump — zero heap traffic, counted by the thread-local
 /// [`CountingAlloc`] this test binary installs.
@@ -1808,13 +2000,13 @@ proptest! {
 fn warm_query_loop_allocates_nothing() {
     let mut g: WeightedDigraph<usize> = WeightedDigraph::new();
     for i in 0..128usize {
-        g.add_vertex(i);
+        g.add_vertex(i, i as i64);
     }
     for i in 0..127usize {
-        g.add_edge(i, i + 1, 1, i as u32);
+        g.add_edge(&i, &(i + 1), 1, i as u32);
     }
     for i in (0..120usize).step_by(7) {
-        g.add_edge(i, i + 5, 3, 1000 + i as u32);
+        g.add_edge(&i, &(i + 5), 3, 1000 + i as u32);
     }
     let src = 0usize;
     let first = g.longest_from_cached(&src).expect("acyclic chain");
@@ -1843,7 +2035,7 @@ fn warm_query_loop_allocates_nothing() {
 /// The same cold reads as traversals, the work counters of the session's
 /// `GB(r)` read as deltas: a cold `max_x`, `knows` and `witness` at a new
 /// state each run exactly one Dijkstra traversal, the forward lane from
-/// θ1's base, and no SPFA; a fast run at the witness's state then adds
+/// θ1's base; a fast run at the witness's state then adds
 /// exactly one, the backward lane to the observer.
 #[test]
 fn cold_observer_build_allocations_are_bounded() {
@@ -1921,10 +2113,8 @@ fn cold_observer_build_allocations_are_bounded() {
     };
     for session in &sessions {
         let work = || session.bounds_graph().graph().work();
-        let one_traversal = |before: GraphWork, what: &str| {
-            let after = work();
-            assert_eq!(after.spfa, before.spfa, "{what} ran SPFA");
-            let traversals = after.dijkstra.traversals - before.dijkstra.traversals;
+        let one_traversal = |before: TraversalWork, what: &str| {
+            let traversals = work().traversals - before.traversals;
             assert_eq!(traversals, 1, "{what} ran {traversals} traversals");
         };
         let before = work();

@@ -546,10 +546,12 @@ fn refused_appends_over_the_wire_change_nothing() {
 }
 
 /// A session fed out of `(time, process)` order keeps its message ids
-/// when it moves: B@5 sends m0 to A, then A@2 sends m1 to B. Exported
-/// and imported through wire frames, the moved session accepts the next
-/// append — A@7 receiving m0 — and answers like the source; a snapshot
-/// of it is written, and recovery restores it and replays that append.
+/// when it moves: B@5 sends m0 to A, then A@2 sends m1 to B, due by 8
+/// on a `[1, 6]` channel, so B can still receive it after its node at 5
+/// and the prefix stays legal. Exported and imported through wire
+/// frames, the moved session accepts the next append — A@7 receiving
+/// m0 — and answers like the source; a snapshot of it is written, and
+/// recovery restores it and replays that append.
 #[test]
 fn out_of_order_feeds_keep_their_message_ids_across_migration_and_snapshots() {
     use zigzag::bcm::stream::SendEvent;
@@ -558,7 +560,7 @@ fn out_of_order_feeds_keep_their_message_ids_across_migration_and_snapshots() {
     let mut b = zigzag::bcm::Network::builder();
     let a = b.add_process("A");
     let bb = b.add_process("B");
-    b.add_channel(a, bb, 1, 3).unwrap();
+    b.add_channel(a, bb, 1, 6).unwrap();
     b.add_channel(bb, a, 1, 3).unwrap();
     let context = std::sync::Arc::new(b.build().unwrap());
     let event = |proc, time, receipt, send: Option<(ProcessId, u64)>| RunEvent {
@@ -577,7 +579,7 @@ fn out_of_order_feeds_keep_their_message_ids_across_migration_and_snapshots() {
     let kick = || ReceiptEvent::External("kick".into());
     let feed = [
         event(bb, 5, kick(), Some((a, 7))),
-        event(a, 2, kick(), Some((bb, 4))),
+        event(a, 2, kick(), Some((bb, 7))),
     ];
     let next = event(a, 7, ReceiptEvent::Message(MessageId::new(0)), None);
 

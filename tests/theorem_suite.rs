@@ -8,7 +8,7 @@ mod common;
 use common::workloads;
 use proptest::prelude::*;
 use zigzag::bcm::validate::{validate_run, Strictness};
-use zigzag::bcm::NodeId;
+use zigzag::bcm::{NodeId, Receipt, Run};
 use zigzag::core::bounds_graph::BoundsGraph;
 use zigzag::core::construct::{slow_run, FrontierGraph};
 use zigzag::core::extract::{zigzag_for_pair, zigzag_from_gb_path};
@@ -16,6 +16,30 @@ use zigzag::core::knowledge::KnowledgeEngine;
 use zigzag::core::precedence::satisfies;
 use zigzag::core::CoreError;
 use zigzag::core::GeneralNode;
+
+/// What `node` sees in `run`: its causal past's boundary on each process,
+/// and its receipts — each message by sender node and channel, each
+/// external by name — as a sorted multiset. A run is indistinguishable
+/// from another at σ when every node of σ's past sees the same in both.
+fn local_view(run: &Run, node: NodeId) -> (Vec<Option<NodeId>>, Vec<String>) {
+    let past = run.past(node);
+    let net = run.context().network();
+    let boundaries = net.processes().map(|p| past.boundary(p)).collect();
+    let rec = run.node(node).expect("the node appears");
+    let mut receipts: Vec<String> = rec
+        .receipts()
+        .iter()
+        .map(|r| match *r {
+            Receipt::Internal(m) => {
+                let m = run.message(m);
+                format!("message from {} on {}", m.src(), m.channel())
+            }
+            Receipt::External(e) => format!("external {}", run.external(e).name()),
+        })
+        .collect();
+    receipts.sort_unstable();
+    (boundaries, receipts)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -119,7 +143,9 @@ proptest! {
     }
 
     /// Theorem 4, negative direction: any claim one past the threshold is
-    /// refuted by a legal run indistinguishable at σ.
+    /// refuted by a legal run indistinguishable at σ: every node of
+    /// `past(r, σ)` appears in it and sees the same boundaries and
+    /// receipts there as in the source.
     #[test]
     fn theorem4_refutations(w in workloads()) {
         let run = w.run();
@@ -139,9 +165,11 @@ proptest! {
                 let x = m.map_or(-5, |m| m + 1);
                 let fr = engine.refute(&ta, &tb, x).unwrap().expect("refutable");
                 validate_run(&fr.run, Strictness::Strict).unwrap();
-                // Indistinguishability at σ: the entire past is reproduced.
+                // Indistinguishability at σ: the entire past is reproduced,
+                // each node with what it saw.
                 for n in past.iter() {
                     prop_assert!(fr.run.appears(n), "past node {} lost", n);
+                    prop_assert_eq!(local_view(&fr.run, n), local_view(&run, n), "at {}", n);
                 }
                 prop_assert!(!satisfies(&fr.run, &ta, &tb, x).unwrap(),
                     "refutation run satisfies {} --{}--> {}", a, x, b);
